@@ -11,8 +11,6 @@ from .basis import (
     BasisMode,
     SpectralField,
     enumerate_modes,
-    evaluate,
-    evaluate_gradient,
     gram_matrix,
     make_basis,
     project_L2,
@@ -24,7 +22,6 @@ from .galerkin import FluidParams, GalerkinState, apply_N, fixed_point_window, r
 from .interface import (
     InitialPhase,
     InterfaceMesh,
-    PhaseViscosity,
     advect,
     curvature_pairing,
     enclosed_volume,
@@ -42,8 +39,6 @@ __all__ = [
     "BasisMode",
     "SpectralField",
     "enumerate_modes",
-    "evaluate",
-    "evaluate_gradient",
     "gram_matrix",
     "make_basis",
     "project_L2",
@@ -64,7 +59,6 @@ __all__ = [
     "run",
     "InitialPhase",
     "InterfaceMesh",
-    "PhaseViscosity",
     "advect",
     "curvature_pairing",
     "enclosed_volume",

@@ -28,6 +28,13 @@ TWO_PI = 2.0 * math.pi
 _PHASES = ("cos", "sin")
 
 
+def _check_polarization(dimension, index):
+    if dimension == 2 and index != 0:
+        raise ValueError(f"2D modes have a single polarization, got index {index}")
+    if dimension == 3 and index not in (0, 1):
+        raise ValueError(f"3D modes have polarizations 0 and 1, got index {index}")
+
+
 def polarization_axis(wavevector, index):
     """Integer vector orthogonal to ``wavevector`` for polarization ``index``.
 
@@ -38,13 +45,10 @@ def polarization_axis(wavevector, index):
     """
     k = np.asarray(wavevector, dtype=np.int64)
     d = k.size
+    _check_polarization(d, index)
     if d == 2:
-        if index != 0:
-            raise ValueError(f"2D modes have a single polarization, got index {index}")
         return np.array([-k[1], k[0]], dtype=np.int64)
     if d == 3:
-        if index not in (0, 1):
-            raise ValueError(f"3D modes have polarizations 0 and 1, got index {index}")
         axis = np.zeros(3, dtype=np.int64)
         axis[int(np.argmin(np.abs(k)))] = 1
         first = np.cross(k, axis)
@@ -80,7 +84,7 @@ class BasisMode:
             raise ValueError(f"phase must be one of {_PHASES}, got {self.phase!r}")
         if self.normalization <= 0.0:
             raise ValueError("normalization must be positive")
-        polarization_axis(k, self.polarization)  # validates the index
+        _check_polarization(k.size, self.polarization)
 
     @property
     def dimension(self):
@@ -198,21 +202,6 @@ class Basis:
         )
         return np.tensordot(dph, outer, axes=([1], [0]))
 
-    def mode_values(self, points):
-        """All modes at all points: (n, m, d)."""
-        ph = self.phase_values(points)
-        return ph.T[:, :, None] * (self.normalizations[:, None] * self.polarizations)[:, None, :]
-
-    def mode_gradients(self, points):
-        """Jacobians of all modes at all points: (n, m, d, d)."""
-        dph = self.phase_derivatives(points)
-        outer = (
-            self.normalizations[:, None, None]
-            * self.polarizations[:, :, None]
-            * self.wavevectors[:, None, :]
-        )
-        return dph.T[:, :, None, None] * outer[:, None, :, :]
-
 
 def make_basis(dimension, kmax, length=TWO_PI):
     return Basis(enumerate_modes(dimension, kmax), length=length)
@@ -263,16 +252,6 @@ class SpectralField:
 
     def with_coefficients(self, coefficients):
         return SpectralField(self.basis, np.array(coefficients, dtype=np.float64))
-
-
-def evaluate(field, x):
-    """Field value(s) at x; exact linearity in coefficients, periodic in x."""
-    return field.evaluate(x)
-
-
-def evaluate_gradient(field, x):
-    """Jacobian matrix (grad u)_il = d_l u_i at x; trace vanishes to round-off."""
-    return field.gradient(x)
 
 
 def quadrature_rule(dimension, order, length=TWO_PI):

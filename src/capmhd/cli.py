@@ -74,7 +74,6 @@ def _summarize(result, config, report):
         "pass": report.passed,
         "worst_margin": report.worst_margin,
         "worst_time": report.worst_time,
-        "korn_constant": report.korn_constant,
         "windows": len(result.windows),
         "window_failures": result.window_failures,
         "delta_initial": result.delta_initial,
@@ -107,8 +106,7 @@ def cmd_run(config_path, out_dir=None):
         )
         print(f"solver failure: {exc}", file=sys.stderr)
         return 3
-    korn = min(config.nu_plus, config.nu_minus)
-    report = check_inequality(result.ledger, result.tau_E, korn_constant=korn)
+    report = check_inequality(result.ledger, result.tau_E)
     result.ledger.write_csv(os.path.join(out, "ledger.csv"))
     _write_json(os.path.join(out, "summary.json"), _summarize(result, config, report))
     by_time = {state.t: state for state in result.states}

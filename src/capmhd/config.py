@@ -9,7 +9,7 @@ either a bare configuration or a summary file carrying one under "config".
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import MISSING, dataclass, field, fields
 
 import numpy as np
 
@@ -93,33 +93,47 @@ def _is_zero_field(spec):
     return False
 
 
+def _solver(default):
+    return field(default=default, metadata={"section": "solver"})
+
+
+def _location(f):
+    """(JSON section or None, key) of a RunConfig field."""
+    return f.metadata.get("section"), f.metadata.get("key", f.name)
+
+
 @dataclass
 class RunConfig:
-    """Validated parameters of one run (solver knobs resolved to defaults)."""
+    """Validated parameters of one run (solver knobs resolved to defaults).
+
+    Each field sits in the JSON object under its name, in the "solver" or
+    "output" section given by its metadata, or under a different key given
+    there; ``from_dict`` and ``resolved`` both read this layout.
+    """
 
     dimension: int
     kmax: int
     T: float
     initial_velocity: dict
     initial_magnetic: dict
-    phase_shape: dict
+    phase_shape: dict = field(metadata={"key": "phase"})
     nu_plus: float
     nu_minus: float
     sigma: float
     kappa: float
-    delta: float = 0.1
-    n_sub: int = 8
-    tol: float = 1e-8
-    omega: float = 1.0
-    quadrature_order: int = None
-    h_flow: float = 0.01
-    dt_b: float = None
-    mesh_resolution: int = None
-    resample_2d: bool = False
-    delta_min: float = DELTA_MIN_DEFAULT
-    max_iter: int = 40
-    output_dir: str = "out"
-    cadence: float = None
+    delta: float = _solver(0.1)
+    n_sub: int = _solver(8)
+    tol: float = _solver(1e-8)
+    omega: float = _solver(1.0)
+    quadrature_order: int = _solver(None)
+    h_flow: float = _solver(0.01)
+    dt_b: float = _solver(None)
+    mesh_resolution: int = _solver(None)
+    resample_2d: bool = _solver(False)
+    delta_min: float = _solver(DELTA_MIN_DEFAULT)
+    max_iter: int = _solver(40)
+    output_dir: str = field(default="out", metadata={"section": "output", "key": "directory"})
+    cadence: float = field(default=None, metadata={"section": "output"})
 
     def __post_init__(self):
         self.validate()
@@ -212,90 +226,31 @@ class RunConfig:
 
     def resolved(self):
         """Plain dict with every default filled in (embedded into summaries)."""
-        return {
-            "dimension": self.dimension,
-            "kmax": self.kmax,
-            "T": self.T,
-            "initial_velocity": self.initial_velocity,
-            "initial_magnetic": self.initial_magnetic,
-            "phase": self.phase_shape,
-            "nu_plus": self.nu_plus,
-            "nu_minus": self.nu_minus,
-            "sigma": self.sigma,
-            "kappa": self.kappa,
-            "solver": {
-                "delta": self.delta,
-                "n_sub": self.n_sub,
-                "tol": self.tol,
-                "omega": self.omega,
-                "quadrature_order": self.quadrature_order,
-                "h_flow": self.h_flow,
-                "dt_b": self.dt_b,
-                "mesh_resolution": self.mesh_resolution,
-                "resample_2d": self.resample_2d,
-                "delta_min": self.delta_min,
-                "max_iter": self.max_iter,
-            },
-            "output": {"directory": self.output_dir, "cadence": self.cadence},
-        }
+        out = {}
+        for f in fields(self):
+            section, key = _location(f)
+            target = out.setdefault(section, {}) if section else out
+            target[key] = getattr(self, f.name)
+        return out
 
     @classmethod
     def from_dict(cls, data):
         if "config" in data and isinstance(data["config"], dict):
             data = data["config"]  # summary files embed the resolved config
-        solver = dict(data.get("solver", {}))
-        output = dict(data.get("output", {}))
-        required = (
-            "dimension",
-            "kmax",
-            "T",
-            "initial_velocity",
-            "initial_magnetic",
-            "phase",
-            "nu_plus",
-            "nu_minus",
-            "sigma",
-            "kappa",
-        )
+        required = [_location(f)[1] for f in fields(cls) if f.default is MISSING]
         missing = [key for key in required if key not in data]
         if missing:
             raise ConfigError(f"missing config fields: {', '.join(missing)}")
+        values = {}
         try:
-            return cls(
-                dimension=int(data["dimension"]),
-                kmax=int(data["kmax"]),
-                T=float(data["T"]),
-                initial_velocity=dict(data["initial_velocity"]),
-                initial_magnetic=dict(data["initial_magnetic"]),
-                phase_shape=dict(data["phase"]),
-                nu_plus=float(data["nu_plus"]),
-                nu_minus=float(data["nu_minus"]),
-                sigma=float(data["sigma"]),
-                kappa=float(data["kappa"]),
-                delta=float(solver.get("delta", 0.1)),
-                n_sub=int(solver.get("n_sub", 8)),
-                tol=float(solver.get("tol", 1e-8)),
-                omega=float(solver.get("omega", 1.0)),
-                quadrature_order=(
-                    int(solver["quadrature_order"])
-                    if solver.get("quadrature_order") is not None
-                    else None
-                ),
-                h_flow=float(solver.get("h_flow", 0.01)),
-                dt_b=float(solver["dt_b"]) if solver.get("dt_b") is not None else None,
-                mesh_resolution=(
-                    int(solver["mesh_resolution"])
-                    if solver.get("mesh_resolution") is not None
-                    else None
-                ),
-                resample_2d=bool(solver.get("resample_2d", False)),
-                delta_min=float(solver.get("delta_min", DELTA_MIN_DEFAULT)),
-                max_iter=int(solver.get("max_iter", 40)),
-                output_dir=str(output.get("directory", "out")),
-                cadence=(
-                    float(output["cadence"]) if output.get("cadence") is not None else None
-                ),
-            )
+            for f in fields(cls):
+                section, key = _location(f)
+                source = dict(data.get(section, {})) if section else data
+                if key in source:
+                    value = source[key]
+                    optional = value is None and f.default is None
+                    values[f.name] = None if optional else f.type(value)
+            return cls(**values)
         except (KeyError, TypeError, ValueError) as exc:
             if isinstance(exc, ConfigError):
                 raise

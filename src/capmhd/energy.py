@@ -15,9 +15,7 @@ inequality
 
 which should be near-equality for smooth single-phase decay (the transfer
 term between the velocity and magnetic equations cancels); the identity
-itself is a diagnostic, not the gate.  The report also carries the
-coercivity constant relating the raw dissipation to the velocity-gradient
-dissipation on divergence-free mean-free fields.
+itself is a diagnostic, not the gate.
 """
 
 from dataclasses import dataclass, field
@@ -104,14 +102,11 @@ def viscous_dissipation_rate(state, order, chi_values=None):
     grads = state.u.gradient(points)
     du = 0.5 * (grads + np.swapaxes(grads, 1, 2))
     densities = np.einsum("mij,mij->m", du, du)
-    if params.nu_plus == params.nu_minus:
-        nu = np.full(len(points), params.nu_plus)
-    else:
-        if chi_values is None:
+    if chi_values is None:
+        if params.two_phase:
             raise ValueError("chi_values required when the viscosities differ")
-        nu = params.nu_minus + (params.nu_plus - params.nu_minus) * np.asarray(
-            chi_values, dtype=np.float64
-        )
+        chi_values = np.zeros(len(points))
+    nu = params.viscosity(chi_values)
     return 2.0 * weight * float(np.sum(nu * densities))
 
 
@@ -149,7 +144,6 @@ class EnergyReport:
     worst_time: float
     tau_E: float
     E0: float
-    korn_constant: float = 0.0
     failed_times: tuple = ()
 
     def as_dict(self):
@@ -159,7 +153,6 @@ class EnergyReport:
             "worst_time": self.worst_time,
             "tau_E": self.tau_E,
             "E0": self.E0,
-            "korn_constant": self.korn_constant,
             "failed_times": list(self.failed_times),
         }
 
@@ -169,7 +162,7 @@ def default_tolerance(dt, order, E0):
     return 10.0 * (dt + 1.0 / order) * E0
 
 
-def check_inequality(ledger, tau_E, korn_constant=0.0):
+def check_inequality(ledger, tau_E):
     """Verify every row satisfies the generalized energy inequality.
 
     margin(row) = kinetic + magnetic + tension + viscous_cum + resistive_cum - E0;
@@ -188,6 +181,5 @@ def check_inequality(ledger, tau_E, korn_constant=0.0):
         worst_time=float(times[worst]),
         tau_E=float(tau_E),
         E0=float(ledger.E0),
-        korn_constant=float(korn_constant),
         failed_times=failed,
     )

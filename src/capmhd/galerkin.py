@@ -122,10 +122,14 @@ class WindowSolve:
     iterations: int
     residual_history: list
     N_values: np.ndarray = None
-    B_fields: list = field(default_factory=list)
-    meshes: list = field(default_factory=list)
+    states: list = field(default_factory=list)
     resistive_increments: np.ndarray = None
     chi_cache: list = field(default_factory=list)
+
+    @property
+    def meshes(self):
+        """Interface mesh at each node of the window."""
+        return [state.mesh for state in self.states]
 
 
 def apply_N(state, order, chi_values=None):
@@ -157,7 +161,7 @@ def apply_N(state, order, chi_values=None):
     if state.params.kappa > 0.0:
         result += state.params.kappa * curvature_pairing_modes(state.mesh, basis)
     if not np.all(np.isfinite(result)):
-        raise ValueError("apply_N produced non-finite entries")
+        raise NumericsError("apply_N produced non-finite entries")
     return result
 
 
@@ -265,21 +269,23 @@ def fixed_point_window(
                 )
             else:
                 chi_cache = None
+            states = [
+                GalerkinState(
+                    t_grid[i], sampler.field_at(t_grid[i]), b_fields[i], meshes[i], params
+                )
+                for i in range(n_sub + 1)
+            ]
+            k_coeffs, n_values = apply_K(
+                u_coeffs, anchor.u.coefficients, states, order, chi_values=chi_cache
+            )
         except (MeshInvariantError, MeshQualityError, IntegrationError, NumericsError) as exc:
             # a blown-up iterate on an oversized window is a window failure,
             # not a run abort: the caller's halving is the remedy
             raise WindowFailureError(
                 f"window at t={anchor.t:.6g} (delta={delta:.3g}) broke its "
-                f"dependents during sweep {iteration}: {exc}",
+                f"dependents or forcing during sweep {iteration}: {exc}",
                 residual_history=residual_history,
             ) from exc
-        states = [
-            GalerkinState(t_grid[i], sampler.field_at(t_grid[i]), b_fields[i], meshes[i], params)
-            for i in range(n_sub + 1)
-        ]
-        k_coeffs, n_values = apply_K(
-            u_coeffs, anchor.u.coefficients, states, order, chi_values=chi_cache
-        )
         residual = float(np.max(np.linalg.norm(u_coeffs - k_coeffs, axis=1)))
         residual_history.append(residual)
         if residual < tol:
@@ -289,8 +295,7 @@ def fixed_point_window(
                 iterations=iteration,
                 residual_history=residual_history,
                 N_values=n_values,
-                B_fields=b_fields,
-                meshes=meshes,
+                states=states,
                 resistive_increments=resistive,
                 chi_cache=list(chi_cache) if chi_cache is not None else [None] * (n_sub + 1),
             )
@@ -372,22 +377,6 @@ def run(config):
     failures = 0
     t = 0.0
 
-    def log_samples(window):
-        for i, ti in enumerate(window.t_grid):
-            st = GalerkinState(
-                ti, SpectralField(basis, window.u_trajectory[i]), window.B_fields[i],
-                window.meshes[i], params,
-            )
-            samples.append(
-                (
-                    float(ti),
-                    float(np.linalg.norm(window.N_values[i])),
-                    st.u.norm(),
-                    st.B.norm(),
-                    st.bv_norm(),
-                )
-            )
-
     while t < config.T - 1e-12:
         delta_use = min(delta, config.T - t)
         try:
@@ -423,33 +412,18 @@ def run(config):
                 )
             continue
         windows.append(window)
-        log_samples(window)
+        for st, n_value in zip(window.states, window.N_values):
+            n_norm = float(np.linalg.norm(n_value))
+            samples.append((float(st.t), n_norm, st.u.norm(), st.B.norm(), st.bv_norm()))
         rates = [
-            viscous_dissipation_rate(
-                GalerkinState(
-                    window.t_grid[i],
-                    SpectralField(basis, window.u_trajectory[i]),
-                    window.B_fields[i],
-                    window.meshes[i],
-                    params,
-                ),
-                order,
-                chi_values=window.chi_cache[i],
-            )
-            for i in range(len(window.t_grid))
+            viscous_dissipation_rate(st, order, chi_values=chi)
+            for st, chi in zip(window.states, window.chi_cache)
         ]
         for i in range(1, len(window.t_grid)):
             dt = window.t_grid[i] - window.t_grid[i - 1]
             viscous_inc = 0.5 * dt * (rates[i - 1] + rates[i])
-            new_state = GalerkinState(
-                window.t_grid[i],
-                SpectralField(basis, window.u_trajectory[i]),
-                window.B_fields[i],
-                window.meshes[i],
-                params,
-            )
-            record(new_state, ledger, (viscous_inc, window.resistive_increments[i - 1]))
-            states.append(new_state)
+            record(window.states[i], ledger, (viscous_inc, window.resistive_increments[i - 1]))
+            states.append(window.states[i])
         increments = 0.5 * np.diff(window.t_grid)[:, None] * (
             window.N_values[:-1] + window.N_values[1:]
         )

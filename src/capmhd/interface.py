@@ -125,16 +125,15 @@ class InterfaceMesh:
             if np.any(counts != 2):
                 raise MeshInvariantError("2D mesh is not a closed polygon (vertex degree != 2)")
         else:
-            edges = {}
-            for tri in self.elements:
-                for a, b in ((tri[0], tri[1]), (tri[1], tri[2]), (tri[2], tri[0])):
-                    edges[(int(a), int(b))] = edges.get((int(a), int(b)), 0) + 1
-            for (a, b), count in edges.items():
-                if count != 1 or edges.get((b, a), 0) != 1:
-                    raise MeshInvariantError(
-                        "3D mesh is not closed with consistent orientation "
-                        f"(edge ({a},{b}))"
-                    )
+            # every directed edge occurs once, and so does its reverse
+            start = self.elements.ravel()
+            end = np.roll(self.elements, -1, axis=1).ravel()
+            n = len(self.vertices)
+            edges = np.sort(start * n + end)
+            if np.any(np.diff(edges) == 0) or not np.array_equal(
+                edges, np.sort(end * n + start)
+            ):
+                raise MeshInvariantError("3D mesh is not closed with consistent orientation")
         measures = element_measures(self)
         if np.any(measures < _QUALITY_FLOOR):
             bad = int(np.argmin(measures))
@@ -315,13 +314,18 @@ def curvature_pairing(mesh, grad_eta):
 
 
 def curvature_pairing_modes(mesh, basis):
-    """Curvature pairing against every basis mode at once: (n_modes,)."""
+    """Curvature pairing against every basis mode at once: (n_modes,).
+
+    Each mode gradient is rank one, grad(eta_j) = c_j trig'(k_j . x) e_j k_j^T,
+    so (I - n n^T) : grad(eta_j) = c_j trig'(k_j . x) ((e_j . k_j) - (n . e_j)(n . k_j)).
+    The trace term e_j . k_j vanishes because every mode is divergence-free,
+    which leaves -c_j sum_e |e| trig'(k_j . x_e) (n_e . e_j)(n_e . k_j).
+    """
     n = normals(mesh)
-    centers = element_centers(mesh)
-    grads = basis.mode_gradients(centers)
-    trace = np.einsum("jeii->je", grads)
-    normal_part = np.einsum("ei,jeil,el->je", n, grads, n)
-    return (trace - normal_part) @ element_measures(mesh)
+    dph = basis.phase_derivatives(element_centers(mesh))
+    n_pol = n @ basis.polarizations.T
+    n_wav = n @ basis.wavevectors.T
+    return -basis.normalizations * (element_measures(mesh) @ (dph * n_pol * n_wav))
 
 
 def indicator(x, t, sampler, phase, h):
@@ -351,21 +355,21 @@ def point_in_mesh(mesh, points):
         hits = straddle & (x_cross > p[:, None, 0])
         inside = (np.sum(hits, axis=1) % 2).astype(np.int64)
     else:
+        # The ray crosses a triangle when it passes every edge on the same
+        # side: the side of edge (a, b) is the sign of d . ((a - p) x (b - p)).
+        # That value is exactly negated for the reversed edge of the
+        # neighbouring triangle, so a ray through a shared edge counts once;
+        # an exact zero takes the sign of the edge's direction in index order.
         direction = np.array([0.57735026918962580, 0.57735026918962562, 0.57735026918962551])
-        a = corners[:, 0]
-        e1 = corners[:, 1] - a
-        e2 = corners[:, 2] - a
-        pvec = np.cross(direction, e2)
-        det = np.einsum("ei,ei->e", e1, pvec)
+        normal = np.cross(corners[:, 1] - corners[:, 0], corners[:, 2] - corners[:, 0])
+        tie = np.where(mesh.elements < np.roll(mesh.elements, -1, axis=1), 1.0, -1.0)
         inside = np.zeros(len(p), dtype=np.int64)
-        valid_det = np.abs(det) > 1e-300
         for i, pt in enumerate(p):
-            tvec = pt - a
-            u = np.einsum("ei,ei->e", tvec, pvec) / np.where(valid_det, det, 1.0)
-            qvec = np.cross(tvec, e1)
-            v = np.einsum("i,ei->e", direction, qvec) / np.where(valid_det, det, 1.0)
-            dist = np.einsum("ei,ei->e", e2, qvec) / np.where(valid_det, det, 1.0)
-            hit = valid_det & (u >= 0) & (v >= 0) & (u + v <= 1) & (dist > 0)
+            rel = corners - pt
+            side = np.sum(np.cross(rel, np.roll(rel, -1, axis=1)) * direction, axis=-1)
+            side = np.where(side == 0.0, tie, np.sign(side))
+            ahead = np.sign(np.einsum("ei,ei->e", rel[:, 0], normal))
+            hit = (side[:, 0] == side[:, 1]) & (side[:, 1] == side[:, 2]) & (side[:, 0] == ahead)
             inside[i] = int(np.sum(hit)) % 2
     return int(inside[0]) if single else inside
 
@@ -395,21 +399,6 @@ def _polygon_order(mesh):
     for _ in range(len(mesh.vertices) - 1):
         order.append(succ[order[-1]])
     return np.array(order, dtype=np.int64)
-
-
-@dataclass(frozen=True)
-class PhaseViscosity:
-    """Two-phase viscosity nu(chi) = nu_plus * chi + nu_minus * (1 - chi)."""
-
-    nu_plus: float
-    nu_minus: float
-
-    def __post_init__(self):
-        if self.nu_plus < 0.0 or self.nu_minus < 0.0:
-            raise ValueError("viscosities must be nonnegative")
-
-    def value(self, chi):
-        return self.nu_minus + (self.nu_plus - self.nu_minus) * np.asarray(chi, dtype=np.float64)
 
 
 def write_mesh(mesh, path):

@@ -54,6 +54,13 @@ class TestEnumerateModes:
             axis = cb.polarization_axis(mode.wavevector, mode.polarization)
             assert int(axis @ np.array(mode.wavevector, dtype=np.int64)) == 0
 
+    @pytest.mark.parametrize(
+        "wavevector,index", [((1, 0), 1), ((1, 0), -1), ((1, 0, 0), 2), ((1, 0, 0), -1)]
+    )
+    def test_bad_polarization_index_rejected(self, wavevector, index):
+        with pytest.raises(ValueError, match="polarization"):
+            cb.BasisMode(wavevector, "cos", index, 1.0)
+
     def test_mode_is_l2_unit(self):
         basis = cb.make_basis(2, 1)
         points, weight = cb.quadrature_rule(2, 8)
@@ -68,7 +75,7 @@ class TestEnumerateModes:
 class TestEvaluate:
     def test_zero_field(self, basis_2d):
         field = cb.SpectralField(basis_2d, np.zeros(len(basis_2d)))
-        assert np.all(cb.evaluate(field, np.array([1.0, 2.0])) == 0.0)
+        assert np.all(field.evaluate(np.array([1.0, 2.0])) == 0.0)
 
     def test_single_cosine_mode_at_origin(self):
         basis = cb.make_basis(2, 1)
@@ -80,7 +87,7 @@ class TestEvaluate:
         coeffs = np.zeros(len(basis))
         coeffs[j] = 1.0
         field = cb.SpectralField(basis, coeffs)
-        value = cb.evaluate(field, np.zeros(2))
+        value = field.evaluate(np.zeros(2))
         mode = basis.modes[j]
         expected = mode.normalization * mode.polarization_vector()
         np.testing.assert_allclose(value, expected, rtol=0, atol=1e-15)
@@ -88,7 +95,7 @@ class TestEvaluate:
     def test_taylor_green_pointwise(self):
         basis = cb.make_basis(2, 1)
         field = cb.project_L2(taylor_green_sampler, basis, 8)
-        value = cb.evaluate(field, np.array([np.pi / 2, 0.0]))
+        value = field.evaluate(np.array([np.pi / 2, 0.0]))
         np.testing.assert_allclose(value, [1.0, 0.0], atol=1e-12)
 
     def test_linearity(self, basis_2d):
@@ -107,7 +114,7 @@ class TestEvaluate:
 class TestGradient:
     def test_zero_field(self, basis_2d):
         field = cb.SpectralField(basis_2d, np.zeros(len(basis_2d)))
-        assert np.all(cb.evaluate_gradient(field, np.ones(2)) == 0.0)
+        assert np.all(field.gradient(np.ones(2)) == 0.0)
 
     @pytest.mark.parametrize("dimension", [2, 3])
     def test_matches_finite_differences(self, dimension):
@@ -115,7 +122,7 @@ class TestGradient:
         rng = np.random.default_rng(7)
         field = cb.SpectralField(basis, rng.standard_normal(len(basis)))
         x = rng.uniform(0, 2 * np.pi, dimension)
-        grad = cb.evaluate_gradient(field, x)
+        grad = field.gradient(x)
         step = 1e-5
         fd = np.empty_like(grad)
         for l in range(dimension):

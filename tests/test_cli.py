@@ -1,15 +1,16 @@
 import json
 import subprocess
 import sys
+from dataclasses import MISSING, fields
 
 import numpy as np
 import pytest
 
-from capmhd import cli
+from capmhd import cli, galerkin
 from capmhd.config import RunConfig
 from capmhd.errors import ConfigError
 
-from conftest import CENTER_2D
+from conftest import CENTER_2D, reference_config
 
 
 def small_config_dict(**overrides):
@@ -74,6 +75,26 @@ class TestConfigValidation:
         with pytest.raises(ConfigError, match="not in the basis"):
             RunConfig.from_dict(data).build()
 
+    def test_resolved_round_trip_reference(self):
+        config = reference_config()
+        assert RunConfig.from_dict(config.resolved()) == config
+
+    def test_resolved_round_trip_every_field_set(self):
+        solver = {
+            "delta": 0.05, "n_sub": 3, "tol": 1e-9, "omega": 0.5, "quadrature_order": 6,
+            "h_flow": 0.02, "dt_b": 0.01, "mesh_resolution": 32, "resample_2d": True,
+            "delta_min": 1e-4, "max_iter": 12,
+        }
+        output = {"directory": "elsewhere", "cadence": 0.02}
+        config = RunConfig.from_dict(small_config_dict(solver=solver, output=output))
+        for f in fields(RunConfig):
+            if f.default is not MISSING:
+                assert getattr(config, f.name) != f.default, f.name
+        resolved = config.resolved()
+        assert resolved["solver"] == solver
+        assert resolved["output"] == output
+        assert RunConfig.from_dict(resolved) == config
+
     def test_summary_wrapper_accepted(self, tmp_path):
         path = write_config(tmp_path, {"config": small_config_dict()})
         config = RunConfig.from_json(path)
@@ -116,6 +137,21 @@ class TestCmdRun:
         dump = json.loads((out / "failure_state.json").read_text())
         assert dump["error"] == "NonConvergenceError"
         assert "diagnostics" in dump
+
+    def test_non_finite_forcing_exits_3_with_dump(self, tmp_path, capsys, monkeypatch):
+        def nan_pairing(mesh, basis):
+            return np.full(len(basis), np.nan)
+
+        monkeypatch.setattr(galerkin, "curvature_pairing_modes", nan_pairing)
+        data = small_config_dict()
+        data["solver"]["delta_min"] = 0.02
+        path = write_config(tmp_path, data)
+        out = tmp_path / "out"
+        assert cli.main(["run", "--config", path, "--out", str(out)]) == 3
+        dump = json.loads((out / "failure_state.json").read_text())
+        assert dump["error"] == "NonConvergenceError"
+        assert dump["diagnostics"]["failures"] >= 2
+        assert "solver failure" in capsys.readouterr().err
 
     def test_config_round_trip_reproduces_ledger(self, tmp_path):
         path = write_config(tmp_path, small_config_dict())

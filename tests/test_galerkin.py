@@ -32,6 +32,16 @@ class TestFluidParams:
         assert cg.FluidParams(0.2, 0.1, 1.0, 0.0).two_phase
         assert not cg.FluidParams(0.1, 0.1, 1.0, 0.0).two_phase
 
+    def test_viscosity_blend(self):
+        params = cg.FluidParams(0.3, 0.1, 1.0, 0.0)
+        assert params.viscosity(1.0) == pytest.approx(0.3)
+        assert params.viscosity(0.0) == pytest.approx(0.1)
+        np.testing.assert_allclose(params.viscosity(np.array([0, 1])), [0.1, 0.3])
+
+    def test_negative_viscosity_rejected(self):
+        with pytest.raises(ValueError, match="nonnegative"):
+            cg.FluidParams(-0.1, 0.1, 1.0, 0.0)
+
 
 class TestApplyN:
     def test_zero_state_zero_forcing(self, basis_2d):
@@ -287,6 +297,24 @@ class TestRun:
         result = cg.run(config)
         assert result.window_failures >= 1
         assert result.final_state.t == pytest.approx(0.2)
+
+    def test_non_finite_forcing_halves_the_window(self, monkeypatch):
+        # the capillary term of the first apply_N call comes back NaN: the
+        # window fails, halves, and the run carries on to T
+        real = cg.curvature_pairing_modes
+        calls = []
+
+        def nan_once(mesh, basis):
+            calls.append(mesh.t)
+            values = real(mesh, basis)
+            return np.full_like(values, np.nan) if len(calls) == 1 else values
+
+        monkeypatch.setattr(cg, "curvature_pairing_modes", nan_once)
+        result = cg.run(reference_config(T=0.1))
+        assert result.window_failures == 1
+        first = result.windows[0].t_grid
+        assert first[-1] - first[0] == pytest.approx(result.delta_initial / 2)
+        assert result.final_state.t == pytest.approx(0.1)
 
     def test_hard_nonconvergence_below_delta_floor(self):
         config = reference_config(T=0.1)

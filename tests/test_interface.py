@@ -136,6 +136,54 @@ class TestIndicator:
         np.testing.assert_array_equal(by_trace, by_mesh)
 
 
+class TestPointInMesh:
+    def test_ray_through_shared_edge_counts_once(self):
+        # the 3D ray cast fires along d; a point set back from an edge
+        # midpoint along d sends its ray through the edge shared by two
+        # triangles.  The icosphere is convex, so its face planes decide
+        # membership exactly.
+        mesh = ci.mesh_initial(ci.ball(CENTER_3D, 1.0), 1)
+        d = np.array([0.57735026918962580, 0.57735026918962562, 0.57735026918962551])
+        corners = mesh.element_corners()
+        midpoints = 0.5 * (corners + np.roll(corners, -1, axis=1))
+        points = midpoints.reshape(-1, 3) - 0.3 * d
+        normal = np.cross(corners[:, 1] - corners[:, 0], corners[:, 2] - corners[:, 0])
+        heights = np.einsum("med,ed->me", points[:, None, :] - corners[None, :, 0], normal)
+        inside = np.all(heights < 0.0, axis=1).astype(np.int64)
+        assert 0 < inside.sum() < len(points)
+        np.testing.assert_array_equal(ci.point_in_mesh(mesh, points), inside)
+
+
+def _closed_by_edge_count(elements):
+    """Reference closedness test: every directed edge and its reverse once."""
+    edges = {}
+    for tri in elements:
+        for a, b in ((tri[0], tri[1]), (tri[1], tri[2]), (tri[2], tri[0])):
+            edges[(int(a), int(b))] = edges.get((int(a), int(b)), 0) + 1
+    return all(count == 1 and edges.get((b, a), 0) == 1 for (a, b), count in edges.items())
+
+
+class TestClosedness:
+    def test_3d_matches_edge_count_reference(self, sphere_mesh):
+        elements = sphere_mesh.elements
+        flipped = elements.copy()
+        flipped[7] = flipped[7, ::-1]
+        cases = {
+            "closed": elements,
+            "open": elements[1:],
+            "flipped face": flipped,
+            "duplicate face": np.vstack([elements, elements[:1]]),
+        }
+        for name, faces in cases.items():
+            mesh = ci.InterfaceMesh(sphere_mesh.vertices, faces, t=0.0)
+            if _closed_by_edge_count(faces):
+                assert name == "closed"
+                mesh.validate()
+            else:
+                with pytest.raises(MeshInvariantError, match="closed"):
+                    mesh.validate()
+
+
 class TestPerimeter:
     def test_circle(self, circle_mesh):
         assert ci.perimeter(circle_mesh) == pytest.approx(2 * np.pi, abs=1e-3)
@@ -201,15 +249,16 @@ class TestCurvaturePairing:
         exact = circle_first_variation(CENTER_2D, 1.0, smooth_phi_2d)
         assert got == pytest.approx(exact, rel=1e-3)
 
-    def test_modes_variant_matches_generic(self, circle_mesh):
-        basis = cb.make_basis(2, 2)
-        stacked = ci.curvature_pairing_modes(circle_mesh, basis)
-        for j in [0, 3, len(basis) - 1]:
-            coeffs = np.zeros(len(basis))
-            coeffs[j] = 1.0
-            mode_field = cb.SpectralField(basis, coeffs)
-            direct = ci.curvature_pairing(circle_mesh, mode_field.gradient)
-            assert stacked[j] == pytest.approx(direct, abs=1e-14)
+    def test_modes_variant_matches_generic(self, circle_mesh, sphere_mesh):
+        for mesh in (circle_mesh, sphere_mesh):
+            basis = cb.make_basis(mesh.dimension, 2)
+            stacked = ci.curvature_pairing_modes(mesh, basis)
+            for j in [0, 3, len(basis) // 2, len(basis) - 1]:
+                coeffs = np.zeros(len(basis))
+                coeffs[j] = 1.0
+                mode_field = cb.SpectralField(basis, coeffs)
+                direct = ci.curvature_pairing(mesh, mode_field.gradient)
+                assert stacked[j] == pytest.approx(direct, abs=1e-14)
 
 
 class TestEnclosedVolume:
@@ -240,18 +289,6 @@ class TestResample:
     def test_rejected_in_3d(self, sphere_mesh):
         with pytest.raises(ValueError, match="2D"):
             ci.resample_polygon(sphere_mesh, 100)
-
-
-class TestPhaseViscosity:
-    def test_blend(self):
-        nu = ci.PhaseViscosity(0.3, 0.1)
-        assert nu.value(1.0) == pytest.approx(0.3)
-        assert nu.value(0.0) == pytest.approx(0.1)
-        np.testing.assert_allclose(nu.value(np.array([0, 1])), [0.1, 0.3])
-
-    def test_negative_rejected(self):
-        with pytest.raises(ValueError, match="nonnegative"):
-            ci.PhaseViscosity(-0.1, 0.1)
 
 
 class TestMeshIO:
