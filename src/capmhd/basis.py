@@ -58,6 +58,25 @@ def polarization_axis(wavevector, index):
     raise ValueError(f"unsupported dimension {d}")
 
 
+def polarization_vectors(wavevectors, indices):
+    """Unit polarization vectors of many modes at once: (n, d) floats.
+
+    Row j is ``polarization_axis(wavevectors[j], indices[j])`` divided by its
+    norm, bit for bit: the axes have integer entries, so their squared norms
+    are exact whatever the order of summation.
+    """
+    k = np.asarray(wavevectors, dtype=np.int64)
+    if k.shape[1] == 2:
+        axes = np.stack([-k[:, 1], k[:, 0]], axis=-1)
+    else:
+        unit = np.zeros_like(k)
+        unit[np.arange(len(k)), np.argmin(np.abs(k), axis=1)] = 1
+        first = np.cross(k, unit)
+        second = np.asarray(indices) == 1
+        axes = np.where(second[:, None], np.cross(k, first), first)
+    return axes / np.sqrt(np.sum(axes * axes, axis=1))[:, None]
+
+
 @dataclass(frozen=True)
 class BasisMode:
     """One real trigonometric divergence-free mode.
@@ -152,7 +171,9 @@ class Basis:
         self.dimension = dims.pop()
         self.length = float(length)
         self.wavevectors = np.array([m.wavevector for m in modes], dtype=np.float64)
-        self.polarizations = np.array([m.polarization_vector() for m in modes])
+        self.polarizations = polarization_vectors(
+            self.wavevectors, [m.polarization for m in modes]
+        )
         self.normalizations = np.array([m.normalization for m in modes])
         self.is_sine = np.array([m.phase == "sin" for m in modes])
         self.eigenvalues = np.array([m.eigenvalue for m in modes])

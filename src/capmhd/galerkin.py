@@ -46,7 +46,9 @@ from .flowmap import SpectralTrajectory, integrate_positions
 from .induction import solve_B
 from .interface import (
     advect,
+    check_simple,
     curvature_pairing_modes,
+    distance_lower_bound,
     enclosed_volume,
     perimeter,
     point_in_mesh,
@@ -61,6 +63,13 @@ from .interface import (
 N_BOUND_COEFF = 0.05
 
 DELTA_MIN_DEFAULT = 1e-6
+
+# Half-width of the band around the window-start mesh inside which the window
+# indicator back-traces points through the history.  Outside it the mesh's
+# ray cast gives the back-trace's answer: the two differ only where the mesh
+# is off the true interface, by the RK4 error of its vertices plus the
+# sagitta of its chords, about 1e-4 for the 256-gon of the reference problem.
+INDICATOR_BAND = 1e-2
 
 
 @dataclass(frozen=True)
@@ -138,10 +147,11 @@ def apply_N(state, order, chi_values=None):
     Four contributions: inertia (u (x) u, grad eta), Lorentz -(B (x) B,
     grad eta), two-phase viscosity -2 (nu(chi) Du, D eta), and kappa times
     the weak curvature pairing over the interface mesh.  ``chi_values`` are
-    indicator samples at the quadrature nodes of the given order; when they
-    are omitted and the viscosities differ, the geometric point-in-mesh test
-    against ``state.mesh`` stands in (the flow-map pathway is authoritative
-    and is what the window driver supplies).
+    indicator samples at the quadrature nodes of the given order, as the
+    window driver supplies them (back-traced near the interface, decided by
+    the window-start mesh elsewhere); when they are omitted and the
+    viscosities differ, the point-in-mesh test against ``state.mesh`` decides
+    every node.
     """
     basis = state.u.basis
     points, weight = quadrature_rule(basis.dimension, order, basis.length)
@@ -190,24 +200,31 @@ def apply_K(u_trajectory, u_anchor, states, order, chi_values=None):
     return out, n_values
 
 
-def _window_indicator(points, t_grid, sampler, history, phase, h_flow):
+def _window_indicator(points, t_grid, sampler, history, phase, h_flow, mesh):
     """Indicator samples at the quadrature points for every window node.
 
     Back-traces each node's points to the window start under the current
-    iterate, then carries all nodes through the fixed pre-window history in
-    one batched integration (the flow-map group property makes the composed
-    path equivalent to the single-shot back-trace up to integration
-    tolerance).
+    iterate.  A window starting at t = 0 then tests them against the initial
+    region.  Later windows let the window-start ``mesh`` decide the points
+    farther than INDICATOR_BAND from it, and carry only the points inside
+    the band through the fixed pre-window history to t = 0 (the flow-map
+    group property makes the composed path equivalent to the single-shot
+    back-trace up to integration tolerance).
     """
     t_start = t_grid[0]
     blocks = [points]
     for t in t_grid[1:]:
         blocks.append(integrate_positions(points, sampler, t, t_start, h_flow))
+    if t_start == 0.0:
+        return [phase.contains(block) for block in blocks]
     stacked = np.concatenate(blocks)
-    if t_start > 0.0:
-        stacked = integrate_positions(stacked, history, t_start, 0.0, h_flow)
-    m = len(points)
-    return [phase.contains(stacked[i * m : (i + 1) * m]) for i in range(len(t_grid))]
+    chi = np.empty(len(stacked), dtype=np.int64)
+    near = distance_lower_bound(mesh, stacked) <= INDICATOR_BAND
+    chi[~near] = point_in_mesh(mesh, stacked[~near])
+    if np.any(near):
+        origins = integrate_positions(stacked[near], history, t_start, 0.0, h_flow)
+        chi[near] = phase.contains(origins)
+    return np.split(chi, len(t_grid))
 
 
 def fixed_point_window(
@@ -228,10 +245,13 @@ def fixed_point_window(
 
     Every sweep recomputes the magnetic trajectory and the advected interface
     from the current velocity iterate; when the viscosities differ the phase
-    indicator at the quadrature nodes is evaluated by back-tracing through
-    ``history`` extended with the iterate.  Returns the accepted window
-    (residual below ``tol``) or raises WindowFailureError after ``max_iter``
-    sweeps.
+    indicator at the quadrature nodes is evaluated by back-tracing to the
+    window start under the iterate, and from there by the window-start mesh
+    or, near it, by back-tracing through ``history``.  A non-finite iterate,
+    a broken dependent or forcing, or an accepted end mesh that crosses
+    itself raises WindowFailureError, and so does reaching ``max_iter``
+    sweeps; otherwise the accepted window (residual below ``tol``) is
+    returned.
     """
     if tol <= 0.0:
         raise ValueError("tol must be positive")
@@ -251,8 +271,10 @@ def fixed_point_window(
     need_chi = params.two_phase
     residual_history = []
     for iteration in range(1, max_iter + 1):
-        sampler = history.extended(t_grid, u_coeffs)
         try:
+            if not np.all(np.isfinite(u_coeffs)):
+                raise NumericsError("the velocity iterate has non-finite coefficients")
+            sampler = history.extended(t_grid, u_coeffs)
             meshes = [anchor.mesh]
             b_fields = [anchor.B]
             resistive = np.zeros(n_sub)
@@ -265,7 +287,7 @@ def fixed_point_window(
                 resistive[i] = float(np.sum(b_step.resistive_increments))
             if need_chi:
                 chi_cache = _window_indicator(
-                    points, t_grid, sampler, history, phase, h_flow
+                    points, t_grid, sampler, history, phase, h_flow, anchor.mesh
                 )
             else:
                 chi_cache = None
@@ -278,6 +300,10 @@ def fixed_point_window(
             k_coeffs, n_values = apply_K(
                 u_coeffs, anchor.u.coefficients, states, order, chi_values=chi_cache
             )
+            residual = float(np.max(np.linalg.norm(u_coeffs - k_coeffs, axis=1)))
+            if residual < tol:
+                # the end mesh decides the next window's indicator off the band
+                check_simple(meshes[-1])
         except (MeshInvariantError, MeshQualityError, IntegrationError, NumericsError) as exc:
             # a blown-up iterate on an oversized window is a window failure,
             # not a run abort: the caller's halving is the remedy
@@ -286,7 +312,6 @@ def fixed_point_window(
                 f"dependents or forcing during sweep {iteration}: {exc}",
                 residual_history=residual_history,
             ) from exc
-        residual = float(np.max(np.linalg.norm(u_coeffs - k_coeffs, axis=1)))
         residual_history.append(residual)
         if residual < tol:
             return WindowSolve(

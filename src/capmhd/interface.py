@@ -4,9 +4,11 @@ The phase region starts as an analytic disk/ball or axis-aligned
 ellipse/ellipsoid strictly inside the periodic cell.  Its boundary is carried
 as an oriented closed mesh (polygon in 2D, triangle mesh in 3D) whose
 vertices ride the flow map, while the phase indicator at an arbitrary point
-is evaluated by back-tracing the point to time zero and testing membership in
-the analytic initial region.  The geometric point-in-mesh test is kept as an
-independent cross-check of the back-trace pathway.
+is decided in two ways that agree away from the boundary: back-tracing the
+point to time zero and testing membership in the analytic initial region,
+or casting a ray against the mesh.  The window driver back-traces only the
+points within a thin band of the window-start mesh, where the two may differ
+by integration error and chord sagitta, and lets the mesh decide elsewhere.
 
 Mesh vertices are never wrapped into the periodic cell: the region stays
 strictly inside by construction and wrapping would tear the connectivity.
@@ -25,6 +27,11 @@ from .errors import MeshInvariantError, MeshQualityError
 from .flowmap import advance_positions, backtrace
 
 _QUALITY_FLOOR = 1e-12
+
+# Point-versus-element work runs over blocks of this many points, so that
+# the (points, elements) temporaries stay small: 64 KB per array for a
+# 256-gon, 320 KB for 1280 triangles.
+_BLOCK = 32
 
 _SHAPES_2D = ("disk", "ellipse")
 _SHAPES_3D = ("ball", "ellipsoid")
@@ -146,6 +153,59 @@ class InterfaceMesh:
         return self
 
 
+def _blocks(n):
+    """Slices covering range(n) in runs of at most _BLOCK."""
+    return [slice(start, start + _BLOCK) for start in range(0, n, _BLOCK)]
+
+
+def check_simple(mesh):
+    """Raise MeshInvariantError when two edges of a 2D polygon cross.
+
+    Only proper crossings count: each edge has the other's endpoints strictly
+    on opposite sides.  Two edges that share a vertex see it at an exactly
+    zero side, since the coordinate differences that reach it are exact, so
+    neighbours and collinear edges do not trip the test.  It costs O(n^2),
+    so it is not part of ``validate``, which every ``advect`` runs; 3D meshes
+    are not checked.
+    """
+    if mesh.dimension != 2:
+        return mesh
+    corners = mesh.element_corners()
+    a, span = corners[:, 0], corners[:, 1] - corners[:, 0]
+    for rows in _blocks(len(a)):
+        # where each edge's ends lie seen from the edges in rows, and back
+        to_a = a[None, :, :] - a[rows, None, :]
+        here, there = span[rows, None, :], span[None, :, :]
+        apart = np.sign(_cross_2d(here, to_a)) * np.sign(_cross_2d(here, to_a + there))
+        back = np.sign(_cross_2d(there, -to_a)) * np.sign(_cross_2d(there, here - to_a))
+        crossing = (apart < 0.0) & (back < 0.0)
+        if np.any(crossing):
+            i, j = np.argwhere(crossing)[0]
+            raise MeshInvariantError(
+                f"2D mesh crosses itself (edges {rows.start + i} and {j})"
+            )
+    return mesh
+
+
+def distance_lower_bound(mesh, points):
+    """A lower bound of each point's distance to the mesh surface.
+
+    Every point of an element lies within the element's longest edge of each
+    of its corners, so distance(point, mesh) >= distance to the nearest
+    vertex - the longest edge of the mesh.
+    """
+    p = np.atleast_2d(np.asarray(points, dtype=np.float64))
+    corners = mesh.element_corners()
+    longest = float(np.max(np.linalg.norm(np.roll(corners, 1, axis=1) - corners, axis=-1)))
+    nearest = np.empty(len(p))
+    for rows in _blocks(len(p)):
+        squared = sum(
+            (p[rows, None, i] - mesh.vertices[None, :, i]) ** 2 for i in range(p.shape[1])
+        )
+        nearest[rows] = np.min(squared, axis=1)
+    return np.sqrt(nearest) - longest
+
+
 def element_measures(mesh):
     """Edge lengths (2D) or triangle areas (3D), one per element."""
     corners = mesh.element_corners()
@@ -161,7 +221,7 @@ def element_centers(mesh):
 
 
 def _cross_2d(a, b):
-    return a[:, 0] * b[:, 1] - a[:, 1] * b[:, 0]
+    return a[..., 0] * b[..., 1] - a[..., 1] * b[..., 0]
 
 
 def _signed_volume(mesh):
@@ -331,12 +391,18 @@ def curvature_pairing_modes(mesh, basis):
 def indicator(x, t, sampler, phase, h):
     """Phase indicator at time t by back-tracing to the initial region.
 
-    This is the authoritative pathway; ``point_in_mesh`` is its geometric
-    cross-check.
+    This pathway decides the indicator near the interface; farther than the
+    integration error plus the chord sagitta from the mesh, ``point_in_mesh``
+    against the mesh at time t gives the same answer.
     """
     if t == 0.0:
         return phase.contains(x)
     return phase.contains(backtrace(x, sampler, t, h))
+
+
+def _dot3(u, v):
+    """u . v over the last axis of length 3, elementwise in a fixed order."""
+    return u[..., 0] * v[..., 0] + u[..., 1] * v[..., 1] + u[..., 2] * v[..., 2]
 
 
 def point_in_mesh(mesh, points):
@@ -345,32 +411,41 @@ def point_in_mesh(mesh, points):
     single = points.ndim == 1
     p = np.atleast_2d(points)
     corners = mesh.element_corners()
+    inside = np.empty(len(p), dtype=np.int64)
     if mesh.dimension == 2:
         a, b = corners[:, 0], corners[:, 1]
-        ay = a[None, :, 1] - p[:, None, 1]
-        by = b[None, :, 1] - p[:, None, 1]
-        straddle = (ay > 0.0) != (by > 0.0)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            x_cross = a[None, :, 0] + ay / (ay - by) * (b[None, :, 0] - a[None, :, 0])
-        hits = straddle & (x_cross > p[:, None, 0])
-        inside = (np.sum(hits, axis=1) % 2).astype(np.int64)
+        for rows in _blocks(len(p)):
+            q = p[rows]
+            ay = a[None, :, 1] - q[:, None, 1]
+            by = b[None, :, 1] - q[:, None, 1]
+            straddle = (ay > 0.0) != (by > 0.0)
+            with np.errstate(divide="ignore", invalid="ignore"):
+                x_cross = a[None, :, 0] + ay / (ay - by) * (b[None, :, 0] - a[None, :, 0])
+            hits = straddle & (x_cross > q[:, None, 0])
+            inside[rows] = np.sum(hits, axis=1) % 2
     else:
         # The ray crosses a triangle when it passes every edge on the same
-        # side: the side of edge (a, b) is the sign of d . ((a - p) x (b - p)).
-        # That value is exactly negated for the reversed edge of the
-        # neighbouring triangle, so a ray through a shared edge counts once;
-        # an exact zero takes the sign of the edge's direction in index order.
+        # side: the side of edge (a, b) is the sign of
+        #   d . ((a - p) x (b - p)) = d . (a x b) - p . (d x (a - b)).
+        # Both terms are built elementwise, so the value is exactly negated
+        # for the reversed edge of the neighbouring triangle and a ray
+        # through a shared edge counts once; an exact zero takes the sign of
+        # the edge's direction in index order.
         direction = np.array([0.57735026918962580, 0.57735026918962562, 0.57735026918962551])
+        a, b = corners, np.roll(corners, -1, axis=1)
+        offset = _dot3(direction, np.cross(a, b))
+        slope = np.cross(direction, a - b)
         normal = np.cross(corners[:, 1] - corners[:, 0], corners[:, 2] - corners[:, 0])
+        height = _dot3(corners[:, 0], normal)
         tie = np.where(mesh.elements < np.roll(mesh.elements, -1, axis=1), 1.0, -1.0)
-        inside = np.zeros(len(p), dtype=np.int64)
-        for i, pt in enumerate(p):
-            rel = corners - pt
-            side = np.sum(np.cross(rel, np.roll(rel, -1, axis=1)) * direction, axis=-1)
-            side = np.where(side == 0.0, tie, np.sign(side))
-            ahead = np.sign(np.einsum("ei,ei->e", rel[:, 0], normal))
-            hit = (side[:, 0] == side[:, 1]) & (side[:, 1] == side[:, 2]) & (side[:, 0] == ahead)
-            inside[i] = int(np.sum(hit)) % 2
+        for rows in _blocks(len(p)):
+            q = p[rows, None, :]
+            ahead = np.sign(height - _dot3(q, normal[None]))
+            hit = np.ones(ahead.shape, dtype=bool)
+            for k in range(3):
+                side = offset[:, k] - _dot3(q, slope[None, :, k])
+                hit &= np.where(side == 0.0, tie[:, k], np.sign(side)) == ahead
+            inside[rows] = np.sum(hit, axis=1) % 2
     return int(inside[0]) if single else inside
 
 

@@ -1,10 +1,16 @@
 import numpy as np
 import pytest
+from hypothesis import settings
 
 from capmhd import basis as cb
 from capmhd import flowmap as cf
 from capmhd import interface as ci
 from capmhd.config import RunConfig
+
+# Property tests draw the same examples on every run and have no per-example
+# deadline, so timing on a loaded machine cannot fail them.
+settings.register_profile("deterministic", derandomize=True, deadline=None, database=None)
+settings.load_profile("deterministic")
 
 CENTER_2D = (np.pi, np.pi)
 CENTER_3D = (np.pi, np.pi, np.pi)

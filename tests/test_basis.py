@@ -54,6 +54,13 @@ class TestEnumerateModes:
             axis = cb.polarization_axis(mode.wavevector, mode.polarization)
             assert int(axis @ np.array(mode.wavevector, dtype=np.int64)) == 0
 
+    @pytest.mark.parametrize("dimension", [2, 3])
+    @pytest.mark.parametrize("kmax", [1, 2, 3])
+    def test_polarization_table_matches_modes_bitwise(self, dimension, kmax):
+        basis = cb.make_basis(dimension, kmax)
+        per_mode = np.array([m.polarization_vector() for m in basis.modes])
+        assert basis.polarizations.tobytes() == per_mode.tobytes()
+
     @pytest.mark.parametrize(
         "wavevector,index", [((1, 0), 1), ((1, 0), -1), ((1, 0, 0), 2), ((1, 0, 0), -1)]
     )

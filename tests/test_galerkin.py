@@ -4,7 +4,14 @@ import pytest
 from capmhd import basis as cb
 from capmhd import galerkin as cg
 from capmhd import interface as ci
-from capmhd.errors import NonConvergenceError, WindowFailureError
+from capmhd.config import RunConfig
+from capmhd.errors import (
+    MeshInvariantError,
+    NonConvergenceError,
+    NumericsError,
+    WindowFailureError,
+)
+from capmhd.flowmap import SpectralTrajectory, integrate_positions
 
 from conftest import (
     CENTER_2D,
@@ -247,6 +254,97 @@ class TestFixedPointWindow:
             )
 
 
+def _full_backtrace_indicator(points, t_grid, sampler, history, phase, h_flow):
+    """Reference indicator: every node's points back-traced to t = 0."""
+    t_start = t_grid[0]
+    blocks = [points]
+    for t in t_grid[1:]:
+        blocks.append(integrate_positions(points, sampler, t, t_start, h_flow))
+    stacked = np.concatenate(blocks)
+    if t_start > 0.0:
+        stacked = integrate_positions(stacked, history, t_start, 0.0, h_flow)
+    m = len(points)
+    return [phase.contains(stacked[i * m : (i + 1) * m]) for i in range(len(t_grid))]
+
+
+def _run_checking_indicator(monkeypatch, config):
+    """Run, comparing every window indicator with the full back-trace.
+
+    Returns the run and the number of points that later windows classified
+    inside and outside the band.
+    """
+    real = cg._window_indicator
+    counts = {"band": 0, "mesh": 0}
+
+    def checked(points, t_grid, sampler, history, phase, h_flow, mesh):
+        chi = real(points, t_grid, sampler, history, phase, h_flow, mesh)
+        expected = _full_backtrace_indicator(points, t_grid, sampler, history, phase, h_flow)
+        for node, (got, want) in enumerate(zip(chi, expected)):
+            np.testing.assert_array_equal(got, want, err_msg=f"t={t_grid[node]}")
+        if t_grid[0] > 0.0:
+            back = [points] + [
+                integrate_positions(points, sampler, t, t_grid[0], h_flow) for t in t_grid[1:]
+            ]
+            near = ci.distance_lower_bound(mesh, np.concatenate(back)) <= cg.INDICATOR_BAND
+            counts["band"] += int(near.sum())
+            counts["mesh"] += int((~near).sum())
+        return chi
+
+    monkeypatch.setattr(cg, "_window_indicator", checked)
+    return cg.run(config), counts
+
+
+class TestWindowIndicator:
+    def test_banded_matches_full_backtrace_2d(self, monkeypatch):
+        config = reference_config(T=0.3)
+        config.quadrature_order = 20  # puts quadrature points inside the band
+        result, counts = _run_checking_indicator(monkeypatch, config)
+        assert len(result.windows) == 3
+        assert counts["band"] > 0 and counts["mesh"] > 0
+
+    def test_band_points_follow_the_backtrace(self, basis_2d):
+        # the chords of a 16-gon lie up to 0.019 inside the unit circle: a
+        # point between a chord and the circle is in the region but outside
+        # the polygon, and it lies in the band, so the back-trace decides it
+        phase = ci.disk(CENTER_2D, 1.0)
+        mesh = ci.mesh_initial(phase, 16)
+        angle = np.pi / 16
+        offsets = [[0.0, 0.0], [0.99 * np.cos(angle), 0.99 * np.sin(angle)], [2.0, 0.0]]
+        points = np.asarray(CENTER_2D) + np.array(offsets)
+        assert ci.point_in_mesh(mesh, points).tolist() == [1, 0, 0]
+        still = SpectralTrajectory(basis_2d, [0.0, 0.3], np.zeros((2, len(basis_2d))))
+        chi = cg._window_indicator(points, np.array([0.2, 0.3]), still, still, phase, 0.01, mesh)
+        assert [node.tolist() for node in chi] == [[1, 1, 0], [1, 1, 0]]
+
+    def test_banded_matches_full_backtrace_3d(self, monkeypatch):
+        config = RunConfig.from_dict({
+            "dimension": 3, "kmax": 1, "T": 0.04,
+            "initial_velocity": {"type": "taylor_green", "amplitude": 0.25},
+            "initial_magnetic": {"type": "single_mode", "wavevector": [0, 1, 0],
+                                 "phase": "sin", "polarization": 1, "amplitude": 0.3},
+            "phase": {"shape": "ball", "center": [np.pi, np.pi, np.pi], "radius": 1.0},
+            "nu_plus": 0.2, "nu_minus": 0.1, "sigma": 1.0, "kappa": 0.05,
+            "solver": {"delta": 0.02, "n_sub": 4, "mesh_resolution": 2, "tol": 1e-8,
+                       "quadrature_order": 8},
+        })
+        result, counts = _run_checking_indicator(monkeypatch, config)
+        assert len(result.windows) == 2
+        assert counts["band"] > 0 and counts["mesh"] > 0
+
+
+def _nan_first_sweep(monkeypatch):
+    """Make the first apply_K call return a NaN image, so the iterate goes NaN."""
+    real = cg.apply_K
+    calls = []
+
+    def nan_once(*args, **kwargs):
+        calls.append(1)
+        k_coeffs, n_values = real(*args, **kwargs)
+        return (np.full_like(k_coeffs, np.nan) if len(calls) == 1 else k_coeffs), n_values
+
+    monkeypatch.setattr(cg, "apply_K", nan_once)
+
+
 class TestRun:
     def test_zero_horizon_initial_state_only(self):
         config = reference_config(T=0.0)
@@ -314,6 +412,43 @@ class TestRun:
         assert result.window_failures == 1
         first = result.windows[0].t_grid
         assert first[-1] - first[0] == pytest.approx(result.delta_initial / 2)
+        assert result.final_state.t == pytest.approx(0.1)
+
+    def test_non_finite_iterate_is_a_numerics_failure(self, monkeypatch, basis_2d):
+        _nan_first_sweep(monkeypatch)
+        anchor = make_state(basis_2d, u_coeffs=np.full(len(basis_2d), 0.1))
+        with pytest.raises(WindowFailureError, match="sweep 2") as err:
+            cg.fixed_point_window(
+                anchor, 0.05, 4, 1e-8, 5, 1.0,
+                order=8, h_flow=0.01, dt_b=0.0125,
+                phase=ci.disk(CENTER_2D, 1.0),
+            )
+        assert isinstance(err.value.__cause__, NumericsError)
+
+    def test_non_finite_iterate_halves_the_window(self, monkeypatch):
+        _nan_first_sweep(monkeypatch)
+        result = cg.run(reference_config(T=0.1))
+        assert result.window_failures == 1
+        first = result.windows[0].t_grid
+        assert first[-1] - first[0] == pytest.approx(result.delta_initial / 2)
+        assert result.final_state.t == pytest.approx(0.1)
+
+    def test_crossed_end_mesh_halves_the_window(self, monkeypatch):
+        # the accepted end mesh is checked once per window; a crossing found
+        # there fails the window like any other broken dependent
+        real = ci.check_simple
+        calls = []
+
+        def crossed_once(mesh):
+            calls.append(mesh.t)
+            if len(calls) == 1:
+                raise MeshInvariantError("2D mesh crosses itself (edges 0 and 2)")
+            return real(mesh)
+
+        monkeypatch.setattr(cg, "check_simple", crossed_once)
+        result = cg.run(reference_config(T=0.1))
+        assert result.window_failures == 1
+        assert len(calls) == 1 + len(result.windows)
         assert result.final_state.t == pytest.approx(0.1)
 
     def test_hard_nonconvergence_below_delta_floor(self):

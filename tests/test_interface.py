@@ -1,9 +1,13 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from capmhd import basis as cb
+from capmhd import flowmap as cf
 from capmhd import interface as ci
 from capmhd.errors import MeshInvariantError, MeshQualityError
+from capmhd.galerkin import INDICATOR_BAND
 
 from conftest import (
     CENTER_2D,
@@ -136,22 +140,115 @@ class TestIndicator:
         np.testing.assert_array_equal(by_trace, by_mesh)
 
 
+    @settings(max_examples=20)
+    @given(st.lists(st.floats(-0.5, 0.5), min_size=8, max_size=8))
+    def test_agrees_with_mesh_off_the_band(self, coefficients):
+        # any divergence-free field of the kmax = 1 basis: outside the band
+        # the window driver trusts the mesh, so the two pathways must agree
+        basis = cb.make_basis(2, 1)
+        flow = cf.SteadyField(cb.SpectralField(basis, np.array(coefficients)))
+        phase = ci.disk(CENTER_2D, 1.0)
+        t = 0.5
+        advected = ci.advect(ci.mesh_initial(phase, 128), flow, t, 0.01)
+        points, _ = cb.quadrature_rule(2, 16)
+        far = points[ci.distance_lower_bound(advected, points) > INDICATOR_BAND]
+        np.testing.assert_array_equal(
+            ci.indicator(far, t, flow, phase, 0.01), ci.point_in_mesh(advected, far)
+        )
+
+
+def _point_in_mesh_loop(mesh, points):
+    """Reference 3D ray cast, one point at a time."""
+    direction = np.array([0.57735026918962580, 0.57735026918962562, 0.57735026918962551])
+    corners = mesh.element_corners()
+    normal = np.cross(corners[:, 1] - corners[:, 0], corners[:, 2] - corners[:, 0])
+    tie = np.where(mesh.elements < np.roll(mesh.elements, -1, axis=1), 1.0, -1.0)
+    inside = np.zeros(len(points), dtype=np.int64)
+    for i, pt in enumerate(points):
+        rel = corners - pt
+        side = np.sum(np.cross(rel, np.roll(rel, -1, axis=1)) * direction, axis=-1)
+        side = np.where(side == 0.0, tie, np.sign(side))
+        ahead = np.sign(np.einsum("ei,ei->e", rel[:, 0], normal))
+        hit = (side[:, 0] == side[:, 1]) & (side[:, 1] == side[:, 2]) & (side[:, 0] == ahead)
+        inside[i] = int(np.sum(hit)) % 2
+    return inside
+
+
+def _shared_edge_points(mesh):
+    """Points set back along the ray direction from every edge midpoint."""
+    d = np.array([0.57735026918962580, 0.57735026918962562, 0.57735026918962551])
+    corners = mesh.element_corners()
+    midpoints = 0.5 * (corners + np.roll(corners, -1, axis=1))
+    return midpoints.reshape(-1, 3) - 0.3 * d
+
+
 class TestPointInMesh:
+    def test_vectorised_ray_cast_matches_point_loop(self):
+        rng = np.random.default_rng(71)
+        coarse = ci.mesh_initial(ci.ball(CENTER_3D, 1.0), 1)
+        edge_points = _shared_edge_points(coarse)
+        assert len(edge_points) == 240
+        np.testing.assert_array_equal(
+            ci.point_in_mesh(coarse, edge_points), _point_in_mesh_loop(coarse, edge_points)
+        )
+        fine = ci.mesh_initial(ci.ellipsoid(CENTER_3D, (1.2, 1.0, 0.8)), 3)
+        points = np.asarray(CENTER_3D) + rng.uniform(-1.4, 1.4, (500, 3))
+        inside = ci.point_in_mesh(fine, points)
+        assert 0 < inside.sum() < len(points)
+        np.testing.assert_array_equal(inside, _point_in_mesh_loop(fine, points))
+
+    def test_single_point(self, sphere_mesh):
+        assert ci.point_in_mesh(sphere_mesh, np.array(CENTER_3D)) == 1
+        assert ci.point_in_mesh(sphere_mesh, np.array([0.5, 0.5, 0.5])) == 0
+
     def test_ray_through_shared_edge_counts_once(self):
         # the 3D ray cast fires along d; a point set back from an edge
         # midpoint along d sends its ray through the edge shared by two
         # triangles.  The icosphere is convex, so its face planes decide
         # membership exactly.
         mesh = ci.mesh_initial(ci.ball(CENTER_3D, 1.0), 1)
-        d = np.array([0.57735026918962580, 0.57735026918962562, 0.57735026918962551])
         corners = mesh.element_corners()
-        midpoints = 0.5 * (corners + np.roll(corners, -1, axis=1))
-        points = midpoints.reshape(-1, 3) - 0.3 * d
+        points = _shared_edge_points(mesh)
         normal = np.cross(corners[:, 1] - corners[:, 0], corners[:, 2] - corners[:, 0])
         heights = np.einsum("med,ed->me", points[:, None, :] - corners[None, :, 0], normal)
         inside = np.all(heights < 0.0, axis=1).astype(np.int64)
         assert 0 < inside.sum() < len(points)
         np.testing.assert_array_equal(ci.point_in_mesh(mesh, points), inside)
+
+
+class TestDistanceLowerBound:
+    def test_below_the_distance_to_the_polygon(self, circle_mesh):
+        rng = np.random.default_rng(73)
+        points = rng.uniform(1.0, 2 * np.pi - 1.0, (300, 2))
+        corners = circle_mesh.element_corners()
+        a, span = corners[:, 0], corners[:, 1] - corners[:, 0]
+        s = np.einsum("med,ed->me", points[:, None, :] - a[None], span)
+        s = np.clip(s / np.einsum("ed,ed->e", span, span), 0.0, 1.0)
+        nearest = a[None] + s[..., None] * span[None]
+        exact = np.min(np.linalg.norm(points[:, None, :] - nearest, axis=-1), axis=1)
+        bound = ci.distance_lower_bound(circle_mesh, points)
+        assert np.all(bound <= exact)
+        assert np.all(bound >= exact - 2 * np.pi / 256)
+
+
+class TestCheckSimple:
+    def test_crossed_pentagon_rejected(self):
+        # positive signed area, so validate() and enclosed_volume accept it
+        vertices = [(3, 3), (5, 3), (5, 5), (4, 2), (3, 5)]
+        mesh = ci.InterfaceMesh(vertices, [(i, (i + 1) % 5) for i in range(5)])
+        assert ci.enclosed_volume(mesh.validate()) == pytest.approx(1.0)
+        with pytest.raises(MeshInvariantError, match="crosses itself"):
+            ci.check_simple(mesh)
+
+    def test_simple_polygons_accepted(self, circle_mesh, sphere_mesh):
+        assert ci.check_simple(circle_mesh) is circle_mesh
+        # collinear non-adjacent edges of a resampled square do not count
+        square = ci.InterfaceMesh(
+            [(1, 1), (2, 1), (3, 1), (3, 3), (2, 3), (1, 3)],
+            [(i, (i + 1) % 6) for i in range(6)],
+        )
+        ci.check_simple(square.validate())
+        assert ci.check_simple(sphere_mesh) is sphere_mesh
 
 
 def _closed_by_edge_count(elements):
