@@ -35,45 +35,32 @@ def _check_polarization(dimension, index):
         raise ValueError(f"3D modes have polarizations 0 and 1, got index {index}")
 
 
-def polarization_axis(wavevector, index):
-    """Integer vector orthogonal to ``wavevector`` for polarization ``index``.
+def polarization_axes(wavevectors, indices):
+    """Integer vectors orthogonal to the wavevectors: (n, d) int64.
 
-    The returned vector has integer entries, so its dot product with the
+    Row j belongs to wavevector k = ``wavevectors[j]`` and polarization
+    ``indices[j]``.  The entries are integers, so each dot product with its
     wavevector vanishes in exact arithmetic.  In 2D the single polarization
     is the quarter-turn of k; in 3D the two polarizations are k x e_a and
     k x (k x e_a), where e_a is the coordinate axis of smallest |k_i|.
     """
-    k = np.asarray(wavevector, dtype=np.int64)
-    d = k.size
-    _check_polarization(d, index)
-    if d == 2:
-        return np.array([-k[1], k[0]], dtype=np.int64)
-    if d == 3:
-        axis = np.zeros(3, dtype=np.int64)
-        axis[int(np.argmin(np.abs(k)))] = 1
-        first = np.cross(k, axis)
-        if index == 0:
-            return first
-        return np.cross(k, first)
-    raise ValueError(f"unsupported dimension {d}")
+    k = np.asarray(wavevectors, dtype=np.int64)
+    if k.shape[1] == 2:
+        return np.stack([-k[:, 1], k[:, 0]], axis=-1)
+    unit = np.zeros_like(k)
+    unit[np.arange(len(k)), np.argmin(np.abs(k), axis=1)] = 1
+    first = np.cross(k, unit)
+    second = np.asarray(indices) == 1
+    return np.where(second[:, None], np.cross(k, first), first)
 
 
 def polarization_vectors(wavevectors, indices):
-    """Unit polarization vectors of many modes at once: (n, d) floats.
+    """Unit polarization vectors: ``polarization_axes`` rows over their norms.
 
-    Row j is ``polarization_axis(wavevectors[j], indices[j])`` divided by its
-    norm, bit for bit: the axes have integer entries, so their squared norms
-    are exact whatever the order of summation.
+    The axes have integer entries, so their squared norms are exact whatever
+    the order of summation.
     """
-    k = np.asarray(wavevectors, dtype=np.int64)
-    if k.shape[1] == 2:
-        axes = np.stack([-k[:, 1], k[:, 0]], axis=-1)
-    else:
-        unit = np.zeros_like(k)
-        unit[np.arange(len(k)), np.argmin(np.abs(k), axis=1)] = 1
-        first = np.cross(k, unit)
-        second = np.asarray(indices) == 1
-        axes = np.where(second[:, None], np.cross(k, first), first)
+    axes = polarization_axes(wavevectors, indices)
     return axes / np.sqrt(np.sum(axes * axes, axis=1))[:, None]
 
 
@@ -114,11 +101,6 @@ class BasisMode:
         """Stokes eigenvalue |k|^2 of the mode."""
         k = np.asarray(self.wavevector, dtype=np.float64)
         return float(k @ k)
-
-    def polarization_vector(self):
-        """Unit polarization vector (float) orthogonal to the wavevector."""
-        axis = polarization_axis(self.wavevector, self.polarization)
-        return axis / np.linalg.norm(axis)
 
 
 def _half_space(k):
