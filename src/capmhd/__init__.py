@@ -17,7 +17,7 @@ from .basis import (
 )
 from .config import RunConfig
 from .energy import EnergyLedger, check_inequality, initial_energy
-from .flowmap import ParticleCloud, SpectralTrajectory, SteadyField, advance, backtrace, jacobian
+from .flowmap import SpectralTrajectory, SteadyField, backtrace, jacobian
 from .galerkin import FluidParams, GalerkinState, apply_N, fixed_point_window, run
 from .interface import (
     InitialPhase,
@@ -46,10 +46,8 @@ __all__ = [
     "EnergyLedger",
     "check_inequality",
     "initial_energy",
-    "ParticleCloud",
     "SpectralTrajectory",
     "SteadyField",
-    "advance",
     "backtrace",
     "jacobian",
     "FluidParams",

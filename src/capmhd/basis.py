@@ -14,11 +14,16 @@ carry the L2 geometry (Parseval) and the mass matrix is the identity.
 Quadrature is a tensor-product uniform grid, which integrates periodic
 trigonometric polynomials exactly once the grid resolves their highest
 wavenumber (order per axis >= 2*kmax + 1 for quadratic forms of the basis).
+Each basis builds the grid of one order once (``Basis.quadrature``), together
+with the trig tables at its nodes, and every pairing and node-value consumer
+takes that ``Quadrature``.
 """
 
+import functools
 import itertools
 import math
 import warnings
+import weakref
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -159,6 +164,7 @@ class Basis:
         self.normalizations = np.array([m.normalization for m in modes])
         self.is_sine = np.array([m.phase == "sin" for m in modes])
         self.eigenvalues = np.array([m.eigenvalue for m in modes])
+        self._quadratures = {}
 
     def __len__(self):
         return len(self.modes)
@@ -188,22 +194,36 @@ class Basis:
         out[:, ~sin] = -np.sin(theta[:, ~sin])
         return out
 
-    def synthesize(self, coefficients, points):
-        """Field values at ``points`` for one coefficient vector: (m, d)."""
-        ph = self.phase_values(points)
+    def _values_from(self, phase_table, coefficients):
+        """Field values from a ``phase_values`` table: (m, d)."""
         weights = (coefficients * self.normalizations)[:, None] * self.polarizations
-        return ph @ weights
+        return phase_table @ weights
 
-    def synthesize_gradient(self, coefficients, points):
-        """Field Jacobians (grad u)_il = d_l u_i at ``points``: (m, d, d)."""
-        dph = self.phase_derivatives(points)
+    def _gradients_from(self, derivative_table, coefficients):
+        """Field Jacobians (grad u)_il = d_l u_i from a ``phase_derivatives`` table."""
         scaled = coefficients * self.normalizations
         outer = (
             scaled[:, None, None]
             * self.polarizations[:, :, None]
             * self.wavevectors[:, None, :]
         )
-        return np.tensordot(dph, outer, axes=([1], [0]))
+        return np.tensordot(derivative_table, outer, axes=([1], [0]))
+
+    def synthesize(self, coefficients, points):
+        """Field values at ``points`` for one coefficient vector: (m, d)."""
+        return self._values_from(self.phase_values(points), coefficients)
+
+    def synthesize_gradient(self, coefficients, points):
+        """Field Jacobians (grad u)_il = d_l u_i at ``points``: (m, d, d)."""
+        return self._gradients_from(self.phase_derivatives(points), coefficients)
+
+    def quadrature(self, order):
+        """The quadrature grid of ``order`` points per axis, built once per basis."""
+        quad = self._quadratures.get(order)
+        if quad is None:
+            points, weight = quadrature_rule(self.dimension, order, self.length)
+            quad = self._quadratures[order] = Quadrature(self, points, weight)
+        return quad
 
 
 def make_basis(dimension, kmax, length=TWO_PI):
@@ -272,6 +292,44 @@ def quadrature_rule(dimension, order, length=TWO_PI):
     return points, weight
 
 
+def _read_only(array):
+    array.flags.writeable = False
+    return array
+
+
+class Quadrature:
+    """The uniform grid of one basis and order, with the trig tables at its nodes.
+
+    ``Basis.quadrature`` hands every caller the same object, so the tables are
+    read-only; each is built on first use.  The back-reference to the basis
+    is weak: the basis holds its quadratures, and a strong reference back
+    would leave a dropped basis and its tables to the cyclic collector.
+    """
+
+    def __init__(self, basis, points, weight):
+        self.basis = weakref.proxy(basis)
+        self.points = _read_only(points)
+        self.weight = weight
+
+    @functools.cached_property
+    def values(self):
+        """``basis.phase_values`` at the nodes: (m, n)."""
+        return _read_only(self.basis.phase_values(self.points))
+
+    @functools.cached_property
+    def derivatives(self):
+        """``basis.phase_derivatives`` at the nodes: (m, n)."""
+        return _read_only(self.basis.phase_derivatives(self.points))
+
+    def field_values(self, coefficients):
+        """Values at the nodes of the field with these coefficients: (m, d)."""
+        return self.basis._values_from(self.values, coefficients)
+
+    def field_gradients(self, coefficients):
+        """Jacobians at the nodes of the field with these coefficients: (m, d, d)."""
+        return self.basis._gradients_from(self.derivatives, coefficients)
+
+
 def default_quadrature_order(kmax):
     """Default order per axis, 4*kmax (dealiases quadratic forms)."""
     return 4 * int(kmax)
@@ -299,48 +357,48 @@ def project_L2(sampler, basis, order):
             RuntimeWarning,
             stacklevel=2,
         )
-    points, weight = quadrature_rule(basis.dimension, order, basis.length)
-    values = _sample(sampler, points)
-    ph = basis.phase_values(points)
+    quad = basis.quadrature(order)
+    values = _sample(sampler, quad.points)
     pol_dot = values @ basis.polarizations.T
-    coefficients = weight * basis.normalizations * np.sum(ph * pol_dot, axis=0)
+    coefficients = quad.weight * basis.normalizations * np.sum(quad.values * pol_dot, axis=0)
     return SpectralField(basis, coefficients)
 
 
 def gram_matrix(basis, order):
     """Quadrature Gram matrix of the basis (identity for the default basis)."""
-    points, weight = quadrature_rule(basis.dimension, order, basis.length)
-    ph = basis.phase_values(points) * basis.normalizations
-    return weight * (ph.T @ ph) * (basis.polarizations @ basis.polarizations.T)
+    quad = basis.quadrature(order)
+    ph = quad.values * basis.normalizations
+    return quad.weight * (ph.T @ ph) * (basis.polarizations @ basis.polarizations.T)
 
 
-def convection_pairing(a_values, b_values, basis, points, weight):
+def convection_pairing(a_values, b_values, quad):
     """Vector of integrals a . ((b . grad) eta_j) dx over all modes j.
 
-    ``a_values`` and ``b_values`` are (m, d) samples at the quadrature
-    ``points``.  Uses the rank-one structure grad(eta_j) = dtrig * e_j k_j^T,
-    so a . (grad(eta_j) b) = dtrig(k_j . x) (a . e_j)(k_j . b).
+    ``a_values`` and ``b_values`` are (m, d) samples at the nodes of the
+    quadrature ``quad``.  Uses the rank-one structure grad(eta_j) = dtrig *
+    e_j k_j^T, so a . (grad(eta_j) b) = dtrig(k_j . x) (a . e_j)(k_j . b).
     """
-    dph = basis.phase_derivatives(points)
+    basis = quad.basis
     a_pol = a_values @ basis.polarizations.T
     b_wav = b_values @ basis.wavevectors.T
-    return weight * basis.normalizations * np.sum(dph * a_pol * b_wav, axis=0)
+    return quad.weight * basis.normalizations * np.sum(quad.derivatives * a_pol * b_wav, axis=0)
 
 
-def strain_pairing(du_values, nu_values, basis, points, weight):
+def strain_pairing(du_values, nu_values, quad):
     """Vector of integrals 2 nu Du : D(eta_j) dx over all modes j.
 
-    ``du_values`` are symmetric strain-rate samples (m, d, d); since Du is
-    symmetric, Du : D(eta_j) = dtrig(k_j . x) (e_j . Du . k_j).
+    ``du_values`` are symmetric strain-rate samples (m, d, d) at the nodes of
+    ``quad``; since Du is symmetric, Du : D(eta_j) = dtrig(k_j . x)
+    (e_j . Du . k_j).
     """
-    dph = basis.phase_derivatives(points)
+    basis = quad.basis
     contracted = np.einsum(
         "ni,mil,nl->mn", basis.polarizations, du_values, basis.wavevectors
     )
     nu_values = np.asarray(nu_values, dtype=np.float64)
     return (
         2.0
-        * weight
+        * quad.weight
         * basis.normalizations
-        * np.sum(nu_values[:, None] * dph * contracted, axis=0)
+        * np.sum(nu_values[:, None] * quad.derivatives * contracted, axis=0)
     )

@@ -102,6 +102,28 @@ def _location(f):
     return f.metadata.get("section"), f.metadata.get("key", f.name)
 
 
+def _coerce(f, key, value):
+    """``value`` as the type of field ``f``, rejecting what the cast would change.
+
+    float() passes NaN and infinities, int() truncates 2.7, and bool() makes
+    the string "false" true; none of these may reach the solver.
+    """
+    if value is None and f.default is None:
+        return None
+    if f.type is bool:
+        if not isinstance(value, bool):
+            raise ConfigError(f"{key} must be true or false, got {value!r}")
+        return value
+    if f.type in (int, float) and isinstance(value, bool):
+        raise ConfigError(f"{key} must be a number, got {value!r}")
+    if f.type is int and isinstance(value, float) and not value.is_integer():
+        raise ConfigError(f"{key} must be an integer, got {value!r}")
+    value = f.type(value)
+    if f.type is float and not math.isfinite(value):
+        raise ConfigError(f"{key} must be finite, got {value!r}")
+    return value
+
+
 @dataclass
 class RunConfig:
     """Validated parameters of one run (solver knobs resolved to defaults).
@@ -247,9 +269,7 @@ class RunConfig:
                 section, key = _location(f)
                 source = dict(data.get(section, {})) if section else data
                 if key in source:
-                    value = source[key]
-                    optional = value is None and f.default is None
-                    values[f.name] = None if optional else f.type(value)
+                    values[f.name] = _coerce(f, key, source[key])
             return cls(**values)
         except (KeyError, TypeError, ValueError) as exc:
             if isinstance(exc, ConfigError):

@@ -22,7 +22,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .basis import quadrature_rule
 from .interface import perimeter
 
 COLUMNS = ("t", "kinetic", "magnetic", "tension", "viscous_cum", "resistive_cum", "E0")
@@ -97,17 +96,16 @@ def viscous_dissipation_rate(state, order, chi_values=None):
     given order; they may be omitted when the two viscosities coincide.
     """
     params = state.params
-    basis = state.u.basis
-    points, weight = quadrature_rule(basis.dimension, order, basis.length)
-    grads = state.u.gradient(points)
+    quad = state.u.basis.quadrature(order)
+    grads = quad.field_gradients(state.u.coefficients)
     du = 0.5 * (grads + np.swapaxes(grads, 1, 2))
     densities = np.einsum("mij,mij->m", du, du)
     if chi_values is None:
         if params.two_phase:
             raise ValueError("chi_values required when the viscosities differ")
-        chi_values = np.zeros(len(points))
+        chi_values = np.zeros(len(quad.points))
     nu = params.viscosity(chi_values)
-    return 2.0 * weight * float(np.sum(nu * densities))
+    return 2.0 * quad.weight * float(np.sum(nu * densities))
 
 
 def record(state, ledger, dt_increments):

@@ -4,19 +4,16 @@ Solves dX/dt = u(t, X) forward and backward with classical fixed-step RK4
 (last step shortened to land exactly on the target time), and integrates the
 variational equation d(grad X)/dt = grad u . grad X alongside the trajectory
 for Jacobian tracking.  Fixed stepping keeps trajectories reproducible
-bit-for-bit for a given configuration; positions are wrapped into the
-periodic cell only at cloud level, never inside the integrator, so the
-variational equation sees no jumps.
+bit-for-bit for a given configuration; positions are never wrapped into the
+periodic cell, so the variational equation sees no jumps.
 
 A velocity sampler is any object with ``velocity(t, points) -> (m, d)`` and,
 where Jacobians are needed, ``gradient(t, points) -> (m, d, d)``.
 """
 
-from dataclasses import dataclass
-
 import numpy as np
 
-from .basis import TWO_PI, SpectralField
+from .basis import SpectralField
 from .errors import IntegrationError
 
 
@@ -68,14 +65,6 @@ class SpectralTrajectory:
         if self.coefficients.shape[1] != len(basis):
             raise ValueError("coefficient rows must match the basis size")
 
-    @property
-    def t_start(self):
-        return float(self.times[0])
-
-    @property
-    def t_end(self):
-        return float(self.times[-1])
-
     def coefficients_at(self, t):
         times = self.times
         if t <= times[0]:
@@ -107,19 +96,6 @@ class SpectralTrajectory:
             self.basis,
             np.concatenate([self.times, times]),
             np.concatenate([self.coefficients, coefficients]),
-        )
-
-
-@dataclass
-class ParticleCloud:
-    """Positions carried by the flow; kept wrapped into the periodic cell."""
-
-    positions: np.ndarray
-    t: float = 0.0
-
-    def __post_init__(self):
-        self.positions = np.mod(
-            np.atleast_2d(np.asarray(self.positions, dtype=np.float64)), TWO_PI
         )
 
 
@@ -161,16 +137,13 @@ def _integrate(positions, sampler, t0, t1, h):
     return x
 
 
-def advance_positions(positions, sampler, t0, t1, h, wrap=False):
-    """Transport raw positions from t0 to t1 >= t0; optionally wrap at output."""
+def advance_positions(positions, sampler, t0, t1, h):
+    """Transport raw positions from t0 to t1 >= t0."""
     if h <= 0.0:
         raise ValueError(f"step size must be positive, got {h}")
     if t1 < t0:
         raise ValueError(f"target time {t1} precedes start time {t0}")
-    out = _integrate(positions, sampler, t0, t1, h)
-    if wrap:
-        out = np.mod(out, TWO_PI)
-    return out
+    return _integrate(positions, sampler, t0, t1, h)
 
 
 def integrate_positions(positions, sampler, t0, t1, h):
@@ -178,12 +151,6 @@ def integrate_positions(positions, sampler, t0, t1, h):
     if h <= 0.0:
         raise ValueError(f"step size must be positive, got {h}")
     return _integrate(positions, sampler, t0, t1, h)
-
-
-def advance(cloud, sampler, t1, h):
-    """New cloud at time t1, positions wrapped into the periodic cell."""
-    positions = advance_positions(cloud.positions, sampler, cloud.t, t1, h, wrap=True)
-    return ParticleCloud(positions, t1)
 
 
 def backtrace(x, sampler, t, h):

@@ -21,12 +21,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .basis import (
-    SpectralField,
-    convection_pairing,
-    quadrature_rule,
-    strain_pairing,
-)
+from .basis import SpectralField, convection_pairing, strain_pairing
 from .energy import (
     EnergyLedger,
     default_tolerance,
@@ -154,20 +149,20 @@ def apply_N(state, order, chi_values=None):
     every node.
     """
     basis = state.u.basis
-    points, weight = quadrature_rule(basis.dimension, order, basis.length)
-    u_values = state.u.evaluate(points)
-    b_values = state.B.evaluate(points)
-    result = convection_pairing(u_values, u_values, basis, points, weight)
-    result -= convection_pairing(b_values, b_values, basis, points, weight)
-    grads = state.u.gradient(points)
+    quad = basis.quadrature(order)
+    u_values = quad.field_values(state.u.coefficients)
+    b_values = quad.field_values(state.B.coefficients)
+    result = convection_pairing(u_values, u_values, quad)
+    result -= convection_pairing(b_values, b_values, quad)
+    grads = quad.field_gradients(state.u.coefficients)
     du = 0.5 * (grads + np.swapaxes(grads, 1, 2))
     if state.params.two_phase:
         if chi_values is None:
-            chi_values = point_in_mesh(state.mesh, points)
+            chi_values = point_in_mesh(state.mesh, quad.points)
         nu = state.params.viscosity(chi_values)
     else:
-        nu = np.full(len(points), state.params.nu_plus)
-    result -= strain_pairing(du, nu, basis, points, weight)
+        nu = np.full(len(quad.points), state.params.nu_plus)
+    result -= strain_pairing(du, nu, quad)
     if state.params.kappa > 0.0:
         result += state.params.kappa * curvature_pairing_modes(state.mesh, basis)
     if not np.all(np.isfinite(result)):
@@ -267,14 +262,14 @@ def fixed_point_window(
     u_coeffs = np.tile(anchor.u.coefficients, (n_sub + 1, 1))
     if history is None:
         history = SpectralTrajectory(basis, [anchor.t], [anchor.u.coefficients])
-    points, _ = quadrature_rule(basis.dimension, order, basis.length)
+    points = basis.quadrature(order).points
     need_chi = params.two_phase
     residual_history = []
     for iteration in range(1, max_iter + 1):
         try:
             if not np.all(np.isfinite(u_coeffs)):
                 raise NumericsError("the velocity iterate has non-finite coefficients")
-            sampler = history.extended(t_grid, u_coeffs)
+            sampler = SpectralTrajectory(basis, t_grid, u_coeffs)
             meshes = [anchor.mesh]
             b_fields = [anchor.B]
             resistive = np.zeros(n_sub)
@@ -324,7 +319,8 @@ def fixed_point_window(
                 resistive_increments=resistive,
                 chi_cache=list(chi_cache) if chi_cache is not None else [None] * (n_sub + 1),
             )
-        u_coeffs = (1.0 - omega) * u_coeffs + omega * k_coeffs
+        # row 0 is the anchor and stays it bit for bit
+        u_coeffs[1:] = (1.0 - omega) * u_coeffs[1:] + omega * k_coeffs[1:]
     raise WindowFailureError(
         f"window at t={anchor.t:.6g} (delta={delta:.3g}) did not converge in "
         f"{max_iter} sweeps (last residual {residual_history[-1]:.3e})",

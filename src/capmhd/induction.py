@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .basis import SpectralField, convection_pairing, quadrature_rule
+from .basis import convection_pairing
 from .errors import NumericsError
 
 
@@ -47,16 +47,17 @@ class MagneticTrajectory:
         return self.fields[-1]
 
 
-def transport_pairing(u_values, b_values, basis, points, weight):
+def transport_pairing(u_values, b_values, quad):
     """Explicit transport vector T_j = ((B . grad) eta_j, u) - ((u . grad) eta_j, B).
 
     This is the weak transport of the induction equation after integrating by
     parts; tested against B itself it reproduces the magnetic transfer power
     that the velocity equation removes, which is the cancellation mechanism
-    of the coupled energy identity.
+    of the coupled energy identity.  ``u_values`` and ``b_values`` are
+    samples at the nodes of the quadrature ``quad``.
     """
-    return convection_pairing(b_values, u_values, basis, points, weight) - convection_pairing(
-        u_values, b_values, basis, points, weight
+    return convection_pairing(b_values, u_values, quad) - convection_pairing(
+        u_values, b_values, quad
     )
 
 
@@ -67,10 +68,10 @@ def step_B(b_field, sampler, t, sigma, dt, order):
     if sigma <= 0.0:
         raise ValueError("sigma must be positive")
     basis = b_field.basis
-    points, weight = quadrature_rule(basis.dimension, order, basis.length)
-    u_values = sampler.velocity(t, points)
-    b_values = basis.synthesize(b_field.coefficients, points)
-    transport = transport_pairing(u_values, b_values, basis, points, weight)
+    quad = basis.quadrature(order)
+    u_values = sampler.velocity(t, quad.points)
+    b_values = quad.field_values(b_field.coefficients)
+    transport = transport_pairing(u_values, b_values, quad)
     if not np.all(np.isfinite(transport)):
         raise NumericsError(
             "non-finite transport pairing in induction step",

@@ -313,7 +313,7 @@ def mesh_initial(phase, resolution):
 
 def advect(mesh, sampler, t1, h):
     """Transport mesh vertices to time t1; connectivity is unchanged."""
-    vertices = advance_positions(mesh.vertices, sampler, mesh.t, t1, h, wrap=False)
+    vertices = advance_positions(mesh.vertices, sampler, mesh.t, t1, h)
     out = InterfaceMesh(vertices, mesh.elements.copy(), t=t1)
     return out.validate()
 
@@ -383,9 +383,9 @@ def curvature_pairing_modes(mesh, basis):
     """
     n = normals(mesh)
     dph = basis.phase_derivatives(element_centers(mesh))
-    n_pol = n @ basis.polarizations.T
-    n_wav = n @ basis.wavevectors.T
-    return -basis.normalizations * (element_measures(mesh) @ (dph * n_pol * n_wav))
+    dph *= n @ basis.polarizations.T
+    dph *= n @ basis.wavevectors.T
+    return -basis.normalizations * (element_measures(mesh) @ dph)
 
 
 def indicator(x, t, sampler, phase, h):

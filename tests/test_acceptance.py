@@ -159,7 +159,7 @@ def test_criterion_5_induction_decay_and_antisymmetry():
         b = cb.SpectralField(basis2, cbv)
         points, weight = cb.quadrature_rule(2, order)
         u_vals, b_vals = u.evaluate(points), b.evaluate(points)
-        transport = transport_pairing(u_vals, b_vals, basis2, points, weight)
+        transport = transport_pairing(u_vals, b_vals, basis2.quadrature(order))
         lhs = float(cbv @ transport)
         rhs = weight * float(np.einsum("mi,mil,ml->", b_vals, u.gradient(points), b_vals))
         assert abs(lhs - rhs) <= 1e-8

@@ -1,3 +1,5 @@
+import weakref
+
 import numpy as np
 import pytest
 
@@ -245,6 +247,46 @@ class TestGramMatrix:
         assert gram.shape == (1, 1)
         assert gram[0, 0] == pytest.approx(1.0, abs=1e-12)
 
+
+
+def assert_bitwise(got, want):
+    assert got.shape == want.shape
+    assert got.dtype == want.dtype
+    assert got.tobytes() == want.tobytes()
+
+
+class TestQuadrature:
+    @pytest.mark.parametrize("dimension", [2, 3])
+    def test_tables_match_the_phase_tables_on_the_rule_grid(self, dimension):
+        basis = cb.make_basis(dimension, 2)
+        order = cb.default_quadrature_order(2)
+        points, weight = cb.quadrature_rule(dimension, order)
+        quad = basis.quadrature(order)
+        assert_bitwise(quad.points, points)
+        assert quad.weight == weight
+        assert_bitwise(quad.values, basis.phase_values(points))
+        assert_bitwise(quad.derivatives, basis.phase_derivatives(points))
+
+    def test_one_object_per_basis_and_order(self):
+        basis = cb.make_basis(2, 2)
+        assert basis.quadrature(8) is basis.quadrature(8)
+        assert basis.quadrature(12) is not basis.quadrature(8)
+        assert cb.make_basis(2, 2).quadrature(8) is not basis.quadrature(8)
+
+    def test_shared_tables_are_read_only(self):
+        basis = cb.make_basis(2, 1)
+        quad = basis.quadrature(4)
+        for table in (quad.points, quad.values, quad.derivatives):
+            with pytest.raises(ValueError, match="read-only"):
+                table[0, 0] = 1.0
+
+    def test_dropping_the_basis_frees_its_quadrature(self):
+        # no reference cycle: the tables go with the basis, not at the next
+        # run of the cyclic collector
+        basis = cb.make_basis(2, 1)
+        quad = weakref.ref(basis.quadrature(4))
+        del basis
+        assert quad() is None
 
 class TestSpectralField:
     def test_length_mismatch_rejected(self, basis_2d):

@@ -117,6 +117,26 @@ class TestCmdRun:
         assert cli.main(["run", "--config", path, "--out", str(tmp_path / "o")]) == 2
         assert "sigma > 0" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "section,key,value",
+        [
+            ("solver", "delta", float("nan")),
+            (None, "nu_plus", float("nan")),
+            ("solver", "tol", float("inf")),
+            (None, "kmax", 2.7),
+            ("solver", "max_iter", True),
+            ("solver", "resample_2d", "false"),
+        ],
+    )
+    def test_bad_value_exits_2(self, tmp_path, capsys, section, key, value):
+        data = small_config_dict()
+        (data[section] if section else data)[key] = value
+        path = write_config(tmp_path, data)
+        assert cli.main(["run", "--config", path, "--out", str(tmp_path / "o")]) == 2
+        err = capsys.readouterr().err
+        assert f"config error: {key} must be" in err
+        assert "Traceback" not in err
+
     def test_small_two_phase_run_passes(self, tmp_path):
         path = write_config(tmp_path, small_config_dict())
         out = tmp_path / "out"

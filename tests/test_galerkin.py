@@ -99,6 +99,45 @@ class TestApplyN:
         assert np.linalg.norm(forcing) <= cg.N_BOUND_COEFF * bracket
 
 
+    def test_matches_quadrature_rule_reference(self, basis_2d):
+        rng = np.random.default_rng(109)
+        state = make_state(
+            basis_2d,
+            u_coeffs=0.5 * rng.standard_normal(len(basis_2d)),
+            b_coeffs=0.5 * rng.standard_normal(len(basis_2d)),
+            params=cg.FluidParams(0.2, 0.1, 1.0, 0.1),
+        )
+        got = cg.apply_N(state, 8)
+        want = _apply_N_reference(state, 8)
+        assert got.tobytes() == want.tobytes()
+
+
+def _apply_N_reference(state, order):
+    """apply_N from the grid of ``quadrature_rule`` and field samples taken
+    through ``SpectralField``, with no Quadrature object."""
+    basis = state.u.basis
+    points, weight = cb.quadrature_rule(basis.dimension, order, basis.length)
+    dph = basis.phase_derivatives(points)
+
+    def convection(a, b):
+        a_pol = a @ basis.polarizations.T
+        b_wav = b @ basis.wavevectors.T
+        return weight * basis.normalizations * np.sum(dph * a_pol * b_wav, axis=0)
+
+    u_values = state.u.evaluate(points)
+    b_values = state.B.evaluate(points)
+    result = convection(u_values, u_values)
+    result -= convection(b_values, b_values)
+    grads = state.u.gradient(points)
+    du = 0.5 * (grads + np.swapaxes(grads, 1, 2))
+    nu = state.params.viscosity(ci.point_in_mesh(state.mesh, points))
+    contracted = np.einsum("ni,mil,nl->mn", basis.polarizations, du, basis.wavevectors)
+    result -= (
+        2.0 * weight * basis.normalizations * np.sum(nu[:, None] * dph * contracted, axis=0)
+    )
+    result += state.params.kappa * ci.curvature_pairing_modes(state.mesh, basis)
+    return result
+
 class TestApplyK:
     def test_zero_forcing_constant_trajectory(self, basis_2d):
         states = [make_state(basis_2d) for _ in range(3)]
@@ -192,6 +231,18 @@ class TestFixedPointWindow:
         )
         assert window.iterations == 1
         assert np.all(window.u_trajectory == 0.0)
+
+    def test_damped_sweeps_keep_the_anchor_row(self, basis_2d):
+        # (1 - omega) a + omega a rounds away from a for most omega; the
+        # damped update must leave the window's first node on the anchor
+        rng = np.random.default_rng(127)
+        anchor = make_state(basis_2d, u_coeffs=0.3 * rng.standard_normal(len(basis_2d)))
+        window = cg.fixed_point_window(
+            anchor, 0.05, 4, 1e-8, 80, 0.3,
+            order=8, h_flow=0.01, dt_b=0.0125,
+        )
+        assert window.iterations > 1
+        assert window.u_trajectory[0].tobytes() == anchor.u.coefficients.tobytes()
 
     def test_single_mode_matches_stokes_decay(self, basis_2d):
         nu = 0.4

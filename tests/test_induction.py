@@ -38,9 +38,9 @@ class TestStepB:
     def test_aligned_field_transport_vanishes(self, basis_k1):
         # u = B on one mode: the antisymmetric pairing cancels identically
         field = unit_mode_field(basis_k1)
-        points, weight = cb.quadrature_rule(2, 4)
+        points, _ = cb.quadrature_rule(2, 4)
         values = field.evaluate(points)
-        transport = cind.transport_pairing(values, values, basis_k1, points, weight)
+        transport = cind.transport_pairing(values, values, basis_k1.quadrature(4))
         assert np.max(np.abs(transport)) == 0.0
 
     def test_unconditional_decay(self, basis_k1, zero_velocity):
@@ -109,7 +109,7 @@ class TestEnergyMechanism:
         b = cb.SpectralField(basis, cbv)
         points, weight = cb.quadrature_rule(2, order)
         u_vals, b_vals = u.evaluate(points), b.evaluate(points)
-        transport = cind.transport_pairing(u_vals, b_vals, basis, points, weight)
+        transport = cind.transport_pairing(u_vals, b_vals, basis.quadrature(order))
         lhs = float(cbv @ transport)
         rhs = weight * float(np.einsum("mi,mil,ml->", b_vals, u.gradient(points), b_vals))
         assert abs(lhs - rhs) <= 1e-8
@@ -124,7 +124,7 @@ class TestEnergyMechanism:
         cu[3] = 0.4
         sampler = cf.SteadyField(cb.SpectralField(basis, cu))
         b0 = cb.SpectralField(basis, 0.3 * rng.standard_normal(len(basis)))
-        points, weight = cb.quadrature_rule(2, order)
+        points, _ = cb.quadrature_rule(2, order)
         u_vals = sampler.velocity(0.0, points)
 
         def residual(dt):
@@ -133,7 +133,7 @@ class TestEnergyMechanism:
             for i in range(len(traj.times) - 1):
                 h = traj.times[i + 1] - traj.times[i]
                 b_vals = traj.fields[i].evaluate(points)
-                transport = cind.transport_pairing(u_vals, b_vals, basis, points, weight)
+                transport = cind.transport_pairing(u_vals, b_vals, basis.quadrature(order))
                 power += h * float(traj.fields[i].coefficients @ transport)
             return abs(
                 0.5 * traj.final.norm() ** 2

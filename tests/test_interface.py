@@ -77,6 +77,16 @@ class TestAdvect:
         drift = abs(ci.enclosed_volume(out) - np.pi) / np.pi
         assert drift <= 1e-3
 
+    @settings(max_examples=20)
+    @given(st.lists(st.floats(-0.5, 0.5), min_size=8, max_size=8))
+    def test_random_divergence_free_fields_keep_the_volume(self, coefficients):
+        # criterion 2's bound for any field of the kmax = 1 basis
+        basis = cb.make_basis(2, 1)
+        flow = cf.SteadyField(cb.SpectralField(basis, np.array(coefficients)))
+        out = ci.advect(ci.mesh_initial(ci.disk(CENTER_2D, 1.0), 256), flow, 0.5, 0.01)
+        drift = abs(ci.enclosed_volume(out) - np.pi) / np.pi
+        assert drift <= 1e-3
+
     def test_volume_drift_order(self):
         # halving both the edge length and the flow step reduces drift >= 2x
         tg = taylor_green_2d()
