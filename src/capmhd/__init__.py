@@ -11,21 +11,18 @@ from .basis import (
     BasisMode,
     SpectralField,
     enumerate_modes,
-    gram_matrix,
     make_basis,
     project_L2,
 )
 from .config import RunConfig
 from .energy import EnergyLedger, check_inequality, initial_energy
-from .flowmap import SpectralTrajectory, SteadyField, backtrace, jacobian
+from .flowmap import SpectralTrajectory, jacobian
 from .galerkin import FluidParams, GalerkinState, apply_N, fixed_point_window, run
 from .interface import (
     InitialPhase,
     InterfaceMesh,
     advect,
-    curvature_pairing,
     enclosed_volume,
-    indicator,
     mesh_initial,
     normals,
     perimeter,
@@ -39,7 +36,6 @@ __all__ = [
     "BasisMode",
     "SpectralField",
     "enumerate_modes",
-    "gram_matrix",
     "make_basis",
     "project_L2",
     "RunConfig",
@@ -47,8 +43,6 @@ __all__ = [
     "check_inequality",
     "initial_energy",
     "SpectralTrajectory",
-    "SteadyField",
-    "backtrace",
     "jacobian",
     "FluidParams",
     "GalerkinState",
@@ -58,9 +52,7 @@ __all__ = [
     "InitialPhase",
     "InterfaceMesh",
     "advect",
-    "curvature_pairing",
     "enclosed_volume",
-    "indicator",
     "mesh_initial",
     "normals",
     "perimeter",

@@ -364,13 +364,6 @@ def project_L2(sampler, basis, order):
     return SpectralField(basis, coefficients)
 
 
-def gram_matrix(basis, order):
-    """Quadrature Gram matrix of the basis (identity for the default basis)."""
-    quad = basis.quadrature(order)
-    ph = quad.values * basis.normalizations
-    return quad.weight * (ph.T @ ph) * (basis.polarizations @ basis.polarizations.T)
-
-
 def convection_pairing(a_values, b_values, quad):
     """Vector of integrals a . ((b . grad) eta_j) dx over all modes j.
 

@@ -98,6 +98,9 @@ def cmd_run(config_path, out_dir=None):
     os.makedirs(out, exist_ok=True)
     try:
         result = galerkin.run(config)
+    except ConfigError as exc:
+        print(f"config error: {exc}", file=sys.stderr)
+        return 2
     except _SOLVER_ERRORS as exc:
         diagnostics = getattr(exc, "diagnostics", {}) or {}
         _write_json(
@@ -138,6 +141,9 @@ def cmd_refine(config_path, levels, out_dir=None):
         data["solver"]["quadrature_order"] = None
         try:
             result = galerkin.run(RunConfig.from_dict(data))
+        except ConfigError as exc:
+            print(f"config error at kmax={kmax}: {exc}", file=sys.stderr)
+            return 2
         except _SOLVER_ERRORS as exc:
             print(f"solver failure at kmax={kmax}: {exc}", file=sys.stderr)
             return 3
@@ -183,11 +189,14 @@ def cmd_check_energy(ledger_path, e0=None, tol=None):
     except (OSError, ValueError) as exc:
         print(f"cannot read ledger: {exc}", file=sys.stderr)
         return 2
-    if e0 is not None:
-        ledger.E0 = float(e0)
     if tol is None:
         print("check-energy requires --tol", file=sys.stderr)
         return 2
+    if not np.isfinite(tol) or (e0 is not None and not np.isfinite(e0)):
+        print("check-energy requires a finite --tol and --e0", file=sys.stderr)
+        return 2
+    if e0 is not None:
+        ledger.E0 = float(e0)
     report = check_inequality(ledger, float(tol))
     if report.passed:
         print(

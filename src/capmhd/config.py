@@ -83,6 +83,25 @@ def build_initial_field(spec, basis, order):
     raise ConfigError(f"initial field type must be one of {_FIELD_TYPES}, got {kind!r}")
 
 
+def _check_field_spec(key, spec):
+    """Reject the nested values that ``build_initial_field`` would cast wrongly.
+
+    float() passes NaN and infinities into the projection and int() turns
+    the wavevector entry 1.5 into mode 1.
+    """
+    numbers = [spec.get("amplitude", 1.0)]
+    if spec.get("type") == "coefficients":
+        numbers.extend(np.ravel(spec["values"]))
+    if any(isinstance(v, bool) or not math.isfinite(float(v)) for v in numbers):
+        raise ConfigError(f"{key} amplitude and values must be finite numbers")
+    if spec.get("type") == "single_mode":
+        wavevector = spec.get("wavevector")
+        if not isinstance(wavevector, (list, tuple)) or any(
+            isinstance(k, bool) or not float(k).is_integer() for k in wavevector
+        ):
+            raise ConfigError(f"{key} wavevector must list integers, got {wavevector!r}")
+
+
 def _is_zero_field(spec):
     if spec.get("type") == "zero":
         return True
@@ -161,6 +180,8 @@ class RunConfig:
         self.validate()
 
     def validate(self):
+        _check_field_spec("initial_velocity", self.initial_velocity)
+        _check_field_spec("initial_magnetic", self.initial_magnetic)
         if self.dimension not in (2, 3):
             raise ConfigError(f"dimension must be 2 or 3, got {self.dimension}")
         if self.kmax < 1:

@@ -76,11 +76,14 @@ class EnergyLedger:
             parts = line.split(",")
             if len(parts) != len(COLUMNS):
                 raise ValueError(f"malformed ledger CSV row: {line!r}")
-            rows.append(tuple(float(p) for p in parts))
+            rows.append([float(p) for p in parts])
         if not rows:
             raise ValueError("ledger CSV contains no rows")
         ledger = cls(E0=rows[0][-1])
-        ledger.rows = rows
+        for row in rows:
+            ledger.append(*row[:-1])
+            if row[-1] != ledger.E0:
+                raise ValueError(f"ledger CSV E0 column is not constant at t={row[0]}")
         return ledger
 
 

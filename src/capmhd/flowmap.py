@@ -17,35 +17,6 @@ from .basis import SpectralField
 from .errors import IntegrationError
 
 
-class SteadyField:
-    """Time-independent sampler wrapping a single spectral field."""
-
-    def __init__(self, field):
-        self.field = field
-
-    def velocity(self, t, points):
-        return self.field.evaluate(points)
-
-    def gradient(self, t, points):
-        return self.field.gradient(points)
-
-
-class AnalyticField:
-    """Sampler built from callables, for analytic test velocities."""
-
-    def __init__(self, velocity, gradient=None):
-        self._velocity = velocity
-        self._gradient = gradient
-
-    def velocity(self, t, points):
-        return np.asarray(self._velocity(t, points), dtype=np.float64)
-
-    def gradient(self, t, points):
-        if self._gradient is None:
-            raise NotImplementedError("analytic field has no gradient callable")
-        return np.asarray(self._gradient(t, points), dtype=np.float64)
-
-
 class SpectralTrajectory:
     """Velocity sampler from coefficient snapshots, linear in time.
 
@@ -151,16 +122,6 @@ def integrate_positions(positions, sampler, t0, t1, h):
     if h <= 0.0:
         raise ValueError(f"step size must be positive, got {h}")
     return _integrate(positions, sampler, t0, t1, h)
-
-
-def backtrace(x, sampler, t, h):
-    """Preimage of x under the flow map: integrates the ODE from t back to 0."""
-    if h <= 0.0:
-        raise ValueError(f"step size must be positive, got {h}")
-    x = np.asarray(x, dtype=np.float64)
-    single = x.ndim == 1
-    out = _integrate(np.atleast_2d(x), sampler, t, 0.0, h)
-    return out[0] if single else out
 
 
 def jacobian(x0, sampler, t, h):

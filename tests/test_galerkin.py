@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from capmhd import basis as cb
 from capmhd import galerkin as cg
@@ -321,24 +323,21 @@ def _full_backtrace_indicator(points, t_grid, sampler, history, phase, h_flow):
 def _run_checking_indicator(monkeypatch, config):
     """Run, comparing every window indicator with the full back-trace.
 
-    Returns the run and the number of points that later windows classified
-    inside and outside the band.
+    Returns the run and the number of points per sweep that the windows
+    back-traced and that they left to the window-start mesh.
     """
     real = cg._window_indicator
     counts = {"band": 0, "mesh": 0}
 
-    def checked(points, t_grid, sampler, history, phase, h_flow, mesh):
-        chi = real(points, t_grid, sampler, history, phase, h_flow, mesh)
+    def checked(points, t_grid, sampler, history, phase, h_flow, distance, mesh_chi):
+        chi = real(points, t_grid, sampler, history, phase, h_flow, distance, mesh_chi)
         expected = _full_backtrace_indicator(points, t_grid, sampler, history, phase, h_flow)
         for node, (got, want) in enumerate(zip(chi, expected)):
             np.testing.assert_array_equal(got, want, err_msg=f"t={t_grid[node]}")
-        if t_grid[0] > 0.0:
-            back = [points] + [
-                integrate_positions(points, sampler, t, t_grid[0], h_flow) for t in t_grid[1:]
-            ]
-            near = ci.distance_lower_bound(mesh, np.concatenate(back)) <= cg.INDICATOR_BAND
-            counts["band"] += int(near.sum())
-            counts["mesh"] += int((~near).sum())
+        speed = np.max(np.abs(sampler.coefficients) @ sampler.basis.normalizations)
+        moving = distance <= cg.INDICATOR_BAND + (t_grid[-1] - t_grid[0]) * speed
+        counts["band"] += int(moving.sum())
+        counts["mesh"] += int((~moving).sum())
         return chi
 
     monkeypatch.setattr(cg, "_window_indicator", checked)
@@ -364,8 +363,49 @@ class TestWindowIndicator:
         points = np.asarray(CENTER_2D) + np.array(offsets)
         assert ci.point_in_mesh(mesh, points).tolist() == [1, 0, 0]
         still = SpectralTrajectory(basis_2d, [0.0, 0.3], np.zeros((2, len(basis_2d))))
-        chi = cg._window_indicator(points, np.array([0.2, 0.3]), still, still, phase, 0.01, mesh)
+        chi = cg._window_indicator(
+            points, np.array([0.2, 0.3]), still, still, phase, 0.01,
+            ci.distance_lower_bound(mesh, points), ci.point_in_mesh(mesh, points),
+        )
         assert [node.tolist() for node in chi] == [[1, 1, 0], [1, 1, 0]]
+
+    def test_points_the_window_carries_into_the_band_are_traced(self):
+        # u = (1, 0) along y = pi: the point 1.2 right of the centre lies
+        # 0.2 outside the unit disk, beyond the band but within the window's
+        # reach, and is inside the region at the last node only
+        basis = cb.make_basis(2, 1)
+        j = next(
+            j for j, mode in enumerate(basis.modes)
+            if mode.wavevector == (0, 1) and mode.phase == "cos"
+        )
+        coefficients = np.zeros(len(basis))
+        coefficients[j] = 1.0 / basis.normalizations[j]
+        phase = ci.disk(CENTER_2D, 1.0)
+        mesh = ci.mesh_initial(phase, 256)
+        points = np.asarray(CENTER_2D) + np.array([[1.2, 0.0], [0.0, 0.0], [2.0, 0.0]])
+        t_grid = np.array([0.0, 0.15, 0.3])
+        flow = SpectralTrajectory(basis, t_grid, np.tile(coefficients, (3, 1)))
+        np.testing.assert_allclose(flow.velocity(0.0, points[:1]), [[1.0, 0.0]], atol=1e-14)
+        history = SpectralTrajectory(basis, [0.0], [coefficients])
+        chi = cg._window_indicator(
+            points, t_grid, flow, history, phase, 0.01,
+            ci.distance_lower_bound(mesh, points), ci.point_in_mesh(mesh, points),
+        )
+        assert [node.tolist() for node in chi] == [[0, 1, 0], [0, 1, 0], [1, 1, 0]]
+
+    @settings(max_examples=20)
+    @given(st.sampled_from([2, 3]), st.integers(0, 2**32 - 1))
+    def test_coefficient_sum_bounds_the_speed(self, dimension, seed):
+        # |trig| <= 1 and |e_j| = 1, so sum_j |c_j| n_j bounds |u| everywhere
+        basis = cb.make_basis(dimension, 2)
+        rng = np.random.default_rng(seed)
+        coefficients = rng.standard_normal(len(basis)) * rng.uniform(0.0, 10.0, len(basis))
+        points = np.concatenate([
+            basis.quadrature(8).points, rng.uniform(0.0, 2 * np.pi, (200, dimension))
+        ])
+        speed = np.abs(coefficients) @ basis.normalizations
+        u = basis.synthesize(coefficients, points)
+        assert np.max(np.linalg.norm(u, axis=1)) <= speed
 
     def test_banded_matches_full_backtrace_3d(self, monkeypatch):
         config = RunConfig.from_dict({

@@ -2,9 +2,10 @@ import numpy as np
 import pytest
 
 from capmhd import basis as cb
-from capmhd import flowmap as cf
 from capmhd import induction as cind
 from capmhd.errors import NumericsError
+
+import reference as ref
 
 
 @pytest.fixture(scope="module")
@@ -14,7 +15,7 @@ def basis_k1():
 
 @pytest.fixture(scope="module")
 def zero_velocity(basis_k1):
-    return cf.SteadyField(cb.SpectralField(basis_k1, np.zeros(len(basis_k1))))
+    return ref.SteadyField(cb.SpectralField(basis_k1, np.zeros(len(basis_k1))))
 
 
 def unit_mode_field(basis, eigenvalue=1.0):
@@ -51,7 +52,7 @@ class TestStepB:
             assert out.norm() < field.norm()
 
     def test_nonfinite_velocity_raises(self, basis_k1):
-        bad = cf.AnalyticField(lambda t, p: np.full_like(p, np.nan))
+        bad = ref.AnalyticField(lambda t, p: np.full_like(p, np.nan))
         b0 = unit_mode_field(basis_k1)
         with pytest.raises(NumericsError):
             cind.step_B(b0, bad, 0.0, 1.0, 0.1, 4)
@@ -122,7 +123,7 @@ class TestEnergyMechanism:
         rng = np.random.default_rng(97)
         cu = np.zeros(len(basis))
         cu[3] = 0.4
-        sampler = cf.SteadyField(cb.SpectralField(basis, cu))
+        sampler = ref.SteadyField(cb.SpectralField(basis, cu))
         b0 = cb.SpectralField(basis, 0.3 * rng.standard_normal(len(basis)))
         points, _ = cb.quadrature_rule(2, order)
         u_vals = sampler.velocity(0.0, points)
@@ -158,8 +159,8 @@ class TestEnergyMechanism:
         perturb *= delta / np.linalg.norm(perturb)
 
         def distance(dt):
-            u1 = cf.SteadyField(cb.SpectralField(basis, cu))
-            u2 = cf.SteadyField(cb.SpectralField(basis, cu + perturb))
+            u1 = ref.SteadyField(cb.SpectralField(basis, cu))
+            u2 = ref.SteadyField(cb.SpectralField(basis, cu + perturb))
             t1 = cind.solve_B(u1, b0, 0.0, 0.5, dt, 1.0, 4)
             t2 = cind.solve_B(u2, b0, 0.0, 0.5, dt, 1.0, 4)
             diffs = [
@@ -178,7 +179,7 @@ class TestEnergyMechanism:
 class TestDivergenceFree:
     def test_b_stays_divergence_free(self, basis_k1):
         rng = np.random.default_rng(103)
-        u = cf.SteadyField(cb.SpectralField(basis_k1, rng.standard_normal(len(basis_k1))))
+        u = ref.SteadyField(cb.SpectralField(basis_k1, rng.standard_normal(len(basis_k1))))
         b0 = cb.SpectralField(basis_k1, rng.standard_normal(len(basis_k1)))
         traj = cind.solve_B(u, b0, 0.0, 0.3, 0.01, 1.0, 4)
         points = rng.uniform(0, 2 * np.pi, (50, 2))
