@@ -15,8 +15,16 @@ Quadrature is a tensor-product uniform grid, which integrates periodic
 trigonometric polynomials exactly once the grid resolves their highest
 wavenumber (order per axis >= 2*kmax + 1 for quadratic forms of the basis).
 Each basis builds the grid of one order once (``Basis.quadrature``), together
-with the trig tables at its nodes, and every pairing and node-value consumer
-takes that ``Quadrature``.
+with the m x n trig tables at its nodes, and every pairing and node-value
+consumer takes that ``Quadrature``.
+
+Off the grid (mesh vertices, traced points, element centroids) no m x n
+table is built.  Wavevectors are integers, so a field is
+u(x) = Re sum_k C_k e^{ik.x} over the box of integer wavevectors its modes
+span (``Lattice``), and e^{ik.x} is the product of one factor e^{i k_a x_a}
+per axis.  ``Lattice`` evaluates per-axis tables of those factors and
+contracts the coefficients one axis at a time; its adjoint sums samples at
+points into every wavevector of the box from the same tables.
 """
 
 import functools
@@ -194,28 +202,20 @@ class Basis:
         out[:, ~sin] = -np.sin(theta[:, ~sin])
         return out
 
-    def _values_from(self, phase_table, coefficients):
-        """Field values from a ``phase_values`` table: (m, d)."""
-        weights = (coefficients * self.normalizations)[:, None] * self.polarizations
-        return phase_table @ weights
-
-    def _gradients_from(self, derivative_table, coefficients):
-        """Field Jacobians (grad u)_il = d_l u_i from a ``phase_derivatives`` table."""
-        scaled = coefficients * self.normalizations
-        outer = (
-            scaled[:, None, None]
-            * self.polarizations[:, :, None]
-            * self.wavevectors[:, None, :]
-        )
-        return np.tensordot(derivative_table, outer, axes=([1], [0]))
+    @functools.cached_property
+    def lattice(self):
+        """The wavevector box of the modes, built on the first off-grid call."""
+        return Lattice(self)
 
     def synthesize(self, coefficients, points):
         """Field values at ``points`` for one coefficient vector: (m, d)."""
-        return self._values_from(self.phase_values(points), coefficients)
+        lattice = self.lattice
+        return lattice.values(lattice.coefficients(coefficients), points)
 
     def synthesize_gradient(self, coefficients, points):
         """Field Jacobians (grad u)_il = d_l u_i at ``points``: (m, d, d)."""
-        return self._gradients_from(self.phase_derivatives(points), coefficients)
+        lattice = self.lattice
+        return lattice.gradients(lattice.coefficients(coefficients), points)
 
     def quadrature(self, order):
         """The quadrature grid of ``order`` points per axis, built once per basis."""
@@ -323,11 +323,107 @@ class Quadrature:
 
     def field_values(self, coefficients):
         """Values at the nodes of the field with these coefficients: (m, d)."""
-        return self.basis._values_from(self.values, coefficients)
+        basis = self.basis
+        weights = (coefficients * basis.normalizations)[:, None] * basis.polarizations
+        return self.values @ weights
 
     def field_gradients(self, coefficients):
         """Jacobians at the nodes of the field with these coefficients: (m, d, d)."""
-        return self.basis._gradients_from(self.derivatives, coefficients)
+        basis = self.basis
+        scaled = coefficients * basis.normalizations
+        outer = (
+            scaled[:, None, None]
+            * basis.polarizations[:, :, None]
+            * basis.wavevectors[:, None, :]
+        )
+        return np.tensordot(self.derivatives, outer, axes=([1], [0]))
+
+
+class Lattice:
+    """The box of integer wavevectors spanned by a basis, for off-grid sums.
+
+    A field with coefficients c is u(x) = Re sum_k C_k e^{ik.x}, where C_k
+    (a complex d-vector) gathers c_j norm_j p_j e_j over the modes j with
+    k_j = k, and p_j is 1 for cos and -i for sin.  Each axis a spans the
+    integers between the smallest and largest k_a of the modes, and C is
+    stored over the box in C order, one row per wavevector, so the
+    contraction over axis 0 is a plain matrix product and every later axis
+    a batched one.  It holds no reference to the basis, which caches it.
+    """
+
+    def __init__(self, basis):
+        k = basis.wavevectors.astype(np.int64)
+        self.low = [int(lo) for lo in k.min(axis=0)]
+        self.shape = tuple(int(n) for n in k.max(axis=0) - self.low + 1)
+        self.reach = int(np.max(np.abs(k)))
+        self.index = np.ravel_multi_index(tuple((k - self.low).T), self.shape)
+        axes = [np.arange(lo, lo + n, dtype=np.float64) for lo, n in zip(self.low, self.shape)]
+        grid = np.meshgrid(*axes, indexing="ij")
+        self.wavevectors = np.stack([g.reshape(-1) for g in grid], axis=-1)
+        phase = np.where(basis.is_sine, -1j, 1.0)
+        self.weights = (basis.normalizations * phase)[:, None] * basis.polarizations
+
+    def __len__(self):
+        return len(self.wavevectors)
+
+    def coefficients(self, coefficients):
+        """C over the box for one or more coefficient rows: (..., L, d)."""
+        coefficients = np.asarray(coefficients, dtype=np.float64)
+        rows = coefficients.reshape(-1, coefficients.shape[-1])
+        out = np.zeros((len(rows), len(self), self.weights.shape[1]), dtype=np.complex128)
+        np.add.at(out, (slice(None), self.index), rows[:, :, None] * self.weights)
+        return out.reshape(coefficients.shape[:-1] + out.shape[1:])
+
+    def _tables(self, points):
+        """Per-axis tables e^{i k x_a} over each axis's range of k: (m, n_a).
+
+        e^{i x_a} is the only trig evaluation; the other powers follow by
+        repeated multiplication, and the negative ones by conjugation.
+        """
+        reach = self.reach
+        powers = np.empty((2 * reach + 1,) + points.T.shape, dtype=np.complex128)
+        base = powers[reach + 1]
+        base.real = np.cos(points.T)
+        base.imag = np.sin(points.T)
+        powers[reach] = 1.0
+        for j in range(reach + 2, 2 * reach + 1):
+            np.multiply(powers[j - 1], base, out=powers[j])
+        np.conjugate(powers[:reach:-1], out=powers[:reach])
+        return [
+            powers[reach + lo : reach + lo + n, a].T
+            for a, (lo, n) in enumerate(zip(self.low, self.shape))
+        ]
+
+    def values(self, lattice_coefficients, points):
+        """Re sum_k C_k e^{ik.x} at ``points`` for box coefficients C (L, ...).
+
+        With C from ``coefficients`` these are the field values (m, d).
+        """
+        tables = self._tables(points)
+        m = len(points)
+        acc = tables[0] @ lattice_coefficients.reshape(self.shape[0], -1)
+        for table, n in zip(tables[1:], self.shape[1:]):
+            acc = (table[:, None, :] @ acc.reshape(m, n, -1)).reshape(m, -1)
+        return acc.real.reshape((m,) + lattice_coefficients.shape[1:])
+
+    def gradients(self, lattice_coefficients, points):
+        """Field Jacobians (grad u)_il = Re sum_k i k_l C_ki e^{ik.x}: (m, d, d)."""
+        ik = 1j * self.wavevectors[:, None, :]
+        return self.values(lattice_coefficients[:, :, None] * ik, points)
+
+    def transform(self, points, samples):
+        """sum_m samples_m e^{ik.x_m} at every box wavevector k: (L, ...).
+
+        The adjoint of ``values``.  The per-axis tables multiply out, one
+        axis at a time, into e^{ik.x_m} over the box, and the sum over the
+        points is one matrix product.
+        """
+        tables = self._tables(points)
+        m = len(points)
+        waves = tables[0]
+        for table in tables[1:]:
+            waves = (waves[:, :, None] * table[:, None, :]).reshape(m, -1)
+        return (waves.T @ samples.reshape(m, -1)).reshape((len(self),) + samples.shape[1:])
 
 
 def default_quadrature_order(kmax):

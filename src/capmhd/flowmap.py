@@ -22,39 +22,60 @@ class SpectralTrajectory:
 
     Linear interpolation of coefficient vectors preserves divergence-freeness
     exactly (a linear combination of divergence-free fields).  Queries outside
-    [times[0], times[-1]] clamp to the nearest endpoint.
+    [times[0], times[-1]] clamp to the nearest endpoint.  Each snapshot also
+    keeps its ``Lattice`` coefficients, which are linear in the coefficient
+    vector, so an off-grid query interpolates those rows and the sampler
+    holds the rows of the last time it was asked about: the RK4 stages that
+    share a time share one interpolation.
     """
 
-    def __init__(self, basis, times, coefficients):
+    def __init__(self, basis, times, coefficients, lattice_rows=None):
         self.basis = basis
         self.times = np.asarray(times, dtype=np.float64)
-        self.coefficients = np.atleast_2d(np.asarray(coefficients, dtype=np.float64))
+        # a copy: the lattice rows are built from it once, and must not drift
+        # from it when the caller updates its array in place
+        self.coefficients = np.array(coefficients, dtype=np.float64, ndmin=2)
         if self.times.ndim != 1 or self.times.size != self.coefficients.shape[0]:
             raise ValueError("times and coefficient rows must match")
         if self.times.size > 1 and np.any(np.diff(self.times) <= 0.0):
             raise ValueError("times must be strictly increasing")
         if self.coefficients.shape[1] != len(basis):
             raise ValueError("coefficient rows must match the basis size")
+        if lattice_rows is None:
+            lattice_rows = basis.lattice.coefficients(self.coefficients)
+        self.lattice_rows = lattice_rows
+        self._last = (None, None)
 
-    def coefficients_at(self, t):
+    def _interpolate(self, rows, t):
         times = self.times
         if t <= times[0]:
-            return self.coefficients[0]
+            return rows[0]
         if t >= times[-1]:
-            return self.coefficients[-1]
+            return rows[-1]
         j = int(np.searchsorted(times, t, side="right"))
         t0, t1 = times[j - 1], times[j]
         theta = (t - t0) / (t1 - t0)
-        return (1.0 - theta) * self.coefficients[j - 1] + theta * self.coefficients[j]
+        return (1.0 - theta) * rows[j - 1] + theta * rows[j]
+
+    def coefficients_at(self, t):
+        return self._interpolate(self.coefficients, t)
+
+    def _lattice_at(self, t):
+        """``Lattice`` coefficients of the field at time t: (L, d)."""
+        last_t, rows = self._last
+        if last_t != t:
+            rows = self._interpolate(self.lattice_rows, t)
+            self._last = (t, rows)
+        return rows
 
     def field_at(self, t):
         return SpectralField(self.basis, self.coefficients_at(t))
 
     def velocity(self, t, points):
-        return self.basis.synthesize(self.coefficients_at(t), points)
+        return self.basis.lattice.values(self._lattice_at(t), points)
 
     def gradient(self, t, points):
-        return self.basis.synthesize_gradient(self.coefficients_at(t), points)
+        return self.basis.lattice.gradients(self._lattice_at(t), points)
 
     def extended(self, times, coefficients):
         """New trajectory with extra snapshots appended after the current end."""
@@ -63,10 +84,12 @@ class SpectralTrajectory:
         if times.size and abs(times[0] - self.times[-1]) <= 1e-14:
             times = times[1:]
             coefficients = coefficients[1:]
+        rows = self.basis.lattice.coefficients(coefficients)
         return SpectralTrajectory(
             self.basis,
             np.concatenate([self.times, times]),
             np.concatenate([self.coefficients, coefficients]),
+            lattice_rows=np.concatenate([self.lattice_rows, rows]),
         )
 
 
@@ -99,12 +122,16 @@ def _integrate(positions, sampler, t0, t1, h):
     for dt in _step_sizes(t0, t1, h):
         k1 = sampler.velocity(t, x)
         _check_finite(k1, t, x)
-        k2 = sampler.velocity(t + dt / 2, x + (dt / 2) * k1)
-        k3 = sampler.velocity(t + dt / 2, x + (dt / 2) * k2)
-        k4 = sampler.velocity(t + dt, x + dt * k3)
-        _check_finite(k4, t + dt, x)
+        # one midpoint time for both stages, so a SpectralTrajectory
+        # interpolates it once
+        t_half = t + dt / 2
+        k2 = sampler.velocity(t_half, x + (dt / 2) * k1)
+        k3 = sampler.velocity(t_half, x + (dt / 2) * k2)
+        t_end = t + dt
+        k4 = sampler.velocity(t_end, x + dt * k3)
+        _check_finite(k4, t_end, x)
         x = x + (dt / 6) * (k1 + 2 * k2 + 2 * k3 + k4)
-        t += dt
+        t = t_end
     return x
 
 

@@ -62,14 +62,18 @@ def transport_pairing(u_values, b_values, quad):
 
 
 def step_B(b_field, sampler, t, sigma, dt, order):
-    """One IMEX Euler step of length dt starting at time t."""
+    """One IMEX Euler step of length dt starting at time t.
+
+    ``sampler`` gives the velocity's coefficient vector at time t
+    (``coefficients_at``), which is synthesized on the grid's shared table.
+    """
     if dt <= 0.0:
         raise ValueError("dt must be positive")
     if sigma <= 0.0:
         raise ValueError("sigma must be positive")
     basis = b_field.basis
     quad = basis.quadrature(order)
-    u_values = sampler.velocity(t, quad.points)
+    u_values = quad.field_values(sampler.coefficients_at(t))
     b_values = quad.field_values(b_field.coefficients)
     transport = transport_pairing(u_values, b_values, quad)
     if not np.all(np.isfinite(transport)):

@@ -365,13 +365,18 @@ def curvature_pairing_modes(mesh, basis):
     Each mode gradient is rank one, grad(eta_j) = c_j trig'(k_j . x) e_j k_j^T,
     so (I - n n^T) : grad(eta_j) = c_j trig'(k_j . x) ((e_j . k_j) - (n . e_j)(n . k_j)).
     The trace term e_j . k_j vanishes because every mode is divergence-free,
-    which leaves -c_j sum_e |e| trig'(k_j . x_e) (n_e . e_j)(n_e . k_j).
+    which leaves -c_j sum_e |e| trig'(k_j . x_e) (n_e . e_j)(n_e . k_j).  With
+    c_j trig'(theta) e_j = Re(i w_j e^{i theta}), w_j the mode's row of
+    ``Lattice.weights``, that is Im(w_j . F(k_j) k_j), where
+    F(k) = sum_e |e| n_e n_e^T e^{ik.x_e} is one ``Lattice.transform`` of the
+    elements' weighted normal products.
     """
     n = normals(mesh)
-    dph = basis.phase_derivatives(element_centers(mesh))
-    dph *= n @ basis.polarizations.T
-    dph *= n @ basis.wavevectors.T
-    return -basis.normalizations * (element_measures(mesh) @ dph)
+    lattice = basis.lattice
+    products = element_measures(mesh)[:, None, None] * n[:, :, None] * n[:, None, :]
+    f = lattice.transform(element_centers(mesh), products)[lattice.index]
+    contracted = (lattice.weights[:, :, None] * f).imag * basis.wavevectors[:, None, :]
+    return np.sum(contracted, axis=(1, 2))
 
 
 def _dot3(u, v):

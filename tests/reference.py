@@ -3,8 +3,9 @@
 None of these is on the solver's path.  Each is the plain form of something
 the solver does in a faster or narrower way: velocity samplers from one
 field or from callables, the single-shot back-trace and the indicator it
-gives, the curvature pairing against one test field, and the quadrature
-Gram matrix of the basis.
+gives, the curvature pairing against one test field, the quadrature
+Gram matrix of the basis, and the m x n trig-table forms of off-grid
+synthesis and of the curvature pairing against every mode.
 """
 
 import numpy as np
@@ -18,6 +19,9 @@ class SteadyField:
 
     def __init__(self, field):
         self.field = field
+
+    def coefficients_at(self, t):
+        return self.field.coefficients
 
     def velocity(self, t, points):
         return self.field.evaluate(points)
@@ -79,3 +83,29 @@ def gram_matrix(basis, order):
     quad = basis.quadrature(order)
     ph = quad.values * basis.normalizations
     return quad.weight * (ph.T @ ph) * (basis.polarizations @ basis.polarizations.T)
+
+
+def synthesize(basis, coefficients, points):
+    """Field values at ``points`` from the m x n ``phase_values`` table: (m, d)."""
+    weights = (coefficients * basis.normalizations)[:, None] * basis.polarizations
+    return basis.phase_values(points) @ weights
+
+
+def synthesize_gradient(basis, coefficients, points):
+    """Field Jacobians at ``points`` from the ``phase_derivatives`` table: (m, d, d)."""
+    scaled = coefficients * basis.normalizations
+    outer = (
+        scaled[:, None, None]
+        * basis.polarizations[:, :, None]
+        * basis.wavevectors[:, None, :]
+    )
+    return np.tensordot(basis.phase_derivatives(points), outer, axes=([1], [0]))
+
+
+def curvature_pairing_modes(mesh, basis):
+    """Curvature pairing against every mode from the centroids' trig table."""
+    n = normals(mesh)
+    dph = basis.phase_derivatives(element_centers(mesh))
+    dph *= n @ basis.polarizations.T
+    dph *= n @ basis.wavevectors.T
+    return -basis.normalizations * (element_measures(mesh) @ dph)

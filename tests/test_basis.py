@@ -2,8 +2,11 @@ import weakref
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from capmhd import basis as cb
+from capmhd import interface as ci
 
 import reference as ref
 from conftest import taylor_green_2d
@@ -288,6 +291,66 @@ class TestQuadrature:
         quad = weakref.ref(basis.quadrature(4))
         del basis
         assert quad() is None
+
+def random_sub_basis(rng, dimension, kmax, size):
+    """A few modes with random wavevectors, each with a negative component."""
+    norm = np.sqrt(2.0 / cb.TWO_PI**dimension)
+    modes = []
+    while len(modes) < size:
+        k = rng.integers(-kmax, kmax + 1, dimension)
+        if not np.any(k < 0):
+            continue
+        phase = str(rng.choice(["cos", "sin"]))
+        polarization = int(rng.integers(dimension - 1))
+        modes.append(cb.BasisMode(tuple(int(c) for c in k), phase, polarization, norm))
+    return cb.Basis(modes)
+
+
+class TestSeparableSynthesis:
+    """The lattice forms against the m x n trig tables they replace."""
+
+    @settings(max_examples=24)
+    @given(
+        st.sampled_from([2, 3]),
+        st.integers(1, 4),
+        st.booleans(),
+        st.integers(0, 2**32 - 1),
+    )
+    def test_matches_the_table_form(self, dimension, kmax, sub, seed):
+        rng = np.random.default_rng(seed)
+        if sub:
+            basis = random_sub_basis(rng, dimension, kmax, int(rng.integers(1, 6)))
+        else:
+            basis = cb.make_basis(dimension, kmax)
+        coefficients = rng.standard_normal(len(basis))
+        # mesh vertices are never wrapped into the cell
+        points = rng.uniform(-4 * np.pi, 6 * np.pi, (40, dimension))
+        speed = np.abs(coefficients) @ basis.normalizations
+        reach = np.max(np.linalg.norm(basis.wavevectors, axis=1))
+        got = basis.synthesize(coefficients, points)
+        want = ref.synthesize(basis, coefficients, points)
+        assert np.max(np.abs(got - want)) <= 1e-12 * speed
+        got = basis.synthesize_gradient(coefficients, points)
+        want = ref.synthesize_gradient(basis, coefficients, points)
+        assert np.max(np.abs(got - want)) <= 1e-12 * speed * reach
+
+        middle = np.full(dimension, np.pi)
+        shape = ci.disk(middle, 1.0) if dimension == 2 else ci.ball(middle, 1.0)
+        cell_mesh = ci.mesh_initial(shape, 32 if dimension == 2 else 1)
+        shift = rng.uniform(-3 * np.pi, 3 * np.pi, dimension)
+        mesh = ci.InterfaceMesh(cell_mesh.vertices + shift, cell_mesh.elements)
+        got = ci.curvature_pairing_modes(mesh, basis)
+        want = ref.curvature_pairing_modes(mesh, basis)
+        scale = ci.perimeter(mesh) * np.max(basis.normalizations) * reach
+        assert np.max(np.abs(got - want)) <= 1e-12 * scale
+
+    def test_lattice_is_built_on_the_first_off_grid_call(self):
+        basis = cb.make_basis(3, 2)
+        basis.quadrature(8).values
+        assert "lattice" not in vars(basis)
+        basis.synthesize(np.zeros(len(basis)), np.zeros((1, 3)))
+        assert vars(basis)["lattice"] is basis.lattice
+
 
 class TestSpectralField:
     def test_length_mismatch_rejected(self, basis_2d):

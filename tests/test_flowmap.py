@@ -147,6 +147,66 @@ class TestSpectralTrajectory:
         out = traj.extended([0.0, 0.5], np.ones((2, len(basis))))
         assert out.times.tolist() == [0.0, 0.5]
 
+    def test_samples_match_the_table_form(self):
+        basis = cb.make_basis(3, 2)
+        rng = np.random.default_rng(67)
+        coeffs = rng.standard_normal((3, len(basis)))
+        traj = cf.SpectralTrajectory(basis, [0.0, 0.5, 1.0], coeffs)
+        points = rng.uniform(-2 * np.pi, 4 * np.pi, (30, 3))
+        reach = np.max(np.linalg.norm(basis.wavevectors, axis=1))
+        for t in (-0.5, 0.0, 0.3, 0.5, 0.9, 1.0, 2.0):
+            c = traj.coefficients_at(t)
+            speed = np.abs(c) @ basis.normalizations
+            got = traj.velocity(t, points)
+            assert np.max(np.abs(got - ref.synthesize(basis, c, points))) <= 1e-12 * speed
+            got = traj.gradient(t, points)
+            want = ref.synthesize_gradient(basis, c, points)
+            assert np.max(np.abs(got - want)) <= 1e-12 * speed * reach
+
+    def test_extended_carries_the_lattice_rows(self, monkeypatch):
+        basis = cb.make_basis(2, 2)
+        rng = np.random.default_rng(71)
+        traj = cf.SpectralTrajectory(basis, [0.0, 0.5], rng.standard_normal((2, len(basis))))
+        built = []
+        real = basis.lattice.coefficients
+
+        def record(coefficients):
+            built.append(len(np.atleast_2d(coefficients)))
+            return real(coefficients)
+
+        monkeypatch.setattr(basis.lattice, "coefficients", record)
+        out = traj.extended([0.5, 0.75, 1.0], rng.standard_normal((3, len(basis))))
+        assert built == [2]
+        assert out.lattice_rows[:2].tobytes() == traj.lattice_rows.tobytes()
+        want = basis.lattice.coefficients(out.coefficients)
+        assert out.lattice_rows.tobytes() == want.tobytes()
+
+    def test_rk4_stages_at_one_time_share_an_interpolation(self, monkeypatch):
+        basis = cb.make_basis(2, 1)
+        traj = cf.SpectralTrajectory(basis, [0.0, 1.0], np.ones((2, len(basis))))
+        times = []
+        real = traj._interpolate
+
+        def record(rows, t):
+            times.append(t)
+            return real(rows, t)
+
+        monkeypatch.setattr(traj, "_interpolate", record)
+        cf.integrate_positions(np.ones((4, 2)), traj, 0.0, 0.5, 0.1)
+        # t = 0, then each step's midpoint and end; the end is the next start
+        assert len(times) == 1 + 2 * 5
+        assert len(set(times)) == len(times)
+
+    def test_nan_position_raises_integration_error(self):
+        basis = cb.make_basis(3, 2)
+        rng = np.random.default_rng(73)
+        traj = cf.SpectralTrajectory(basis, [0.0, 1.0], rng.standard_normal((2, len(basis))))
+        start = np.array([[1.0, 2.0, 3.0], [np.nan, 1.0, 1.0]])
+        with pytest.raises(IntegrationError, match="non-finite"):
+            cf.integrate_positions(start, traj, 0.0, 0.5, 0.1)
+        with pytest.raises(IntegrationError, match="non-finite"):
+            cf.integrate_positions(start, traj, 0.5, 0.0, 0.1)
+
     def test_rejects_decreasing_times(self):
         basis = cb.make_basis(2, 1)
         with pytest.raises(ValueError, match="increasing"):

@@ -15,6 +15,7 @@ from capmhd.errors import (
 )
 from capmhd.flowmap import SpectralTrajectory, integrate_positions
 
+import reference as ref
 from conftest import (
     CENTER_2D,
     circle_first_variation,
@@ -116,7 +117,7 @@ class TestApplyN:
 
 def _apply_N_reference(state, order):
     """apply_N from the grid of ``quadrature_rule`` and field samples taken
-    through ``SpectralField``, with no Quadrature object."""
+    from the reference trig tables, with no Quadrature object."""
     basis = state.u.basis
     points, weight = cb.quadrature_rule(basis.dimension, order, basis.length)
     dph = basis.phase_derivatives(points)
@@ -126,11 +127,11 @@ def _apply_N_reference(state, order):
         b_wav = b @ basis.wavevectors.T
         return weight * basis.normalizations * np.sum(dph * a_pol * b_wav, axis=0)
 
-    u_values = state.u.evaluate(points)
-    b_values = state.B.evaluate(points)
+    u_values = ref.synthesize(basis, state.u.coefficients, points)
+    b_values = ref.synthesize(basis, state.B.coefficients, points)
     result = convection(u_values, u_values)
     result -= convection(b_values, b_values)
-    grads = state.u.gradient(points)
+    grads = ref.synthesize_gradient(basis, state.u.coefficients, points)
     du = 0.5 * (grads + np.swapaxes(grads, 1, 2))
     nu = state.params.viscosity(ci.point_in_mesh(state.mesh, points))
     contracted = np.einsum("ni,mil,nl->mn", basis.polarizations, du, basis.wavevectors)
@@ -567,6 +568,34 @@ class TestRun:
         from capmhd.energy import check_inequality
 
         assert check_inequality(result.ledger, result.tau_E).passed
+
+    def test_phase_tables_are_built_only_for_the_quadrature(self, monkeypatch):
+        # off the grid every field goes through the basis lattice: an m x n
+        # trig table is built once per quadrature table and never elsewhere
+        calls = []
+        for name in ("phase_values", "phase_derivatives"):
+            real = getattr(cb.Basis, name)
+
+            def record(basis, points, real=real, name=name):
+                calls.append((basis, name, points))
+                return real(basis, points)
+
+            monkeypatch.setattr(cb.Basis, name, record)
+        config = RunConfig.from_dict({
+            "dimension": 3, "kmax": 1, "T": 0.02,
+            "initial_velocity": {"type": "taylor_green", "amplitude": 0.25},
+            "initial_magnetic": {"type": "single_mode", "wavevector": [0, 1, 0],
+                                 "phase": "sin", "polarization": 1, "amplitude": 0.3},
+            "phase": {"shape": "ball", "center": [np.pi, np.pi, np.pi], "radius": 1.0},
+            "nu_plus": 0.2, "nu_minus": 0.1, "sigma": 1.0, "kappa": 0.05,
+            "solver": {"delta": 0.02, "n_sub": 4, "mesh_resolution": 2, "tol": 1e-8},
+        })
+        result = cg.run(config)
+        assert len(result.windows) == 1
+        assert {name for _, name, _ in calls} == {"phase_values", "phase_derivatives"}
+        for basis, _, points in calls:
+            assert any(points is quad.points for quad in basis._quadratures.values())
+        assert len({(name, id(points)) for _, name, points in calls}) == len(calls)
 
     def test_galerkin_residual_bounded_by_window_count(self):
         result = cg.run(reference_config(T=0.3))

@@ -4,6 +4,7 @@ import pytest
 from capmhd import basis as cb
 from capmhd import induction as cind
 from capmhd.errors import NumericsError
+from capmhd.flowmap import SpectralTrajectory
 
 import reference as ref
 
@@ -52,7 +53,7 @@ class TestStepB:
             assert out.norm() < field.norm()
 
     def test_nonfinite_velocity_raises(self, basis_k1):
-        bad = ref.AnalyticField(lambda t, p: np.full_like(p, np.nan))
+        bad = SpectralTrajectory(basis_k1, [0.0], [np.full(len(basis_k1), np.nan)])
         b0 = unit_mode_field(basis_k1)
         with pytest.raises(NumericsError):
             cind.step_B(b0, bad, 0.0, 1.0, 0.1, 4)

@@ -1,0 +1,163 @@
+"""Off-grid synthesis micro-benchmark, and alternating benchmark pairs.
+
+    python3 tools/bench_synthesis.py --out BENCH_7.json
+    python3 tools/bench_synthesis.py --out BENCH_7.json --baseline ../parent --pairs 10
+
+The first form times the m x n trig-table forms of ``tests/reference.py``
+against the basis lattice on fixed random fields and points: field values
+for four (dimension, kmax, m) cases, and the curvature pairing against every
+mode on the level-3 icosphere (1280 triangles).  Each time is the median of
+20 calls, with one BLAS thread.
+
+With ``--baseline DIR`` (another checkout of the repository) it also runs
+``bench/run.py --trace 0`` on each workload ``--pairs`` times on both sides,
+alternating which side runs first.  It records every invocation's end-to-end
+metrics (each the median over its operations), and for ``run_s`` the medians
+over invocations, the baseline's interquartile range and the number of pairs
+this checkout wins.  Without it, pairs already in the output file are kept.
+"""
+
+import os
+
+for _name in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ.setdefault(_name, "1")
+
+import argparse  # noqa: E402
+import json  # noqa: E402
+import platform  # noqa: E402
+import statistics  # noqa: E402
+import subprocess  # noqa: E402
+import sys  # noqa: E402
+import time  # noqa: E402
+from pathlib import Path  # noqa: E402
+
+import numpy as np  # noqa: E402
+
+ROOT = Path(__file__).resolve().parent.parent
+sys.path[:0] = [str(ROOT / "src"), str(ROOT / "tests")]
+
+from capmhd import basis as cb  # noqa: E402
+from capmhd import interface as ci  # noqa: E402
+
+import reference as ref  # noqa: E402
+
+REPEATS = 20
+
+# (dimension, kmax, number of points)
+VALUE_CASES = [(2, 8, 1024), (3, 2, 1280), (3, 4, 1280), (2, 2, 256)]
+
+
+def median_ms(call):
+    samples = []
+    for _ in range(REPEATS):
+        start = time.perf_counter()
+        call()
+        samples.append(time.perf_counter() - start)
+    return 1e3 * statistics.median(samples)
+
+
+def compare(name, table, separable, **case):
+    want, got = table(), separable()
+    return {
+        "case": name,
+        **case,
+        "table_ms": round(median_ms(table), 4),
+        "separable_ms": round(median_ms(separable), 4),
+        "max_abs_diff": float(np.max(np.abs(got - want))),
+    }
+
+
+def synthesis_cases():
+    rng = np.random.default_rng(7)
+    rows = []
+    for dimension, kmax, m in VALUE_CASES:
+        basis = cb.make_basis(dimension, kmax)
+        coefficients = rng.standard_normal(len(basis))
+        points = rng.uniform(0.0, 2 * np.pi, (m, dimension))
+        rows.append(compare(
+            "synthesize",
+            lambda: ref.synthesize(basis, coefficients, points),
+            lambda: basis.synthesize(coefficients, points),
+            dimension=dimension, kmax=kmax, m=m, n=len(basis),
+        ))
+    basis = cb.make_basis(3, 2)
+    mesh = ci.mesh_initial(ci.ball((np.pi,) * 3, 1.0), 3)
+    rows.append(compare(
+        "curvature_pairing_modes",
+        lambda: ref.curvature_pairing_modes(mesh, basis),
+        lambda: ci.curvature_pairing_modes(mesh, basis),
+        dimension=3, kmax=2, m=len(mesh.elements), n=len(basis),
+    ))
+    return rows
+
+
+def bench_metrics(checkout, workload, seconds):
+    """End-to-end metric values of one ``bench/run.py --trace 0`` invocation."""
+    cmd = [sys.executable, "bench/run.py", "--workload", workload,
+           "--seconds", str(seconds), "--trace", "0"]
+    out = subprocess.run(cmd, cwd=checkout, capture_output=True, text=True, check=True)
+    summary = json.loads(out.stdout.strip().splitlines()[-1])
+    if summary["failed"] or not summary["correct"]:
+        raise RuntimeError(f"bench/run.py failed in {checkout}: {summary}")
+    return {name: metric["value"] for name, metric in summary["metrics"].items()}
+
+
+def pairs(baseline, workloads, count, seconds):
+    out = {}
+    for workload in workloads:
+        runs = {"baseline": [], "change": []}
+        for i in range(count):
+            order = [("baseline", baseline), ("change", ROOT)]
+            for side, checkout in order[:: 1 if i % 2 == 0 else -1]:
+                runs[side].append(bench_metrics(checkout, workload, seconds))
+        row = {"seconds_per_invocation": seconds}
+        for side, samples in runs.items():
+            for name in samples[0]:
+                row[f"{side}_{name}"] = [sample[name] for sample in samples]
+        base, change = row["baseline_run_s"], row["change_run_s"]
+        quartiles = statistics.quantiles(base, n=4, method="inclusive")
+        row.update({
+            "baseline_run_s_median": statistics.median(base),
+            "change_run_s_median": statistics.median(change),
+            "baseline_run_s_iqr": quartiles[2] - quartiles[0],
+            "change_wins": sum(c < b for b, c in zip(base, change)),
+        })
+        out[workload] = row
+    return out
+
+
+def main(argv=None):
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--out", type=Path, required=True)
+    parser.add_argument("--baseline", type=Path, help="checkout to compare bench/run.py against")
+    parser.add_argument("--pairs", type=int, default=10)
+    parser.add_argument("--seconds", type=float, default=10.0)
+    parser.add_argument("--workloads", nargs="+", default=["ball3d", "ref2d-long"])
+    args = parser.parse_args(argv)
+
+    previous = json.loads(args.out.read_text()) if args.out.exists() else {}
+    result = {
+        "machine": {"platform": platform.platform(), "cpus": os.cpu_count(),
+                    "python": platform.python_version(), "numpy": np.__version__,
+                    "blas_threads": 1},
+        "repeats": REPEATS,
+        "synthesis": synthesis_cases(),
+    }
+    if args.baseline is not None:
+        result["bench_run_pairs"] = pairs(args.baseline, args.workloads, args.pairs, args.seconds)
+    elif "bench_run_pairs" in previous:
+        result["bench_run_pairs"] = previous["bench_run_pairs"]
+    args.out.write_text(json.dumps(result, indent=2) + "\n")
+    for row in result["synthesis"]:
+        print(f"{row['case']} d={row['dimension']} kmax={row['kmax']} m={row['m']}: "
+              f"{row['table_ms']:.3f} ms -> {row['separable_ms']:.3f} ms "
+              f"(max abs diff {row['max_abs_diff']:.2g})")
+    for workload, row in result.get("bench_run_pairs", {}).items():
+        print(f"{workload}: run_s {row['baseline_run_s_median']:.3f} -> "
+              f"{row['change_run_s_median']:.3f} s, "
+              f"wins {row['change_wins']}/{len(row['change_run_s'])}")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
