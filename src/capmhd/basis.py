@@ -460,34 +460,34 @@ def project_L2(sampler, basis, order):
     return SpectralField(basis, coefficients)
 
 
+def _gradient_pairing(tensors, quad):
+    """Integrals T : grad(eta_j) dx over all modes j, for node tensors T (m, d, d).
+
+    grad(eta_j) = dtrig(k_j . x) e_j k_j^T, so the pairing is e_j . M_j k_j
+    with the moments M_j = sum_m dtrig_mj T_m: one matrix product with the
+    derivative table, then a d x d contraction per mode.
+    """
+    basis = quad.basis
+    d = basis.dimension
+    moments = (tensors.reshape(-1, d * d).T @ quad.derivatives).reshape(d, d, -1)
+    pairing = np.einsum("ni,iln,nl->n", basis.polarizations, moments, basis.wavevectors)
+    return quad.weight * basis.normalizations * pairing
+
+
 def convection_pairing(a_values, b_values, quad):
     """Vector of integrals a . ((b . grad) eta_j) dx over all modes j.
 
     ``a_values`` and ``b_values`` are (m, d) samples at the nodes of the
-    quadrature ``quad``.  Uses the rank-one structure grad(eta_j) = dtrig *
-    e_j k_j^T, so a . (grad(eta_j) b) = dtrig(k_j . x) (a . e_j)(k_j . b).
+    quadrature ``quad``; a . (grad(eta_j) b) = (a (x) b) : grad(eta_j).
     """
-    basis = quad.basis
-    a_pol = a_values @ basis.polarizations.T
-    b_wav = b_values @ basis.wavevectors.T
-    return quad.weight * basis.normalizations * np.sum(quad.derivatives * a_pol * b_wav, axis=0)
+    return _gradient_pairing(a_values[:, :, None] * b_values[:, None, :], quad)
 
 
 def strain_pairing(du_values, nu_values, quad):
     """Vector of integrals 2 nu Du : D(eta_j) dx over all modes j.
 
     ``du_values`` are symmetric strain-rate samples (m, d, d) at the nodes of
-    ``quad``; since Du is symmetric, Du : D(eta_j) = dtrig(k_j . x)
-    (e_j . Du . k_j).
+    ``quad``; since Du is symmetric, Du : D(eta_j) = Du : grad(eta_j).
     """
-    basis = quad.basis
-    contracted = np.einsum(
-        "ni,mil,nl->mn", basis.polarizations, du_values, basis.wavevectors
-    )
     nu_values = np.asarray(nu_values, dtype=np.float64)
-    return (
-        2.0
-        * quad.weight
-        * basis.normalizations
-        * np.sum(nu_values[:, None] * quad.derivatives * contracted, axis=0)
-    )
+    return _gradient_pairing(2.0 * nu_values[:, None, None] * du_values, quad)

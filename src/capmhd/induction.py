@@ -53,8 +53,8 @@ def transport_pairing(u_values, b_values, quad):
     This is the weak transport of the induction equation after integrating by
     parts; tested against B itself it reproduces the magnetic transfer power
     that the velocity equation removes, which is the cancellation mechanism
-    of the coupled energy identity.  ``u_values`` and ``b_values`` are
-    samples at the nodes of the quadrature ``quad``.
+    of the coupled energy identity.  ``u_values`` and ``b_values`` are node
+    samples of ``quad``; both pairings take the moment form, no (m, n) table.
     """
     return convection_pairing(b_values, u_values, quad) - convection_pairing(
         u_values, b_values, quad

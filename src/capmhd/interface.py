@@ -326,8 +326,8 @@ def perimeter(mesh):
     return float(np.sum(element_measures(mesh)))
 
 
-def normals(mesh):
-    """Per-element unit outward normals."""
+def element_geometry(mesh):
+    """Centres, unit outward normals and measures of the elements, in one pass."""
     corners = mesh.element_corners()
     if mesh.dimension == 2:
         tangents = corners[:, 1] - corners[:, 0]
@@ -338,7 +338,14 @@ def normals(mesh):
     if np.any(lengths < _QUALITY_FLOOR):
         bad = int(np.argmin(lengths))
         raise MeshQualityError(f"degenerate element {bad} in normal computation", element_id=bad)
-    return raw / lengths[:, None]
+    # the quarter-turned edge is as long as the edge, the cross product twice the area
+    measures = lengths if mesh.dimension == 2 else 0.5 * lengths
+    return corners.mean(axis=1), raw / lengths[:, None], measures
+
+
+def normals(mesh):
+    """Per-element unit outward normals."""
+    return element_geometry(mesh)[1]
 
 
 def enclosed_volume(mesh):
@@ -371,10 +378,10 @@ def curvature_pairing_modes(mesh, basis):
     F(k) = sum_e |e| n_e n_e^T e^{ik.x_e} is one ``Lattice.transform`` of the
     elements' weighted normal products.
     """
-    n = normals(mesh)
+    centers, n, measures = element_geometry(mesh)
     lattice = basis.lattice
-    products = element_measures(mesh)[:, None, None] * n[:, :, None] * n[:, None, :]
-    f = lattice.transform(element_centers(mesh), products)[lattice.index]
+    products = measures[:, None, None] * n[:, :, None] * n[:, None, :]
+    f = lattice.transform(centers, products)[lattice.index]
     contracted = (lattice.weights[:, :, None] * f).imag * basis.wavevectors[:, None, :]
     return np.sum(contracted, axis=(1, 2))
 

@@ -55,11 +55,7 @@ class Varifold:
 
 def lift(mesh):
     """Varifold lift of an interface mesh: one atom per element."""
-    return Varifold(
-        _interface.element_centers(mesh),
-        _interface.normals(mesh),
-        _interface.element_measures(mesh),
-    )
+    return Varifold(*_interface.element_geometry(mesh))
 
 
 def first_variation(varifold, phi):
@@ -89,12 +85,7 @@ def coupling_residual(varifold, mesh, psi):
     varifolds give exactly zero.
     """
     atom_sum = _boundary_pairing(varifold.x, varifold.s, varifold.w, psi)
-    mesh_sum = _boundary_pairing(
-        _interface.element_centers(mesh),
-        _interface.normals(mesh),
-        _interface.element_measures(mesh),
-        psi,
-    )
+    mesh_sum = _boundary_pairing(*_interface.element_geometry(mesh), psi)
     return abs(atom_sum - mesh_sum)
 
 

@@ -4,8 +4,9 @@ None of these is on the solver's path.  Each is the plain form of something
 the solver does in a faster or narrower way: velocity samplers from one
 field or from callables, the single-shot back-trace and the indicator it
 gives, the curvature pairing against one test field, the quadrature
-Gram matrix of the basis, and the m x n trig-table forms of off-grid
-synthesis and of the curvature pairing against every mode.
+Gram matrix of the basis, the m x n trig-table forms of off-grid
+synthesis and of the curvature pairing against every mode, and the (m, n)
+product-table forms of the grid pairings.
 """
 
 import numpy as np
@@ -109,3 +110,26 @@ def curvature_pairing_modes(mesh, basis):
     dph *= n @ basis.polarizations.T
     dph *= n @ basis.wavevectors.T
     return -basis.normalizations * (element_measures(mesh) @ dph)
+
+
+def convection_pairing(a_values, b_values, quad):
+    """Convection pairing from (m, n) tables of (a . e_j) and (k_j . b)."""
+    basis = quad.basis
+    a_pol = a_values @ basis.polarizations.T
+    b_wav = b_values @ basis.wavevectors.T
+    return quad.weight * basis.normalizations * np.sum(quad.derivatives * a_pol * b_wav, axis=0)
+
+
+def strain_pairing(du_values, nu_values, quad):
+    """Strain pairing from the (m, n) table of e_j . Du_m . k_j."""
+    basis = quad.basis
+    contracted = np.einsum(
+        "ni,mil,nl->mn", basis.polarizations, du_values, basis.wavevectors
+    )
+    nu_values = np.asarray(nu_values, dtype=np.float64)
+    return (
+        2.0
+        * quad.weight
+        * basis.normalizations
+        * np.sum(nu_values[:, None] * quad.derivatives * contracted, axis=0)
+    )

@@ -1,3 +1,4 @@
+import tracemalloc
 import weakref
 
 import numpy as np
@@ -350,6 +351,64 @@ class TestSeparableSynthesis:
         assert "lattice" not in vars(basis)
         basis.synthesize(np.zeros(len(basis)), np.zeros((1, 3)))
         assert vars(basis)["lattice"] is basis.lattice
+
+
+class TestGridPairings:
+    """The moment forms of the grid pairings against the (m, n) tables they replace."""
+
+    @settings(max_examples=24)
+    @given(
+        st.sampled_from([2, 3]),
+        st.integers(1, 3),
+        st.booleans(),
+        st.integers(0, 2**32 - 1),
+    )
+    def test_matches_the_table_form(self, dimension, kmax, sub, seed):
+        rng = np.random.default_rng(seed)
+        if sub:
+            basis = random_sub_basis(rng, dimension, kmax, int(rng.integers(1, 6)))
+        else:
+            basis = cb.make_basis(dimension, kmax)
+        quad = basis.quadrature(int(rng.integers(2 * kmax + 1, 4 * kmax + 1)))
+        m = len(quad.points)
+        a, b = rng.standard_normal((2, m, dimension))
+        grads = rng.standard_normal((m, dimension, dimension))
+        du = 0.5 * (grads + np.swapaxes(grads, 1, 2))
+        nu = rng.uniform(0.05, 0.5, m)
+        # |T : grad(eta_j)| <= norm_j |k_j| |T|_F at every node
+        scale = quad.weight * basis.normalizations * np.linalg.norm(basis.wavevectors, axis=1)
+        # a (x) b is not symmetric; a (x) a is
+        for left, right in ((a, b), (b, a), (a, a)):
+            bound = scale * np.sum(np.linalg.norm(left, axis=1) * np.linalg.norm(right, axis=1))
+            got = cb.convection_pairing(left, right, quad)
+            want = ref.convection_pairing(left, right, quad)
+            assert np.all(np.abs(got - want) <= 1e-12 * bound)
+        bound = scale * np.sum(2.0 * nu * np.linalg.norm(du, axis=(1, 2)))
+        got = cb.strain_pairing(du, nu, quad)
+        want = ref.strain_pairing(du, nu, quad)
+        assert np.all(np.abs(got - want) <= 1e-12 * bound)
+
+    def test_no_call_allocates_a_mode_by_node_table(self):
+        basis = cb.make_basis(3, 2)
+        quad = basis.quadrature(8)
+        table = quad.derivatives.nbytes
+        assert table == 512 * 248 * 8
+        rng = np.random.default_rng(31)
+        a, b = rng.standard_normal((2, 512, 3))
+        grads = rng.standard_normal((512, 3, 3))
+        du = 0.5 * (grads + np.swapaxes(grads, 1, 2))
+        nu = rng.uniform(0.05, 0.5, 512)
+        for call in (
+            lambda: cb.convection_pairing(a, b, quad),
+            lambda: cb.strain_pairing(du, nu, quad),
+        ):
+            tracemalloc.start()
+            try:
+                call()
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak < table
 
 
 class TestSpectralField:

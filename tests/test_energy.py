@@ -6,7 +6,7 @@ from capmhd import energy as ce
 from capmhd import galerkin as cg
 from capmhd import interface as ci
 
-from conftest import CENTER_2D, reference_config, single_phase_decay_config
+from conftest import CENTER_2D, CENTER_3D, reference_config, single_phase_decay_config
 
 
 @pytest.fixture(scope="module")
@@ -135,35 +135,31 @@ class TestCheckInequality:
 
 
 class TestCancellationAudit:
-    def test_transport_power_matches_between_equations(self):
+    @pytest.mark.parametrize("dimension", [2, 3])
+    def test_transport_power_matches_between_equations(self, dimension):
         # the magnetic transfer term shows up with opposite signs in the two
         # energy identities; audit that the discrete pairings agree
         from capmhd.basis import quadrature_rule
         from capmhd.induction import transport_pairing
 
-        basis = cb.make_basis(2, 2)
+        basis = cb.make_basis(dimension, 2)
         order = cb.default_quadrature_order(2)
         rng = np.random.default_rng(139)
         cu = 0.4 * rng.standard_normal(len(basis))
         cbv = 0.4 * rng.standard_normal(len(basis))
         u = cb.SpectralField(basis, cu)
         b = cb.SpectralField(basis, cbv)
-        points, _ = quadrature_rule(2, order)
+        points, _ = quadrature_rule(dimension, order)
         b_vals = b.evaluate(points)
+        if dimension == 2:
+            mesh = ci.mesh_initial(ci.disk(CENTER_2D, 1.0), 64)
+        else:
+            mesh = ci.mesh_initial(ci.ball(CENTER_3D, 1.0), 1)
+        params = cg.FluidParams(0.0, 0.0, 1.0, 0.0)
+        zero = cb.SpectralField(basis, np.zeros(len(basis)))
         # u-equation side: (B (x) B, grad u) via the Lorentz pairing tested with u
-        lorentz = cg.apply_N(
-            cg.GalerkinState(
-                0.0, u, b, ci.mesh_initial(ci.disk(CENTER_2D, 1.0), 64),
-                cg.FluidParams(0.0, 0.0, 1.0, 0.0),
-            ),
-            order,
-        ) - cg.apply_N(
-            cg.GalerkinState(
-                0.0, u, cb.SpectralField(basis, np.zeros(len(basis))),
-                ci.mesh_initial(ci.disk(CENTER_2D, 1.0), 64),
-                cg.FluidParams(0.0, 0.0, 1.0, 0.0),
-            ),
-            order,
+        lorentz = cg.apply_N(cg.GalerkinState(0.0, u, b, mesh, params), order) - cg.apply_N(
+            cg.GalerkinState(0.0, u, zero, mesh, params), order
         )
         u_side = -float(cu @ lorentz)
         # B-equation side: transport pairing tested with B

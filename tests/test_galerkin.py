@@ -117,29 +117,30 @@ class TestApplyN:
 
 def _apply_N_reference(state, order):
     """apply_N from the grid of ``quadrature_rule`` and field samples taken
-    from the reference trig tables, with no Quadrature object."""
+    from the reference trig tables, with no Quadrature object.  The pairings
+    take the same order as the solver's: node-tensor moments against the
+    derivative table, then the contraction with e_j and k_j per mode."""
     basis = state.u.basis
-    points, weight = cb.quadrature_rule(basis.dimension, order, basis.length)
+    d = basis.dimension
+    points, weight = cb.quadrature_rule(d, order, basis.length)
     dph = basis.phase_derivatives(points)
 
-    def convection(a, b):
-        a_pol = a @ basis.polarizations.T
-        b_wav = b @ basis.wavevectors.T
-        return weight * basis.normalizations * np.sum(dph * a_pol * b_wav, axis=0)
+    def pairing(tensors):
+        moments = (tensors.reshape(-1, d * d).T @ dph).reshape(d, d, -1)
+        contracted = np.einsum("ni,iln,nl->n", basis.polarizations, moments, basis.wavevectors)
+        return weight * basis.normalizations * contracted
 
     u_values = ref.synthesize(basis, state.u.coefficients, points)
     b_values = ref.synthesize(basis, state.B.coefficients, points)
-    result = convection(u_values, u_values)
-    result -= convection(b_values, b_values)
+    result = pairing(u_values[:, :, None] * u_values[:, None, :])
+    result -= pairing(b_values[:, :, None] * b_values[:, None, :])
     grads = ref.synthesize_gradient(basis, state.u.coefficients, points)
     du = 0.5 * (grads + np.swapaxes(grads, 1, 2))
     nu = state.params.viscosity(ci.point_in_mesh(state.mesh, points))
-    contracted = np.einsum("ni,mil,nl->mn", basis.polarizations, du, basis.wavevectors)
-    result -= (
-        2.0 * weight * basis.normalizations * np.sum(nu[:, None] * dph * contracted, axis=0)
-    )
+    result -= pairing(2.0 * nu[:, None, None] * du)
     result += state.params.kappa * ci.curvature_pairing_modes(state.mesh, basis)
     return result
+
 
 class TestApplyK:
     def test_zero_forcing_constant_trajectory(self, basis_2d):

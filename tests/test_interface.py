@@ -337,6 +337,46 @@ class TestNormals:
         assert err.value.element_id == 1
 
 
+class TestElementGeometry:
+    @pytest.mark.parametrize(
+        "shape, resolution",
+        [(ci.disk(CENTER_2D, 1.0), 256), (ci.ball(CENTER_3D, 1.0), 3)],
+        ids=["256-gon", "icosphere-3"],
+    )
+    def test_matches_the_separate_helpers_bitwise(self, shape, resolution):
+        mesh = ci.mesh_initial(shape, resolution)
+        centers, n, measures = ci.element_geometry(mesh)
+        # the unit normals as formed from their own corner gather
+        corners = mesh.element_corners()
+        if mesh.dimension == 2:
+            tangents = corners[:, 1] - corners[:, 0]
+            raw = np.stack([tangents[:, 1], -tangents[:, 0]], axis=-1)
+        else:
+            raw = np.cross(corners[:, 1] - corners[:, 0], corners[:, 2] - corners[:, 0])
+        for got, want in (
+            (centers, ci.element_centers(mesh)),
+            (n, raw / np.linalg.norm(raw, axis=1)[:, None]),
+            (measures, ci.element_measures(mesh)),
+        ):
+            assert got.shape == want.shape
+            assert got.tobytes() == want.tobytes()
+
+    def test_degenerate_element_raises(self):
+        vertices = np.array([[0.0, 0.0], [1.0, 0.0], [1.0, 0.0]])
+        mesh = ci.InterfaceMesh(vertices, np.array([[0, 1], [1, 2], [2, 0]]), t=0.0)
+        with pytest.raises(MeshQualityError) as err:
+            ci.element_geometry(mesh)
+        assert err.value.element_id == 1
+        with pytest.raises(MeshQualityError):
+            ci.curvature_pairing_modes(mesh, cb.make_basis(2, 1))
+        ball = ci.mesh_initial(ci.ball(CENTER_3D, 1.0), 1)
+        collapsed = ball.vertices.copy()
+        collapsed[ball.elements[0, 1]] = collapsed[ball.elements[0, 0]]
+        mesh = ci.InterfaceMesh(collapsed, ball.elements)
+        with pytest.raises(MeshQualityError):
+            ci.curvature_pairing_modes(mesh, cb.make_basis(3, 1))
+
+
 class TestCurvaturePairing:
     def test_identity_gradient_circle(self, circle_mesh):
         value = ref.curvature_pairing(

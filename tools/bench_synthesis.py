@@ -1,13 +1,16 @@
-"""Off-grid synthesis micro-benchmark, and alternating benchmark pairs.
+"""Synthesis and pairing micro-benchmarks, and alternating benchmark pairs.
 
-    python3 tools/bench_synthesis.py --out BENCH_7.json
-    python3 tools/bench_synthesis.py --out BENCH_7.json --baseline ../parent --pairs 10
+    python3 tools/bench_synthesis.py --out BENCH_8.json
+    python3 tools/bench_synthesis.py --out BENCH_8.json --baseline ../parent --pairs 10
 
-The first form times the m x n trig-table forms of ``tests/reference.py``
-against the basis lattice on fixed random fields and points: field values
-for four (dimension, kmax, m) cases, and the curvature pairing against every
-mode on the level-3 icosphere (1280 triangles).  Each time is the median of
-20 calls, with one BLAS thread.
+The first form times the table forms of ``tests/reference.py`` against the
+solver's forms on fixed random inputs.  Off the grid: the m x n trig-table
+synthesis against the basis lattice, field values for four (dimension, kmax,
+m) cases, and the curvature pairing against every mode on the level-3
+icosphere (1280 triangles).  On the grid: the (m, n) product-table
+convection and strain pairings against the node-tensor moments, at the
+default quadrature order for four (dimension, kmax) cases.  Each time is the
+median of 20 calls, with one BLAS thread; ``new_ms`` is the solver's form.
 
 With ``--baseline DIR`` (another checkout of the repository) it also runs
 ``bench/run.py --trace 0`` on each workload ``--pairs`` times on both sides,
@@ -46,6 +49,9 @@ REPEATS = 20
 # (dimension, kmax, number of points)
 VALUE_CASES = [(2, 8, 1024), (3, 2, 1280), (3, 4, 1280), (2, 2, 256)]
 
+# (dimension, kmax), each on its default quadrature grid
+PAIRING_CASES = [(2, 2), (2, 8), (3, 2), (3, 4)]
+
 
 def median_ms(call):
     samples = []
@@ -56,13 +62,13 @@ def median_ms(call):
     return 1e3 * statistics.median(samples)
 
 
-def compare(name, table, separable, **case):
-    want, got = table(), separable()
+def compare(name, table, new, **case):
+    want, got = table(), new()
     return {
         "case": name,
         **case,
         "table_ms": round(median_ms(table), 4),
-        "separable_ms": round(median_ms(separable), 4),
+        "new_ms": round(median_ms(new), 4),
         "max_abs_diff": float(np.max(np.abs(got - want))),
     }
 
@@ -88,6 +94,34 @@ def synthesis_cases():
         lambda: ci.curvature_pairing_modes(mesh, basis),
         dimension=3, kmax=2, m=len(mesh.elements), n=len(basis),
     ))
+    return rows
+
+
+def pairing_cases():
+    rng = np.random.default_rng(8)
+    rows = []
+    for dimension, kmax in PAIRING_CASES:
+        basis = cb.make_basis(dimension, kmax)
+        quad = basis.quadrature(cb.default_quadrature_order(kmax))
+        m = len(quad.points)
+        quad.derivatives  # built once per grid, outside the timed calls
+        a, b = rng.standard_normal((2, m, dimension))
+        grads = rng.standard_normal((m, dimension, dimension))
+        du = 0.5 * (grads + np.swapaxes(grads, 1, 2))
+        nu = rng.uniform(0.1, 0.2, m)
+        case = dict(dimension=dimension, kmax=kmax, m=m, n=len(basis))
+        rows.append(compare(
+            "convection_pairing",
+            lambda: ref.convection_pairing(a, b, quad),
+            lambda: cb.convection_pairing(a, b, quad),
+            **case,
+        ))
+        rows.append(compare(
+            "strain_pairing",
+            lambda: ref.strain_pairing(du, nu, quad),
+            lambda: cb.strain_pairing(du, nu, quad),
+            **case,
+        ))
     return rows
 
 
@@ -142,15 +176,16 @@ def main(argv=None):
                     "blas_threads": 1},
         "repeats": REPEATS,
         "synthesis": synthesis_cases(),
+        "pairings": pairing_cases(),
     }
     if args.baseline is not None:
         result["bench_run_pairs"] = pairs(args.baseline, args.workloads, args.pairs, args.seconds)
     elif "bench_run_pairs" in previous:
         result["bench_run_pairs"] = previous["bench_run_pairs"]
     args.out.write_text(json.dumps(result, indent=2) + "\n")
-    for row in result["synthesis"]:
+    for row in result["synthesis"] + result["pairings"]:
         print(f"{row['case']} d={row['dimension']} kmax={row['kmax']} m={row['m']}: "
-              f"{row['table_ms']:.3f} ms -> {row['separable_ms']:.3f} ms "
+              f"{row['table_ms']:.3f} ms -> {row['new_ms']:.3f} ms "
               f"(max abs diff {row['max_abs_diff']:.2g})")
     for workload, row in result.get("bench_run_pairs", {}).items():
         print(f"{workload}: run_s {row['baseline_run_s_median']:.3f} -> "
