@@ -460,7 +460,7 @@ def project_L2(sampler, basis, order):
     return SpectralField(basis, coefficients)
 
 
-def _gradient_pairing(tensors, quad):
+def gradient_pairing(tensors, quad):
     """Integrals T : grad(eta_j) dx over all modes j, for node tensors T (m, d, d).
 
     grad(eta_j) = dtrig(k_j . x) e_j k_j^T, so the pairing is e_j . M_j k_j
@@ -480,7 +480,7 @@ def convection_pairing(a_values, b_values, quad):
     ``a_values`` and ``b_values`` are (m, d) samples at the nodes of the
     quadrature ``quad``; a . (grad(eta_j) b) = (a (x) b) : grad(eta_j).
     """
-    return _gradient_pairing(a_values[:, :, None] * b_values[:, None, :], quad)
+    return gradient_pairing(a_values[:, :, None] * b_values[:, None, :], quad)
 
 
 def strain_pairing(du_values, nu_values, quad):
@@ -490,4 +490,4 @@ def strain_pairing(du_values, nu_values, quad):
     ``quad``; since Du is symmetric, Du : D(eta_j) = Du : grad(eta_j).
     """
     nu_values = np.asarray(nu_values, dtype=np.float64)
-    return _gradient_pairing(2.0 * nu_values[:, None, None] * du_values, quad)
+    return gradient_pairing(2.0 * nu_values[:, None, None] * du_values, quad)

@@ -76,6 +76,7 @@ def _summarize(result, config, report):
         "worst_time": report.worst_time,
         "windows": len(result.windows),
         "window_failures": result.window_failures,
+        "attempts": result.attempts,
         "delta_initial": result.delta_initial,
         "galerkin_residual_max": float(np.max(result.galerkin_residual())),
         "final": {
@@ -155,6 +156,9 @@ def cmd_refine(config_path, levels, out_dir=None):
                 "B_norm": final.B.norm(),
                 "perimeter": perimeter(final.mesh),
                 "volume": enclosed_volume(final.mesh),
+                "sweeps": result.sweeps,
+                "windows": len(result.windows),
+                "window_failures": result.window_failures,
             }
         )
     observables = ("u_norm", "B_norm", "perimeter", "volume")

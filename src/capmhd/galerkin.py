@@ -6,7 +6,8 @@ The velocity coefficients satisfy the integral equation
 
 where N collects inertia, Lorentz force, two-phase viscosity and the
 capillary (weak mean-curvature) forcing.  On each time window the right-hand
-side is frozen into the map K and solved by damped Picard iteration,
+side is frozen into the map K and solved by damped Picard iteration, started
+from the forward-Euler predictor u_anchor + (t - t_m) N(anchor) and
 recomputing the magnetic field and the interface transport from the current
 velocity iterate every sweep; the accepted trajectory carries the certificate
 ||u - K(u)||_sup < tol.  Windows chain until the final time, halving the
@@ -196,6 +197,19 @@ def apply_K(u_trajectory, u_anchor, states, order, chi_values=None):
     return out, n_values
 
 
+def euler_predictor(anchor, t_grid, order, chi_values=None):
+    """Forward-Euler start of a window: u_i = c_m + (t_i - t_m) N(anchor).
+
+    One forcing evaluation at the anchor (``chi_values`` are its indicator
+    samples, as for ``apply_N``); row 0 is the anchor bit for bit.  Only the
+    starting iterate moves, not the fixed point the sweeps converge to.
+    """
+    forcing = apply_N(anchor, order, chi_values=chi_values)
+    u_coeffs = anchor.u.coefficients + (t_grid - t_grid[0])[:, None] * forcing
+    u_coeffs[0] = anchor.u.coefficients
+    return u_coeffs
+
+
 def _window_indicator(points, t_grid, sampler, history, phase, h_flow, distance, mesh_chi):
     """Indicator samples at the quadrature points for every window node.
 
@@ -236,16 +250,18 @@ def fixed_point_window(
 ):
     """Damped Picard solve of u = K(u) on [anchor.t, anchor.t + delta].
 
-    Every sweep recomputes the magnetic trajectory and the advected interface
+    The first sweep starts from the forward-Euler predictor of the anchor
+    (``euler_predictor``), whose indicator is the window-start mesh's.  Every
+    sweep recomputes the magnetic trajectory and the advected interface
     from the current velocity iterate.  When the viscosities differ, the
     window-start mesh classifies the quadrature points once per window, and
     each sweep back-traces, under the iterate and then through ``history``,
     only the points the iterate can carry to within INDICATOR_BAND of that
     mesh; the mesh decides the rest at every node.  A non-finite iterate,
-    a broken dependent or forcing, or an accepted end mesh that crosses
-    itself raises WindowFailureError, and so does reaching ``max_iter``
-    sweeps; otherwise the accepted window (residual below ``tol``) is
-    returned.
+    a broken dependent or forcing (the predictor's included), or an accepted
+    end mesh that crosses itself raises WindowFailureError, and so does
+    reaching ``max_iter`` sweeps; otherwise the accepted window (residual
+    below ``tol``) is returned.
     """
     if tol <= 0.0:
         raise ValueError("tol must be positive")
@@ -258,7 +274,6 @@ def fixed_point_window(
     basis = anchor.u.basis
     params = anchor.params
     t_grid = anchor.t + np.linspace(0.0, delta, n_sub + 1)
-    u_coeffs = np.tile(anchor.u.coefficients, (n_sub + 1, 1))
     if history is None:
         history = SpectralTrajectory(basis, [anchor.t], [anchor.u.coefficients])
     points = basis.quadrature(order).points
@@ -267,9 +282,14 @@ def fixed_point_window(
         # the window-start mesh does not depend on the iterate
         distance = distance_lower_bound(anchor.mesh, points)
         mesh_chi = point_in_mesh(anchor.mesh, points)
+    else:
+        mesh_chi = None
+    u_coeffs = None
     residual_history = []
     for iteration in range(1, max_iter + 1):
         try:
+            if u_coeffs is None:
+                u_coeffs = euler_predictor(anchor, t_grid, order, chi_values=mesh_chi)
             if not np.all(np.isfinite(u_coeffs)):
                 raise NumericsError("the velocity iterate has non-finite coefficients")
             sampler = SpectralTrajectory(basis, t_grid, u_coeffs)
@@ -299,6 +319,7 @@ def fixed_point_window(
                 u_coeffs, anchor.u.coefficients, states, order, chi_values=chi_cache
             )
             residual = float(np.max(np.linalg.norm(u_coeffs - k_coeffs, axis=1)))
+            residual_history.append(residual)
             if residual < tol:
                 # the end mesh decides the next window's indicator off the band
                 check_simple(meshes[-1])
@@ -310,7 +331,6 @@ def fixed_point_window(
                 f"dependents or forcing during sweep {iteration}: {exc}",
                 residual_history=residual_history,
             ) from exc
-        residual_history.append(residual)
         if residual < tol:
             return WindowSolve(
                 t_grid=t_grid,
@@ -357,10 +377,16 @@ class RunResult:
     tau_E: float
     delta_initial: float
     window_failures: int
+    attempts: list
 
     @property
     def final_state(self):
         return self.states[-1]
+
+    @property
+    def sweeps(self):
+        """Picard sweeps over every window attempt, failed ones included."""
+        return sum(attempt["sweeps"] for attempt in self.attempts)
 
     def galerkin_residual(self):
         """|c_j(T) - c_j(0) - integral <N, eta_j>| per mode, chained."""
@@ -376,7 +402,10 @@ def run(config):
 
     The anchor of each window is the previous endpoint; the ledger records
     every sub-step with dissipation increments computed by the solver's own
-    quadrature.  Deterministic for a fixed configuration.
+    quadrature.  Every window attempt, failed or accepted, leaves a record
+    (t, delta, omega, sweeps, residual history, accepted, and the error's
+    class and message) in ``RunResult.attempts``; a sweep counts once its
+    residual is known.  Deterministic for a fixed configuration.
     """
     setup = config.build()
     basis = setup["basis"]
@@ -397,12 +426,15 @@ def run(config):
     cumulative_n = np.zeros(len(basis))
     windows = []
     samples = []
+    attempts = []
     omega = config.omega
     failures = 0
     t = 0.0
 
     while t < config.T - 1e-12:
         delta_use = min(delta, config.T - t)
+        attempt = {"t": t, "delta": delta_use, "omega": omega}
+        attempts.append(attempt)
         try:
             window = fixed_point_window(
                 state,
@@ -417,7 +449,15 @@ def run(config):
                 history=history,
                 phase=phase,
             )
-        except WindowFailureError:
+        except WindowFailureError as exc:
+            cause = exc.__cause__ or exc
+            attempt.update(
+                sweeps=len(exc.residual_history),
+                residual_history=exc.residual_history,
+                accepted=False,
+                error=type(cause).__name__,
+                message=str(exc),
+            )
             failures += 1
             if failures % 2 == 0:
                 omega = omega / 2.0
@@ -435,6 +475,13 @@ def run(config):
                     },
                 )
             continue
+        attempt.update(
+            sweeps=window.iterations,
+            residual_history=window.residual_history,
+            accepted=True,
+            error=None,
+            message=None,
+        )
         windows.append(window)
         for st, n_value in zip(window.states, window.N_values):
             n_norm = float(np.linalg.norm(n_value))
@@ -475,4 +522,5 @@ def run(config):
         tau_E=tau_e,
         delta_initial=delta_initial,
         window_failures=failures,
+        attempts=attempts,
     )

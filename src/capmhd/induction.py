@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .basis import convection_pairing
+from .basis import gradient_pairing
 from .errors import NumericsError
 
 
@@ -54,11 +54,11 @@ def transport_pairing(u_values, b_values, quad):
     parts; tested against B itself it reproduces the magnetic transfer power
     that the velocity equation removes, which is the cancellation mechanism
     of the coupled energy identity.  ``u_values`` and ``b_values`` are node
-    samples of ``quad``; both pairings take the moment form, no (m, n) table.
+    samples of ``quad``; the integrand is (B (x) u - u (x) B) : grad(eta_j),
+    so it is one gradient pairing of that antisymmetric tensor.
     """
-    return convection_pairing(b_values, u_values, quad) - convection_pairing(
-        u_values, b_values, quad
-    )
+    tensor = b_values[:, :, None] * u_values[:, None, :]
+    return gradient_pairing(tensor - np.swapaxes(tensor, 1, 2), quad)
 
 
 def step_B(b_field, sampler, t, sigma, dt, order):

@@ -8,7 +8,7 @@ import pytest
 
 from capmhd import cli, galerkin
 from capmhd.config import RunConfig
-from capmhd.errors import ConfigError
+from capmhd.errors import ConfigError, MeshInvariantError
 
 from conftest import CENTER_2D, reference_config
 
@@ -176,12 +176,49 @@ class TestCmdRun:
     def test_solver_failure_exits_3_with_dump(self, tmp_path, capsys):
         data = small_config_dict()
         data["solver"]["max_iter"] = 1
+        data["solver"]["delta_min"] = 0.02  # one sweep converges near delta = 2e-4
         path = write_config(tmp_path, data)
         out = tmp_path / "out"
         assert cli.main(["run", "--config", path, "--out", str(out)]) == 3
         dump = json.loads((out / "failure_state.json").read_text())
         assert dump["error"] == "NonConvergenceError"
         assert "diagnostics" in dump
+
+    def test_attempts_record_the_halved_window(self, tmp_path, monkeypatch):
+        # the first accepted end mesh is reported crossed: the record shows
+        # the failed attempt, then the halved window that was accepted
+        real = galerkin.check_simple
+        calls = []
+
+        def crossed_once(mesh):
+            calls.append(mesh.t)
+            if len(calls) == 1:
+                raise MeshInvariantError("2D mesh crosses itself (edges 0 and 2)")
+            return real(mesh)
+
+        monkeypatch.setattr(galerkin, "check_simple", crossed_once)
+        data = small_config_dict()
+        path = write_config(tmp_path, data)
+        out = tmp_path / "out"
+        assert cli.main(["run", "--config", path, "--out", str(out)]) == 0
+        summary = json.loads((out / "summary.json").read_text())
+        attempts = summary["attempts"]
+        failed, halved = attempts[:2]
+        assert failed["accepted"] is False
+        assert failed["error"] == "MeshInvariantError"
+        assert "crosses itself" in failed["message"]
+        assert failed["sweeps"] == len(failed["residual_history"]) >= 1
+        assert halved["accepted"] is True and halved["error"] is None
+        assert failed["t"] == halved["t"] == 0.0
+        assert halved["delta"] == pytest.approx(failed["delta"] / 2)
+        assert all(a["accepted"] for a in attempts[1:])
+        assert summary["window_failures"] == 1
+        assert summary["windows"] == len(attempts) - 1
+        # the record lives in summary.json only: the ledger keeps its columns
+        # and one row per accepted sub-step
+        lines = (out / "ledger.csv").read_text().splitlines()
+        assert lines[0] == "t,kinetic,magnetic,tension,viscous_cum,resistive_cum,E0"
+        assert len(lines) == 2 + data["solver"]["n_sub"] * summary["windows"]
 
     def test_non_finite_forcing_exits_3_with_dump(self, tmp_path, capsys, monkeypatch):
         def nan_pairing(mesh, basis):
@@ -274,6 +311,10 @@ class TestCmdRefine:
         for diff in report["differences"]:
             assert diff["u_norm"] == 0.0
             assert diff["perimeter"] == 0.0
+        for row in report["levels"]:
+            # zero forcing: every window converges in its first sweep
+            assert row["sweeps"] == row["windows"] >= 1
+            assert row["window_failures"] == 0
 
     def test_smooth_decay_differences_shrink(self, tmp_path):
         # magnetically coupled smooth data: the transport terms excite higher

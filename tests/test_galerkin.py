@@ -248,6 +248,63 @@ class TestFixedPointWindow:
         assert window.iterations > 1
         assert window.u_trajectory[0].tobytes() == anchor.u.coefficients.tobytes()
 
+    def test_first_sweep_starts_from_euler_predictor(self, monkeypatch, basis_2d):
+        rng = np.random.default_rng(151)
+        params = cg.FluidParams(0.2, 0.1, 1.0, 0.1)
+        anchor = make_state(basis_2d, u_coeffs=0.3 * rng.standard_normal(len(basis_2d)),
+                            params=params)
+        real = cg.apply_K
+        iterates = []
+
+        def capture(u_trajectory, *args, **kwargs):
+            iterates.append(u_trajectory.copy())
+            return real(u_trajectory, *args, **kwargs)
+
+        monkeypatch.setattr(cg, "apply_K", capture)
+        window = cg.fixed_point_window(
+            anchor, 0.05, 4, 1e-8, 30, 1.0,
+            order=8, h_flow=0.01, dt_b=0.0125,
+            phase=ci.disk(CENTER_2D, 1.0),
+        )
+        # with chi omitted, apply_N classifies against the anchor mesh, as
+        # the window-start classification does
+        forcing = cg.apply_N(anchor, 8)
+        t_grid = window.t_grid
+        expected = anchor.u.coefficients + (t_grid - t_grid[0])[:, None] * forcing
+        np.testing.assert_array_equal(iterates[0], expected)
+        assert iterates[0][0].tobytes() == anchor.u.coefficients.tobytes()
+
+    def test_non_finite_predictor_is_a_window_failure(self, monkeypatch, basis_2d):
+        # the first apply_N call of a window is the predictor's
+        real = cg.curvature_pairing_modes
+        calls = []
+
+        def nan_once(mesh, basis):
+            calls.append(mesh.t)
+            values = real(mesh, basis)
+            return np.full_like(values, np.nan) if len(calls) == 1 else values
+
+        real_k = cg.apply_K
+        sweeps = []
+
+        def counted(*args, **kwargs):
+            sweeps.append(1)
+            return real_k(*args, **kwargs)
+
+        monkeypatch.setattr(cg, "curvature_pairing_modes", nan_once)
+        monkeypatch.setattr(cg, "apply_K", counted)
+        anchor = make_state(basis_2d, u_coeffs=np.full(len(basis_2d), 0.1),
+                            params=cg.FluidParams(0.2, 0.1, 1.0, 0.1))
+        with pytest.raises(WindowFailureError, match="sweep 1") as err:
+            cg.fixed_point_window(
+                anchor, 0.05, 4, 1e-8, 5, 1.0,
+                order=8, h_flow=0.01, dt_b=0.0125,
+                phase=ci.disk(CENTER_2D, 1.0),
+            )
+        assert isinstance(err.value.__cause__, NumericsError)
+        assert err.value.residual_history == []
+        assert sweeps == []
+
     def test_single_mode_matches_stokes_decay(self, basis_2d):
         nu = 0.4
         params = cg.FluidParams(nu, nu, 1.0, 0.0)
@@ -482,16 +539,18 @@ class TestRun:
             np.testing.assert_array_equal(prev.u_trajectory[-1], nxt.u_trajectory[0])
 
     def test_window_failure_triggers_halving_then_success(self):
-        # a sweep budget of 4 fails at the policy window, halves, and succeeds
+        # a sweep budget of 3 fails at the policy window, halves, and succeeds
+        # (from the Euler predictor the policy window converges in 4 sweeps)
         config = reference_config(T=0.2)
-        config.max_iter = 4
+        config.max_iter = 3
         result = cg.run(config)
         assert result.window_failures >= 1
         assert result.final_state.t == pytest.approx(0.2)
 
     def test_non_finite_forcing_halves_the_window(self, monkeypatch):
-        # the capillary term of the first apply_N call comes back NaN: the
-        # window fails, halves, and the run carries on to T
+        # the capillary term of the first apply_N call, the first window's
+        # predictor, comes back NaN: the window fails, halves, and the run
+        # carries on to T
         real = cg.curvature_pairing_modes
         calls = []
 
@@ -506,6 +565,11 @@ class TestRun:
         first = result.windows[0].t_grid
         assert first[-1] - first[0] == pytest.approx(result.delta_initial / 2)
         assert result.final_state.t == pytest.approx(0.1)
+        failed, halved = result.attempts[:2]
+        assert (failed["accepted"], failed["sweeps"], failed["error"]) == (
+            False, 0, "NumericsError"
+        )
+        assert halved["accepted"] and halved["delta"] == failed["delta"] / 2
 
     def test_non_finite_iterate_is_a_numerics_failure(self, monkeypatch, basis_2d):
         _nan_first_sweep(monkeypatch)
@@ -526,6 +590,21 @@ class TestRun:
         assert first[-1] - first[0] == pytest.approx(result.delta_initial / 2)
         assert result.final_state.t == pytest.approx(0.1)
 
+    def test_predictor_takes_fewer_sweeps_than_the_tiled_start(self, monkeypatch):
+        config = reference_config(T=0.2)
+        predicted = cg.run(config)
+
+        def tiled_start(anchor, t_grid, order, chi_values=None):
+            return np.tile(anchor.u.coefficients, (len(t_grid), 1))
+
+        monkeypatch.setattr(cg, "euler_predictor", tiled_start)
+        tiled = cg.run(config)
+        assert predicted.window_failures == tiled.window_failures == 0
+        assert predicted.sweeps < tiled.sweeps
+        for new, old in zip(predicted.windows, tiled.windows):
+            assert new.iterations < old.iterations
+            assert new.residual_history[0] < old.residual_history[0]
+
     def test_crossed_end_mesh_halves_the_window(self, monkeypatch):
         # the accepted end mesh is checked once per window; a crossing found
         # there fails the window like any other broken dependent
@@ -545,8 +624,11 @@ class TestRun:
         assert result.final_state.t == pytest.approx(0.1)
 
     def test_hard_nonconvergence_below_delta_floor(self):
+        # one sweep from the Euler predictor converges once delta is near
+        # 2e-4, so the floor sits above that
         config = reference_config(T=0.1)
         config.max_iter = 1
+        config.delta_min = 0.02
         with pytest.raises(NonConvergenceError) as err:
             cg.run(config)
         assert "t" in err.value.diagnostics

@@ -1,7 +1,7 @@
 """Synthesis and pairing micro-benchmarks, and alternating benchmark pairs.
 
-    python3 tools/bench_synthesis.py --out BENCH_8.json
-    python3 tools/bench_synthesis.py --out BENCH_8.json --baseline ../parent --pairs 10
+    python3 tools/bench_synthesis.py --out BENCH_9.json
+    python3 tools/bench_synthesis.py --out BENCH_9.json --baseline ../parent --pairs 10
 
 The first form times the table forms of ``tests/reference.py`` against the
 solver's forms on fixed random inputs.  Off the grid: the m x n trig-table
@@ -17,7 +17,9 @@ With ``--baseline DIR`` (another checkout of the repository) it also runs
 alternating which side runs first.  It records every invocation's end-to-end
 metrics (each the median over its operations), and for ``run_s`` the medians
 over invocations, the baseline's interquartile range and the number of pairs
-this checkout wins.  Without it, pairs already in the output file are kept.
+this checkout wins.  One ``--trace 1`` invocation per side and workload adds
+the traced totals of Picard sweeps, accepted windows and window attempts.
+Without it, pairs already in the output file are kept.
 """
 
 import os
@@ -125,10 +127,14 @@ def pairing_cases():
     return rows
 
 
-def bench_metrics(checkout, workload, seconds):
-    """End-to-end metric values of one ``bench/run.py --trace 0`` invocation."""
+# Totals of one traced run, the same on every run of a workload.
+TRACED_COUNTS = ("galerkin.sweeps", "galerkin.windows", "galerkin.window_attempts")
+
+
+def bench_metrics(checkout, workload, seconds, trace=0):
+    """Metric values of one ``bench/run.py`` invocation: end to end, or per layer."""
     cmd = [sys.executable, "bench/run.py", "--workload", workload,
-           "--seconds", str(seconds), "--trace", "0"]
+           "--seconds", str(seconds), "--trace", str(trace)]
     out = subprocess.run(cmd, cwd=checkout, capture_output=True, text=True, check=True)
     summary = json.loads(out.stdout.strip().splitlines()[-1])
     if summary["failed"] or not summary["correct"]:
@@ -148,6 +154,11 @@ def pairs(baseline, workloads, count, seconds):
         for side, samples in runs.items():
             for name in samples[0]:
                 row[f"{side}_{name}"] = [sample[name] for sample in samples]
+        for side, checkout in (("baseline", baseline), ("change", ROOT)):
+            # the shortest traced invocation: one plain and one traced operation
+            layers = bench_metrics(checkout, workload, 1.0, trace=1)
+            for name in TRACED_COUNTS:
+                row[f"{side}_{name}"] = layers[name]
         base, change = row["baseline_run_s"], row["change_run_s"]
         quartiles = statistics.quantiles(base, n=4, method="inclusive")
         row.update({
@@ -190,7 +201,8 @@ def main(argv=None):
     for workload, row in result.get("bench_run_pairs", {}).items():
         print(f"{workload}: run_s {row['baseline_run_s_median']:.3f} -> "
               f"{row['change_run_s_median']:.3f} s, "
-              f"wins {row['change_wins']}/{len(row['change_run_s'])}")
+              f"wins {row['change_wins']}/{len(row['change_run_s'])}, sweeps "
+              f"{row.get('baseline_galerkin.sweeps')} -> {row.get('change_galerkin.sweeps')}")
     return 0
 
 
