@@ -35,11 +35,16 @@ class NumericsError(RuntimeError):
 
 
 class WindowFailureError(RuntimeError):
-    """Fixed-point iteration on one time window did not reach tolerance."""
+    """Fixed-point iteration on one time window did not reach tolerance.
 
-    def __init__(self, message, residual_history=None):
+    Carries the residual of every completed sweep and the number of sweeps
+    whose window indicator was back-traced rather than reused.
+    """
+
+    def __init__(self, message, residual_history=None, indicator_traces=0):
         super().__init__(message)
         self.residual_history = list(residual_history or [])
+        self.indicator_traces = indicator_traces
 
 
 class NonConvergenceError(RuntimeError):

@@ -14,6 +14,13 @@ velocity iterate every sweep; the accepted trajectory carries the certificate
 window (and periodically the damping) on failure, mirroring the shrinking
 local existence interval of the underlying construction.
 
+The phase indicator chi(u) depends on the iterate only through the flow map,
+and the flow-map stability estimate |X_u - X_v| <= tau ||u - v|| e^{tau L}
+bounds how far a sweep can move the back-traced origins.  A window traces
+its band points once and keeps that trace: a later sweep reuses its flags
+whenever every origin lies farther from the initial boundary than the
+estimate lets it move, so chi is exactly what a new trace would give.
+
 All quadratures use the dealiased uniform grid, and every reduction has a
 fixed order, so a run is reproducible bit-for-bit for a given configuration.
 """
@@ -67,6 +74,11 @@ DELTA_MIN_DEFAULT = 1e-6
 # sagitta of its chords, about 1e-4 for the 256-gon of the reference problem.
 # A point is back-traced when the window's flow can carry it into the band.
 INDICATOR_BAND = 1e-2
+
+# Round-off allowance of the indicator reuse certificate, grown like the
+# flow-map bound: two back-traces of one point under fields that agree to
+# within eps may also differ by rounding, about 1e-14 over a run's steps.
+REUSE_MARGIN = 1e-9
 
 
 @dataclass(frozen=True)
@@ -131,6 +143,7 @@ class WindowSolve:
     states: list = field(default_factory=list)
     resistive_increments: np.ndarray = None
     chi_cache: list = field(default_factory=list)
+    indicator_traces: int = 0
 
     @property
     def meshes(self):
@@ -210,28 +223,98 @@ def euler_predictor(anchor, t_grid, order, chi_values=None):
     return u_coeffs
 
 
-def _window_indicator(points, t_grid, sampler, history, phase, h_flow, distance, mesh_chi):
+def _row_bound(coefficients, weights):
+    """max over rows of sum_j |c_j| w_j.
+
+    With w_j = n_j it bounds |u| everywhere (|trig| <= 1, |e_j| = 1); with
+    w_j = n_j |k_j| it bounds the operator norm of grad u, a sum of rank-one
+    terms n_j trig'(k_j . x) e_j k_j^T.  Rows interpolated in time are convex
+    combinations, so the bound holds between them too.
+    """
+    return float(np.max(np.abs(np.atleast_2d(coefficients)) @ weights))
+
+
+def _gradient_weights(basis):
+    return basis.normalizations * np.linalg.norm(basis.wavevectors, axis=1)
+
+
+@dataclass(frozen=True)
+class _TracedIndicator:
+    """One back-trace of a window's band points, kept for its later sweeps.
+
+    ``moving`` marks the traced points, ``coefficients`` are the iterate's
+    rows they were traced under, and ``clearance`` and ``inside`` (one row per
+    window node) are the origins' distance lower bound to the initial
+    boundary and their membership flags.
+    """
+
+    moving: np.ndarray
+    coefficients: np.ndarray
+    clearance: np.ndarray
+    inside: np.ndarray
+
+    def certifies(self, moving, coefficients, t_grid, basis, history_growth):
+        """Whether a trace under ``coefficients`` gives these flags again.
+
+        One RK4 step of size h is Lipschitz with constant e^{hL}, and driven
+        by two fields eps apart it adds at most h eps e^{hL}; so the window
+        leg of node i moves an origin by at most e^{tau_i L} tau_i eps
+        (tau_i = t_i - t_m), and the fixed history leg grows that by
+        ``history_growth`` = e^{t_m L_h}.  No origin crosses the boundary
+        when each clearance exceeds that reach plus REUSE_MARGIN, grown alike.
+        """
+        if not np.array_equal(moving, self.moving):
+            return False
+        eps = _row_bound(coefficients - self.coefficients, basis.normalizations)
+        weights = _gradient_weights(basis)
+        lipschitz = max(_row_bound(coefficients, weights), _row_bound(self.coefficients, weights))
+        tau = t_grid - t_grid[0]
+        reach = history_growth * np.exp(tau * lipschitz) * (tau * eps + REUSE_MARGIN)
+        return bool(np.all(self.clearance > reach[:, None]))
+
+
+def _window_indicator(
+    points, t_grid, sampler, history, phase, h_flow, distance, mesh_chi, history_growth, reference
+):
     """Indicator samples at the quadrature points for every window node.
 
     ``distance`` and ``mesh_chi`` are the points' distance lower bound to the
     window-start mesh and their ray cast against it.  The iterate's speed is
     at most sum_j |c_j| n_j over its rows, so a point farther than
     INDICATOR_BAND plus the window's reach from the mesh keeps the mesh's
-    answer at every node.  The rest are back-traced from each node to the
-    window start under the iterate, then, stacked, through the fixed
-    pre-window ``history`` to t = 0 (a zero-length leg for the first window)
-    and tested against the initial region.
+    answer at every node.  The rest take their flags from ``reference``, an
+    earlier sweep's trace, when it certifies them for this iterate
+    (``_TracedIndicator.certifies``, with ``history_growth`` = e^{t_m L_h}).
+    Otherwise they are back-traced from each node to the window start under
+    the iterate, then, stacked, through the fixed pre-window ``history`` to
+    t = 0 (a zero-length leg for the first window) and tested against the
+    initial region.  Returns the samples and the trace they came from:
+    ``reference`` itself when reused, and None when no point is in the band.
     """
     t_start = t_grid[0]
-    speed = np.max(np.abs(sampler.coefficients) @ sampler.basis.normalizations)
+    basis = sampler.basis
+    # the sampler's own copy, which no later sweep writes to
+    coefficients = sampler.coefficients
+    speed = _row_bound(coefficients, basis.normalizations)
     moving = distance <= INDICATOR_BAND + (t_grid[-1] - t_start) * speed
     chi = [mesh_chi.copy() for _ in t_grid]
-    if np.any(moving):
+    if not np.any(moving):
+        return chi, None
+    if reference is None or not reference.certifies(
+        moving, coefficients, t_grid, basis, history_growth
+    ):
         starts = [integrate_positions(points[moving], sampler, t, t_start, h_flow) for t in t_grid]
         origins = integrate_positions(np.concatenate(starts), history, t_start, 0.0, h_flow)
-        for node, inside in zip(chi, np.split(phase.contains(origins), len(t_grid))):
-            node[moving] = inside
-    return chi
+        nodes = (len(t_grid), -1)
+        reference = _TracedIndicator(
+            moving,
+            coefficients,
+            phase.boundary_distance(origins).reshape(nodes),
+            phase.contains(origins).reshape(nodes),
+        )
+    for node, inside in zip(chi, reference.inside):
+        node[moving] = inside
+    return chi, reference
 
 
 def fixed_point_window(
@@ -255,13 +338,17 @@ def fixed_point_window(
     sweep recomputes the magnetic trajectory and the advected interface
     from the current velocity iterate.  When the viscosities differ, the
     window-start mesh classifies the quadrature points once per window, and
-    each sweep back-traces, under the iterate and then through ``history``,
-    only the points the iterate can carry to within INDICATOR_BAND of that
-    mesh; the mesh decides the rest at every node.  A non-finite iterate,
-    a broken dependent or forcing (the predictor's included), or an accepted
-    end mesh that crosses itself raises WindowFailureError, and so does
-    reaching ``max_iter`` sweeps; otherwise the accepted window (residual
-    below ``tol``) is returned.
+    the points the iterate can carry to within INDICATOR_BAND of that mesh
+    are back-traced, under the iterate and then through ``history`` into
+    ``phase``; the mesh decides the rest at every node.  The window keeps its
+    last trace, and a later sweep reuses its flags while the flow-map
+    stability bound certifies that this sweep's trace would give the same
+    ones (``_TracedIndicator.certifies``); the trace never outlives the call.
+    A non-finite iterate, a broken dependent or forcing (the predictor's
+    included), or an accepted end mesh that crosses itself raises
+    WindowFailureError, and so does reaching ``max_iter`` sweeps; otherwise
+    the accepted window (residual below ``tol``) is returned.  Both carry
+    the number of sweeps that back-traced, ``indicator_traces``.
     """
     if tol <= 0.0:
         raise ValueError("tol must be positive")
@@ -273,19 +360,26 @@ def fixed_point_window(
         raise ValueError("n_sub must be at least 2")
     basis = anchor.u.basis
     params = anchor.params
+    need_chi = params.two_phase
+    if need_chi and phase is None:
+        raise ValueError("a two-phase window needs the initial phase region")
     t_grid = anchor.t + np.linspace(0.0, delta, n_sub + 1)
     if history is None:
         history = SpectralTrajectory(basis, [anchor.t], [anchor.u.coefficients])
     points = basis.quadrature(order).points
-    need_chi = params.two_phase
     if need_chi:
-        # the window-start mesh does not depend on the iterate
+        # the window-start mesh and the history do not depend on the iterate
         distance = distance_lower_bound(anchor.mesh, points)
         mesh_chi = point_in_mesh(anchor.mesh, points)
+        history_growth = np.exp(
+            anchor.t * _row_bound(history.coefficients, _gradient_weights(basis))
+        )
     else:
         mesh_chi = None
     u_coeffs = None
     residual_history = []
+    trace = None
+    indicator_traces = 0
     for iteration in range(1, max_iter + 1):
         try:
             if u_coeffs is None:
@@ -304,9 +398,12 @@ def fixed_point_window(
                 b_fields.append(b_step.final)
                 resistive[i] = float(np.sum(b_step.resistive_increments))
             if need_chi:
-                chi_cache = _window_indicator(
-                    points, t_grid, sampler, history, phase, h_flow, distance, mesh_chi
+                chi_cache, new_trace = _window_indicator(
+                    points, t_grid, sampler, history, phase, h_flow, distance, mesh_chi,
+                    history_growth, trace,
                 )
+                indicator_traces += new_trace is not None and new_trace is not trace
+                trace = new_trace
             else:
                 chi_cache = None
             states = [
@@ -330,6 +427,7 @@ def fixed_point_window(
                 f"window at t={anchor.t:.6g} (delta={delta:.3g}) broke its "
                 f"dependents or forcing during sweep {iteration}: {exc}",
                 residual_history=residual_history,
+                indicator_traces=indicator_traces,
             ) from exc
         if residual < tol:
             return WindowSolve(
@@ -341,6 +439,7 @@ def fixed_point_window(
                 states=states,
                 resistive_increments=resistive,
                 chi_cache=list(chi_cache) if chi_cache is not None else [None] * (n_sub + 1),
+                indicator_traces=indicator_traces,
             )
         # row 0 is the anchor and stays it bit for bit
         u_coeffs[1:] = (1.0 - omega) * u_coeffs[1:] + omega * k_coeffs[1:]
@@ -348,6 +447,7 @@ def fixed_point_window(
         f"window at t={anchor.t:.6g} (delta={delta:.3g}) did not converge in "
         f"{max_iter} sweeps (last residual {residual_history[-1]:.3e})",
         residual_history=residual_history,
+        indicator_traces=indicator_traces,
     )
 
 
@@ -403,7 +503,8 @@ def run(config):
     The anchor of each window is the previous endpoint; the ledger records
     every sub-step with dissipation increments computed by the solver's own
     quadrature.  Every window attempt, failed or accepted, leaves a record
-    (t, delta, omega, sweeps, residual history, accepted, and the error's
+    (t, delta, omega, sweeps, residual history, the number of sweeps whose
+    indicator was back-traced rather than reused, accepted, and the error's
     class and message) in ``RunResult.attempts``; a sweep counts once its
     residual is known.  Deterministic for a fixed configuration.
     """
@@ -454,6 +555,7 @@ def run(config):
             attempt.update(
                 sweeps=len(exc.residual_history),
                 residual_history=exc.residual_history,
+                indicator_traces=exc.indicator_traces,
                 accepted=False,
                 error=type(cause).__name__,
                 message=str(exc),
@@ -478,6 +580,7 @@ def run(config):
         attempt.update(
             sweeps=window.iterations,
             residual_history=window.residual_history,
+            indicator_traces=window.indicator_traces,
             accepted=True,
             error=None,
             message=None,

@@ -84,6 +84,18 @@ class InitialPhase:
         inside = (np.sum(scaled**2, axis=-1) <= 1.0).astype(np.int64)
         return int(inside[0]) if single else inside
 
+    def boundary_distance(self, points):
+        """Lower bound on the distance to the region's boundary, batched.
+
+        With s = (x - c) / r this is r_min * | |s| - 1 |: exact for the disk
+        and the ball, and a lower bound for the ellipse and the ellipsoid,
+        since every boundary point y has |s(y)| = 1 and
+        |x - y| >= r_min |s(x) - s(y)| >= r_min | |s(x)| - 1 |.
+        """
+        radii = np.asarray(self.radii)
+        scaled = (np.atleast_2d(points) - np.asarray(self.center)) / radii
+        return np.min(radii) * np.abs(np.sqrt(np.sum(scaled**2, axis=-1)) - 1.0)
+
 
 def disk(center, radius):
     return InitialPhase("disk", tuple(center), (float(radius),) * 2)

@@ -208,6 +208,7 @@ class TestCmdRun:
         assert failed["error"] == "MeshInvariantError"
         assert "crosses itself" in failed["message"]
         assert failed["sweeps"] == len(failed["residual_history"]) >= 1
+        assert all(0 <= a["indicator_traces"] <= a["sweeps"] for a in attempts)
         assert halved["accepted"] is True and halved["error"] is None
         assert failed["t"] == halved["t"] == 0.0
         assert halved["delta"] == pytest.approx(failed["delta"] / 2)

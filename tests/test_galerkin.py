@@ -382,14 +382,21 @@ def _full_backtrace_indicator(points, t_grid, sampler, history, phase, h_flow):
 def _run_checking_indicator(monkeypatch, config):
     """Run, comparing every window indicator with the full back-trace.
 
-    Returns the run and the number of points per sweep that the windows
-    back-traced and that they left to the window-start mesh.
+    Returns the run and, summed over the sweeps, the number of points that
+    the windows took from a trace and that they left to the window-start
+    mesh, and the number of sweeps that reused an earlier sweep's trace.
     """
     real = cg._window_indicator
-    counts = {"band": 0, "mesh": 0}
+    counts = {"band": 0, "mesh": 0, "reused": 0}
 
-    def checked(points, t_grid, sampler, history, phase, h_flow, distance, mesh_chi):
-        chi = real(points, t_grid, sampler, history, phase, h_flow, distance, mesh_chi)
+    def checked(
+        points, t_grid, sampler, history, phase, h_flow, distance, mesh_chi,
+        history_growth, reference,
+    ):
+        chi, trace = real(
+            points, t_grid, sampler, history, phase, h_flow, distance, mesh_chi,
+            history_growth, reference,
+        )
         expected = _full_backtrace_indicator(points, t_grid, sampler, history, phase, h_flow)
         for node, (got, want) in enumerate(zip(chi, expected)):
             np.testing.assert_array_equal(got, want, err_msg=f"t={t_grid[node]}")
@@ -397,10 +404,45 @@ def _run_checking_indicator(monkeypatch, config):
         moving = distance <= cg.INDICATOR_BAND + (t_grid[-1] - t_grid[0]) * speed
         counts["band"] += int(moving.sum())
         counts["mesh"] += int((~moving).sum())
-        return chi
+        counts["reused"] += trace is not None and trace is reference
+        return chi, trace
 
     monkeypatch.setattr(cg, "_window_indicator", checked)
     return cg.run(config), counts
+
+
+class _TranslatingWindow:
+    """A window of the flow u = s (1, 0) along y = pi, from t = 0 to 0.3.
+
+    Its points lie 1.2, 0 and 2 right of the unit disk's centre; the first
+    is in the band, and its origin is 1.2 - s t right of the centre.
+    """
+
+    def __init__(self, speed):
+        basis = cb.make_basis(2, 1)
+        j = next(
+            j for j, mode in enumerate(basis.modes)
+            if mode.wavevector == (0, 1) and mode.phase == "cos"
+        )
+        coefficients = np.zeros(len(basis))
+        coefficients[j] = speed / basis.normalizations[j]
+        self.phase = ci.disk(CENTER_2D, 1.0)
+        mesh = ci.mesh_initial(self.phase, 256)
+        self.points = np.asarray(CENTER_2D) + np.array([[1.2, 0.0], [0.0, 0.0], [2.0, 0.0]])
+        self.t_grid = np.array([0.0, 0.15, 0.3])
+        self.flow = SpectralTrajectory(basis, self.t_grid, np.tile(coefficients, (3, 1)))
+        np.testing.assert_allclose(
+            self.flow.velocity(0.0, self.points[:1]), [[speed, 0.0]], atol=1e-14
+        )
+        self.history = SpectralTrajectory(basis, [0.0], [coefficients])
+        self.distance = ci.distance_lower_bound(mesh, self.points)
+        self.mesh_chi = ci.point_in_mesh(mesh, self.points)
+
+    def indicator(self, reference, distance=None):
+        return cg._window_indicator(
+            self.points, self.t_grid, self.flow, self.history, self.phase, 0.01,
+            self.distance if distance is None else distance, self.mesh_chi, 1.0, reference,
+        )
 
 
 class TestWindowIndicator:
@@ -410,6 +452,7 @@ class TestWindowIndicator:
         result, counts = _run_checking_indicator(monkeypatch, config)
         assert len(result.windows) == 3
         assert counts["band"] > 0 and counts["mesh"] > 0
+        assert counts["reused"] > 0
 
     def test_band_points_follow_the_backtrace(self, basis_2d):
         # the chords of a 16-gon lie up to 0.019 inside the unit circle: a
@@ -422,9 +465,9 @@ class TestWindowIndicator:
         points = np.asarray(CENTER_2D) + np.array(offsets)
         assert ci.point_in_mesh(mesh, points).tolist() == [1, 0, 0]
         still = SpectralTrajectory(basis_2d, [0.0, 0.3], np.zeros((2, len(basis_2d))))
-        chi = cg._window_indicator(
+        chi, _ = cg._window_indicator(
             points, np.array([0.2, 0.3]), still, still, phase, 0.01,
-            ci.distance_lower_bound(mesh, points), ci.point_in_mesh(mesh, points),
+            ci.distance_lower_bound(mesh, points), ci.point_in_mesh(mesh, points), 1.0, None,
         )
         assert [node.tolist() for node in chi] == [[1, 1, 0], [1, 1, 0]]
 
@@ -432,25 +475,10 @@ class TestWindowIndicator:
         # u = (1, 0) along y = pi: the point 1.2 right of the centre lies
         # 0.2 outside the unit disk, beyond the band but within the window's
         # reach, and is inside the region at the last node only
-        basis = cb.make_basis(2, 1)
-        j = next(
-            j for j, mode in enumerate(basis.modes)
-            if mode.wavevector == (0, 1) and mode.phase == "cos"
-        )
-        coefficients = np.zeros(len(basis))
-        coefficients[j] = 1.0 / basis.normalizations[j]
-        phase = ci.disk(CENTER_2D, 1.0)
-        mesh = ci.mesh_initial(phase, 256)
-        points = np.asarray(CENTER_2D) + np.array([[1.2, 0.0], [0.0, 0.0], [2.0, 0.0]])
-        t_grid = np.array([0.0, 0.15, 0.3])
-        flow = SpectralTrajectory(basis, t_grid, np.tile(coefficients, (3, 1)))
-        np.testing.assert_allclose(flow.velocity(0.0, points[:1]), [[1.0, 0.0]], atol=1e-14)
-        history = SpectralTrajectory(basis, [0.0], [coefficients])
-        chi = cg._window_indicator(
-            points, t_grid, flow, history, phase, 0.01,
-            ci.distance_lower_bound(mesh, points), ci.point_in_mesh(mesh, points),
-        )
+        window = _TranslatingWindow(1.0)
+        chi, trace = window.indicator(None)
         assert [node.tolist() for node in chi] == [[0, 1, 0], [0, 1, 0], [1, 1, 0]]
+        assert trace.moving.tolist() == [True, False, False]
 
     @settings(max_examples=20)
     @given(st.sampled_from([2, 3]), st.integers(0, 2**32 - 1))
@@ -466,6 +494,21 @@ class TestWindowIndicator:
         u = basis.synthesize(coefficients, points)
         assert np.max(np.linalg.norm(u, axis=1)) <= speed
 
+    @settings(max_examples=20)
+    @given(st.sampled_from([2, 3]), st.integers(0, 2**32 - 1))
+    def test_coefficient_sum_bounds_the_gradient(self, dimension, seed):
+        # each mode's gradient is n_j trig'(k_j . x) e_j k_j^T, of operator
+        # norm at most n_j |k_j|, so sum_j |c_j| n_j |k_j| bounds ||grad u||
+        basis = cb.make_basis(dimension, 2)
+        rng = np.random.default_rng(seed)
+        coefficients = rng.standard_normal(len(basis)) * rng.uniform(0.0, 10.0, len(basis))
+        points = np.concatenate([
+            basis.quadrature(8).points, rng.uniform(0.0, 2 * np.pi, (200, dimension))
+        ])
+        bound = cg._row_bound(coefficients, cg._gradient_weights(basis))
+        grads = basis.synthesize_gradient(coefficients, points)
+        assert np.max(np.linalg.norm(grads, ord=2, axis=(1, 2))) <= bound
+
     def test_banded_matches_full_backtrace_3d(self, monkeypatch):
         config = RunConfig.from_dict({
             "dimension": 3, "kmax": 1, "T": 0.04,
@@ -480,6 +523,88 @@ class TestWindowIndicator:
         result, counts = _run_checking_indicator(monkeypatch, config)
         assert len(result.windows) == 2
         assert counts["band"] > 0 and counts["mesh"] > 0
+        assert counts["reused"] > 0
+
+
+def _counting_traces(monkeypatch):
+    """Count the window indicator's integrate_positions calls."""
+    real = cg.integrate_positions
+    calls = []
+
+    def counted(*args):
+        calls.append(len(args[0]))
+        return real(*args)
+
+    monkeypatch.setattr(cg, "integrate_positions", counted)
+    return calls
+
+
+class TestIndicatorReuse:
+    def test_unchanged_iterate_reuses_without_tracing(self, monkeypatch):
+        window = _TranslatingWindow(1.0)
+        chi, trace = window.indicator(None)
+        calls = _counting_traces(monkeypatch)
+        again, reused = window.indicator(trace)
+        assert reused is trace and calls == []
+        for got, want in zip(again, chi):
+            np.testing.assert_array_equal(got, want)
+
+    def test_nearby_iterate_reuses_the_flags_its_own_trace_gives(self, monkeypatch):
+        # eps = 1e-3 moves no origin by more than e^0.3 * 3e-4, while the
+        # origins clear the circle by 0.2, 0.05 and 0.1
+        _, trace = _TranslatingWindow(1.0).indicator(None)
+        np.testing.assert_allclose(trace.clearance[:, 0], [0.2, 0.05, 0.1], atol=1e-12)
+        nearby = _TranslatingWindow(1.001)
+        fresh, _ = nearby.indicator(None)
+        calls = _counting_traces(monkeypatch)
+        chi, reused = nearby.indicator(trace)
+        assert reused is trace and calls == []
+        for got, want in zip(chi, fresh):
+            np.testing.assert_array_equal(got, want)
+
+    def test_origin_inside_the_bound_forces_a_retrace(self, monkeypatch):
+        # at speed 1.5 the reach at t = 0.15 is e^0.225 * 0.075 against a
+        # clearance of 0.05, and the origin does cross: 0.025 inside the disk
+        _, trace = _TranslatingWindow(1.0).indicator(None)
+        calls = _counting_traces(monkeypatch)
+        chi, retraced = _TranslatingWindow(1.5).indicator(trace)
+        assert retraced is not trace and len(calls) == 4
+        assert [node.tolist() for node in chi] == [[0, 1, 0], [1, 1, 0], [1, 1, 0]]
+        assert retraced.inside.tolist() == [[0], [1], [1]]
+
+    def test_changed_moving_mask_forces_a_retrace(self, monkeypatch):
+        window = _TranslatingWindow(1.0)
+        _, trace = window.indicator(None)
+        calls = _counting_traces(monkeypatch)
+        distance = window.distance.copy()
+        distance[2] = 0.0
+        chi, retraced = window.indicator(trace, distance=distance)
+        assert retraced is not trace and len(calls) == 4
+        assert retraced.moving.tolist() == [True, False, True]
+        assert [node.tolist() for node in chi] == [[0, 1, 0], [0, 1, 0], [1, 1, 0]]
+
+    @settings(max_examples=20, deadline=None)
+    @given(
+        st.sampled_from([2, 3]),
+        st.sampled_from([0.01, 0.037]),
+        st.floats(0.05, 0.3),
+        st.integers(0, 2**32 - 1),
+    )
+    def test_backtraces_obey_the_stability_bound(self, dimension, h, span, seed):
+        # |X_u - X_v| <= tau eps e^{tau L} holds for the RK4 trace itself
+        basis = cb.make_basis(dimension, 2)
+        rng = np.random.default_rng(seed)
+        times = np.linspace(0.0, 0.3, 4)
+        u = rng.standard_normal((4, len(basis))) * rng.uniform(0.0, 0.5)
+        v = u + rng.standard_normal((4, len(basis))) * rng.uniform(0.0, 0.05)
+        points = rng.uniform(0.0, 2 * np.pi, (16, dimension))
+        x_u = integrate_positions(points, SpectralTrajectory(basis, times, u), span, 0.0, h)
+        x_v = integrate_positions(points, SpectralTrajectory(basis, times, v), span, 0.0, h)
+        eps = cg._row_bound(v - u, basis.normalizations)
+        weights = cg._gradient_weights(basis)
+        lipschitz = max(cg._row_bound(u, weights), cg._row_bound(v, weights))
+        bound = span * eps * np.exp(span * lipschitz)
+        assert np.max(np.linalg.norm(x_u - x_v, axis=1)) <= bound + 1e-12
 
 
 def _nan_first_sweep(monkeypatch):
@@ -570,6 +695,28 @@ class TestRun:
             False, 0, "NumericsError"
         )
         assert halved["accepted"] and halved["delta"] == failed["delta"] / 2
+
+    def test_two_phase_window_needs_the_phase(self, basis_2d):
+        anchor = make_state(basis_2d, params=cg.FluidParams(0.2, 0.1, 1.0, 0.0))
+        with pytest.raises(ValueError, match="phase region"):
+            cg.fixed_point_window(
+                anchor, 0.05, 4, 1e-8, 5, 1.0, order=8, h_flow=0.01, dt_b=0.0125
+            )
+
+    def test_window_records_its_indicator_traces(self, basis_2d):
+        # order 20 puts points in the band of the unit disk: the window
+        # traces them once and reuses that trace in its later sweeps, and a
+        # failed window reports its count as it reports its residuals
+        anchor = make_state(basis_2d, u_coeffs=np.full(len(basis_2d), 0.05),
+                            params=cg.FluidParams(0.2, 0.1, 1.0, 0.1))
+        args = dict(order=20, h_flow=0.01, dt_b=0.0125, phase=ci.disk(CENTER_2D, 1.0))
+        window = cg.fixed_point_window(anchor, 0.05, 4, 1e-8, 20, 1.0, **args)
+        assert window.iterations > 1
+        assert window.indicator_traces == 1
+        with pytest.raises(WindowFailureError) as err:
+            cg.fixed_point_window(anchor, 0.05, 4, 1e-8, 2, 1.0, **args)
+        assert err.value.indicator_traces == 1
+        assert len(err.value.residual_history) == 2
 
     def test_non_finite_iterate_is_a_numerics_failure(self, monkeypatch, basis_2d):
         _nan_first_sweep(monkeypatch)

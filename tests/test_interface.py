@@ -31,6 +31,40 @@ class TestInitialPhase:
         with pytest.raises(ValueError, match="margin"):
             ci.disk((1.05, np.pi), 1.0)
 
+    @settings(max_examples=30, deadline=None)
+    @given(st.sampled_from(["disk", "ellipse", "ball", "ellipsoid"]), st.integers(0, 2**32 - 1))
+    def test_boundary_distance_is_a_lower_bound(self, shape, seed):
+        # never above the distance to a dense sampling of the boundary, and
+        # exact for the disk and the ball
+        rng = np.random.default_rng(seed)
+        dimension = 2 if shape in ("disk", "ellipse") else 3
+        radii = rng.uniform(0.3, 1.5, 1 if shape in ("disk", "ball") else dimension)
+        radii = np.broadcast_to(radii, dimension)
+        center = np.pi + rng.uniform(-0.5, 0.5, dimension)
+        phase = ci.InitialPhase(shape, tuple(center), tuple(radii))
+        if dimension == 2:
+            angle = np.linspace(0.0, 2 * np.pi, 4096, endpoint=False)
+            unit = np.stack([np.cos(angle), np.sin(angle)], axis=1)
+        else:
+            # a Fibonacci sphere of 8192 points
+            i = np.arange(8192) + 0.5
+            polar = np.arccos(1.0 - 2.0 * i / 8192)
+            azimuth = np.pi * (1.0 + 5**0.5) * i
+            unit = np.stack([np.cos(azimuth) * np.sin(polar),
+                             np.sin(azimuth) * np.sin(polar), np.cos(polar)], axis=1)
+        boundary = center + radii * unit
+        points = np.concatenate([
+            center + rng.uniform(-2.0, 2.0, (24, dimension)),
+            boundary[rng.integers(0, len(boundary), 8)] + rng.normal(0.0, 1e-3, (8, dimension)),
+        ])
+        sampled = np.array([np.min(np.linalg.norm(boundary - p, axis=1)) for p in points])
+        bound = phase.boundary_distance(points)
+        assert np.all(bound >= 0.0)
+        assert np.all(bound <= sampled + 1e-12)
+        if shape in ("disk", "ball"):
+            exact = np.abs(np.linalg.norm(points - center, axis=1) - radii[0])
+            np.testing.assert_allclose(bound, exact, atol=1e-12)
+
     def test_contains(self):
         phase = ci.ellipse(CENTER_2D, (1.0, 0.5))
         assert phase.contains(np.array(CENTER_2D)) == 1

@@ -1,7 +1,7 @@
 """Synthesis and pairing micro-benchmarks, and alternating benchmark pairs.
 
-    python3 tools/bench_synthesis.py --out BENCH_9.json
-    python3 tools/bench_synthesis.py --out BENCH_9.json --baseline ../parent --pairs 10
+    python3 tools/bench_synthesis.py --out BENCH_10.json
+    python3 tools/bench_synthesis.py --out BENCH_10.json --baseline ../parent --pairs 10
 
 The first form times the table forms of ``tests/reference.py`` against the
 solver's forms on fixed random inputs.  Off the grid: the m x n trig-table
@@ -18,7 +18,10 @@ alternating which side runs first.  It records every invocation's end-to-end
 metrics (each the median over its operations), and for ``run_s`` the medians
 over invocations, the baseline's interquartile range and the number of pairs
 this checkout wins.  One ``--trace 1`` invocation per side and workload adds
-the traced totals of Picard sweeps, accepted windows and window attempts.
+the traced totals of Picard sweeps, accepted windows and window attempts,
+and of the window indicator: its history point-steps, the time of its
+history and in-window back-traces, and the origins tested against the
+initial region.
 Without it, pairs already in the output file are kept.
 """
 
@@ -127,8 +130,17 @@ def pairing_cases():
     return rows
 
 
-# Totals of one traced run, the same on every run of a workload.
-TRACED_COUNTS = ("galerkin.sweeps", "galerkin.windows", "galerkin.window_attempts")
+# Totals of one traced run: counts, the same on every run of a workload, and
+# the indicator's trace times.
+TRACED = (
+    "galerkin.sweeps",
+    "galerkin.windows",
+    "galerkin.window_attempts",
+    "flowmap.history_point_steps",
+    "flowmap.history_trace_s",
+    "flowmap.window_trace_s",
+    "interface.contains_points",
+)
 
 
 def bench_metrics(checkout, workload, seconds, trace=0):
@@ -157,7 +169,7 @@ def pairs(baseline, workloads, count, seconds):
         for side, checkout in (("baseline", baseline), ("change", ROOT)):
             # the shortest traced invocation: one plain and one traced operation
             layers = bench_metrics(checkout, workload, 1.0, trace=1)
-            for name in TRACED_COUNTS:
+            for name in TRACED:
                 row[f"{side}_{name}"] = layers[name]
         base, change = row["baseline_run_s"], row["change_run_s"]
         quartiles = statistics.quantiles(base, n=4, method="inclusive")
@@ -202,7 +214,9 @@ def main(argv=None):
         print(f"{workload}: run_s {row['baseline_run_s_median']:.3f} -> "
               f"{row['change_run_s_median']:.3f} s, "
               f"wins {row['change_wins']}/{len(row['change_run_s'])}, sweeps "
-              f"{row.get('baseline_galerkin.sweeps')} -> {row.get('change_galerkin.sweeps')}")
+              f"{row.get('baseline_galerkin.sweeps')} -> {row.get('change_galerkin.sweeps')}, "
+              f"history point-steps {row.get('baseline_flowmap.history_point_steps')} -> "
+              f"{row.get('change_flowmap.history_point_steps')}")
     return 0
 
 
