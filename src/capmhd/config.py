@@ -15,7 +15,7 @@ import numpy as np
 
 from .basis import default_quadrature_order, make_basis, project_L2, SpectralField
 from .errors import ConfigError
-from .galerkin import DELTA_MIN_DEFAULT, FluidParams
+from .galerkin import FluidParams
 from .interface import InitialPhase, mesh_initial
 
 _FIELD_TYPES = ("zero", "taylor_green", "single_mode", "coefficients")
@@ -124,15 +124,11 @@ def _location(f):
 def _coerce(f, key, value):
     """``value`` as the type of field ``f``, rejecting what the cast would change.
 
-    float() passes NaN and infinities, int() truncates 2.7, and bool() makes
-    the string "false" true; none of these may reach the solver.
+    float() passes NaN and infinities and int() truncates 2.7; neither may
+    reach the solver.
     """
     if value is None and f.default is None:
         return None
-    if f.type is bool:
-        if not isinstance(value, bool):
-            raise ConfigError(f"{key} must be true or false, got {value!r}")
-        return value
     if f.type in (int, float) and isinstance(value, bool):
         raise ConfigError(f"{key} must be a number, got {value!r}")
     if f.type is int and isinstance(value, float) and not value.is_integer():
@@ -170,8 +166,7 @@ class RunConfig:
     h_flow: float = _solver(0.01)
     dt_b: float = _solver(None)
     mesh_resolution: int = _solver(None)
-    resample_2d: bool = _solver(False)
-    delta_min: float = _solver(DELTA_MIN_DEFAULT)
+    delta_min: float = _solver(1e-6)
     max_iter: int = _solver(40)
     output_dir: str = field(default="out", metadata={"section": "output", "key": "directory"})
     cadence: float = field(default=None, metadata={"section": "output"})
@@ -286,6 +281,9 @@ class RunConfig:
             raise ConfigError(f"missing config fields: {', '.join(missing)}")
         values = {}
         try:
+            # summaries written while the 2D resampling option existed carry it as false
+            if dict(data.get("solver", {})).get("resample_2d", False) is not False:
+                raise ConfigError("resample_2d must be false: the interface is never resampled")
             for f in fields(cls):
                 section, key = _location(f)
                 source = dict(data.get(section, {})) if section else data

@@ -147,16 +147,6 @@ class EnergyReport:
     E0: float
     failed_times: tuple = ()
 
-    def as_dict(self):
-        return {
-            "pass": self.passed,
-            "worst_margin": self.worst_margin,
-            "worst_time": self.worst_time,
-            "tau_E": self.tau_E,
-            "E0": self.E0,
-            "failed_times": list(self.failed_times),
-        }
-
 
 def default_tolerance(dt, order, E0):
     """First-order discretization allowance: 10 * (dt + 1/order) * E0."""

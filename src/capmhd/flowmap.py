@@ -135,15 +135,6 @@ def _integrate(positions, sampler, t0, t1, h):
     return x
 
 
-def advance_positions(positions, sampler, t0, t1, h):
-    """Transport raw positions from t0 to t1 >= t0."""
-    if h <= 0.0:
-        raise ValueError(f"step size must be positive, got {h}")
-    if t1 < t0:
-        raise ValueError(f"target time {t1} precedes start time {t0}")
-    return _integrate(positions, sampler, t0, t1, h)
-
-
 def integrate_positions(positions, sampler, t0, t1, h):
     """Transport raw positions between arbitrary times (either direction)."""
     if h <= 0.0:

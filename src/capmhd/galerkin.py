@@ -11,8 +11,8 @@ from the forward-Euler predictor u_anchor + (t - t_m) N(anchor) and
 recomputing the magnetic field and the interface transport from the current
 velocity iterate every sweep; the accepted trajectory carries the certificate
 ||u - K(u)||_sup < tol.  Windows chain until the final time, halving the
-window (and periodically the damping) on failure, mirroring the shrinking
-local existence interval of the underlying construction.
+window on failure, mirroring the shrinking local existence interval of the
+underlying construction.
 
 The phase indicator chi(u) depends on the iterate only through the flow map,
 and the flow-map stability estimate |X_u - X_v| <= tau ||u - v|| e^{tau L}
@@ -55,7 +55,6 @@ from .interface import (
     enclosed_volume,
     perimeter,
     point_in_mesh,
-    resample_polygon,
 )
 
 # Frozen headroom constant for the forcing bound
@@ -64,8 +63,6 @@ from .interface import (
 # ratio 0.023, frozen with 2x headroom); the window-size policy and the
 # bound audit both use it.
 N_BOUND_COEFF = 0.05
-
-DELTA_MIN_DEFAULT = 1e-6
 
 # Half-width of the band around the window-start mesh inside which the window
 # indicator back-traces points through the history.  Outside it the mesh's
@@ -528,13 +525,12 @@ def run(config):
     windows = []
     samples = []
     attempts = []
-    omega = config.omega
     failures = 0
     t = 0.0
 
     while t < config.T - 1e-12:
         delta_use = min(delta, config.T - t)
-        attempt = {"t": t, "delta": delta_use, "omega": omega}
+        attempt = {"t": t, "delta": delta_use, "omega": config.omega}
         attempts.append(attempt)
         try:
             window = fixed_point_window(
@@ -543,7 +539,7 @@ def run(config):
                 config.n_sub,
                 config.tol,
                 config.max_iter,
-                omega,
+                config.omega,
                 order=order,
                 h_flow=config.h_flow,
                 dt_b=config.dt_b or delta_use / config.n_sub,
@@ -561,8 +557,6 @@ def run(config):
                 message=str(exc),
             )
             failures += 1
-            if failures % 2 == 0:
-                omega = omega / 2.0
             delta = delta / 2.0
             if delta < config.delta_min:
                 raise NonConvergenceError(
@@ -570,7 +564,7 @@ def run(config):
                     diagnostics={
                         "t": t,
                         "delta": delta,
-                        "omega": omega,
+                        "omega": config.omega,
                         "failures": failures,
                         "u_norm": state.u.norm(),
                         "B_norm": state.B.norm(),
@@ -604,14 +598,6 @@ def run(config):
         cumulative_n += increments.sum(axis=0)
         history = history.extended(window.t_grid, window.u_trajectory)
         state = states[-1]
-        if config.resample_2d and basis.dimension == 2:
-            state = GalerkinState(
-                state.t,
-                state.u,
-                state.B,
-                resample_polygon(state.mesh, len(state.mesh.vertices)),
-                params,
-            )
         t = float(window.t_grid[-1])
 
     return RunResult(

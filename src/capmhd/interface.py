@@ -13,10 +13,11 @@ differ by integration error and chord sagitta.
 
 Mesh vertices are never wrapped into the periodic cell: the region stays
 strictly inside by construction and wrapping would tear the connectivity.
-No remeshing happens by default; a degenerate element raises and aborts the
-run (signalling under-resolution) rather than silently perturbing the
-interface measure.  Uniform arc-length resampling (2D only) is available
-behind an explicit call for configurations that opt in.
+No remeshing happens: a degenerate element raises and aborts the run
+(signalling under-resolution) rather than silently perturbing the interface
+measure.  The flow map is a homeomorphism, so the connectivity is fixed by
+the initial mesh: ``mesh_initial`` checks it once and makes it read-only,
+and every advected mesh shares that array and checks only its geometry.
 """
 
 from dataclasses import dataclass
@@ -25,7 +26,7 @@ import numpy as np
 
 from .basis import TWO_PI
 from .errors import MeshInvariantError, MeshQualityError
-from .flowmap import advance_positions
+from .flowmap import integrate_positions
 
 _QUALITY_FLOOR = 1e-12
 
@@ -139,33 +140,48 @@ class InterfaceMesh:
         return self.vertices[self.elements]
 
     def validate(self):
-        """Check closedness, outward orientation and element quality."""
-        if not np.all(np.isfinite(self.vertices)):
-            raise MeshInvariantError("mesh vertices contain non-finite entries")
-        if self.dimension == 2:
-            counts = np.bincount(self.elements.ravel(), minlength=len(self.vertices))
-            if np.any(counts != 2):
-                raise MeshInvariantError("2D mesh is not a closed polygon (vertex degree != 2)")
-        else:
-            # every directed edge occurs once, and so does its reverse
-            start = self.elements.ravel()
-            end = np.roll(self.elements, -1, axis=1).ravel()
-            n = len(self.vertices)
-            edges = np.sort(start * n + end)
-            if np.any(np.diff(edges) == 0) or not np.array_equal(
-                edges, np.sort(end * n + start)
-            ):
-                raise MeshInvariantError("3D mesh is not closed with consistent orientation")
-        measures = element_measures(self)
-        if np.any(measures < _QUALITY_FLOOR):
-            bad = int(np.argmin(measures))
-            raise MeshQualityError(
-                f"degenerate element {bad} (measure {measures[bad]:.3e})",
-                element_id=bad,
-            )
-        if _signed_volume(self) <= 0.0:
-            raise MeshInvariantError("mesh orientation is not consistently outward")
-        return self
+        """Check closedness, then finite vertices, element quality and orientation."""
+        _check_closed(self)
+        return _check_geometry(self)
+
+
+def _check_closed(mesh):
+    """The one closedness test, with consistent direction.
+
+    2D: every vertex starts one segment and ends one.  3D: every directed
+    edge occurs once, and so does its reverse.
+    """
+    if mesh.dimension == 2:
+        n = len(mesh.vertices)
+        starts = np.bincount(mesh.elements[:, 0], minlength=n)
+        ends = np.bincount(mesh.elements[:, 1], minlength=n)
+        if np.any(starts != 1) or np.any(ends != 1):
+            raise MeshInvariantError("2D mesh is not a closed polygon with one direction")
+    else:
+        start = mesh.elements.ravel()
+        end = np.roll(mesh.elements, -1, axis=1).ravel()
+        n = len(mesh.vertices)
+        edges = np.sort(start * n + end)
+        if np.any(np.diff(edges) == 0) or not np.array_equal(
+            edges, np.sort(end * n + start)
+        ):
+            raise MeshInvariantError("3D mesh is not closed with consistent orientation")
+
+
+def _check_geometry(mesh):
+    """Finite vertices, the element quality floor and outward orientation."""
+    if not np.all(np.isfinite(mesh.vertices)):
+        raise MeshInvariantError("mesh vertices contain non-finite entries")
+    measures = element_measures(mesh)
+    if np.any(measures < _QUALITY_FLOOR):
+        bad = int(np.argmin(measures))
+        raise MeshQualityError(
+            f"degenerate element {bad} (measure {measures[bad]:.3e})",
+            element_id=bad,
+        )
+    if _signed_volume(mesh) <= 0.0:
+        raise MeshInvariantError("mesh orientation is not consistently outward")
+    return mesh
 
 
 def _blocks(n):
@@ -180,8 +196,8 @@ def check_simple(mesh):
     on opposite sides.  Two edges that share a vertex see it at an exactly
     zero side, since the coordinate differences that reach it are exact, so
     neighbours and collinear edges do not trip the test.  It costs O(n^2),
-    so it is not part of ``validate``, which every ``advect`` runs; 3D meshes
-    are not checked.
+    so it is not part of the geometry check that every ``advect`` runs; 3D
+    meshes are not checked.
     """
     if mesh.dimension != 2:
         return mesh
@@ -303,7 +319,8 @@ def mesh_initial(phase, resolution):
 
     2D: a counter-clockwise polygon with ``resolution`` >= 8 vertices.
     3D: an icosphere at subdivision level ``resolution`` >= 1, scaled by the
-    semi-axes.  Vertices lie on the analytic boundary exactly.
+    semi-axes.  Vertices lie on the analytic boundary exactly.  The elements
+    array is read-only, since every advected mesh shares it.
     """
     d = phase.dimension
     center = np.asarray(phase.center)
@@ -322,15 +339,21 @@ def mesh_initial(phase, resolution):
             raise ValueError(f"icosphere subdivision level must be >= 1, got {resolution}")
         unit, elements = _icosphere(resolution)
         vertices = center + unit * radii
-    mesh = InterfaceMesh(vertices, elements, t=0.0)
-    return mesh.validate()
+    mesh = InterfaceMesh(vertices, elements, t=0.0).validate()
+    mesh.elements.setflags(write=False)
+    return mesh
 
 
 def advect(mesh, sampler, t1, h):
-    """Transport mesh vertices to time t1; connectivity is unchanged."""
-    vertices = advance_positions(mesh.vertices, sampler, mesh.t, t1, h)
-    out = InterfaceMesh(vertices, mesh.elements.copy(), t=t1)
-    return out.validate()
+    """Transport mesh vertices to time t1 >= mesh.t.
+
+    The result shares ``mesh.elements``: the flow map leaves the
+    connectivity as it was made, so only the geometry is checked.
+    """
+    if t1 < mesh.t:
+        raise ValueError(f"target time {t1} precedes start time {mesh.t}")
+    vertices = integrate_positions(mesh.vertices, sampler, mesh.t, t1, h)
+    return _check_geometry(InterfaceMesh(vertices, mesh.elements, t=t1))
 
 
 def perimeter(mesh):
@@ -362,16 +385,7 @@ def normals(mesh):
 
 def enclosed_volume(mesh):
     """Volume enclosed by the mesh via the divergence theorem."""
-    if mesh.dimension == 2:
-        counts = np.bincount(mesh.elements.ravel(), minlength=len(mesh.vertices))
-        if np.any(counts != 2):
-            raise MeshInvariantError("enclosed volume requires a closed polygon")
-    else:
-        boundary = np.bincount(
-            mesh.elements.ravel(), minlength=len(mesh.vertices)
-        )
-        if np.any(boundary[np.unique(mesh.elements)] < 3):
-            raise MeshInvariantError("enclosed volume requires a closed surface")
+    _check_closed(mesh)
     volume = _signed_volume(mesh)
     if volume <= 0.0:
         raise MeshInvariantError("mesh orientation is not consistently outward")
@@ -445,24 +459,6 @@ def point_in_mesh(mesh, points):
                 hit &= np.where(side == 0.0, tie[:, k], np.sign(side)) == ahead
             inside[rows] = np.sum(hit, axis=1) % 2
     return int(inside[0]) if single else inside
-
-
-def resample_polygon(mesh, n_vertices):
-    """Uniform arc-length resampling of a 2D polygon (opt-in, off by default)."""
-    if mesh.dimension != 2:
-        raise ValueError("resampling is only available for 2D polygons")
-    order = _polygon_order(mesh)
-    loop = mesh.vertices[order]
-    closed = np.vstack([loop, loop[:1]])
-    seg = np.linalg.norm(np.diff(closed, axis=0), axis=1)
-    arc = np.concatenate([[0.0], np.cumsum(seg)])
-    targets = np.arange(n_vertices) * (arc[-1] / n_vertices)
-    new_vertices = np.empty((n_vertices, 2))
-    for axis in range(2):
-        new_vertices[:, axis] = np.interp(targets, arc, closed[:, axis])
-    idx = np.arange(n_vertices)
-    elements = np.stack([idx, (idx + 1) % n_vertices], axis=-1)
-    return InterfaceMesh(new_vertices, elements, t=mesh.t).validate()
 
 
 def _polygon_order(mesh):

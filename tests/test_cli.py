@@ -82,8 +82,8 @@ class TestConfigValidation:
     def test_resolved_round_trip_every_field_set(self):
         solver = {
             "delta": 0.05, "n_sub": 3, "tol": 1e-9, "omega": 0.5, "quadrature_order": 6,
-            "h_flow": 0.02, "dt_b": 0.01, "mesh_resolution": 32, "resample_2d": True,
-            "delta_min": 1e-4, "max_iter": 12,
+            "h_flow": 0.02, "dt_b": 0.01, "mesh_resolution": 32, "delta_min": 1e-4,
+            "max_iter": 12,
         }
         output = {"directory": "elsewhere", "cadence": 0.02}
         config = RunConfig.from_dict(small_config_dict(solver=solver, output=output))
@@ -94,6 +94,11 @@ class TestConfigValidation:
         assert resolved["solver"] == solver
         assert resolved["output"] == output
         assert RunConfig.from_dict(resolved) == config
+
+    def test_resample_2d_false_from_an_older_summary_loads(self):
+        data = small_config_dict()
+        data["solver"]["resample_2d"] = False
+        assert RunConfig.from_dict(data) == RunConfig.from_dict(small_config_dict())
 
     def test_summary_wrapper_accepted(self, tmp_path):
         path = write_config(tmp_path, {"config": small_config_dict()})
@@ -126,6 +131,7 @@ class TestCmdRun:
             (None, "kmax", 2.7),
             ("solver", "max_iter", True),
             ("solver", "resample_2d", "false"),
+            ("solver", "resample_2d", True),
         ],
     )
     def test_bad_value_exits_2(self, tmp_path, capsys, section, key, value):

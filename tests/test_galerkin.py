@@ -663,6 +663,15 @@ class TestRun:
         for prev, nxt in zip(result.windows, result.windows[1:]):
             np.testing.assert_array_equal(prev.u_trajectory[-1], nxt.u_trajectory[0])
 
+    def test_accepted_meshes_share_the_initial_connectivity(self):
+        result = cg.run(reference_config(T=0.2))
+        elements = result.states[0].mesh.elements
+        meshes = [st.mesh for window in result.windows for st in window.states]
+        assert len(meshes) > 1
+        assert all(mesh.elements is elements for mesh in meshes)
+        with pytest.raises(ValueError, match="read-only"):
+            elements[0, 0] = 1
+
     def test_window_failure_triggers_halving_then_success(self):
         # a sweep budget of 3 fails at the policy window, halves, and succeeds
         # (from the Euler predictor the policy window converges in 4 sweeps)
@@ -671,6 +680,11 @@ class TestRun:
         result = cg.run(config)
         assert result.window_failures >= 1
         assert result.final_state.t == pytest.approx(0.2)
+        # only delta halves: the damping stays at omega and the halved
+        # windows converge within the budget
+        assert result.window_failures == 2
+        assert len(result.windows) == 8
+        assert {a["omega"] for a in result.attempts} == {config.omega}
 
     def test_non_finite_forcing_halves_the_window(self, monkeypatch):
         # the capillary term of the first apply_N call, the first window's

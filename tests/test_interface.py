@@ -94,6 +94,14 @@ class TestMeshInitial:
             ci.mesh_initial(ci.ball(CENTER_3D, 1.0), 0)
 
 
+def _rows_moved_by(shift):
+    """A sampler whose velocity at row i is shift[i] wherever the row is.
+
+    One RK4 step of length 1 moves each row by shift, up to rounding.
+    """
+    return ref.AnalyticField(lambda t, p: shift)
+
+
 class TestAdvect:
     def test_zero_velocity_identity(self, circle_mesh):
         zero = taylor_green_2d(amplitude=0.0)
@@ -148,6 +156,40 @@ class TestAdvect:
             current = ci.advect(current, tg, t1, 0.01)
         bound = np.exp(lip_integral) * ci.perimeter(mesh)
         assert ci.perimeter(current) <= bound
+
+    def test_shares_the_read_only_connectivity(self, circle_mesh, sphere_mesh):
+        zero = ref.AnalyticField(lambda t, p: np.zeros_like(p))
+        for mesh in (circle_mesh, sphere_mesh):
+            out = ci.advect(mesh, zero, 0.1, 0.01)
+            assert out.elements is mesh.elements
+            with pytest.raises(ValueError, match="read-only"):
+                out.elements[0, 0] = 1
+
+    def test_rejects_non_finite_vertices(self):
+        # every RK4 stage is finite, their weighted sum overflows
+        mesh = ci.mesh_initial(ci.disk(CENTER_2D, 1.0), 16)
+        shift = np.zeros_like(mesh.vertices)
+        shift[0] = 1e308
+        with np.errstate(over="ignore"), pytest.raises(MeshInvariantError, match="non-finite"):
+            ci.advect(mesh, _rows_moved_by(shift), 1.0, 1.0)
+
+    def test_rejects_a_collapsed_element(self):
+        mesh = ci.mesh_initial(ci.disk(CENTER_2D, 1.0), 16)
+        shift = np.zeros_like(mesh.vertices)
+        shift[1] = mesh.vertices[0] - mesh.vertices[1]
+        with pytest.raises(MeshQualityError) as err:
+            ci.advect(mesh, _rows_moved_by(shift), 1.0, 1.0)
+        assert err.value.element_id == 0
+
+    def test_rejects_a_flipped_orientation(self, circle_mesh):
+        mirrored = circle_mesh.vertices * [-1.0, 1.0] + [2 * CENTER_2D[0], 0.0]
+        with pytest.raises(MeshInvariantError, match="orientation"):
+            ci.advect(circle_mesh, _rows_moved_by(mirrored - circle_mesh.vertices), 1.0, 1.0)
+
+    def test_rejects_backward_target(self, circle_mesh):
+        later = ci.advect(circle_mesh, rigid_rotation(), 0.5, 0.1)
+        with pytest.raises(ValueError, match="precede"):
+            ci.advect(later, rigid_rotation(), 0.25, 0.1)
 
 
 class TestIndicator:
@@ -320,9 +362,22 @@ class TestClosedness:
             if _closed_by_edge_count(faces):
                 assert name == "closed"
                 mesh.validate()
+                assert ci.enclosed_volume(mesh) > 0.0
             else:
                 with pytest.raises(MeshInvariantError, match="closed"):
                     mesh.validate()
+                with pytest.raises(MeshInvariantError, match="closed"):
+                    ci.enclosed_volume(mesh)
+
+    def test_2d_reversed_segment_rejected(self, circle_mesh):
+        # every vertex keeps degree 2, but one segment runs against the others
+        elements = circle_mesh.elements.copy()
+        elements[5] = elements[5, ::-1]
+        mesh = ci.InterfaceMesh(circle_mesh.vertices, elements, t=0.0)
+        with pytest.raises(MeshInvariantError, match="closed"):
+            mesh.validate()
+        with pytest.raises(MeshInvariantError, match="closed"):
+            ci.enclosed_volume(mesh)
 
 
 class TestPerimeter:
@@ -457,19 +512,6 @@ class TestEnclosedVolume:
         open_mesh = ci.InterfaceMesh(circle_mesh.vertices, circle_mesh.elements[:-1], t=0.0)
         with pytest.raises(MeshInvariantError, match="closed"):
             ci.enclosed_volume(open_mesh)
-
-
-class TestResample:
-    def test_uniform_resampling_preserves_geometry(self):
-        mesh = ci.mesh_initial(ci.ellipse(CENTER_2D, (1.0, 0.5)), 200)
-        out = ci.resample_polygon(mesh, 400)
-        assert len(out.vertices) == 400
-        assert ci.perimeter(out) == pytest.approx(ci.perimeter(mesh), rel=1e-3)
-        assert ci.enclosed_volume(out) == pytest.approx(ci.enclosed_volume(mesh), rel=1e-3)
-
-    def test_rejected_in_3d(self, sphere_mesh):
-        with pytest.raises(ValueError, match="2D"):
-            ci.resample_polygon(sphere_mesh, 100)
 
 
 class TestMeshIO:
