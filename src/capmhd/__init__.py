@@ -16,7 +16,7 @@ from .basis import (
 )
 from .config import RunConfig
 from .energy import EnergyLedger, check_inequality, initial_energy
-from .flowmap import SpectralTrajectory, jacobian
+from .flowmap import SpectralTrajectory
 from .galerkin import FluidParams, GalerkinState, apply_N, fixed_point_window, run
 from .interface import (
     InitialPhase,
@@ -43,7 +43,6 @@ __all__ = [
     "check_inequality",
     "initial_energy",
     "SpectralTrajectory",
-    "jacobian",
     "FluidParams",
     "GalerkinState",
     "apply_N",

@@ -487,7 +487,8 @@ def strain_pairing(du_values, nu_values, quad):
     """Vector of integrals 2 nu Du : D(eta_j) dx over all modes j.
 
     ``du_values`` are symmetric strain-rate samples (m, d, d) at the nodes of
-    ``quad``; since Du is symmetric, Du : D(eta_j) = Du : grad(eta_j).
+    ``quad`` and ``nu_values`` the viscosity there, (m,) or one constant;
+    since Du is symmetric, Du : D(eta_j) = Du : grad(eta_j).
     """
     nu_values = np.asarray(nu_values, dtype=np.float64)
-    return gradient_pairing(2.0 * nu_values[:, None, None] * du_values, quad)
+    return gradient_pairing(2.0 * nu_values[..., None, None] * du_values, quad)

@@ -112,6 +112,14 @@ def _is_zero_field(spec):
     return False
 
 
+# Solver keys of older configs and summaries, each with the only value it may
+# still take and the reason no other value is honoured.
+_RETIRED_SOLVER_KEYS = {
+    "omega": (1.0, "each Picard sweep takes K(u) undamped"),
+    "resample_2d": (False, "the interface is never resampled"),
+}
+
+
 def _solver(default):
     return field(default=default, metadata={"section": "solver"})
 
@@ -161,7 +169,6 @@ class RunConfig:
     delta: float = _solver(0.1)
     n_sub: int = _solver(8)
     tol: float = _solver(1e-8)
-    omega: float = _solver(1.0)
     quadrature_order: int = _solver(None)
     h_flow: float = _solver(0.01)
     dt_b: float = _solver(None)
@@ -203,8 +210,6 @@ class RunConfig:
             raise ConfigError("n_sub must be at least 2")
         if self.tol <= 0.0:
             raise ConfigError("tol must be positive")
-        if not 0.0 < self.omega <= 1.0:
-            raise ConfigError("omega must lie in (0, 1]")
         if self.h_flow <= 0.0:
             raise ConfigError("h_flow must be positive")
         if self.quadrature_order is None:
@@ -273,23 +278,43 @@ class RunConfig:
 
     @classmethod
     def from_dict(cls, data):
+        """Validated config from a bare config or a summary's "config" object.
+
+        A key that no field reads is rejected, except a retired solver key
+        at its only value.
+        """
         if "config" in data and isinstance(data["config"], dict):
             data = data["config"]  # summary files embed the resolved config
-        required = [_location(f)[1] for f in fields(cls) if f.default is MISSING]
-        missing = [key for key in required if key not in data]
+        layout = [(f, *_location(f)) for f in fields(cls)]
+        missing = [key for f, _, key in layout if f.default is MISSING and key not in data]
         if missing:
             raise ConfigError(f"missing config fields: {', '.join(missing)}")
-        values = {}
         try:
-            # summaries written while the 2D resampling option existed carry it as false
-            if dict(data.get("solver", {})).get("resample_2d", False) is not False:
-                raise ConfigError("resample_2d must be false: the interface is never resampled")
-            for f in fields(cls):
-                section, key = _location(f)
-                source = dict(data.get(section, {})) if section else data
-                if key in source:
-                    values[f.name] = _coerce(f, key, source[key])
-            return cls(**values)
+            # copies of the sections, so the retired keys can be taken out
+            sources = {
+                section: dict(data.get(section, {})) if section else data
+                for _, section, _ in layout
+            }
+            for key, (allowed, reason) in _RETIRED_SOLVER_KEYS.items():
+                value = sources["solver"].pop(key, allowed)
+                if isinstance(value, bool) != isinstance(allowed, bool) or value != allowed:
+                    raise ConfigError(f"{key} must be {json.dumps(allowed)}: {reason}")
+            known = {section: {k for _, s, k in layout if s == section} for section in sources}
+            known[None] |= set(sources) - {None}
+            unknown = [
+                f"{key} must be one of the {section or 'top-level'} keys: "
+                + ", ".join(sorted(known[section]))
+                for section, source in sources.items()
+                for key in source
+                if key not in known[section]
+            ]
+            if unknown:
+                raise ConfigError("; ".join(unknown))
+            return cls(**{
+                f.name: _coerce(f, key, sources[section][key])
+                for f, section, key in layout
+                if key in sources[section]
+            })
         except (KeyError, TypeError, ValueError) as exc:
             if isinstance(exc, ConfigError):
                 raise

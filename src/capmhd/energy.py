@@ -96,18 +96,14 @@ def viscous_dissipation_rate(state, order, chi_values=None):
     """Instantaneous 2 * integral nu(chi) |Du|^2 by the solver's quadrature.
 
     ``chi_values`` are indicator samples at the quadrature points of the
-    given order; they may be omitted when the two viscosities coincide.
+    given order; they may be omitted only when the two viscosities are equal
+    (``FluidParams.viscosity``).
     """
-    params = state.params
     quad = state.u.basis.quadrature(order)
     grads = quad.field_gradients(state.u.coefficients)
     du = 0.5 * (grads + np.swapaxes(grads, 1, 2))
     densities = np.einsum("mij,mij->m", du, du)
-    if chi_values is None:
-        if params.two_phase:
-            raise ValueError("chi_values required when the viscosities differ")
-        chi_values = np.zeros(len(quad.points))
-    nu = params.viscosity(chi_values)
+    nu = state.params.viscosity(chi_values)
     return 2.0 * quad.weight * float(np.sum(nu * densities))
 
 

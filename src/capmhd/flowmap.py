@@ -1,14 +1,11 @@
 """Characteristic transport: the flow map of a divergence-free velocity field.
 
 Solves dX/dt = u(t, X) forward and backward with classical fixed-step RK4
-(last step shortened to land exactly on the target time), and integrates the
-variational equation d(grad X)/dt = grad u . grad X alongside the trajectory
-for Jacobian tracking.  Fixed stepping keeps trajectories reproducible
-bit-for-bit for a given configuration; positions are never wrapped into the
-periodic cell, so the variational equation sees no jumps.
+(last step shortened to land exactly on the target time).  Fixed stepping
+keeps trajectories reproducible bit-for-bit for a given configuration;
+positions are never wrapped into the periodic cell.
 
-A velocity sampler is any object with ``velocity(t, points) -> (m, d)`` and,
-where Jacobians are needed, ``gradient(t, points) -> (m, d, d)``.
+A velocity sampler is any object with ``velocity(t, points) -> (m, d)``.
 """
 
 import numpy as np
@@ -141,35 +138,3 @@ def integrate_positions(positions, sampler, t0, t1, h):
         raise ValueError(f"step size must be positive, got {h}")
     return _integrate(positions, sampler, t0, t1, h)
 
-
-def jacobian(x0, sampler, t, h):
-    """Flow-map Jacobian grad X_t(x0), integrating the variational equation.
-
-    The matrix starts from the identity at time 0 and satisfies
-    d(grad X)/dt = grad u(t, X) . grad X along the trajectory; for
-    divergence-free u its determinant stays 1.
-    """
-    if h <= 0.0:
-        raise ValueError(f"step size must be positive, got {h}")
-    x0 = np.asarray(x0, dtype=np.float64)
-    single = x0.ndim == 1
-    x = np.atleast_2d(x0).copy()
-    m, d = x.shape
-    jac = np.broadcast_to(np.eye(d), (m, d, d)).copy()
-
-    def rhs(t, x, jac):
-        vel = sampler.velocity(t, x)
-        _check_finite(vel, t, x)
-        grad = sampler.gradient(t, x)
-        return vel, grad @ jac
-
-    s = 0.0
-    for dt in _step_sizes(0.0, t, h):
-        kx1, kj1 = rhs(s, x, jac)
-        kx2, kj2 = rhs(s + dt / 2, x + (dt / 2) * kx1, jac + (dt / 2) * kj1)
-        kx3, kj3 = rhs(s + dt / 2, x + (dt / 2) * kx2, jac + (dt / 2) * kj2)
-        kx4, kj4 = rhs(s + dt, x + dt * kx3, jac + dt * kj3)
-        x = x + (dt / 6) * (kx1 + 2 * kx2 + 2 * kx3 + kx4)
-        jac = jac + (dt / 6) * (kj1 + 2 * kj2 + 2 * kj3 + kj4)
-        s += dt
-    return jac[0] if single else jac

@@ -6,8 +6,8 @@ The velocity coefficients satisfy the integral equation
 
 where N collects inertia, Lorentz force, two-phase viscosity and the
 capillary (weak mean-curvature) forcing.  On each time window the right-hand
-side is frozen into the map K and solved by damped Picard iteration, started
-from the forward-Euler predictor u_anchor + (t - t_m) N(anchor) and
+side is frozen into the map K and solved by Picard iteration u <- K(u),
+started from the forward-Euler predictor u_anchor + (t - t_m) N(anchor) and
 recomputing the magnetic field and the interface transport from the current
 velocity iterate every sweep; the accepted trajectory carries the certificate
 ||u - K(u)||_sup < tol.  Windows chain until the final time, halving the
@@ -100,6 +100,15 @@ class FluidParams:
         return self.nu_plus != self.nu_minus
 
     def viscosity(self, chi):
+        """Samples of nu(chi) = nu_minus + (nu_plus - nu_minus) chi.
+
+        ``chi`` holds indicator samples.  It may be None only when the two
+        viscosities are equal, and nu is then that one constant.
+        """
+        if chi is None:
+            if self.two_phase:
+                raise ValueError("chi_values required when the viscosities differ")
+            return self.nu_plus
         return self.nu_minus + (self.nu_plus - self.nu_minus) * np.asarray(
             chi, dtype=np.float64
         )
@@ -157,8 +166,8 @@ def apply_N(state, order, chi_values=None):
     indicator samples at the quadrature nodes of the given order, as the
     window driver supplies them (decided by the window-start mesh, except at
     the points the window's flow can carry into its band, which are
-    back-traced to t = 0); when they are omitted and the viscosities differ,
-    the point-in-mesh test against ``state.mesh`` decides every node.
+    back-traced to t = 0); they may be omitted only when the two viscosities
+    are equal (``FluidParams.viscosity``).
     """
     basis = state.u.basis
     quad = basis.quadrature(order)
@@ -168,13 +177,7 @@ def apply_N(state, order, chi_values=None):
     result -= convection_pairing(b_values, b_values, quad)
     grads = quad.field_gradients(state.u.coefficients)
     du = 0.5 * (grads + np.swapaxes(grads, 1, 2))
-    if state.params.two_phase:
-        if chi_values is None:
-            chi_values = point_in_mesh(state.mesh, quad.points)
-        nu = state.params.viscosity(chi_values)
-    else:
-        nu = np.full(len(quad.points), state.params.nu_plus)
-    result -= strain_pairing(du, nu, quad)
+    result -= strain_pairing(du, state.params.viscosity(chi_values), quad)
     if state.params.kappa > 0.0:
         result += state.params.kappa * curvature_pairing_modes(state.mesh, basis)
     if not np.all(np.isfinite(result)):
@@ -320,7 +323,6 @@ def fixed_point_window(
     n_sub,
     tol,
     max_iter,
-    omega,
     *,
     order,
     h_flow,
@@ -328,7 +330,7 @@ def fixed_point_window(
     history=None,
     phase=None,
 ):
-    """Damped Picard solve of u = K(u) on [anchor.t, anchor.t + delta].
+    """Picard solve of u = K(u) on [anchor.t, anchor.t + delta].
 
     The first sweep starts from the forward-Euler predictor of the anchor
     (``euler_predictor``), whose indicator is the window-start mesh's.  Every
@@ -341,7 +343,8 @@ def fixed_point_window(
     last trace, and a later sweep reuses its flags while the flow-map
     stability bound certifies that this sweep's trace would give the same
     ones (``_TracedIndicator.certifies``); the trace never outlives the call.
-    A non-finite iterate, a broken dependent or forcing (the predictor's
+    Each sweep replaces the iterate by K(u), whose row 0 is the anchor bit for
+    bit.  A non-finite iterate, a broken dependent or forcing (the predictor's
     included), or an accepted end mesh that crosses itself raises
     WindowFailureError, and so does reaching ``max_iter`` sweeps; otherwise
     the accepted window (residual below ``tol``) is returned.  Both carry
@@ -349,8 +352,6 @@ def fixed_point_window(
     """
     if tol <= 0.0:
         raise ValueError("tol must be positive")
-    if not 0.0 < omega <= 1.0:
-        raise ValueError("relaxation omega must lie in (0, 1]")
     if delta <= 0.0:
         raise ValueError("window size delta must be positive")
     if n_sub < 2:
@@ -389,11 +390,11 @@ def fixed_point_window(
             resistive = np.zeros(n_sub)
             for i in range(n_sub):
                 meshes.append(advect(meshes[-1], sampler, t_grid[i + 1], h_flow))
-                b_step = solve_B(
+                b_end, increments = solve_B(
                     sampler, b_fields[-1], t_grid[i], t_grid[i + 1], dt_b, params.sigma, order
                 )
-                b_fields.append(b_step.final)
-                resistive[i] = float(np.sum(b_step.resistive_increments))
+                b_fields.append(b_end)
+                resistive[i] = float(np.sum(increments))
             if need_chi:
                 chi_cache, new_trace = _window_indicator(
                     points, t_grid, sampler, history, phase, h_flow, distance, mesh_chi,
@@ -438,8 +439,7 @@ def fixed_point_window(
                 chi_cache=list(chi_cache) if chi_cache is not None else [None] * (n_sub + 1),
                 indicator_traces=indicator_traces,
             )
-        # row 0 is the anchor and stays it bit for bit
-        u_coeffs[1:] = (1.0 - omega) * u_coeffs[1:] + omega * k_coeffs[1:]
+        u_coeffs = k_coeffs
     raise WindowFailureError(
         f"window at t={anchor.t:.6g} (delta={delta:.3g}) did not converge in "
         f"{max_iter} sweeps (last residual {residual_history[-1]:.3e})",
@@ -500,7 +500,7 @@ def run(config):
     The anchor of each window is the previous endpoint; the ledger records
     every sub-step with dissipation increments computed by the solver's own
     quadrature.  Every window attempt, failed or accepted, leaves a record
-    (t, delta, omega, sweeps, residual history, the number of sweeps whose
+    (t, delta, sweeps, residual history, the number of sweeps whose
     indicator was back-traced rather than reused, accepted, and the error's
     class and message) in ``RunResult.attempts``; a sweep counts once its
     residual is known.  Deterministic for a fixed configuration.
@@ -530,7 +530,7 @@ def run(config):
 
     while t < config.T - 1e-12:
         delta_use = min(delta, config.T - t)
-        attempt = {"t": t, "delta": delta_use, "omega": config.omega}
+        attempt = {"t": t, "delta": delta_use}
         attempts.append(attempt)
         try:
             window = fixed_point_window(
@@ -539,7 +539,6 @@ def run(config):
                 config.n_sub,
                 config.tol,
                 config.max_iter,
-                config.omega,
                 order=order,
                 h_flow=config.h_flow,
                 dt_b=config.dt_b or delta_use / config.n_sub,
@@ -564,7 +563,6 @@ def run(config):
                     diagnostics={
                         "t": t,
                         "delta": delta,
-                        "omega": config.omega,
                         "failures": failures,
                         "u_norm": state.u.norm(),
                         "B_norm": state.B.norm(),

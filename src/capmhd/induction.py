@@ -14,37 +14,10 @@ the magnetic transfer term against the velocity equation in the energy
 ledger.
 """
 
-from dataclasses import dataclass, field
-
 import numpy as np
 
 from .basis import gradient_pairing
 from .errors import NumericsError
-
-
-@dataclass
-class MagneticTrajectory:
-    """Snapshots of B along a time grid, plus resistive dissipation increments."""
-
-    times: np.ndarray
-    fields: list
-    sigma: float
-    resistive_increments: np.ndarray = field(default=None)
-
-    def __post_init__(self):
-        self.times = np.asarray(self.times, dtype=np.float64)
-        if self.sigma <= 0.0:
-            raise ValueError("sigma must be positive")
-        if self.times.size != len(self.fields):
-            raise ValueError("times and fields must have matching lengths")
-        if self.times.size > 1 and np.any(np.diff(self.times) <= 0.0):
-            raise ValueError("times must be strictly increasing")
-        if self.resistive_increments is None:
-            self.resistive_increments = np.zeros(max(0, self.times.size - 1))
-
-    @property
-    def final(self):
-        return self.fields[-1]
 
 
 def transport_pairing(u_values, b_values, quad):
@@ -88,25 +61,20 @@ def step_B(b_field, sampler, t, sigma, dt, order):
 def solve_B(sampler, b0, t0, t1, dt, sigma, order):
     """Chain IMEX steps from t0 to t1 (final step shortened to land on t1).
 
-    Records the resistive dissipation increment sigma * ||grad B||^2 * dt of
-    every step, evaluated at the implicit endpoint, for the energy ledger.
+    Returns B at t1 and the resistive dissipation increment
+    sigma * ||grad B||^2 * dt of every step, evaluated at the implicit
+    endpoint, for the energy ledger.
     """
     if t1 < t0:
         raise ValueError("t1 must not precede t0")
     span = t1 - t0
     n_steps = max(1, int(np.ceil(span / dt - 1e-12))) if span > 0.0 else 0
-    times = [t0]
-    fields = [b0]
-    increments = []
+    increments = np.empty(n_steps)
     current = b0
     t = t0
     for step in range(n_steps):
         dt_step = min(dt, t1 - t)
         current = step_B(current, sampler, t, sigma, dt_step, order)
         t = t0 + (step + 1) * dt if step + 1 < n_steps else t1
-        times.append(t)
-        fields.append(current)
-        increments.append(sigma * current.grad_norm_sq() * dt_step)
-    return MagneticTrajectory(
-        np.asarray(times), fields, sigma, np.asarray(increments, dtype=np.float64)
-    )
+        increments[step] = sigma * current.grad_norm_sq() * dt_step
+    return current, increments

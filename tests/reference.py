@@ -5,13 +5,15 @@ the solver does in a faster or narrower way: velocity samplers from one
 field or from callables, the single-shot back-trace and the indicator it
 gives, the curvature pairing against one test field, the quadrature
 Gram matrix of the basis, the m x n trig-table forms of off-grid
-synthesis and of the curvature pairing against every mode, and the (m, n)
-product-table forms of the grid pairings.
+synthesis and of the curvature pairing against every mode, the (m, n)
+product-table forms of the grid pairings, the flow-map Jacobian from the
+variational equation, and the induction chain with every step kept.
 """
 
 import numpy as np
 
-from capmhd.flowmap import integrate_positions
+from capmhd.flowmap import _step_sizes, integrate_positions
+from capmhd.induction import step_B
 from capmhd.interface import element_centers, element_measures, normals
 
 
@@ -133,3 +135,48 @@ def strain_pairing(du_values, nu_values, quad):
         * basis.normalizations
         * np.sum(nu_values[:, None] * quad.derivatives * contracted, axis=0)
     )
+
+
+def jacobian(x0, sampler, t, h):
+    """Flow-map Jacobian grad X_t(x0), integrating the variational equation.
+
+    The matrix starts from the identity at time 0 and satisfies
+    d(grad X)/dt = grad u(t, X) . grad X along the trajectory, stepped by RK4
+    alongside the positions; for divergence-free u its determinant stays 1.
+    """
+    x0 = np.asarray(x0, dtype=np.float64)
+    single = x0.ndim == 1
+    x = np.atleast_2d(x0).copy()
+    m, d = x.shape
+    jac = np.broadcast_to(np.eye(d), (m, d, d)).copy()
+
+    def rhs(t, x, jac):
+        return sampler.velocity(t, x), sampler.gradient(t, x) @ jac
+
+    s = 0.0
+    for dt in _step_sizes(0.0, t, h):
+        kx1, kj1 = rhs(s, x, jac)
+        kx2, kj2 = rhs(s + dt / 2, x + (dt / 2) * kx1, jac + (dt / 2) * kj1)
+        kx3, kj3 = rhs(s + dt / 2, x + (dt / 2) * kx2, jac + (dt / 2) * kj2)
+        kx4, kj4 = rhs(s + dt, x + dt * kx3, jac + dt * kj3)
+        x = x + (dt / 6) * (kx1 + 2 * kx2 + 2 * kx3 + kx4)
+        jac = jac + (dt / 6) * (kj1 + 2 * kj2 + 2 * kj3 + kj4)
+        s += dt
+    return jac[0] if single else jac
+
+
+def induction_steps(sampler, b0, t0, t1, dt, sigma, order):
+    """The chain of ``step_B`` that ``solve_B`` takes, with every step kept.
+
+    Same step times as ``solve_B`` (the last step shortened to land on t1).
+    Returns (times, fields, resistive increments): fields[0] is b0 and
+    increment i is sigma * ||grad B||^2 * dt at the end of step i.
+    """
+    n_steps = max(1, int(np.ceil((t1 - t0) / dt - 1e-12))) if t1 > t0 else 0
+    times, fields, increments = [t0], [b0], []
+    for step in range(n_steps):
+        dt_step = min(dt, t1 - times[-1])
+        fields.append(step_B(fields[-1], sampler, times[-1], sigma, dt_step, order))
+        times.append(t0 + (step + 1) * dt if step + 1 < n_steps else t1)
+        increments.append(sigma * fields[-1].grad_norm_sq() * dt_step)
+    return np.array(times), fields, np.array(increments)

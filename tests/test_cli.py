@@ -81,7 +81,7 @@ class TestConfigValidation:
 
     def test_resolved_round_trip_every_field_set(self):
         solver = {
-            "delta": 0.05, "n_sub": 3, "tol": 1e-9, "omega": 0.5, "quadrature_order": 6,
+            "delta": 0.05, "n_sub": 3, "tol": 1e-9, "quadrature_order": 6,
             "h_flow": 0.02, "dt_b": 0.01, "mesh_resolution": 32, "delta_min": 1e-4,
             "max_iter": 12,
         }
@@ -99,6 +99,11 @@ class TestConfigValidation:
         data = small_config_dict()
         data["solver"]["resample_2d"] = False
         assert RunConfig.from_dict(data) == RunConfig.from_dict(small_config_dict())
+        # a summary written while omega existed: retired keys at their only
+        # value, in the config and in every attempt record
+        data["solver"]["omega"] = 1.0
+        summary = {"config": data, "pass": True, "attempts": [{"t": 0.0, "omega": 1.0}]}
+        assert RunConfig.from_dict(summary) == RunConfig.from_dict(small_config_dict())
 
     def test_summary_wrapper_accepted(self, tmp_path):
         path = write_config(tmp_path, {"config": small_config_dict()})
@@ -132,6 +137,11 @@ class TestCmdRun:
             ("solver", "max_iter", True),
             ("solver", "resample_2d", "false"),
             ("solver", "resample_2d", True),
+            ("solver", "omega", 0.5),
+            ("solver", "omega", True),
+            ("solver", "max_iters", 3),
+            (None, "kmaxx", 8),
+            ("output", "cadense", 0.5),
         ],
     )
     def test_bad_value_exits_2(self, tmp_path, capsys, section, key, value):

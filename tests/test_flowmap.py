@@ -101,19 +101,19 @@ class TestJacobian:
             lambda t, p: np.zeros_like(p),
             lambda t, p: np.zeros(p.shape[:-1] + (2, 2)),
         )
-        jac = cf.jacobian(np.array([1.0, 1.0]), zero, 1.0, 0.1)
+        jac = ref.jacobian(np.array([1.0, 1.0]), zero, 1.0, 0.1)
         np.testing.assert_array_equal(jac, np.eye(2))
 
     def test_rotation_matrix(self):
         t = 0.7
-        jac = cf.jacobian(np.array([4.0, 2.5]), rigid_rotation(), t, 1e-3)
+        jac = ref.jacobian(np.array([4.0, 2.5]), rigid_rotation(), t, 1e-3)
         expected = np.array([[np.cos(t), -np.sin(t)], [np.sin(t), np.cos(t)]])
         assert np.max(np.abs(jac - expected)) <= 1e-6
 
     def test_determinant_one_spectral(self, spectral_sampler):
         rng = np.random.default_rng(59)
         x0 = rng.uniform(0, 2 * np.pi, (6, 2))
-        jac = cf.jacobian(x0, spectral_sampler, 1.0, 5e-3)
+        jac = ref.jacobian(x0, spectral_sampler, 1.0, 5e-3)
         assert np.max(np.abs(np.linalg.det(jac) - 1.0)) <= 1e-6
 
 

@@ -4,6 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from capmhd import basis as cb
+from capmhd import energy as ce
 from capmhd import galerkin as cg
 from capmhd import interface as ci
 from capmhd.config import RunConfig
@@ -97,7 +98,8 @@ class TestApplyN:
             params=params,
             resolution=256,
         )
-        forcing = cg.apply_N(state, 8)
+        chi = ci.point_in_mesh(state.mesh, basis_2d.quadrature(8).points)
+        forcing = cg.apply_N(state, 8, chi_values=chi)
         bracket = cg.n_bound_bracket(state.u.norm(), state.B.norm(), state.bv_norm())
         assert np.linalg.norm(forcing) <= cg.N_BOUND_COEFF * bracket
 
@@ -110,9 +112,24 @@ class TestApplyN:
             b_coeffs=0.5 * rng.standard_normal(len(basis_2d)),
             params=cg.FluidParams(0.2, 0.1, 1.0, 0.1),
         )
-        got = cg.apply_N(state, 8)
+        chi = ci.point_in_mesh(state.mesh, basis_2d.quadrature(8).points)
+        got = cg.apply_N(state, 8, chi_values=chi)
         want = _apply_N_reference(state, 8)
         assert got.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("evaluate", [cg.apply_N, ce.viscous_dissipation_rate])
+    def test_indicator_needed_only_when_the_viscosities_differ(self, basis_2d, evaluate):
+        # FluidParams.viscosity decides: a two-phase state without chi is an
+        # error, and a single-phase one gives what any explicit chi gives
+        rng = np.random.default_rng(131)
+        u_coeffs = 0.5 * rng.standard_normal(len(basis_2d))
+        two = make_state(basis_2d, u_coeffs=u_coeffs, params=cg.FluidParams(0.2, 0.1, 1.0, 0.1))
+        with pytest.raises(ValueError, match="chi_values required"):
+            evaluate(two, 8)
+        one = make_state(basis_2d, u_coeffs=u_coeffs, params=cg.FluidParams(0.2, 0.2, 1.0, 0.1))
+        chi = ci.point_in_mesh(one.mesh, basis_2d.quadrature(8).points)
+        omitted = np.asarray(evaluate(one, 8))
+        assert omitted.tobytes() == np.asarray(evaluate(one, 8, chi_values=chi)).tobytes()
 
 
 def _apply_N_reference(state, order):
@@ -229,7 +246,7 @@ class TestFixedPointWindow:
     def test_zero_data_converges_first_sweep(self, basis_2d):
         anchor = make_state(basis_2d)
         window = cg.fixed_point_window(
-            anchor, 0.1, 4, 1e-8, 10, 1.0,
+            anchor, 0.1, 4, 1e-8, 10,
             order=8, h_flow=0.01, dt_b=0.025,
             phase=ci.disk(CENTER_2D, 1.0),
         )
@@ -237,12 +254,12 @@ class TestFixedPointWindow:
         assert np.all(window.u_trajectory == 0.0)
 
     def test_damped_sweeps_keep_the_anchor_row(self, basis_2d):
-        # (1 - omega) a + omega a rounds away from a for most omega; the
-        # damped update must leave the window's first node on the anchor
+        # every sweep takes K(u) as the next iterate: the window's first node
+        # must stay on the anchor bit for bit through all of them
         rng = np.random.default_rng(127)
         anchor = make_state(basis_2d, u_coeffs=0.3 * rng.standard_normal(len(basis_2d)))
         window = cg.fixed_point_window(
-            anchor, 0.05, 4, 1e-8, 80, 0.3,
+            anchor, 0.05, 4, 1e-8, 80,
             order=8, h_flow=0.01, dt_b=0.0125,
         )
         assert window.iterations > 1
@@ -262,13 +279,13 @@ class TestFixedPointWindow:
 
         monkeypatch.setattr(cg, "apply_K", capture)
         window = cg.fixed_point_window(
-            anchor, 0.05, 4, 1e-8, 30, 1.0,
+            anchor, 0.05, 4, 1e-8, 30,
             order=8, h_flow=0.01, dt_b=0.0125,
             phase=ci.disk(CENTER_2D, 1.0),
         )
-        # with chi omitted, apply_N classifies against the anchor mesh, as
-        # the window-start classification does
-        forcing = cg.apply_N(anchor, 8)
+        # the predictor's indicator is the anchor mesh's classification
+        chi = ci.point_in_mesh(anchor.mesh, basis_2d.quadrature(8).points)
+        forcing = cg.apply_N(anchor, 8, chi_values=chi)
         t_grid = window.t_grid
         expected = anchor.u.coefficients + (t_grid - t_grid[0])[:, None] * forcing
         np.testing.assert_array_equal(iterates[0], expected)
@@ -297,7 +314,7 @@ class TestFixedPointWindow:
                             params=cg.FluidParams(0.2, 0.1, 1.0, 0.1))
         with pytest.raises(WindowFailureError, match="sweep 1") as err:
             cg.fixed_point_window(
-                anchor, 0.05, 4, 1e-8, 5, 1.0,
+                anchor, 0.05, 4, 1e-8, 5,
                 order=8, h_flow=0.01, dt_b=0.0125,
                 phase=ci.disk(CENTER_2D, 1.0),
             )
@@ -314,7 +331,7 @@ class TestFixedPointWindow:
         anchor = make_state(basis_2d, u_coeffs=coeffs, params=params)
         delta = 0.1
         window = cg.fixed_point_window(
-            anchor, delta, 8, 1e-10, 30, 1.0,
+            anchor, delta, 8, 1e-10, 30,
             order=8, h_flow=0.01, dt_b=delta / 8,
             phase=ci.disk(CENTER_2D, 1.0),
         )
@@ -329,7 +346,7 @@ class TestFixedPointWindow:
                             params=params)
         tol = 1e-8
         window = cg.fixed_point_window(
-            anchor, 0.05, 4, tol, 30, 1.0,
+            anchor, 0.05, 4, tol, 30,
             order=8, h_flow=0.01, dt_b=0.0125,
             phase=ci.disk(CENTER_2D, 1.0),
         )
@@ -345,7 +362,7 @@ class TestFixedPointWindow:
                             params=params)
         with pytest.raises(WindowFailureError) as err:
             cg.fixed_point_window(
-                anchor, 2.0, 4, 1e-8, 3, 1.0,
+                anchor, 2.0, 4, 1e-8, 3,
                 order=8, h_flow=0.01, dt_b=0.5,
                 phase=ci.disk(CENTER_2D, 1.0),
             )
@@ -360,7 +377,7 @@ class TestFixedPointWindow:
                             params=params)
         with pytest.raises(WindowFailureError, match="sweep"):
             cg.fixed_point_window(
-                anchor, 10.0, 4, 1e-8, 3, 1.0,
+                anchor, 10.0, 4, 1e-8, 3,
                 order=8, h_flow=0.05, dt_b=2.5,
                 phase=ci.disk(CENTER_2D, 1.0),
             )
@@ -680,11 +697,11 @@ class TestRun:
         result = cg.run(config)
         assert result.window_failures >= 1
         assert result.final_state.t == pytest.approx(0.2)
-        # only delta halves: the damping stays at omega and the halved
-        # windows converge within the budget
+        # only delta halves, and the halved windows converge within the
+        # budget; no attempt records a damping factor
         assert result.window_failures == 2
         assert len(result.windows) == 8
-        assert {a["omega"] for a in result.attempts} == {config.omega}
+        assert not any("omega" in a for a in result.attempts)
 
     def test_non_finite_forcing_halves_the_window(self, monkeypatch):
         # the capillary term of the first apply_N call, the first window's
@@ -714,7 +731,7 @@ class TestRun:
         anchor = make_state(basis_2d, params=cg.FluidParams(0.2, 0.1, 1.0, 0.0))
         with pytest.raises(ValueError, match="phase region"):
             cg.fixed_point_window(
-                anchor, 0.05, 4, 1e-8, 5, 1.0, order=8, h_flow=0.01, dt_b=0.0125
+                anchor, 0.05, 4, 1e-8, 5, order=8, h_flow=0.01, dt_b=0.0125
             )
 
     def test_window_records_its_indicator_traces(self, basis_2d):
@@ -724,11 +741,11 @@ class TestRun:
         anchor = make_state(basis_2d, u_coeffs=np.full(len(basis_2d), 0.05),
                             params=cg.FluidParams(0.2, 0.1, 1.0, 0.1))
         args = dict(order=20, h_flow=0.01, dt_b=0.0125, phase=ci.disk(CENTER_2D, 1.0))
-        window = cg.fixed_point_window(anchor, 0.05, 4, 1e-8, 20, 1.0, **args)
+        window = cg.fixed_point_window(anchor, 0.05, 4, 1e-8, 20, **args)
         assert window.iterations > 1
         assert window.indicator_traces == 1
         with pytest.raises(WindowFailureError) as err:
-            cg.fixed_point_window(anchor, 0.05, 4, 1e-8, 2, 1.0, **args)
+            cg.fixed_point_window(anchor, 0.05, 4, 1e-8, 2, **args)
         assert err.value.indicator_traces == 1
         assert len(err.value.residual_history) == 2
 
@@ -737,7 +754,7 @@ class TestRun:
         anchor = make_state(basis_2d, u_coeffs=np.full(len(basis_2d), 0.1))
         with pytest.raises(WindowFailureError, match="sweep 2") as err:
             cg.fixed_point_window(
-                anchor, 0.05, 4, 1e-8, 5, 1.0,
+                anchor, 0.05, 4, 1e-8, 5,
                 order=8, h_flow=0.01, dt_b=0.0125,
                 phase=ci.disk(CENTER_2D, 1.0),
             )

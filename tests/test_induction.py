@@ -62,15 +62,15 @@ class TestStepB:
 class TestSolveB:
     def test_zero_initial_field(self, basis_k1, zero_velocity):
         b0 = cb.SpectralField(basis_k1, np.zeros(len(basis_k1)))
-        traj = cind.solve_B(zero_velocity, b0, 0.0, 1.0, 0.1, 1.0, 4)
-        assert all(f.norm() == 0.0 for f in traj.fields)
+        _, fields, _ = ref.induction_steps(zero_velocity, b0, 0.0, 1.0, 0.1, 1.0, 4)
+        assert all(f.norm() == 0.0 for f in fields)
 
     def test_heat_decay_closed_form(self, basis_k1, zero_velocity):
         # u = 0, |k|^2 = 1, sigma = 1: the IMEX chain gives (1 + dt)^-N,
         # matching e^{-sigma |k|^2 t} to first order
         b0 = unit_mode_field(basis_k1)
-        traj = cind.solve_B(zero_velocity, b0, 0.0, 1.0, 1e-3, 1.0, 4)
-        ratio = traj.final.norm() / b0.norm()
+        b_end, _ = cind.solve_B(zero_velocity, b0, 0.0, 1.0, 1e-3, 1.0, 4)
+        ratio = b_end.norm() / b0.norm()
         assert ratio == pytest.approx((1.001) ** -1000, rel=1e-12)
         assert ratio == pytest.approx(np.exp(-1.0), rel=1e-3)
 
@@ -79,22 +79,34 @@ class TestSolveB:
         coeffs = rng.standard_normal(len(basis_k1))
         b0 = cb.SpectralField(basis_k1, coeffs)
         sigma = 0.7
-        traj = cind.solve_B(zero_velocity, b0, 0.0, 0.5, 1e-3, sigma, 4)
+        b_end, _ = cind.solve_B(zero_velocity, b0, 0.0, 0.5, 1e-3, sigma, 4)
         exact = coeffs * np.exp(-sigma * basis_k1.eigenvalues * 0.5)
-        np.testing.assert_allclose(traj.final.coefficients, exact, rtol=1e-3)
+        np.testing.assert_allclose(b_end.coefficients, exact, rtol=1e-3)
 
     def test_resistive_increments_recorded(self, basis_k1, zero_velocity):
         b0 = unit_mode_field(basis_k1)
-        traj = cind.solve_B(zero_velocity, b0, 0.0, 0.1, 0.025, 1.0, 4)
-        assert len(traj.resistive_increments) == 4
+        _, increments = cind.solve_B(zero_velocity, b0, 0.0, 0.1, 0.025, 1.0, 4)
+        assert len(increments) == 4
         # first step: sigma * |k|^2 * c_new^2 * dt with c_new = 1/(1 + dt)
         expected = 1.0 * (1.0 / 1.025) ** 2 * 0.025
-        assert traj.resistive_increments[0] == pytest.approx(expected, rel=1e-12)
+        assert increments[0] == pytest.approx(expected, rel=1e-12)
 
     def test_final_step_lands_exactly(self, basis_k1, zero_velocity):
         b0 = unit_mode_field(basis_k1)
-        traj = cind.solve_B(zero_velocity, b0, 0.0, 0.1, 0.03, 1.0, 4)
-        assert traj.times[-1] == 0.1
+        times, _, _ = ref.induction_steps(zero_velocity, b0, 0.0, 0.1, 0.03, 1.0, 4)
+        assert times[-1] == 0.1
+
+    @pytest.mark.parametrize("dt", [0.025, 0.03])
+    def test_end_field_and_increments_match_the_step_chain(self, basis_k1, dt):
+        # 0.1 / 0.03 is not whole: the chain's last step is shortened to 0.01
+        rng = np.random.default_rng(107)
+        u = ref.SteadyField(cb.SpectralField(basis_k1, rng.standard_normal(len(basis_k1))))
+        b0 = cb.SpectralField(basis_k1, rng.standard_normal(len(basis_k1)))
+        b_end, increments = cind.solve_B(u, b0, 0.0, 0.1, dt, 0.7, 4)
+        times, fields, chain_increments = ref.induction_steps(u, b0, 0.0, 0.1, dt, 0.7, 4)
+        assert len(times) == 5
+        assert b_end.coefficients.tobytes() == fields[-1].coefficients.tobytes()
+        assert increments.tobytes() == chain_increments.tobytes()
 
 
 class TestEnergyMechanism:
@@ -130,18 +142,18 @@ class TestEnergyMechanism:
         u_vals = sampler.velocity(0.0, points)
 
         def residual(dt):
-            traj = cind.solve_B(sampler, b0, 0.0, 0.5, dt, 1.0, order)
+            times, fields, increments = ref.induction_steps(sampler, b0, 0.0, 0.5, dt, 1.0, order)
             power = 0.0
-            for i in range(len(traj.times) - 1):
-                h = traj.times[i + 1] - traj.times[i]
-                b_vals = traj.fields[i].evaluate(points)
+            for i in range(len(times) - 1):
+                h = times[i + 1] - times[i]
+                b_vals = fields[i].evaluate(points)
                 transport = cind.transport_pairing(u_vals, b_vals, basis.quadrature(order))
-                power += h * float(traj.fields[i].coefficients @ transport)
+                power += h * float(fields[i].coefficients @ transport)
             return abs(
-                0.5 * traj.final.norm() ** 2
+                0.5 * fields[-1].norm() ** 2
                 - 0.5 * b0.norm() ** 2
                 - power
-                + float(np.sum(traj.resistive_increments))
+                + float(np.sum(increments))
             )
 
         r_coarse, r_fine = residual(2e-3), residual(1e-3)
@@ -162,12 +174,12 @@ class TestEnergyMechanism:
         def distance(dt):
             u1 = ref.SteadyField(cb.SpectralField(basis, cu))
             u2 = ref.SteadyField(cb.SpectralField(basis, cu + perturb))
-            t1 = cind.solve_B(u1, b0, 0.0, 0.5, dt, 1.0, 4)
-            t2 = cind.solve_B(u2, b0, 0.0, 0.5, dt, 1.0, 4)
+            times, fields1, _ = ref.induction_steps(u1, b0, 0.0, 0.5, dt, 1.0, 4)
+            _, fields2, _ = ref.induction_steps(u2, b0, 0.0, 0.5, dt, 1.0, 4)
             diffs = [
-                (a.coefficients - b.coefficients) for a, b in zip(t1.fields, t2.fields)
+                (a.coefficients - b.coefficients) for a, b in zip(fields1, fields2)
             ]
-            steps = np.diff(t1.times)
+            steps = np.diff(times)
             sq = np.array([np.sum(d**2) for d in diffs])
             return np.sqrt(np.sum(steps * 0.5 * (sq[:-1] + sq[1:])))
 
@@ -182,8 +194,8 @@ class TestDivergenceFree:
         rng = np.random.default_rng(103)
         u = ref.SteadyField(cb.SpectralField(basis_k1, rng.standard_normal(len(basis_k1))))
         b0 = cb.SpectralField(basis_k1, rng.standard_normal(len(basis_k1)))
-        traj = cind.solve_B(u, b0, 0.0, 0.3, 0.01, 1.0, 4)
+        _, fields, _ = ref.induction_steps(u, b0, 0.0, 0.3, 0.01, 1.0, 4)
         points = rng.uniform(0, 2 * np.pi, (50, 2))
-        for f in traj.fields[:: len(traj.fields) // 4]:
+        for f in fields[:: len(fields) // 4]:
             traces = np.trace(f.gradient(points), axis1=1, axis2=2)
             assert np.max(np.abs(traces)) <= 1e-10 * max(1.0, np.abs(f.coefficients).sum())
