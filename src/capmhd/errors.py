@@ -37,14 +37,16 @@ class NumericsError(RuntimeError):
 class WindowFailureError(RuntimeError):
     """Fixed-point iteration on one time window did not reach tolerance.
 
-    Carries the residual of every completed sweep and the number of sweeps
-    whose window indicator was back-traced rather than reused.
+    Carries the residual of every completed sweep, the number of sweeps
+    whose window indicator was back-traced rather than reused, and how the
+    window started ("euler" or "extrapolated").
     """
 
-    def __init__(self, message, residual_history=None, indicator_traces=0):
+    def __init__(self, message, residual_history=None, indicator_traces=0, start=None):
         super().__init__(message)
         self.residual_history = list(residual_history or [])
         self.indicator_traces = indicator_traces
+        self.start = start
 
 
 class NonConvergenceError(RuntimeError):

@@ -7,12 +7,22 @@ The velocity coefficients satisfy the integral equation
 where N collects inertia, Lorentz force, two-phase viscosity and the
 capillary (weak mean-curvature) forcing.  On each time window the right-hand
 side is frozen into the map K and solved by Picard iteration u <- K(u),
-started from the forward-Euler predictor u_anchor + (t - t_m) N(anchor) and
 recomputing the magnetic field and the interface transport from the current
 velocity iterate every sweep; the accepted trajectory carries the certificate
 ||u - K(u)||_sup < tol.  Windows chain until the final time, halving the
 window on failure, mirroring the shrinking local existence interval of the
 underlying construction.
+
+Where K contracts, its fixed point does not depend on the first iterate,
+which sets only the number of sweeps.  A window that follows an accepted
+one starts from that window's forcing, extrapolated in time: the polynomial
+through its N values at its last p + 1 nodes (p = min(4, n_sub)), evaluated
+on the new grid and integrated from the anchor like K itself.  The
+first window, a window longer than its predecessor, and a window whose
+predecessor saw its indicator change between nodes (N then jumps in time)
+start from the forward-Euler predictor u_anchor + (t - t_m) N(anchor)
+instead.  The state at a window's first node is the anchor in every sweep,
+so its forcing is computed once and handed on while its indicator row holds.
 
 The phase indicator chi(u) depends on the iterate only through the flow map,
 and the flow-map stability estimate |X_u - X_v| <= tau ||u - v|| e^{tau L}
@@ -76,6 +86,10 @@ INDICATOR_BAND = 1e-2
 # flow-map bound: two back-traces of one point under fields that agree to
 # within eps may also differ by rounding, about 1e-14 over a run's steps.
 REUSE_MARGIN = 1e-9
+
+# Degree of the polynomial in t through the previous window's forcing that
+# starts the next window (capped by the number of sub-steps).
+EXTRAPOLATION_DEGREE = 4
 
 
 @dataclass(frozen=True)
@@ -150,6 +164,7 @@ class WindowSolve:
     resistive_increments: np.ndarray = None
     chi_cache: list = field(default_factory=list)
     indicator_traces: int = 0
+    start: str = "euler"
 
     @property
     def meshes(self):
@@ -190,37 +205,82 @@ def n_bound_bracket(u_norm, b_norm, bv_norm):
     return u_norm**2 + u_norm + b_norm**2 + bv_norm
 
 
-def apply_K(u_trajectory, u_anchor, states, order, chi_values=None):
+def _trapezoid(u_anchor, t_grid, n_values):
+    """Composite trapezoidal integral of N from the anchor; row 0 is the anchor."""
+    out = np.empty_like(n_values)
+    out[0] = u_anchor
+    increments = 0.5 * np.diff(t_grid)[:, None] * (n_values[:-1] + n_values[1:])
+    out[1:] = u_anchor + np.cumsum(increments, axis=0)
+    return out
+
+
+def apply_K(u_trajectory, u_anchor, states, order, chi_values=None, anchor_forcing=None):
     """One sweep of the iteration map K over a window.
 
     ``states`` hold the dependents (B and mesh) computed from the input
     trajectory at each node of the window grid; the time integral of N uses
     the composite trapezoidal rule, so K(u)(t_m) equals the anchor exactly.
-    Returns (K coefficients (S, n), N values (S, n)).
+    ``anchor_forcing``, when given, is N at node 0, computed earlier from the
+    same state and indicator row; it takes the place of that node's
+    ``apply_N`` call.  Returns (K coefficients (S, n), N values (S, n)).
     """
     t_grid = np.array([s.t for s in states])
     n_values = np.empty_like(np.atleast_2d(u_trajectory))
     for i, state in enumerate(states):
+        if i == 0 and anchor_forcing is not None:
+            n_values[0] = anchor_forcing
+            continue
         chi = None if chi_values is None else chi_values[i]
         n_values[i] = apply_N(state, order, chi_values=chi)
-    out = np.empty_like(n_values)
-    out[0] = u_anchor
-    increments = 0.5 * np.diff(t_grid)[:, None] * (n_values[:-1] + n_values[1:])
-    out[1:] = u_anchor + np.cumsum(increments, axis=0)
-    return out, n_values
+    return _trapezoid(u_anchor, t_grid, n_values), n_values
 
 
-def euler_predictor(anchor, t_grid, order, chi_values=None):
+def euler_predictor(anchor, t_grid, forcing):
     """Forward-Euler start of a window: u_i = c_m + (t_i - t_m) N(anchor).
 
-    One forcing evaluation at the anchor (``chi_values`` are its indicator
-    samples, as for ``apply_N``); row 0 is the anchor bit for bit.  Only the
-    starting iterate moves, not the fixed point the sweeps converge to.
+    ``forcing`` is N(anchor) with the window-start mesh's indicator; row 0 is
+    the anchor bit for bit.
     """
-    forcing = apply_N(anchor, order, chi_values=chi_values)
     u_coeffs = anchor.u.coefficients + (t_grid - t_grid[0])[:, None] * forcing
     u_coeffs[0] = anchor.u.coefficients
     return u_coeffs
+
+
+def _extrapolates(previous, delta):
+    """Whether a window of size ``delta`` starts from ``previous``'s forcing.
+
+    Not after no window, not past the previous window's length (beyond
+    rounding), and not when the previous window's indicator rows differ: a
+    flip makes N jump in time, and a polynomial through a jump is a worse
+    start than the Euler predictor.
+    """
+    if previous is None:
+        return False
+    span = previous.t_grid[-1] - previous.t_grid[0]
+    rows = previous.chi_cache
+    return delta <= (1.0 + 1e-9) * span and all(
+        np.array_equal(rows[0], row) for row in rows[1:]
+    )
+
+
+def extrapolated_predictor(anchor, t_grid, previous):
+    """Start of a window from the previous window's forcing, extrapolated.
+
+    The polynomial of degree p = min(EXTRAPOLATION_DEGREE, n_sub) through
+    ``previous.N_values`` at its last p + 1 nodes, as an Adams predictor
+    takes it, is evaluated on ``t_grid`` and integrated from the anchor by
+    the trapezoidal rule of ``apply_K``; row 0 is the anchor bit for bit.
+    """
+    degree = min(EXTRAPOLATION_DEGREE, len(previous.t_grid) - 1)
+    t_nodes = previous.t_grid[-(degree + 1):]
+    # Lagrange weights of the nodes at every time of the new grid
+    weights = np.ones((len(t_grid), degree + 1))
+    for j in range(degree + 1):
+        for k in range(degree + 1):
+            if k != j:
+                weights[:, j] *= (t_grid - t_nodes[k]) / (t_nodes[j] - t_nodes[k])
+    forcing = weights @ previous.N_values[-(degree + 1):]
+    return _trapezoid(anchor.u.coefficients, t_grid, forcing)
 
 
 def _row_bound(coefficients, weights):
@@ -329,13 +389,21 @@ def fixed_point_window(
     dt_b,
     history=None,
     phase=None,
+    previous=None,
 ):
     """Picard solve of u = K(u) on [anchor.t, anchor.t + delta].
 
-    The first sweep starts from the forward-Euler predictor of the anchor
-    (``euler_predictor``), whose indicator is the window-start mesh's.  Every
-    sweep recomputes the magnetic trajectory and the advected interface
-    from the current velocity iterate.  When the viscosities differ, the
+    ``previous`` is the accepted window that ends at ``anchor``, if any.  The
+    first sweep starts from its forcing, extrapolated in time
+    (``extrapolated_predictor``), when ``_extrapolates`` allows it, and
+    otherwise from the forward-Euler predictor of the anchor
+    (``euler_predictor``), whose indicator is the window-start mesh's; the
+    start moves neither the fixed point nor its certificate, only the number
+    of sweeps.  N at node 0, whose state is the anchor in every sweep, is
+    computed once (or taken from ``previous``) and handed to ``apply_K``
+    while its indicator row is unchanged.  Every sweep recomputes the
+    magnetic trajectory and the advected interface from the current
+    velocity iterate.  When the viscosities differ, the
     window-start mesh classifies the quadrature points once per window, and
     the points the iterate can carry to within INDICATOR_BAND of that mesh
     are back-traced, under the iterate and then through ``history`` into
@@ -348,7 +416,8 @@ def fixed_point_window(
     included), or an accepted end mesh that crosses itself raises
     WindowFailureError, and so does reaching ``max_iter`` sweeps; otherwise
     the accepted window (residual below ``tol``) is returned.  Both carry
-    the number of sweeps that back-traced, ``indicator_traces``.
+    the number of sweeps that back-traced, ``indicator_traces``, and the
+    ``start`` ("euler" or "extrapolated").
     """
     if tol <= 0.0:
         raise ValueError("tol must be positive")
@@ -356,6 +425,8 @@ def fixed_point_window(
         raise ValueError("window size delta must be positive")
     if n_sub < 2:
         raise ValueError("n_sub must be at least 2")
+    if previous is not None and previous.states[-1] is not anchor:
+        raise ValueError("the previous window must end at the anchor")
     basis = anchor.u.basis
     params = anchor.params
     need_chi = params.two_phase
@@ -374,14 +445,23 @@ def fixed_point_window(
         )
     else:
         mesh_chi = None
+    start = "extrapolated" if _extrapolates(previous, delta) else "euler"
+    # N at node 0 and the indicator row it was computed with
+    anchor_forcing = (
+        None if previous is None else (previous.chi_cache[-1], previous.N_values[-1])
+    )
     u_coeffs = None
     residual_history = []
     trace = None
     indicator_traces = 0
     for iteration in range(1, max_iter + 1):
         try:
-            if u_coeffs is None:
-                u_coeffs = euler_predictor(anchor, t_grid, order, chi_values=mesh_chi)
+            if u_coeffs is None and start == "extrapolated":
+                u_coeffs = extrapolated_predictor(anchor, t_grid, previous)
+            elif u_coeffs is None:
+                if anchor_forcing is None or not np.array_equal(anchor_forcing[0], mesh_chi):
+                    anchor_forcing = (mesh_chi, apply_N(anchor, order, chi_values=mesh_chi))
+                u_coeffs = euler_predictor(anchor, t_grid, anchor_forcing[1])
             if not np.all(np.isfinite(u_coeffs)):
                 raise NumericsError("the velocity iterate has non-finite coefficients")
             sampler = SpectralTrajectory(basis, t_grid, u_coeffs)
@@ -410,9 +490,13 @@ def fixed_point_window(
                 )
                 for i in range(n_sub + 1)
             ]
+            chi_0 = None if chi_cache is None else chi_cache[0]
+            reuse = anchor_forcing is not None and np.array_equal(anchor_forcing[0], chi_0)
             k_coeffs, n_values = apply_K(
-                u_coeffs, anchor.u.coefficients, states, order, chi_values=chi_cache
+                u_coeffs, anchor.u.coefficients, states, order, chi_values=chi_cache,
+                anchor_forcing=anchor_forcing[1] if reuse else None,
             )
+            anchor_forcing = (chi_0, n_values[0])
             residual = float(np.max(np.linalg.norm(u_coeffs - k_coeffs, axis=1)))
             residual_history.append(residual)
             if residual < tol:
@@ -426,6 +510,7 @@ def fixed_point_window(
                 f"dependents or forcing during sweep {iteration}: {exc}",
                 residual_history=residual_history,
                 indicator_traces=indicator_traces,
+                start=start,
             ) from exc
         if residual < tol:
             return WindowSolve(
@@ -438,6 +523,7 @@ def fixed_point_window(
                 resistive_increments=resistive,
                 chi_cache=list(chi_cache) if chi_cache is not None else [None] * (n_sub + 1),
                 indicator_traces=indicator_traces,
+                start=start,
             )
         u_coeffs = k_coeffs
     raise WindowFailureError(
@@ -445,6 +531,7 @@ def fixed_point_window(
         f"{max_iter} sweeps (last residual {residual_history[-1]:.3e})",
         residual_history=residual_history,
         indicator_traces=indicator_traces,
+        start=start,
     )
 
 
@@ -497,13 +584,19 @@ class RunResult:
 def run(config):
     """Chain fixed-point windows from t = 0 to t = config.T.
 
-    The anchor of each window is the previous endpoint; the ledger records
-    every sub-step with dissipation increments computed by the solver's own
-    quadrature.  Every window attempt, failed or accepted, leaves a record
-    (t, delta, sweeps, residual history, the number of sweeps whose
-    indicator was back-traced rather than reused, accepted, and the error's
-    class and message) in ``RunResult.attempts``; a sweep counts once its
-    residual is known.  Deterministic for a fixed configuration.
+    The anchor of each window is the previous endpoint, and the last
+    accepted window is handed on as ``previous``: a window starts from its
+    forcing, extrapolated in time, unless it is the first, longer than that
+    window, or follows one whose indicator changed between nodes, and then
+    from the forward-Euler predictor (``fixed_point_window``).  The fixed
+    point, its certificate and the halving are the same for either start.
+    The ledger records every sub-step with dissipation increments computed
+    by the solver's own quadrature.  Every window attempt, failed or
+    accepted, leaves a record (t, delta, start, sweeps, residual history,
+    the number of sweeps whose indicator was back-traced rather than reused,
+    accepted, and the error's class and message) in ``RunResult.attempts``;
+    a sweep counts once its residual is known.  Deterministic for a fixed
+    configuration.
     """
     setup = config.build()
     basis = setup["basis"]
@@ -544,10 +637,12 @@ def run(config):
                 dt_b=config.dt_b or delta_use / config.n_sub,
                 history=history,
                 phase=phase,
+                previous=windows[-1] if windows else None,
             )
         except WindowFailureError as exc:
             cause = exc.__cause__ or exc
             attempt.update(
+                start=exc.start,
                 sweeps=len(exc.residual_history),
                 residual_history=exc.residual_history,
                 indicator_traces=exc.indicator_traces,
@@ -570,6 +665,7 @@ def run(config):
                 )
             continue
         attempt.update(
+            start=window.start,
             sweeps=window.iterations,
             residual_history=window.residual_history,
             indicator_traces=window.indicator_traces,

@@ -225,6 +225,9 @@ class TestCmdRun:
         assert "crosses itself" in failed["message"]
         assert failed["sweeps"] == len(failed["residual_history"]) >= 1
         assert all(0 <= a["indicator_traces"] <= a["sweeps"] for a in attempts)
+        # neither attempt at t = 0 has a predecessor to extrapolate
+        assert failed["start"] == halved["start"] == "euler"
+        assert all(a["start"] in ("euler", "extrapolated") for a in attempts)
         assert halved["accepted"] is True and halved["error"] is None
         assert failed["t"] == halved["t"] == 0.0
         assert halved["delta"] == pytest.approx(failed["delta"] / 2)

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -209,6 +211,35 @@ class TestApplyK:
         traj = np.tile(anchor, (3, 1))
         out, _ = cg.apply_K(traj, anchor, states, 8)
         np.testing.assert_array_equal(out[0], anchor)
+
+    def test_handed_anchor_forcing_replaces_the_node_0_call(self, monkeypatch, basis_2d):
+        rng = np.random.default_rng(131)
+        states = []
+        for i in range(3):
+            mesh = ci.mesh_initial(ci.disk(CENTER_2D, 1.0), 64)
+            mesh.t = 0.05 * i
+            states.append(cg.GalerkinState(
+                0.05 * i,
+                cb.SpectralField(basis_2d, 0.3 * rng.standard_normal(len(basis_2d))),
+                cb.SpectralField(basis_2d, 0.2 * rng.standard_normal(len(basis_2d))),
+                mesh, cg.FluidParams(0.1, 0.1, 1.0, 0.1),
+            ))
+        traj = np.stack([st.u.coefficients for st in states])
+        want, want_n = cg.apply_K(traj, traj[0], states, 8)
+        real = cg.apply_N
+        calls = []
+
+        def counted(state, *args, **kwargs):
+            calls.append(state.t)
+            return real(state, *args, **kwargs)
+
+        monkeypatch.setattr(cg, "apply_N", counted)
+        got, got_n = cg.apply_K(
+            traj, traj[0], states, 8, anchor_forcing=real(states[0], 8)
+        )
+        assert calls == [0.05, 0.1]
+        np.testing.assert_array_equal(got, want)
+        np.testing.assert_array_equal(got_n, want_n)
 
     def test_contraction_for_small_data(self, basis_2d):
         # small anchor, kappa = 0, short window: K contracts trajectories
@@ -426,6 +457,135 @@ def _run_checking_indicator(monkeypatch, config):
 
     monkeypatch.setattr(cg, "_window_indicator", checked)
     return cg.run(config), counts
+
+
+def _first_iterate(monkeypatch):
+    """Capture the iterate of every apply_K call; the first is the start."""
+    real = cg.apply_K
+    iterates = []
+
+    def capture(u_trajectory, *args, **kwargs):
+        iterates.append(u_trajectory.copy())
+        return real(u_trajectory, *args, **kwargs)
+
+    monkeypatch.setattr(cg, "apply_K", capture)
+    return iterates
+
+
+def _euler_only(monkeypatch):
+    """Run windows as if none had a predecessor: every start is Euler's."""
+    real = cg.fixed_point_window
+
+    def without_previous(*args, previous=None, **kwargs):
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(cg, "fixed_point_window", without_previous)
+
+
+class TestWindowStart:
+    PARAMS = cg.FluidParams(0.2, 0.1, 1.0, 0.1)
+    ARGS = dict(order=8, h_flow=0.01, dt_b=0.0125, phase=ci.disk(CENTER_2D, 1.0))
+
+    @pytest.mark.parametrize("n_sub", [2, 4, 8])
+    def test_extrapolation_integrates_a_polynomial_forcing_exactly(self, basis_2d, n_sub):
+        # N of degree p = min(4, n_sub) in t is reproduced by its extrapolation,
+        # so the start is the trapezoid integral of the true forcing
+        rng = np.random.default_rng(173 + n_sub)
+        degree = min(cg.EXTRAPOLATION_DEGREE, n_sub)
+        powers = rng.standard_normal((degree + 1, len(basis_2d)))
+
+        def forcing(t):
+            return np.stack([(t - 0.4) ** k for k in range(degree + 1)], axis=-1) @ powers
+
+        old_grid = 0.3 + np.linspace(0.0, 0.1, n_sub + 1)
+        previous = cg.WindowSolve(old_grid, None, 1, [], N_values=forcing(old_grid))
+        anchor = make_state(basis_2d, u_coeffs=rng.standard_normal(len(basis_2d)))
+        for delta in (0.1, 0.05):
+            t_grid = 0.4 + np.linspace(0.0, delta, n_sub + 1)
+            got = cg.extrapolated_predictor(anchor, t_grid, previous)
+            want = cg._trapezoid(anchor.u.coefficients, t_grid, forcing(t_grid))
+            assert got[0].tobytes() == anchor.u.coefficients.tobytes()
+            np.testing.assert_allclose(got, want, rtol=0.0, atol=1e-12)
+
+    def _anchor(self, basis_2d):
+        rng = np.random.default_rng(179)
+        return make_state(basis_2d, u_coeffs=0.3 * rng.standard_normal(len(basis_2d)),
+                          params=self.PARAMS)
+
+    def _previous(self, basis_2d):
+        return cg.fixed_point_window(self._anchor(basis_2d), 0.05, 4, 1e-8, 30, **self.ARGS)
+
+    def _assert_euler_start(self, monkeypatch, basis_2d, anchor, previous, delta):
+        iterates = _first_iterate(monkeypatch)
+        window = cg.fixed_point_window(
+            anchor, delta, 4, 1e-8, 30, previous=previous, **self.ARGS
+        )
+        chi = ci.point_in_mesh(anchor.mesh, basis_2d.quadrature(8).points)
+        forcing = cg.apply_N(anchor, 8, chi_values=chi)
+        assert window.start == "euler"
+        assert iterates[0].tobytes() == cg.euler_predictor(
+            anchor, window.t_grid, forcing
+        ).tobytes()
+
+    def test_first_window_starts_from_euler(self, monkeypatch, basis_2d):
+        self._assert_euler_start(monkeypatch, basis_2d, self._anchor(basis_2d), None, 0.05)
+
+    def test_longer_window_starts_from_euler(self, monkeypatch, basis_2d):
+        previous = self._previous(basis_2d)
+        self._assert_euler_start(monkeypatch, basis_2d, previous.states[-1], previous, 0.1)
+
+    def test_indicator_flip_in_the_previous_window_starts_from_euler(
+        self, monkeypatch, basis_2d
+    ):
+        previous = self._previous(basis_2d)
+        rows = [row.copy() for row in previous.chi_cache]
+        rows[1][0] = 1.0 - rows[1][0]
+        flipped = dataclasses.replace(previous, chi_cache=rows)
+        self._assert_euler_start(monkeypatch, basis_2d, previous.states[-1], flipped, 0.05)
+
+    def test_same_or_shorter_window_extrapolates(self, monkeypatch, basis_2d):
+        previous = self._previous(basis_2d)
+        anchor = previous.states[-1]
+        for delta in (0.05, 0.025):
+            iterates = _first_iterate(monkeypatch)
+            window = cg.fixed_point_window(
+                anchor, delta, 4, 1e-8, 30, previous=previous, **self.ARGS
+            )
+            assert window.start == "extrapolated"
+            assert iterates[0].tobytes() == cg.extrapolated_predictor(
+                anchor, window.t_grid, previous
+            ).tobytes()
+
+    def test_previous_must_end_at_the_anchor(self, basis_2d):
+        previous = self._previous(basis_2d)
+        with pytest.raises(ValueError, match="end at the anchor"):
+            cg.fixed_point_window(
+                previous.states[0], 0.05, 4, 1e-8, 30, previous=previous, **self.ARGS
+            )
+
+    def test_node_0_forcing_is_computed_once(self, monkeypatch, basis_2d):
+        # single phase, so the indicator row never changes: the Euler start
+        # computes N(anchor) and every sweep reuses it; a window with a
+        # predecessor takes it from the predecessor's last node
+        rng = np.random.default_rng(181)
+        anchor = make_state(basis_2d, u_coeffs=0.3 * rng.standard_normal(len(basis_2d)))
+        real = cg.apply_N
+        calls = []
+
+        def counted(*args, **kwargs):
+            calls.append(1)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(cg, "apply_N", counted)
+        args = dict(order=8, h_flow=0.01, dt_b=0.0125)
+        first = cg.fixed_point_window(anchor, 0.05, 4, 1e-8, 30, **args)
+        assert first.iterations > 1
+        assert len(calls) == 1 + 4 * first.iterations
+        calls.clear()
+        second = cg.fixed_point_window(
+            first.states[-1], 0.05, 4, 1e-8, 30, previous=first, **args
+        )
+        assert len(calls) == 4 * second.iterations
 
 
 class _TranslatingWindow:
@@ -769,10 +929,14 @@ class TestRun:
         assert result.final_state.t == pytest.approx(0.1)
 
     def test_predictor_takes_fewer_sweeps_than_the_tiled_start(self, monkeypatch):
+        # Euler-only against tiled, both with every window started alike;
+        # then the extrapolated start against Euler-only
         config = reference_config(T=0.2)
+        extrapolated = cg.run(config)
+        _euler_only(monkeypatch)
         predicted = cg.run(config)
 
-        def tiled_start(anchor, t_grid, order, chi_values=None):
+        def tiled_start(anchor, t_grid, forcing):
             return np.tile(anchor.u.coefficients, (len(t_grid), 1))
 
         monkeypatch.setattr(cg, "euler_predictor", tiled_start)
@@ -782,6 +946,24 @@ class TestRun:
         for new, old in zip(predicted.windows, tiled.windows):
             assert new.iterations < old.iterations
             assert new.residual_history[0] < old.residual_history[0]
+        assert extrapolated.window_failures == 0
+        assert extrapolated.sweeps < predicted.sweeps
+
+    def test_extrapolated_start_never_costs_a_sweep(self, monkeypatch):
+        # the reference at T = 0.5: every window after the first extrapolates,
+        # none takes more sweeps than from Euler, and the total falls
+        config = reference_config()
+        extrapolated = cg.run(config)
+        _euler_only(monkeypatch)
+        euler = cg.run(config)
+        assert extrapolated.window_failures == euler.window_failures == 0
+        starts = [a["start"] for a in extrapolated.attempts]
+        assert starts == ["euler"] + ["extrapolated"] * (len(starts) - 1)
+        assert {a["start"] for a in euler.attempts} == {"euler"}
+        assert len(extrapolated.windows) == len(euler.windows)
+        for new, old in zip(extrapolated.windows, euler.windows):
+            assert new.iterations <= old.iterations
+        assert extrapolated.sweeps < euler.sweeps
 
     def test_crossed_end_mesh_halves_the_window(self, monkeypatch):
         # the accepted end mesh is checked once per window; a crossing found

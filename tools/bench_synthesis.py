@@ -1,7 +1,7 @@
 """Synthesis and pairing micro-benchmarks, and alternating benchmark pairs.
 
-    python3 tools/bench_synthesis.py --out BENCH_10.json
-    python3 tools/bench_synthesis.py --out BENCH_10.json --baseline ../parent --pairs 10
+    python3 tools/bench_synthesis.py --out BENCH_13.json
+    python3 tools/bench_synthesis.py --out BENCH_13.json --baseline ../parent --pairs 10
 
 The first form times the table forms of ``tests/reference.py`` against the
 solver's forms on fixed random inputs.  Off the grid: the m x n trig-table
@@ -21,8 +21,11 @@ this checkout wins.  One ``--trace 1`` invocation per side and workload adds
 the traced totals of Picard sweeps, accepted windows and window attempts,
 and of the window indicator: its history point-steps, the time of its
 history and in-window back-traces, and the origins tested against the
-initial region.
-Without it, pairs already in the output file are kept.
+initial region.  It also records a sweep table: ``galerkin.run`` of each
+``SWEEP_CONFIGS`` entry in a fresh interpreter on each side, with every
+window attempt's start, sweeps and first residual, and the number of
+windows that took more sweeps than on the baseline.
+Without it, pairs and the sweep table already in the output file are kept.
 """
 
 import os
@@ -143,6 +146,66 @@ TRACED = (
 )
 
 
+# The sweep table's runs: (name, base config file, overrides).
+REFERENCE = "configs/reference_2d.json"
+SWEEP_CONFIGS = [
+    ("reference kmax=2", REFERENCE, {}),
+    ("reference kmax=4", REFERENCE, {"kmax": 4}),
+    ("reference kmax=8", REFERENCE, {"kmax": 8}),
+    ("reference T=2", REFERENCE, {"T": 2.0}),
+    ("ref2d-long", "bench/workloads/ref2d-long.json", {}),
+    ("ellipse (1.2, 0.8) T=1.5", REFERENCE, {
+        "T": 1.5,
+        "phase": {"shape": "ellipse", "center": [np.pi, np.pi], "radii": [1.2, 0.8]},
+    }),
+    ("single-phase T=1.5", REFERENCE, {"T": 1.5, "nu_minus": 0.2}),
+    ("ball3d", "bench/workloads/ball3d.json", {}),
+]
+
+# One run in the checkout whose src is on sys.path; prints its window attempts.
+_SWEEP_RUN = """
+import json, sys
+from capmhd.config import RunConfig
+from capmhd.galerkin import run
+result = run(RunConfig.from_dict(json.loads(sys.argv[1])))
+print(json.dumps([
+    {"start": a.get("start"), "sweeps": a["sweeps"], "accepted": a["accepted"],
+     "first_residual": a["residual_history"][0] if a["residual_history"] else None}
+    for a in result.attempts
+]))
+"""
+
+
+def sweep_attempts(checkout, data):
+    env = dict(os.environ, PYTHONPATH=str(Path(checkout) / "src"))
+    out = subprocess.run([sys.executable, "-c", _SWEEP_RUN, json.dumps(data)],
+                         cwd=checkout, env=env, capture_output=True, text=True, check=True)
+    return json.loads(out.stdout)
+
+
+def sweep_table(baseline):
+    rows = []
+    for name, path, overrides in SWEEP_CONFIGS:
+        data = dict(json.loads((ROOT / path).read_text()), **overrides)
+        row = {"config": name, "file": path, "overrides": overrides}
+        for side, checkout in (("baseline", baseline), ("change", ROOT)):
+            attempts = sweep_attempts(checkout, data)
+            row[side] = {
+                "sweeps": sum(a["sweeps"] for a in attempts),
+                "window_sweeps": [a["sweeps"] for a in attempts],
+                "first_residuals": [a["first_residual"] for a in attempts],
+                "starts": [a["start"] for a in attempts],
+                "failures": sum(not a["accepted"] for a in attempts),
+            }
+        base, change = row["baseline"]["window_sweeps"], row["change"]["window_sweeps"]
+        # a window-by-window count needs the same windows on both sides
+        row["windows_with_more_sweeps"] = (
+            sum(c > b for b, c in zip(base, change)) if len(base) == len(change) else None
+        )
+        rows.append(row)
+    return rows
+
+
 def bench_metrics(checkout, workload, seconds, trace=0):
     """Metric values of one ``bench/run.py`` invocation: end to end, or per layer."""
     cmd = [sys.executable, "bench/run.py", "--workload", workload,
@@ -202,14 +265,21 @@ def main(argv=None):
         "pairings": pairing_cases(),
     }
     if args.baseline is not None:
+        result["sweep_table"] = sweep_table(args.baseline)
         result["bench_run_pairs"] = pairs(args.baseline, args.workloads, args.pairs, args.seconds)
-    elif "bench_run_pairs" in previous:
-        result["bench_run_pairs"] = previous["bench_run_pairs"]
+    else:
+        for key in ("sweep_table", "bench_run_pairs"):
+            if key in previous:
+                result[key] = previous[key]
     args.out.write_text(json.dumps(result, indent=2) + "\n")
     for row in result["synthesis"] + result["pairings"]:
         print(f"{row['case']} d={row['dimension']} kmax={row['kmax']} m={row['m']}: "
               f"{row['table_ms']:.3f} ms -> {row['new_ms']:.3f} ms "
               f"(max abs diff {row['max_abs_diff']:.2g})")
+    for row in result.get("sweep_table", []):
+        print(f"{row['config']}: sweeps {row['baseline']['sweeps']} -> "
+              f"{row['change']['sweeps']}, windows with more sweeps "
+              f"{row['windows_with_more_sweeps']}")
     for workload, row in result.get("bench_run_pairs", {}).items():
         print(f"{workload}: run_s {row['baseline_run_s_median']:.3f} -> "
               f"{row['change_run_s_median']:.3f} s, "
