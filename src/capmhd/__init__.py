@@ -24,7 +24,6 @@ from .interface import (
     advect,
     enclosed_volume,
     mesh_initial,
-    normals,
     perimeter,
 )
 from .varifold import Varifold, coupling_residual, first_variation, lift
@@ -53,7 +52,6 @@ __all__ = [
     "advect",
     "enclosed_volume",
     "mesh_initial",
-    "normals",
     "perimeter",
     "Varifold",
     "coupling_residual",

@@ -212,11 +212,6 @@ class Basis:
         lattice = self.lattice
         return lattice.values(lattice.coefficients(coefficients), points)
 
-    def synthesize_gradient(self, coefficients, points):
-        """Field Jacobians (grad u)_il = d_l u_i at ``points``: (m, d, d)."""
-        lattice = self.lattice
-        return lattice.gradients(lattice.coefficients(coefficients), points)
-
     def quadrature(self, order):
         """The quadrature grid of ``order`` points per axis, built once per basis."""
         quad = self._quadratures.get(order)
@@ -258,12 +253,6 @@ class SpectralField:
         single = x.ndim == 1
         values = self.basis.synthesize(self.coefficients, np.atleast_2d(x))
         return values[0] if single else values
-
-    def gradient(self, x):
-        x = np.asarray(x, dtype=np.float64)
-        single = x.ndim == 1
-        grads = self.basis.synthesize_gradient(self.coefficients, np.atleast_2d(x))
-        return grads[0] if single else grads
 
     def norm(self):
         """L2 norm of the field (= Euclidean norm of coefficients)."""
@@ -405,11 +394,6 @@ class Lattice:
         for table, n in zip(tables[1:], self.shape[1:]):
             acc = (table[:, None, :] @ acc.reshape(m, n, -1)).reshape(m, -1)
         return acc.real.reshape((m,) + lattice_coefficients.shape[1:])
-
-    def gradients(self, lattice_coefficients, points):
-        """Field Jacobians (grad u)_il = Re sum_k i k_l C_ki e^{ik.x}: (m, d, d)."""
-        ik = 1j * self.wavevectors[:, None, :]
-        return self.values(lattice_coefficients[:, :, None] * ik, points)
 
     def transform(self, points, samples):
         """sum_m samples_m e^{ik.x_m} at every box wavevector k: (L, ...).

@@ -9,6 +9,7 @@ either a bare configuration or a summary file carrying one under "config".
 
 import json
 import math
+import numbers
 from dataclasses import MISSING, dataclass, field, fields
 
 import numpy as np
@@ -86,20 +87,29 @@ def build_initial_field(spec, basis, order):
 def _check_field_spec(key, spec):
     """Reject the nested values that ``build_initial_field`` would cast wrongly.
 
-    float() passes NaN and infinities into the projection and int() turns
-    the wavevector entry 1.5 into mode 1.
+    float() passes NaN and infinities into the projection, and int() turns
+    the wavevector entry 1.5 into mode 1, the polarization 0.7 into 0 and
+    true into 1, and fails on a string.
     """
-    numbers = [spec.get("amplitude", 1.0)]
+    entries = [spec.get("amplitude", 1.0)]
     if spec.get("type") == "coefficients":
-        numbers.extend(np.ravel(spec["values"]))
-    if any(isinstance(v, bool) or not math.isfinite(float(v)) for v in numbers):
+        entries.extend(np.ravel(spec["values"]))
+    if any(isinstance(v, bool) or not math.isfinite(float(v)) for v in entries):
         raise ConfigError(f"{key} amplitude and values must be finite numbers")
     if spec.get("type") == "single_mode":
         wavevector = spec.get("wavevector")
-        if not isinstance(wavevector, (list, tuple)) or any(
-            isinstance(k, bool) or not float(k).is_integer() for k in wavevector
-        ):
+        if not isinstance(wavevector, (list, tuple)) or not all(map(_is_integer, wavevector)):
             raise ConfigError(f"{key} wavevector must list integers, got {wavevector!r}")
+        polarization = spec.get("polarization", 0)
+        if not _is_integer(polarization):
+            raise ConfigError(f"{key} polarization must be an integer, got {polarization!r}")
+
+
+def _is_integer(value):
+    """Whether a config value is a whole number (and not a bool)."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        return False
+    return isinstance(value, numbers.Integral) or float(value).is_integer()
 
 
 def _is_zero_field(spec):

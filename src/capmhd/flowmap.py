@@ -71,9 +71,6 @@ class SpectralTrajectory:
     def velocity(self, t, points):
         return self.basis.lattice.values(self._lattice_at(t), points)
 
-    def gradient(self, t, points):
-        return self.basis.lattice.gradients(self._lattice_at(t), points)
-
     def extended(self, times, coefficients):
         """New trajectory with extra snapshots appended after the current end."""
         times = np.asarray(times, dtype=np.float64)

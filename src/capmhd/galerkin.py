@@ -22,14 +22,16 @@ first window, a window longer than its predecessor, and a window whose
 predecessor saw its indicator change between nodes (N then jumps in time)
 start from the forward-Euler predictor u_anchor + (t - t_m) N(anchor)
 instead.  The state at a window's first node is the anchor in every sweep,
-so its forcing is computed once and handed on while its indicator row holds.
+so its forcing N(anchor) is memoised by its indicator row, seeded from the
+previous window's last node, and computed again only for a new row.
 
 The phase indicator chi(u) depends on the iterate only through the flow map,
 and the flow-map stability estimate |X_u - X_v| <= tau ||u - v|| e^{tau L}
-bounds how far a sweep can move the back-traced origins.  A window traces
-its band points once and keeps that trace: a later sweep reuses its flags
-whenever every origin lies farther from the initial boundary than the
-estimate lets it move, so chi is exactly what a new trace would give.
+bounds how far a sweep can move the back-traced origins.  Each two-phase
+window builds one indicator object that traces its band points and keeps
+that trace: a later sweep reuses its flags whenever every origin lies
+farther from the initial boundary than the estimate lets it move, so chi is
+exactly what a new trace would give.
 
 All quadratures use the dealiased uniform grid, and every reduction has a
 fixed order, so a run is reproducible bit-for-bit for a given configuration.
@@ -298,83 +300,82 @@ def _gradient_weights(basis):
     return basis.normalizations * np.linalg.norm(basis.wavevectors, axis=1)
 
 
-@dataclass(frozen=True)
-class _TracedIndicator:
-    """One back-trace of a window's band points, kept for its later sweeps.
+class _WindowIndicator:
+    """Indicator samples at the quadrature ``points`` for every window node.
 
-    ``moving`` marks the traced points, ``coefficients`` are the iterate's
-    rows they were traced under, and ``clearance`` and ``inside`` (one row per
-    window node) are the origins' distance lower bound to the initial
-    boundary and their membership flags.
+    Built once per two-phase window: ``distance`` and ``mesh_chi`` are the
+    points' distance lower bound to the window-start mesh and their ray cast
+    against it, and ``history_growth`` = e^{t_m L_h} bounds how the fixed
+    pre-window ``history`` leg grows a displacement.  The object keeps its
+    last back-trace: ``moving`` marks the traced points, ``coefficients`` are
+    the iterate's rows they were traced under, and ``clearance`` and
+    ``inside`` (one row per node) are the origins' distance lower bound to
+    the initial boundary and their membership flags.  ``traces`` counts the
+    calls that back-traced.
     """
 
-    moving: np.ndarray
-    coefficients: np.ndarray
-    clearance: np.ndarray
-    inside: np.ndarray
+    def __init__(self, anchor, points, t_grid, history, phase, h_flow):
+        self.points, self.t_grid, self.history = points, t_grid, history
+        self.phase, self.h_flow = phase, h_flow
+        self.distance = distance_lower_bound(anchor.mesh, points)
+        self.mesh_chi = point_in_mesh(anchor.mesh, points)
+        weights = _gradient_weights(anchor.u.basis)
+        self.history_growth = np.exp(anchor.t * _row_bound(history.coefficients, weights))
+        self.moving = self.coefficients = self.clearance = self.inside = None
+        self.traces = 0
 
-    def certifies(self, moving, coefficients, t_grid, basis, history_growth):
-        """Whether a trace under ``coefficients`` gives these flags again.
+    def certifies(self, moving, coefficients, basis):
+        """Whether a trace under ``coefficients`` gives the kept flags again.
 
         One RK4 step of size h is Lipschitz with constant e^{hL}, and driven
         by two fields eps apart it adds at most h eps e^{hL}; so the window
         leg of node i moves an origin by at most e^{tau_i L} tau_i eps
         (tau_i = t_i - t_m), and the fixed history leg grows that by
-        ``history_growth`` = e^{t_m L_h}.  No origin crosses the boundary
-        when each clearance exceeds that reach plus REUSE_MARGIN, grown alike.
+        ``history_growth``.  No origin crosses the boundary when each
+        clearance exceeds that reach plus REUSE_MARGIN, grown alike.
         """
-        if not np.array_equal(moving, self.moving):
+        if self.moving is None or not np.array_equal(moving, self.moving):
             return False
         eps = _row_bound(coefficients - self.coefficients, basis.normalizations)
         weights = _gradient_weights(basis)
         lipschitz = max(_row_bound(coefficients, weights), _row_bound(self.coefficients, weights))
-        tau = t_grid - t_grid[0]
-        reach = history_growth * np.exp(tau * lipschitz) * (tau * eps + REUSE_MARGIN)
+        tau = self.t_grid - self.t_grid[0]
+        reach = self.history_growth * np.exp(tau * lipschitz) * (tau * eps + REUSE_MARGIN)
         return bool(np.all(self.clearance > reach[:, None]))
 
+    def __call__(self, sampler):
+        """The rows of samples, one per node, under the iterate ``sampler``.
 
-def _window_indicator(
-    points, t_grid, sampler, history, phase, h_flow, distance, mesh_chi, history_growth, reference
-):
-    """Indicator samples at the quadrature points for every window node.
-
-    ``distance`` and ``mesh_chi`` are the points' distance lower bound to the
-    window-start mesh and their ray cast against it.  The iterate's speed is
-    at most sum_j |c_j| n_j over its rows, so a point farther than
-    INDICATOR_BAND plus the window's reach from the mesh keeps the mesh's
-    answer at every node.  The rest take their flags from ``reference``, an
-    earlier sweep's trace, when it certifies them for this iterate
-    (``_TracedIndicator.certifies``, with ``history_growth`` = e^{t_m L_h}).
-    Otherwise they are back-traced from each node to the window start under
-    the iterate, then, stacked, through the fixed pre-window ``history`` to
-    t = 0 (a zero-length leg for the first window) and tested against the
-    initial region.  Returns the samples and the trace they came from:
-    ``reference`` itself when reused, and None when no point is in the band.
-    """
-    t_start = t_grid[0]
-    basis = sampler.basis
-    # the sampler's own copy, which no later sweep writes to
-    coefficients = sampler.coefficients
-    speed = _row_bound(coefficients, basis.normalizations)
-    moving = distance <= INDICATOR_BAND + (t_grid[-1] - t_start) * speed
-    chi = [mesh_chi.copy() for _ in t_grid]
-    if not np.any(moving):
-        return chi, None
-    if reference is None or not reference.certifies(
-        moving, coefficients, t_grid, basis, history_growth
-    ):
-        starts = [integrate_positions(points[moving], sampler, t, t_start, h_flow) for t in t_grid]
-        origins = integrate_positions(np.concatenate(starts), history, t_start, 0.0, h_flow)
-        nodes = (len(t_grid), -1)
-        reference = _TracedIndicator(
-            moving,
-            coefficients,
-            phase.boundary_distance(origins).reshape(nodes),
-            phase.contains(origins).reshape(nodes),
-        )
-    for node, inside in zip(chi, reference.inside):
-        node[moving] = inside
-    return chi, reference
+        The iterate's speed is at most sum_j |c_j| n_j over its rows, so a
+        point farther than INDICATOR_BAND plus the window's reach from the
+        window-start mesh keeps the mesh's answer at every node.  The rest
+        take the kept trace's flags when it certifies them for this iterate.
+        Otherwise they are back-traced from each node to the window start
+        under the iterate, then, stacked, through ``history`` to t = 0 (a
+        zero-length leg for the first window) and tested against the initial
+        region, and that trace is kept.
+        """
+        t_grid, h = self.t_grid, self.h_flow
+        basis = sampler.basis
+        # the sampler's own copy, which no later sweep writes to
+        coefficients = sampler.coefficients
+        speed = _row_bound(coefficients, basis.normalizations)
+        moving = self.distance <= INDICATOR_BAND + (t_grid[-1] - t_grid[0]) * speed
+        chi = [self.mesh_chi.copy() for _ in t_grid]
+        if not np.any(moving):
+            return chi
+        if not self.certifies(moving, coefficients, basis):
+            points = self.points[moving]
+            starts = [integrate_positions(points, sampler, t, t_grid[0], h) for t in t_grid]
+            origins = integrate_positions(np.concatenate(starts), self.history, t_grid[0], 0.0, h)
+            nodes = (len(t_grid), -1)
+            self.moving, self.coefficients = moving, coefficients
+            self.clearance = self.phase.boundary_distance(origins).reshape(nodes)
+            self.inside = self.phase.contains(origins).reshape(nodes)
+            self.traces += 1
+        for node, inside in zip(chi, self.inside):
+            node[moving] = inside
+        return chi
 
 
 def fixed_point_window(
@@ -399,19 +400,17 @@ def fixed_point_window(
     otherwise from the forward-Euler predictor of the anchor
     (``euler_predictor``), whose indicator is the window-start mesh's; the
     start moves neither the fixed point nor its certificate, only the number
-    of sweeps.  N at node 0, whose state is the anchor in every sweep, is
-    computed once (or taken from ``previous``) and handed to ``apply_K``
-    while its indicator row is unchanged.  Every sweep recomputes the
-    magnetic trajectory and the advected interface from the current
-    velocity iterate.  When the viscosities differ, the
-    window-start mesh classifies the quadrature points once per window, and
-    the points the iterate can carry to within INDICATOR_BAND of that mesh
-    are back-traced, under the iterate and then through ``history`` into
-    ``phase``; the mesh decides the rest at every node.  The window keeps its
-    last trace, and a later sweep reuses its flags while the flow-map
-    stability bound certifies that this sweep's trace would give the same
-    ones (``_TracedIndicator.certifies``); the trace never outlives the call.
-    Each sweep replaces the iterate by K(u), whose row 0 is the anchor bit for
+    of sweeps.  N(anchor) is memoised with its indicator row: seeded from
+    ``previous``'s last node, read by the Euler start and by every sweep's
+    ``apply_K``, and computed again only when that row is new.  Every sweep
+    recomputes the magnetic trajectory and the advected interface from the
+    current velocity iterate.  When the viscosities differ, one
+    ``_WindowIndicator`` gives the indicator rows of every sweep: the
+    window-start mesh decides the quadrature points the iterate cannot carry
+    to within INDICATOR_BAND of it, and the rest are back-traced, under the
+    iterate and then through ``history`` into ``phase``, or keep the last
+    trace's flags while the flow-map stability bound certifies them.  Each
+    sweep replaces the iterate by K(u), whose row 0 is the anchor bit for
     bit.  A non-finite iterate, a broken dependent or forcing (the predictor's
     included), or an accepted end mesh that crosses itself raises
     WindowFailureError, and so does reaching ``max_iter`` sweeps; otherwise
@@ -429,39 +428,43 @@ def fixed_point_window(
         raise ValueError("the previous window must end at the anchor")
     basis = anchor.u.basis
     params = anchor.params
-    need_chi = params.two_phase
-    if need_chi and phase is None:
+    if params.two_phase and phase is None:
         raise ValueError("a two-phase window needs the initial phase region")
     t_grid = anchor.t + np.linspace(0.0, delta, n_sub + 1)
     if history is None:
         history = SpectralTrajectory(basis, [anchor.t], [anchor.u.coefficients])
-    points = basis.quadrature(order).points
-    if need_chi:
-        # the window-start mesh and the history do not depend on the iterate
-        distance = distance_lower_bound(anchor.mesh, points)
-        mesh_chi = point_in_mesh(anchor.mesh, points)
-        history_growth = np.exp(
-            anchor.t * _row_bound(history.coefficients, _gradient_weights(basis))
+    indicator = None
+    if params.two_phase:
+        indicator = _WindowIndicator(
+            anchor, basis.quadrature(order).points, t_grid, history, phase, h_flow
         )
-    else:
-        mesh_chi = None
     start = "extrapolated" if _extrapolates(previous, delta) else "euler"
-    # N at node 0 and the indicator row it was computed with
-    anchor_forcing = (
-        None if previous is None else (previous.chi_cache[-1], previous.N_values[-1])
-    )
+    # N(anchor) and the indicator row it was computed with; the previous
+    # window's last node is the anchor
+    memo = {"row": previous.chi_cache[-1], "N": previous.N_values[-1]} if previous else {}
+
+    def anchor_forcing(row):
+        if not memo or not np.array_equal(memo["row"], row):
+            memo.update(row=row, N=apply_N(anchor, order, chi_values=row))
+        return memo["N"]
+
+    def failure(message):
+        return WindowFailureError(
+            f"window at t={anchor.t:.6g} (delta={delta:.3g}) {message}",
+            residual_history=residual_history,
+            indicator_traces=0 if indicator is None else indicator.traces,
+            start=start,
+        )
+
     u_coeffs = None
     residual_history = []
-    trace = None
-    indicator_traces = 0
     for iteration in range(1, max_iter + 1):
         try:
             if u_coeffs is None and start == "extrapolated":
                 u_coeffs = extrapolated_predictor(anchor, t_grid, previous)
             elif u_coeffs is None:
-                if anchor_forcing is None or not np.array_equal(anchor_forcing[0], mesh_chi):
-                    anchor_forcing = (mesh_chi, apply_N(anchor, order, chi_values=mesh_chi))
-                u_coeffs = euler_predictor(anchor, t_grid, anchor_forcing[1])
+                mesh_chi = None if indicator is None else indicator.mesh_chi
+                u_coeffs = euler_predictor(anchor, t_grid, anchor_forcing(mesh_chi))
             if not np.all(np.isfinite(u_coeffs)):
                 raise NumericsError("the velocity iterate has non-finite coefficients")
             sampler = SpectralTrajectory(basis, t_grid, u_coeffs)
@@ -475,28 +478,17 @@ def fixed_point_window(
                 )
                 b_fields.append(b_end)
                 resistive[i] = float(np.sum(increments))
-            if need_chi:
-                chi_cache, new_trace = _window_indicator(
-                    points, t_grid, sampler, history, phase, h_flow, distance, mesh_chi,
-                    history_growth, trace,
-                )
-                indicator_traces += new_trace is not None and new_trace is not trace
-                trace = new_trace
-            else:
-                chi_cache = None
+            chi_cache = [None] * (n_sub + 1) if indicator is None else indicator(sampler)
             states = [
                 GalerkinState(
                     t_grid[i], sampler.field_at(t_grid[i]), b_fields[i], meshes[i], params
                 )
                 for i in range(n_sub + 1)
             ]
-            chi_0 = None if chi_cache is None else chi_cache[0]
-            reuse = anchor_forcing is not None and np.array_equal(anchor_forcing[0], chi_0)
             k_coeffs, n_values = apply_K(
                 u_coeffs, anchor.u.coefficients, states, order, chi_values=chi_cache,
-                anchor_forcing=anchor_forcing[1] if reuse else None,
+                anchor_forcing=anchor_forcing(chi_cache[0]),
             )
-            anchor_forcing = (chi_0, n_values[0])
             residual = float(np.max(np.linalg.norm(u_coeffs - k_coeffs, axis=1)))
             residual_history.append(residual)
             if residual < tol:
@@ -505,13 +497,8 @@ def fixed_point_window(
         except (MeshInvariantError, MeshQualityError, IntegrationError, NumericsError) as exc:
             # a blown-up iterate on an oversized window is a window failure,
             # not a run abort: the caller's halving is the remedy
-            raise WindowFailureError(
-                f"window at t={anchor.t:.6g} (delta={delta:.3g}) broke its "
-                f"dependents or forcing during sweep {iteration}: {exc}",
-                residual_history=residual_history,
-                indicator_traces=indicator_traces,
-                start=start,
-            ) from exc
+            message = f"broke its dependents or forcing during sweep {iteration}: {exc}"
+            raise failure(message) from exc
         if residual < tol:
             return WindowSolve(
                 t_grid=t_grid,
@@ -521,17 +508,13 @@ def fixed_point_window(
                 N_values=n_values,
                 states=states,
                 resistive_increments=resistive,
-                chi_cache=list(chi_cache) if chi_cache is not None else [None] * (n_sub + 1),
-                indicator_traces=indicator_traces,
+                chi_cache=chi_cache,
+                indicator_traces=0 if indicator is None else indicator.traces,
                 start=start,
             )
         u_coeffs = k_coeffs
-    raise WindowFailureError(
-        f"window at t={anchor.t:.6g} (delta={delta:.3g}) did not converge in "
-        f"{max_iter} sweeps (last residual {residual_history[-1]:.3e})",
-        residual_history=residual_history,
-        indicator_traces=indicator_traces,
-        start=start,
+    raise failure(
+        f"did not converge in {max_iter} sweeps (last residual {residual_history[-1]:.3e})"
     )
 
 

@@ -246,11 +246,6 @@ def element_measures(mesh):
     return 0.5 * np.linalg.norm(cross, axis=1)
 
 
-def element_centers(mesh):
-    """Segment midpoints (2D) or triangle centroids (3D)."""
-    return mesh.element_corners().mean(axis=1)
-
-
 def _cross_2d(a, b):
     return a[..., 0] * b[..., 1] - a[..., 1] * b[..., 0]
 
@@ -376,11 +371,6 @@ def element_geometry(mesh):
     # the quarter-turned edge is as long as the edge, the cross product twice the area
     measures = lengths if mesh.dimension == 2 else 0.5 * lengths
     return corners.mean(axis=1), raw / lengths[:, None], measures
-
-
-def normals(mesh):
-    """Per-element unit outward normals."""
-    return element_geometry(mesh)[1]
 
 
 def enclosed_volume(mesh):

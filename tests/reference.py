@@ -14,7 +14,7 @@ import numpy as np
 
 from capmhd.flowmap import _step_sizes, integrate_positions
 from capmhd.induction import step_B
-from capmhd.interface import element_centers, element_measures, normals
+from capmhd.interface import element_geometry
 
 
 class SteadyField:
@@ -30,7 +30,7 @@ class SteadyField:
         return self.field.evaluate(points)
 
     def gradient(self, t, points):
-        return self.field.gradient(points)
+        return synthesize_gradient(self.field.basis, self.field.coefficients, points)
 
 
 class AnalyticField:
@@ -71,14 +71,13 @@ def curvature_pairing(mesh, grad_eta):
     node is the segment midpoint (2D) or triangle centroid (3D).  With
     grad_eta = I this returns (d - 1) * perimeter identically.
     """
-    n = normals(mesh)
-    centers = element_centers(mesh)
+    centers, n, measures = element_geometry(mesh)
     grads = np.asarray(grad_eta(centers), dtype=np.float64)
     if not np.all(np.isfinite(grads)):
         raise ValueError("grad_eta returned non-finite values")
     trace = np.einsum("eii->e", grads)
     normal_part = np.einsum("ei,eij,ej->e", n, grads, n)
-    return float(np.sum(element_measures(mesh) * (trace - normal_part)))
+    return float(np.sum(measures * (trace - normal_part)))
 
 
 def gram_matrix(basis, order):
@@ -107,11 +106,11 @@ def synthesize_gradient(basis, coefficients, points):
 
 def curvature_pairing_modes(mesh, basis):
     """Curvature pairing against every mode from the centroids' trig table."""
-    n = normals(mesh)
-    dph = basis.phase_derivatives(element_centers(mesh))
+    centers, n, measures = element_geometry(mesh)
+    dph = basis.phase_derivatives(centers)
     dph *= n @ basis.polarizations.T
     dph *= n @ basis.wavevectors.T
-    return -basis.normalizations * (element_measures(mesh) @ dph)
+    return -basis.normalizations * (measures @ dph)
 
 
 def convection_pairing(a_values, b_values, quad):

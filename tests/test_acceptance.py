@@ -161,7 +161,8 @@ def test_criterion_5_induction_decay_and_antisymmetry():
         u_vals, b_vals = u.evaluate(points), b.evaluate(points)
         transport = transport_pairing(u_vals, b_vals, basis2.quadrature(order))
         lhs = float(cbv @ transport)
-        rhs = weight * float(np.einsum("mi,mil,ml->", b_vals, u.gradient(points), b_vals))
+        grads = ref.synthesize_gradient(basis2, cu, points)
+        rhs = weight * float(np.einsum("mi,mil,ml->", b_vals, grads, b_vals))
         assert abs(lhs - rhs) <= 1e-8
 
 

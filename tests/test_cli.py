@@ -2,6 +2,7 @@ import json
 import subprocess
 import sys
 from dataclasses import MISSING, fields
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -166,9 +167,16 @@ class TestCmdRun:
              "finite"),
             ("initial_magnetic", {"type": "single_mode", "wavevector": [5, 0], "phase": "cos",
                                   "polarization": 0, "amplitude": 0.1}, "not in the basis"),
+            ("initial_magnetic", {"type": "single_mode", "wavevector": [1, 0], "phase": "cos",
+                                  "polarization": "x", "amplitude": 0.1}, "integer"),
+            ("initial_magnetic", {"type": "single_mode", "wavevector": [1, 0], "phase": "cos",
+                                  "polarization": 0.7, "amplitude": 0.1}, "integer"),
+            ("initial_magnetic", {"type": "single_mode", "wavevector": [1, 0], "phase": "cos",
+                                  "polarization": True, "amplitude": 0.1}, "integer"),
         ],
         ids=["amplitude-nan", "coefficient-inf", "wavevector-fraction", "center-nan",
-             "radius-nan", "mode-outside-basis"],
+             "radius-nan", "mode-outside-basis", "polarization-string",
+             "polarization-fraction", "polarization-bool"],
     )
     def test_bad_nested_value_exits_2(self, tmp_path, capsys, key, value, message):
         path = write_config(tmp_path, small_config_dict(**{key: value}))
@@ -278,7 +286,7 @@ class TestCmdCheckEnergy:
 
     def test_violating_row_named(self, ledger_path, tmp_path, capsys):
         path, tau = ledger_path
-        lines = open(path).read().strip().splitlines()
+        lines = Path(path).read_text().strip().splitlines()
         parts = lines[2].split(",")
         parts[1] = str(float(parts[1]) + 100.0)
         lines[2] = ",".join(parts)
@@ -290,7 +298,7 @@ class TestCmdCheckEnergy:
 
     def test_non_finite_row_exits_2(self, ledger_path, tmp_path, capsys):
         path, tau = ledger_path
-        lines = open(path).read().strip().splitlines()
+        lines = Path(path).read_text().strip().splitlines()
         parts = lines[2].split(",")
         parts[1] = "nan"
         lines[2] = ",".join(parts)

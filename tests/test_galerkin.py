@@ -73,7 +73,8 @@ class TestApplyN:
             mode = cb.SpectralField(basis_2d, coeffs)
 
             def phi(points, m=mode):
-                return m.evaluate(points), m.gradient(points)
+                grads = ref.synthesize_gradient(basis_2d, m.coefficients, points)
+                return m.evaluate(points), grads
 
             exact = circle_first_variation(CENTER_2D, 1.0, phi)
             assert forcing[j] == pytest.approx(exact, abs=1e-3 * max(1.0, abs(exact)))
@@ -434,28 +435,27 @@ def _run_checking_indicator(monkeypatch, config):
     the windows took from a trace and that they left to the window-start
     mesh, and the number of sweeps that reused an earlier sweep's trace.
     """
-    real = cg._window_indicator
+    real = cg._WindowIndicator.__call__
     counts = {"band": 0, "mesh": 0, "reused": 0}
 
-    def checked(
-        points, t_grid, sampler, history, phase, h_flow, distance, mesh_chi,
-        history_growth, reference,
-    ):
-        chi, trace = real(
-            points, t_grid, sampler, history, phase, h_flow, distance, mesh_chi,
-            history_growth, reference,
+    def checked(indicator, sampler):
+        traces = indicator.traces
+        chi = real(indicator, sampler)
+        t_grid = indicator.t_grid
+        expected = _full_backtrace_indicator(
+            indicator.points, t_grid, sampler, indicator.history, indicator.phase,
+            indicator.h_flow,
         )
-        expected = _full_backtrace_indicator(points, t_grid, sampler, history, phase, h_flow)
         for node, (got, want) in enumerate(zip(chi, expected)):
             np.testing.assert_array_equal(got, want, err_msg=f"t={t_grid[node]}")
         speed = np.max(np.abs(sampler.coefficients) @ sampler.basis.normalizations)
-        moving = distance <= cg.INDICATOR_BAND + (t_grid[-1] - t_grid[0]) * speed
+        moving = indicator.distance <= cg.INDICATOR_BAND + (t_grid[-1] - t_grid[0]) * speed
         counts["band"] += int(moving.sum())
         counts["mesh"] += int((~moving).sum())
-        counts["reused"] += trace is not None and trace is reference
-        return chi, trace
+        counts["reused"] += bool(moving.any()) and indicator.traces == traces
+        return chi
 
-    monkeypatch.setattr(cg, "_window_indicator", checked)
+    monkeypatch.setattr(cg._WindowIndicator, "__call__", checked)
     return cg.run(config), counts
 
 
@@ -587,39 +587,84 @@ class TestWindowStart:
         )
         assert len(calls) == 4 * second.iterations
 
+    def test_node_0_forcing_is_computed_once_per_row(self, monkeypatch, basis_2d):
+        # two phases at order 20 on a 16-gon: quadrature points between its
+        # chords and the circle are in the band, so node 0's indicator row
+        # differs between the mesh (Euler start) and the trace (sweeps), and
+        # N(anchor) is computed again exactly when the row read changes
+        rng = np.random.default_rng(191)
+        anchor = make_state(basis_2d, u_coeffs=0.3 * rng.standard_normal(len(basis_2d)),
+                            params=self.PARAMS, resolution=16)
+        args = dict(self.ARGS, order=20)
+        points = basis_2d.quadrature(20).points
+        real_n, real_k = cg.apply_N, cg.apply_K
+        times, rows = [], []
+
+        def counted(state, *args, **kwargs):
+            times.append(state.t)
+            return real_n(state, *args, **kwargs)
+
+        def recorded(u_trajectory, u_anchor, states, order, chi_values=None, **kwargs):
+            rows.append(chi_values[0])
+            return real_k(u_trajectory, u_anchor, states, order, chi_values=chi_values, **kwargs)
+
+        def changes(read):
+            return sum(not np.array_equal(a, b) for a, b in zip(read, read[1:]))
+
+        monkeypatch.setattr(cg, "apply_N", counted)
+        monkeypatch.setattr(cg, "apply_K", recorded)
+        first = cg.fixed_point_window(anchor, 0.05, 4, 1e-8, 30, **args)
+        read = [ci.point_in_mesh(anchor.mesh, points)] + rows
+        assert first.start == "euler" and changes(read) > 0
+        assert times.count(anchor.t) == 1 + changes(read)
+        times.clear()
+        rows.clear()
+        second_anchor = first.states[-1]
+        second = cg.fixed_point_window(second_anchor, 0.05, 4, 1e-8, 30, previous=first, **args)
+        read = [first.chi_cache[-1]]
+        if second.start == "euler":
+            read.append(ci.point_in_mesh(second_anchor.mesh, points))
+        read += rows
+        assert changes(read) > 0
+        assert times.count(second_anchor.t) == changes(read)
+
 
 class _TranslatingWindow:
     """A window of the flow u = s (1, 0) along y = pi, from t = 0 to 0.3.
 
     Its points lie 1.2, 0 and 2 right of the unit disk's centre; the first
     is in the band, and its origin is 1.2 - s t right of the centre.
+    ``indicator`` is the window's indicator, and ``flow(s)`` the iterate.
     """
 
-    def __init__(self, speed):
-        basis = cb.make_basis(2, 1)
-        j = next(
-            j for j, mode in enumerate(basis.modes)
+    def __init__(self):
+        self.basis = cb.make_basis(2, 1)
+        self.mode = next(
+            j for j, mode in enumerate(self.basis.modes)
             if mode.wavevector == (0, 1) and mode.phase == "cos"
         )
-        coefficients = np.zeros(len(basis))
-        coefficients[j] = speed / basis.normalizations[j]
-        self.phase = ci.disk(CENTER_2D, 1.0)
-        mesh = ci.mesh_initial(self.phase, 256)
-        self.points = np.asarray(CENTER_2D) + np.array([[1.2, 0.0], [0.0, 0.0], [2.0, 0.0]])
-        self.t_grid = np.array([0.0, 0.15, 0.3])
-        self.flow = SpectralTrajectory(basis, self.t_grid, np.tile(coefficients, (3, 1)))
-        np.testing.assert_allclose(
-            self.flow.velocity(0.0, self.points[:1]), [[speed, 0.0]], atol=1e-14
+        anchor = make_state(self.basis, params=cg.FluidParams(0.2, 0.1, 1.0, 0.0),
+                            resolution=256)
+        points = np.asarray(CENTER_2D) + np.array([[1.2, 0.0], [0.0, 0.0], [2.0, 0.0]])
+        t_grid = np.array([0.0, 0.15, 0.3])
+        history = SpectralTrajectory(self.basis, [0.0], [self.coefficients(1.0)])
+        self.indicator = cg._WindowIndicator(
+            anchor, points, t_grid, history, ci.disk(CENTER_2D, 1.0), 0.01
         )
-        self.history = SpectralTrajectory(basis, [0.0], [coefficients])
-        self.distance = ci.distance_lower_bound(mesh, self.points)
-        self.mesh_chi = ci.point_in_mesh(mesh, self.points)
 
-    def indicator(self, reference, distance=None):
-        return cg._window_indicator(
-            self.points, self.t_grid, self.flow, self.history, self.phase, 0.01,
-            self.distance if distance is None else distance, self.mesh_chi, 1.0, reference,
+    def coefficients(self, speed):
+        coefficients = np.zeros(len(self.basis))
+        coefficients[self.mode] = speed / self.basis.normalizations[self.mode]
+        return coefficients
+
+    def flow(self, speed):
+        flow = SpectralTrajectory(
+            self.basis, self.indicator.t_grid, np.tile(self.coefficients(speed), (3, 1))
         )
+        np.testing.assert_allclose(
+            flow.velocity(0.0, self.indicator.points[:1]), [[speed, 0.0]], atol=1e-14
+        )
+        return flow
 
 
 class TestWindowIndicator:
@@ -635,27 +680,28 @@ class TestWindowIndicator:
         # the chords of a 16-gon lie up to 0.019 inside the unit circle: a
         # point between a chord and the circle is in the region but outside
         # the polygon, and it lies in the band, so the back-trace decides it
-        phase = ci.disk(CENTER_2D, 1.0)
-        mesh = ci.mesh_initial(phase, 16)
+        anchor = make_state(basis_2d, params=cg.FluidParams(0.2, 0.1, 1.0, 0.0), resolution=16)
+        anchor.t = anchor.mesh.t = 0.2
         angle = np.pi / 16
         offsets = [[0.0, 0.0], [0.99 * np.cos(angle), 0.99 * np.sin(angle)], [2.0, 0.0]]
         points = np.asarray(CENTER_2D) + np.array(offsets)
-        assert ci.point_in_mesh(mesh, points).tolist() == [1, 0, 0]
+        assert ci.point_in_mesh(anchor.mesh, points).tolist() == [1, 0, 0]
         still = SpectralTrajectory(basis_2d, [0.0, 0.3], np.zeros((2, len(basis_2d))))
-        chi, _ = cg._window_indicator(
-            points, np.array([0.2, 0.3]), still, still, phase, 0.01,
-            ci.distance_lower_bound(mesh, points), ci.point_in_mesh(mesh, points), 1.0, None,
+        indicator = cg._WindowIndicator(
+            anchor, points, np.array([0.2, 0.3]), still, ci.disk(CENTER_2D, 1.0), 0.01
         )
+        chi = indicator(still)
         assert [node.tolist() for node in chi] == [[1, 1, 0], [1, 1, 0]]
 
     def test_points_the_window_carries_into_the_band_are_traced(self):
         # u = (1, 0) along y = pi: the point 1.2 right of the centre lies
         # 0.2 outside the unit disk, beyond the band but within the window's
         # reach, and is inside the region at the last node only
-        window = _TranslatingWindow(1.0)
-        chi, trace = window.indicator(None)
+        window = _TranslatingWindow()
+        chi = window.indicator(window.flow(1.0))
         assert [node.tolist() for node in chi] == [[0, 1, 0], [0, 1, 0], [1, 1, 0]]
-        assert trace.moving.tolist() == [True, False, False]
+        assert window.indicator.moving.tolist() == [True, False, False]
+        assert window.indicator.traces == 1
 
     @settings(max_examples=20)
     @given(st.sampled_from([2, 3]), st.integers(0, 2**32 - 1))
@@ -683,7 +729,7 @@ class TestWindowIndicator:
             basis.quadrature(8).points, rng.uniform(0.0, 2 * np.pi, (200, dimension))
         ])
         bound = cg._row_bound(coefficients, cg._gradient_weights(basis))
-        grads = basis.synthesize_gradient(coefficients, points)
+        grads = ref.synthesize_gradient(basis, coefficients, points)
         assert np.max(np.linalg.norm(grads, ord=2, axis=(1, 2))) <= bound
 
     def test_banded_matches_full_backtrace_3d(self, monkeypatch):
@@ -718,46 +764,51 @@ def _counting_traces(monkeypatch):
 
 class TestIndicatorReuse:
     def test_unchanged_iterate_reuses_without_tracing(self, monkeypatch):
-        window = _TranslatingWindow(1.0)
-        chi, trace = window.indicator(None)
+        window = _TranslatingWindow()
+        flow = window.flow(1.0)
+        chi = window.indicator(flow)
         calls = _counting_traces(monkeypatch)
-        again, reused = window.indicator(trace)
-        assert reused is trace and calls == []
+        again = window.indicator(flow)
+        assert window.indicator.traces == 1 and calls == []
         for got, want in zip(again, chi):
             np.testing.assert_array_equal(got, want)
 
     def test_nearby_iterate_reuses_the_flags_its_own_trace_gives(self, monkeypatch):
         # eps = 1e-3 moves no origin by more than e^0.3 * 3e-4, while the
         # origins clear the circle by 0.2, 0.05 and 0.1
-        _, trace = _TranslatingWindow(1.0).indicator(None)
-        np.testing.assert_allclose(trace.clearance[:, 0], [0.2, 0.05, 0.1], atol=1e-12)
-        nearby = _TranslatingWindow(1.001)
-        fresh, _ = nearby.indicator(None)
+        window = _TranslatingWindow()
+        window.indicator(window.flow(1.0))
+        clearance = window.indicator.clearance
+        np.testing.assert_allclose(clearance[:, 0], [0.2, 0.05, 0.1], atol=1e-12)
+        nearby = window.flow(1.001)
+        fresh = _TranslatingWindow().indicator(nearby)
         calls = _counting_traces(monkeypatch)
-        chi, reused = nearby.indicator(trace)
-        assert reused is trace and calls == []
+        chi = window.indicator(nearby)
+        assert window.indicator.traces == 1 and calls == []
         for got, want in zip(chi, fresh):
             np.testing.assert_array_equal(got, want)
 
     def test_origin_inside_the_bound_forces_a_retrace(self, monkeypatch):
         # at speed 1.5 the reach at t = 0.15 is e^0.225 * 0.075 against a
         # clearance of 0.05, and the origin does cross: 0.025 inside the disk
-        _, trace = _TranslatingWindow(1.0).indicator(None)
+        window = _TranslatingWindow()
+        window.indicator(window.flow(1.0))
+        faster = window.flow(1.5)
         calls = _counting_traces(monkeypatch)
-        chi, retraced = _TranslatingWindow(1.5).indicator(trace)
-        assert retraced is not trace and len(calls) == 4
+        chi = window.indicator(faster)
+        assert window.indicator.traces == 2 and len(calls) == 4
         assert [node.tolist() for node in chi] == [[0, 1, 0], [1, 1, 0], [1, 1, 0]]
-        assert retraced.inside.tolist() == [[0], [1], [1]]
+        assert window.indicator.inside.tolist() == [[0], [1], [1]]
 
     def test_changed_moving_mask_forces_a_retrace(self, monkeypatch):
-        window = _TranslatingWindow(1.0)
-        _, trace = window.indicator(None)
+        window = _TranslatingWindow()
+        flow = window.flow(1.0)
+        window.indicator(flow)
         calls = _counting_traces(monkeypatch)
-        distance = window.distance.copy()
-        distance[2] = 0.0
-        chi, retraced = window.indicator(trace, distance=distance)
-        assert retraced is not trace and len(calls) == 4
-        assert retraced.moving.tolist() == [True, False, True]
+        window.indicator.distance[2] = 0.0
+        chi = window.indicator(flow)
+        assert window.indicator.traces == 2 and len(calls) == 4
+        assert window.indicator.moving.tolist() == [True, False, True]
         assert [node.tolist() for node in chi] == [[0, 1, 0], [0, 1, 0], [1, 1, 0]]
 
     @settings(max_examples=20, deadline=None)
