@@ -2,7 +2,9 @@
 
 Exit codes: 0 success (for ``run``: completed and the energy inequality
 passed), 1 completed with a failed check, 2 configuration or input error,
-3 solver hard failure (with a state dump in the output directory).
+3 solver hard failure (with ``failure_state.json`` in the output directory;
+``refine`` writes it when given ``--out``).  A configuration error of any
+command is reported as one line on stderr, never as a traceback.
 
 All file outputs are written with 12 significant digits and fixed column
 and summation order, so identical configurations give byte-identical
@@ -89,27 +91,32 @@ def _summarize(result, config, report):
     }
 
 
+def _solver_failure(exc, out_dir, **context):
+    """Exit code 3 for a solver failure, with ``failure_state.json`` in ``out_dir``.
+
+    ``context`` (such as refine's kmax) joins the error's own diagnostics and
+    the message; without ``out_dir`` nothing is written.
+    """
+    where = "".join(f" at {key}={value}" for key, value in context.items())
+    print(f"solver failure{where}: {exc}", file=sys.stderr)
+    if out_dir:
+        os.makedirs(out_dir, exist_ok=True)
+        diagnostics = {**(getattr(exc, "diagnostics", None) or {}), **context}
+        _write_json(
+            os.path.join(out_dir, "failure_state.json"),
+            {"error": type(exc).__name__, "message": str(exc), "diagnostics": diagnostics},
+        )
+    return 3
+
+
 def cmd_run(config_path, out_dir=None):
-    try:
-        config = RunConfig.from_json(config_path)
-    except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return 2
+    config = RunConfig.from_json(config_path)
     out = out_dir or config.output_dir
     os.makedirs(out, exist_ok=True)
     try:
         result = galerkin.run(config)
-    except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return 2
     except _SOLVER_ERRORS as exc:
-        diagnostics = getattr(exc, "diagnostics", {}) or {}
-        _write_json(
-            os.path.join(out, "failure_state.json"),
-            {"error": type(exc).__name__, "message": str(exc), "diagnostics": diagnostics},
-        )
-        print(f"solver failure: {exc}", file=sys.stderr)
-        return 3
+        return _solver_failure(exc, out)
     report = check_inequality(result.ledger, result.tau_E)
     result.ledger.write_csv(os.path.join(out, "ledger.csv"))
     _write_json(os.path.join(out, "summary.json"), _summarize(result, config, report))
@@ -127,13 +134,9 @@ def cmd_run(config_path, out_dir=None):
 
 
 def cmd_refine(config_path, levels, out_dir=None):
-    try:
-        if levels < 2:
-            raise ConfigError(f"refine needs at least 2 levels, got {levels}")
-        config = RunConfig.from_json(config_path)
-    except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return 2
+    if levels < 2:
+        raise ConfigError(f"refine needs at least 2 levels, got {levels}")
+    config = RunConfig.from_json(config_path)
     rows = []
     for level in range(levels):
         kmax = config.kmax * 2**level
@@ -143,11 +146,9 @@ def cmd_refine(config_path, levels, out_dir=None):
         try:
             result = galerkin.run(RunConfig.from_dict(data))
         except ConfigError as exc:
-            print(f"config error at kmax={kmax}: {exc}", file=sys.stderr)
-            return 2
+            raise ConfigError(f"at kmax={kmax}: {exc}") from exc
         except _SOLVER_ERRORS as exc:
-            print(f"solver failure at kmax={kmax}: {exc}", file=sys.stderr)
-            return 3
+            return _solver_failure(exc, out_dir, kmax=kmax)
         final = result.final_state
         rows.append(
             {
@@ -218,15 +219,10 @@ def cmd_check_energy(ledger_path, e0=None, tol=None):
 
 
 def cmd_dump_mesh(config_path, out_dir=None):
-    try:
-        config = RunConfig.from_json(config_path)
-        setup = config.build()
-    except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return 2
+    config = RunConfig.from_json(config_path)
+    mesh = config.build()[0].mesh
     out = out_dir or config.output_dir
     os.makedirs(out, exist_ok=True)
-    mesh = setup["mesh0"]
     path = os.path.join(out, mesh_filename(mesh, 0.0))
     write_mesh(mesh, path)
     print(f"wrote {path}")
@@ -262,15 +258,18 @@ def build_parser():
 
 def main(argv=None):
     args = build_parser().parse_args(argv)
-    if args.command == "run":
-        return cmd_run(args.config, args.out)
-    if args.command == "refine":
-        return cmd_refine(args.config, args.levels, args.out)
-    if args.command == "check-energy":
-        return cmd_check_energy(args.ledger, args.e0, args.tol)
-    if args.command == "dump-mesh":
-        return cmd_dump_mesh(args.config, args.out)
-    return 2
+    try:
+        if args.command == "run":
+            return cmd_run(args.config, args.out)
+        if args.command == "refine":
+            return cmd_refine(args.config, args.levels, args.out)
+        if args.command == "check-energy":
+            return cmd_check_energy(args.ledger, args.e0, args.tol)
+        if args.command == "dump-mesh":
+            return cmd_dump_mesh(args.config, args.out)
+    except ConfigError as exc:
+        print(f"config error: {exc}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

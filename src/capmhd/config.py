@@ -16,7 +16,7 @@ import numpy as np
 
 from .basis import default_quadrature_order, make_basis, project_L2, SpectralField
 from .errors import ConfigError
-from .galerkin import FluidParams
+from .galerkin import FluidParams, GalerkinState
 from .interface import InitialPhase, mesh_initial
 
 _FIELD_TYPES = ("zero", "taylor_green", "single_mode", "coefficients")
@@ -200,14 +200,7 @@ class RunConfig:
             raise ConfigError(f"kmax must be >= 1, got {self.kmax}")
         if self.T < 0.0 or not math.isfinite(self.T):
             raise ConfigError(f"T must be a finite nonnegative time, got {self.T}")
-        if self.sigma <= 0.0:
-            raise ConfigError(
-                f"the magnetic diffusivity must satisfy sigma > 0, got {self.sigma}"
-            )
-        if self.kappa < 0.0:
-            raise ConfigError(f"kappa must be nonnegative, got {self.kappa}")
-        if self.nu_plus < 0.0 or self.nu_minus < 0.0:
-            raise ConfigError("viscosities must be nonnegative")
+        self.fluid_params()  # validates nu_plus, nu_minus, sigma and kappa
         if self.nu_plus == 0.0 and self.nu_minus == 0.0:
             if self.kappa > 0.0 or not _is_zero_field(self.initial_magnetic):
                 raise ConfigError(
@@ -258,24 +251,24 @@ class RunConfig:
         except (ValueError, TypeError) as exc:
             raise ConfigError(f"invalid phase shape: {exc}") from exc
 
+    def fluid_params(self):
+        try:
+            return FluidParams(self.nu_plus, self.nu_minus, self.sigma, self.kappa)
+        except ValueError as exc:
+            raise ConfigError(str(exc)) from exc
+
     def build(self):
-        """Assemble basis, initial fields, mesh and parameters for the driver."""
+        """(state at t = 0, initial phase region) of the run.
+
+        The state holds the initial fields on the basis, the initial
+        interface mesh and the physical constants.
+        """
         basis = make_basis(self.dimension, self.kmax)
-        order = self.quadrature_order
-        u0 = build_initial_field(self.initial_velocity, basis, order)
-        b0 = build_initial_field(self.initial_magnetic, basis, order)
+        u0 = build_initial_field(self.initial_velocity, basis, self.quadrature_order)
+        b0 = build_initial_field(self.initial_magnetic, basis, self.quadrature_order)
         phase = self.phase_region()
         mesh0 = mesh_initial(phase, self.mesh_resolution)
-        params = FluidParams(self.nu_plus, self.nu_minus, self.sigma, self.kappa)
-        return {
-            "basis": basis,
-            "order": order,
-            "u0": u0,
-            "B0": b0,
-            "phase": phase,
-            "mesh0": mesh0,
-            "params": params,
-        }
+        return GalerkinState(0.0, u0, b0, mesh0, self.fluid_params()), phase
 
     def resolved(self):
         """Plain dict with every default filled in (embedded into summaries)."""

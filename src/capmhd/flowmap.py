@@ -109,8 +109,10 @@ def _step_sizes(t0, t1, h):
     return sizes
 
 
-def _integrate(positions, sampler, t0, t1, h):
+def integrate_positions(positions, sampler, t0, t1, h):
     """RK4 path of every row of ``positions`` from t0 to t1 (either direction)."""
+    if h <= 0.0:
+        raise ValueError(f"step size must be positive, got {h}")
     x = np.array(positions, dtype=np.float64)
     t = t0
     for dt in _step_sizes(t0, t1, h):
@@ -127,11 +129,3 @@ def _integrate(positions, sampler, t0, t1, h):
         x = x + (dt / 6) * (k1 + 2 * k2 + 2 * k3 + k4)
         t = t_end
     return x
-
-
-def integrate_positions(positions, sampler, t0, t1, h):
-    """Transport raw positions between arbitrary times (either direction)."""
-    if h <= 0.0:
-        raise ValueError(f"step size must be positive, got {h}")
-    return _integrate(positions, sampler, t0, t1, h)
-

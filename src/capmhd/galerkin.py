@@ -105,11 +105,14 @@ class FluidParams:
 
     def __post_init__(self):
         if self.nu_plus < 0.0 or self.nu_minus < 0.0:
-            raise ValueError("viscosities must be nonnegative")
+            raise ValueError(
+                "viscosities must be nonnegative, "
+                f"got nu_plus={self.nu_plus}, nu_minus={self.nu_minus}"
+            )
         if self.sigma <= 0.0:
-            raise ValueError("the magnetic diffusivity must satisfy sigma > 0")
+            raise ValueError(f"the magnetic diffusivity must satisfy sigma > 0, got {self.sigma}")
         if self.kappa < 0.0:
-            raise ValueError("kappa must be nonnegative")
+            raise ValueError(f"kappa must be nonnegative, got {self.kappa}")
 
     @property
     def two_phase(self):
@@ -536,19 +539,22 @@ class RunResult:
 
     states: list
     ledger: EnergyLedger
-    trajectory: SpectralTrajectory
     windows: list
     cumulative_N: np.ndarray
     n_bound_samples: list
     E0: float
     tau_E: float
     delta_initial: float
-    window_failures: int
     attempts: list
 
     @property
     def final_state(self):
         return self.states[-1]
+
+    @property
+    def window_failures(self):
+        """Window attempts that failed, each followed by a halving."""
+        return len(self.attempts) - len(self.windows)
 
     @property
     def sweeps(self):
@@ -562,6 +568,27 @@ class RunResult:
             - self.states[0].u.coefficients
             - self.cumulative_N
         )
+
+
+def _attempt_record(t, delta, outcome):
+    """Record of one window attempt, from its WindowSolve or WindowFailureError.
+
+    A failed attempt names the error that broke the window: the failure's
+    cause when it has one.
+    """
+    accepted = isinstance(outcome, WindowSolve)
+    cause = None if accepted else (outcome.__cause__ or outcome)
+    return {
+        "t": t,
+        "delta": delta,
+        "start": outcome.start,
+        "sweeps": len(outcome.residual_history),
+        "residual_history": outcome.residual_history,
+        "indicator_traces": outcome.indicator_traces,
+        "accepted": accepted,
+        "error": None if accepted else type(cause).__name__,
+        "message": None if accepted else str(outcome),
+    }
 
 
 def run(config):
@@ -581,17 +608,12 @@ def run(config):
     a sweep counts once its residual is known.  Deterministic for a fixed
     configuration.
     """
-    setup = config.build()
-    basis = setup["basis"]
-    params = setup["params"]
-    phase = setup["phase"]
-    state = GalerkinState(0.0, setup["u0"], setup["B0"], setup["mesh0"], params)
-    order = setup["order"]
+    state, phase = config.build()
+    basis, params, order = state.u.basis, state.params, config.quadrature_order
     e0 = initial_energy(state.u, state.B, state.mesh, params.kappa)
     delta = initial_window_size(config.delta, state.u.norm(), e0, state.bv_norm())
     delta_initial = delta
-    dt0 = delta / config.n_sub
-    tau_e = default_tolerance(dt0, order, e0)
+    tau_e = default_tolerance(delta / config.n_sub, order, e0)
 
     ledger = EnergyLedger(E0=e0)
     record(state, ledger, (0.0, 0.0))
@@ -601,13 +623,10 @@ def run(config):
     windows = []
     samples = []
     attempts = []
-    failures = 0
     t = 0.0
 
     while t < config.T - 1e-12:
         delta_use = min(delta, config.T - t)
-        attempt = {"t": t, "delta": delta_use}
-        attempts.append(attempt)
         try:
             window = fixed_point_window(
                 state,
@@ -623,17 +642,7 @@ def run(config):
                 previous=windows[-1] if windows else None,
             )
         except WindowFailureError as exc:
-            cause = exc.__cause__ or exc
-            attempt.update(
-                start=exc.start,
-                sweeps=len(exc.residual_history),
-                residual_history=exc.residual_history,
-                indicator_traces=exc.indicator_traces,
-                accepted=False,
-                error=type(cause).__name__,
-                message=str(exc),
-            )
-            failures += 1
+            attempts.append(_attempt_record(t, delta_use, exc))
             delta = delta / 2.0
             if delta < config.delta_min:
                 raise NonConvergenceError(
@@ -641,21 +650,13 @@ def run(config):
                     diagnostics={
                         "t": t,
                         "delta": delta,
-                        "failures": failures,
+                        "failures": len(attempts) - len(windows),
                         "u_norm": state.u.norm(),
                         "B_norm": state.B.norm(),
                     },
                 )
             continue
-        attempt.update(
-            start=window.start,
-            sweeps=window.iterations,
-            residual_history=window.residual_history,
-            indicator_traces=window.indicator_traces,
-            accepted=True,
-            error=None,
-            message=None,
-        )
+        attempts.append(_attempt_record(t, delta_use, window))
         windows.append(window)
         for st, n_value in zip(window.states, window.N_values):
             n_norm = float(np.linalg.norm(n_value))
@@ -680,13 +681,11 @@ def run(config):
     return RunResult(
         states=states,
         ledger=ledger,
-        trajectory=history,
         windows=windows,
         cumulative_N=cumulative_n,
         n_bound_samples=samples,
         E0=e0,
         tau_E=tau_e,
         delta_initial=delta_initial,
-        window_failures=failures,
         attempts=attempts,
     )

@@ -282,24 +282,26 @@ def _icosahedron():
 
 
 def _subdivide(vertices, faces):
-    verts = vertices.tolist()
-    cache = {}
+    """Split every face in four, with the edge midpoints on the unit sphere.
 
-    def midpoint(i, j):
-        key = (min(i, j), max(i, j))
-        if key in cache:
-            return cache[key]
-        v = np.asarray(verts[i]) + np.asarray(verts[j])
-        v = v / np.linalg.norm(v)
-        verts.append(v.tolist())
-        cache[key] = len(verts) - 1
-        return cache[key]
-
-    out = []
-    for a, b, c in faces:
-        ab, bc, ca = midpoint(a, b), midpoint(b, c), midpoint(c, a)
-        out += [[a, ab, ca], [b, bc, ab], [c, ca, bc], [ab, bc, ca]]
-    return np.array(verts), np.array(out, dtype=np.int64)
+    The midpoints of each face's edges (a, b), (b, c), (c, a), taken face by
+    face, are numbered after the old vertices in order of first appearance.
+    Each norm is the row's own dot product, as for a single vector.
+    """
+    n = len(vertices)
+    ends = np.stack([faces, np.roll(faces, -1, axis=1)], axis=-1).reshape(-1, 2)
+    keys = np.min(ends, axis=1) * n + np.max(ends, axis=1)
+    unique, first, inverse = np.unique(keys, return_index=True, return_inverse=True)
+    order = np.argsort(first)
+    # the midpoint number of each unique edge: the inverse permutation of order
+    ab, bc, ca = (n + np.argsort(order)[inverse]).reshape(-1, 3).T
+    a, b, c = faces.T
+    edges = unique[order]
+    sums = vertices[edges // n] + vertices[edges % n]
+    midpoints = sums / np.sqrt(sums[:, None, :] @ sums[:, :, None])[:, 0]
+    children = [(a, ab, ca), (b, bc, ab), (c, ca, bc), (ab, bc, ca)]
+    out = np.stack([np.stack(child, axis=-1) for child in children], axis=1)
+    return np.concatenate([vertices, midpoints]), out.reshape(-1, 3)
 
 
 def _icosphere(level):

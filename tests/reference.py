@@ -179,3 +179,29 @@ def induction_steps(sampler, b0, t0, t1, dt, sigma, order):
         times.append(t0 + (step + 1) * dt if step + 1 < n_steps else t1)
         increments.append(sigma * fields[-1].grad_norm_sq() * dt_step)
     return np.array(times), fields, np.array(increments)
+
+
+def subdivide(vertices, faces):
+    """One icosphere subdivision, one edge midpoint at a time.
+
+    The midpoints are numbered as the faces' edges (a, b), (b, c), (c, a) are
+    first met, through a dict keyed by the sorted vertex pair.
+    """
+    verts = vertices.tolist()
+    cache = {}
+
+    def midpoint(i, j):
+        key = (min(i, j), max(i, j))
+        if key in cache:
+            return cache[key]
+        v = np.asarray(verts[i]) + np.asarray(verts[j])
+        v = v / np.linalg.norm(v)
+        verts.append(v.tolist())
+        cache[key] = len(verts) - 1
+        return cache[key]
+
+    out = []
+    for a, b, c in faces:
+        ab, bc, ca = midpoint(a, b), midpoint(b, c), midpoint(c, a)
+        out += [[a, ab, ca], [b, bc, ab], [c, ca, bc], [ab, bc, ca]]
+    return np.array(verts), np.array(out, dtype=np.int64)

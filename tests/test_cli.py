@@ -8,7 +8,9 @@ import numpy as np
 import pytest
 
 from capmhd import cli, galerkin
-from capmhd.config import RunConfig
+from capmhd.basis import make_basis
+from capmhd.config import RunConfig, build_initial_field
+from capmhd import interface as ci
 from capmhd.errors import ConfigError, MeshInvariantError
 
 from conftest import CENTER_2D, reference_config
@@ -110,6 +112,37 @@ class TestConfigValidation:
         path = write_config(tmp_path, {"config": small_config_dict()})
         config = RunConfig.from_json(path)
         assert config.dimension == 2
+
+    @pytest.mark.parametrize(
+        "overrides,message",
+        [
+            ({"nu_minus": -0.1}, "viscosities must be nonnegative, got nu_plus=0.2, nu_minus=-0.1"),
+            ({"sigma": -1.0}, "sigma > 0, got -1.0"),
+            ({"kappa": -0.5}, "kappa must be nonnegative, got -0.5"),
+        ],
+        ids=["viscosity", "sigma", "kappa"],
+    )
+    def test_constants_rejected_with_the_offending_value(self, overrides, message):
+        with pytest.raises(ConfigError, match=message):
+            RunConfig.from_dict(small_config_dict(**overrides))
+
+
+class TestBuild:
+    def test_returns_the_state_at_t0_and_the_phase(self):
+        config = reference_config()
+        state, phase = config.build()
+        basis = make_basis(config.dimension, config.kmax)
+        order = config.quadrature_order
+        assert state.t == 0.0 and state.mesh.t == 0.0
+        assert state.u.basis.modes == basis.modes
+        for built, spec in ((state.u, config.initial_velocity), (state.B, config.initial_magnetic)):
+            expected = build_initial_field(spec, basis, order)
+            np.testing.assert_array_equal(built.coefficients, expected.coefficients)
+        assert phase == config.phase_region()
+        mesh = ci.mesh_initial(phase, config.mesh_resolution)
+        np.testing.assert_array_equal(state.mesh.vertices, mesh.vertices)
+        np.testing.assert_array_equal(state.mesh.elements, mesh.elements)
+        assert state.params == galerkin.FluidParams(0.2, 0.1, 1.0, 0.1)
 
 
 class TestCmdRun:
@@ -367,6 +400,32 @@ class TestCmdRefine:
         path = write_config(tmp_path, small_config_dict())
         assert cli.main(["refine", "--config", path, "--levels", "1"]) == 2
 
+    def test_solver_failure_exits_3_with_dump(self, tmp_path, capsys):
+        data = small_config_dict()
+        data["solver"]["max_iter"] = 1
+        data["solver"]["delta_min"] = 0.02  # one sweep converges near delta = 2e-4
+        path = write_config(tmp_path, data)
+        out = tmp_path / "ref"
+        assert cli.main(["refine", "--config", path, "--levels", "2", "--out", str(out)]) == 3
+        dump = json.loads((out / "failure_state.json").read_text())
+        assert dump["error"] == "NonConvergenceError"
+        assert dump["diagnostics"]["kmax"] == 1
+        assert dump["diagnostics"]["failures"] >= 1
+        assert "solver failure at kmax=1" in capsys.readouterr().err
+        assert not (out / "refine_report.json").exists()
+
+    def test_config_error_names_the_level(self, tmp_path, capsys):
+        # eight coefficients fit the kmax = 1 basis and not the kmax = 2 one
+        data = small_config_dict(
+            initial_velocity={"type": "coefficients", "values": [0.0] * 8},
+            initial_magnetic={"type": "zero"},
+        )
+        path = write_config(tmp_path, data)
+        assert cli.main(["refine", "--config", path, "--levels", "2"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: at kmax=2:") and "coefficient list" in err
+        assert "Traceback" not in err
+
 
 class TestCmdDumpMesh:
     def test_writes_initial_mesh(self, tmp_path):
@@ -374,6 +433,15 @@ class TestCmdDumpMesh:
         out = tmp_path / "mesh"
         assert cli.main(["dump-mesh", "--config", path, "--out", str(out)]) == 0
         assert (out / "interface_t0.000000.csv").exists()
+
+    def test_bad_config_exits_2_without_traceback(self, tmp_path, capsys):
+        bad = write_config(tmp_path, small_config_dict(sigma=0.0))
+        for path in (bad, str(tmp_path / "absent.json")):
+            out = tmp_path / "mesh"
+            assert cli.main(["dump-mesh", "--config", path, "--out", str(out)]) == 2
+            err = capsys.readouterr().err
+            assert err.startswith("config error:") and "Traceback" not in err
+            assert not out.exists()
 
 
 def test_console_entry_point_runs():

@@ -55,6 +55,19 @@ class TestFluidParams:
         with pytest.raises(ValueError, match="nonnegative"):
             cg.FluidParams(-0.1, 0.1, 1.0, 0.0)
 
+    @pytest.mark.parametrize(
+        "values,message",
+        [
+            ((0.1, -0.25, 1.0, 0.0), "got nu_plus=0.1, nu_minus=-0.25"),
+            ((0.1, 0.1, -2.0, 0.0), "got -2.0"),
+            ((0.1, 0.1, 1.0, -0.5), "got -0.5"),
+        ],
+        ids=["viscosity", "sigma", "kappa"],
+    )
+    def test_messages_name_the_offending_value(self, values, message):
+        with pytest.raises(ValueError, match=message):
+            cg.FluidParams(*values)
+
 
 class TestApplyN:
     def test_zero_state_zero_forcing(self, basis_2d):
@@ -912,6 +925,8 @@ class TestRun:
         # budget; no attempt records a damping factor
         assert result.window_failures == 2
         assert len(result.windows) == 8
+        assert result.window_failures == len(result.attempts) - len(result.windows)
+        assert sum(not a["accepted"] for a in result.attempts) == result.window_failures
         assert not any("omega" in a for a in result.attempts)
 
     def test_non_finite_forcing_halves_the_window(self, monkeypatch):

@@ -93,6 +93,16 @@ class TestMeshInitial:
         with pytest.raises(ValueError, match=">= 1"):
             ci.mesh_initial(ci.ball(CENTER_3D, 1.0), 0)
 
+    def test_icosphere_matches_the_midpoint_loop_bit_for_bit(self):
+        vertices, faces = ci._icosahedron()
+        expected = (vertices, faces)
+        for level in range(1, 5):
+            vertices, faces = ci._subdivide(vertices, faces)
+            expected = ref.subdivide(*expected)
+            assert vertices.tobytes() == expected[0].tobytes(), level
+            np.testing.assert_array_equal(faces, expected[1])
+            assert faces.dtype == expected[1].dtype
+
 
 def _rows_moved_by(shift):
     """A sampler whose velocity at row i is shift[i] wherever the row is.
