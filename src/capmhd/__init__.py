@@ -6,14 +6,7 @@ varifold lift of the interface measure, windowed fixed-point solution of the
 coupled system, and a ledger certifying the generalized energy inequality.
 """
 
-from .basis import (
-    Basis,
-    BasisMode,
-    SpectralField,
-    enumerate_modes,
-    make_basis,
-    project_L2,
-)
+from .basis import Basis, SpectralField, make_basis, project_L2
 from .config import RunConfig
 from .energy import EnergyLedger, check_inequality, initial_energy
 from .flowmap import SpectralTrajectory
@@ -32,9 +25,7 @@ __version__ = "0.1.0"
 
 __all__ = [
     "Basis",
-    "BasisMode",
     "SpectralField",
-    "enumerate_modes",
     "make_basis",
     "project_L2",
     "RunConfig",

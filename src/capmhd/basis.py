@@ -11,6 +11,13 @@ construction, and an eigenfunction of the periodic Stokes operator with
 eigenvalue |k|^2.  The modes are orthonormal in L2, so coefficient vectors
 carry the L2 geometry (Parseval) and the mass matrix is the identity.
 
+A ``Basis`` is its arrays, one row per mode: the wavevectors, the
+polarization indices and the cos/sin flags, from which it derives the unit
+polarizations, the normalizations and the eigenvalues.  ``make_basis``
+enumerates every mode up to a given max|k_i| in whole arrays, in a fixed
+order, so a coefficient vector means the same modes from run to run, and
+``Basis.index`` finds one mode's position.
+
 Quadrature is a tensor-product uniform grid, which integrates periodic
 trigonometric polynomials exactly once the grid resolves their highest
 wavenumber (order per axis >= 2*kmax + 1 for quadratic forms of the basis).
@@ -28,7 +35,6 @@ points into every wavevector of the box from the same tables.
 """
 
 import functools
-import itertools
 import math
 import warnings
 import weakref
@@ -39,13 +45,6 @@ import numpy as np
 TWO_PI = 2.0 * math.pi
 
 _PHASES = ("cos", "sin")
-
-
-def _check_polarization(dimension, index):
-    if dimension == 2 and index != 0:
-        raise ValueError(f"2D modes have a single polarization, got index {index}")
-    if dimension == 3 and index not in (0, 1):
-        raise ValueError(f"3D modes have polarizations 0 and 1, got index {index}")
 
 
 def polarization_axes(wavevectors, indices):
@@ -77,105 +76,84 @@ def polarization_vectors(wavevectors, indices):
     return axes / np.sqrt(np.sum(axes * axes, axis=1))[:, None]
 
 
-@dataclass(frozen=True)
-class BasisMode:
-    """One real trigonometric divergence-free mode.
-
-    Attributes:
-        wavevector: integer wavevector k, nonzero, in the canonical half-space.
-        phase: "cos" or "sin".
-        polarization: index 0..d-2 selecting the unit vector orthogonal to k.
-        normalization: positive factor making the mode L2-unit on the cell.
-    """
-
-    wavevector: tuple
-    phase: str
-    polarization: int
-    normalization: float
-
-    def __post_init__(self):
-        k = np.asarray(self.wavevector, dtype=np.int64)
-        if k.size not in (2, 3):
-            raise ValueError(f"dimension must be 2 or 3, got {k.size}")
-        if not np.any(k):
-            raise ValueError("wavevector must be nonzero (mean-free fields)")
-        if self.phase not in _PHASES:
-            raise ValueError(f"phase must be one of {_PHASES}, got {self.phase!r}")
-        if self.normalization <= 0.0:
-            raise ValueError("normalization must be positive")
-        _check_polarization(k.size, self.polarization)
-
-    @property
-    def dimension(self):
-        return len(self.wavevector)
-
-    @property
-    def eigenvalue(self):
-        """Stokes eigenvalue |k|^2 of the mode."""
-        k = np.asarray(self.wavevector, dtype=np.float64)
-        return float(k @ k)
-
-
-def _half_space(k):
-    for entry in k:
-        if entry > 0:
-            return True
-        if entry < 0:
-            return False
-    return False
-
-
-def enumerate_modes(dimension, kmax):
-    """All basis modes with 0 < max|k_i| <= kmax, canonically ordered.
+def make_basis(dimension, kmax):
+    """The basis of every mode with 0 < max|k_i| <= kmax, canonically ordered.
 
     Wavevectors are restricted to the half-space whose first nonzero entry is
     positive; each carries (d-1) polarizations and both phases.  The ordering
     is lexicographic by (|k|^2, k, polarization, phase), so eigenvalues are
-    nondecreasing along the list.
+    nondecreasing along the basis.
     """
     if dimension not in (2, 3):
         raise ValueError(f"dimension must be 2 or 3, got {dimension}")
     if kmax < 1:
         raise ValueError(f"kmax must be >= 1, got {kmax}")
-    norm = math.sqrt(2.0 / TWO_PI**dimension)
-    wavevectors = [
-        k
-        for k in itertools.product(range(-kmax, kmax + 1), repeat=dimension)
-        if any(k) and _half_space(k)
-    ]
-    wavevectors.sort(key=lambda k: (sum(c * c for c in k), k))
-    modes = []
-    for k in wavevectors:
-        for pol in range(dimension - 1):
-            for phase in _PHASES:
-                modes.append(BasisMode(k, phase, pol, norm))
-    return modes
+    axis = np.arange(-kmax, kmax + 1)
+    box = np.stack(np.meshgrid(*([axis] * dimension), indexing="ij"), axis=-1)
+    box = box.reshape(-1, dimension)
+    first = box[np.arange(len(box)), np.argmax(box != 0, axis=1)]
+    k = box[first > 0]
+    k = k[np.lexsort((*k.T[::-1], np.sum(k * k, axis=1)))]
+    return Basis(
+        np.repeat(k, 2 * (dimension - 1), axis=0),
+        np.tile(np.repeat(np.arange(dimension - 1), 2), len(k)),
+        np.tile([False, True], len(k) * (dimension - 1)),
+    )
 
 
 class Basis:
-    """Ordered mode list with packed arrays for vectorized evaluation."""
+    """Modes as packed arrays: mode j is norm * trig_j(k_j . x) * e_j.
 
-    def __init__(self, modes, length=TWO_PI):
-        modes = list(modes)
-        if not modes:
+    ``wavevectors`` (n, d) are nonzero integer vectors, ``polarization_indices``
+    (n,) select e_j among the d - 1 unit vectors orthogonal to k_j
+    (``polarization_vectors``), and ``is_sine`` (n,) picks sin over cos.
+    The normalization is the one that makes every mode L2-unit on the cell.
+    """
+
+    def __init__(self, wavevectors, polarization_indices, is_sine):
+        k = np.asarray(wavevectors, dtype=np.int64)
+        indices = np.asarray(polarization_indices, dtype=np.int64)
+        is_sine = np.asarray(is_sine, dtype=bool)
+        if k.ndim != 2 or k.shape[1] not in (2, 3):
+            raise ValueError(f"wavevectors must have dimension 2 or 3, got shape {k.shape}")
+        if len(k) == 0:
             raise ValueError("basis must contain at least one mode")
-        dims = {m.dimension for m in modes}
-        if len(dims) != 1:
-            raise ValueError("all modes must share one dimension")
-        self.modes = modes
-        self.dimension = dims.pop()
-        self.length = float(length)
-        self.wavevectors = np.array([m.wavevector for m in modes], dtype=np.float64)
-        self.polarizations = polarization_vectors(
-            self.wavevectors, [m.polarization for m in modes]
-        )
-        self.normalizations = np.array([m.normalization for m in modes])
-        self.is_sine = np.array([m.phase == "sin" for m in modes])
-        self.eigenvalues = np.array([m.eigenvalue for m in modes])
+        if indices.shape != (len(k),) or is_sine.shape != (len(k),):
+            raise ValueError(
+                f"{len(k)} wavevectors need as many polarization indices and phases, "
+                f"got {indices.shape} and {is_sine.shape}"
+            )
+        if not np.all(np.any(k, axis=1)):
+            raise ValueError("wavevectors must be nonzero (mean-free fields)")
+        dimension = k.shape[1]
+        if np.any((indices < 0) | (indices > dimension - 2)):
+            raise ValueError(
+                f"{dimension}D polarization indices must lie in 0..{dimension - 2}, "
+                f"got {indices.min()}..{indices.max()}"
+            )
+        self.dimension = dimension
+        self.wavevectors = k.astype(np.float64)
+        self.polarization_indices = indices
+        self.polarizations = polarization_vectors(k, indices)
+        self.normalizations = np.full(len(k), math.sqrt(2.0 / TWO_PI**dimension))
+        self.is_sine = is_sine
+        self.eigenvalues = np.sum(self.wavevectors * self.wavevectors, axis=1)
         self._quadratures = {}
 
     def __len__(self):
-        return len(self.modes)
+        return len(self.wavevectors)
+
+    def index(self, wavevector, phase, polarization):
+        """Position of the mode (k, "cos" or "sin", polarization index), or None."""
+        if len(wavevector) != self.dimension or phase not in _PHASES:
+            return None
+        match = (
+            np.all(self.wavevectors == np.asarray(wavevector, dtype=np.float64), axis=1)
+            & (self.is_sine == (phase == "sin"))
+            & (self.polarization_indices == polarization)
+        )
+        hits = np.flatnonzero(match)
+        return int(hits[0]) if len(hits) else None
 
     @property
     def kmax(self):
@@ -216,13 +194,9 @@ class Basis:
         """The quadrature grid of ``order`` points per axis, built once per basis."""
         quad = self._quadratures.get(order)
         if quad is None:
-            points, weight = quadrature_rule(self.dimension, order, self.length)
+            points, weight = quadrature_rule(self.dimension, order)
             quad = self._quadratures[order] = Quadrature(self, points, weight)
         return quad
-
-
-def make_basis(dimension, kmax, length=TWO_PI):
-    return Basis(enumerate_modes(dimension, kmax), length=length)
 
 
 @dataclass
@@ -266,7 +240,7 @@ class SpectralField:
         return SpectralField(self.basis, np.array(coefficients, dtype=np.float64))
 
 
-def quadrature_rule(dimension, order, length=TWO_PI):
+def quadrature_rule(dimension, order):
     """Uniform tensor grid points (order^d, d) and the constant weight.
 
     The uniform (trapezoidal) rule is spectrally exact for periodic
@@ -274,10 +248,10 @@ def quadrature_rule(dimension, order, length=TWO_PI):
     """
     if order < 1:
         raise ValueError(f"quadrature order must be >= 1, got {order}")
-    axis = np.arange(order) * (length / order)
+    axis = np.arange(order) * (TWO_PI / order)
     grids = np.meshgrid(*([axis] * dimension), indexing="ij")
     points = np.stack([g.reshape(-1) for g in grids], axis=-1)
-    weight = (length / order) ** dimension
+    weight = (TWO_PI / order) ** dimension
     return points, weight
 
 
@@ -415,13 +389,6 @@ def default_quadrature_order(kmax):
     return 4 * int(kmax)
 
 
-def _sample(sampler, points):
-    values = np.asarray(sampler(points), dtype=np.float64)
-    if values.shape != points.shape:
-        values = np.array([sampler(p) for p in points], dtype=np.float64)
-    return values
-
-
 def project_L2(sampler, basis, order):
     """L2 projection of ``sampler`` onto the span of ``basis``.
 
@@ -438,7 +405,11 @@ def project_L2(sampler, basis, order):
             stacklevel=2,
         )
     quad = basis.quadrature(order)
-    values = _sample(sampler, quad.points)
+    values = np.asarray(sampler(quad.points), dtype=np.float64)
+    if values.shape != quad.points.shape:
+        raise ValueError(
+            f"sampler returned shape {values.shape} for points of shape {quad.points.shape}"
+        )
     pol_dot = values @ basis.polarizations.T
     coefficients = quad.weight * basis.normalizations * np.sum(quad.values * pol_dot, axis=0)
     return SpectralField(basis, coefficients)

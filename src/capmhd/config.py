@@ -61,19 +61,15 @@ def build_initial_field(spec, basis, order):
         phase = spec.get("phase", "cos")
         polarization = int(spec.get("polarization", 0))
         amplitude = float(spec.get("amplitude", 1.0))
-        for j, mode in enumerate(basis.modes):
-            if (
-                mode.wavevector == wavevector
-                and mode.phase == phase
-                and mode.polarization == polarization
-            ):
-                coefficients = np.zeros(len(basis))
-                coefficients[j] = amplitude
-                return SpectralField(basis, coefficients)
-        raise ConfigError(
-            f"single_mode {wavevector}/{phase}/{polarization} is not in the basis "
-            "(wavevector must be in the canonical half-space with max|k_i| <= kmax)"
-        )
+        j = basis.index(wavevector, phase, polarization)
+        if j is None:
+            raise ConfigError(
+                f"single_mode {wavevector}/{phase}/{polarization} is not in the basis "
+                "(wavevector must be in the canonical half-space with max|k_i| <= kmax)"
+            )
+        coefficients = np.zeros(len(basis))
+        coefficients[j] = amplitude
+        return SpectralField(basis, coefficients)
     if kind == "coefficients":
         values = np.asarray(spec["values"], dtype=np.float64)
         if values.shape != (len(basis),):

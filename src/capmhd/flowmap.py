@@ -87,19 +87,32 @@ class SpectralTrajectory:
         )
 
 
-def _check_finite(values, t, reference_points):
-    if np.all(np.isfinite(values)):
+def _check_finite(step, stages, t, reference_points):
+    """Raise ``IntegrationError`` at the first row with a non-finite RK4 stage.
+
+    ``step`` is the stages' weighted sum, non-finite wherever a stage is, so
+    it is the one check of a finite step.  It also overflows where every
+    stage is finite; such rows are left to the caller's own checks.
+    """
+    if np.all(np.isfinite(step)):
         return
-    flat = np.isfinite(values).reshape(values.shape[0], -1).all(axis=1)
-    bad = int(np.flatnonzero(~flat)[0])
-    raise IntegrationError(
-        f"non-finite velocity sample at t={t:.6g}, x={reference_points[bad]}",
-        t=t,
-        x=np.array(reference_points[bad]),
-    )
+    bad_rows = ~np.all([np.isfinite(k).all(axis=1) for k in stages], axis=0)
+    if np.any(bad_rows):
+        bad = int(np.flatnonzero(bad_rows)[0])
+        raise IntegrationError(
+            f"non-finite velocity sample in the RK4 step from t={t:.6g}, "
+            f"x={reference_points[bad]}",
+            t=t,
+            x=np.array(reference_points[bad]),
+        )
 
 
-def _step_sizes(t0, t1, h):
+def step_sizes(t0, t1, h):
+    """Signed steps of h from t0 to t1, the last one the span less the others.
+
+    The last step is taken from the span, not from t1 less the time reached,
+    so it stays nonzero where t0 + (n - 1) h rounds to t1.
+    """
     span = t1 - t0
     if span == 0.0:
         return np.empty(0)
@@ -115,9 +128,8 @@ def integrate_positions(positions, sampler, t0, t1, h):
         raise ValueError(f"step size must be positive, got {h}")
     x = np.array(positions, dtype=np.float64)
     t = t0
-    for dt in _step_sizes(t0, t1, h):
+    for dt in step_sizes(t0, t1, h):
         k1 = sampler.velocity(t, x)
-        _check_finite(k1, t, x)
         # one midpoint time for both stages, so a SpectralTrajectory
         # interpolates it once
         t_half = t + dt / 2
@@ -125,7 +137,8 @@ def integrate_positions(positions, sampler, t0, t1, h):
         k3 = sampler.velocity(t_half, x + (dt / 2) * k2)
         t_end = t + dt
         k4 = sampler.velocity(t_end, x + dt * k3)
-        _check_finite(k4, t_end, x)
-        x = x + (dt / 6) * (k1 + 2 * k2 + 2 * k3 + k4)
+        step = k1 + 2 * k2 + 2 * k3 + k4
+        _check_finite(step, (k1, k2, k3, k4), t, x)
+        x = x + (dt / 6) * step
         t = t_end
     return x

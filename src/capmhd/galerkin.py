@@ -600,6 +600,8 @@ def run(config):
     window, or follows one whose indicator changed between nodes, and then
     from the forward-Euler predictor (``fixed_point_window``).  The fixed
     point, its certificate and the halving are the same for either start.
+    A window size below ``delta_min``, the first one or a halved one, ends
+    the run with a ``NonConvergenceError``.
     The ledger records every sub-step with dissipation increments computed
     by the solver's own quadrature.  Every window attempt, failed or
     accepted, leaves a record (t, delta, start, sweeps, residual history,
@@ -626,6 +628,18 @@ def run(config):
     t = 0.0
 
     while t < config.T - 1e-12:
+        if delta < config.delta_min:
+            raise NonConvergenceError(
+                f"window size {delta:.6g} is below delta_min {config.delta_min:g} "
+                f"at t={t:.6g}",
+                diagnostics={
+                    "t": t,
+                    "delta": delta,
+                    "failures": len(attempts) - len(windows),
+                    "u_norm": state.u.norm(),
+                    "B_norm": state.B.norm(),
+                },
+            )
         delta_use = min(delta, config.T - t)
         try:
             window = fixed_point_window(
@@ -644,17 +658,6 @@ def run(config):
         except WindowFailureError as exc:
             attempts.append(_attempt_record(t, delta_use, exc))
             delta = delta / 2.0
-            if delta < config.delta_min:
-                raise NonConvergenceError(
-                    f"window size fell below {config.delta_min:g} at t={t:.6g}",
-                    diagnostics={
-                        "t": t,
-                        "delta": delta,
-                        "failures": len(attempts) - len(windows),
-                        "u_norm": state.u.norm(),
-                        "B_norm": state.B.norm(),
-                    },
-                )
             continue
         attempts.append(_attempt_record(t, delta_use, window))
         windows.append(window)

@@ -18,6 +18,7 @@ import numpy as np
 
 from .basis import gradient_pairing
 from .errors import NumericsError
+from .flowmap import step_sizes
 
 
 def transport_pairing(u_values, b_values, quad):
@@ -59,7 +60,8 @@ def step_B(b_field, sampler, t, sigma, dt, order):
 
 
 def solve_B(sampler, b0, t0, t1, dt, sigma, order):
-    """Chain IMEX steps from t0 to t1 (final step shortened to land on t1).
+    """Chain IMEX steps from t0 to t1 by the flow map's step rule
+    (``flowmap.step_sizes``: the final step shortened to land on t1).
 
     Returns B at t1 and the resistive dissipation increment
     sigma * ||grad B||^2 * dt of every step, evaluated at the implicit
@@ -67,14 +69,10 @@ def solve_B(sampler, b0, t0, t1, dt, sigma, order):
     """
     if t1 < t0:
         raise ValueError("t1 must not precede t0")
-    span = t1 - t0
-    n_steps = max(1, int(np.ceil(span / dt - 1e-12))) if span > 0.0 else 0
-    increments = np.empty(n_steps)
+    sizes = step_sizes(t0, t1, dt)
+    increments = np.empty(len(sizes))
     current = b0
-    t = t0
-    for step in range(n_steps):
-        dt_step = min(dt, t1 - t)
-        current = step_B(current, sampler, t, sigma, dt_step, order)
-        t = t0 + (step + 1) * dt if step + 1 < n_steps else t1
+    for step, dt_step in enumerate(sizes):
+        current = step_B(current, sampler, t0 + step * dt, sigma, dt_step, order)
         increments[step] = sigma * current.grad_norm_sq() * dt_step
     return current, increments

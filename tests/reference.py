@@ -7,12 +7,15 @@ gives, the curvature pairing against one test field, the quadrature
 Gram matrix of the basis, the m x n trig-table forms of off-grid
 synthesis and of the curvature pairing against every mode, the (m, n)
 product-table forms of the grid pairings, the flow-map Jacobian from the
-variational equation, and the induction chain with every step kept.
+variational equation, the induction chain with every step kept, and the
+basis modes enumerated one at a time.
 """
+
+import itertools
 
 import numpy as np
 
-from capmhd.flowmap import _step_sizes, integrate_positions
+from capmhd.flowmap import integrate_positions, step_sizes
 from capmhd.induction import step_B
 from capmhd.interface import element_geometry
 
@@ -153,7 +156,7 @@ def jacobian(x0, sampler, t, h):
         return sampler.velocity(t, x), sampler.gradient(t, x) @ jac
 
     s = 0.0
-    for dt in _step_sizes(0.0, t, h):
+    for dt in step_sizes(0.0, t, h):
         kx1, kj1 = rhs(s, x, jac)
         kx2, kj2 = rhs(s + dt / 2, x + (dt / 2) * kx1, jac + (dt / 2) * kj1)
         kx3, kj3 = rhs(s + dt / 2, x + (dt / 2) * kx2, jac + (dt / 2) * kj2)
@@ -171,10 +174,10 @@ def induction_steps(sampler, b0, t0, t1, dt, sigma, order):
     Returns (times, fields, resistive increments): fields[0] is b0 and
     increment i is sigma * ||grad B||^2 * dt at the end of step i.
     """
-    n_steps = max(1, int(np.ceil((t1 - t0) / dt - 1e-12))) if t1 > t0 else 0
+    sizes = step_sizes(t0, t1, dt)
+    n_steps = len(sizes)
     times, fields, increments = [t0], [b0], []
-    for step in range(n_steps):
-        dt_step = min(dt, t1 - times[-1])
+    for step, dt_step in enumerate(sizes):
         fields.append(step_B(fields[-1], sampler, times[-1], sigma, dt_step, order))
         times.append(t0 + (step + 1) * dt if step + 1 < n_steps else t1)
         increments.append(sigma * fields[-1].grad_norm_sq() * dt_step)
@@ -205,3 +208,24 @@ def subdivide(vertices, faces):
         ab, bc, ca = midpoint(a, b), midpoint(b, c), midpoint(c, a)
         out += [[a, ab, ca], [b, bc, ab], [c, ca, bc], [ab, bc, ca]]
     return np.array(verts), np.array(out, dtype=np.int64)
+
+
+def enumerate_modes(dimension, kmax):
+    """(wavevector, phase, polarization) of every basis mode, one at a time.
+
+    The wavevectors are the integer vectors with 0 < max|k_i| <= kmax whose
+    first nonzero entry is positive, sorted by (|k|^2, k); each carries
+    (d-1) polarizations and, within each, the cos and then the sin phase.
+    """
+    wavevectors = [
+        k
+        for k in itertools.product(range(-kmax, kmax + 1), repeat=dimension)
+        if any(k) and next(c for c in k if c) > 0
+    ]
+    wavevectors.sort(key=lambda k: (sum(c * c for c in k), k))
+    return [
+        (k, phase, polarization)
+        for k in wavevectors
+        for polarization in range(dimension - 1)
+        for phase in ("cos", "sin")
+    ]

@@ -13,17 +13,17 @@ import reference as ref
 from conftest import taylor_green_2d
 
 
-def per_mode_polarization(mode):
+def per_mode_polarization(wavevector, polarization):
     """The polarization vector of one mode, built on its own: the reference
     for the batched table."""
-    k = np.asarray(mode.wavevector, dtype=np.int64)
+    k = np.asarray(wavevector, dtype=np.int64)
     if k.size == 2:
         axis = np.array([-k[1], k[0]], dtype=np.int64)
     else:
         unit = np.zeros(3, dtype=np.int64)
         unit[int(np.argmin(np.abs(k)))] = 1
         axis = np.cross(k, unit)
-        if mode.polarization == 1:
+        if polarization == 1:
             axis = np.cross(k, axis)
     return axis / np.linalg.norm(axis)
 
@@ -34,13 +34,15 @@ def taylor_green_sampler(points):
 
 
 class TestEnumerateModes:
+    """``make_basis``'s array enumeration against the per-mode one."""
+
     def test_rejects_zero_kmax(self):
         with pytest.raises(ValueError, match="kmax"):
-            cb.enumerate_modes(2, 0)
+            cb.make_basis(2, 0)
 
     def test_rejects_bad_dimension(self):
         with pytest.raises(ValueError, match="dimension"):
-            cb.enumerate_modes(4, 1)
+            cb.make_basis(4, 1)
 
     @pytest.mark.parametrize("dimension,kmax,expected", [(2, 1, 8), (3, 1, 52)])
     def test_mode_counts(self, dimension, kmax, expected):
@@ -55,26 +57,39 @@ class TestEnumerateModes:
         }
         half = {k for k in vectors if tuple(-c for c in k) not in vectors or k > tuple(-c for c in k)}
         assert len(half) == len(vectors) // 2
-        assert len(cb.enumerate_modes(dimension, kmax)) == expected
+        assert len(cb.make_basis(dimension, kmax)) == expected
         assert expected == len(half) * 2 * (dimension - 1)
 
+    @pytest.mark.parametrize("dimension", [2, 3])
+    @pytest.mark.parametrize("kmax", [1, 2, 3, 4])
+    def test_arrays_match_the_per_mode_enumeration(self, dimension, kmax):
+        modes = ref.enumerate_modes(dimension, kmax)
+        basis = cb.make_basis(dimension, kmax)
+        wavevectors = np.array([k for k, _, _ in modes], dtype=np.float64)
+        norm = np.sqrt(2.0 / cb.TWO_PI**dimension)
+        assert basis.wavevectors.tobytes() == wavevectors.tobytes()
+        assert basis.polarizations.tobytes() == np.array(
+            [per_mode_polarization(k, pol) for k, _, pol in modes]
+        ).tobytes()
+        assert basis.is_sine.tobytes() == np.array([p == "sin" for _, p, _ in modes]).tobytes()
+        assert basis.eigenvalues.tobytes() == np.array([k @ k for k in wavevectors]).tobytes()
+        assert basis.normalizations.tobytes() == np.array([norm] * len(modes)).tobytes()
+
     def test_eigenvalues_nondecreasing(self):
-        modes = cb.enumerate_modes(3, 3)
-        eigs = [m.eigenvalue for m in modes]
-        assert eigs == sorted(eigs)
+        eigs = cb.make_basis(3, 3).eigenvalues
+        assert np.all(np.diff(eigs) >= 0.0)
 
     def test_ordering_deterministic(self):
-        a = cb.enumerate_modes(2, 3)
-        b = cb.enumerate_modes(2, 3)
-        assert [(m.wavevector, m.phase, m.polarization) for m in a] == [
-            (m.wavevector, m.phase, m.polarization) for m in b
-        ]
+        a = cb.make_basis(2, 3)
+        b = cb.make_basis(2, 3)
+        for name in ("wavevectors", "is_sine", "polarization_indices"):
+            assert getattr(a, name).tobytes() == getattr(b, name).tobytes()
 
     def test_polarization_orthogonal_exactly(self):
         # integer construction: the dot product vanishes in exact arithmetic
-        modes = cb.enumerate_modes(3, 2)
-        k = np.array([m.wavevector for m in modes], dtype=np.int64)
-        axes = cb.polarization_axes(k, [m.polarization for m in modes])
+        basis = cb.make_basis(3, 2)
+        k = basis.wavevectors.astype(np.int64)
+        axes = cb.polarization_axes(k, basis.polarization_indices)
         assert axes.dtype == np.int64
         assert not np.any(np.sum(axes * k, axis=1))
 
@@ -82,7 +97,9 @@ class TestEnumerateModes:
     @pytest.mark.parametrize("kmax", [1, 2, 3])
     def test_polarization_table_matches_modes_bitwise(self, dimension, kmax):
         basis = cb.make_basis(dimension, kmax)
-        per_mode = np.array([per_mode_polarization(m) for m in basis.modes])
+        per_mode = np.array(
+            [per_mode_polarization(k, pol) for k, _, pol in ref.enumerate_modes(dimension, kmax)]
+        )
         assert basis.polarizations.tobytes() == per_mode.tobytes()
 
     @pytest.mark.parametrize(
@@ -90,7 +107,29 @@ class TestEnumerateModes:
     )
     def test_bad_polarization_index_rejected(self, wavevector, index):
         with pytest.raises(ValueError, match="polarization"):
-            cb.BasisMode(wavevector, "cos", index, 1.0)
+            cb.Basis([wavevector], [index], [False])
+
+    @pytest.mark.parametrize(
+        "wavevectors,indices,is_sine,message",
+        [
+            ([(1, 0, 0, 0)], [0], [False], "dimension"),
+            ([(0, 0)], [0], [False], "nonzero"),
+            ([(1, 0), (0, 1)], [0], [False, True], "polarization indices and phases"),
+            ([(1, 0), (0, 1)], [0, 0], [False], "polarization indices and phases"),
+            (np.zeros((0, 2)), [], [], "at least one mode"),
+        ],
+    )
+    def test_bad_arrays_rejected(self, wavevectors, indices, is_sine, message):
+        with pytest.raises(ValueError, match=message):
+            cb.Basis(wavevectors, indices, is_sine)
+
+    def test_index_finds_each_mode_and_nothing_else(self):
+        basis = cb.make_basis(3, 2)
+        for j, (k, phase, pol) in enumerate(ref.enumerate_modes(3, 2)):
+            assert basis.index(k, phase, pol) == j
+        for absent in (((-1, 0, 0), "cos", 0), ((3, 0, 0), "cos", 0),
+                       ((1, 0, 0), "tan", 0), ((1, 0, 0), "cos", 2), ((1, 0), "cos", 0)):
+            assert basis.index(*absent) is None
 
     def test_mode_is_l2_unit(self):
         basis = cb.make_basis(2, 1)
@@ -110,17 +149,12 @@ class TestEvaluate:
 
     def test_single_cosine_mode_at_origin(self):
         basis = cb.make_basis(2, 1)
-        j = next(
-            i
-            for i, m in enumerate(basis.modes)
-            if m.wavevector == (1, 0) and m.phase == "cos"
-        )
+        j = basis.index((1, 0), "cos", 0)
         coeffs = np.zeros(len(basis))
         coeffs[j] = 1.0
         field = cb.SpectralField(basis, coeffs)
         value = field.evaluate(np.zeros(2))
-        mode = basis.modes[j]
-        expected = mode.normalization * per_mode_polarization(mode)
+        expected = basis.normalizations[j] * per_mode_polarization((1, 0), 0)
         np.testing.assert_allclose(value, expected, rtol=0, atol=1e-15)
 
     def test_taylor_green_pointwise(self):
@@ -209,9 +243,9 @@ class TestProjection:
         magnitudes = np.abs(field.coefficients[nonzero])
         np.testing.assert_allclose(magnitudes, np.pi, atol=1e-12)
         for j in nonzero:
-            assert basis.modes[j].phase == "sin"
-            assert abs(basis.modes[j].wavevector[0]) == 1
-            assert abs(basis.modes[j].wavevector[1]) == 1
+            assert basis.is_sine[j]
+            assert abs(basis.wavevectors[j, 0]) == 1
+            assert abs(basis.wavevectors[j, 1]) == 1
 
     def test_projection_idempotent_on_span(self, basis_2d):
         rng = np.random.default_rng(3)
@@ -248,7 +282,7 @@ class TestGramMatrix:
         assert np.max(np.abs(gram - gram.T)) <= 1e-14
 
     def test_single_mode(self):
-        basis = cb.Basis([cb.enumerate_modes(2, 1)[0]])
+        basis = cb.Basis([(1, 0)], [0], [False])
         gram = ref.gram_matrix(basis, 8)
         assert gram.shape == (1, 1)
         assert gram[0, 0] == pytest.approx(1.0, abs=1e-12)
@@ -296,16 +330,15 @@ class TestQuadrature:
 
 def random_sub_basis(rng, dimension, kmax, size):
     """A few modes with random wavevectors, each with a negative component."""
-    norm = np.sqrt(2.0 / cb.TWO_PI**dimension)
-    modes = []
-    while len(modes) < size:
+    wavevectors, polarizations, is_sine = [], [], []
+    while len(wavevectors) < size:
         k = rng.integers(-kmax, kmax + 1, dimension)
         if not np.any(k < 0):
             continue
-        phase = str(rng.choice(["cos", "sin"]))
-        polarization = int(rng.integers(dimension - 1))
-        modes.append(cb.BasisMode(tuple(int(c) for c in k), phase, polarization, norm))
-    return cb.Basis(modes)
+        wavevectors.append(k)
+        is_sine.append(str(rng.choice(["cos", "sin"])) == "sin")
+        polarizations.append(int(rng.integers(dimension - 1)))
+    return cb.Basis(wavevectors, polarizations, is_sine)
 
 
 class TestSeparableSynthesis:

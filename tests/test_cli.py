@@ -1,11 +1,14 @@
 import json
 import subprocess
 import sys
+import tempfile
 from dataclasses import MISSING, fields
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from capmhd import cli, galerkin
 from capmhd.basis import make_basis
@@ -134,7 +137,8 @@ class TestBuild:
         basis = make_basis(config.dimension, config.kmax)
         order = config.quadrature_order
         assert state.t == 0.0 and state.mesh.t == 0.0
-        assert state.u.basis.modes == basis.modes
+        for name in ("wavevectors", "polarization_indices", "is_sine"):
+            assert getattr(state.u.basis, name).tobytes() == getattr(basis, name).tobytes()
         for built, spec in ((state.u, config.initial_velocity), (state.B, config.initial_magnetic)):
             expected = build_initial_field(spec, basis, order)
             np.testing.assert_array_equal(built.coefficients, expected.coefficients)
@@ -240,6 +244,44 @@ class TestCmdRun:
         dump = json.loads((out / "failure_state.json").read_text())
         assert dump["error"] == "NonConvergenceError"
         assert "diagnostics" in dump
+
+    def test_first_window_below_delta_min_exits_3_with_dump(self, tmp_path, capsys):
+        # the fast initial velocity makes the first window 5.1e-7 long
+        data = reference_config(
+            T=0.05, initial_velocity={"type": "taylor_green", "amplitude": 1000.0}
+        ).resolved()
+        path = write_config(tmp_path, data)
+        out = tmp_path / "out"
+        assert cli.main(["run", "--config", path, "--out", str(out)]) == 3
+        dump = json.loads((out / "failure_state.json").read_text())
+        assert dump["error"] == "NonConvergenceError"
+        assert 0.0 < dump["diagnostics"]["delta"] < data["solver"]["delta_min"]
+        assert dump["diagnostics"]["failures"] == 0
+        assert "below delta_min" in capsys.readouterr().err
+
+    @settings(max_examples=10, deadline=None)
+    @given(
+        amplitude=st.floats(-1.0, 4.0).map(lambda e: 10.0**e),
+        radius=st.floats(0.3, 3.0),
+        n_sub=st.integers(2, 8),
+        delta=st.floats(1e-4, 0.5),
+        kmax=st.sampled_from([1, 2]),
+        T=st.floats(1e-5, 1e-3),
+    )
+    def test_perturbed_configs_end_with_an_exit_code(self, amplitude, radius, n_sub, delta,
+                                                      kmax, T):
+        data = small_config_dict(
+            kmax=kmax,
+            T=T,
+            initial_velocity={"type": "taylor_green", "amplitude": amplitude},
+            phase={"shape": "disk", "center": list(CENTER_2D), "radius": radius},
+        )
+        # delta_min bounds a run at T / delta_min = 10 windows
+        data["solver"].update(n_sub=n_sub, delta=delta, mesh_resolution=16, delta_min=1e-4)
+        with tempfile.TemporaryDirectory() as tmp:
+            path = write_config(Path(tmp), data)
+            code = cli.main(["run", "--config", path, "--out", str(Path(tmp) / "out")])
+        assert code in (0, 1, 2, 3)
 
     def test_attempts_record_the_halved_window(self, tmp_path, monkeypatch):
         # the first accepted end mesh is reported crossed: the record shows

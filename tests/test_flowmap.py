@@ -54,6 +54,20 @@ class TestAdvance:
         assert err.value.x is not None
         assert err.value.x[0] > 3.0
 
+    @pytest.mark.parametrize("t0,t1", [(0.0, 0.1), (0.1, 0.0)])
+    def test_nonfinite_midpoint_stage_raises(self, t0, t1):
+        # only the two midpoint stages of the one step are non-finite
+        midpoint = 0.5 * (t0 + t1)
+
+        def bad(t, p):
+            return np.full_like(p, np.nan if t == midpoint else 1.0)
+
+        start = np.array([[1.0, 2.0], [3.0, 4.0]])
+        with pytest.raises(IntegrationError, match="non-finite") as err:
+            cf.integrate_positions(start, ref.AnalyticField(bad), t0, t1, 0.1)
+        assert err.value.t == t0
+        np.testing.assert_array_equal(err.value.x, start[0])
+
     def test_group_property(self, spectral_sampler):
         rng = np.random.default_rng(47)
         start = rng.uniform(0, 2 * np.pi, (10, 2))

@@ -155,7 +155,7 @@ def _apply_N_reference(state, order):
     derivative table, then the contraction with e_j and k_j per mode."""
     basis = state.u.basis
     d = basis.dimension
-    points, weight = cb.quadrature_rule(d, order, basis.length)
+    points, weight = cb.quadrature_rule(d, order)
     dph = basis.phase_derivatives(points)
 
     def pairing(tensors):
@@ -652,10 +652,7 @@ class _TranslatingWindow:
 
     def __init__(self):
         self.basis = cb.make_basis(2, 1)
-        self.mode = next(
-            j for j, mode in enumerate(self.basis.modes)
-            if mode.wavevector == (0, 1) and mode.phase == "cos"
-        )
+        self.mode = self.basis.index((0, 1), "cos", 0)
         anchor = make_state(self.basis, params=cg.FluidParams(0.2, 0.1, 1.0, 0.0),
                             resolution=256)
         points = np.asarray(CENTER_2D) + np.array([[1.2, 0.0], [0.0, 0.0], [2.0, 0.0]])

@@ -109,6 +109,23 @@ class TestSolveB:
         assert increments.tobytes() == chain_increments.tobytes()
 
 
+    def test_small_window_late_in_time(self, basis_k1, zero_velocity):
+        # the node spacing rounds by ulp(0.3), about 4e-12 of dt, so the
+        # step count takes one more, nearly empty, last step
+        t_grid = 0.3 + np.linspace(0.0, 1e-4, 9)
+        dt = 1e-4 / 8
+        b0 = unit_mode_field(basis_k1)
+        b_end, increments = cind.solve_B(zero_velocity, b0, t_grid[0], t_grid[1], dt, 1.0, 4)
+        times, fields, chain_increments = ref.induction_steps(
+            zero_velocity, b0, t_grid[0], t_grid[1], dt, 1.0, 4
+        )
+        assert times[-1] == t_grid[1]
+        assert np.all(np.diff(times) >= 0.0)
+        assert b_end.coefficients.tobytes() == fields[-1].coefficients.tobytes()
+        assert increments.tobytes() == chain_increments.tobytes()
+        assert b_end.norm() == pytest.approx(1.0 / (1.0 + dt), rel=1e-10)
+
+
 class TestEnergyMechanism:
     def test_transport_antisymmetry_transfer(self):
         # the discrete pairing satisfies (u(x)B - B(x)u, grad B) = (B(x)B, grad u)
