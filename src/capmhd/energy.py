@@ -22,7 +22,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .interface import perimeter
+from .interface import format_rows, perimeter
 
 COLUMNS = ("t", "kinetic", "magnetic", "tension", "viscous_cum", "resistive_cum", "E0")
 
@@ -59,11 +59,10 @@ class EnergyLedger:
         return arr[:, 1:6].sum(axis=1)
 
     def write_csv(self, path):
-        lines = [",".join(COLUMNS)]
-        for row in self.rows:
-            lines.append(",".join(f"{v:.12g}" for v in row))
+        row_format = ",".join(["%.12g"] * len(COLUMNS))
+        text = ",".join(COLUMNS) + "\n" + format_rows(row_format, self.rows)
         with open(str(path), "w") as handle:
-            handle.write("\n".join(lines) + "\n")
+            handle.write(text)
 
     @classmethod
     def read_csv(cls, path):

@@ -16,22 +16,24 @@ underlying construction.
 Where K contracts, its fixed point does not depend on the first iterate,
 which sets only the number of sweeps.  A window that follows an accepted
 one starts from that window's forcing, extrapolated in time: the polynomial
-through its N values at its last p + 1 nodes (p = min(4, n_sub)), evaluated
-on the new grid and integrated from the anchor like K itself.  The
-first window, a window longer than its predecessor, and a window whose
-predecessor saw its indicator change between nodes (N then jumps in time)
-start from the forward-Euler predictor u_anchor + (t - t_m) N(anchor)
-instead.  The state at a window's first node is the anchor in every sweep,
-so its forcing N(anchor) is memoised by its indicator row, seeded from the
-previous window's last node, and computed again only for a new row.
+through its N values at its last p + 1 nodes, evaluated on the new grid and
+integrated from the anchor like K itself.  N jumps in time where the
+indicator changes, so p = min(4, k - 1), where k counts the previous
+window's last nodes that share its last indicator row.  The first window, a
+window longer than its predecessor, and a window whose predecessor's
+indicator changed at its last node (k = 1) start from the forward-Euler
+predictor u_anchor + (t - t_m) N(anchor) instead.  The state at a window's
+first node is the anchor in every sweep, so its forcing N(anchor) is
+memoised by its indicator row, seeded from the previous window's last node,
+and computed again only for a new row.
 
 The phase indicator chi(u) depends on the iterate only through the flow map,
 and the flow-map stability estimate |X_u - X_v| <= tau ||u - v|| e^{tau L}
 bounds how far a sweep can move the back-traced origins.  Each two-phase
-window builds one indicator object that traces its band points and keeps
-that trace: a later sweep reuses its flags whenever every origin lies
-farther from the initial boundary than the estimate lets it move, so chi is
-exactly what a new trace would give.
+window builds one indicator object that traces its band points, all nodes
+in one backward march, and keeps that trace: a later sweep reuses its flags
+whenever every origin lies farther from the initial boundary than the
+estimate lets it move, so chi is exactly what a new trace would give.
 
 All quadratures use the dealiased uniform grid, and every reduction has a
 fixed order, so a run is reproducible bit-for-bit for a given configuration.
@@ -251,32 +253,47 @@ def euler_predictor(anchor, t_grid, forcing):
     return u_coeffs
 
 
+def _unchanged_tail(previous):
+    """How many of ``previous``'s last nodes share its last indicator row.
+
+    A flip makes N jump in time, so only these nodes lie on one smooth
+    piece of the forcing.  A window without indicator rows (single phase)
+    never flips: all its nodes count.
+    """
+    rows, nodes = previous.chi_cache, len(previous.t_grid)
+    if not rows or rows[-1] is None:
+        return nodes
+    tail = 1
+    while tail < nodes and np.array_equal(rows[-1 - tail], rows[-1]):
+        tail += 1
+    return tail
+
+
 def _extrapolates(previous, delta):
     """Whether a window of size ``delta`` starts from ``previous``'s forcing.
 
     Not after no window, not past the previous window's length (beyond
-    rounding), and not when the previous window's indicator rows differ: a
-    flip makes N jump in time, and a polynomial through a jump is a worse
-    start than the Euler predictor.
+    rounding), and not when the previous window's indicator flipped at its
+    last node: one node after the jump fixes no trend, and the Euler
+    predictor is the better start.
     """
     if previous is None:
         return False
     span = previous.t_grid[-1] - previous.t_grid[0]
-    rows = previous.chi_cache
-    return delta <= (1.0 + 1e-9) * span and all(
-        np.array_equal(rows[0], row) for row in rows[1:]
-    )
+    return delta <= (1.0 + 1e-9) * span and _unchanged_tail(previous) > 1
 
 
 def extrapolated_predictor(anchor, t_grid, previous):
     """Start of a window from the previous window's forcing, extrapolated.
 
-    The polynomial of degree p = min(EXTRAPOLATION_DEGREE, n_sub) through
+    The polynomial of degree p = min(EXTRAPOLATION_DEGREE, k - 1) through
     ``previous.N_values`` at its last p + 1 nodes, as an Adams predictor
     takes it, is evaluated on ``t_grid`` and integrated from the anchor by
     the trapezoidal rule of ``apply_K``; row 0 is the anchor bit for bit.
+    The k last nodes share the last indicator row (``_unchanged_tail``), so
+    the polynomial never reaches back across an indicator flip.
     """
-    degree = min(EXTRAPOLATION_DEGREE, len(previous.t_grid) - 1)
+    degree = min(EXTRAPOLATION_DEGREE, _unchanged_tail(previous) - 1)
     t_nodes = previous.t_grid[-(degree + 1):]
     # Lagrange weights of the nodes at every time of the new grid
     weights = np.ones((len(t_grid), degree + 1))
@@ -353,10 +370,13 @@ class _WindowIndicator:
         point farther than INDICATOR_BAND plus the window's reach from the
         window-start mesh keeps the mesh's answer at every node.  The rest
         take the kept trace's flags when it certifies them for this iterate.
-        Otherwise they are back-traced from each node to the window start
-        under the iterate, then, stacked, through ``history`` to t = 0 (a
-        zero-length leg for the first window) and tested against the initial
-        region, and that trace is kept.
+        Otherwise they are back-traced in one backward march under the
+        iterate: the points of the last node are carried one sub-step back,
+        then node i - 1's points join the carried ones in front, and so on
+        to the window start, so every RK4 step moves all the points still
+        on their way.  The stack, node-major, then goes through ``history``
+        to t = 0 (a zero-length leg for the first window) and is tested
+        against the initial region, and that trace is kept.
         """
         t_grid, h = self.t_grid, self.h_flow
         basis = sampler.basis
@@ -368,9 +388,11 @@ class _WindowIndicator:
         if not np.any(moving):
             return chi
         if not self.certifies(moving, coefficients, basis):
-            points = self.points[moving]
-            starts = [integrate_positions(points, sampler, t, t_grid[0], h) for t in t_grid]
-            origins = integrate_positions(np.concatenate(starts), self.history, t_grid[0], 0.0, h)
+            points = carried = self.points[moving]
+            for i in range(len(t_grid) - 1, 0, -1):
+                carried = integrate_positions(carried, sampler, t_grid[i], t_grid[i - 1], h)
+                carried = np.concatenate([points, carried])
+            origins = integrate_positions(carried, self.history, t_grid[0], 0.0, h)
             nodes = (len(t_grid), -1)
             self.moving, self.coefficients = moving, coefficients
             self.clearance = self.phase.boundary_distance(origins).reshape(nodes)
@@ -597,8 +619,8 @@ def run(config):
     The anchor of each window is the previous endpoint, and the last
     accepted window is handed on as ``previous``: a window starts from its
     forcing, extrapolated in time, unless it is the first, longer than that
-    window, or follows one whose indicator changed between nodes, and then
-    from the forward-Euler predictor (``fixed_point_window``).  The fixed
+    window, or follows one whose indicator changed at its last node, and
+    then from the forward-Euler predictor (``fixed_point_window``).  The fixed
     point, its certificate and the halving are the same for either start.
     A window size below ``delta_min``, the first one or a halved one, ends
     the run with a ``NonConvergenceError``.

@@ -189,32 +189,53 @@ def _blocks(n):
     return [slice(start, start + _BLOCK) for start in range(0, n, _BLOCK)]
 
 
+def box_pairs(lo, hi):
+    """Index pairs (i, j), i < j, of the boxes [lo, hi] that overlap.
+
+    ``lo`` and ``hi`` are (n, d) corner arrays.  Sort and sweep: the boxes
+    are sorted by their low end on the first axis, and ``searchsorted``
+    gives each box the run of later boxes that start at or before its high
+    end there.  Of those, the pairs that also overlap on every other axis
+    are kept.  Every bound is inclusive, so boxes that only touch are a
+    pair.
+    """
+    order = np.argsort(lo[:, 0], kind="stable")
+    ends = np.searchsorted(lo[order, 0], hi[order, 0], side="right")
+    # the later boxes in sweep order that start within each box's x-range,
+    # then each candidate's place in its box's run
+    counts = ends - np.arange(1, len(order) + 1)
+    first = np.repeat(np.arange(len(order)), counts)
+    second = first + 1 + np.arange(len(first)) - np.repeat(np.cumsum(counts) - counts, counts)
+    i, j = order[first], order[second]
+    keep = np.all((lo[i, 1:] <= hi[j, 1:]) & (lo[j, 1:] <= hi[i, 1:]), axis=1)
+    return np.minimum(i[keep], j[keep]), np.maximum(i[keep], j[keep])
+
+
 def check_simple(mesh):
     """Raise MeshInvariantError when two edges of a 2D polygon cross.
 
     Only proper crossings count: each edge has the other's endpoints strictly
     on opposite sides.  Two edges that share a vertex see it at an exactly
     zero side, since the coordinate differences that reach it are exact, so
-    neighbours and collinear edges do not trip the test.  It costs O(n^2),
-    so it is not part of the geometry check that every ``advect`` runs; 3D
-    meshes are not checked.
+    neighbours and collinear edges do not trip the test.  Two edges that
+    cross share a point, so their bounding boxes overlap: ``box_pairs``
+    finds those pairs, about n of them for a smooth polygon rather than
+    n^2, and only they go through the sign test.  The first crossing pair
+    by edge index is reported.  3D meshes are not checked.
     """
     if mesh.dimension != 2:
         return mesh
     corners = mesh.element_corners()
+    i, j = box_pairs(np.min(corners, axis=1), np.max(corners, axis=1))
     a, span = corners[:, 0], corners[:, 1] - corners[:, 0]
-    for rows in _blocks(len(a)):
-        # where each edge's ends lie seen from the edges in rows, and back
-        to_a = a[None, :, :] - a[rows, None, :]
-        here, there = span[rows, None, :], span[None, :, :]
-        apart = np.sign(_cross_2d(here, to_a)) * np.sign(_cross_2d(here, to_a + there))
-        back = np.sign(_cross_2d(there, -to_a)) * np.sign(_cross_2d(there, here - to_a))
-        crossing = (apart < 0.0) & (back < 0.0)
-        if np.any(crossing):
-            i, j = np.argwhere(crossing)[0]
-            raise MeshInvariantError(
-                f"2D mesh crosses itself (edges {rows.start + i} and {j})"
-            )
+    # where edge j's ends lie seen from edge i, and back
+    to_a, here, there = a[j] - a[i], span[i], span[j]
+    apart = np.sign(_cross_2d(here, to_a)) * np.sign(_cross_2d(here, to_a + there))
+    back = np.sign(_cross_2d(there, -to_a)) * np.sign(_cross_2d(there, here - to_a))
+    crossing = np.flatnonzero((apart < 0.0) & (back < 0.0))
+    if crossing.size:
+        k = crossing[np.lexsort((j[crossing], i[crossing]))[0]]
+        raise MeshInvariantError(f"2D mesh crosses itself (edges {i[k]} and {j[k]})")
     return mesh
 
 
@@ -462,22 +483,27 @@ def _polygon_order(mesh):
     return np.array(order, dtype=np.int64)
 
 
+def format_rows(row_format, table):
+    """One line per row of ``table``, each ``row_format % row``, in one pass.
+
+    The template of every row is built once and ``%`` fills it from the
+    flattened table, whose entries are plain Python floats and ints, so each
+    value reads exactly as the row's own format gives it.  The artifact
+    writers (ledger, meshes, varifolds) all go through it.
+    """
+    table = np.asarray(table)
+    return (row_format + "\n") * len(table) % tuple(table.ravel().tolist())
+
+
 def write_mesh(mesh, path):
     """Dump the mesh: CSV polyline (2D) or Wavefront OBJ (3D)."""
-    path = str(path)
     if mesh.dimension == 2:
-        order = _polygon_order(mesh)
-        lines = ["x,y"]
-        for v in mesh.vertices[order]:
-            lines.append(f"{v[0]:.12g},{v[1]:.12g}")
+        text = "x,y\n" + format_rows("%.12g,%.12g", mesh.vertices[_polygon_order(mesh)])
     else:
-        lines = []
-        for v in mesh.vertices:
-            lines.append(f"v {v[0]:.12g} {v[1]:.12g} {v[2]:.12g}")
-        for e in mesh.elements:
-            lines.append(f"f {e[0] + 1} {e[1] + 1} {e[2] + 1}")
-    with open(path, "w") as handle:
-        handle.write("\n".join(lines) + "\n")
+        text = format_rows("v %.12g %.12g %.12g", mesh.vertices)
+        text += format_rows("f %d %d %d", mesh.elements + 1)
+    with open(str(path), "w") as handle:
+        handle.write(text)
 
 
 def mesh_filename(mesh, t):

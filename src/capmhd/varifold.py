@@ -93,12 +93,10 @@ def write_varifold(varifold, path):
     """CSV dump with columns x1..xd, s1..sd, w."""
     d = varifold.dimension
     header = ",".join([f"x{i + 1}" for i in range(d)] + [f"s{i + 1}" for i in range(d)] + ["w"])
-    lines = [header]
-    for xi, si, wi in zip(varifold.x, varifold.s, varifold.w):
-        row = [f"{v:.12g}" for v in xi] + [f"{v:.12g}" for v in si] + [f"{wi:.12g}"]
-        lines.append(",".join(row))
+    table = np.column_stack([varifold.x, varifold.s, varifold.w])
+    text = header + "\n" + _interface.format_rows(",".join(["%.12g"] * (2 * d + 1)), table)
     with open(str(path), "w") as handle:
-        handle.write("\n".join(lines) + "\n")
+        handle.write(text)
 
 
 def varifold_filename(t):

@@ -7,8 +7,9 @@ gives, the curvature pairing against one test field, the quadrature
 Gram matrix of the basis, the m x n trig-table forms of off-grid
 synthesis and of the curvature pairing against every mode, the (m, n)
 product-table forms of the grid pairings, the flow-map Jacobian from the
-variational equation, the induction chain with every step kept, and the
-basis modes enumerated one at a time.
+variational equation, the induction chain with every step kept, the
+basis modes enumerated one at a time, the all-pairs crossing test of a
+polygon, and the artifact writers that format one row at a time.
 """
 
 import itertools
@@ -17,7 +18,9 @@ import numpy as np
 
 from capmhd.flowmap import integrate_positions, step_sizes
 from capmhd.induction import step_B
-from capmhd.interface import element_geometry
+from capmhd.energy import COLUMNS
+from capmhd.errors import MeshInvariantError
+from capmhd.interface import _polygon_order, element_geometry
 
 
 class SteadyField:
@@ -229,3 +232,69 @@ def enumerate_modes(dimension, kmax):
         for polarization in range(dimension - 1)
         for phase in ("cos", "sin")
     ]
+
+
+def check_simple(mesh):
+    """All-pairs crossing test of a 2D polygon, 32 rows of edges at a time.
+
+    Every edge is tested against every edge by the exact sign test of
+    ``interface.check_simple``; the first crossing pair in row-major order
+    is reported.
+    """
+    if mesh.dimension != 2:
+        return mesh
+    corners = mesh.element_corners()
+    a, span = corners[:, 0], corners[:, 1] - corners[:, 0]
+
+    def cross(u, v):
+        return u[..., 0] * v[..., 1] - u[..., 1] * v[..., 0]
+
+    for start in range(0, len(a), 32):
+        rows = slice(start, start + 32)
+        to_a = a[None, :, :] - a[rows, None, :]
+        here, there = span[rows, None, :], span[None, :, :]
+        apart = np.sign(cross(here, to_a)) * np.sign(cross(here, to_a + there))
+        back = np.sign(cross(there, -to_a)) * np.sign(cross(there, here - to_a))
+        crossing = (apart < 0.0) & (back < 0.0)
+        if np.any(crossing):
+            i, j = np.argwhere(crossing)[0]
+            raise MeshInvariantError(f"2D mesh crosses itself (edges {start + i} and {j})")
+    return mesh
+
+
+def _write_lines(path, lines):
+    with open(str(path), "w") as handle:
+        handle.write("\n".join(lines) + "\n")
+
+
+def write_ledger(ledger, path):
+    """The ledger CSV, one f-string per value."""
+    lines = [",".join(COLUMNS)]
+    for row in ledger.rows:
+        lines.append(",".join(f"{v:.12g}" for v in row))
+    _write_lines(path, lines)
+
+
+def write_mesh(mesh, path):
+    """The mesh's CSV polyline (2D) or Wavefront OBJ (3D), one row at a time."""
+    if mesh.dimension == 2:
+        lines = ["x,y"]
+        for v in mesh.vertices[_polygon_order(mesh)]:
+            lines.append(f"{v[0]:.12g},{v[1]:.12g}")
+    else:
+        lines = []
+        for v in mesh.vertices:
+            lines.append(f"v {v[0]:.12g} {v[1]:.12g} {v[2]:.12g}")
+        for e in mesh.elements:
+            lines.append(f"f {e[0] + 1} {e[1] + 1} {e[2] + 1}")
+    _write_lines(path, lines)
+
+
+def write_varifold(varifold, path):
+    """The varifold CSV (x1..xd, s1..sd, w), one row at a time."""
+    d = varifold.dimension
+    lines = [",".join([f"x{i + 1}" for i in range(d)] + [f"s{i + 1}" for i in range(d)] + ["w"])]
+    for xi, si, wi in zip(varifold.x, varifold.s, varifold.w):
+        row = [f"{v:.12g}" for v in xi] + [f"{v:.12g}" for v in si] + [f"{wi:.12g}"]
+        lines.append(",".join(row))
+    _write_lines(path, lines)

@@ -6,6 +6,7 @@ from capmhd import energy as ce
 from capmhd import galerkin as cg
 from capmhd import interface as ci
 
+import reference as ref
 from conftest import CENTER_2D, CENTER_3D, reference_config, single_phase_decay_config
 
 
@@ -184,6 +185,21 @@ class TestLedgerIO:
         loaded = ce.EnergyLedger.read_csv(path)
         assert loaded.E0 == 2.5
         assert loaded.rows == ledger.rows
+
+    def test_csv_matches_the_row_formatter(self, tmp_path):
+        ledger = ce.EnergyLedger(E0=1e300)
+        ledger.append(-0.0, 5e-324, 1e-7, 3.0, 0.0, 0.0)
+        ledger.append(1e-7, 1.0 / 3.0, 2.0, 1e300, 5e-324, 1e-300)
+        ledger.append(0.1, 123456789012.5, 1e15, 0.5, 7.0, 1e-7)
+        ledger.write_csv(tmp_path / "new.csv")
+        ref.write_ledger(ledger, tmp_path / "old.csv")
+        assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "old.csv").read_bytes()
+        empty = ce.EnergyLedger(E0=1.0)
+        empty.write_csv(tmp_path / "new_empty.csv")
+        ref.write_ledger(empty, tmp_path / "old_empty.csv")
+        assert (tmp_path / "new_empty.csv").read_bytes() == (
+            tmp_path / "old_empty.csv"
+        ).read_bytes()
 
     def test_malformed_header_rejected(self, tmp_path):
         path = tmp_path / "bad.csv"

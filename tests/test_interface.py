@@ -347,6 +347,86 @@ class TestCheckSimple:
         assert ci.check_simple(sphere_mesh) is sphere_mesh
 
 
+def _polygon(vertices):
+    n = len(vertices)
+    return ci.InterfaceMesh(vertices, [(i, (i + 1) % n) for i in range(n)])
+
+
+def _verdict(check, mesh):
+    """The crossing check's message, or None when the mesh passes."""
+    try:
+        assert check(mesh) is mesh
+    except MeshInvariantError as exc:
+        return str(exc)
+    return None
+
+
+def _star(points, step):
+    """The star polygon {points/step} on the unit circle around the centre."""
+    angles = 2 * np.pi * step * np.arange(points) / points
+    return _polygon(np.asarray(CENTER_2D) + np.stack([np.cos(angles), np.sin(angles)], axis=-1))
+
+
+class TestBroadPhase:
+    """``check_simple`` gives the all-pairs scan's verdict and edge pair."""
+
+    # small integers keep every cross product exact, so the sign test is
+    # exact and a crossing pair's boxes overlap; the 7 x 7 grid makes
+    # collinear edges, repeated vertices and equal x-extents common
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(st.tuples(st.integers(0, 6), st.integers(0, 6)), min_size=3, max_size=14))
+    def test_matches_all_pairs_on_grid_polygons(self, vertices):
+        mesh = _polygon(vertices)
+        assert _verdict(ci.check_simple, mesh) == _verdict(ref.check_simple, mesh)
+
+    @pytest.mark.parametrize("vertices, crosses", [
+        ([(3, 3), (5, 3), (5, 5), (4, 2), (3, 5)], True),  # the crossed pentagon
+        ([(0, 0), (2, 2), (2, 0), (0, 2)], True),  # crossing edges with equal x-extents
+        ([(0, 0), (2, 0), (1, 1), (2, 2), (0, 2), (1, 1)], False),  # a shared vertex
+        ([(0, 0), (4, 0), (2, 0), (2, 2)], False),  # overlapping collinear edges
+        ([(1, 1), (1, 2), (1, 3), (2, 3), (2, 1)], False),  # vertical edges, one x
+    ])
+    def test_matches_all_pairs_on_named_polygons(self, vertices, crosses):
+        mesh = _polygon(vertices)
+        verdict = _verdict(ci.check_simple, mesh)
+        assert verdict == _verdict(ref.check_simple, mesh)
+        assert (verdict is not None) == crosses
+
+    @pytest.mark.parametrize("points, step", [(5, 2), (7, 2), (7, 3), (8, 3), (64, 31)])
+    def test_matches_all_pairs_on_stars(self, points, step):
+        mesh = _star(points, step)
+        verdict = _verdict(ci.check_simple, mesh)
+        assert verdict is not None and verdict == _verdict(ref.check_simple, mesh)
+
+    @pytest.mark.parametrize("seed", range(20))
+    def test_matches_all_pairs_on_random_polygons(self, seed, circle_mesh):
+        rng = np.random.default_rng(seed)
+        mesh = _polygon(rng.uniform(0.0, 2 * np.pi, (rng.integers(4, 40), 2)))
+        assert _verdict(ci.check_simple, mesh) == _verdict(ref.check_simple, mesh)
+        # a jittered circle is simple, and both scans say so
+        jitter = 1e-3 * rng.standard_normal(circle_mesh.vertices.shape)
+        wobbly = ci.InterfaceMesh(circle_mesh.vertices + jitter, circle_mesh.elements)
+        assert _verdict(ci.check_simple, wobbly) is None
+        assert _verdict(ref.check_simple, wobbly) is None
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.sampled_from([1, 2, 3]), st.integers(0, 2**32 - 1))
+    def test_box_pairs_are_the_overlapping_pairs(self, dimension, seed):
+        rng = np.random.default_rng(seed)
+        corners = rng.integers(0, 8, (2, rng.integers(1, 30), dimension))
+        lo, hi = corners.min(axis=0), corners.max(axis=0)
+        i, j = ci.box_pairs(lo, hi)
+        n = len(lo)
+        want = {
+            (a, b)
+            for a in range(n)
+            for b in range(a + 1, n)
+            if np.all(lo[a] <= hi[b]) and np.all(lo[b] <= hi[a])
+        }
+        assert np.all(i < j)
+        assert sorted(zip(i.tolist(), j.tolist())) == sorted(want)
+
+
 def _closed_by_edge_count(elements):
     """Reference closedness test: every directed edge and its reverse once."""
     edges = {}
@@ -541,3 +621,28 @@ class TestMeshIO:
         n_f = sum(1 for line in text if line.startswith("f "))
         assert n_v == len(sphere_mesh.vertices)
         assert n_f == len(sphere_mesh.elements)
+
+    def test_polyline_matches_the_row_formatter(self, tmp_path, circle_mesh):
+        vertices = circle_mesh.vertices.copy()
+        vertices[:6] = [[-0.0, 5e-324], [1e300, 1e-7], [3.0, -2.0], [0.0, 1e-300],
+                        [-1e300, 2.5], [np.pi, 1.0 / 3.0]]
+        mesh = ci.InterfaceMesh(vertices, circle_mesh.elements[::-1].copy())
+        ci.write_mesh(mesh, tmp_path / "new.csv")
+        ref.write_mesh(mesh, tmp_path / "old.csv")
+        assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "old.csv").read_bytes()
+
+    def test_obj_matches_the_row_formatter(self, tmp_path, sphere_mesh):
+        vertices = sphere_mesh.vertices.copy()
+        vertices[:4] = [[-0.0, 5e-324, 1e300], [1e-7, 2.0, -7.0], [0.0, -1e-300, 12.0],
+                        [1.0 / 3.0, 1e15, 123456789012.5]]
+        mesh = ci.InterfaceMesh(vertices, sphere_mesh.elements)
+        ci.write_mesh(mesh, tmp_path / "new.obj")
+        ref.write_mesh(mesh, tmp_path / "old.obj")
+        assert (tmp_path / "new.obj").read_bytes() == (tmp_path / "old.obj").read_bytes()
+
+    @settings(max_examples=50, deadline=None)
+    @given(st.lists(st.floats(allow_nan=False, allow_infinity=False), min_size=8, max_size=40))
+    def test_format_rows_matches_the_row_formatter(self, values):
+        table = np.array(values[: len(values) // 2 * 2]).reshape(-1, 2)
+        want = "".join(f"{a:.12g},{b:.12g}\n" for a, b in table)
+        assert ci.format_rows("%.12g,%.12g", table) == want

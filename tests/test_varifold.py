@@ -163,3 +163,16 @@ class TestVarifoldIO:
         lines = path.read_text().strip().splitlines()
         assert lines[0] == "x1,x2,s1,s2,w"
         assert len(lines) == 1 + len(v.w)
+
+    @pytest.mark.parametrize("mesh_name", ["circle_mesh", "sphere_mesh"])
+    def test_csv_matches_the_row_formatter(self, tmp_path, request, mesh_name):
+        v = cv.lift(request.getfixturevalue(mesh_name))
+        d = v.dimension
+        v.x[:3] = [-0.0, 1e300, 3.0][:d], [5e-324, 1e-7, -2.0][:d], [0.0, 1.0 / 3.0, 1e15][:d]
+        v.s[0] = np.eye(d)[0] * -1.0
+        v.s[1, :] = 0.0
+        v.s[1, -1] = 1.0
+        v.w[:4] = [5e-324, 1e300, 1e-7, 4.0]
+        cv.write_varifold(v, tmp_path / "new.csv")
+        ref.write_varifold(v, tmp_path / "old.csv")
+        assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "old.csv").read_bytes()

@@ -9,8 +9,13 @@ synthesis against the basis lattice, field values for four (dimension, kmax,
 m) cases, and the curvature pairing against every mode on the level-3
 icosphere (1280 triangles).  On the grid: the (m, n) product-table
 convection and strain pairings against the node-tensor moments, at the
-default quadrature order for four (dimension, kmax) cases.  Each time is the
-median of 20 calls, with one BLAS thread; ``new_ms`` is the solver's form.
+default quadrature order for four (dimension, kmax) cases.  Around the
+solver: the all-pairs crossing scan of the 256-gon against the broad phase
+of ``interface.check_simple``, and the row-at-a-time artifact writers
+against the one-pass ``format_rows`` ones, for the 256-gon's polyline, its
+varifold and a 121-row ledger, each written to a temporary directory and
+compared byte for byte.  Each time is the median of 20 calls, with one BLAS
+thread; ``new_ms`` is the solver's form.
 
 With ``--baseline DIR`` (another checkout of the repository) it also runs
 ``bench/run.py --trace 0`` on each workload ``--pairs`` times on both sides,
@@ -39,6 +44,7 @@ import platform  # noqa: E402
 import statistics  # noqa: E402
 import subprocess  # noqa: E402
 import sys  # noqa: E402
+import tempfile  # noqa: E402
 import time  # noqa: E402
 from pathlib import Path  # noqa: E402
 
@@ -48,7 +54,9 @@ ROOT = Path(__file__).resolve().parent.parent
 sys.path[:0] = [str(ROOT / "src"), str(ROOT / "tests")]
 
 from capmhd import basis as cb  # noqa: E402
+from capmhd import energy as ce  # noqa: E402
 from capmhd import interface as ci  # noqa: E402
+from capmhd import varifold as cv  # noqa: E402
 
 import reference as ref  # noqa: E402
 
@@ -130,6 +138,38 @@ def pairing_cases():
             lambda: cb.strain_pairing(du, nu, quad),
             **case,
         ))
+    return rows
+
+
+def check_and_writer_cases():
+    mesh = ci.mesh_initial(ci.disk((np.pi, np.pi), 1.0), 256)
+    rows = [{
+        "case": "check_simple",
+        "m": len(mesh.elements),
+        "table_ms": round(median_ms(lambda: ref.check_simple(mesh)), 4),
+        "new_ms": round(median_ms(lambda: ci.check_simple(mesh)), 4),
+        "same_result": ref.check_simple(mesh) is ci.check_simple(mesh) is mesh,
+    }]
+    rng = np.random.default_rng(9)
+    ledger = ce.EnergyLedger(E0=2.0)
+    for t in np.linspace(0.0, 1.5, 121):
+        ledger.append(t, *rng.uniform(0.0, 1.0, 3), t, 0.5 * t)
+    varifold = cv.lift(mesh)
+    writers = [
+        ("write_mesh", len(mesh.vertices), ref.write_mesh, ci.write_mesh, mesh),
+        ("write_varifold", len(varifold.w), ref.write_varifold, cv.write_varifold, varifold),
+        ("write_csv", len(ledger), ref.write_ledger, ce.EnergyLedger.write_csv, ledger),
+    ]
+    with tempfile.TemporaryDirectory() as tmp:
+        old, new = Path(tmp) / "old", Path(tmp) / "new"
+        for name, m, per_row, one_pass, item in writers:
+            rows.append({
+                "case": name,
+                "m": m,
+                "table_ms": round(median_ms(lambda: per_row(item, old)), 4),
+                "new_ms": round(median_ms(lambda: one_pass(item, new)), 4),
+                "same_result": old.read_bytes() == new.read_bytes(),
+            })
     return rows
 
 
@@ -263,6 +303,7 @@ def main(argv=None):
         "repeats": REPEATS,
         "synthesis": synthesis_cases(),
         "pairings": pairing_cases(),
+        "checks_and_writers": check_and_writer_cases(),
     }
     if args.baseline is not None:
         result["sweep_table"] = sweep_table(args.baseline)
@@ -276,6 +317,9 @@ def main(argv=None):
         print(f"{row['case']} d={row['dimension']} kmax={row['kmax']} m={row['m']}: "
               f"{row['table_ms']:.3f} ms -> {row['new_ms']:.3f} ms "
               f"(max abs diff {row['max_abs_diff']:.2g})")
+    for row in result["checks_and_writers"]:
+        print(f"{row['case']} m={row['m']}: {row['table_ms']:.3f} ms -> {row['new_ms']:.3f} ms "
+              f"(same result: {row['same_result']})")
     for row in result.get("sweep_table", []):
         print(f"{row['config']}: sweeps {row['baseline']['sweeps']} -> "
               f"{row['change']['sweeps']}, windows with more sweeps "
