@@ -19,7 +19,13 @@ from .errors import ConfigError
 from .galerkin import FluidParams, GalerkinState
 from .interface import InitialPhase, mesh_initial
 
-_FIELD_TYPES = ("zero", "taylor_green", "single_mode", "coefficients")
+# The keys each initial field type and each phase shape reads, besides the
+# "type" or "shape" key that names it.
+_FIELD_KEYS = {"zero": (), "taylor_green": ("amplitude",),
+               "single_mode": ("wavevector", "phase", "polarization", "amplitude"),
+               "coefficients": ("values",)}
+_SHAPE_KEYS = {"disk": ("center", "radius"), "ball": ("center", "radius"),
+               "ellipse": ("center", "radii"), "ellipsoid": ("center", "radii")}
 
 
 def _taylor_green_sampler(dimension, amplitude):
@@ -77,7 +83,23 @@ def build_initial_field(spec, basis, order):
                 f"coefficient list has length {values.size}, basis has {len(basis)} modes"
             )
         return SpectralField(basis, values)
-    raise ConfigError(f"initial field type must be one of {_FIELD_TYPES}, got {kind!r}")
+    raise ConfigError(f"initial field type must be one of {', '.join(_FIELD_KEYS)}, got {kind!r}")
+
+
+def _check_keys(name, spec, tag, table):
+    """Reject a nested object whose kind (``spec[tag]``) or other keys ``table`` lacks.
+
+    A misspelt key would otherwise leave its value at the default silently.
+    """
+    kind = spec.get(tag)
+    if kind not in table:
+        raise ConfigError(f"{name} {tag} must be one of {', '.join(table)}, got {kind!r}")
+    known = (tag, *table[kind])
+    unknown = [key for key in spec if key not in known]
+    if unknown:
+        keys = ", ".join(sorted(known))
+        raise ConfigError("; ".join(f"{key} must be one of the {name} {kind} keys: {keys}"
+                                    for key in unknown))
 
 
 def _check_field_spec(key, spec):
@@ -87,6 +109,7 @@ def _check_field_spec(key, spec):
     the wavevector entry 1.5 into mode 1, the polarization 0.7 into 0 and
     true into 1, and fails on a string.
     """
+    _check_keys(key, spec, "type", _FIELD_KEYS)
     entries = [spec.get("amplitude", 1.0)]
     if spec.get("type") == "coefficients":
         entries.extend(np.ravel(spec["values"]))
@@ -229,21 +252,17 @@ class RunConfig:
             raise ConfigError("max_iter must be at least 1")
         if self.cadence is not None and self.cadence <= 0.0:
             raise ConfigError("cadence must be positive when given")
-        self.phase_region()  # validates shape and containment
+        _check_keys("phase", self.phase_shape, "shape", _SHAPE_KEYS)
+        self.phase_region()  # validates the sizes and containment
 
     def phase_region(self):
-        shape = dict(self.phase_shape)
-        kind = shape.get("shape")
-        center = shape.get("center")
-        if kind in ("disk", "ball"):
-            radius = float(shape["radius"])
-            radii = (radius,) * self.dimension
-        elif kind in ("ellipse", "ellipsoid"):
-            radii = tuple(float(r) for r in shape["radii"])
+        shape = self.phase_shape
+        if shape["shape"] in ("disk", "ball"):
+            radii = (float(shape["radius"]),) * self.dimension
         else:
-            raise ConfigError(f"unknown phase shape {kind!r}")
+            radii = tuple(float(r) for r in shape["radii"])
         try:
-            return InitialPhase(kind, tuple(float(c) for c in center), radii)
+            return InitialPhase(shape["shape"], tuple(float(c) for c in shape["center"]), radii)
         except (ValueError, TypeError) as exc:
             raise ConfigError(f"invalid phase shape: {exc}") from exc
 

@@ -14,18 +14,18 @@ window on failure, mirroring the shrinking local existence interval of the
 underlying construction.
 
 Where K contracts, its fixed point does not depend on the first iterate,
-which sets only the number of sweeps.  A window that follows an accepted
-one starts from that window's forcing, extrapolated in time: the polynomial
-through its N values at its last p + 1 nodes, evaluated on the new grid and
-integrated from the anchor like K itself.  N jumps in time where the
-indicator changes, so p = min(4, k - 1), where k counts the previous
-window's last nodes that share its last indicator row.  The first window, a
-window longer than its predecessor, and a window whose predecessor's
-indicator changed at its last node (k = 1) start from the forward-Euler
-predictor u_anchor + (t - t_m) N(anchor) instead.  The state at a window's
-first node is the anchor in every sweep, so its forcing N(anchor) is
-memoised by its indicator row, seeded from the previous window's last node,
-and computed again only for a new row.
+which sets only the number of sweeps.  A window starts from known forcing
+values, extrapolated in time: their polynomial, evaluated on the window's
+grid and integrated from the anchor like K itself.  After an accepted
+window they are its N values at its last min(5, k) nodes, where k counts
+its last nodes that share its last indicator row, since N jumps in time
+where the indicator changes; a window longer than its predecessor takes
+only the last.  The first window takes N(anchor) alone, with the
+window-start mesh's indicator.  One node gives the forward-Euler start
+u_anchor + (t - t_m) N(anchor).  The state at a window's first node is the
+anchor in every sweep, so its forcing N(anchor) is memoised by its
+indicator row, seeded from the previous window's last node, and computed
+again only for a new row.
 
 The phase indicator chi(u) depends on the iterate only through the flow map,
 and the flow-map stability estimate |X_u - X_v| <= tau ||u - v|| e^{tau L}
@@ -164,7 +164,6 @@ class WindowSolve:
 
     t_grid: np.ndarray
     u_trajectory: np.ndarray
-    iterations: int
     residual_history: list
     N_values: np.ndarray = None
     states: list = field(default_factory=list)
@@ -172,6 +171,11 @@ class WindowSolve:
     chi_cache: list = field(default_factory=list)
     indicator_traces: int = 0
     start: str = "euler"
+
+    @property
+    def iterations(self):
+        """Number of sweeps, one per residual."""
+        return len(self.residual_history)
 
     @property
     def meshes(self):
@@ -242,67 +246,38 @@ def apply_K(u_trajectory, u_anchor, states, order, chi_values=None, anchor_forci
     return _trapezoid(u_anchor, t_grid, n_values), n_values
 
 
-def euler_predictor(anchor, t_grid, forcing):
-    """Forward-Euler start of a window: u_i = c_m + (t_i - t_m) N(anchor).
+def _start_nodes(previous, delta):
+    """How many of ``previous``'s last nodes start a window of size ``delta``.
 
-    ``forcing`` is N(anchor) with the window-start mesh's indicator; row 0 is
-    the anchor bit for bit.
-    """
-    u_coeffs = anchor.u.coefficients + (t_grid - t_grid[0])[:, None] * forcing
-    u_coeffs[0] = anchor.u.coefficients
-    return u_coeffs
-
-
-def _unchanged_tail(previous):
-    """How many of ``previous``'s last nodes share its last indicator row.
-
-    A flip makes N jump in time, so only these nodes lie on one smooth
-    piece of the forcing.  A window without indicator rows (single phase)
-    never flips: all its nodes count.
-    """
-    rows, nodes = previous.chi_cache, len(previous.t_grid)
-    if not rows or rows[-1] is None:
-        return nodes
-    tail = 1
-    while tail < nodes and np.array_equal(rows[-1 - tail], rows[-1]):
-        tail += 1
-    return tail
-
-
-def _extrapolates(previous, delta):
-    """Whether a window of size ``delta`` starts from ``previous``'s forcing.
-
-    Not after no window, not past the previous window's length (beyond
-    rounding), and not when the previous window's indicator flipped at its
-    last node: one node after the jump fixes no trend, and the Euler
-    predictor is the better start.
+    0 without a previous window.  N jumps in time where the indicator
+    changes, so the nodes share ``previous``'s last indicator row (the None
+    rows of a single-phase window compare equal), and there are at most
+    EXTRAPOLATION_DEGREE + 1; past its length (beyond rounding) only one.
     """
     if previous is None:
-        return False
-    span = previous.t_grid[-1] - previous.t_grid[0]
-    return delta <= (1.0 + 1e-9) * span and _unchanged_tail(previous) > 1
+        return 0
+    rows, span = previous.chi_cache, previous.t_grid[-1] - previous.t_grid[0]
+    most = 1 if delta > (1.0 + 1e-9) * span else min(EXTRAPOLATION_DEGREE + 1, len(rows))
+    nodes = 1
+    while nodes < most and np.array_equal(rows[-1 - nodes], rows[-1]):
+        nodes += 1
+    return nodes
 
 
-def extrapolated_predictor(anchor, t_grid, previous):
-    """Start of a window from the previous window's forcing, extrapolated.
+def predictor(anchor, t_grid, t_nodes, n_nodes):
+    """Start of a window from forcing values ``n_nodes`` known at ``t_nodes``.
 
-    The polynomial of degree p = min(EXTRAPOLATION_DEGREE, k - 1) through
-    ``previous.N_values`` at its last p + 1 nodes, as an Adams predictor
-    takes it, is evaluated on ``t_grid`` and integrated from the anchor by
-    the trapezoidal rule of ``apply_K``; row 0 is the anchor bit for bit.
-    The k last nodes share the last indicator row (``_unchanged_tail``), so
-    the polynomial never reaches back across an indicator flip.
+    Their Lagrange polynomial in t, as an Adams predictor takes it, is
+    evaluated on ``t_grid`` and integrated from the anchor by the
+    trapezoidal rule of ``apply_K``; row 0 is the anchor bit for bit.  One
+    node, N(anchor), is the forward-Euler start u_i = c_m + (t_i - t_m) N.
     """
-    degree = min(EXTRAPOLATION_DEGREE, _unchanged_tail(previous) - 1)
-    t_nodes = previous.t_grid[-(degree + 1):]
-    # Lagrange weights of the nodes at every time of the new grid
-    weights = np.ones((len(t_grid), degree + 1))
-    for j in range(degree + 1):
-        for k in range(degree + 1):
+    weights = np.ones((len(t_grid), len(t_nodes)))
+    for j, t_j in enumerate(t_nodes):
+        for k, t_k in enumerate(t_nodes):
             if k != j:
-                weights[:, j] *= (t_grid - t_nodes[k]) / (t_nodes[j] - t_nodes[k])
-    forcing = weights @ previous.N_values[-(degree + 1):]
-    return _trapezoid(anchor.u.coefficients, t_grid, forcing)
+                weights[:, j] *= (t_grid - t_k) / (t_j - t_k)
+    return _trapezoid(anchor.u.coefficients, t_grid, weights @ n_nodes)
 
 
 def _row_bound(coefficients, weights):
@@ -420,13 +395,12 @@ def fixed_point_window(
     """Picard solve of u = K(u) on [anchor.t, anchor.t + delta].
 
     ``previous`` is the accepted window that ends at ``anchor``, if any.  The
-    first sweep starts from its forcing, extrapolated in time
-    (``extrapolated_predictor``), when ``_extrapolates`` allows it, and
-    otherwise from the forward-Euler predictor of the anchor
-    (``euler_predictor``), whose indicator is the window-start mesh's; the
-    start moves neither the fixed point nor its certificate, only the number
-    of sweeps.  N(anchor) is memoised with its indicator row: seeded from
-    ``previous``'s last node, read by the Euler start and by every sweep's
+    first sweep starts from ``predictor`` through ``previous``'s forcing at
+    its last ``_start_nodes`` nodes, or, for the first window, through
+    N(anchor) with the window-start mesh's indicator; the start moves
+    neither the fixed point nor its certificate, only the number of sweeps.
+    N(anchor) is memoised with its indicator row: seeded from ``previous``'s
+    last node, read by the first window's start and by every sweep's
     ``apply_K``, and computed again only when that row is new.  Every sweep
     recomputes the magnetic trajectory and the advected interface from the
     current velocity iterate.  When the viscosities differ, one
@@ -441,7 +415,7 @@ def fixed_point_window(
     WindowFailureError, and so does reaching ``max_iter`` sweeps; otherwise
     the accepted window (residual below ``tol``) is returned.  Both carry
     the number of sweeps that back-traced, ``indicator_traces``, and the
-    ``start`` ("euler" or "extrapolated").
+    ``start``: "euler" for a start from one node, else "extrapolated".
     """
     if tol <= 0.0:
         raise ValueError("tol must be positive")
@@ -463,7 +437,8 @@ def fixed_point_window(
         indicator = _WindowIndicator(
             anchor, basis.quadrature(order).points, t_grid, history, phase, h_flow
         )
-    start = "extrapolated" if _extrapolates(previous, delta) else "euler"
+    nodes = _start_nodes(previous, delta)
+    start = "extrapolated" if nodes > 1 else "euler"
     # N(anchor) and the indicator row it was computed with; the previous
     # window's last node is the anchor
     memo = {"row": previous.chi_cache[-1], "N": previous.N_values[-1]} if previous else {}
@@ -485,11 +460,15 @@ def fixed_point_window(
     residual_history = []
     for iteration in range(1, max_iter + 1):
         try:
-            if u_coeffs is None and start == "extrapolated":
-                u_coeffs = extrapolated_predictor(anchor, t_grid, previous)
-            elif u_coeffs is None:
-                mesh_chi = None if indicator is None else indicator.mesh_chi
-                u_coeffs = euler_predictor(anchor, t_grid, anchor_forcing(mesh_chi))
+            if u_coeffs is None:
+                # the previous window's last nodes, or the anchor alone with
+                # the window-start mesh's indicator row
+                if nodes:
+                    t_nodes, n_nodes = previous.t_grid[-nodes:], previous.N_values[-nodes:]
+                else:
+                    mesh_chi = None if indicator is None else indicator.mesh_chi
+                    t_nodes, n_nodes = t_grid[:1], anchor_forcing(mesh_chi)[None]
+                u_coeffs = predictor(anchor, t_grid, t_nodes, n_nodes)
             if not np.all(np.isfinite(u_coeffs)):
                 raise NumericsError("the velocity iterate has non-finite coefficients")
             sampler = SpectralTrajectory(basis, t_grid, u_coeffs)
@@ -528,7 +507,6 @@ def fixed_point_window(
             return WindowSolve(
                 t_grid=t_grid,
                 u_trajectory=u_coeffs,
-                iterations=iteration,
                 residual_history=residual_history,
                 N_values=n_values,
                 states=states,
@@ -618,10 +596,9 @@ def run(config):
 
     The anchor of each window is the previous endpoint, and the last
     accepted window is handed on as ``previous``: a window starts from its
-    forcing, extrapolated in time, unless it is the first, longer than that
-    window, or follows one whose indicator changed at its last node, and
-    then from the forward-Euler predictor (``fixed_point_window``).  The fixed
-    point, its certificate and the halving are the same for either start.
+    forcing, extrapolated in time through as many of its last nodes as
+    ``_start_nodes`` allows (``fixed_point_window``).  The fixed point, its
+    certificate and the halving do not depend on the start.
     A window size below ``delta_min``, the first one or a halved one, ends
     the run with a ``NonConvergenceError``.
     The ledger records every sub-step with dissipation increments computed

@@ -210,10 +210,31 @@ class TestCmdRun:
                                   "polarization": 0.7, "amplitude": 0.1}, "integer"),
             ("initial_magnetic", {"type": "single_mode", "wavevector": [1, 0], "phase": "cos",
                                   "polarization": True, "amplitude": 0.1}, "integer"),
+            ("initial_velocity", {"type": "taylor_green", "amplitud": 5.0},
+             "amplitud must be one of the initial_velocity taylor_green keys: amplitude, type"),
+            ("initial_magnetic", {"type": "zero", "amplitude": 0.1},
+             "amplitude must be one of the initial_magnetic zero keys: type"),
+            ("initial_velocity", {"type": "coefficients", "values": [0.0] * 8, "scale": 2.0},
+             "scale must be one of the initial_velocity coefficients keys: type, values"),
+            ("initial_velocity", {"type": "taylor-green", "amplitude": 0.2},
+             "initial_velocity type must be one of zero, taylor_green, single_mode, "
+             "coefficients, got 'taylor-green'"),
+            ("initial_magnetic", {"amplitude": 0.1}, "initial_magnetic type must be one of"),
+            ("phase", {"shape": "disk", "center": list(CENTER_2D), "radius": 1.0,
+                       "radii": [2.0, 0.5]},
+             "radii must be one of the phase disk keys: center, radius, shape"),
+            ("phase", {"shape": "ellipse", "center": list(CENTER_2D), "radii": [1.2, 0.8],
+                       "radius": 1.0, "centre": [1.0, 1.0]},
+             "radius must be one of the phase ellipse keys: center, radii, shape; "
+             "centre must be one of the phase ellipse keys"),
+            ("phase", {"shape": "circle", "center": list(CENTER_2D), "radius": 1.0},
+             "phase shape must be one of disk, ball, ellipse, ellipsoid, got 'circle'"),
         ],
         ids=["amplitude-nan", "coefficient-inf", "wavevector-fraction", "center-nan",
              "radius-nan", "mode-outside-basis", "polarization-string",
-             "polarization-fraction", "polarization-bool"],
+             "polarization-fraction", "polarization-bool", "field-key-misspelt",
+             "zero-field-key", "coefficients-key", "field-type-unknown", "field-type-missing",
+             "disk-radii", "ellipse-keys", "shape-unknown"],
     )
     def test_bad_nested_value_exits_2(self, tmp_path, capsys, key, value, message):
         path = write_config(tmp_path, small_config_dict(**{key: value}))

@@ -513,13 +513,18 @@ class TestWindowStart:
         old_grid = 0.3 + np.linspace(0.0, 0.1, n_sub + 1)
         rows = [np.zeros(16, dtype=np.int64) for _ in old_grid]
         previous = cg.WindowSolve(
-            old_grid, None, 1, [], N_values=forcing(old_grid), chi_cache=rows
+            old_grid, None, [], N_values=forcing(old_grid), chi_cache=rows
         )
-        assert cg._unchanged_tail(previous) == n_sub + 1
         anchor = make_state(basis_2d, u_coeffs=rng.standard_normal(len(basis_2d)))
+        # only a window longer than the previous one beyond rounding starts
+        # from its last node alone
+        assert cg._start_nodes(previous, 0.1 * (1 + 1e-12)) == degree + 1
+        assert cg._start_nodes(previous, 0.101) == 1
         for delta in (0.1, 0.05):
+            nodes = cg._start_nodes(previous, delta)
+            assert nodes == degree + 1
             t_grid = 0.4 + np.linspace(0.0, delta, n_sub + 1)
-            got = cg.extrapolated_predictor(anchor, t_grid, previous)
+            got = cg.predictor(anchor, t_grid, old_grid[-nodes:], previous.N_values[-nodes:])
             want = cg._trapezoid(anchor.u.coefficients, t_grid, forcing(t_grid))
             assert got[0].tobytes() == anchor.u.coefficients.tobytes()
             np.testing.assert_allclose(got, want, rtol=0.0, atol=1e-12)
@@ -532,24 +537,53 @@ class TestWindowStart:
     def _previous(self, basis_2d):
         return cg.fixed_point_window(self._anchor(basis_2d), 0.05, 4, 1e-8, 30, **self.ARGS)
 
-    def _assert_euler_start(self, monkeypatch, basis_2d, anchor, previous, delta):
+    def _start(self, monkeypatch, anchor, previous, delta):
+        """(window, its first iterate, the N calls made for the predictor)."""
         iterates = _first_iterate(monkeypatch)
+        real_n, real_predictor = cg.apply_N, cg.predictor
+        calls, at_start = [], []
+
+        def counted(*args, **kwargs):
+            calls.append(1)
+            return real_n(*args, **kwargs)
+
+        def predictor(*args):
+            at_start.append(len(calls))
+            return real_predictor(*args)
+
+        monkeypatch.setattr(cg, "apply_N", counted)
+        monkeypatch.setattr(cg, "predictor", predictor)
         window = cg.fixed_point_window(
             anchor, delta, 4, 1e-8, 30, previous=previous, **self.ARGS
         )
-        chi = ci.point_in_mesh(anchor.mesh, basis_2d.quadrature(8).points)
-        forcing = cg.apply_N(anchor, 8, chi_values=chi)
+        assert len(at_start) == 1
+        return window, iterates[0], at_start[0]
+
+    def _assert_euler_start(self, monkeypatch, anchor, previous, delta, forcing):
+        # one node: the forward-Euler step of the given N(anchor)
+        window, first, start_calls = self._start(monkeypatch, anchor, previous, delta)
+        t_grid = window.t_grid
         assert window.start == "euler"
-        assert iterates[0].tobytes() == cg.euler_predictor(
-            anchor, window.t_grid, forcing
-        ).tobytes()
+        assert first.tobytes() == cg.predictor(anchor, t_grid, t_grid[:1], forcing[None]).tobytes()
+        euler = anchor.u.coefficients + (t_grid - t_grid[0])[:, None] * forcing
+        np.testing.assert_allclose(first, euler, rtol=1e-14, atol=1e-15)
+        return start_calls
 
     def test_first_window_starts_from_euler(self, monkeypatch, basis_2d):
-        self._assert_euler_start(monkeypatch, basis_2d, self._anchor(basis_2d), None, 0.05)
+        # N(anchor) with the window-start mesh's indicator, computed for the start
+        anchor = self._anchor(basis_2d)
+        chi = ci.point_in_mesh(anchor.mesh, basis_2d.quadrature(8).points)
+        forcing = cg.apply_N(anchor, 8, chi_values=chi)
+        assert cg._start_nodes(None, 0.05) == 0
+        assert self._assert_euler_start(monkeypatch, anchor, None, 0.05, forcing) == 1
 
     def test_longer_window_starts_from_euler(self, monkeypatch, basis_2d):
+        # the previous window's N at its last node is N(anchor): no new call
         previous = self._previous(basis_2d)
-        self._assert_euler_start(monkeypatch, basis_2d, previous.states[-1], previous, 0.1)
+        assert cg._start_nodes(previous, 0.1) == 1
+        forcing = previous.N_values[-1]
+        anchor = previous.states[-1]
+        assert self._assert_euler_start(monkeypatch, anchor, previous, 0.1, forcing) == 0
 
     def _flipped_at(self, previous, node):
         rows = [row.copy() for row in previous.chi_cache]
@@ -559,11 +593,14 @@ class TestWindowStart:
     def test_indicator_flip_in_the_previous_window_starts_from_euler(
         self, monkeypatch, basis_2d
     ):
-        # a flip at the last node leaves one node after the jump: no trend
+        # a flip at the last node leaves one node after the jump: no trend,
+        # and that node's N is N(anchor), so the start evaluates no N
         previous = self._previous(basis_2d)
         flipped = self._flipped_at(previous, -1)
-        assert cg._unchanged_tail(flipped) == 1
-        self._assert_euler_start(monkeypatch, basis_2d, previous.states[-1], flipped, 0.05)
+        assert cg._start_nodes(flipped, 0.05) == 1
+        forcing = flipped.N_values[-1]
+        anchor = previous.states[-1]
+        assert self._assert_euler_start(monkeypatch, anchor, flipped, 0.05, forcing) == 0
 
     def test_indicator_flip_before_the_tail_extrapolates_from_the_tail(
         self, monkeypatch, basis_2d
@@ -572,33 +609,24 @@ class TestWindowStart:
         # N: the start is the quadratic through those three nodes
         previous = self._previous(basis_2d)
         flipped = self._flipped_at(previous, 1)
-        assert cg._unchanged_tail(flipped) == 3
-        iterates = _first_iterate(monkeypatch)
+        assert cg._start_nodes(flipped, 0.05) == 3
         anchor = previous.states[-1]
-        window = cg.fixed_point_window(anchor, 0.05, 4, 1e-8, 30, previous=flipped, **self.ARGS)
-        assert window.start == "extrapolated"
-        assert iterates[0].tobytes() == cg.extrapolated_predictor(
-            anchor, window.t_grid, flipped
-        ).tobytes()
-        tail = dataclasses.replace(
-            previous, t_grid=previous.t_grid[2:], N_values=previous.N_values[2:],
-            chi_cache=previous.chi_cache[2:],
-        )
-        assert iterates[0].tobytes() == cg.extrapolated_predictor(
-            anchor, window.t_grid, tail
+        window, first, start_calls = self._start(monkeypatch, anchor, flipped, 0.05)
+        assert window.start == "extrapolated" and start_calls == 0
+        assert first.tobytes() == cg.predictor(
+            anchor, window.t_grid, previous.t_grid[2:], previous.N_values[2:]
         ).tobytes()
 
     def test_same_or_shorter_window_extrapolates(self, monkeypatch, basis_2d):
         previous = self._previous(basis_2d)
         anchor = previous.states[-1]
         for delta in (0.05, 0.025):
-            iterates = _first_iterate(monkeypatch)
-            window = cg.fixed_point_window(
-                anchor, delta, 4, 1e-8, 30, previous=previous, **self.ARGS
-            )
-            assert window.start == "extrapolated"
-            assert iterates[0].tobytes() == cg.extrapolated_predictor(
-                anchor, window.t_grid, previous
+            nodes = cg._start_nodes(previous, delta)
+            assert nodes > 1
+            window, first, start_calls = self._start(monkeypatch, anchor, previous, delta)
+            assert window.start == "extrapolated" and start_calls == 0
+            assert first.tobytes() == cg.predictor(
+                anchor, window.t_grid, previous.t_grid[-nodes:], previous.N_values[-nodes:]
             ).tobytes()
 
     def test_previous_must_end_at_the_anchor(self, basis_2d):
@@ -627,16 +655,21 @@ class TestWindowStart:
         assert first.iterations > 1
         assert len(calls) == 1 + 4 * first.iterations
         calls.clear()
+        # no indicator rows: the start fits all of the first window's 5 nodes
+        assert cg._start_nodes(first, 0.05) == cg.EXTRAPOLATION_DEGREE + 1 == 5
         second = cg.fixed_point_window(
             first.states[-1], 0.05, 4, 1e-8, 30, previous=first, **args
         )
+        assert second.start == "extrapolated"
         assert len(calls) == 4 * second.iterations
 
     def test_node_0_forcing_is_computed_once_per_row(self, monkeypatch, basis_2d):
         # two phases at order 20 on a 16-gon: quadrature points between its
         # chords and the circle are in the band, so node 0's indicator row
-        # differs between the mesh (Euler start) and the trace (sweeps), and
-        # N(anchor) is computed again exactly when the row read changes
+        # differs between the mesh (first window's start) and the trace
+        # (sweeps), and N(anchor) is computed again exactly when the row read
+        # changes; the second window follows a flip at the first's last node,
+        # so its one-node start reads the first window's last row
         rng = np.random.default_rng(191)
         anchor = make_state(basis_2d, u_coeffs=0.3 * rng.standard_normal(len(basis_2d)),
                             params=self.PARAMS, resolution=16)
@@ -665,11 +698,10 @@ class TestWindowStart:
         times.clear()
         rows.clear()
         second_anchor = first.states[-1]
+        assert cg._start_nodes(first, 0.05) == 1
         second = cg.fixed_point_window(second_anchor, 0.05, 4, 1e-8, 30, previous=first, **args)
-        read = [first.chi_cache[-1]]
-        if second.start == "euler":
-            read.append(ci.point_in_mesh(second_anchor.mesh, points))
-        read += rows
+        assert second.start == "euler"
+        read = [first.chi_cache[-1]] + rows
         assert changes(read) > 0
         assert times.count(second_anchor.t) == changes(read)
 
@@ -1029,10 +1061,10 @@ class TestRun:
         _euler_only(monkeypatch)
         predicted = cg.run(config)
 
-        def tiled_start(anchor, t_grid, forcing):
+        def tiled_start(anchor, t_grid, t_nodes, n_nodes):
             return np.tile(anchor.u.coefficients, (len(t_grid), 1))
 
-        monkeypatch.setattr(cg, "euler_predictor", tiled_start)
+        monkeypatch.setattr(cg, "predictor", tiled_start)
         tiled = cg.run(config)
         assert predicted.window_failures == tiled.window_failures == 0
         assert predicted.sweeps < tiled.sweeps

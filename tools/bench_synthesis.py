@@ -28,8 +28,9 @@ and of the window indicator: its history point-steps, the time of its
 history and in-window back-traces, and the origins tested against the
 initial region.  It also records a sweep table: ``galerkin.run`` of each
 ``SWEEP_CONFIGS`` entry in a fresh interpreter on each side, with every
-window attempt's start, sweeps and first residual, and the number of
-windows that took more sweeps than on the baseline.
+window attempt's start, sweeps and first residual, the run's ``apply_N``
+calls, and the number of windows that took more sweeps than on the
+baseline.
 Without it, pairs and the sweep table already in the output file are kept.
 """
 
@@ -202,21 +203,29 @@ SWEEP_CONFIGS = [
     ("ball3d", "bench/workloads/ball3d.json", {}),
 ]
 
-# One run in the checkout whose src is on sys.path; prints its window attempts.
+# One run in the checkout whose src is on sys.path; prints its apply_N calls
+# and its window attempts.
 _SWEEP_RUN = """
 import json, sys
+from capmhd import galerkin
 from capmhd.config import RunConfig
-from capmhd.galerkin import run
-result = run(RunConfig.from_dict(json.loads(sys.argv[1])))
-print(json.dumps([
+real, calls = galerkin.apply_N, []
+
+def counted(*args, **kwargs):
+    calls.append(1)
+    return real(*args, **kwargs)
+
+galerkin.apply_N = counted
+result = galerkin.run(RunConfig.from_dict(json.loads(sys.argv[1])))
+print(json.dumps({"apply_N_calls": len(calls), "attempts": [
     {"start": a.get("start"), "sweeps": a["sweeps"], "accepted": a["accepted"],
      "first_residual": a["residual_history"][0] if a["residual_history"] else None}
     for a in result.attempts
-]))
+]}))
 """
 
 
-def sweep_attempts(checkout, data):
+def sweep_run(checkout, data):
     env = dict(os.environ, PYTHONPATH=str(Path(checkout) / "src"))
     out = subprocess.run([sys.executable, "-c", _SWEEP_RUN, json.dumps(data)],
                          cwd=checkout, env=env, capture_output=True, text=True, check=True)
@@ -229,9 +238,11 @@ def sweep_table(baseline):
         data = dict(json.loads((ROOT / path).read_text()), **overrides)
         row = {"config": name, "file": path, "overrides": overrides}
         for side, checkout in (("baseline", baseline), ("change", ROOT)):
-            attempts = sweep_attempts(checkout, data)
+            out = sweep_run(checkout, data)
+            attempts = out["attempts"]
             row[side] = {
                 "sweeps": sum(a["sweeps"] for a in attempts),
+                "apply_N_calls": out["apply_N_calls"],
                 "window_sweeps": [a["sweeps"] for a in attempts],
                 "first_residuals": [a["first_residual"] for a in attempts],
                 "starts": [a["start"] for a in attempts],
@@ -321,9 +332,10 @@ def main(argv=None):
         print(f"{row['case']} m={row['m']}: {row['table_ms']:.3f} ms -> {row['new_ms']:.3f} ms "
               f"(same result: {row['same_result']})")
     for row in result.get("sweep_table", []):
-        print(f"{row['config']}: sweeps {row['baseline']['sweeps']} -> "
-              f"{row['change']['sweeps']}, windows with more sweeps "
-              f"{row['windows_with_more_sweeps']}")
+        base, change = row["baseline"], row["change"]
+        print(f"{row['config']}: sweeps {base['sweeps']} -> {change['sweeps']}, "
+              f"apply_N calls {base.get('apply_N_calls')} -> {change.get('apply_N_calls')}, "
+              f"windows with more sweeps {row['windows_with_more_sweeps']}")
     for workload, row in result.get("bench_run_pairs", {}).items():
         print(f"{workload}: run_s {row['baseline_run_s_median']:.3f} -> "
               f"{row['change_run_s_median']:.3f} s, "
