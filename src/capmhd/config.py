@@ -26,6 +26,8 @@ _FIELD_KEYS = {"zero": (), "taylor_green": ("amplitude",),
                "coefficients": ("values",)}
 _SHAPE_KEYS = {"disk": ("center", "radius"), "ball": ("center", "radius"),
                "ellipse": ("center", "radii"), "ellipsoid": ("center", "radii")}
+# Of those, the keys that have no default.  Every shape key is required.
+_FIELD_REQUIRED = {"single_mode": ("wavevector",), "coefficients": ("values",)}
 
 
 def _taylor_green_sampler(dimension, amplitude):
@@ -86,20 +88,26 @@ def build_initial_field(spec, basis, order):
     raise ConfigError(f"initial field type must be one of {', '.join(_FIELD_KEYS)}, got {kind!r}")
 
 
-def _check_keys(name, spec, tag, table):
+def _check_keys(name, spec, tag, table, required):
     """Reject a nested object whose kind (``spec[tag]``) or other keys ``table`` lacks.
 
     A misspelt key would otherwise leave its value at the default silently.
+    A key that ``required`` lists for the kind must be given, and is named
+    when it is not.
     """
     kind = spec.get(tag)
     if kind not in table:
         raise ConfigError(f"{name} {tag} must be one of {', '.join(table)}, got {kind!r}")
     known = (tag, *table[kind])
+    keys = ", ".join(sorted(known))
     unknown = [key for key in spec if key not in known]
     if unknown:
-        keys = ", ".join(sorted(known))
         raise ConfigError("; ".join(f"{key} must be one of the {name} {kind} keys: {keys}"
                                     for key in unknown))
+    missing = [key for key in required.get(kind, ()) if key not in spec]
+    if missing:
+        raise ConfigError("; ".join(f"{name} {kind} needs its {key} key (keys: {keys})"
+                                    for key in missing))
 
 
 def _check_field_spec(key, spec):
@@ -109,7 +117,7 @@ def _check_field_spec(key, spec):
     the wavevector entry 1.5 into mode 1, the polarization 0.7 into 0 and
     true into 1, and fails on a string.
     """
-    _check_keys(key, spec, "type", _FIELD_KEYS)
+    _check_keys(key, spec, "type", _FIELD_KEYS, _FIELD_REQUIRED)
     entries = [spec.get("amplitude", 1.0)]
     if spec.get("type") == "coefficients":
         entries.extend(np.ravel(spec["values"]))
@@ -252,7 +260,7 @@ class RunConfig:
             raise ConfigError("max_iter must be at least 1")
         if self.cadence is not None and self.cadence <= 0.0:
             raise ConfigError("cadence must be positive when given")
-        _check_keys("phase", self.phase_shape, "shape", _SHAPE_KEYS)
+        _check_keys("phase", self.phase_shape, "shape", _SHAPE_KEYS, _SHAPE_KEYS)
         self.phase_region()  # validates the sizes and containment
 
     def phase_region(self):

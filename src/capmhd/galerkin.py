@@ -6,12 +6,21 @@ The velocity coefficients satisfy the integral equation
 
 where N collects inertia, Lorentz force, two-phase viscosity and the
 capillary (weak mean-curvature) forcing.  On each time window the right-hand
-side is frozen into the map K and solved by Picard iteration u <- K(u),
-recomputing the magnetic field and the interface transport from the current
-velocity iterate every sweep; the accepted trajectory carries the certificate
+side is frozen into the map K, whose fixed point is found by sweeps that
+recompute the magnetic field and the interface transport from the current
+velocity iterate; the accepted trajectory carries the certificate
 ||u - K(u)||_sup < tol.  Windows chain until the final time, halving the
 window on failure, mirroring the shrinking local existence interval of the
 underlying construction.
+
+A sweep does not take K(u) itself as the next iterate.  The viscous part of
+N at the mean viscosity nu_bar is linear and diagonal in the basis, since
+every mode is a Stokes eigenfunction: -nu_bar |k_j|^2 u_j.  The sweep takes
+that part implicitly in K's trapezoid and the rest, computed from the same
+N values, explicitly (a semi-implicit correction sweep, as in Minion,
+Commun. Math. Sci. 2003).  Its fixed point is K's, so the certificate is
+unchanged, and it costs no further forcing evaluation; the stiff high modes
+no longer set the contraction, so windows at large kmax take fewer sweeps.
 
 Where K contracts, its fixed point does not depend on the first iterate,
 which sets only the number of sweeps.  A window starts from known forcing
@@ -246,6 +255,28 @@ def apply_K(u_trajectory, u_anchor, states, order, chi_values=None, anchor_forci
     return _trapezoid(u_anchor, t_grid, n_values), n_values
 
 
+def _viscous_sweep(u_anchor, t_grid, u_trajectory, n_values, decay):
+    """The next iterate from u and its N values, the viscous part implicit.
+
+    N splits into its diagonal viscous part, decay * u with decay_j =
+    -nu_bar |k_j|^2 per mode, and the rest R = N - decay * u.  K's trapezoid
+    takes the first at the new iterate v and the second at u:
+
+        v_{i+1} = [v_i (1 + h_i decay) + h_i (R_i + R_{i+1})] / (1 - h_i decay),
+
+    h_i = (t_{i+1} - t_i) / 2, v_0 = the anchor bit for bit.  Where v = u this
+    is u_{i+1} = u_i + h_i (N_i + N_{i+1}), so the fixed point is K's; with
+    decay = 0 the step is K itself.
+    """
+    out = np.empty_like(n_values)
+    out[0] = u_anchor
+    remainder = n_values - decay * u_trajectory
+    for i, h in enumerate(0.5 * np.diff(t_grid)):
+        rhs = out[i] * (1.0 + h * decay) + h * (remainder[i] + remainder[i + 1])
+        out[i + 1] = rhs / (1.0 - h * decay)
+    return out
+
+
 def _start_nodes(previous, delta):
     """How many of ``previous``'s last nodes start a window of size ``delta``.
 
@@ -392,7 +423,7 @@ def fixed_point_window(
     phase=None,
     previous=None,
 ):
-    """Picard solve of u = K(u) on [anchor.t, anchor.t + delta].
+    """Fixed-point solve of u = K(u) on [anchor.t, anchor.t + delta].
 
     ``previous`` is the accepted window that ends at ``anchor``, if any.  The
     first sweep starts from ``predictor`` through ``previous``'s forcing at
@@ -409,11 +440,14 @@ def fixed_point_window(
     to within INDICATOR_BAND of it, and the rest are back-traced, under the
     iterate and then through ``history`` into ``phase``, or keep the last
     trace's flags while the flow-map stability bound certifies them.  Each
-    sweep replaces the iterate by K(u), whose row 0 is the anchor bit for
-    bit.  A non-finite iterate, a broken dependent or forcing (the predictor's
-    included), or an accepted end mesh that crosses itself raises
-    WindowFailureError, and so does reaching ``max_iter`` sweeps; otherwise
-    the accepted window (residual below ``tol``) is returned.  Both carry
+    sweep computes K(u) and its N values in one ``apply_K`` call, checks the
+    residual ||u - K(u)||, and builds the next iterate by ``_viscous_sweep``
+    from those N values, with the viscous term at the mean viscosity
+    implicit; its row 0 is the anchor bit for bit.  A non-finite iterate, a
+    broken dependent or forcing (the predictor's included), or an accepted
+    end mesh that crosses itself raises WindowFailureError, and so does
+    reaching ``max_iter`` sweeps; otherwise the accepted window (residual
+    below ``tol``) is returned.  Both carry
     the number of sweeps that back-traced, ``indicator_traces``, and the
     ``start``: "euler" for a start from one node, else "extrapolated".
     """
@@ -437,6 +471,8 @@ def fixed_point_window(
         indicator = _WindowIndicator(
             anchor, basis.quadrature(order).points, t_grid, history, phase, h_flow
         )
+    # the viscous part of N at the mean viscosity, diagonal in the basis
+    decay = -0.5 * (params.nu_plus + params.nu_minus) * basis.eigenvalues
     nodes = _start_nodes(previous, delta)
     start = "extrapolated" if nodes > 1 else "euler"
     # N(anchor) and the indicator row it was computed with; the previous
@@ -515,7 +551,7 @@ def fixed_point_window(
                 indicator_traces=0 if indicator is None else indicator.traces,
                 start=start,
             )
-        u_coeffs = k_coeffs
+        u_coeffs = _viscous_sweep(anchor.u.coefficients, t_grid, u_coeffs, n_values, decay)
     raise failure(
         f"did not converge in {max_iter} sweeps (last residual {residual_history[-1]:.3e})"
     )

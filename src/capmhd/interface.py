@@ -30,10 +30,16 @@ from .flowmap import integrate_positions
 
 _QUALITY_FLOOR = 1e-12
 
-# Point-versus-element work runs over blocks of this many points, so that
-# the (points, elements) temporaries stay small: 64 KB per array for a
-# 256-gon, 320 KB for 1280 triangles.
+# Point-versus-vertex work runs over blocks of this many points, so that
+# the (points, vertices) temporaries stay small: 64 KB per array for a
+# 256-gon, 160 KB for the 642 vertices of a level-3 icosphere.
 _BLOCK = 32
+
+# Padding of the ray cast's broad-phase boxes in 3D.  Along the ray the
+# plane coordinates (x - y, y - z) drift by the direction's 3e-16 departure
+# from (1, 1, 1)/sqrt(3) per unit length, and the exact side test rounds at
+# about 1e-14 of the coordinates, both far below it.
+_RAY_BOX_PAD = 1e-9
 
 _SHAPES_2D = ("disk", "ellipse")
 _SHAPES_3D = ("ball", "ellipsoid")
@@ -189,6 +195,29 @@ def _blocks(n):
     return [slice(start, start + _BLOCK) for start in range(0, n, _BLOCK)]
 
 
+def _runs(starts, ends):
+    """Index pairs (i, m), one for each m in range(starts[i], ends[i])."""
+    counts = np.maximum(ends - starts, 0)
+    owner = np.repeat(np.arange(len(counts)), counts)
+    # each pair's place in its owner's run, shifted to the run's start
+    member = np.arange(len(owner)) + np.repeat(starts - np.cumsum(counts) + counts, counts)
+    return owner, member
+
+
+def _points_in_ranges(coordinate, lo, hi):
+    """Index pairs (point, box) with lo[box] <= coordinate[point] <= hi[box].
+
+    The points are sorted by ``coordinate`` once, and two ``searchsorted``
+    calls give each box its run of points.
+    """
+    order = np.argsort(coordinate, kind="stable")
+    ranked = coordinate[order]
+    box, rank = _runs(
+        np.searchsorted(ranked, lo, side="left"), np.searchsorted(ranked, hi, side="right")
+    )
+    return order[rank], box
+
+
 def box_pairs(lo, hi):
     """Index pairs (i, j), i < j, of the boxes [lo, hi] that overlap.
 
@@ -201,11 +230,8 @@ def box_pairs(lo, hi):
     """
     order = np.argsort(lo[:, 0], kind="stable")
     ends = np.searchsorted(lo[order, 0], hi[order, 0], side="right")
-    # the later boxes in sweep order that start within each box's x-range,
-    # then each candidate's place in its box's run
-    counts = ends - np.arange(1, len(order) + 1)
-    first = np.repeat(np.arange(len(order)), counts)
-    second = first + 1 + np.arange(len(first)) - np.repeat(np.cumsum(counts) - counts, counts)
+    # the later boxes in sweep order that start within each box's x-range
+    first, second = _runs(np.arange(1, len(order) + 1), ends)
     i, j = order[first], order[second]
     keep = np.all((lo[i, 1:] <= hi[j, 1:]) & (lo[j, 1:] <= hi[i, 1:]), axis=1)
     return np.minimum(i[keep], j[keep]), np.maximum(i[keep], j[keep])
@@ -431,23 +457,31 @@ def _dot3(u, v):
 
 
 def point_in_mesh(mesh, points):
-    """Geometric membership test against the mesh (even-odd ray casting)."""
+    """Geometric membership test against the mesh (even-odd ray casting).
+
+    A broad phase first pairs each point with the elements its ray can
+    cross: in 2D the ray runs along +x, and an edge can be crossed only by
+    the points within its y-range; in 3D the ray runs along d, close to
+    (1, 1, 1), and a triangle can be crossed only by the points whose plane
+    coordinates (x - y, y - z) lie in its box, padded by _RAY_BOX_PAD.  The
+    exact test then decides each pair as it would against every element.
+    """
     points = np.asarray(points, dtype=np.float64)
     single = points.ndim == 1
     p = np.atleast_2d(points)
     corners = mesh.element_corners()
-    inside = np.empty(len(p), dtype=np.int64)
     if mesh.dimension == 2:
         a, b = corners[:, 0], corners[:, 1]
-        for rows in _blocks(len(p)):
-            q = p[rows]
-            ay = a[None, :, 1] - q[:, None, 1]
-            by = b[None, :, 1] - q[:, None, 1]
-            straddle = (ay > 0.0) != (by > 0.0)
-            with np.errstate(divide="ignore", invalid="ignore"):
-                x_cross = a[None, :, 0] + ay / (ay - by) * (b[None, :, 0] - a[None, :, 0])
-            hits = straddle & (x_cross > q[:, None, 0])
-            inside[rows] = np.sum(hits, axis=1) % 2
+        point, edge = _points_in_ranges(
+            p[:, 1], np.minimum(a[:, 1], b[:, 1]), np.maximum(a[:, 1], b[:, 1])
+        )
+        q, a, b = p[point], a[edge], b[edge]
+        ay = a[:, 1] - q[:, 1]
+        by = b[:, 1] - q[:, 1]
+        straddle = (ay > 0.0) != (by > 0.0)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            x_cross = a[:, 0] + ay / (ay - by) * (b[:, 0] - a[:, 0])
+        hit = straddle & (x_cross > q[:, 0])
     else:
         # The ray crosses a triangle when it passes every edge on the same
         # side: the side of edge (a, b) is the sign of
@@ -463,14 +497,20 @@ def point_in_mesh(mesh, points):
         normal = np.cross(corners[:, 1] - corners[:, 0], corners[:, 2] - corners[:, 0])
         height = _dot3(corners[:, 0], normal)
         tie = np.where(mesh.elements < np.roll(mesh.elements, -1, axis=1), 1.0, -1.0)
-        for rows in _blocks(len(p)):
-            q = p[rows, None, :]
-            ahead = np.sign(height - _dot3(q, normal[None]))
-            hit = np.ones(ahead.shape, dtype=bool)
-            for k in range(3):
-                side = offset[:, k] - _dot3(q, slope[None, :, k])
-                hit &= np.where(side == 0.0, tie[:, k], np.sign(side)) == ahead
-            inside[rows] = np.sum(hit, axis=1) % 2
+        plane = np.stack([p[:, 0] - p[:, 1], p[:, 1] - p[:, 2]], axis=-1)
+        corner_plane = np.stack([a[..., 0] - a[..., 1], a[..., 1] - a[..., 2]], axis=-1)
+        lo = np.min(corner_plane, axis=1) - _RAY_BOX_PAD
+        hi = np.max(corner_plane, axis=1) + _RAY_BOX_PAD
+        point, tri = _points_in_ranges(plane[:, 0], lo[:, 0], hi[:, 0])
+        keep = (lo[tri, 1] <= plane[point, 1]) & (plane[point, 1] <= hi[tri, 1])
+        point, tri = point[keep], tri[keep]
+        q = p[point]
+        ahead = np.sign(height[tri] - _dot3(q, normal[tri]))
+        hit = np.ones(len(tri), dtype=bool)
+        for k in range(3):
+            side = offset[tri, k] - _dot3(q, slope[tri, k])
+            hit &= np.where(side == 0.0, tie[tri, k], np.sign(side)) == ahead
+    inside = np.bincount(point[hit], minlength=len(p)) % 2
     return int(inside[0]) if single else inside
 
 

@@ -229,12 +229,24 @@ class TestCmdRun:
              "centre must be one of the phase ellipse keys"),
             ("phase", {"shape": "circle", "center": list(CENTER_2D), "radius": 1.0},
              "phase shape must be one of disk, ball, ellipse, ellipsoid, got 'circle'"),
+            ("phase", {"shape": "disk", "center": list(CENTER_2D)},
+             "phase disk needs its radius key (keys: center, radius, shape)"),
+            ("phase", {"shape": "ellipse", "center": list(CENTER_2D)},
+             "phase ellipse needs its radii key (keys: center, radii, shape)"),
+            ("phase", {"shape": "disk", "radius": 1.0},
+             "phase disk needs its center key (keys: center, radius, shape)"),
+            ("initial_magnetic", {"type": "single_mode", "phase": "cos", "amplitude": 0.1},
+             "initial_magnetic single_mode needs its wavevector key"),
+            ("initial_velocity", {"type": "coefficients"},
+             "initial_velocity coefficients needs its values key (keys: type, values)"),
         ],
         ids=["amplitude-nan", "coefficient-inf", "wavevector-fraction", "center-nan",
              "radius-nan", "mode-outside-basis", "polarization-string",
              "polarization-fraction", "polarization-bool", "field-key-misspelt",
              "zero-field-key", "coefficients-key", "field-type-unknown", "field-type-missing",
-             "disk-radii", "ellipse-keys", "shape-unknown"],
+             "disk-radii", "ellipse-keys", "shape-unknown", "disk-radius-missing",
+             "ellipse-radii-missing", "center-missing", "wavevector-missing",
+             "values-missing"],
     )
     def test_bad_nested_value_exits_2(self, tmp_path, capsys, key, value, message):
         path = write_config(tmp_path, small_config_dict(**{key: value}))

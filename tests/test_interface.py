@@ -254,20 +254,54 @@ class TestIndicator:
 
 
 def _point_in_mesh_loop(mesh, points):
-    """Reference 3D ray cast, one point at a time."""
-    direction = np.array([0.57735026918962580, 0.57735026918962562, 0.57735026918962551])
+    """Reference ray cast, one point at a time against every element."""
     corners = mesh.element_corners()
-    normal = np.cross(corners[:, 1] - corners[:, 0], corners[:, 2] - corners[:, 0])
-    tie = np.where(mesh.elements < np.roll(mesh.elements, -1, axis=1), 1.0, -1.0)
     inside = np.zeros(len(points), dtype=np.int64)
+    if mesh.dimension == 2:
+        a, b = corners[:, 0], corners[:, 1]
+        for i, pt in enumerate(points):
+            ay, by = a[:, 1] - pt[1], b[:, 1] - pt[1]
+            with np.errstate(divide="ignore", invalid="ignore"):
+                x_cross = a[:, 0] + ay / (ay - by) * (b[:, 0] - a[:, 0])
+            inside[i] = int(np.sum(((ay > 0.0) != (by > 0.0)) & (x_cross > pt[0]))) % 2
+        return inside
+    # the side of edge (a, b) as d . (a x b) - p . (d x (a - b)), and the
+    # height p . n, summed in the solver's order: on the mesh itself the
+    # answer is decided by their rounding
+    direction = np.array([0.57735026918962580, 0.57735026918962562, 0.57735026918962551])
+    a, b = corners, np.roll(corners, -1, axis=1)
+    offset = ci._dot3(direction, np.cross(a, b))
+    slope = np.cross(direction, a - b)
+    normal = np.cross(corners[:, 1] - corners[:, 0], corners[:, 2] - corners[:, 0])
+    height = ci._dot3(corners[:, 0], normal)
+    tie = np.where(mesh.elements < np.roll(mesh.elements, -1, axis=1), 1.0, -1.0)
     for i, pt in enumerate(points):
-        rel = corners - pt
-        side = np.sum(np.cross(rel, np.roll(rel, -1, axis=1)) * direction, axis=-1)
+        side = offset - ci._dot3(pt, slope)
         side = np.where(side == 0.0, tie, np.sign(side))
-        ahead = np.sign(np.einsum("ei,ei->e", rel[:, 0], normal))
+        ahead = np.sign(height - ci._dot3(pt, normal))
         hit = (side[:, 0] == side[:, 1]) & (side[:, 1] == side[:, 2]) & (side[:, 0] == ahead)
         inside[i] = int(np.sum(hit)) % 2
     return inside
+
+
+def _perturbed(mesh, seed, amplitude):
+    """The mesh with each vertex moved radially by up to ``amplitude``."""
+    rng = np.random.default_rng(seed)
+    center = np.mean(mesh.vertices, axis=0)
+    scale = 1.0 + rng.uniform(-amplitude, amplitude, (len(mesh.vertices), 1))
+    return ci.InterfaceMesh(center + scale * (mesh.vertices - center), mesh.elements)
+
+
+def _probe_points(mesh, seed):
+    """Vertices, edge midpoints, centroids, and random points around the mesh."""
+    rng = np.random.default_rng(seed)
+    corners = mesh.element_corners()
+    midpoints = 0.5 * (corners + np.roll(corners, -1, axis=1))
+    lo, hi = np.min(mesh.vertices, axis=0), np.max(mesh.vertices, axis=0)
+    scattered = rng.uniform(lo - 0.2, hi + 0.2, (200, mesh.dimension))
+    return np.concatenate(
+        [mesh.vertices, midpoints.reshape(-1, mesh.dimension), corners.mean(axis=1), scattered]
+    )
 
 
 def _shared_edge_points(mesh):
@@ -292,6 +326,27 @@ class TestPointInMesh:
         inside = ci.point_in_mesh(fine, points)
         assert 0 < inside.sum() < len(points)
         np.testing.assert_array_equal(inside, _point_in_mesh_loop(fine, points))
+
+    @settings(max_examples=20, deadline=None)
+    @given(st.integers(1, 2), st.floats(0.0, 0.2), st.integers(0, 2**32 - 1))
+    def test_broad_phase_matches_every_element_on_icospheres(self, level, amplitude, seed):
+        # the broad phase pairs each point only with the triangles whose
+        # padded box holds it; the answer must be the all-elements one, also
+        # for points on vertices, edges and faces, and for rays through them
+        mesh = _perturbed(ci.mesh_initial(ci.ball(CENTER_3D, 1.0), level), seed, amplitude)
+        points = np.concatenate([_probe_points(mesh, seed), _shared_edge_points(mesh)])
+        np.testing.assert_array_equal(
+            ci.point_in_mesh(mesh, points), _point_in_mesh_loop(mesh, points)
+        )
+
+    @settings(max_examples=20, deadline=None)
+    @given(st.sampled_from([8, 64, 256]), st.floats(0.0, 0.2), st.integers(0, 2**32 - 1))
+    def test_broad_phase_matches_every_edge_on_polygons(self, vertices, amplitude, seed):
+        mesh = _perturbed(ci.mesh_initial(ci.disk(CENTER_2D, 1.0), vertices), seed, amplitude)
+        points = _probe_points(mesh, seed)
+        np.testing.assert_array_equal(
+            ci.point_in_mesh(mesh, points), _point_in_mesh_loop(mesh, points)
+        )
 
     def test_single_point(self, sphere_mesh):
         assert ci.point_in_mesh(sphere_mesh, np.array(CENTER_3D)) == 1

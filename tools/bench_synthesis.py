@@ -28,9 +28,10 @@ and of the window indicator: its history point-steps, the time of its
 history and in-window back-traces, and the origins tested against the
 initial region.  It also records a sweep table: ``galerkin.run`` of each
 ``SWEEP_CONFIGS`` entry in a fresh interpreter on each side, with every
-window attempt's start, sweeps and first residual, the run's ``apply_N``
-calls, and the number of windows that took more sweeps than on the
-baseline.
+window attempt's start, sweeps and first residual, the largest ratio of
+consecutive residuals r_k / r_{k-1} within one attempt, the run's ``apply_N``
+calls, the number of windows that took more sweeps than on the baseline,
+and the largest absolute difference between the two sides' ledger entries.
 Without it, pairs and the sweep table already in the output file are kept.
 """
 
@@ -203,8 +204,8 @@ SWEEP_CONFIGS = [
     ("ball3d", "bench/workloads/ball3d.json", {}),
 ]
 
-# One run in the checkout whose src is on sys.path; prints its apply_N calls
-# and its window attempts.
+# One run in the checkout whose src is on sys.path; prints its apply_N calls,
+# its window attempts and its ledger rows.
 _SWEEP_RUN = """
 import json, sys
 from capmhd import galerkin
@@ -217,12 +218,22 @@ def counted(*args, **kwargs):
 
 galerkin.apply_N = counted
 result = galerkin.run(RunConfig.from_dict(json.loads(sys.argv[1])))
-print(json.dumps({"apply_N_calls": len(calls), "attempts": [
+print(json.dumps({"apply_N_calls": len(calls), "ledger": result.ledger.rows, "attempts": [
     {"start": a.get("start"), "sweeps": a["sweeps"], "accepted": a["accepted"],
-     "first_residual": a["residual_history"][0] if a["residual_history"] else None}
+     "residual_history": a["residual_history"]}
     for a in result.attempts
 ]}))
 """
+
+
+def largest_contraction(attempts):
+    """The largest ratio r_k / r_{k-1} of consecutive residuals in one attempt."""
+    ratios = [
+        later / earlier
+        for a in attempts
+        for earlier, later in zip(a["residual_history"], a["residual_history"][1:])
+    ]
+    return max(ratios, default=None)
 
 
 def sweep_run(checkout, data):
@@ -237,14 +248,20 @@ def sweep_table(baseline):
     for name, path, overrides in SWEEP_CONFIGS:
         data = dict(json.loads((ROOT / path).read_text()), **overrides)
         row = {"config": name, "file": path, "overrides": overrides}
+        ledgers = {}
         for side, checkout in (("baseline", baseline), ("change", ROOT)):
             out = sweep_run(checkout, data)
             attempts = out["attempts"]
+            ledgers[side] = np.array(out["ledger"])
             row[side] = {
                 "sweeps": sum(a["sweeps"] for a in attempts),
                 "apply_N_calls": out["apply_N_calls"],
                 "window_sweeps": [a["sweeps"] for a in attempts],
-                "first_residuals": [a["first_residual"] for a in attempts],
+                "first_residuals": [
+                    a["residual_history"][0] if a["residual_history"] else None
+                    for a in attempts
+                ],
+                "largest_contraction": largest_contraction(attempts),
                 "starts": [a["start"] for a in attempts],
                 "failures": sum(not a["accepted"] for a in attempts),
             }
@@ -252,6 +269,11 @@ def sweep_table(baseline):
         # a window-by-window count needs the same windows on both sides
         row["windows_with_more_sweeps"] = (
             sum(c > b for b, c in zip(base, change)) if len(base) == len(change) else None
+        )
+        # and a row-by-row ledger difference the same sub-steps
+        row["largest_ledger_difference"] = (
+            float(np.max(np.abs(ledgers["change"] - ledgers["baseline"])))
+            if ledgers["change"].shape == ledgers["baseline"].shape else None
         )
         rows.append(row)
     return rows
@@ -335,7 +357,10 @@ def main(argv=None):
         base, change = row["baseline"], row["change"]
         print(f"{row['config']}: sweeps {base['sweeps']} -> {change['sweeps']}, "
               f"apply_N calls {base.get('apply_N_calls')} -> {change.get('apply_N_calls')}, "
-              f"windows with more sweeps {row['windows_with_more_sweeps']}")
+              f"largest contraction {base.get('largest_contraction')} -> "
+              f"{change.get('largest_contraction')}, "
+              f"windows with more sweeps {row['windows_with_more_sweeps']}, "
+              f"largest ledger difference {row.get('largest_ledger_difference')}")
     for workload, row in result.get("bench_run_pairs", {}).items():
         print(f"{workload}: run_s {row['baseline_run_s_median']:.3f} -> "
               f"{row['change_run_s_median']:.3f} s, "
