@@ -13,6 +13,7 @@ artifacts.
 
 import argparse
 import json
+import math
 import os
 import sys
 
@@ -51,7 +52,11 @@ def _write_json(path, payload):
 
 
 def _dump_times(result, cadence):
-    """Sub-step times selected for mesh/varifold dumps: t=0, cadence marks, T."""
+    """Sub-step times selected for mesh/varifold dumps: t=0, cadence marks, T.
+
+    After a dump at t the next mark is the first multiple of the cadence
+    above t + 1e-12, found from t by fmod, which cannot overflow.
+    """
     times = [state.t for state in result.states]
     if cadence is None:
         return [times[0], times[-1]] if len(times) > 1 else [times[0]]
@@ -60,8 +65,7 @@ def _dump_times(result, cadence):
     for t in times[1:]:
         if t >= next_mark - 1e-12:
             selected.append(t)
-            while next_mark <= t + 1e-12:
-                next_mark += cadence
+            next_mark = t + 1e-12 - math.fmod(t + 1e-12, cadence) + cadence
     if selected[-1] != times[-1]:
         selected.append(times[-1])
     return selected

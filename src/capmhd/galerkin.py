@@ -29,20 +29,21 @@ grid and integrated from the anchor like K itself.  After an accepted
 window they are its N values at its last min(5, k) nodes, where k counts
 its last nodes that share its last indicator row, since N jumps in time
 where the indicator changes; a window longer than its predecessor takes
-only the last.  The first window takes N(anchor) alone, with the
-window-start mesh's indicator.  One node gives the forward-Euler start
-u_anchor + (t - t_m) N(anchor).  The state at a window's first node is the
-anchor in every sweep, so its forcing N(anchor) is memoised by its
-indicator row, seeded from the previous window's last node, and computed
-again only for a new row.
+only the last.  The first window takes N(anchor) alone: the forward-Euler
+start u_anchor + (t - t_m) N(anchor).  Everything at t_m is data, not
+unknown: u, B, the mesh, the indicator row chi(t_m) and so N(anchor).  A
+window takes that row and N(anchor) from its predecessor's last node; the
+first window pulls the quadrature points back through the history once for
+its row, and evaluates N(anchor) once, for its start.
 
 The phase indicator chi(u) depends on the iterate only through the flow map,
 and the flow-map stability estimate |X_u - X_v| <= tau ||u - v|| e^{tau L}
 bounds how far a sweep can move the back-traced origins.  Each two-phase
-window builds one indicator object that traces its band points, all nodes
-in one backward march, and keeps that trace: a later sweep reuses its flags
-whenever every origin lies farther from the initial boundary than the
-estimate lets it move, so chi is exactly what a new trace would give.
+window builds one indicator object that traces its band points, the nodes
+after the first in one backward march, and keeps that trace: a later sweep
+reuses its flags whenever every origin lies farther from the initial
+boundary than the estimate lets it move, so chi is exactly what a new trace
+would give.
 
 All quadratures use the dealiased uniform grid, and every reduction has a
 fixed order, so a run is reproducible bit-for-bit for a given configuration.
@@ -234,25 +235,23 @@ def _trapezoid(u_anchor, t_grid, n_values):
     return out
 
 
-def apply_K(u_trajectory, u_anchor, states, order, chi_values=None, anchor_forcing=None):
+def apply_K(states, order, anchor_forcing, chi_values=None):
     """One sweep of the iteration map K over a window.
 
-    ``states`` hold the dependents (B and mesh) computed from the input
-    trajectory at each node of the window grid; the time integral of N uses
-    the composite trapezoidal rule, so K(u)(t_m) equals the anchor exactly.
-    ``anchor_forcing``, when given, is N at node 0, computed earlier from the
-    same state and indicator row; it takes the place of that node's
-    ``apply_N`` call.  Returns (K coefficients (S, n), N values (S, n)).
+    ``states`` hold the input trajectory and its dependents (B and mesh) at
+    each node of the window grid; ``states[0]`` is the anchor, and
+    ``anchor_forcing`` is N there, handed in as data, so N is evaluated at
+    the later nodes only.  The time integral of N uses the composite
+    trapezoidal rule, so K(u)(t_m) equals the anchor exactly.  Returns
+    (K coefficients (S, n), N values (S, n)).
     """
     t_grid = np.array([s.t for s in states])
-    n_values = np.empty_like(np.atleast_2d(u_trajectory))
-    for i, state in enumerate(states):
-        if i == 0 and anchor_forcing is not None:
-            n_values[0] = anchor_forcing
-            continue
+    n_values = np.empty((len(states), len(anchor_forcing)))
+    n_values[0] = anchor_forcing
+    for i in range(1, len(states)):
         chi = None if chi_values is None else chi_values[i]
-        n_values[i] = apply_N(state, order, chi_values=chi)
-    return _trapezoid(u_anchor, t_grid, n_values), n_values
+        n_values[i] = apply_N(states[i], order, chi_values=chi)
+    return _trapezoid(states[0].u.coefficients, t_grid, n_values), n_values
 
 
 def _viscous_sweep(u_anchor, t_grid, u_trajectory, n_values, decay):
@@ -280,13 +279,11 @@ def _viscous_sweep(u_anchor, t_grid, u_trajectory, n_values, decay):
 def _start_nodes(previous, delta):
     """How many of ``previous``'s last nodes start a window of size ``delta``.
 
-    0 without a previous window.  N jumps in time where the indicator
-    changes, so the nodes share ``previous``'s last indicator row (the None
-    rows of a single-phase window compare equal), and there are at most
-    EXTRAPOLATION_DEGREE + 1; past its length (beyond rounding) only one.
+    N jumps in time where the indicator changes, so the nodes share
+    ``previous``'s last indicator row (the None rows of a single-phase
+    window compare equal), and there are at most EXTRAPOLATION_DEGREE + 1;
+    past its length (beyond rounding) only one.
     """
-    if previous is None:
-        return 0
     rows, span = previous.chi_cache, previous.t_grid[-1] - previous.t_grid[0]
     most = 1 if delta > (1.0 + 1e-9) * span else min(EXTRAPOLATION_DEGREE + 1, len(rows))
     nodes = 1
@@ -329,20 +326,21 @@ def _gradient_weights(basis):
 class _WindowIndicator:
     """Indicator samples at the quadrature ``points`` for every window node.
 
-    Built once per two-phase window: ``distance`` and ``mesh_chi`` are the
-    points' distance lower bound to the window-start mesh and their ray cast
-    against it, and ``history_growth`` = e^{t_m L_h} bounds how the fixed
-    pre-window ``history`` leg grows a displacement.  The object keeps its
-    last back-trace: ``moving`` marks the traced points, ``coefficients`` are
-    the iterate's rows they were traced under, and ``clearance`` and
-    ``inside`` (one row per node) are the origins' distance lower bound to
-    the initial boundary and their membership flags.  ``traces`` counts the
-    calls that back-traced.
+    Built once per two-phase window: ``first_row`` is node 0's row, which no
+    sweep changes, ``distance`` and ``mesh_chi`` are the points' distance
+    lower bound to the window-start mesh and their ray cast against it, and
+    ``history_growth`` = e^{t_m L_h} bounds how the fixed pre-window
+    ``history`` leg grows a displacement.  The object keeps its last
+    back-trace: ``moving`` marks the traced points, ``coefficients`` are the
+    iterate's rows they were traced under, and ``clearance`` and ``inside``
+    (one row per node after the first) are the origins' distance lower bound
+    to the initial boundary and their membership flags.  ``traces`` counts
+    the calls that back-traced.
     """
 
-    def __init__(self, anchor, points, t_grid, history, phase, h_flow):
+    def __init__(self, anchor, points, t_grid, history, phase, h_flow, first_row):
         self.points, self.t_grid, self.history = points, t_grid, history
-        self.phase, self.h_flow = phase, h_flow
+        self.phase, self.h_flow, self.first_row = phase, h_flow, first_row
         self.distance = distance_lower_bound(anchor.mesh, points)
         self.mesh_chi = point_in_mesh(anchor.mesh, points)
         weights = _gradient_weights(anchor.u.basis)
@@ -355,7 +353,7 @@ class _WindowIndicator:
 
         One RK4 step of size h is Lipschitz with constant e^{hL}, and driven
         by two fields eps apart it adds at most h eps e^{hL}; so the window
-        leg of node i moves an origin by at most e^{tau_i L} tau_i eps
+        leg of node i >= 1 moves an origin by at most e^{tau_i L} tau_i eps
         (tau_i = t_i - t_m), and the fixed history leg grows that by
         ``history_growth``.  No origin crosses the boundary when each
         clearance exceeds that reach plus REUSE_MARGIN, grown alike.
@@ -365,23 +363,23 @@ class _WindowIndicator:
         eps = _row_bound(coefficients - self.coefficients, basis.normalizations)
         weights = _gradient_weights(basis)
         lipschitz = max(_row_bound(coefficients, weights), _row_bound(self.coefficients, weights))
-        tau = self.t_grid - self.t_grid[0]
+        tau = self.t_grid[1:] - self.t_grid[0]
         reach = self.history_growth * np.exp(tau * lipschitz) * (tau * eps + REUSE_MARGIN)
         return bool(np.all(self.clearance > reach[:, None]))
 
     def __call__(self, sampler):
         """The rows of samples, one per node, under the iterate ``sampler``.
 
-        The iterate's speed is at most sum_j |c_j| n_j over its rows, so a
-        point farther than INDICATOR_BAND plus the window's reach from the
-        window-start mesh keeps the mesh's answer at every node.  The rest
-        take the kept trace's flags when it certifies them for this iterate.
-        Otherwise they are back-traced in one backward march under the
-        iterate: the points of the last node are carried one sub-step back,
-        then node i - 1's points join the carried ones in front, and so on
-        to the window start, so every RK4 step moves all the points still
-        on their way.  The stack, node-major, then goes through ``history``
-        to t = 0 (a zero-length leg for the first window) and is tested
+        Node 0's row is ``first_row``.  At the later nodes, the iterate's
+        speed is at most sum_j |c_j| n_j over its rows, so a point farther
+        than INDICATOR_BAND plus the window's reach from the window-start
+        mesh keeps the mesh's answer.  The rest take the kept trace's flags
+        when it certifies them for this iterate.  Otherwise they are
+        back-traced in one backward march under the iterate: node i's points
+        join the carried ones in front at t_i, and the stack is carried one
+        sub-step back, from the last node to the window start, so every RK4
+        step moves all the points still on their way.  The stack, node-major
+        from node 1, then goes through ``history`` to t = 0 and is tested
         against the initial region, and that trace is kept.
         """
         t_grid, h = self.t_grid, self.h_flow
@@ -390,21 +388,23 @@ class _WindowIndicator:
         coefficients = sampler.coefficients
         speed = _row_bound(coefficients, basis.normalizations)
         moving = self.distance <= INDICATOR_BAND + (t_grid[-1] - t_grid[0]) * speed
-        chi = [self.mesh_chi.copy() for _ in t_grid]
+        chi = [self.first_row] + [self.mesh_chi.copy() for _ in t_grid[1:]]
         if not np.any(moving):
             return chi
         if not self.certifies(moving, coefficients, basis):
-            points = carried = self.points[moving]
+            points = self.points[moving]
+            carried = points[:0]
             for i in range(len(t_grid) - 1, 0, -1):
-                carried = integrate_positions(carried, sampler, t_grid[i], t_grid[i - 1], h)
-                carried = np.concatenate([points, carried])
+                carried = integrate_positions(
+                    np.concatenate([points, carried]), sampler, t_grid[i], t_grid[i - 1], h
+                )
             origins = integrate_positions(carried, self.history, t_grid[0], 0.0, h)
-            nodes = (len(t_grid), -1)
+            nodes = (len(t_grid) - 1, -1)
             self.moving, self.coefficients = moving, coefficients
             self.clearance = self.phase.boundary_distance(origins).reshape(nodes)
             self.inside = self.phase.contains(origins).reshape(nodes)
             self.traces += 1
-        for node, inside in zip(chi, self.inside):
+        for node, inside in zip(chi[1:], self.inside):
             node[moving] = inside
         return chi
 
@@ -425,21 +425,21 @@ def fixed_point_window(
 ):
     """Fixed-point solve of u = K(u) on [anchor.t, anchor.t + delta].
 
-    ``previous`` is the accepted window that ends at ``anchor``, if any.  The
-    first sweep starts from ``predictor`` through ``previous``'s forcing at
-    its last ``_start_nodes`` nodes, or, for the first window, through
-    N(anchor) with the window-start mesh's indicator; the start moves
-    neither the fixed point nor its certificate, only the number of sweeps.
-    N(anchor) is memoised with its indicator row: seeded from ``previous``'s
-    last node, read by the first window's start and by every sweep's
-    ``apply_K``, and computed again only when that row is new.  Every sweep
-    recomputes the magnetic trajectory and the advected interface from the
-    current velocity iterate.  When the viscosities differ, one
-    ``_WindowIndicator`` gives the indicator rows of every sweep: the
-    window-start mesh decides the quadrature points the iterate cannot carry
-    to within INDICATOR_BAND of it, and the rest are back-traced, under the
-    iterate and then through ``history`` into ``phase``, or keep the last
-    trace's flags while the flow-map stability bound certifies them.  Each
+    ``previous`` is the accepted window that ends at ``anchor``, if any.
+    Node 0 is the anchor, and its indicator row and N are ``previous``'s
+    last; without ``previous``, the row is ``phase`` at the quadrature
+    points pulled back through ``history``, and N(anchor) is evaluated once,
+    for the start.  The first sweep starts from ``predictor`` through
+    ``previous``'s forcing at its last ``_start_nodes`` nodes, or through
+    N(anchor) alone; the start moves neither the fixed point nor its
+    certificate, only the number of sweeps.  Every sweep recomputes the
+    magnetic trajectory and the advected interface from the current velocity
+    iterate.  When the viscosities differ, one ``_WindowIndicator`` gives
+    the indicator rows of every sweep: after node 0, the window-start mesh
+    decides the quadrature points the iterate cannot carry to within
+    INDICATOR_BAND of it, and the rest are back-traced, under the iterate
+    and then through ``history`` into ``phase``, or keep the last trace's
+    flags while the flow-map stability bound certifies them.  Each
     sweep computes K(u) and its N values in one ``apply_K`` call, checks the
     residual ||u - K(u)||, and builds the next iterate by ``_viscous_sweep``
     from those N values, with the viscous term at the mean viscosity
@@ -466,23 +466,19 @@ def fixed_point_window(
     t_grid = anchor.t + np.linspace(0.0, delta, n_sub + 1)
     if history is None:
         history = SpectralTrajectory(basis, [anchor.t], [anchor.u.coefficients])
+    # node 0 is the previous window's last node: its row and N are data
+    first_row = previous.chi_cache[-1] if previous else None
+    anchor_forcing = previous.N_values[-1] if previous else None
     indicator = None
     if params.two_phase:
-        indicator = _WindowIndicator(
-            anchor, basis.quadrature(order).points, t_grid, history, phase, h_flow
-        )
+        points = basis.quadrature(order).points
+        if previous is None:
+            first_row = phase.contains(integrate_positions(points, history, anchor.t, 0.0, h_flow))
+        indicator = _WindowIndicator(anchor, points, t_grid, history, phase, h_flow, first_row)
     # the viscous part of N at the mean viscosity, diagonal in the basis
     decay = -0.5 * (params.nu_plus + params.nu_minus) * basis.eigenvalues
-    nodes = _start_nodes(previous, delta)
+    nodes = 1 if previous is None else _start_nodes(previous, delta)
     start = "extrapolated" if nodes > 1 else "euler"
-    # N(anchor) and the indicator row it was computed with; the previous
-    # window's last node is the anchor
-    memo = {"row": previous.chi_cache[-1], "N": previous.N_values[-1]} if previous else {}
-
-    def anchor_forcing(row):
-        if not memo or not np.array_equal(memo["row"], row):
-            memo.update(row=row, N=apply_N(anchor, order, chi_values=row))
-        return memo["N"]
 
     def failure(message):
         return WindowFailureError(
@@ -497,13 +493,12 @@ def fixed_point_window(
     for iteration in range(1, max_iter + 1):
         try:
             if u_coeffs is None:
-                # the previous window's last nodes, or the anchor alone with
-                # the window-start mesh's indicator row
-                if nodes:
-                    t_nodes, n_nodes = previous.t_grid[-nodes:], previous.N_values[-nodes:]
+                # the previous window's last nodes, or the anchor alone
+                if previous is None:
+                    anchor_forcing = apply_N(anchor, order, chi_values=first_row)
+                    t_nodes, n_nodes = t_grid[:1], anchor_forcing[None]
                 else:
-                    mesh_chi = None if indicator is None else indicator.mesh_chi
-                    t_nodes, n_nodes = t_grid[:1], anchor_forcing(mesh_chi)[None]
+                    t_nodes, n_nodes = previous.t_grid[-nodes:], previous.N_values[-nodes:]
                 u_coeffs = predictor(anchor, t_grid, t_nodes, n_nodes)
             if not np.all(np.isfinite(u_coeffs)):
                 raise NumericsError("the velocity iterate has non-finite coefficients")
@@ -519,16 +514,13 @@ def fixed_point_window(
                 b_fields.append(b_end)
                 resistive[i] = float(np.sum(increments))
             chi_cache = [None] * (n_sub + 1) if indicator is None else indicator(sampler)
-            states = [
+            states = [anchor] + [
                 GalerkinState(
                     t_grid[i], sampler.field_at(t_grid[i]), b_fields[i], meshes[i], params
                 )
-                for i in range(n_sub + 1)
+                for i in range(1, n_sub + 1)
             ]
-            k_coeffs, n_values = apply_K(
-                u_coeffs, anchor.u.coefficients, states, order, chi_values=chi_cache,
-                anchor_forcing=anchor_forcing(chi_cache[0]),
-            )
+            k_coeffs, n_values = apply_K(states, order, anchor_forcing, chi_values=chi_cache)
             residual = float(np.max(np.linalg.norm(u_coeffs - k_coeffs, axis=1)))
             residual_history.append(residual)
             if residual < tol:

@@ -267,6 +267,19 @@ class TestCmdRun:
         assert (out / "interface_t0.050000.csv").exists()
         assert (out / "interface_t0.100000.csv").exists()
 
+    def test_cadence_below_the_double_spacing_dumps_every_sub_step(self, tmp_path):
+        # a mark one cadence past t rounds back to t: the marks must come
+        # from t itself, or the dump loop never ends
+        path = write_config(tmp_path, small_config_dict(T=0.05, output={"cadence": 1e-300}))
+        out = tmp_path / "out"
+        assert cli.main(["run", "--config", path, "--out", str(out)]) == 0
+        lines = (out / "ledger.csv").read_text().splitlines()[1:]
+        times = [float(line.split(",")[0]) for line in lines]
+        assert len(times) > 2 and times[0] == 0.0 and times[-1] == pytest.approx(0.05)
+        dumped = sorted(p.name for p in out.glob("interface_t*.csv"))
+        assert dumped == sorted({f"interface_t{t:.6f}.csv" for t in times})
+        assert len(list(out.glob("varifold_t*.csv"))) == len(dumped)
+
     def test_solver_failure_exits_3_with_dump(self, tmp_path, capsys):
         data = small_config_dict()
         data["solver"]["max_iter"] = 1

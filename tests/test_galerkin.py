@@ -181,9 +181,7 @@ class TestApplyK:
         for i, s in enumerate(states):
             s.t = 0.1 * i
             s.mesh.t = 0.1 * i
-        anchor = np.zeros(len(basis_2d))
-        traj = np.zeros((3, len(basis_2d)))
-        out, n_values = cg.apply_K(traj, anchor, states, 8)
+        out, n_values = cg.apply_K(states, 8, cg.apply_N(states[0], 8))
         assert np.all(out == 0.0)
         assert np.all(n_values == 0.0)
 
@@ -199,8 +197,7 @@ class TestApplyK:
                               cb.SpectralField(basis_2d, np.zeros(len(basis_2d))), mesh0, params)
         s1 = cg.GalerkinState(0.25, cb.SpectralField(basis_2d, c1),
                               cb.SpectralField(basis_2d, np.zeros(len(basis_2d))), mesh1, params)
-        traj = np.stack([c0, c1])
-        out, n_values = cg.apply_K(traj, c0, [s0, s1], 8)
+        out, n_values = cg.apply_K([s0, s1], 8, cg.apply_N(s0, 8))
         np.testing.assert_array_equal(out[0], c0)
         np.testing.assert_allclose(
             out[1], c0 + 0.25 * 0.5 * (n_values[0] + n_values[1]), atol=1e-15
@@ -222,8 +219,7 @@ class TestApplyK:
                     cg.FluidParams(0.1, 0.1, 1.0, 0.0),
                 )
             )
-        traj = np.tile(anchor, (3, 1))
-        out, _ = cg.apply_K(traj, anchor, states, 8)
+        out, _ = cg.apply_K(states, 8, cg.apply_N(states[0], 8))
         np.testing.assert_array_equal(out[0], anchor)
 
     def test_handed_anchor_forcing_replaces_the_node_0_call(self, monkeypatch, basis_2d):
@@ -238,8 +234,9 @@ class TestApplyK:
                 cb.SpectralField(basis_2d, 0.2 * rng.standard_normal(len(basis_2d))),
                 mesh, cg.FluidParams(0.1, 0.1, 1.0, 0.1),
             ))
-        traj = np.stack([st.u.coefficients for st in states])
-        want, want_n = cg.apply_K(traj, traj[0], states, 8)
+        # N at every node, and K(u) as the trapezoid of N from states[0]
+        want_n = np.stack([cg.apply_N(st, 8) for st in states])
+        want = cg._trapezoid(states[0].u.coefficients, [0.0, 0.05, 0.1], want_n)
         real = cg.apply_N
         calls = []
 
@@ -248,9 +245,7 @@ class TestApplyK:
             return real(state, *args, **kwargs)
 
         monkeypatch.setattr(cg, "apply_N", counted)
-        got, got_n = cg.apply_K(
-            traj, traj[0], states, 8, anchor_forcing=real(states[0], 8)
-        )
+        got, got_n = cg.apply_K(states, 8, real(states[0], 8))
         assert calls == [0.05, 0.1]
         np.testing.assert_array_equal(got, want)
         np.testing.assert_array_equal(got_n, want_n)
@@ -277,10 +272,12 @@ class TestApplyK:
                         params,
                     )
                 )
-            return cg.apply_K(traj, anchor, states, 8)[0]
+            return cg.apply_K(states, 8, cg.apply_N(states[0], 8))[0]
 
         traj1 = np.tile(anchor, (n_nodes, 1))
         traj2 = traj1 + 1e-3 * rng.standard_normal(traj1.shape)
+        # an iterate's first row is the anchor
+        traj2[0] = anchor
         k1, k2 = sweep(traj1), sweep(traj2)
         num = np.max(np.linalg.norm(k1 - k2, axis=1))
         den = np.max(np.linalg.norm(traj1 - traj2, axis=1))
@@ -335,21 +332,14 @@ class TestFixedPointWindow:
         params = cg.FluidParams(0.2, 0.1, 1.0, 0.1)
         anchor = make_state(basis_2d, u_coeffs=0.3 * rng.standard_normal(len(basis_2d)),
                             params=params)
-        real = cg.apply_K
-        iterates = []
-
-        def capture(u_trajectory, *args, **kwargs):
-            iterates.append(u_trajectory.copy())
-            return real(u_trajectory, *args, **kwargs)
-
-        monkeypatch.setattr(cg, "apply_K", capture)
+        iterates = _first_iterate(monkeypatch)
+        phase = ci.disk(CENTER_2D, 1.0)
         window = cg.fixed_point_window(
             anchor, 0.05, 4, 1e-8, 30,
-            order=8, h_flow=0.01, dt_b=0.0125,
-            phase=ci.disk(CENTER_2D, 1.0),
+            order=8, h_flow=0.01, dt_b=0.0125, phase=phase,
         )
-        # the predictor's indicator is the anchor mesh's classification
-        chi = ci.point_in_mesh(anchor.mesh, basis_2d.quadrature(8).points)
+        # the predictor's indicator is the initial region's at t = 0
+        chi = phase.contains(basis_2d.quadrature(8).points)
         forcing = cg.apply_N(anchor, 8, chi_values=chi)
         t_grid = window.t_grid
         expected = anchor.u.coefficients + (t_grid - t_grid[0])[:, None] * forcing
@@ -497,9 +487,9 @@ def _first_iterate(monkeypatch):
     real = cg.apply_K
     iterates = []
 
-    def capture(u_trajectory, *args, **kwargs):
-        iterates.append(u_trajectory.copy())
-        return real(u_trajectory, *args, **kwargs)
+    def capture(states, *args, **kwargs):
+        iterates.append(np.stack([state.u.coefficients for state in states]))
+        return real(states, *args, **kwargs)
 
     monkeypatch.setattr(cg, "apply_K", capture)
     return iterates
@@ -590,11 +580,11 @@ class TestWindowStart:
         return start_calls
 
     def test_first_window_starts_from_euler(self, monkeypatch, basis_2d):
-        # N(anchor) with the window-start mesh's indicator, computed for the start
+        # N(anchor) with the indicator pulled back to t = 0, where it is the
+        # initial region's, computed for the start
         anchor = self._anchor(basis_2d)
-        chi = ci.point_in_mesh(anchor.mesh, basis_2d.quadrature(8).points)
+        chi = self.ARGS["phase"].contains(basis_2d.quadrature(8).points)
         forcing = cg.apply_N(anchor, 8, chi_values=chi)
-        assert cg._start_nodes(None, 0.05) == 0
         assert self._assert_euler_start(monkeypatch, anchor, None, 0.05, forcing) == 1
 
     def test_longer_window_starts_from_euler(self, monkeypatch, basis_2d):
@@ -683,47 +673,72 @@ class TestWindowStart:
         assert second.start == "extrapolated"
         assert len(calls) == 4 * second.iterations
 
-    def test_node_0_forcing_is_computed_once_per_row(self, monkeypatch, basis_2d):
+    def test_node_0_is_handed_over(self, monkeypatch, basis_2d):
         # two phases at order 20 on a 16-gon: quadrature points between its
-        # chords and the circle are in the band, so node 0's indicator row
-        # differs between the mesh (first window's start) and the trace
-        # (sweeps), and N(anchor) is computed again exactly when the row read
-        # changes; the second window follows a flip at the first's last node,
-        # so its one-node start reads the first window's last row
+        # chords and the circle are in the band, where the window-start mesh
+        # and a trace disagree.  Node 0 is data: the first window pulls its
+        # row back once and computes N(anchor) once, for its start; the
+        # second takes both from the first's last node, and no trace
+        # carries node 0's points through the history
         rng = np.random.default_rng(191)
         anchor = make_state(basis_2d, u_coeffs=0.3 * rng.standard_normal(len(basis_2d)),
                             params=self.PARAMS, resolution=16)
         args = dict(self.ARGS, order=20)
         points = basis_2d.quadrature(20).points
-        real_n, real_k = cg.apply_N, cg.apply_K
-        times, rows = [], []
+        assert not np.array_equal(ci.point_in_mesh(anchor.mesh, points),
+                                  args["phase"].contains(points))
+        real_n, real_k, real_call = cg.apply_N, cg.apply_K, cg._WindowIndicator.__call__
+        real_trace = cg.integrate_positions
+        times, sweeps, moving, legs = [], [], [], []
 
         def counted(state, *args, **kwargs):
             times.append(state.t)
             return real_n(state, *args, **kwargs)
 
-        def recorded(u_trajectory, u_anchor, states, order, chi_values=None, **kwargs):
-            rows.append(chi_values[0])
-            return real_k(u_trajectory, u_anchor, states, order, chi_values=chi_values, **kwargs)
+        def recorded(states, order, anchor_forcing, chi_values=None):
+            sweeps.append((states[0], chi_values[0]))
+            return real_k(states, order, anchor_forcing, chi_values=chi_values)
 
-        def changes(read):
-            return sum(not np.array_equal(a, b) for a, b in zip(read, read[1:]))
+        def indicated(indicator, sampler):
+            traces = indicator.traces
+            chi = real_call(indicator, sampler)
+            if indicator.traces > traces:
+                moving.append(int(indicator.moving.sum()))
+            return chi
+
+        def traced(positions, sampler, t0, t1, h):
+            legs.append((sampler, len(positions)))
+            return real_trace(positions, sampler, t0, t1, h)
 
         monkeypatch.setattr(cg, "apply_N", counted)
         monkeypatch.setattr(cg, "apply_K", recorded)
+        monkeypatch.setattr(cg._WindowIndicator, "__call__", indicated)
+        monkeypatch.setattr(cg, "integrate_positions", traced)
         first = cg.fixed_point_window(anchor, 0.05, 4, 1e-8, 30, **args)
-        read = [ci.point_in_mesh(anchor.mesh, points)] + rows
-        assert first.start == "euler" and changes(read) > 0
-        assert times.count(anchor.t) == 1 + changes(read)
-        times.clear()
-        rows.clear()
+        assert first.start == "euler" and first.iterations > 1
+        assert times.count(anchor.t) == 1
+        # the zero-step pull-back of every point at t = 0
+        assert legs[0][1] == len(points)
+        for state, row in sweeps:
+            assert state is anchor
+            np.testing.assert_array_equal(row, args["phase"].contains(points))
+
+        for record in (times, sweeps, moving, legs):
+            record.clear()
         second_anchor = first.states[-1]
-        assert cg._start_nodes(first, 0.05) == 1
-        second = cg.fixed_point_window(second_anchor, 0.05, 4, 1e-8, 30, previous=first, **args)
-        assert second.start == "euler"
-        read = [first.chi_cache[-1]] + rows
-        assert changes(read) > 0
-        assert times.count(second_anchor.t) == changes(read)
+        history = SpectralTrajectory(basis_2d, first.t_grid, first.u_trajectory)
+        second = cg.fixed_point_window(
+            second_anchor, 0.05, 4, 1e-8, 30, previous=first, history=history, **args
+        )
+        assert times.count(second_anchor.t) == 0
+        assert len(sweeps) == second.iterations
+        for state, row in sweeps:
+            assert state is second_anchor
+            np.testing.assert_array_equal(row, first.chi_cache[-1])
+        # each trace's history leg carries the moving points of nodes 1..4
+        carried = [count for sampler, count in legs if sampler is history]
+        assert second.indicator_traces == len(moving) > 0
+        assert carried == [4 * count for count in moving]
 
 
 class _TranslatingWindow:
@@ -742,8 +757,9 @@ class _TranslatingWindow:
         points = np.asarray(CENTER_2D) + np.array([[1.2, 0.0], [0.0, 0.0], [2.0, 0.0]])
         t_grid = np.array([0.0, 0.15, 0.3])
         history = SpectralTrajectory(self.basis, [0.0], [self.coefficients(1.0)])
+        phase = ci.disk(CENTER_2D, 1.0)
         self.indicator = cg._WindowIndicator(
-            anchor, points, t_grid, history, ci.disk(CENTER_2D, 1.0), 0.01
+            anchor, points, t_grid, history, phase, 0.01, phase.contains(points)
         )
 
     def coefficients(self, speed):
@@ -781,8 +797,9 @@ class TestWindowIndicator:
         points = np.asarray(CENTER_2D) + np.array(offsets)
         assert ci.point_in_mesh(anchor.mesh, points).tolist() == [1, 0, 0]
         still = SpectralTrajectory(basis_2d, [0.0, 0.3], np.zeros((2, len(basis_2d))))
+        phase = ci.disk(CENTER_2D, 1.0)
         indicator = cg._WindowIndicator(
-            anchor, points, np.array([0.2, 0.3]), still, ci.disk(CENTER_2D, 1.0), 0.01
+            anchor, points, np.array([0.2, 0.3]), still, phase, 0.01, phase.contains(points)
         )
         chi = indicator(still)
         assert [node.tolist() for node in chi] == [[1, 1, 0], [1, 1, 0]]
@@ -869,11 +886,12 @@ class TestIndicatorReuse:
 
     def test_nearby_iterate_reuses_the_flags_its_own_trace_gives(self, monkeypatch):
         # eps = 1e-3 moves no origin by more than e^0.3 * 3e-4, while the
-        # origins clear the circle by 0.2, 0.05 and 0.1
+        # origins of nodes 1 and 2 clear the circle by 0.05 and 0.1
         window = _TranslatingWindow()
         window.indicator(window.flow(1.0))
+        # one row per node after the first
         clearance = window.indicator.clearance
-        np.testing.assert_allclose(clearance[:, 0], [0.2, 0.05, 0.1], atol=1e-12)
+        np.testing.assert_allclose(clearance[:, 0], [0.05, 0.1], atol=1e-12)
         nearby = window.flow(1.001)
         fresh = _TranslatingWindow().indicator(nearby)
         calls = _counting_traces(monkeypatch)
@@ -891,7 +909,7 @@ class TestIndicatorReuse:
         chi = window.indicator(faster)
         assert window.indicator.traces == 2
         assert [node.tolist() for node in chi] == [[0, 1, 0], [1, 1, 0], [1, 1, 0]]
-        assert window.indicator.inside.tolist() == [[0], [1], [1]]
+        assert window.indicator.inside.tolist() == [[1], [1]]
 
     def test_changed_moving_mask_forces_a_retrace(self, monkeypatch):
         window = _TranslatingWindow()

@@ -30,8 +30,10 @@ initial region.  It also records a sweep table: ``galerkin.run`` of each
 ``SWEEP_CONFIGS`` entry in a fresh interpreter on each side, with every
 window attempt's start, sweeps and first residual, the largest ratio of
 consecutive residuals r_k / r_{k-1} within one attempt, the run's ``apply_N``
-calls, the number of windows that took more sweeps than on the baseline,
-and the largest absolute difference between the two sides' ledger entries.
+calls, indicator traces and the window indicator's RK4 point-steps through
+the history and through the window, the number of windows that took more
+sweeps than on the baseline, and the largest absolute difference between
+the two sides' ledger entries.
 Without it, pairs and the sweep table already in the output file are kept.
 """
 
@@ -205,22 +207,41 @@ SWEEP_CONFIGS = [
 ]
 
 # One run in the checkout whose src is on sys.path; prints its apply_N calls,
-# its window attempts and its ledger rows.
+# the window indicator's RK4 point-steps (points times steps) through the
+# history and through the window, its window attempts and its ledger rows.
+# A history leg is told from a window leg as bench/layers.py tells it: by its
+# sampler being the ``history`` that fixed_point_window received.
 _SWEEP_RUN = """
 import json, sys
-from capmhd import galerkin
+from capmhd import flowmap, galerkin
 from capmhd.config import RunConfig
-real, calls = galerkin.apply_N, []
+real_n, real_window, real_trace = (
+    galerkin.apply_N, galerkin.fixed_point_window, galerkin.integrate_positions
+)
+calls, steps, window = [], {"history": 0, "window": 0}, {}
 
 def counted(*args, **kwargs):
     calls.append(1)
-    return real(*args, **kwargs)
+    return real_n(*args, **kwargs)
+
+def windowed(*args, **kwargs):
+    window["history"] = kwargs.get("history")
+    return real_window(*args, **kwargs)
+
+def traced(positions, sampler, t0, t1, h):
+    leg = "history" if sampler is window["history"] else "window"
+    steps[leg] += len(positions) * len(flowmap.step_sizes(t0, t1, h))
+    return real_trace(positions, sampler, t0, t1, h)
 
 galerkin.apply_N = counted
+galerkin.fixed_point_window = windowed
+galerkin.integrate_positions = traced
 result = galerkin.run(RunConfig.from_dict(json.loads(sys.argv[1])))
-print(json.dumps({"apply_N_calls": len(calls), "ledger": result.ledger.rows, "attempts": [
+print(json.dumps({"apply_N_calls": len(calls), "history_point_steps": steps["history"],
+                  "window_leg_point_steps": steps["window"],
+                  "ledger": result.ledger.rows, "attempts": [
     {"start": a.get("start"), "sweeps": a["sweeps"], "accepted": a["accepted"],
-     "residual_history": a["residual_history"]}
+     "residual_history": a["residual_history"], "indicator_traces": a["indicator_traces"]}
     for a in result.attempts
 ]}))
 """
@@ -256,6 +277,9 @@ def sweep_table(baseline):
             row[side] = {
                 "sweeps": sum(a["sweeps"] for a in attempts),
                 "apply_N_calls": out["apply_N_calls"],
+                "history_point_steps": out["history_point_steps"],
+                "window_leg_point_steps": out["window_leg_point_steps"],
+                "indicator_traces": sum(a["indicator_traces"] for a in attempts),
                 "window_sweeps": [a["sweeps"] for a in attempts],
                 "first_residuals": [
                     a["residual_history"][0] if a["residual_history"] else None
@@ -357,6 +381,11 @@ def main(argv=None):
         base, change = row["baseline"], row["change"]
         print(f"{row['config']}: sweeps {base['sweeps']} -> {change['sweeps']}, "
               f"apply_N calls {base.get('apply_N_calls')} -> {change.get('apply_N_calls')}, "
+              f"indicator traces {base.get('indicator_traces')} -> "
+              f"{change.get('indicator_traces')}, history point-steps "
+              f"{base.get('history_point_steps')} -> {change.get('history_point_steps')}, "
+              f"window-leg point-steps {base.get('window_leg_point_steps')} -> "
+              f"{change.get('window_leg_point_steps')}, "
               f"largest contraction {base.get('largest_contraction')} -> "
               f"{change.get('largest_contraction')}, "
               f"windows with more sweeps {row['windows_with_more_sweeps']}, "
