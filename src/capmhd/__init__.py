@@ -10,7 +10,7 @@ from .basis import Basis, SpectralField, make_basis, project_L2
 from .config import RunConfig
 from .energy import EnergyLedger, check_inequality, initial_energy
 from .flowmap import SpectralTrajectory
-from .galerkin import FluidParams, GalerkinState, apply_N, fixed_point_window, run
+from .galerkin import FluidParams, GalerkinState, apply_N, fixed_point_window, initial_window, run
 from .interface import (
     InitialPhase,
     InterfaceMesh,
@@ -37,6 +37,7 @@ __all__ = [
     "GalerkinState",
     "apply_N",
     "fixed_point_window",
+    "initial_window",
     "run",
     "InitialPhase",
     "InterfaceMesh",

@@ -29,12 +29,12 @@ grid and integrated from the anchor like K itself.  After an accepted
 window they are its N values at its last min(5, k) nodes, where k counts
 its last nodes that share its last indicator row, since N jumps in time
 where the indicator changes; a window longer than its predecessor takes
-only the last.  The first window takes N(anchor) alone: the forward-Euler
-start u_anchor + (t - t_m) N(anchor).  Everything at t_m is data, not
-unknown: u, B, the mesh, the indicator row chi(t_m) and so N(anchor).  A
-window takes that row and N(anchor) from its predecessor's last node; the
-first window pulls the quadrature points back through the history once for
-its row, and evaluates N(anchor) once, for its start.
+only the last, the forward-Euler start u_anchor + (t - t_m) N(anchor).
+Everything at t_m is data, not unknown: u, B, the mesh, the indicator row
+chi(t_m) and so N(anchor).  A window takes that row and N(anchor) from its
+predecessor's last node.  The initial state is the one-node window at
+t = 0, with the initial region's row and N there, so the first window is
+anchored like every other and starts from Euler.
 
 The phase indicator chi(u) depends on the iterate only through the flow map,
 and the flow-map stability estimate |X_u - X_v| <= tau ||u - v|| e^{tau L}
@@ -409,8 +409,30 @@ class _WindowIndicator:
         return chi
 
 
+def initial_window(state, order, phase):
+    """The one-node window at t = 0 that the first window is anchored at.
+
+    Its node is the initial ``state``, with N there and the indicator row of
+    the initial region at the quadrature points of ``order`` (None when the
+    viscosities agree): the data every later window takes from its
+    predecessor's last node.
+    """
+    if state.t != 0.0:
+        raise ValueError(f"the initial window starts at t = 0, got t={state.t}")
+    points = state.u.basis.quadrature(order).points
+    row = phase.contains(points) if state.params.two_phase else None
+    return WindowSolve(
+        t_grid=np.array([state.t]),
+        u_trajectory=state.u.coefficients[None],
+        residual_history=[],
+        N_values=apply_N(state, order, chi_values=row)[None],
+        states=[state],
+        chi_cache=[row],
+    )
+
+
 def fixed_point_window(
-    anchor,
+    previous,
     delta,
     n_sub,
     tol,
@@ -421,18 +443,16 @@ def fixed_point_window(
     dt_b,
     history=None,
     phase=None,
-    previous=None,
 ):
-    """Fixed-point solve of u = K(u) on [anchor.t, anchor.t + delta].
+    """Fixed-point solve of u = K(u) on [t_m, t_m + delta].
 
-    ``previous`` is the accepted window that ends at ``anchor``, if any.
-    Node 0 is the anchor, and its indicator row and N are ``previous``'s
-    last; without ``previous``, the row is ``phase`` at the quadrature
-    points pulled back through ``history``, and N(anchor) is evaluated once,
-    for the start.  The first sweep starts from ``predictor`` through
-    ``previous``'s forcing at its last ``_start_nodes`` nodes, or through
-    N(anchor) alone; the start moves neither the fixed point nor its
-    certificate, only the number of sweeps.  Every sweep recomputes the
+    ``previous`` is the accepted window that ends at t_m, the one-node
+    ``initial_window`` for the first.  Node 0 is its last node, the anchor,
+    and the anchor's indicator row and N are data taken from it.  The first
+    sweep starts from ``predictor`` through ``previous``'s forcing at its
+    last ``_start_nodes`` nodes, one for the initial window (the Euler
+    start); the start moves neither the fixed point nor its certificate,
+    only the number of sweeps.  Every sweep recomputes the
     magnetic trajectory and the advected interface from the current velocity
     iterate.  When the viscosities differ, one ``_WindowIndicator`` gives
     the indicator rows of every sweep: after node 0, the window-start mesh
@@ -444,12 +464,12 @@ def fixed_point_window(
     residual ||u - K(u)||, and builds the next iterate by ``_viscous_sweep``
     from those N values, with the viscous term at the mean viscosity
     implicit; its row 0 is the anchor bit for bit.  A non-finite iterate, a
-    broken dependent or forcing (the predictor's included), or an accepted
-    end mesh that crosses itself raises WindowFailureError, and so does
-    reaching ``max_iter`` sweeps; otherwise the accepted window (residual
-    below ``tol``) is returned.  Both carry
-    the number of sweeps that back-traced, ``indicator_traces``, and the
-    ``start``: "euler" for a start from one node, else "extrapolated".
+    broken dependent or forcing, or an accepted end mesh that crosses itself
+    raises WindowFailureError, and so does reaching ``max_iter`` sweeps;
+    otherwise the accepted window (residual below ``tol``) is returned.
+    Both carry the number of sweeps that back-traced, ``indicator_traces``,
+    and the ``start``: "euler" for a start from one node, else
+    "extrapolated".
     """
     if tol <= 0.0:
         raise ValueError("tol must be positive")
@@ -457,8 +477,7 @@ def fixed_point_window(
         raise ValueError("window size delta must be positive")
     if n_sub < 2:
         raise ValueError("n_sub must be at least 2")
-    if previous is not None and previous.states[-1] is not anchor:
-        raise ValueError("the previous window must end at the anchor")
+    anchor = previous.states[-1]
     basis = anchor.u.basis
     params = anchor.params
     if params.two_phase and phase is None:
@@ -467,17 +486,16 @@ def fixed_point_window(
     if history is None:
         history = SpectralTrajectory(basis, [anchor.t], [anchor.u.coefficients])
     # node 0 is the previous window's last node: its row and N are data
-    first_row = previous.chi_cache[-1] if previous else None
-    anchor_forcing = previous.N_values[-1] if previous else None
+    anchor_forcing = previous.N_values[-1]
     indicator = None
     if params.two_phase:
         points = basis.quadrature(order).points
-        if previous is None:
-            first_row = phase.contains(integrate_positions(points, history, anchor.t, 0.0, h_flow))
-        indicator = _WindowIndicator(anchor, points, t_grid, history, phase, h_flow, first_row)
+        indicator = _WindowIndicator(
+            anchor, points, t_grid, history, phase, h_flow, previous.chi_cache[-1]
+        )
     # the viscous part of N at the mean viscosity, diagonal in the basis
     decay = -0.5 * (params.nu_plus + params.nu_minus) * basis.eigenvalues
-    nodes = 1 if previous is None else _start_nodes(previous, delta)
+    nodes = _start_nodes(previous, delta)
     start = "extrapolated" if nodes > 1 else "euler"
 
     def failure(message):
@@ -488,18 +506,10 @@ def fixed_point_window(
             start=start,
         )
 
-    u_coeffs = None
+    u_coeffs = predictor(anchor, t_grid, previous.t_grid[-nodes:], previous.N_values[-nodes:])
     residual_history = []
     for iteration in range(1, max_iter + 1):
         try:
-            if u_coeffs is None:
-                # the previous window's last nodes, or the anchor alone
-                if previous is None:
-                    anchor_forcing = apply_N(anchor, order, chi_values=first_row)
-                    t_nodes, n_nodes = t_grid[:1], anchor_forcing[None]
-                else:
-                    t_nodes, n_nodes = previous.t_grid[-nodes:], previous.N_values[-nodes:]
-                u_coeffs = predictor(anchor, t_grid, t_nodes, n_nodes)
             if not np.all(np.isfinite(u_coeffs)):
                 raise NumericsError("the velocity iterate has non-finite coefficients")
             sampler = SpectralTrajectory(basis, t_grid, u_coeffs)
@@ -619,18 +629,29 @@ def _attempt_record(t, delta, outcome):
     }
 
 
+def _n_bound_sample(state, n_value):
+    """(t, ||N||, ||u||, ||B||, ||chi||_BV) at one node, for the forcing bound."""
+    n_norm = float(np.linalg.norm(n_value))
+    return (float(state.t), n_norm, state.u.norm(), state.B.norm(), state.bv_norm())
+
+
 def run(config):
     """Chain fixed-point windows from t = 0 to t = config.T.
 
-    The anchor of each window is the previous endpoint, and the last
-    accepted window is handed on as ``previous``: a window starts from its
-    forcing, extrapolated in time through as many of its last nodes as
-    ``_start_nodes`` allows (``fixed_point_window``).  The fixed point, its
-    certificate and the halving do not depend on the start.
+    The initial state is the one-node ``initial_window``, and each window is
+    anchored at the last accepted one, handed on as ``previous``: a window
+    starts from its forcing, extrapolated in time through as many of its
+    last nodes as ``_start_nodes`` allows (``fixed_point_window``).  The
+    fixed point, its certificate and the halving do not depend on the start.
     A window size below ``delta_min``, the first one or a halved one, ends
-    the run with a ``NonConvergenceError``.
+    the run with a ``NonConvergenceError`` whose diagnostics read the last
+    accepted state; a non-finite N at t = 0 raises ``NumericsError`` before
+    any window, since no window size changes it.
     The ledger records every sub-step with dissipation increments computed
-    by the solver's own quadrature.  Every window attempt, failed or
+    by the solver's own quadrature.  Each node is recorded once: its
+    dissipation rate and forcing-bound sample at t = 0, then at nodes 1..S
+    of each accepted window, whose node 0 carries the previous window's
+    rate over as it carries N.  Every window attempt, failed or
     accepted, leaves a record (t, delta, start, sweeps, residual history,
     the number of sweeps whose indicator was back-traced rather than reused,
     accepted, and the error's class and message) in ``RunResult.attempts``;
@@ -644,13 +665,15 @@ def run(config):
     delta_initial = delta
     tau_e = default_tolerance(delta / config.n_sub, order, e0)
 
+    previous = initial_window(state, order, phase)
     ledger = EnergyLedger(E0=e0)
     record(state, ledger, (0.0, 0.0))
+    rate = viscous_dissipation_rate(state, order, chi_values=previous.chi_cache[0])
     states = [state]
-    history = SpectralTrajectory(basis, [0.0], [state.u.coefficients])
+    samples = [_n_bound_sample(state, previous.N_values[0])]
+    history = SpectralTrajectory(basis, previous.t_grid, previous.u_trajectory)
     cumulative_n = np.zeros(len(basis))
     windows = []
-    samples = []
     attempts = []
     t = 0.0
 
@@ -663,14 +686,14 @@ def run(config):
                     "t": t,
                     "delta": delta,
                     "failures": len(attempts) - len(windows),
-                    "u_norm": state.u.norm(),
-                    "B_norm": state.B.norm(),
+                    "u_norm": states[-1].u.norm(),
+                    "B_norm": states[-1].B.norm(),
                 },
             )
         delta_use = min(delta, config.T - t)
         try:
             window = fixed_point_window(
-                state,
+                previous,
                 delta_use,
                 config.n_sub,
                 config.tol,
@@ -680,7 +703,6 @@ def run(config):
                 dt_b=config.dt_b or delta_use / config.n_sub,
                 history=history,
                 phase=phase,
-                previous=windows[-1] if windows else None,
             )
         except WindowFailureError as exc:
             attempts.append(_attempt_record(t, delta_use, exc))
@@ -688,24 +710,21 @@ def run(config):
             continue
         attempts.append(_attempt_record(t, delta_use, window))
         windows.append(window)
-        for st, n_value in zip(window.states, window.N_values):
-            n_norm = float(np.linalg.norm(n_value))
-            samples.append((float(st.t), n_norm, st.u.norm(), st.B.norm(), st.bv_norm()))
-        rates = [
-            viscous_dissipation_rate(st, order, chi_values=chi)
-            for st, chi in zip(window.states, window.chi_cache)
-        ]
         for i in range(1, len(window.t_grid)):
+            st = window.states[i]
+            samples.append(_n_bound_sample(st, window.N_values[i]))
+            next_rate = viscous_dissipation_rate(st, order, chi_values=window.chi_cache[i])
             dt = window.t_grid[i] - window.t_grid[i - 1]
-            viscous_inc = 0.5 * dt * (rates[i - 1] + rates[i])
-            record(window.states[i], ledger, (viscous_inc, window.resistive_increments[i - 1]))
-            states.append(window.states[i])
+            viscous_inc = 0.5 * dt * (rate + next_rate)
+            record(st, ledger, (viscous_inc, window.resistive_increments[i - 1]))
+            states.append(st)
+            rate = next_rate
         increments = 0.5 * np.diff(window.t_grid)[:, None] * (
             window.N_values[:-1] + window.N_values[1:]
         )
         cumulative_n += increments.sum(axis=0)
         history = history.extended(window.t_grid, window.u_trajectory)
-        state = states[-1]
+        previous = window
         t = float(window.t_grid[-1])
 
     return RunResult(

@@ -370,18 +370,27 @@ class TestCmdRun:
         assert len(lines) == 2 + data["solver"]["n_sub"] * summary["windows"]
 
     def test_non_finite_forcing_exits_3_with_dump(self, tmp_path, capsys, monkeypatch):
+        # N is non-finite at the initial state, which no window size changes:
+        # the run fails before any window attempt
         def nan_pairing(mesh, basis):
             return np.full(len(basis), np.nan)
 
+        windows = []
+        real = galerkin.fixed_point_window
+
+        def counted(*args, **kwargs):
+            windows.append(1)
+            return real(*args, **kwargs)
+
         monkeypatch.setattr(galerkin, "curvature_pairing_modes", nan_pairing)
-        data = small_config_dict()
-        data["solver"]["delta_min"] = 0.02
-        path = write_config(tmp_path, data)
+        monkeypatch.setattr(galerkin, "fixed_point_window", counted)
+        path = write_config(tmp_path, small_config_dict())
         out = tmp_path / "out"
         assert cli.main(["run", "--config", path, "--out", str(out)]) == 3
         dump = json.loads((out / "failure_state.json").read_text())
-        assert dump["error"] == "NonConvergenceError"
-        assert dump["diagnostics"]["failures"] >= 2
+        assert dump["error"] == "NumericsError"
+        assert "non-finite" in dump["message"]
+        assert windows == []
         assert "solver failure" in capsys.readouterr().err
 
     def test_config_round_trip_reproduces_ledger(self, tmp_path):

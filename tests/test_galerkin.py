@@ -286,11 +286,10 @@ class TestApplyK:
 
 class TestFixedPointWindow:
     def test_zero_data_converges_first_sweep(self, basis_2d):
-        anchor = make_state(basis_2d)
+        phase = ci.disk(CENTER_2D, 1.0)
         window = cg.fixed_point_window(
-            anchor, 0.1, 4, 1e-8, 10,
-            order=8, h_flow=0.01, dt_b=0.025,
-            phase=ci.disk(CENTER_2D, 1.0),
+            cg.initial_window(make_state(basis_2d), 8, phase), 0.1, 4, 1e-8, 10,
+            order=8, h_flow=0.01, dt_b=0.025, phase=phase,
         )
         assert window.iterations == 1
         assert np.all(window.u_trajectory == 0.0)
@@ -301,7 +300,7 @@ class TestFixedPointWindow:
         rng = np.random.default_rng(127)
         anchor = make_state(basis_2d, u_coeffs=0.3 * rng.standard_normal(len(basis_2d)))
         window = cg.fixed_point_window(
-            anchor, 0.05, 4, 1e-8, 80,
+            cg.initial_window(anchor, 8, None), 0.05, 4, 1e-8, 80,
             order=8, h_flow=0.01, dt_b=0.0125,
         )
         assert window.iterations > 1
@@ -318,7 +317,8 @@ class TestFixedPointWindow:
         u[j] = 0.5
         anchor = make_state(basis_2d, u_coeffs=u, params=cg.FluidParams(nu, nu, 1.0, 0.0))
         window = cg.fixed_point_window(
-            anchor, delta, n_sub, 1e-12, 10, order=8, h_flow=0.01, dt_b=delta / n_sub,
+            cg.initial_window(anchor, 8, None), delta, n_sub, 1e-12, 10,
+            order=8, h_flow=0.01, dt_b=delta / n_sub,
         )
         assert window.iterations == 2
         assert window.residual_history[0] > 1e-6
@@ -335,7 +335,7 @@ class TestFixedPointWindow:
         iterates = _first_iterate(monkeypatch)
         phase = ci.disk(CENTER_2D, 1.0)
         window = cg.fixed_point_window(
-            anchor, 0.05, 4, 1e-8, 30,
+            cg.initial_window(anchor, 8, phase), 0.05, 4, 1e-8, 30,
             order=8, h_flow=0.01, dt_b=0.0125, phase=phase,
         )
         # the predictor's indicator is the initial region's at t = 0
@@ -347,15 +347,7 @@ class TestFixedPointWindow:
         assert iterates[0][0].tobytes() == anchor.u.coefficients.tobytes()
 
     def test_non_finite_predictor_is_a_window_failure(self, monkeypatch, basis_2d):
-        # the first apply_N call of a window is the predictor's
-        real = cg.curvature_pairing_modes
-        calls = []
-
-        def nan_once(mesh, basis):
-            calls.append(mesh.t)
-            values = real(mesh, basis)
-            return np.full_like(values, np.nan) if len(calls) == 1 else values
-
+        # a handed-over N of +-1e308 overflows the Euler start's trapezoid
         real_k = cg.apply_K
         sweeps = []
 
@@ -363,15 +355,17 @@ class TestFixedPointWindow:
             sweeps.append(1)
             return real_k(*args, **kwargs)
 
-        monkeypatch.setattr(cg, "curvature_pairing_modes", nan_once)
         monkeypatch.setattr(cg, "apply_K", counted)
         anchor = make_state(basis_2d, u_coeffs=np.full(len(basis_2d), 0.1),
                             params=cg.FluidParams(0.2, 0.1, 1.0, 0.1))
-        with pytest.raises(WindowFailureError, match="sweep 1") as err:
+        phase = ci.disk(CENTER_2D, 1.0)
+        initial = cg.initial_window(anchor, 8, phase)
+        signs = np.where(np.arange(len(basis_2d)) % 2 == 0, 1.0, -1.0)
+        initial = dataclasses.replace(initial, N_values=1e308 * signs[None])
+        with np.errstate(over="ignore"), pytest.raises(WindowFailureError, match="sweep 1") as err:
             cg.fixed_point_window(
-                anchor, 0.05, 4, 1e-8, 5,
-                order=8, h_flow=0.01, dt_b=0.0125,
-                phase=ci.disk(CENTER_2D, 1.0),
+                initial, 0.05, 4, 1e-8, 5,
+                order=8, h_flow=0.01, dt_b=0.0125, phase=phase,
             )
         assert isinstance(err.value.__cause__, NumericsError)
         assert err.value.residual_history == []
@@ -385,10 +379,10 @@ class TestFixedPointWindow:
         coeffs[j] = 1.0
         anchor = make_state(basis_2d, u_coeffs=coeffs, params=params)
         delta = 0.1
+        phase = ci.disk(CENTER_2D, 1.0)
         window = cg.fixed_point_window(
-            anchor, delta, 8, 1e-10, 30,
-            order=8, h_flow=0.01, dt_b=delta / 8,
-            phase=ci.disk(CENTER_2D, 1.0),
+            cg.initial_window(anchor, 8, phase), delta, 8, 1e-10, 30,
+            order=8, h_flow=0.01, dt_b=delta / 8, phase=phase,
         )
         lam = basis_2d.eigenvalues[j]
         exact = np.exp(-nu * lam * delta)
@@ -400,10 +394,10 @@ class TestFixedPointWindow:
         anchor = make_state(basis_2d, u_coeffs=0.3 * rng.standard_normal(len(basis_2d)),
                             params=params)
         tol = 1e-8
+        phase = ci.disk(CENTER_2D, 1.0)
         window = cg.fixed_point_window(
-            anchor, 0.05, 4, tol, 30,
-            order=8, h_flow=0.01, dt_b=0.0125,
-            phase=ci.disk(CENTER_2D, 1.0),
+            cg.initial_window(anchor, 8, phase), 0.05, 4, tol, 30,
+            order=8, h_flow=0.01, dt_b=0.0125, phase=phase,
         )
         assert window.residual_history[-1] < tol
         # residuals strictly decrease after the first sweep on accepted windows
@@ -415,11 +409,11 @@ class TestFixedPointWindow:
         params = cg.FluidParams(0.2, 0.2, 1.0, 0.0)
         anchor = make_state(basis_2d, u_coeffs=0.5 * rng.standard_normal(len(basis_2d)),
                             params=params)
+        phase = ci.disk(CENTER_2D, 1.0)
         with pytest.raises(WindowFailureError) as err:
             cg.fixed_point_window(
-                anchor, 2.0, 4, 1e-8, 3,
-                order=8, h_flow=0.01, dt_b=0.5,
-                phase=ci.disk(CENTER_2D, 1.0),
+                cg.initial_window(anchor, 8, phase), 2.0, 4, 1e-8, 3,
+                order=8, h_flow=0.01, dt_b=0.5, phase=phase,
             )
         assert len(err.value.residual_history) == 3
 
@@ -430,11 +424,11 @@ class TestFixedPointWindow:
         params = cg.FluidParams(0.2, 0.2, 1.0, 0.0)
         anchor = make_state(basis_2d, u_coeffs=rng.standard_normal(len(basis_2d)),
                             params=params)
+        phase = ci.disk(CENTER_2D, 1.0)
         with pytest.raises(WindowFailureError, match="sweep"):
             cg.fixed_point_window(
-                anchor, 10.0, 4, 1e-8, 3,
-                order=8, h_flow=0.05, dt_b=2.5,
-                phase=ci.disk(CENTER_2D, 1.0),
+                cg.initial_window(anchor, 8, phase), 10.0, 4, 1e-8, 3,
+                order=8, h_flow=0.05, dt_b=2.5, phase=phase,
             )
 
 
@@ -496,13 +490,8 @@ def _first_iterate(monkeypatch):
 
 
 def _euler_only(monkeypatch):
-    """Run windows as if none had a predecessor: every start is Euler's."""
-    real = cg.fixed_point_window
-
-    def without_previous(*args, previous=None, **kwargs):
-        return real(*args, **kwargs)
-
-    monkeypatch.setattr(cg, "fixed_point_window", without_previous)
+    """Start every window from its predecessor's last node alone: Euler's start."""
+    monkeypatch.setattr(cg, "_start_nodes", lambda previous, delta: 1)
 
 
 class TestWindowStart:
@@ -544,10 +533,13 @@ class TestWindowStart:
         return make_state(basis_2d, u_coeffs=0.3 * rng.standard_normal(len(basis_2d)),
                           params=self.PARAMS)
 
-    def _previous(self, basis_2d):
-        return cg.fixed_point_window(self._anchor(basis_2d), 0.05, 4, 1e-8, 30, **self.ARGS)
+    def _initial(self, basis_2d):
+        return cg.initial_window(self._anchor(basis_2d), 8, self.ARGS["phase"])
 
-    def _start(self, monkeypatch, anchor, previous, delta):
+    def _previous(self, basis_2d):
+        return cg.fixed_point_window(self._initial(basis_2d), 0.05, 4, 1e-8, 30, **self.ARGS)
+
+    def _start(self, monkeypatch, previous, delta):
         """(window, its first iterate, the N calls made for the predictor)."""
         iterates = _first_iterate(monkeypatch)
         real_n, real_predictor = cg.apply_N, cg.predictor
@@ -563,16 +555,14 @@ class TestWindowStart:
 
         monkeypatch.setattr(cg, "apply_N", counted)
         monkeypatch.setattr(cg, "predictor", predictor)
-        window = cg.fixed_point_window(
-            anchor, delta, 4, 1e-8, 30, previous=previous, **self.ARGS
-        )
+        window = cg.fixed_point_window(previous, delta, 4, 1e-8, 30, **self.ARGS)
         assert len(at_start) == 1
         return window, iterates[0], at_start[0]
 
-    def _assert_euler_start(self, monkeypatch, anchor, previous, delta, forcing):
+    def _assert_euler_start(self, monkeypatch, previous, delta, forcing):
         # one node: the forward-Euler step of the given N(anchor)
-        window, first, start_calls = self._start(monkeypatch, anchor, previous, delta)
-        t_grid = window.t_grid
+        window, first, start_calls = self._start(monkeypatch, previous, delta)
+        anchor, t_grid = previous.states[-1], window.t_grid
         assert window.start == "euler"
         assert first.tobytes() == cg.predictor(anchor, t_grid, t_grid[:1], forcing[None]).tobytes()
         euler = anchor.u.coefficients + (t_grid - t_grid[0])[:, None] * forcing
@@ -580,20 +570,19 @@ class TestWindowStart:
         return start_calls
 
     def test_first_window_starts_from_euler(self, monkeypatch, basis_2d):
-        # N(anchor) with the indicator pulled back to t = 0, where it is the
-        # initial region's, computed for the start
-        anchor = self._anchor(basis_2d)
+        # the initial window's one node: N(anchor) with the initial region's
+        # indicator, computed before the window, which evaluates no N to start
+        initial = self._initial(basis_2d)
         chi = self.ARGS["phase"].contains(basis_2d.quadrature(8).points)
-        forcing = cg.apply_N(anchor, 8, chi_values=chi)
-        assert self._assert_euler_start(monkeypatch, anchor, None, 0.05, forcing) == 1
+        forcing = cg.apply_N(initial.states[0], 8, chi_values=chi)
+        assert self._assert_euler_start(monkeypatch, initial, 0.05, forcing) == 0
 
     def test_longer_window_starts_from_euler(self, monkeypatch, basis_2d):
         # the previous window's N at its last node is N(anchor): no new call
         previous = self._previous(basis_2d)
         assert cg._start_nodes(previous, 0.1) == 1
         forcing = previous.N_values[-1]
-        anchor = previous.states[-1]
-        assert self._assert_euler_start(monkeypatch, anchor, previous, 0.1, forcing) == 0
+        assert self._assert_euler_start(monkeypatch, previous, 0.1, forcing) == 0
 
     def _flipped_at(self, previous, node):
         rows = [row.copy() for row in previous.chi_cache]
@@ -609,8 +598,7 @@ class TestWindowStart:
         flipped = self._flipped_at(previous, -1)
         assert cg._start_nodes(flipped, 0.05) == 1
         forcing = flipped.N_values[-1]
-        anchor = previous.states[-1]
-        assert self._assert_euler_start(monkeypatch, anchor, flipped, 0.05, forcing) == 0
+        assert self._assert_euler_start(monkeypatch, flipped, 0.05, forcing) == 0
 
     def test_indicator_flip_before_the_tail_extrapolates_from_the_tail(
         self, monkeypatch, basis_2d
@@ -621,7 +609,7 @@ class TestWindowStart:
         flipped = self._flipped_at(previous, 1)
         assert cg._start_nodes(flipped, 0.05) == 3
         anchor = previous.states[-1]
-        window, first, start_calls = self._start(monkeypatch, anchor, flipped, 0.05)
+        window, first, start_calls = self._start(monkeypatch, flipped, 0.05)
         assert window.start == "extrapolated" and start_calls == 0
         assert first.tobytes() == cg.predictor(
             anchor, window.t_grid, previous.t_grid[2:], previous.N_values[2:]
@@ -633,23 +621,16 @@ class TestWindowStart:
         for delta in (0.05, 0.025):
             nodes = cg._start_nodes(previous, delta)
             assert nodes > 1
-            window, first, start_calls = self._start(monkeypatch, anchor, previous, delta)
+            window, first, start_calls = self._start(monkeypatch, previous, delta)
             assert window.start == "extrapolated" and start_calls == 0
             assert first.tobytes() == cg.predictor(
                 anchor, window.t_grid, previous.t_grid[-nodes:], previous.N_values[-nodes:]
             ).tobytes()
 
-    def test_previous_must_end_at_the_anchor(self, basis_2d):
-        previous = self._previous(basis_2d)
-        with pytest.raises(ValueError, match="end at the anchor"):
-            cg.fixed_point_window(
-                previous.states[0], 0.05, 4, 1e-8, 30, previous=previous, **self.ARGS
-            )
-
     def test_node_0_forcing_is_computed_once(self, monkeypatch, basis_2d):
-        # single phase, so the indicator row never changes: the Euler start
-        # computes N(anchor) and every sweep reuses it; a window with a
-        # predecessor takes it from the predecessor's last node
+        # single phase, so the indicator row never changes: the initial
+        # window computes N(anchor) once and every sweep of the first window
+        # reuses it; a later window takes it from its predecessor's last node
         rng = np.random.default_rng(181)
         anchor = make_state(basis_2d, u_coeffs=0.3 * rng.standard_normal(len(basis_2d)))
         real = cg.apply_N
@@ -661,25 +642,24 @@ class TestWindowStart:
 
         monkeypatch.setattr(cg, "apply_N", counted)
         args = dict(order=8, h_flow=0.01, dt_b=0.0125)
-        first = cg.fixed_point_window(anchor, 0.05, 4, 1e-8, 30, **args)
+        initial = cg.initial_window(anchor, 8, None)
+        first = cg.fixed_point_window(initial, 0.05, 4, 1e-8, 30, **args)
         assert first.iterations > 1
         assert len(calls) == 1 + 4 * first.iterations
         calls.clear()
         # no indicator rows: the start fits all of the first window's 5 nodes
         assert cg._start_nodes(first, 0.05) == cg.EXTRAPOLATION_DEGREE + 1 == 5
-        second = cg.fixed_point_window(
-            first.states[-1], 0.05, 4, 1e-8, 30, previous=first, **args
-        )
+        second = cg.fixed_point_window(first, 0.05, 4, 1e-8, 30, **args)
         assert second.start == "extrapolated"
         assert len(calls) == 4 * second.iterations
 
     def test_node_0_is_handed_over(self, monkeypatch, basis_2d):
         # two phases at order 20 on a 16-gon: quadrature points between its
         # chords and the circle are in the band, where the window-start mesh
-        # and a trace disagree.  Node 0 is data: the first window pulls its
-        # row back once and computes N(anchor) once, for its start; the
-        # second takes both from the first's last node, and no trace
-        # carries node 0's points through the history
+        # and a trace disagree.  Node 0 is data: the initial window gives the
+        # first window its row, the initial region's, and N(anchor), computed
+        # once; the second takes both from the first's last node, and no
+        # trace carries node 0's points through the history
         rng = np.random.default_rng(191)
         anchor = make_state(basis_2d, u_coeffs=0.3 * rng.standard_normal(len(basis_2d)),
                             params=self.PARAMS, resolution=16)
@@ -707,18 +687,22 @@ class TestWindowStart:
             return chi
 
         def traced(positions, sampler, t0, t1, h):
-            legs.append((sampler, len(positions)))
+            legs.append((sampler, len(positions), t0))
             return real_trace(positions, sampler, t0, t1, h)
 
         monkeypatch.setattr(cg, "apply_N", counted)
         monkeypatch.setattr(cg, "apply_K", recorded)
         monkeypatch.setattr(cg._WindowIndicator, "__call__", indicated)
         monkeypatch.setattr(cg, "integrate_positions", traced)
-        first = cg.fixed_point_window(anchor, 0.05, 4, 1e-8, 30, **args)
+        initial = cg.initial_window(anchor, 20, args["phase"])
+        first = cg.fixed_point_window(initial, 0.05, 4, 1e-8, 30, **args)
         assert first.start == "euler" and first.iterations > 1
         assert times.count(anchor.t) == 1
-        # the zero-step pull-back of every point at t = 0
-        assert legs[0][1] == len(points)
+        # no pull-back of every point at t = 0: the only legs from the window
+        # start are the traces' history legs, each with nodes 1..4's points
+        from_start = [count for _, count, t0 in legs if t0 == anchor.t]
+        assert first.indicator_traces == len(moving) > 0
+        assert from_start == [4 * count for count in moving]
         for state, row in sweeps:
             assert state is anchor
             np.testing.assert_array_equal(row, args["phase"].contains(points))
@@ -727,18 +711,47 @@ class TestWindowStart:
             record.clear()
         second_anchor = first.states[-1]
         history = SpectralTrajectory(basis_2d, first.t_grid, first.u_trajectory)
-        second = cg.fixed_point_window(
-            second_anchor, 0.05, 4, 1e-8, 30, previous=first, history=history, **args
-        )
+        second = cg.fixed_point_window(first, 0.05, 4, 1e-8, 30, history=history, **args)
         assert times.count(second_anchor.t) == 0
         assert len(sweeps) == second.iterations
         for state, row in sweeps:
             assert state is second_anchor
             np.testing.assert_array_equal(row, first.chi_cache[-1])
         # each trace's history leg carries the moving points of nodes 1..4
-        carried = [count for sampler, count in legs if sampler is history]
+        carried = [count for sampler, count, _ in legs if sampler is history]
         assert second.indicator_traces == len(moving) > 0
         assert carried == [4 * count for count in moving]
+
+
+class TestInitialWindow:
+    PHASE = ci.disk(CENTER_2D, 1.0)
+
+    @pytest.mark.parametrize("nu_minus", [0.1, 0.2])
+    def test_one_node_at_t0_with_the_initial_row_and_forcing(self, basis_2d, nu_minus):
+        rng = np.random.default_rng(193)
+        params = cg.FluidParams(0.2, nu_minus, 1.0, 0.1)
+        state = make_state(basis_2d, u_coeffs=0.3 * rng.standard_normal(len(basis_2d)),
+                           params=params)
+        initial = cg.initial_window(state, 8, self.PHASE)
+        row = initial.chi_cache[0]
+        if params.two_phase:
+            np.testing.assert_array_equal(row, self.PHASE.contains(basis_2d.quadrature(8).points))
+        else:
+            assert row is None
+        assert initial.N_values.tobytes() == cg.apply_N(state, 8, chi_values=row)[None].tobytes()
+        assert initial.states == [state] and len(initial.chi_cache) == 1
+        assert list(initial.t_grid) == [0.0] and initial.residual_history == []
+        assert initial.u_trajectory.tobytes() == state.u.coefficients[None].tobytes()
+
+    @pytest.mark.parametrize("delta", [1e-12, 0.05, 1.0, 1e6])
+    def test_starts_the_next_window_from_one_node(self, basis_2d, delta):
+        state = make_state(basis_2d, params=cg.FluidParams(0.2, 0.1, 1.0, 0.1))
+        assert cg._start_nodes(cg.initial_window(state, 8, self.PHASE), delta) == 1
+
+    def test_state_after_t0_is_rejected(self, basis_2d):
+        state = dataclasses.replace(make_state(basis_2d), t=1e-9)
+        with pytest.raises(ValueError, match="t = 0"):
+            cg.initial_window(state, 8, self.PHASE)
 
 
 class _TranslatingWindow:
@@ -1033,16 +1046,16 @@ class TestRun:
         assert not any("omega" in a for a in result.attempts)
 
     def test_non_finite_forcing_halves_the_window(self, monkeypatch):
-        # the capillary term of the first apply_N call, the first window's
-        # predictor, comes back NaN: the window fails, halves, and the run
-        # carries on to T
+        # the capillary term of the first in-window apply_N call (the second
+        # call; the first is N at t = 0) comes back NaN: the window fails,
+        # halves, and the run carries on to T
         real = cg.curvature_pairing_modes
         calls = []
 
         def nan_once(mesh, basis):
             calls.append(mesh.t)
             values = real(mesh, basis)
-            return np.full_like(values, np.nan) if len(calls) == 1 else values
+            return np.full_like(values, np.nan) if len(calls) == 2 else values
 
         monkeypatch.setattr(cg, "curvature_pairing_modes", nan_once)
         result = cg.run(reference_config(T=0.1))
@@ -1056,11 +1069,51 @@ class TestRun:
         )
         assert halved["accepted"] and halved["delta"] == failed["delta"] / 2
 
+    def test_non_finite_forcing_at_t0_raises_at_once(self, monkeypatch):
+        # no window size changes N at the initial state: the run stops
+        # before any window attempt instead of halving to delta_min
+        def nan_pairing(mesh, basis):
+            return np.full(len(basis), np.nan)
+
+        windows = []
+        real = cg.fixed_point_window
+
+        def counted(*args, **kwargs):
+            windows.append(1)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(cg, "curvature_pairing_modes", nan_pairing)
+        monkeypatch.setattr(cg, "fixed_point_window", counted)
+        with pytest.raises(NumericsError, match="non-finite"):
+            cg.run(reference_config(T=0.1))
+        assert windows == []
+
+    def test_each_node_is_recorded_once(self, monkeypatch):
+        # a window's node 0 is its predecessor's last node: its dissipation
+        # rate is carried over, and neither it nor its forcing-bound sample
+        # is taken again
+        real = cg.viscous_dissipation_rate
+        rated = []
+
+        def counted(state, *args, **kwargs):
+            rated.append(id(state))
+            return real(state, *args, **kwargs)
+
+        monkeypatch.setattr(cg, "viscous_dissipation_rate", counted)
+        result = cg.run(reference_config(T=0.15))
+        assert len(result.windows) > 1
+        assert sorted(rated) == sorted(id(state) for state in result.states)
+        assert len(result.n_bound_samples) == len(result.ledger) == len(result.states)
+        times = [sample[0] for sample in result.n_bound_samples]
+        assert all(b > a for a, b in zip(times, times[1:]))
+        assert times == [state.t for state in result.states]
+
     def test_two_phase_window_needs_the_phase(self, basis_2d):
         anchor = make_state(basis_2d, params=cg.FluidParams(0.2, 0.1, 1.0, 0.0))
+        initial = cg.initial_window(anchor, 8, ci.disk(CENTER_2D, 1.0))
         with pytest.raises(ValueError, match="phase region"):
             cg.fixed_point_window(
-                anchor, 0.05, 4, 1e-8, 5, order=8, h_flow=0.01, dt_b=0.0125
+                initial, 0.05, 4, 1e-8, 5, order=8, h_flow=0.01, dt_b=0.0125
             )
 
     def test_window_records_its_indicator_traces(self, basis_2d):
@@ -1070,22 +1123,23 @@ class TestRun:
         anchor = make_state(basis_2d, u_coeffs=np.full(len(basis_2d), 0.05),
                             params=cg.FluidParams(0.2, 0.1, 1.0, 0.1))
         args = dict(order=20, h_flow=0.01, dt_b=0.0125, phase=ci.disk(CENTER_2D, 1.0))
-        window = cg.fixed_point_window(anchor, 0.05, 4, 1e-8, 20, **args)
+        initial = cg.initial_window(anchor, 20, args["phase"])
+        window = cg.fixed_point_window(initial, 0.05, 4, 1e-8, 20, **args)
         assert window.iterations > 1
         assert window.indicator_traces == 1
         with pytest.raises(WindowFailureError) as err:
-            cg.fixed_point_window(anchor, 0.05, 4, 1e-8, 2, **args)
+            cg.fixed_point_window(initial, 0.05, 4, 1e-8, 2, **args)
         assert err.value.indicator_traces == 1
         assert len(err.value.residual_history) == 2
 
     def test_non_finite_iterate_is_a_numerics_failure(self, monkeypatch, basis_2d):
         _nan_first_sweep(monkeypatch)
         anchor = make_state(basis_2d, u_coeffs=np.full(len(basis_2d), 0.1))
+        phase = ci.disk(CENTER_2D, 1.0)
         with pytest.raises(WindowFailureError, match="sweep 2") as err:
             cg.fixed_point_window(
-                anchor, 0.05, 4, 1e-8, 5,
-                order=8, h_flow=0.01, dt_b=0.0125,
-                phase=ci.disk(CENTER_2D, 1.0),
+                cg.initial_window(anchor, 8, phase), 0.05, 4, 1e-8, 5,
+                order=8, h_flow=0.01, dt_b=0.0125, phase=phase,
             )
         assert isinstance(err.value.__cause__, NumericsError)
 

@@ -30,8 +30,9 @@ initial region.  It also records a sweep table: ``galerkin.run`` of each
 ``SWEEP_CONFIGS`` entry in a fresh interpreter on each side, with every
 window attempt's start, sweeps and first residual, the largest ratio of
 consecutive residuals r_k / r_{k-1} within one attempt, the run's ``apply_N``
-calls, indicator traces and the window indicator's RK4 point-steps through
-the history and through the window, the number of windows that took more
+and ``viscous_dissipation_rate`` calls (the latter one per ledger row when
+each node's rate is computed once), indicator traces and the window
+indicator's RK4 point-steps through the history and through the window, the number of windows that took more
 sweeps than on the baseline, and the largest absolute difference between
 the two sides' ledger entries.
 Without it, pairs and the sweep table already in the output file are kept.
@@ -206,8 +207,8 @@ SWEEP_CONFIGS = [
     ("ball3d", "bench/workloads/ball3d.json", {}),
 ]
 
-# One run in the checkout whose src is on sys.path; prints its apply_N calls,
-# the window indicator's RK4 point-steps (points times steps) through the
+# One run in the checkout whose src is on sys.path; prints its apply_N and
+# viscous_dissipation_rate calls, the window indicator's RK4 point-steps (points times steps) through the
 # history and through the window, its window attempts and its ledger rows.
 # A history leg is told from a window leg as bench/layers.py tells it: by its
 # sampler being the ``history`` that fixed_point_window received.
@@ -215,14 +216,19 @@ _SWEEP_RUN = """
 import json, sys
 from capmhd import flowmap, galerkin
 from capmhd.config import RunConfig
-real_n, real_window, real_trace = (
-    galerkin.apply_N, galerkin.fixed_point_window, galerkin.integrate_positions
+real_n, real_rate, real_window, real_trace = (
+    galerkin.apply_N, galerkin.viscous_dissipation_rate, galerkin.fixed_point_window,
+    galerkin.integrate_positions,
 )
-calls, steps, window = [], {"history": 0, "window": 0}, {}
+calls, rates, steps, window = [], [], {"history": 0, "window": 0}, {}
 
 def counted(*args, **kwargs):
     calls.append(1)
     return real_n(*args, **kwargs)
+
+def rated(*args, **kwargs):
+    rates.append(1)
+    return real_rate(*args, **kwargs)
 
 def windowed(*args, **kwargs):
     window["history"] = kwargs.get("history")
@@ -234,10 +240,12 @@ def traced(positions, sampler, t0, t1, h):
     return real_trace(positions, sampler, t0, t1, h)
 
 galerkin.apply_N = counted
+galerkin.viscous_dissipation_rate = rated
 galerkin.fixed_point_window = windowed
 galerkin.integrate_positions = traced
 result = galerkin.run(RunConfig.from_dict(json.loads(sys.argv[1])))
-print(json.dumps({"apply_N_calls": len(calls), "history_point_steps": steps["history"],
+print(json.dumps({"apply_N_calls": len(calls), "rate_calls": len(rates),
+                  "history_point_steps": steps["history"],
                   "window_leg_point_steps": steps["window"],
                   "ledger": result.ledger.rows, "attempts": [
     {"start": a.get("start"), "sweeps": a["sweeps"], "accepted": a["accepted"],
@@ -277,6 +285,8 @@ def sweep_table(baseline):
             row[side] = {
                 "sweeps": sum(a["sweeps"] for a in attempts),
                 "apply_N_calls": out["apply_N_calls"],
+                "rate_calls": out["rate_calls"],
+                "ledger_rows": len(out["ledger"]),
                 "history_point_steps": out["history_point_steps"],
                 "window_leg_point_steps": out["window_leg_point_steps"],
                 "indicator_traces": sum(a["indicator_traces"] for a in attempts),
@@ -381,6 +391,8 @@ def main(argv=None):
         base, change = row["baseline"], row["change"]
         print(f"{row['config']}: sweeps {base['sweeps']} -> {change['sweeps']}, "
               f"apply_N calls {base.get('apply_N_calls')} -> {change.get('apply_N_calls')}, "
+              f"rate calls {base.get('rate_calls')} -> {change.get('rate_calls')} "
+              f"({change.get('ledger_rows')} ledger rows), "
               f"indicator traces {base.get('indicator_traces')} -> "
               f"{change.get('indicator_traces')}, history point-steps "
               f"{base.get('history_point_steps')} -> {change.get('history_point_steps')}, "
