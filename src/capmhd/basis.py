@@ -18,20 +18,21 @@ enumerates every mode up to a given max|k_i| in whole arrays, in a fixed
 order, so a coefficient vector means the same modes from run to run, and
 ``Basis.index`` finds one mode's position.
 
+Wavevectors are integers, so a field is u(x) = Re sum_k C_k e^{ik.x} over
+the box of integer wavevectors its modes span (``Lattice``), and e^{ik.x} is
+the product of one factor e^{i k_a x_a} per axis.  ``Lattice`` evaluates
+per-axis tables of those factors, the only trig evaluation of the basis.
+Off the grid (mesh vertices, traced points, element centroids) it contracts
+the coefficients one axis at a time, and its adjoint sums samples at points
+into every wavevector of the box; neither builds an m x n table.
+
 Quadrature is a tensor-product uniform grid, which integrates periodic
 trigonometric polynomials exactly once the grid resolves their highest
 wavenumber (order per axis >= 2*kmax + 1 for quadratic forms of the basis).
 Each basis builds the grid of one order once (``Basis.quadrature``), together
-with the m x n trig tables at its nodes, and every pairing and node-value
-consumer takes that ``Quadrature``.
-
-Off the grid (mesh vertices, traced points, element centroids) no m x n
-table is built.  Wavevectors are integers, so a field is
-u(x) = Re sum_k C_k e^{ik.x} over the box of integer wavevectors its modes
-span (``Lattice``), and e^{ik.x} is the product of one factor e^{i k_a x_a}
-per axis.  ``Lattice`` evaluates per-axis tables of those factors and
-contracts the coefficients one axis at a time; its adjoint sums samples at
-points into every wavevector of the box from the same tables.
+with the m x n trig tables at its nodes, gathered from the lattice's waves
+e^{ik.x} over the box; every pairing and node-value consumer takes that
+``Quadrature``.
 """
 
 import functools
@@ -159,30 +160,28 @@ class Basis:
     def kmax(self):
         return int(np.max(np.abs(self.wavevectors)))
 
-    def _phase_angles(self, points):
-        return points @ self.wavevectors.T
+    def _phase_table(self, points, derivative):
+        """trig(k_j . x_m), or its derivative, from the lattice's waves: (m, n).
+
+        cos is Re and sin is Im of e^{ik.x}, or of i e^{ik.x} for the
+        derivative: one gather per row of the waves' (real, imag) pairs.
+        """
+        waves = np.ascontiguousarray(self.lattice.waves(points))
+        if derivative:
+            waves *= 1j
+        return np.take(waves.view(np.float64), 2 * self.lattice.index + self.is_sine, axis=1)
 
     def phase_values(self, points):
         """trig(k_j . x_m) as an (m, n) array."""
-        theta = self._phase_angles(points)
-        out = np.empty_like(theta)
-        sin = self.is_sine
-        out[:, sin] = np.sin(theta[:, sin])
-        out[:, ~sin] = np.cos(theta[:, ~sin])
-        return out
+        return self._phase_table(points, derivative=False)
 
     def phase_derivatives(self, points):
         """d/dtheta trig(k_j . x_m) as an (m, n) array."""
-        theta = self._phase_angles(points)
-        out = np.empty_like(theta)
-        sin = self.is_sine
-        out[:, sin] = np.cos(theta[:, sin])
-        out[:, ~sin] = -np.sin(theta[:, ~sin])
-        return out
+        return self._phase_table(points, derivative=True)
 
     @functools.cached_property
     def lattice(self):
-        """The wavevector box of the modes, built on the first off-grid call."""
+        """The wavevector box of the modes, built with the first trig table."""
         return Lattice(self)
 
     def synthesize(self, coefficients, points):
@@ -303,7 +302,7 @@ class Quadrature:
 
 
 class Lattice:
-    """The box of integer wavevectors spanned by a basis, for off-grid sums.
+    """The box of integer wavevectors spanned by a basis, and its waves e^{ik.x}.
 
     A field with coefficients c is u(x) = Re sum_k C_k e^{ik.x}, where C_k
     (a complex d-vector) gathers c_j norm_j p_j e_j over the modes j with
@@ -311,23 +310,23 @@ class Lattice:
     integers between the smallest and largest k_a of the modes, and C is
     stored over the box in C order, one row per wavevector, so the
     contraction over axis 0 is a plain matrix product and every later axis
-    a batched one.  It holds no reference to the basis, which caches it.
+    a batched one.  ``waves`` multiplies the per-axis tables out over the
+    box; the quadrature tables are gathered from it.  It holds no reference
+    to the basis, which caches it.
     """
 
     def __init__(self, basis):
         k = basis.wavevectors.astype(np.int64)
-        self.low = [int(lo) for lo in k.min(axis=0)]
-        self.shape = tuple(int(n) for n in k.max(axis=0) - self.low + 1)
-        self.reach = int(np.max(np.abs(k)))
-        self.index = np.ravel_multi_index(tuple((k - self.low).T), self.shape)
-        axes = [np.arange(lo, lo + n, dtype=np.float64) for lo, n in zip(self.low, self.shape)]
-        grid = np.meshgrid(*axes, indexing="ij")
-        self.wavevectors = np.stack([g.reshape(-1) for g in grid], axis=-1)
+        low, high = k.min(axis=0), k.max(axis=0)
+        self.low = low.tolist()
+        self.shape = tuple((high - low + 1).tolist())
+        self.reach = max(high.max(), -low.min()).item()
+        self.index = np.ravel_multi_index(tuple((k - low).T), self.shape)
         phase = np.where(basis.is_sine, -1j, 1.0)
         self.weights = (basis.normalizations * phase)[:, None] * basis.polarizations
 
     def __len__(self):
-        return len(self.wavevectors)
+        return math.prod(self.shape)
 
     def coefficients(self, coefficients):
         """C over the box for one or more coefficient rows: (..., L, d)."""
@@ -369,19 +368,27 @@ class Lattice:
             acc = (table[:, None, :] @ acc.reshape(m, n, -1)).reshape(m, -1)
         return acc.real.reshape((m,) + lattice_coefficients.shape[1:])
 
-    def transform(self, points, samples):
-        """sum_m samples_m e^{ik.x_m} at every box wavevector k: (L, ...).
+    def waves(self, points):
+        """e^{ik.x_m} at every box wavevector k: (m, L).
 
-        The adjoint of ``values``.  The per-axis tables multiply out, one
-        axis at a time, into e^{ik.x_m} over the box, and the sum over the
-        points is one matrix product.
+        The per-axis tables multiply out, one axis at a time, in the box's
+        C order.
         """
         tables = self._tables(points)
         m = len(points)
         waves = tables[0]
         for table in tables[1:]:
             waves = (waves[:, :, None] * table[:, None, :]).reshape(m, -1)
-        return (waves.T @ samples.reshape(m, -1)).reshape((len(self),) + samples.shape[1:])
+        return waves
+
+    def transform(self, points, samples):
+        """sum_m samples_m e^{ik.x_m} at every box wavevector k: (L, ...).
+
+        The adjoint of ``values``: one matrix product with ``waves``.
+        """
+        m = len(points)
+        out = self.waves(points).T @ samples.reshape(m, -1)
+        return out.reshape((len(self),) + samples.shape[1:])
 
 
 def default_quadrature_order(kmax):

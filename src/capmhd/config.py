@@ -244,8 +244,12 @@ class RunConfig:
             raise ConfigError("h_flow must be positive")
         if self.quadrature_order is None:
             self.quadrature_order = default_quadrature_order(self.kmax)
-        if self.quadrature_order < 1:
-            raise ConfigError("quadrature_order must be positive")
+        nyquist = 2 * self.kmax + 1
+        if self.quadrature_order < nyquist:
+            raise ConfigError(
+                f"quadrature_order must be at least the Nyquist bound 2*kmax + 1 = {nyquist} "
+                f"for kmax {self.kmax}, got {self.quadrature_order}"
+            )
         if self.dt_b is not None and self.dt_b <= 0.0:
             raise ConfigError("dt_b must be positive when given")
         if self.mesh_resolution is None:

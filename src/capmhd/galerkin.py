@@ -459,11 +459,12 @@ def fixed_point_window(
     decides the quadrature points the iterate cannot carry to within
     INDICATOR_BAND of it, and the rest are back-traced, under the iterate
     and then through ``history`` into ``phase``, or keep the last trace's
-    flags while the flow-map stability bound certifies them.  Each
-    sweep computes K(u) and its N values in one ``apply_K`` call, checks the
-    residual ||u - K(u)||, and builds the next iterate by ``_viscous_sweep``
-    from those N values, with the viscous term at the mean viscosity
-    implicit; its row 0 is the anchor bit for bit.  A non-finite iterate, a
+    flags while the flow-map stability bound certifies them; a two-phase
+    window therefore needs ``phase`` and ``history``, the accepted velocity
+    on [0, t_m].  Each sweep computes K(u) and its N values in one
+    ``apply_K`` call, checks the residual ||u - K(u)||, and builds the next
+    iterate by ``_viscous_sweep`` from those N values, with the viscous term
+    at the mean viscosity implicit; its row 0 is the anchor bit for bit.  A non-finite iterate, a
     broken dependent or forcing, or an accepted end mesh that crosses itself
     raises WindowFailureError, and so does reaching ``max_iter`` sweeps;
     otherwise the accepted window (residual below ``tol``) is returned.
@@ -480,11 +481,9 @@ def fixed_point_window(
     anchor = previous.states[-1]
     basis = anchor.u.basis
     params = anchor.params
-    if params.two_phase and phase is None:
-        raise ValueError("a two-phase window needs the initial phase region")
+    if params.two_phase and (phase is None or history is None):
+        raise ValueError("a two-phase window needs the initial phase region and the history")
     t_grid = anchor.t + np.linspace(0.0, delta, n_sub + 1)
-    if history is None:
-        history = SpectralTrajectory(basis, [anchor.t], [anchor.u.coefficients])
     # node 0 is the previous window's last node: its row and N are data
     anchor_forcing = previous.N_values[-1]
     indicator = None

@@ -3,19 +3,22 @@
 None of these is on the solver's path.  Each is the plain form of something
 the solver does in a faster or narrower way: velocity samplers from one
 field or from callables, the single-shot back-trace and the indicator it
-gives, the curvature pairing against one test field, the quadrature
-Gram matrix of the basis, the m x n trig-table forms of off-grid
-synthesis and of the curvature pairing against every mode, the (m, n)
-product-table forms of the grid pairings, the flow-map Jacobian from the
-variational equation, the induction chain with every step kept, the
-basis modes enumerated one at a time, the all-pairs crossing test of a
-polygon, and the artifact writers that format one row at a time.
+gives, the curvature pairing against one test field, the m x n trig
+tables from sin and cos of every phase angle and a quadrature grid that
+holds them, the quadrature Gram matrix of the basis, the m x n trig-table
+forms of off-grid synthesis and of the curvature pairing against every
+mode, the (m, n) product-table forms of the grid pairings, the flow-map
+Jacobian from the variational equation, the induction chain with every
+step kept, the basis modes enumerated one at a time, the all-pairs
+crossing test of a polygon, and the artifact writers that format one row
+at a time.
 """
 
 import itertools
 
 import numpy as np
 
+from capmhd.basis import quadrature_rule
 from capmhd.flowmap import integrate_positions, step_sizes
 from capmhd.induction import step_B
 from capmhd.energy import COLUMNS
@@ -86,9 +89,42 @@ def curvature_pairing(mesh, grad_eta):
     return float(np.sum(measures * (trace - normal_part)))
 
 
+def _phase_table(basis, points, cos, sin):
+    theta = points @ basis.wavevectors.T
+    out = np.empty_like(theta)
+    sine = basis.is_sine
+    out[:, sine] = sin(theta[:, sine])
+    out[:, ~sine] = cos(theta[:, ~sine])
+    return out
+
+
+def phase_values(basis, points):
+    """trig(k_j . x_m) as an (m, n) array, from sin and cos of every angle."""
+    return _phase_table(basis, points, np.cos, np.sin)
+
+
+def phase_derivatives(basis, points):
+    """d/dtheta trig(k_j . x_m) as an (m, n) array, from sin and cos of every angle."""
+    return _phase_table(basis, points, lambda theta: -np.sin(theta), np.cos)
+
+
+class Quadrature:
+    """The grid of ``quadrature_rule`` with the direct trig tables at its nodes.
+
+    It stands in for ``basis.Quadrature`` in the reference pairings; both
+    tables are built at once.
+    """
+
+    def __init__(self, basis, order):
+        self.basis = basis
+        self.points, self.weight = quadrature_rule(basis.dimension, order)
+        self.values = phase_values(basis, self.points)
+        self.derivatives = phase_derivatives(basis, self.points)
+
+
 def gram_matrix(basis, order):
     """Quadrature Gram matrix of the basis (identity for the default basis)."""
-    quad = basis.quadrature(order)
+    quad = Quadrature(basis, order)
     ph = quad.values * basis.normalizations
     return quad.weight * (ph.T @ ph) * (basis.polarizations @ basis.polarizations.T)
 
@@ -96,7 +132,7 @@ def gram_matrix(basis, order):
 def synthesize(basis, coefficients, points):
     """Field values at ``points`` from the m x n ``phase_values`` table: (m, d)."""
     weights = (coefficients * basis.normalizations)[:, None] * basis.polarizations
-    return basis.phase_values(points) @ weights
+    return phase_values(basis, points) @ weights
 
 
 def synthesize_gradient(basis, coefficients, points):
@@ -107,20 +143,23 @@ def synthesize_gradient(basis, coefficients, points):
         * basis.polarizations[:, :, None]
         * basis.wavevectors[:, None, :]
     )
-    return np.tensordot(basis.phase_derivatives(points), outer, axes=([1], [0]))
+    return np.tensordot(phase_derivatives(basis, points), outer, axes=([1], [0]))
 
 
 def curvature_pairing_modes(mesh, basis):
     """Curvature pairing against every mode from the centroids' trig table."""
     centers, n, measures = element_geometry(mesh)
-    dph = basis.phase_derivatives(centers)
+    dph = phase_derivatives(basis, centers)
     dph *= n @ basis.polarizations.T
     dph *= n @ basis.wavevectors.T
     return -basis.normalizations * (measures @ dph)
 
 
 def convection_pairing(a_values, b_values, quad):
-    """Convection pairing from (m, n) tables of (a . e_j) and (k_j . b)."""
+    """Convection pairing from (m, n) tables of (a . e_j) and (k_j . b).
+
+    ``quad`` is a reference ``Quadrature``, as in ``strain_pairing``.
+    """
     basis = quad.basis
     a_pol = a_values @ basis.polarizations.T
     b_wav = b_values @ basis.wavevectors.T

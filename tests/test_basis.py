@@ -307,6 +307,24 @@ class TestQuadrature:
         assert_bitwise(quad.values, basis.phase_values(points))
         assert_bitwise(quad.derivatives, basis.phase_derivatives(points))
 
+    @pytest.mark.parametrize("dimension", [2, 3])
+    @pytest.mark.parametrize("kmax", [1, 2, 3])
+    def test_tables_match_the_direct_trig_tables(self, dimension, kmax):
+        # the lattice's waves against sin and cos of every phase angle, on the
+        # default grid, on the Nyquist grid and off the grid
+        basis = cb.make_basis(dimension, kmax)
+        for order in (4 * kmax, 2 * kmax + 1):
+            quad = basis.quadrature(order)
+            direct = ref.Quadrature(basis, order)
+            assert np.max(np.abs(quad.values - direct.values)) <= 1e-13
+            assert np.max(np.abs(quad.derivatives - direct.derivatives)) <= 1e-13
+        # mesh vertices are never wrapped into the cell
+        points = np.random.default_rng(kmax).uniform(-4 * np.pi, 6 * np.pi, (200, dimension))
+        got = basis.phase_values(points)
+        assert np.max(np.abs(got - ref.phase_values(basis, points))) <= 1e-13
+        got = basis.phase_derivatives(points)
+        assert np.max(np.abs(got - ref.phase_derivatives(basis, points))) <= 1e-13
+
     def test_one_object_per_basis_and_order(self):
         basis = cb.make_basis(2, 2)
         assert basis.quadrature(8) is basis.quadrature(8)
@@ -376,13 +394,6 @@ class TestSeparableSynthesis:
         scale = ci.perimeter(mesh) * np.max(basis.normalizations) * reach
         assert np.max(np.abs(got - want)) <= 1e-12 * scale
 
-    def test_lattice_is_built_on_the_first_off_grid_call(self):
-        basis = cb.make_basis(3, 2)
-        basis.quadrature(8).values
-        assert "lattice" not in vars(basis)
-        basis.synthesize(np.zeros(len(basis)), np.zeros((1, 3)))
-        assert vars(basis)["lattice"] is basis.lattice
-
 
 class TestGridPairings:
     """The moment forms of the grid pairings against the (m, n) tables they replace."""
@@ -400,7 +411,8 @@ class TestGridPairings:
             basis = random_sub_basis(rng, dimension, kmax, int(rng.integers(1, 6)))
         else:
             basis = cb.make_basis(dimension, kmax)
-        quad = basis.quadrature(int(rng.integers(2 * kmax + 1, 4 * kmax + 1)))
+        order = int(rng.integers(2 * kmax + 1, 4 * kmax + 1))
+        quad, direct = basis.quadrature(order), ref.Quadrature(basis, order)
         m = len(quad.points)
         a, b = rng.standard_normal((2, m, dimension))
         grads = rng.standard_normal((m, dimension, dimension))
@@ -412,11 +424,11 @@ class TestGridPairings:
         for left, right in ((a, b), (b, a), (a, a)):
             bound = scale * np.sum(np.linalg.norm(left, axis=1) * np.linalg.norm(right, axis=1))
             got = cb.convection_pairing(left, right, quad)
-            want = ref.convection_pairing(left, right, quad)
+            want = ref.convection_pairing(left, right, direct)
             assert np.all(np.abs(got - want) <= 1e-12 * bound)
         bound = scale * np.sum(2.0 * nu * np.linalg.norm(du, axis=(1, 2)))
         got = cb.strain_pairing(du, nu, quad)
-        want = ref.strain_pairing(du, nu, quad)
+        want = ref.strain_pairing(du, nu, direct)
         assert np.all(np.abs(got - want) <= 1e-12 * bound)
 
     def test_no_call_allocates_a_mode_by_node_table(self):

@@ -56,6 +56,15 @@ class TestConfigValidation:
         with pytest.raises(ConfigError, match="kappa"):
             RunConfig.from_dict(data)
 
+    def test_quadrature_order_below_nyquist_rejected(self):
+        # below 2*kmax + 1 the grid aliases the basis: the initial projection
+        # and every pairing would be silently wrong
+        solver = {"n_sub": 4, "mesh_resolution": 64, "quadrature_order": 4}
+        with pytest.raises(ConfigError, match=r"2\*kmax \+ 1 = 5 for kmax 2, got 4"):
+            RunConfig.from_dict(small_config_dict(kmax=2, solver=solver))
+        solver["quadrature_order"] = 5
+        assert RunConfig.from_dict(small_config_dict(kmax=2, solver=solver)).quadrature_order == 5
+
     def test_inviscid_with_tension_rejected(self):
         with pytest.raises(ConfigError, match="dissipation"):
             RunConfig.from_dict(small_config_dict(nu_plus=0.0, nu_minus=0.0))
@@ -180,6 +189,7 @@ class TestCmdRun:
             ("solver", "max_iters", 3),
             (None, "kmaxx", 8),
             ("output", "cadense", 0.5),
+            ("solver", "quadrature_order", 2),
         ],
     )
     def test_bad_value_exits_2(self, tmp_path, capsys, section, key, value):
@@ -188,7 +198,7 @@ class TestCmdRun:
         path = write_config(tmp_path, data)
         assert cli.main(["run", "--config", path, "--out", str(tmp_path / "o")]) == 2
         err = capsys.readouterr().err
-        assert f"config error: {key} must be" in err
+        assert f"config error: {key} must be" in err and len(err.splitlines()) == 1
         assert "Traceback" not in err
 
     @pytest.mark.parametrize(

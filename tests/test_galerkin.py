@@ -149,25 +149,30 @@ class TestApplyN:
 
 
 def _apply_N_reference(state, order):
-    """apply_N from the grid of ``quadrature_rule`` and field samples taken
-    from the reference trig tables, with no Quadrature object.  The pairings
-    take the same order as the solver's: node-tensor moments against the
-    derivative table, then the contraction with e_j and k_j per mode."""
+    """apply_N from the grid of ``quadrature_rule`` and the basis's trig
+    tables at its points, with no Quadrature object.  The pairings take the
+    same order as the solver's: node-tensor moments against the derivative
+    table, then the contraction with e_j and k_j per mode.  The tables
+    themselves are checked against direct sin and cos in test_basis."""
     basis = state.u.basis
     d = basis.dimension
     points, weight = cb.quadrature_rule(d, order)
-    dph = basis.phase_derivatives(points)
+    ph, dph = basis.phase_values(points), basis.phase_derivatives(points)
 
     def pairing(tensors):
         moments = (tensors.reshape(-1, d * d).T @ dph).reshape(d, d, -1)
         contracted = np.einsum("ni,iln,nl->n", basis.polarizations, moments, basis.wavevectors)
         return weight * basis.normalizations * contracted
 
-    u_values = ref.synthesize(basis, state.u.coefficients, points)
-    b_values = ref.synthesize(basis, state.B.coefficients, points)
+    def samples(coefficients):
+        return ph @ ((coefficients * basis.normalizations)[:, None] * basis.polarizations)
+
+    u_values, b_values = samples(state.u.coefficients), samples(state.B.coefficients)
     result = pairing(u_values[:, :, None] * u_values[:, None, :])
     result -= pairing(b_values[:, :, None] * b_values[:, None, :])
-    grads = ref.synthesize_gradient(basis, state.u.coefficients, points)
+    scaled = state.u.coefficients * basis.normalizations
+    outer = scaled[:, None, None] * basis.polarizations[:, :, None] * basis.wavevectors[:, None, :]
+    grads = np.tensordot(dph, outer, axes=([1], [0]))
     du = 0.5 * (grads + np.swapaxes(grads, 1, 2))
     nu = state.params.viscosity(ci.point_in_mesh(state.mesh, points))
     result -= pairing(2.0 * nu[:, None, None] * du)
@@ -284,6 +289,12 @@ class TestApplyK:
         assert num / den < 1.0
 
 
+def _history(window):
+    """The accepted velocity up to ``window``'s end, from t = 0 on, as ``run``
+    hands it to the next window."""
+    return SpectralTrajectory(window.states[-1].u.basis, window.t_grid, window.u_trajectory)
+
+
 class TestFixedPointWindow:
     def test_zero_data_converges_first_sweep(self, basis_2d):
         phase = ci.disk(CENTER_2D, 1.0)
@@ -334,9 +345,10 @@ class TestFixedPointWindow:
                             params=params)
         iterates = _first_iterate(monkeypatch)
         phase = ci.disk(CENTER_2D, 1.0)
+        initial = cg.initial_window(anchor, 8, phase)
         window = cg.fixed_point_window(
-            cg.initial_window(anchor, 8, phase), 0.05, 4, 1e-8, 30,
-            order=8, h_flow=0.01, dt_b=0.0125, phase=phase,
+            initial, 0.05, 4, 1e-8, 30,
+            order=8, h_flow=0.01, dt_b=0.0125, phase=phase, history=_history(initial),
         )
         # the predictor's indicator is the initial region's at t = 0
         chi = phase.contains(basis_2d.quadrature(8).points)
@@ -365,7 +377,7 @@ class TestFixedPointWindow:
         with np.errstate(over="ignore"), pytest.raises(WindowFailureError, match="sweep 1") as err:
             cg.fixed_point_window(
                 initial, 0.05, 4, 1e-8, 5,
-                order=8, h_flow=0.01, dt_b=0.0125, phase=phase,
+                order=8, h_flow=0.01, dt_b=0.0125, phase=phase, history=_history(initial),
             )
         assert isinstance(err.value.__cause__, NumericsError)
         assert err.value.residual_history == []
@@ -537,7 +549,10 @@ class TestWindowStart:
         return cg.initial_window(self._anchor(basis_2d), 8, self.ARGS["phase"])
 
     def _previous(self, basis_2d):
-        return cg.fixed_point_window(self._initial(basis_2d), 0.05, 4, 1e-8, 30, **self.ARGS)
+        initial = self._initial(basis_2d)
+        return cg.fixed_point_window(
+            initial, 0.05, 4, 1e-8, 30, history=_history(initial), **self.ARGS
+        )
 
     def _start(self, monkeypatch, previous, delta):
         """(window, its first iterate, the N calls made for the predictor)."""
@@ -555,7 +570,9 @@ class TestWindowStart:
 
         monkeypatch.setattr(cg, "apply_N", counted)
         monkeypatch.setattr(cg, "predictor", predictor)
-        window = cg.fixed_point_window(previous, delta, 4, 1e-8, 30, **self.ARGS)
+        window = cg.fixed_point_window(
+            previous, delta, 4, 1e-8, 30, history=_history(previous), **self.ARGS
+        )
         assert len(at_start) == 1
         return window, iterates[0], at_start[0]
 
@@ -695,7 +712,7 @@ class TestWindowStart:
         monkeypatch.setattr(cg._WindowIndicator, "__call__", indicated)
         monkeypatch.setattr(cg, "integrate_positions", traced)
         initial = cg.initial_window(anchor, 20, args["phase"])
-        first = cg.fixed_point_window(initial, 0.05, 4, 1e-8, 30, **args)
+        first = cg.fixed_point_window(initial, 0.05, 4, 1e-8, 30, history=_history(initial), **args)
         assert first.start == "euler" and first.iterations > 1
         assert times.count(anchor.t) == 1
         # no pull-back of every point at t = 0: the only legs from the window
@@ -710,7 +727,7 @@ class TestWindowStart:
         for record in (times, sweeps, moving, legs):
             record.clear()
         second_anchor = first.states[-1]
-        history = SpectralTrajectory(basis_2d, first.t_grid, first.u_trajectory)
+        history = _history(first)
         second = cg.fixed_point_window(first, 0.05, 4, 1e-8, 30, history=history, **args)
         assert times.count(second_anchor.t) == 0
         assert len(sweeps) == second.iterations
@@ -1116,14 +1133,29 @@ class TestRun:
                 initial, 0.05, 4, 1e-8, 5, order=8, h_flow=0.01, dt_b=0.0125
             )
 
+    def test_later_two_phase_window_needs_the_history(self, basis_2d):
+        # without the velocity before t_m the band points of a window at
+        # t_m > 0 have no way back to t = 0
+        phase = ci.disk(CENTER_2D, 1.0)
+        anchor = make_state(basis_2d, params=cg.FluidParams(0.2, 0.1, 1.0, 0.0))
+        initial = cg.initial_window(anchor, 8, phase)
+        args = dict(order=8, h_flow=0.01, dt_b=0.0125, phase=phase)
+        first = cg.fixed_point_window(
+            initial, 0.05, 4, 1e-8, 5, history=_history(initial), **args
+        )
+        assert first.states[-1].t == pytest.approx(0.05)
+        with pytest.raises(ValueError, match="history"):
+            cg.fixed_point_window(first, 0.05, 4, 1e-8, 5, **args)
+
     def test_window_records_its_indicator_traces(self, basis_2d):
         # order 20 puts points in the band of the unit disk: the window
         # traces them once and reuses that trace in its later sweeps, and a
         # failed window reports its count as it reports its residuals
         anchor = make_state(basis_2d, u_coeffs=np.full(len(basis_2d), 0.05),
                             params=cg.FluidParams(0.2, 0.1, 1.0, 0.1))
-        args = dict(order=20, h_flow=0.01, dt_b=0.0125, phase=ci.disk(CENTER_2D, 1.0))
-        initial = cg.initial_window(anchor, 20, args["phase"])
+        initial = cg.initial_window(anchor, 20, ci.disk(CENTER_2D, 1.0))
+        args = dict(order=20, h_flow=0.01, dt_b=0.0125, phase=ci.disk(CENTER_2D, 1.0),
+                    history=_history(initial))
         window = cg.fixed_point_window(initial, 0.05, 4, 1e-8, 20, **args)
         assert window.iterations > 1
         assert window.indicator_traces == 1

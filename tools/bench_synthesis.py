@@ -7,14 +7,17 @@ The first form times the table forms of ``tests/reference.py`` against the
 solver's forms on fixed random inputs.  Off the grid: the m x n trig-table
 synthesis against the basis lattice, field values for four (dimension, kmax,
 m) cases, and the curvature pairing against every mode on the level-3
-icosphere (1280 triangles).  On the grid: the (m, n) product-table
-convection and strain pairings against the node-tensor moments, at the
-default quadrature order for four (dimension, kmax) cases.  Around the
-solver: the all-pairs crossing scan of the 256-gon against the broad phase
-of ``interface.check_simple``, and the row-at-a-time artifact writers
-against the one-pass ``format_rows`` ones, for the 256-gon's polyline, its
-varifold and a 121-row ledger, each written to a temporary directory and
-compared byte for byte.  Each time is the median of 20 calls, with one BLAS
+icosphere (1280 triangles).  On the grid, at the default quadrature order
+for four (dimension, kmax) cases: the trig tables from sin and cos of every
+phase angle against a fresh ``basis.quadrature(order)``'s ``values`` and
+``derivatives``, gathered from a new lattice's waves, with the tracemalloc
+peak of each build and the lattice's own set-up time; and the (m, n)
+product-table convection and strain pairings against the node-tensor
+moments.  Around the solver: the all-pairs crossing scan of the 256-gon
+against the broad phase of ``interface.check_simple``, and the row-at-a-time
+artifact writers against the one-pass ``format_rows`` ones, for the
+256-gon's polyline, its varifold and a 121-row ledger, each written to a
+temporary directory and compared byte for byte.  Each time is the median of 20 calls, with one BLAS
 thread; ``new_ms`` is the solver's form.
 
 With ``--baseline DIR`` (another checkout of the repository) it also runs
@@ -51,6 +54,7 @@ import subprocess  # noqa: E402
 import sys  # noqa: E402
 import tempfile  # noqa: E402
 import time  # noqa: E402
+import tracemalloc  # noqa: E402
 from pathlib import Path  # noqa: E402
 
 import numpy as np  # noqa: E402
@@ -81,6 +85,16 @@ def median_ms(call):
         call()
         samples.append(time.perf_counter() - start)
     return 1e3 * statistics.median(samples)
+
+
+def peak_mb(call):
+    """The tracemalloc peak of one call, in MB (10^6 bytes)."""
+    tracemalloc.start()
+    try:
+        call()
+        return tracemalloc.get_traced_memory()[1] / 1e6
+    finally:
+        tracemalloc.stop()
 
 
 def compare(name, table, new, **case):
@@ -118,28 +132,57 @@ def synthesis_cases():
     return rows
 
 
+def table_case(basis, order, **case):
+    """Both trig tables of one grid: the direct ones against a fresh quadrature's."""
+
+    def direct():
+        quad = ref.Quadrature(basis, order)
+        return quad.values, quad.derivatives
+
+    def fresh():
+        # drop the basis's lattice and grids: the build RunConfig.build() makes
+        vars(basis).pop("lattice", None)
+        basis._quadratures.clear()
+        quad = basis.quadrature(order)
+        return quad.values, quad.derivatives
+
+    want, got = direct(), fresh()
+    return {
+        "case": "tables",
+        **case,
+        "table_ms": round(median_ms(direct), 4),
+        "new_ms": round(median_ms(fresh), 4),
+        "lattice_ms": round(median_ms(lambda: cb.Lattice(basis)), 4),
+        "table_peak_mb": round(peak_mb(direct), 3),
+        "new_peak_mb": round(peak_mb(fresh), 3),
+        "max_abs_diff": max(float(np.max(np.abs(g - w))) for g, w in zip(got, want)),
+    }
+
+
 def pairing_cases():
     rng = np.random.default_rng(8)
     rows = []
     for dimension, kmax in PAIRING_CASES:
         basis = cb.make_basis(dimension, kmax)
-        quad = basis.quadrature(cb.default_quadrature_order(kmax))
+        order = cb.default_quadrature_order(kmax)
+        case = dict(dimension=dimension, kmax=kmax, m=order**dimension, n=len(basis))
+        rows.append(table_case(basis, order, **case))
+        quad, direct = basis.quadrature(order), ref.Quadrature(basis, order)
         m = len(quad.points)
         quad.derivatives  # built once per grid, outside the timed calls
         a, b = rng.standard_normal((2, m, dimension))
         grads = rng.standard_normal((m, dimension, dimension))
         du = 0.5 * (grads + np.swapaxes(grads, 1, 2))
         nu = rng.uniform(0.1, 0.2, m)
-        case = dict(dimension=dimension, kmax=kmax, m=m, n=len(basis))
         rows.append(compare(
             "convection_pairing",
-            lambda: ref.convection_pairing(a, b, quad),
+            lambda: ref.convection_pairing(a, b, direct),
             lambda: cb.convection_pairing(a, b, quad),
             **case,
         ))
         rows.append(compare(
             "strain_pairing",
-            lambda: ref.strain_pairing(du, nu, quad),
+            lambda: ref.strain_pairing(du, nu, direct),
             lambda: cb.strain_pairing(du, nu, quad),
             **case,
         ))
@@ -384,6 +427,9 @@ def main(argv=None):
         print(f"{row['case']} d={row['dimension']} kmax={row['kmax']} m={row['m']}: "
               f"{row['table_ms']:.3f} ms -> {row['new_ms']:.3f} ms "
               f"(max abs diff {row['max_abs_diff']:.2g})")
+        if row["case"] == "tables":
+            print(f"  peak {row['table_peak_mb']:.2f} MB -> {row['new_peak_mb']:.2f} MB, "
+                  f"lattice set-up {row['lattice_ms']:.3f} ms")
     for row in result["checks_and_writers"]:
         print(f"{row['case']} m={row['m']}: {row['table_ms']:.3f} ms -> {row['new_ms']:.3f} ms "
               f"(same result: {row['same_result']})")
