@@ -38,12 +38,15 @@ anchored like every other and starts from Euler.
 
 The phase indicator chi(u) depends on the iterate only through the flow map,
 and the flow-map stability estimate |X_u - X_v| <= tau ||u - v|| e^{tau L}
-bounds how far a sweep can move the back-traced origins.  Each two-phase
-window builds one indicator object that traces its band points, the nodes
-after the first in one backward march, and keeps that trace: a later sweep
-reuses its flags whenever every origin lies farther from the initial
-boundary than the estimate lets it move, so chi is exactly what a new trace
-would give.
+bounds how far a sweep can move the back-traced points.  Each two-phase
+window builds one indicator object that traces its band points to the
+window start, the nodes after the first in one backward march.  There the
+band test is applied again: the window-start mesh decides every carried
+point outside its band (INDICATOR_BAND beyond its sagitta), and only the
+rest go on through the history to t = 0.  The object keeps that trace: a
+later sweep reuses its flags whenever every carried point lies farther
+beyond the band, and every origin farther from the initial boundary, than
+the estimate lets it move, so chi is exactly what a new trace would give.
 
 All quadratures use the dealiased uniform grid, and every reduction has a
 fixed order, so a run is reproducible bit-for-bit for a given configuration.
@@ -79,6 +82,8 @@ from .interface import (
     enclosed_volume,
     perimeter,
     point_in_mesh,
+    polygon_distance,
+    sagitta,
 )
 
 # Frozen headroom constant for the forcing bound
@@ -89,11 +94,13 @@ from .interface import (
 N_BOUND_COEFF = 0.05
 
 # Half-width of the band around the window-start mesh inside which the window
-# indicator back-traces points through the history.  Outside it the mesh's
-# ray cast gives the back-trace's answer: the two differ only where the mesh
-# is off the true interface, by the RK4 error of its vertices plus the
-# sagitta of its chords, about 1e-4 for the 256-gon of the reference problem.
-# A point is back-traced when the window's flow can carry it into the band.
+# indicator back-traces points through the history, beyond the mesh's own
+# sagitta estimate (``interface.sagitta``).  Outside it the mesh's ray cast
+# gives the back-trace's answer: the two differ only where the mesh is off
+# the true interface, by the sagitta of its elements plus the RK4 error of
+# its vertices, which this allows for; the sagitta is 7.5e-5 for the
+# 256-gon of the reference problem and 0.019 for a 16-gon.  A point is
+# back-traced when the window's flow can carry it into the band.
 INDICATOR_BAND = 1e-2
 
 # Round-off allowance of the indicator reuse certificate, grown like the
@@ -201,7 +208,7 @@ def apply_N(state, order, chi_values=None):
     the weak curvature pairing over the interface mesh.  ``chi_values`` are
     indicator samples at the quadrature nodes of the given order, as the
     window driver supplies them (decided by the window-start mesh, except at
-    the points the window's flow can carry into its band, which are
+    the points the window's flow carries back into its band, which are
     back-traced to t = 0); they may be omitted only when the two viscosities
     are equal (``FluidParams.viscosity``).
     """
@@ -323,25 +330,38 @@ def _gradient_weights(basis):
     return basis.normalizations * np.linalg.norm(basis.wavevectors, axis=1)
 
 
+def _mesh_distance(mesh, points):
+    """Each point's distance to the mesh: exact in 2D, the vertex bound in 3D."""
+    if mesh.dimension == 2:
+        return polygon_distance(mesh, points)
+    return distance_lower_bound(mesh, points)
+
+
 class _WindowIndicator:
     """Indicator samples at the quadrature ``points`` for every window node.
 
     Built once per two-phase window: ``first_row`` is node 0's row, which no
-    sweep changes, ``distance`` and ``mesh_chi`` are the points' distance
-    lower bound to the window-start mesh and their ray cast against it, and
+    sweep changes, ``mesh`` is the window-start mesh, ``band`` is
+    INDICATOR_BAND beyond its sagitta, the distance past which it decides a
+    point, ``distance`` and ``mesh_chi`` are the points' distance to it
+    (``_mesh_distance``) and their ray cast against it, and
     ``history_growth`` = e^{t_m L_h} bounds how the fixed pre-window
     ``history`` leg grows a displacement.  The object keeps its last
     back-trace: ``moving`` marks the traced points, ``coefficients`` are the
     iterate's rows they were traced under, and ``clearance`` and ``inside``
-    (one row per node after the first) are the origins' distance lower bound
-    to the initial boundary and their membership flags.  ``traces`` counts
-    the calls that back-traced.
+    (one row per node after the first) are, for each carried point, its
+    distance to the window-start mesh less ``band`` and the mesh's answer,
+    or, in the band, its origin's distance bound to the initial boundary and
+    the initial region's answer.  ``traces`` counts the calls that
+    back-traced.
     """
 
     def __init__(self, anchor, points, t_grid, history, phase, h_flow, first_row):
         self.points, self.t_grid, self.history = points, t_grid, history
         self.phase, self.h_flow, self.first_row = phase, h_flow, first_row
-        self.distance = distance_lower_bound(anchor.mesh, points)
+        self.mesh = anchor.mesh
+        self.band = INDICATOR_BAND + sagitta(anchor.mesh)
+        self.distance = _mesh_distance(anchor.mesh, points)
         self.mesh_chi = point_in_mesh(anchor.mesh, points)
         weights = _gradient_weights(anchor.u.basis)
         self.history_growth = np.exp(anchor.t * _row_bound(history.coefficients, weights))
@@ -353,10 +373,12 @@ class _WindowIndicator:
 
         One RK4 step of size h is Lipschitz with constant e^{hL}, and driven
         by two fields eps apart it adds at most h eps e^{hL}; so the window
-        leg of node i >= 1 moves an origin by at most e^{tau_i L} tau_i eps
-        (tau_i = t_i - t_m), and the fixed history leg grows that by
-        ``history_growth``.  No origin crosses the boundary when each
-        clearance exceeds that reach plus REUSE_MARGIN, grown alike.
+        leg of node i >= 1 moves a point it carries to the window start by
+        at most e^{tau_i L} tau_i eps (tau_i = t_i - t_m), and the fixed
+        history leg grows that by ``history_growth``.  No carried point
+        crosses the band, and no origin the initial boundary, when each
+        clearance exceeds that reach plus REUSE_MARGIN, grown alike; the
+        growth only makes the test stricter for the points the mesh decided.
         """
         if self.moving is None or not np.array_equal(moving, self.moving):
             return False
@@ -372,22 +394,25 @@ class _WindowIndicator:
 
         Node 0's row is ``first_row``.  At the later nodes, the iterate's
         speed is at most sum_j |c_j| n_j over its rows, so a point farther
-        than INDICATOR_BAND plus the window's reach from the window-start
-        mesh keeps the mesh's answer.  The rest take the kept trace's flags
+        than ``band`` plus the window's reach from the window-start mesh
+        keeps the mesh's answer.  The rest take the kept trace's flags
         when it certifies them for this iterate.  Otherwise they are
         back-traced in one backward march under the iterate: node i's points
         join the carried ones in front at t_i, and the stack is carried one
         sub-step back, from the last node to the window start, so every RK4
-        step moves all the points still on their way.  The stack, node-major
-        from node 1, then goes through ``history`` to t = 0 and is tested
-        against the initial region, and that trace is kept.
+        step moves all the points still on their way.  The band test is then
+        applied again to the stack, node-major from node 1: a carried point
+        farther than ``band`` from the window-start mesh takes the mesh's
+        answer, and only the rest go on through ``history`` to t = 0
+        and are tested against the initial region (no history call when
+        none is left).  That trace is kept.
         """
         t_grid, h = self.t_grid, self.h_flow
         basis = sampler.basis
         # the sampler's own copy, which no later sweep writes to
         coefficients = sampler.coefficients
         speed = _row_bound(coefficients, basis.normalizations)
-        moving = self.distance <= INDICATOR_BAND + (t_grid[-1] - t_grid[0]) * speed
+        moving = self.distance <= self.band + (t_grid[-1] - t_grid[0]) * speed
         chi = [self.first_row] + [self.mesh_chi.copy() for _ in t_grid[1:]]
         if not np.any(moving):
             return chi
@@ -398,11 +423,17 @@ class _WindowIndicator:
                 carried = integrate_positions(
                     np.concatenate([points, carried]), sampler, t_grid[i], t_grid[i - 1], h
                 )
-            origins = integrate_positions(carried, self.history, t_grid[0], 0.0, h)
+            clearance = _mesh_distance(self.mesh, carried) - self.band
+            band = clearance <= 0.0
+            inside = np.empty(len(carried), dtype=np.int64)
+            inside[~band] = point_in_mesh(self.mesh, carried[~band])
+            if np.any(band):
+                origins = integrate_positions(carried[band], self.history, t_grid[0], 0.0, h)
+                clearance[band] = self.phase.boundary_distance(origins)
+                inside[band] = self.phase.contains(origins)
             nodes = (len(t_grid) - 1, -1)
             self.moving, self.coefficients = moving, coefficients
-            self.clearance = self.phase.boundary_distance(origins).reshape(nodes)
-            self.inside = self.phase.contains(origins).reshape(nodes)
+            self.clearance, self.inside = clearance.reshape(nodes), inside.reshape(nodes)
             self.traces += 1
         for node, inside in zip(chi[1:], self.inside):
             node[moving] = inside
@@ -456,12 +487,14 @@ def fixed_point_window(
     magnetic trajectory and the advected interface from the current velocity
     iterate.  When the viscosities differ, one ``_WindowIndicator`` gives
     the indicator rows of every sweep: after node 0, the window-start mesh
-    decides the quadrature points the iterate cannot carry to within
-    INDICATOR_BAND of it, and the rest are back-traced, under the iterate
-    and then through ``history`` into ``phase``, or keep the last trace's
-    flags while the flow-map stability bound certifies them; a two-phase
-    window therefore needs ``phase`` and ``history``, the accepted velocity
-    on [0, t_m].  Each sweep computes K(u) and its N values in one
+    decides the quadrature points the iterate cannot carry into its band
+    (INDICATOR_BAND beyond its sagitta), and the rest are back-traced under
+    the iterate to the window start, where the mesh again decides those
+    outside the band and the others go on through ``history`` into
+    ``phase``; or they keep the last trace's flags while the flow-map
+    stability bound certifies them; a two-phase window therefore needs
+    ``phase`` and ``history``, the accepted velocity on [0, t_m].  Each
+    sweep computes K(u) and its N values in one
     ``apply_K`` call, checks the residual ||u - K(u)||, and builds the next
     iterate by ``_viscous_sweep`` from those N values, with the viscous term
     at the mean viscosity implicit; its row 0 is the anchor bit for bit.  A non-finite iterate, a

@@ -9,7 +9,13 @@ point to time zero and testing membership in the analytic initial region,
 or casting a ray against the mesh.  The window driver casts rays against the
 window-start mesh once per window, and back-traces only the points that the
 window's flow can carry into a thin band of that mesh, where the two may
-differ by integration error and chord sagitta.
+differ by integration error and chord sagitta.  It tests the band again
+where those points reach the window start, and only the points inside it
+are back-traced on to time zero.  The band lies beyond the mesh's own
+estimate of its sagitta (``sagitta``), so a coarse or stretched mesh keeps
+more points for the back-trace.  Distances to a mesh are exact in 2D
+(``polygon_distance``) and bounded from its vertices in 3D
+(``distance_lower_bound``).
 
 Mesh vertices are never wrapped into the periodic cell: the region stays
 strictly inside by construction and wrapping would tear the connectivity.
@@ -18,9 +24,14 @@ No remeshing happens: a degenerate element raises and aborts the run
 measure.  The flow map is a homeomorphism, so the connectivity is fixed by
 the initial mesh: ``mesh_initial`` checks it once and makes it read-only,
 and every advected mesh shares that array and checks only its geometry.
+A mesh's vertices are read-only too, so its geometry (element centres, unit
+normals, measures and the signed volume) is computed once, by that check,
+and every measure of the mesh reads it.
 """
 
+import functools
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -120,16 +131,30 @@ def ellipsoid(center, radii):
     return InitialPhase("ellipsoid", tuple(center), tuple(float(r) for r in radii))
 
 
+class MeshGeometry(NamedTuple):
+    """Element centres, unit outward normals and measures, and the signed volume."""
+
+    centers: np.ndarray
+    normals: np.ndarray
+    measures: np.ndarray
+    volume: float
+
+
 @dataclass
 class InterfaceMesh:
-    """Oriented closed Lagrangian mesh: polygon (2D) or triangle mesh (3D)."""
+    """Oriented closed Lagrangian mesh: polygon (2D) or triangle mesh (3D).
+
+    The vertices are a read-only copy, so ``geometry``, computed on first
+    use, stays the geometry of the mesh.
+    """
 
     vertices: np.ndarray
     elements: np.ndarray
     t: float = 0.0
 
     def __post_init__(self):
-        self.vertices = np.atleast_2d(np.asarray(self.vertices, dtype=np.float64))
+        self.vertices = np.array(self.vertices, dtype=np.float64, ndmin=2)
+        self.vertices.setflags(write=False)
         self.elements = np.atleast_2d(np.asarray(self.elements, dtype=np.int64))
         d = self.vertices.shape[1]
         if d not in (2, 3):
@@ -144,6 +169,37 @@ class InterfaceMesh:
     def element_corners(self):
         """Corner coordinates per element: (ne, d, d)."""
         return self.vertices[self.elements]
+
+    @functools.cached_property
+    def geometry(self):
+        """The ``MeshGeometry`` of the elements, in one pass over the corners.
+
+        The normal is the quarter-turned edge (2D) or the cross product of
+        two edges (3D), as long as the edge or twice the triangle's area.
+        The arrays are read-only.
+        """
+        corners = self.element_corners()
+        a, b = corners[:, 0], corners[:, 1]
+        if self.dimension == 2:
+            tangents = b - a
+            raw = np.stack([tangents[:, 1], -tangents[:, 0]], axis=-1)
+            volume = 0.5 * float(np.sum(_cross_2d(a, b)))
+            centers = (a + b) / 2
+        else:
+            c = corners[:, 2]
+            raw = np.cross(b - a, c - a)
+            volume = float(np.sum(np.einsum("ei,ei->e", a, np.cross(b, c)))) / 6.0
+            centers = (a + b + c) / 3
+        # np.linalg.norm's own sum of squares
+        lengths = np.sqrt(np.add.reduce(raw * raw, axis=1))
+        measures = lengths if self.dimension == 2 else 0.5 * lengths
+        # a degenerate element has no normal; the checks read its measure
+        with np.errstate(divide="ignore", invalid="ignore"):
+            normals = raw / lengths[:, None]
+        arrays = centers, normals, measures
+        for array in arrays:
+            array.setflags(write=False)
+        return MeshGeometry(*arrays, volume)
 
     def validate(self):
         """Check closedness, then finite vertices, element quality and orientation."""
@@ -175,19 +231,27 @@ def _check_closed(mesh):
 
 
 def _check_geometry(mesh):
-    """Finite vertices, the element quality floor and outward orientation."""
-    if not np.all(np.isfinite(mesh.vertices)):
+    """Finite vertices, the element quality floor and outward orientation.
+
+    This computes the mesh's ``geometry``, which its measures then read.
+    """
+    if not np.isfinite(mesh.vertices).all():
         raise MeshInvariantError("mesh vertices contain non-finite entries")
-    measures = element_measures(mesh)
-    if np.any(measures < _QUALITY_FLOOR):
+    _check_measures(mesh)
+    if mesh.geometry.volume <= 0.0:
+        raise MeshInvariantError("mesh orientation is not consistently outward")
+    return mesh
+
+
+def _check_measures(mesh):
+    """Raise MeshQualityError when an element's measure is below the floor."""
+    measures = mesh.geometry.measures
+    if (measures < _QUALITY_FLOOR).any():
         bad = int(np.argmin(measures))
         raise MeshQualityError(
             f"degenerate element {bad} (measure {measures[bad]:.3e})",
             element_id=bad,
         )
-    if _signed_volume(mesh) <= 0.0:
-        raise MeshInvariantError("mesh orientation is not consistently outward")
-    return mesh
 
 
 def _blocks(n):
@@ -265,44 +329,112 @@ def check_simple(mesh):
     return mesh
 
 
+def _longest_edges(mesh):
+    """The longest edge of each element: its length in 2D."""
+    if mesh.dimension == 2:
+        return mesh.geometry.measures
+    corners = mesh.element_corners()
+    return np.max(np.linalg.norm(np.roll(corners, 1, axis=1) - corners, axis=-1), axis=1)
+
+
 def distance_lower_bound(mesh, points):
     """A lower bound of each point's distance to the mesh surface.
 
-    Every point of an element lies within the element's longest edge of each
-    of its corners, so distance(point, mesh) >= distance to the nearest
-    vertex - the longest edge of the mesh.
+    Every point of an element lies within ``reach`` of the element's
+    nearest corner, so distance(point, mesh) >= distance to the nearest
+    vertex - reach, with reach the longest edge of the mesh times:
+    - 1/2 in 2D, since every point of a segment is within half its length
+      of its nearer end;
+    - 1/sqrt(3) in 3D.  The point of a triangle farthest from its nearest
+      corner is the circumcentre when the triangle is acute, at the
+      circumradius a / (2 sin A), where a is the longest edge and the angle
+      A opposite it lies in [60, 90) degrees, so at most a / sqrt(3).
+      Otherwise it is a point of the longest edge where the perpendicular
+      bisector of a shorter side meets it, at most a / 2 from two corners.
     """
     p = np.atleast_2d(np.asarray(points, dtype=np.float64))
-    corners = mesh.element_corners()
-    longest = float(np.max(np.linalg.norm(np.roll(corners, 1, axis=1) - corners, axis=-1)))
+    longest = float(np.max(_longest_edges(mesh)))
+    reach = 0.5 * longest if mesh.dimension == 2 else longest / np.sqrt(3.0)
     nearest = np.empty(len(p))
     for rows in _blocks(len(p)):
         squared = sum(
             (p[rows, None, i] - mesh.vertices[None, :, i]) ** 2 for i in range(p.shape[1])
         )
         nearest[rows] = np.min(squared, axis=1)
-    return np.sqrt(nearest) - longest
+    return np.sqrt(nearest) - reach
+
+
+def polygon_distance(mesh, points):
+    """The exact distance of each point to a 2D mesh: to its nearest edge.
+
+    Each point is projected onto every edge, the projection clamped to the
+    edge, in blocks of _BLOCK points.
+    """
+    if mesh.dimension != 2:
+        raise ValueError("polygon_distance needs a 2D mesh")
+    p = np.atleast_2d(np.asarray(points, dtype=np.float64))
+    a = mesh.vertices[mesh.elements[:, 0]]
+    span = mesh.vertices[mesh.elements[:, 1]] - a
+    squared_length = mesh.geometry.measures ** 2
+    out = np.empty(len(p))
+    for rows in _blocks(len(p)):
+        dx = p[rows, None, 0] - a[None, :, 0]
+        dy = p[rows, None, 1] - a[None, :, 1]
+        s = np.clip((dx * span[:, 0] + dy * span[:, 1]) / squared_length, 0.0, 1.0)
+        dx -= s * span[:, 0]
+        dy -= s * span[:, 1]
+        out[rows] = np.sqrt(np.min(dx * dx + dy * dy, axis=1))
+    return out
+
+
+def sagitta(mesh):
+    """An estimate of how far the smooth interface through the mesh's
+    vertices lies from the mesh: the largest over its elements.
+
+    An element is taken for a piece of the circle (2D) or sphere (3D) that
+    the turn theta of its normal to its neighbours' suggests, theta the
+    largest such turn:
+    - 2D: a chord of length L that turns by theta at each end lies
+      (L/2) tan(theta/4) from its arc, exactly so on a circle;
+    - 3D: a triangle within r of its nearest corner (r the longest edge /
+      sqrt(3)) lies about r^2 / (2R) from a sphere of radius R through its
+      corners, and its neighbours' normals turn by about r / R, hence
+      r tan(theta/2).
+    It is an estimate, not a bound, but a kink or fold only makes it
+    larger; it is not below the gap on any polygon of an ellipse or
+    icosphere of an ellipsoid that the tests measure.
+    """
+    normals, measures = mesh.geometry.normals, mesh.geometry.measures
+    elements = mesh.elements
+    if mesh.dimension == 2:
+        index = np.arange(len(elements))
+        # the element that starts where each one ends, and its turn there
+        starting = np.empty(len(mesh.vertices), dtype=np.int64)
+        starting[elements[:, 0]] = index
+        following = starting[elements[:, 1]]
+        turn = np.arccos(np.clip(np.einsum("ed,ed->e", normals, normals[following]), -1.0, 1.0))
+        preceding = np.empty_like(following)
+        preceding[following] = index
+        theta = np.maximum(turn, turn[preceding])
+        return float(np.max(0.5 * measures * np.tan(theta / 4.0)))
+    # the element across each directed edge holds the reverse edge
+    n = len(mesh.vertices)
+    start, end = elements.ravel(), np.roll(elements, -1, axis=1).ravel()
+    keys = start * n + end
+    order = np.argsort(keys)
+    across = order[np.searchsorted(keys, end * n + start, sorter=order)] // 3
+    cosines = np.einsum("ed,ed->e", np.repeat(normals, 3, axis=0), normals[across])
+    theta = np.max(np.arccos(np.clip(cosines, -1.0, 1.0)).reshape(-1, 3), axis=1)
+    return float(np.max(_longest_edges(mesh) / np.sqrt(3.0) * np.tan(theta / 2.0)))
 
 
 def element_measures(mesh):
     """Edge lengths (2D) or triangle areas (3D), one per element."""
-    corners = mesh.element_corners()
-    if mesh.dimension == 2:
-        return np.linalg.norm(corners[:, 1] - corners[:, 0], axis=1)
-    cross = np.cross(corners[:, 1] - corners[:, 0], corners[:, 2] - corners[:, 0])
-    return 0.5 * np.linalg.norm(cross, axis=1)
+    return mesh.geometry.measures
 
 
 def _cross_2d(a, b):
     return a[..., 0] * b[..., 1] - a[..., 1] * b[..., 0]
-
-
-def _signed_volume(mesh):
-    corners = mesh.element_corners()
-    if mesh.dimension == 2:
-        return 0.5 * float(np.sum(_cross_2d(corners[:, 0], corners[:, 1])))
-    triple = np.einsum("ei,ei->e", corners[:, 0], np.cross(corners[:, 1], corners[:, 2]))
-    return float(np.sum(triple)) / 6.0
 
 
 def _icosahedron():
@@ -406,26 +538,20 @@ def perimeter(mesh):
 
 
 def element_geometry(mesh):
-    """Centres, unit outward normals and measures of the elements, in one pass."""
-    corners = mesh.element_corners()
-    if mesh.dimension == 2:
-        tangents = corners[:, 1] - corners[:, 0]
-        raw = np.stack([tangents[:, 1], -tangents[:, 0]], axis=-1)
-    else:
-        raw = np.cross(corners[:, 1] - corners[:, 0], corners[:, 2] - corners[:, 0])
-    lengths = np.linalg.norm(raw, axis=1)
-    if np.any(lengths < _QUALITY_FLOOR):
-        bad = int(np.argmin(lengths))
-        raise MeshQualityError(f"degenerate element {bad} in normal computation", element_id=bad)
-    # the quarter-turned edge is as long as the edge, the cross product twice the area
-    measures = lengths if mesh.dimension == 2 else 0.5 * lengths
-    return corners.mean(axis=1), raw / lengths[:, None], measures
+    """Centres, unit outward normals and measures of the elements.
+
+    They are the mesh's ``geometry``; a degenerate element raises
+    MeshQualityError, since it has no normal.
+    """
+    _check_measures(mesh)
+    centers, normals, measures, _ = mesh.geometry
+    return centers, normals, measures
 
 
 def enclosed_volume(mesh):
     """Volume enclosed by the mesh via the divergence theorem."""
     _check_closed(mesh)
-    volume = _signed_volume(mesh)
+    volume = mesh.geometry.volume
     if volume <= 0.0:
         raise MeshInvariantError("mesh orientation is not consistently outward")
     return volume

@@ -54,8 +54,12 @@ class Varifold:
 
 
 def lift(mesh):
-    """Varifold lift of an interface mesh: one atom per element."""
-    return Varifold(*_interface.element_geometry(mesh))
+    """Varifold lift of an interface mesh: one atom per element.
+
+    The atoms are copies of the mesh's element geometry, which the varifold
+    then owns.
+    """
+    return Varifold(*(array.copy() for array in _interface.element_geometry(mesh)))
 
 
 def first_variation(varifold, phi):

@@ -10,8 +10,9 @@ forms of off-grid synthesis and of the curvature pairing against every
 mode, the (m, n) product-table forms of the grid pairings, the flow-map
 Jacobian from the variational equation, the induction chain with every
 step kept, the basis modes enumerated one at a time, the all-pairs
-crossing test of a polygon, and the artifact writers that format one row
-at a time.
+crossing test of a polygon, a mesh's element geometry computed afresh from
+its corners by each measure's own formula, and the artifact writers that
+format one row at a time.
 """
 
 import itertools
@@ -299,6 +300,26 @@ def check_simple(mesh):
             i, j = np.argwhere(crossing)[0]
             raise MeshInvariantError(f"2D mesh crosses itself (edges {start + i} and {j})")
     return mesh
+
+
+def mesh_geometry(mesh):
+    """(centres, unit normals, measures, signed volume), each computed afresh
+    from the corners by its own formula, as the measures were before a mesh
+    kept its geometry."""
+    corners = mesh.element_corners()
+    if mesh.dimension == 2:
+        tangents = corners[:, 1] - corners[:, 0]
+        raw = np.stack([tangents[:, 1], -tangents[:, 0]], axis=-1)
+        measures = np.linalg.norm(tangents, axis=1)
+        cross = corners[:, 0, 0] * corners[:, 1, 1] - corners[:, 0, 1] * corners[:, 1, 0]
+        volume = 0.5 * float(np.sum(cross))
+    else:
+        raw = np.cross(corners[:, 1] - corners[:, 0], corners[:, 2] - corners[:, 0])
+        measures = 0.5 * np.linalg.norm(raw, axis=1)
+        triple = np.einsum("ei,ei->e", corners[:, 0], np.cross(corners[:, 1], corners[:, 2]))
+        volume = float(np.sum(triple)) / 6.0
+    normals = raw / np.linalg.norm(raw, axis=1)[:, None]
+    return corners.mean(axis=1), normals, measures, volume
 
 
 def _write_lines(path, lines):

@@ -457,18 +457,36 @@ def _full_backtrace_indicator(points, t_grid, sampler, history, phase, h_flow):
     return [phase.contains(stacked[i * m : (i + 1) * m]) for i in range(len(t_grid))]
 
 
+def _recording_legs(monkeypatch):
+    """Record the (sampler, positions, t1, result) of every integrate_positions
+    call that galerkin makes."""
+    real = cg.integrate_positions
+    legs = []
+
+    def traced(positions, sampler, t0, t1, h):
+        legs.append((sampler, positions, t1, real(positions, sampler, t0, t1, h)))
+        return legs[-1][-1]
+
+    monkeypatch.setattr(cg, "integrate_positions", traced)
+    return legs
+
+
 def _run_checking_indicator(monkeypatch, config):
     """Run, comparing every window indicator with the full back-trace.
 
     Returns the run and, summed over the sweeps, the number of points that
     the windows took from a trace and that they left to the window-start
-    mesh, and the number of sweeps that reused an earlier sweep's trace.
+    mesh, and the number of sweeps that reused an earlier sweep's trace;
+    summed over the traces, the carried points that the window-start mesh
+    decided and the history legs.
     """
     real = cg._WindowIndicator.__call__
-    counts = {"band": 0, "mesh": 0, "reused": 0}
+    legs = _recording_legs(monkeypatch)
+    counts = {"band": 0, "mesh": 0, "reused": 0, "decided": 0, "history_legs": 0}
 
     def checked(indicator, sampler):
         traces = indicator.traces
+        legs.clear()
         chi = real(indicator, sampler)
         t_grid = indicator.t_grid
         expected = _full_backtrace_indicator(
@@ -478,10 +496,18 @@ def _run_checking_indicator(monkeypatch, config):
         for node, (got, want) in enumerate(zip(chi, expected)):
             np.testing.assert_array_equal(got, want, err_msg=f"t={t_grid[node]}")
         speed = np.max(np.abs(sampler.coefficients) @ sampler.basis.normalizations)
-        moving = indicator.distance <= cg.INDICATOR_BAND + (t_grid[-1] - t_grid[0]) * speed
+        moving = indicator.distance <= indicator.band + (t_grid[-1] - t_grid[0]) * speed
         counts["band"] += int(moving.sum())
         counts["mesh"] += int((~moving).sum())
         counts["reused"] += bool(moving.any()) and indicator.traces == traces
+        if indicator.traces > traces:
+            # the last window leg returns the stack at the window start
+            stack = next(out for sampler, _, t1, out in reversed(legs)
+                         if sampler is not indicator.history and t1 == t_grid[0])
+            sent = [positions for sampler, positions, _, _ in legs
+                    if sampler is indicator.history]
+            counts["decided"] += len(stack) - sum(map(len, sent))
+            counts["history_legs"] += len(sent)
         return chi
 
     monkeypatch.setattr(cg._WindowIndicator, "__call__", checked)
@@ -676,7 +702,8 @@ class TestWindowStart:
         # and a trace disagree.  Node 0 is data: the initial window gives the
         # first window its row, the initial region's, and N(anchor), computed
         # once; the second takes both from the first's last node, and no
-        # trace carries node 0's points through the history
+        # trace carries node 0's points to the window start or through the
+        # history
         rng = np.random.default_rng(191)
         anchor = make_state(basis_2d, u_coeffs=0.3 * rng.standard_normal(len(basis_2d)),
                             params=self.PARAMS, resolution=16)
@@ -685,8 +712,7 @@ class TestWindowStart:
         assert not np.array_equal(ci.point_in_mesh(anchor.mesh, points),
                                   args["phase"].contains(points))
         real_n, real_k, real_call = cg.apply_N, cg.apply_K, cg._WindowIndicator.__call__
-        real_trace = cg.integrate_positions
-        times, sweeps, moving, legs = [], [], [], []
+        times, sweeps, moving = [], [], []
 
         def counted(state, *args, **kwargs):
             times.append(state.t)
@@ -703,23 +729,22 @@ class TestWindowStart:
                 moving.append(int(indicator.moving.sum()))
             return chi
 
-        def traced(positions, sampler, t0, t1, h):
-            legs.append((sampler, len(positions), t0))
-            return real_trace(positions, sampler, t0, t1, h)
-
         monkeypatch.setattr(cg, "apply_N", counted)
         monkeypatch.setattr(cg, "apply_K", recorded)
         monkeypatch.setattr(cg._WindowIndicator, "__call__", indicated)
-        monkeypatch.setattr(cg, "integrate_positions", traced)
+        legs = _recording_legs(monkeypatch)
         initial = cg.initial_window(anchor, 20, args["phase"])
-        first = cg.fixed_point_window(initial, 0.05, 4, 1e-8, 30, history=_history(initial), **args)
+        history = _history(initial)
+        first = cg.fixed_point_window(initial, 0.05, 4, 1e-8, 30, history=history, **args)
         assert first.start == "euler" and first.iterations > 1
         assert times.count(anchor.t) == 1
-        # no pull-back of every point at t = 0: the only legs from the window
-        # start are the traces' history legs, each with nodes 1..4's points
-        from_start = [count for _, count, t0 in legs if t0 == anchor.t]
+        # no pull-back of every point at t = 0: each trace carries the moving
+        # points of nodes 1..4 to the window start, and only those in the
+        # band go on through the history
         assert first.indicator_traces == len(moving) > 0
-        assert from_start == [4 * count for count in moving]
+        assert any(len(band) for band in _assert_history_takes_the_band(
+            legs, history, anchor.mesh, [4 * count for count in moving]
+        ))
         for state, row in sweeps:
             assert state is anchor
             np.testing.assert_array_equal(row, args["phase"].contains(points))
@@ -734,10 +759,39 @@ class TestWindowStart:
         for state, row in sweeps:
             assert state is second_anchor
             np.testing.assert_array_equal(row, first.chi_cache[-1])
-        # each trace's history leg carries the moving points of nodes 1..4
-        carried = [count for sampler, count, _ in legs if sampler is history]
         assert second.indicator_traces == len(moving) > 0
-        assert carried == [4 * count for count in moving]
+        assert any(len(band) for band in _assert_history_takes_the_band(
+            legs, history, second_anchor.mesh, [4 * count for count in moving]
+        ))
+
+
+def _assert_history_takes_the_band(legs, history, mesh, stack_sizes):
+    """The traces carry ``stack_sizes`` points to the window start, and the
+    history takes exactly those within INDICATOR_BAND plus its sagitta of
+    ``mesh``.
+
+    ``legs`` are the (sampler, positions, t1, result) of the indicator's
+    ``integrate_positions`` calls in order, and ``mesh`` is the window-start
+    mesh.  A window leg that ends at the window start returns a trace's
+    stack; the leg right after it is a history leg that takes the stack's
+    band points, in order, or, when there are none, no history leg.
+    Returns each trace's band points.
+    """
+    sizes, bands = [], []
+    band = cg.INDICATOR_BAND + ci.sagitta(mesh)
+    for k, (sampler, _, t1, stack) in enumerate(legs):
+        if sampler is history or t1 != mesh.t:
+            continue
+        sizes.append(len(stack))
+        bands.append(stack[ci.polygon_distance(mesh, stack) <= band])
+        after = legs[k + 1] if k + 1 < len(legs) else (None, None, None, None)
+        if len(bands[-1]):
+            assert after[0] is history and after[1].tobytes() == bands[-1].tobytes()
+        else:
+            assert after[0] is not history
+    assert sizes == stack_sizes
+    assert sum(leg[0] is history for leg in legs) == sum(len(band) > 0 for band in bands)
+    return bands
 
 
 class TestInitialWindow:
@@ -772,21 +826,29 @@ class TestInitialWindow:
 
 
 class _TranslatingWindow:
-    """A window of the flow u = s (1, 0) along y = pi, from t = 0 to 0.3.
+    """A window of the flow u = s (1, 0) along y = pi, from t_m to t_m + 0.3.
 
-    Its points lie 1.2, 0 and 2 right of the unit disk's centre; the first
-    is in the band, and its origin is 1.2 - s t right of the centre.
-    ``indicator`` is the window's indicator, and ``flow(s)`` the iterate.
+    Its points lie ``offsets`` right of the unit disk's centre, by default
+    1.2, 0 and 2; the first is within the window's reach of the band, and
+    its origin is 1.2 - s (t - t_m) right of the centre.  Before t_m the
+    history is still, so the 256-gon of the initial disk is the window-start
+    mesh.  ``indicator`` is the window's indicator, and ``flow(s)`` the
+    iterate.
     """
 
-    def __init__(self):
+    def __init__(self, t_start=0.0, offsets=(1.2, 0.0, 2.0)):
         self.basis = cb.make_basis(2, 1)
         self.mode = self.basis.index((0, 1), "cos", 0)
         anchor = make_state(self.basis, params=cg.FluidParams(0.2, 0.1, 1.0, 0.0),
                             resolution=256)
-        points = np.asarray(CENTER_2D) + np.array([[1.2, 0.0], [0.0, 0.0], [2.0, 0.0]])
-        t_grid = np.array([0.0, 0.15, 0.3])
-        history = SpectralTrajectory(self.basis, [0.0], [self.coefficients(1.0)])
+        anchor.t = anchor.mesh.t = t_start
+        points = np.asarray(CENTER_2D) + np.array([[x, 0.0] for x in offsets])
+        t_grid = t_start + np.array([0.0, 0.15, 0.3])
+        if t_start == 0.0:
+            history = SpectralTrajectory(self.basis, [0.0], [self.coefficients(1.0)])
+        else:
+            still = np.zeros((2, len(self.basis)))
+            history = SpectralTrajectory(self.basis, [0.0, t_start], still)
         phase = ci.disk(CENTER_2D, 1.0)
         self.indicator = cg._WindowIndicator(
             anchor, points, t_grid, history, phase, 0.01, phase.contains(points)
@@ -806,33 +868,64 @@ class _TranslatingWindow:
         )
         return flow
 
+    def full_backtrace(self, flow):
+        indicator = self.indicator
+        return _full_backtrace_indicator(
+            indicator.points, indicator.t_grid, flow, indicator.history, indicator.phase,
+            indicator.h_flow,
+        )
+
+
+def _assert_banded_matches_full_backtrace_2d(monkeypatch, resolution):
+    """The reference run to T = 0.3 on a ``resolution``-gon, every indicator
+    row checked against the full back-trace."""
+    config = reference_config(T=0.3)
+    config.quadrature_order = 20  # puts quadrature points inside the band
+    config.mesh_resolution = resolution
+    result, counts = _run_checking_indicator(monkeypatch, config)
+    assert len(result.windows) == 3
+    assert counts["band"] > 0 and counts["mesh"] > 0
+    assert counts["reused"] > 0
+    assert counts["decided"] > 0 and counts["history_legs"] > 0
+
 
 class TestWindowIndicator:
     def test_banded_matches_full_backtrace_2d(self, monkeypatch):
-        config = reference_config(T=0.3)
-        config.quadrature_order = 20  # puts quadrature points inside the band
-        result, counts = _run_checking_indicator(monkeypatch, config)
-        assert len(result.windows) == 3
-        assert counts["band"] > 0 and counts["mesh"] > 0
-        assert counts["reused"] > 0
+        _assert_banded_matches_full_backtrace_2d(monkeypatch, 256)
+
+    def test_banded_matches_full_backtrace_on_a_16_gon(self, monkeypatch):
+        # the 16-gon's chords lie up to 0.019 inside the circle, beyond
+        # INDICATOR_BAND: the band must widen by the sagitta
+        _assert_banded_matches_full_backtrace_2d(monkeypatch, 16)
 
     def test_band_points_follow_the_backtrace(self, basis_2d):
         # the chords of a 16-gon lie up to 0.019 inside the unit circle: a
         # point between a chord and the circle is in the region but outside
-        # the polygon, and it lies in the band, so the back-trace decides it
+        # the polygon.  At radius 0.99 it lies 0.009 from the chord, within
+        # INDICATOR_BAND; at radius 0.995, 0.014 from it, beyond
+        # INDICATOR_BAND but within the band widened by the sagitta.  The
+        # back-trace decides both
         anchor = make_state(basis_2d, params=cg.FluidParams(0.2, 0.1, 1.0, 0.0), resolution=16)
         anchor.t = anchor.mesh.t = 0.2
         angle = np.pi / 16
-        offsets = [[0.0, 0.0], [0.99 * np.cos(angle), 0.99 * np.sin(angle)], [2.0, 0.0]]
+        offsets = [[0.0, 0.0], [2.0, 0.0]] + [
+            [radius * np.cos(angle), radius * np.sin(angle)] for radius in (0.99, 0.995)
+        ]
         points = np.asarray(CENTER_2D) + np.array(offsets)
-        assert ci.point_in_mesh(anchor.mesh, points).tolist() == [1, 0, 0]
+        assert ci.point_in_mesh(anchor.mesh, points).tolist() == [1, 0, 0, 0]
+        np.testing.assert_allclose(
+            ci.polygon_distance(anchor.mesh, points[2:]),
+            [0.99 - np.cos(angle), 0.995 - np.cos(angle)], atol=1e-14,
+        )
         still = SpectralTrajectory(basis_2d, [0.0, 0.3], np.zeros((2, len(basis_2d))))
         phase = ci.disk(CENTER_2D, 1.0)
         indicator = cg._WindowIndicator(
             anchor, points, np.array([0.2, 0.3]), still, phase, 0.01, phase.contains(points)
         )
+        assert indicator.band == pytest.approx(cg.INDICATOR_BAND + 1.0 - np.cos(angle))
         chi = indicator(still)
-        assert [node.tolist() for node in chi] == [[1, 1, 0], [1, 1, 0]]
+        assert indicator.moving.tolist() == [False, False, True, True]
+        assert [node.tolist() for node in chi] == [[1, 0, 1, 1], [1, 0, 1, 1]]
 
     def test_points_the_window_carries_into_the_band_are_traced(self):
         # u = (1, 0) along y = pi: the point 1.2 right of the centre lies
@@ -843,6 +936,42 @@ class TestWindowIndicator:
         assert [node.tolist() for node in chi] == [[0, 1, 0], [0, 1, 0], [1, 1, 0]]
         assert window.indicator.moving.tolist() == [True, False, False]
         assert window.indicator.traces == 1
+
+    def test_points_the_mesh_decides_make_no_history_call(self, monkeypatch):
+        # from t_m = 0.2 the point 1.2 right of the centre is carried to 0.05
+        # outside and 0.1 inside the circle, beyond the band: the
+        # window-start mesh decides both, and the history is not called
+        window = _TranslatingWindow(t_start=0.2)
+        flow = window.flow(1.0)
+        legs = _recording_legs(monkeypatch)
+        chi = window.indicator(flow)
+        assert window.indicator.traces == 1 and len(legs) == 2
+        assert all(sampler is flow for sampler, *_ in legs)
+        bands = _assert_history_takes_the_band(
+            legs, window.indicator.history, window.indicator.mesh, [2]
+        )
+        assert [len(band) for band in bands] == [0]
+        assert [node.tolist() for node in chi] == [[0, 1, 0], [0, 1, 0], [1, 1, 0]]
+        for got, want in zip(chi, window.full_backtrace(flow)):
+            np.testing.assert_array_equal(got, want)
+
+    def test_history_takes_exactly_the_band_points(self, monkeypatch):
+        # the point 1.155 right of the centre is carried to 1.005 from node
+        # 1, in the band, and to 0.855 from node 2; the point 1.2 to 1.05
+        # and 0.9: of the four carried points only the first goes on
+        # through the history
+        window = _TranslatingWindow(t_start=0.2, offsets=(1.155, 1.2))
+        flow = window.flow(1.0)
+        legs = _recording_legs(monkeypatch)
+        chi = window.indicator(flow)
+        assert window.indicator.moving.tolist() == [True, True]
+        bands = _assert_history_takes_the_band(
+            legs, window.indicator.history, window.indicator.mesh, [4]
+        )
+        np.testing.assert_allclose(bands[0], [[CENTER_2D[0] + 1.005, CENTER_2D[1]]], atol=1e-12)
+        assert [node.tolist() for node in chi] == [[0, 0], [0, 0], [1, 1]]
+        for got, want in zip(chi, window.full_backtrace(flow)):
+            np.testing.assert_array_equal(got, want)
 
     @settings(max_examples=20)
     @given(st.sampled_from([2, 3]), st.integers(0, 2**32 - 1))
@@ -888,6 +1017,7 @@ class TestWindowIndicator:
         assert len(result.windows) == 2
         assert counts["band"] > 0 and counts["mesh"] > 0
         assert counts["reused"] > 0
+        assert counts["decided"] > 0
 
 
 def _counting_traces(monkeypatch):
@@ -903,6 +1033,35 @@ def _counting_traces(monkeypatch):
     return calls
 
 
+def _assert_nearby_iterate_reuses(monkeypatch, t_start):
+    """The points carried from nodes 1 and 2 lie 0.05 outside and 0.1 inside
+    the circle, beyond the band, so the window-start mesh decides them, and
+    they clear its band by their distance to the 256-gon less the band: the
+    256-gon has a vertex on their ray, and the chord beside it lies
+    cos(pi/256) from the centre, as much as the band is widened by.
+    eps = 1e-3 moves no carried point by more than e^0.3 * 3e-4, so the
+    trace is reused."""
+    window = _TranslatingWindow(t_start)
+    calls = _counting_traces(monkeypatch)
+    window.indicator(window.flow(1.0))
+    # the two window legs, and no history leg
+    assert len(calls) == 2
+    # one row per node after the first
+    clearance = window.indicator.clearance
+    band = cg.INDICATOR_BAND + 1.0 - np.cos(np.pi / 256)
+    assert window.indicator.band == pytest.approx(band, abs=1e-15)
+    np.testing.assert_allclose(
+        clearance[:, 0], [0.05 - band, 0.1 * np.cos(np.pi / 256) - band], atol=1e-12
+    )
+    nearby = window.flow(1.001)
+    fresh = _TranslatingWindow(t_start).indicator(nearby)
+    calls.clear()
+    chi = window.indicator(nearby)
+    assert window.indicator.traces == 1 and calls == []
+    for got, want in zip(chi, fresh):
+        np.testing.assert_array_equal(got, want)
+
+
 class TestIndicatorReuse:
     def test_unchanged_iterate_reuses_without_tracing(self, monkeypatch):
         window = _TranslatingWindow()
@@ -915,24 +1074,15 @@ class TestIndicatorReuse:
             np.testing.assert_array_equal(got, want)
 
     def test_nearby_iterate_reuses_the_flags_its_own_trace_gives(self, monkeypatch):
-        # eps = 1e-3 moves no origin by more than e^0.3 * 3e-4, while the
-        # origins of nodes 1 and 2 clear the circle by 0.05 and 0.1
-        window = _TranslatingWindow()
-        window.indicator(window.flow(1.0))
-        # one row per node after the first
-        clearance = window.indicator.clearance
-        np.testing.assert_allclose(clearance[:, 0], [0.05, 0.1], atol=1e-12)
-        nearby = window.flow(1.001)
-        fresh = _TranslatingWindow().indicator(nearby)
-        calls = _counting_traces(monkeypatch)
-        chi = window.indicator(nearby)
-        assert window.indicator.traces == 1 and calls == []
-        for got, want in zip(chi, fresh):
-            np.testing.assert_array_equal(got, want)
+        _assert_nearby_iterate_reuses(monkeypatch, 0.0)
+
+    def test_nearby_iterate_reuses_a_mesh_decided_trace_after_a_history(self, monkeypatch):
+        # the same window from t_m = 0.2, after a still history
+        _assert_nearby_iterate_reuses(monkeypatch, 0.2)
 
     def test_origin_inside_the_bound_forces_a_retrace(self, monkeypatch):
         # at speed 1.5 the reach at t = 0.15 is e^0.225 * 0.075 against a
-        # clearance of 0.05, and the origin does cross: 0.025 inside the disk
+        # clearance of 0.04, and the point does cross: 0.025 inside the disk
         window = _TranslatingWindow()
         window.indicator(window.flow(1.0))
         faster = window.flow(1.5)

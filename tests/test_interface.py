@@ -5,6 +5,7 @@ from hypothesis import strategies as st
 
 from capmhd import basis as cb
 from capmhd import interface as ci
+from capmhd import varifold as cv
 from capmhd.errors import MeshInvariantError, MeshQualityError
 from capmhd.galerkin import INDICATOR_BAND
 
@@ -379,7 +380,140 @@ class TestDistanceLowerBound:
         exact = np.min(np.linalg.norm(points[:, None, :] - nearest, axis=-1), axis=1)
         bound = ci.distance_lower_bound(circle_mesh, points)
         assert np.all(bound <= exact)
-        assert np.all(bound >= exact - 2 * np.pi / 256)
+        # the nearest vertex is no nearer than the nearest point of the
+        # polygon, so the bound is at most half the longest edge below it
+        longest = np.max(ci.element_measures(circle_mesh))
+        assert np.all(bound >= exact - 0.5 * longest - 1e-15)
+        np.testing.assert_allclose(ci.polygon_distance(circle_mesh, points), exact, atol=1e-14)
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.sampled_from([2, 3]), st.integers(0, 2**32 - 1))
+    def test_no_point_of_an_element_is_beyond_the_reach_of_its_corners(self, dimension, seed):
+        # dense samples of random segments and triangles, flat and slivered
+        # ones included: each lies within half the longest edge (2D) or the
+        # longest edge / sqrt(3) (3D) of its element's nearest corner
+        rng = np.random.default_rng(seed)
+        corners = rng.standard_normal((64, dimension, dimension))
+        corners[:16, -1] = corners[:16, 0] + 1e-3 * rng.standard_normal((16, dimension))
+        samples = _element_samples(corners, 48)
+        nearest = np.min(np.linalg.norm(samples[:, :, None] - corners[:, None], axis=-1), axis=2)
+        longest = np.max(np.linalg.norm(np.roll(corners, 1, axis=1) - corners, axis=-1), axis=1)
+        reach = longest / (2.0 if dimension == 2 else np.sqrt(3.0))
+        assert np.all(np.max(nearest, axis=1) <= reach * (1.0 + 1e-12))
+
+    def test_the_reach_is_attained(self):
+        # the midpoint of a segment and the centre of an equilateral
+        # triangle are the reach from every corner, so the bound is 0 there
+        segment = ci.InterfaceMesh([[0.0, 0.0], [2.0, 0.0]], [[0, 1], [1, 0]])
+        assert ci.distance_lower_bound(segment, [[1.0, 0.0]])[0] == 0.0
+        triangle = np.array([[0.0, 0.0, 0.0], [1.0, 0.0, 0.0], [0.5, np.sqrt(0.75), 0.0]])
+        mesh = ci.InterfaceMesh(triangle, [[0, 1, 2], [0, 2, 1]])
+        centre = triangle.mean(axis=0, keepdims=True)
+        assert abs(ci.distance_lower_bound(mesh, centre)[0]) <= 1e-15
+
+    @settings(max_examples=30, deadline=None)
+    @given(st.sampled_from([2, 3]), st.integers(0, 2**32 - 1))
+    def test_below_the_distance_to_dense_samples(self, dimension, seed):
+        mesh = _random_mesh(dimension, seed)
+        points = _near_points(mesh, seed)
+        corners = mesh.element_corners()
+        samples = _element_samples(corners, 24).reshape(-1, dimension)
+        sampled = np.array([np.min(np.linalg.norm(samples - p, axis=1)) for p in points])
+        bound = ci.distance_lower_bound(mesh, points)
+        assert np.all(bound <= sampled + 1e-12)
+        if dimension == 2:
+            assert np.all(bound <= ci.polygon_distance(mesh, points) + 1e-12)
+
+    @settings(max_examples=30, deadline=None)
+    @given(st.integers(0, 2**32 - 1))
+    def test_polygon_distance_is_exact(self, seed):
+        # never above the distance to dense samples of the edges, and below
+        # it by no more than half the sample spacing; zero on the polygon
+        mesh = _random_mesh(2, seed)
+        points = _near_points(mesh, seed)
+        n = 257
+        samples = _element_samples(mesh.element_corners(), n).reshape(-1, 2)
+        sampled = np.array([np.min(np.linalg.norm(samples - p, axis=1)) for p in points])
+        half_spacing = 0.5 * np.max(ci.element_measures(mesh)) / (n - 1)
+        exact = ci.polygon_distance(mesh, points)
+        assert np.all(exact <= sampled + 1e-12)
+        assert np.all(exact >= sampled - half_spacing - 1e-12)
+        on_mesh = np.concatenate([mesh.vertices, ci.element_geometry(mesh)[0]])
+        assert np.max(ci.polygon_distance(mesh, on_mesh)) <= 1e-15
+
+    def test_polygon_distance_needs_a_polygon(self, sphere_mesh):
+        with pytest.raises(ValueError, match="2D"):
+            ci.polygon_distance(sphere_mesh, sphere_mesh.vertices)
+
+
+class TestSagitta:
+    @pytest.mark.parametrize("n", [8, 16, 256])
+    def test_exact_on_a_regular_polygon_of_a_circle(self, n):
+        mesh = ci.mesh_initial(ci.disk(CENTER_2D, 1.0), n)
+        assert ci.sagitta(mesh) == pytest.approx(1.0 - np.cos(np.pi / n), rel=1e-9)
+
+    @pytest.mark.parametrize("phase, resolutions", [
+        (ci.disk(CENTER_2D, 1.0), (8, 16, 256)),
+        (ci.ellipse(CENTER_2D, (1.5, 0.6)), (8, 16, 64, 256)),
+        (ci.ellipse(CENTER_2D, (2.5, 0.4)), (8, 16, 64, 256)),
+        (ci.ball(CENTER_3D, 1.0), (1, 2, 3)),
+        (ci.ellipsoid(CENTER_3D, (1.5, 1.0, 0.6)), (1, 2, 3)),
+        (ci.ellipsoid(CENTER_3D, (2.0, 0.7, 0.5)), (1, 2, 3)),
+    ])
+    def test_never_below_the_gap_to_the_shape(self, phase, resolutions):
+        # a point between the mesh and the boundary lies on the ray from the
+        # centre through a point of the mesh, no farther from that point
+        # than the boundary is: the longest such step over dense samples of
+        # the elements measures the gap the estimate must cover
+        center, radii = np.asarray(phase.center), np.asarray(phase.radii)
+        for resolution in resolutions:
+            mesh = ci.mesh_initial(phase, resolution)
+            offsets = _element_samples(mesh.element_corners(), 21).reshape(-1, phase.dimension)
+            offsets -= center
+            scale = 1.0 / np.sqrt(np.sum((offsets / radii) ** 2, axis=1))
+            gap = np.max((scale - 1.0) * np.linalg.norm(offsets, axis=1))
+            assert gap > 0.0
+            # on a circle the two agree, up to rounding
+            assert ci.sagitta(mesh) >= gap - 1e-14, resolution
+
+
+def _element_samples(corners, n):
+    """Points of each element: (elements, samples, d).
+
+    A segment takes n evenly spaced points; a triangle the barycentric grid
+    of step 1/(n - 1), corners and edges included.
+    """
+    steps = np.linspace(0.0, 1.0, n)
+    if corners.shape[1] == 2:
+        weights = np.stack([1.0 - steps, steps], axis=1)
+    else:
+        u, v = np.meshgrid(steps, steps, indexing="ij")
+        keep = u + v <= 1.0 + 1e-12
+        u, v = u[keep], v[keep]
+        weights = np.stack([np.maximum(1.0 - u - v, 0.0), u, v], axis=1)
+    return np.einsum("sc,ecd->esd", weights, corners)
+
+
+def _random_mesh(dimension, seed):
+    """A radially perturbed polygon of 8-40 vertices, or level-1 icosphere."""
+    rng = np.random.default_rng(seed)
+    if dimension == 2:
+        base = ci.mesh_initial(ci.disk(CENTER_2D, 1.0), int(rng.integers(8, 41)))
+    else:
+        base = ci.mesh_initial(ci.ball(CENTER_3D, 1.0), 1)
+    return _perturbed(base, seed, 0.3)
+
+
+def _near_points(mesh, seed):
+    """Vertices and element centres moved a little, and points around the mesh."""
+    rng = np.random.default_rng(seed)
+    d = mesh.dimension
+    on_mesh = np.concatenate([mesh.vertices, ci.element_geometry(mesh)[0]])
+    lo, hi = np.min(mesh.vertices, axis=0), np.max(mesh.vertices, axis=0)
+    return np.concatenate([
+        on_mesh + rng.normal(0.0, 0.05, on_mesh.shape),
+        rng.uniform(lo - 0.5, hi + 0.5, (40, d)),
+    ])
 
 
 class TestCheckSimple:
@@ -607,6 +741,68 @@ class TestElementGeometry:
         mesh = ci.InterfaceMesh(collapsed, ball.elements)
         with pytest.raises(MeshQualityError):
             ci.curvature_pairing_modes(mesh, cb.make_basis(3, 1))
+
+
+class TestMeshGeometry:
+    """The geometry a mesh keeps is the one its corners give."""
+
+    def _advected(self, dimension):
+        if dimension == 2:
+            mesh = ci.mesh_initial(ci.disk(CENTER_2D, 1.0), 256)
+            return ci.advect(mesh, taylor_green_2d(), 0.3, 0.01)
+        basis = cb.make_basis(3, 1)
+        coefficients = np.random.default_rng(83).uniform(-0.5, 0.5, len(basis))
+        flow = ref.SteadyField(cb.SpectralField(basis, coefficients))
+        return ci.advect(ci.mesh_initial(ci.ball(CENTER_3D, 1.0), 2), flow, 0.3, 0.05)
+
+    @pytest.mark.parametrize("dimension", [2, 3])
+    def test_stored_geometry_equals_a_fresh_computation(self, dimension):
+        mesh = self._advected(dimension)
+        stored = mesh.geometry
+        fresh = ref.mesh_geometry(mesh)
+        for got, want in zip(stored[:3], fresh[:3]):
+            assert got.shape == want.shape and got.tobytes() == want.tobytes()
+        assert stored.volume == fresh[3]
+        assert ci.element_measures(mesh) is stored.measures
+        assert ci.perimeter(mesh) == float(np.sum(fresh[2]))
+        assert ci.enclosed_volume(mesh) == fresh[3]
+        for got, want in zip(ci.element_geometry(mesh), fresh[:3]):
+            assert got.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("dimension", [2, 3])
+    def test_vertices_and_geometry_are_read_only(self, dimension):
+        mesh = self._advected(dimension)
+        with pytest.raises(ValueError, match="read-only"):
+            mesh.vertices[0, 0] = 0.0
+        for array in mesh.geometry[:3]:
+            with pytest.raises(ValueError, match="read-only"):
+                array[0] = 0.0
+        # a mesh built from the caller's array copies it, and leaves it writeable
+        vertices = mesh.vertices.copy()
+        copy = ci.InterfaceMesh(vertices, mesh.elements)
+        vertices[0, 0] = 0.0
+        assert copy.vertices[0, 0] == mesh.vertices[0, 0]
+
+    def test_enclosed_volume_still_checks_the_mesh(self, circle_mesh, sphere_mesh):
+        for mesh in (circle_mesh, sphere_mesh):
+            open_mesh = ci.InterfaceMesh(mesh.vertices, mesh.elements[:-1])
+            assert ci.perimeter(open_mesh) > 0.0  # its geometry is computed
+            with pytest.raises(MeshInvariantError, match="closed"):
+                ci.enclosed_volume(open_mesh)
+            inverted = ci.InterfaceMesh(mesh.vertices, mesh.elements[:, ::-1])
+            assert inverted.geometry.volume == pytest.approx(-ci.enclosed_volume(mesh))
+            with pytest.raises(MeshInvariantError, match="orientation"):
+                ci.enclosed_volume(inverted)
+
+    @pytest.mark.parametrize("dimension", [2, 3])
+    def test_lift_gives_the_same_varifold(self, dimension):
+        mesh = self._advected(dimension)
+        varifold = cv.lift(mesh)
+        for got, want in zip((varifold.x, varifold.s, varifold.w), ref.mesh_geometry(mesh)):
+            assert got.tobytes() == want.tobytes()
+        # the varifold owns its atoms: writing to them leaves the mesh as it was
+        varifold.w[0] = 5.0
+        assert mesh.geometry.measures[0] != 5.0
 
 
 class TestCurvaturePairing:

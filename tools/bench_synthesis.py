@@ -34,10 +34,12 @@ initial region.  It also records a sweep table: ``galerkin.run`` of each
 window attempt's start, sweeps and first residual, the largest ratio of
 consecutive residuals r_k / r_{k-1} within one attempt, the run's ``apply_N``
 and ``viscous_dissipation_rate`` calls (the latter one per ledger row when
-each node's rate is computed once), indicator traces and the window
-indicator's RK4 point-steps through the history and through the window, the number of windows that took more
-sweeps than on the baseline, and the largest absolute difference between
-the two sides' ledger entries.
+each node's rate is computed once), indicator traces, the window
+indicator's RK4 point-steps through the history and through the window,
+its history legs, and the points its traces carried to the window start
+that the window-start mesh decided rather than the history, the number of
+windows that took more sweeps than on the baseline, and the largest
+absolute difference between the two sides' ledger entries.
 Without it, pairs and the sweep table already in the output file are kept.
 """
 
@@ -251,10 +253,13 @@ SWEEP_CONFIGS = [
 ]
 
 # One run in the checkout whose src is on sys.path; prints its apply_N and
-# viscous_dissipation_rate calls, the window indicator's RK4 point-steps (points times steps) through the
-# history and through the window, its window attempts and its ledger rows.
+# viscous_dissipation_rate calls, the window indicator's RK4 point-steps
+# (points times steps) through the history and through the window, its
+# history legs, the points it carried to the window start and the points it
+# sent on through the history, its window attempts and its ledger rows.
 # A history leg is told from a window leg as bench/layers.py tells it: by its
-# sampler being the ``history`` that fixed_point_window received.
+# sampler being the ``history`` that fixed_point_window received.  A window
+# leg that runs backward to the window start carries a trace's points there.
 _SWEEP_RUN = """
 import json, sys
 from capmhd import flowmap, galerkin
@@ -264,6 +269,7 @@ real_n, real_rate, real_window, real_trace = (
     galerkin.integrate_positions,
 )
 calls, rates, steps, window = [], [], {"history": 0, "window": 0}, {}
+legs = {"history_legs": 0, "carried": 0, "sent": 0}
 
 def counted(*args, **kwargs):
     calls.append(1)
@@ -273,13 +279,19 @@ def rated(*args, **kwargs):
     rates.append(1)
     return real_rate(*args, **kwargs)
 
-def windowed(*args, **kwargs):
+def windowed(previous, *args, **kwargs):
     window["history"] = kwargs.get("history")
-    return real_window(*args, **kwargs)
+    window["start"] = previous.states[-1].t
+    return real_window(previous, *args, **kwargs)
 
 def traced(positions, sampler, t0, t1, h):
     leg = "history" if sampler is window["history"] else "window"
     steps[leg] += len(positions) * len(flowmap.step_sizes(t0, t1, h))
+    if leg == "history":
+        legs["history_legs"] += 1
+        legs["sent"] += len(positions)
+    elif t1 < t0 and t1 == window["start"]:
+        legs["carried"] += len(positions)
     return real_trace(positions, sampler, t0, t1, h)
 
 galerkin.apply_N = counted
@@ -290,6 +302,8 @@ result = galerkin.run(RunConfig.from_dict(json.loads(sys.argv[1])))
 print(json.dumps({"apply_N_calls": len(calls), "rate_calls": len(rates),
                   "history_point_steps": steps["history"],
                   "window_leg_point_steps": steps["window"],
+                  "history_legs": legs["history_legs"],
+                  "mesh_decided_points": legs["carried"] - legs["sent"],
                   "ledger": result.ledger.rows, "attempts": [
     {"start": a.get("start"), "sweeps": a["sweeps"], "accepted": a["accepted"],
      "residual_history": a["residual_history"], "indicator_traces": a["indicator_traces"]}
@@ -332,6 +346,8 @@ def sweep_table(baseline):
                 "ledger_rows": len(out["ledger"]),
                 "history_point_steps": out["history_point_steps"],
                 "window_leg_point_steps": out["window_leg_point_steps"],
+                "history_legs": out["history_legs"],
+                "mesh_decided_points": out["mesh_decided_points"],
                 "indicator_traces": sum(a["indicator_traces"] for a in attempts),
                 "window_sweeps": [a["sweeps"] for a in attempts],
                 "first_residuals": [
@@ -441,7 +457,10 @@ def main(argv=None):
               f"({change.get('ledger_rows')} ledger rows), "
               f"indicator traces {base.get('indicator_traces')} -> "
               f"{change.get('indicator_traces')}, history point-steps "
-              f"{base.get('history_point_steps')} -> {change.get('history_point_steps')}, "
+              f"{base.get('history_point_steps')} -> {change.get('history_point_steps')} "
+              f"in {base.get('history_legs')} -> {change.get('history_legs')} legs, "
+              f"carried points decided by the mesh {base.get('mesh_decided_points')} -> "
+              f"{change.get('mesh_decided_points')}, "
               f"window-leg point-steps {base.get('window_leg_point_steps')} -> "
               f"{change.get('window_leg_point_steps')}, "
               f"largest contraction {base.get('largest_contraction')} -> "
