@@ -37,15 +37,16 @@ class NumericsError(RuntimeError):
 class WindowFailureError(RuntimeError):
     """Fixed-point iteration on one time window did not reach tolerance.
 
-    Carries the residual of every completed sweep, the number of sweeps
-    whose window indicator was back-traced rather than reused, and how the
+    Carries the residual of every completed sweep, the window indicator's
+    ``work`` tally up to the failure (``galerkin.WORK``: the sweeps that
+    back-traced, the point-steps and legs of its traces), and how the
     window started ("euler" or "extrapolated").
     """
 
-    def __init__(self, message, residual_history=None, indicator_traces=0, start=None):
+    def __init__(self, message, residual_history=None, work=None, start=None):
         super().__init__(message)
         self.residual_history = list(residual_history or [])
-        self.indicator_traces = indicator_traces
+        self.work = dict(work or {})
         self.start = start
 
 

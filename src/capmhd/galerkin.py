@@ -72,7 +72,7 @@ from .errors import (
     NumericsError,
     WindowFailureError,
 )
-from .flowmap import SpectralTrajectory, integrate_positions
+from .flowmap import SpectralTrajectory, integrate_positions, step_sizes
 from .induction import solve_B
 from .interface import (
     advect,
@@ -111,6 +111,18 @@ REUSE_MARGIN = 1e-9
 # Degree of the polynomial in t through the previous window's forcing that
 # starts the next window (capped by the number of sub-steps).
 EXTRAPOLATION_DEGREE = 4
+
+# The window indicator's tally of its own work, carried by every window
+# attempt's record: the sweeps that back-traced, the RK4 point-steps (points
+# times steps) of its legs through the window and through the history, its
+# history legs, and the carried points that the window-start mesh decided.
+WORK = (
+    "indicator_traces",
+    "window_point_steps",
+    "history_legs",
+    "history_point_steps",
+    "mesh_decided_points",
+)
 
 
 @dataclass(frozen=True)
@@ -186,13 +198,8 @@ class WindowSolve:
     states: list = field(default_factory=list)
     resistive_increments: np.ndarray = None
     chi_cache: list = field(default_factory=list)
-    indicator_traces: int = 0
+    work: dict = field(default_factory=lambda: dict.fromkeys(WORK, 0))
     start: str = "euler"
-
-    @property
-    def iterations(self):
-        """Number of sweeps, one per residual."""
-        return len(self.residual_history)
 
     @property
     def meshes(self):
@@ -352,8 +359,9 @@ class _WindowIndicator:
     (one row per node after the first) are, for each carried point, its
     distance to the window-start mesh less ``band`` and the mesh's answer,
     or, in the band, its origin's distance bound to the initial boundary and
-    the initial region's answer.  ``traces`` counts the calls that
-    back-traced.
+    the initial region's answer.  ``work`` tallies the calls that
+    back-traced and what their legs did, one count per ``WORK`` key, where
+    the legs are run.
     """
 
     def __init__(self, anchor, points, t_grid, history, phase, h_flow, first_row):
@@ -366,7 +374,13 @@ class _WindowIndicator:
         weights = _gradient_weights(anchor.u.basis)
         self.history_growth = np.exp(anchor.t * _row_bound(history.coefficients, weights))
         self.moving = self.coefficients = self.clearance = self.inside = None
-        self.traces = 0
+        self.work = dict.fromkeys(WORK, 0)
+
+    def _leg(self, key, positions, sampler, t0, t1):
+        """RK4 path of ``positions`` from t0 to t1, its point-steps tallied
+        under ``key``."""
+        self.work[key] += len(positions) * len(step_sizes(t0, t1, self.h_flow))
+        return integrate_positions(positions, sampler, t0, t1, self.h_flow)
 
     def certifies(self, moving, coefficients, basis):
         """Whether a trace under ``coefficients`` gives the kept flags again.
@@ -404,10 +418,11 @@ class _WindowIndicator:
         applied again to the stack, node-major from node 1: a carried point
         farther than ``band`` from the window-start mesh takes the mesh's
         answer, and only the rest go on through ``history`` to t = 0
-        and are tested against the initial region (no history call when
-        none is left).  That trace is kept.
+        and are tested against the initial region (no history leg when
+        none is left, or when the window starts at t = 0, where the carried
+        points are their own origins).  That trace is kept.
         """
-        t_grid, h = self.t_grid, self.h_flow
+        t_grid = self.t_grid
         basis = sampler.basis
         # the sampler's own copy, which no later sweep writes to
         coefficients = sampler.coefficients
@@ -420,21 +435,28 @@ class _WindowIndicator:
             points = self.points[moving]
             carried = points[:0]
             for i in range(len(t_grid) - 1, 0, -1):
-                carried = integrate_positions(
-                    np.concatenate([points, carried]), sampler, t_grid[i], t_grid[i - 1], h
+                carried = self._leg(
+                    "window_point_steps", np.concatenate([points, carried]), sampler,
+                    t_grid[i], t_grid[i - 1],
                 )
             clearance = _mesh_distance(self.mesh, carried) - self.band
             band = clearance <= 0.0
             inside = np.empty(len(carried), dtype=np.int64)
             inside[~band] = point_in_mesh(self.mesh, carried[~band])
             if np.any(band):
-                origins = integrate_positions(carried[band], self.history, t_grid[0], 0.0, h)
+                origins = carried[band]
+                if t_grid[0] > 0.0:
+                    origins = self._leg(
+                        "history_point_steps", origins, self.history, t_grid[0], 0.0
+                    )
+                    self.work["history_legs"] += 1
                 clearance[band] = self.phase.boundary_distance(origins)
                 inside[band] = self.phase.contains(origins)
             nodes = (len(t_grid) - 1, -1)
             self.moving, self.coefficients = moving, coefficients
             self.clearance, self.inside = clearance.reshape(nodes), inside.reshape(nodes)
-            self.traces += 1
+            self.work["indicator_traces"] += 1
+            self.work["mesh_decided_points"] += int(np.count_nonzero(~band))
         for node, inside in zip(chi[1:], self.inside):
             node[moving] = inside
         return chi
@@ -501,9 +523,9 @@ def fixed_point_window(
     broken dependent or forcing, or an accepted end mesh that crosses itself
     raises WindowFailureError, and so does reaching ``max_iter`` sweeps;
     otherwise the accepted window (residual below ``tol``) is returned.
-    Both carry the number of sweeps that back-traced, ``indicator_traces``,
-    and the ``start``: "euler" for a start from one node, else
-    "extrapolated".
+    Both carry the indicator's ``work`` tally (zeros for a single-phase
+    window), counted up to the return or the failure, and the ``start``:
+    "euler" for a start from one node, else "extrapolated".
     """
     if tol <= 0.0:
         raise ValueError("tol must be positive")
@@ -520,11 +542,13 @@ def fixed_point_window(
     # node 0 is the previous window's last node: its row and N are data
     anchor_forcing = previous.N_values[-1]
     indicator = None
+    work = dict.fromkeys(WORK, 0)
     if params.two_phase:
         points = basis.quadrature(order).points
         indicator = _WindowIndicator(
             anchor, points, t_grid, history, phase, h_flow, previous.chi_cache[-1]
         )
+        work = indicator.work
     # the viscous part of N at the mean viscosity, diagonal in the basis
     decay = -0.5 * (params.nu_plus + params.nu_minus) * basis.eigenvalues
     nodes = _start_nodes(previous, delta)
@@ -534,7 +558,7 @@ def fixed_point_window(
         return WindowFailureError(
             f"window at t={anchor.t:.6g} (delta={delta:.3g}) {message}",
             residual_history=residual_history,
-            indicator_traces=0 if indicator is None else indicator.traces,
+            work=work,
             start=start,
         )
 
@@ -582,7 +606,7 @@ def fixed_point_window(
                 states=states,
                 resistive_increments=resistive,
                 chi_cache=chi_cache,
-                indicator_traces=0 if indicator is None else indicator.traces,
+                work=work,
                 start=start,
             )
         u_coeffs = _viscous_sweep(anchor.u.coefficients, t_grid, u_coeffs, n_values, decay)
@@ -643,8 +667,9 @@ class RunResult:
 def _attempt_record(t, delta, outcome):
     """Record of one window attempt, from its WindowSolve or WindowFailureError.
 
-    A failed attempt names the error that broke the window: the failure's
-    cause when it has one.
+    Both carry the window indicator's ``work``, one count per ``WORK``
+    key.  A failed attempt names the error that broke the window: the
+    failure's cause when it has one.
     """
     accepted = isinstance(outcome, WindowSolve)
     cause = None if accepted else (outcome.__cause__ or outcome)
@@ -654,7 +679,7 @@ def _attempt_record(t, delta, outcome):
         "start": outcome.start,
         "sweeps": len(outcome.residual_history),
         "residual_history": outcome.residual_history,
-        "indicator_traces": outcome.indicator_traces,
+        **outcome.work,
         "accepted": accepted,
         "error": None if accepted else type(cause).__name__,
         "message": None if accepted else str(outcome),
@@ -685,10 +710,14 @@ def run(config):
     of each accepted window, whose node 0 carries the previous window's
     rate over as it carries N.  Every window attempt, failed or
     accepted, leaves a record (t, delta, start, sweeps, residual history,
-    the number of sweeps whose indicator was back-traced rather than reused,
-    accepted, and the error's class and message) in ``RunResult.attempts``;
-    a sweep counts once its residual is known.  Deterministic for a fixed
-    configuration.
+    the window indicator's ``WORK`` tally: the sweeps whose indicator was
+    back-traced rather than reused, the RK4 point-steps of its window and
+    history legs, its history legs and the carried points the window-start
+    mesh decided; accepted, and the error's class and message) in
+    ``RunResult.attempts``; a sweep counts once its residual is known, so a
+    run whose sweeps all reach their residual evaluates the forcing 1 +
+    n_sub times the sweeps, and the dissipation rate once per ledger row.
+    Deterministic for a fixed configuration.
     """
     state, phase = config.build()
     basis, params, order = state.u.basis, state.params, config.quadrature_order

@@ -364,6 +364,8 @@ class TestCmdRun:
         assert "crosses itself" in failed["message"]
         assert failed["sweeps"] == len(failed["residual_history"]) >= 1
         assert all(0 <= a["indicator_traces"] <= a["sweeps"] for a in attempts)
+        # every attempt, failed or not, carries the window's work tally
+        assert all(set(galerkin.WORK) <= set(a) for a in attempts)
         # neither attempt at t = 0 has a predecessor to extrapolate
         assert failed["start"] == halved["start"] == "euler"
         assert all(a["start"] in ("euler", "extrapolated") for a in attempts)

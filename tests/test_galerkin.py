@@ -1,4 +1,5 @@
 import dataclasses
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -26,6 +27,9 @@ from conftest import (
     single_phase_decay_config,
     smooth_phi_2d,
 )
+
+
+ROOT = Path(__file__).resolve().parent.parent
 
 
 def make_state(basis, u_coeffs=None, b_coeffs=None, params=None, resolution=64):
@@ -302,7 +306,7 @@ class TestFixedPointWindow:
             cg.initial_window(make_state(basis_2d), 8, phase), 0.1, 4, 1e-8, 10,
             order=8, h_flow=0.01, dt_b=0.025, phase=phase,
         )
-        assert window.iterations == 1
+        assert len(window.residual_history) == 1
         assert np.all(window.u_trajectory == 0.0)
 
     def test_damped_sweeps_keep_the_anchor_row(self, basis_2d):
@@ -314,7 +318,7 @@ class TestFixedPointWindow:
             cg.initial_window(anchor, 8, None), 0.05, 4, 1e-8, 80,
             order=8, h_flow=0.01, dt_b=0.0125,
         )
-        assert window.iterations > 1
+        assert len(window.residual_history) > 1
         assert window.u_trajectory[0].tobytes() == anchor.u.coefficients.tobytes()
 
     def test_pure_viscous_decay_converges_in_two_sweeps(self, basis_2d):
@@ -331,7 +335,7 @@ class TestFixedPointWindow:
             cg.initial_window(anchor, 8, None), delta, n_sub, 1e-12, 10,
             order=8, h_flow=0.01, dt_b=delta / n_sub,
         )
-        assert window.iterations == 2
+        assert len(window.residual_history) == 2
         assert window.residual_history[0] > 1e-6
         assert window.residual_history[1] < 1e-14
         h = 0.5 * delta / n_sub * nu * basis_2d.eigenvalues[j]
@@ -478,14 +482,15 @@ def _run_checking_indicator(monkeypatch, config):
     the windows took from a trace and that they left to the window-start
     mesh, and the number of sweeps that reused an earlier sweep's trace;
     summed over the traces, the carried points that the window-start mesh
-    decided and the history legs.
+    decided and the history legs, counted from the legs the traces ran and
+    checked against the attempts' own tally.
     """
     real = cg._WindowIndicator.__call__
     legs = _recording_legs(monkeypatch)
     counts = {"band": 0, "mesh": 0, "reused": 0, "decided": 0, "history_legs": 0}
 
     def checked(indicator, sampler):
-        traces = indicator.traces
+        traces = indicator.work["indicator_traces"]
         legs.clear()
         chi = real(indicator, sampler)
         t_grid = indicator.t_grid
@@ -499,19 +504,22 @@ def _run_checking_indicator(monkeypatch, config):
         moving = indicator.distance <= indicator.band + (t_grid[-1] - t_grid[0]) * speed
         counts["band"] += int(moving.sum())
         counts["mesh"] += int((~moving).sum())
-        counts["reused"] += bool(moving.any()) and indicator.traces == traces
-        if indicator.traces > traces:
-            # the last window leg returns the stack at the window start
-            stack = next(out for sampler, _, t1, out in reversed(legs)
-                         if sampler is not indicator.history and t1 == t_grid[0])
-            sent = [positions for sampler, positions, _, _ in legs
-                    if sampler is indicator.history]
-            counts["decided"] += len(stack) - sum(map(len, sent))
-            counts["history_legs"] += len(sent)
+        traced = indicator.work["indicator_traces"] > traces
+        counts["reused"] += bool(moving.any()) and not traced
+        if traced:
+            stack = int(moving.sum()) * (len(t_grid) - 1)
+            (band,) = _assert_history_takes_the_band(
+                legs, indicator.history, indicator.mesh, [stack]
+            )
+            counts["decided"] += stack - len(band)
+            counts["history_legs"] += sum(leg[0] is indicator.history for leg in legs)
         return chi
 
     monkeypatch.setattr(cg._WindowIndicator, "__call__", checked)
-    return cg.run(config), counts
+    result = cg.run(config)
+    for key, tally in (("decided", "mesh_decided_points"), ("history_legs", "history_legs")):
+        assert counts[key] == sum(attempt[tally] for attempt in result.attempts)
+    return result, counts
 
 
 def _first_iterate(monkeypatch):
@@ -687,14 +695,16 @@ class TestWindowStart:
         args = dict(order=8, h_flow=0.01, dt_b=0.0125)
         initial = cg.initial_window(anchor, 8, None)
         first = cg.fixed_point_window(initial, 0.05, 4, 1e-8, 30, **args)
-        assert first.iterations > 1
-        assert len(calls) == 1 + 4 * first.iterations
+        assert len(first.residual_history) > 1
+        assert len(calls) == 1 + 4 * len(first.residual_history)
+        # a single-phase window has no indicator, and its tally is zeros
+        assert first.work == dict.fromkeys(cg.WORK, 0)
         calls.clear()
         # no indicator rows: the start fits all of the first window's 5 nodes
         assert cg._start_nodes(first, 0.05) == cg.EXTRAPOLATION_DEGREE + 1 == 5
         second = cg.fixed_point_window(first, 0.05, 4, 1e-8, 30, **args)
         assert second.start == "extrapolated"
-        assert len(calls) == 4 * second.iterations
+        assert len(calls) == 4 * len(second.residual_history)
 
     def test_node_0_is_handed_over(self, monkeypatch, basis_2d):
         # two phases at order 20 on a 16-gon: quadrature points between its
@@ -723,9 +733,9 @@ class TestWindowStart:
             return real_k(states, order, anchor_forcing, chi_values=chi_values)
 
         def indicated(indicator, sampler):
-            traces = indicator.traces
+            traces = indicator.work["indicator_traces"]
             chi = real_call(indicator, sampler)
-            if indicator.traces > traces:
+            if indicator.work["indicator_traces"] > traces:
                 moving.append(int(indicator.moving.sum()))
             return chi
 
@@ -736,12 +746,12 @@ class TestWindowStart:
         initial = cg.initial_window(anchor, 20, args["phase"])
         history = _history(initial)
         first = cg.fixed_point_window(initial, 0.05, 4, 1e-8, 30, history=history, **args)
-        assert first.start == "euler" and first.iterations > 1
+        assert first.start == "euler" and len(first.residual_history) > 1
         assert times.count(anchor.t) == 1
         # no pull-back of every point at t = 0: each trace carries the moving
         # points of nodes 1..4 to the window start, and only those in the
         # band go on through the history
-        assert first.indicator_traces == len(moving) > 0
+        assert first.work["indicator_traces"] == len(moving) > 0
         assert any(len(band) for band in _assert_history_takes_the_band(
             legs, history, anchor.mesh, [4 * count for count in moving]
         ))
@@ -755,11 +765,11 @@ class TestWindowStart:
         history = _history(first)
         second = cg.fixed_point_window(first, 0.05, 4, 1e-8, 30, history=history, **args)
         assert times.count(second_anchor.t) == 0
-        assert len(sweeps) == second.iterations
+        assert len(sweeps) == len(second.residual_history)
         for state, row in sweeps:
             assert state is second_anchor
             np.testing.assert_array_equal(row, first.chi_cache[-1])
-        assert second.indicator_traces == len(moving) > 0
+        assert second.work["indicator_traces"] == len(moving) > 0
         assert any(len(band) for band in _assert_history_takes_the_band(
             legs, history, second_anchor.mesh, [4 * count for count in moving]
         ))
@@ -774,7 +784,8 @@ def _assert_history_takes_the_band(legs, history, mesh, stack_sizes):
     ``integrate_positions`` calls in order, and ``mesh`` is the window-start
     mesh.  A window leg that ends at the window start returns a trace's
     stack; the leg right after it is a history leg that takes the stack's
-    band points, in order, or, when there are none, no history leg.
+    band points, in order, or, when there are none or the window starts at
+    t = 0, where the band points are their own origins, no history leg.
     Returns each trace's band points.
     """
     sizes, bands = [], []
@@ -783,14 +794,15 @@ def _assert_history_takes_the_band(legs, history, mesh, stack_sizes):
         if sampler is history or t1 != mesh.t:
             continue
         sizes.append(len(stack))
-        bands.append(stack[ci.polygon_distance(mesh, stack) <= band])
+        bands.append(stack[cg._mesh_distance(mesh, stack) <= band])
         after = legs[k + 1] if k + 1 < len(legs) else (None, None, None, None)
-        if len(bands[-1]):
+        if len(bands[-1]) and mesh.t > 0.0:
             assert after[0] is history and after[1].tobytes() == bands[-1].tobytes()
         else:
             assert after[0] is not history
     assert sizes == stack_sizes
-    assert sum(leg[0] is history for leg in legs) == sum(len(band) > 0 for band in bands)
+    history_legs = sum(len(band) > 0 for band in bands) if mesh.t > 0.0 else 0
+    assert sum(leg[0] is history for leg in legs) == history_legs
     return bands
 
 
@@ -935,7 +947,7 @@ class TestWindowIndicator:
         chi = window.indicator(window.flow(1.0))
         assert [node.tolist() for node in chi] == [[0, 1, 0], [0, 1, 0], [1, 1, 0]]
         assert window.indicator.moving.tolist() == [True, False, False]
-        assert window.indicator.traces == 1
+        assert window.indicator.work["indicator_traces"] == 1
 
     def test_points_the_mesh_decides_make_no_history_call(self, monkeypatch):
         # from t_m = 0.2 the point 1.2 right of the centre is carried to 0.05
@@ -945,7 +957,7 @@ class TestWindowIndicator:
         flow = window.flow(1.0)
         legs = _recording_legs(monkeypatch)
         chi = window.indicator(flow)
-        assert window.indicator.traces == 1 and len(legs) == 2
+        assert window.indicator.work["indicator_traces"] == 1 and len(legs) == 2
         assert all(sampler is flow for sampler, *_ in legs)
         bands = _assert_history_takes_the_band(
             legs, window.indicator.history, window.indicator.mesh, [2]
@@ -1057,7 +1069,7 @@ def _assert_nearby_iterate_reuses(monkeypatch, t_start):
     fresh = _TranslatingWindow(t_start).indicator(nearby)
     calls.clear()
     chi = window.indicator(nearby)
-    assert window.indicator.traces == 1 and calls == []
+    assert window.indicator.work["indicator_traces"] == 1 and calls == []
     for got, want in zip(chi, fresh):
         np.testing.assert_array_equal(got, want)
 
@@ -1069,7 +1081,7 @@ class TestIndicatorReuse:
         chi = window.indicator(flow)
         calls = _counting_traces(monkeypatch)
         again = window.indicator(flow)
-        assert window.indicator.traces == 1 and calls == []
+        assert window.indicator.work["indicator_traces"] == 1 and calls == []
         for got, want in zip(again, chi):
             np.testing.assert_array_equal(got, want)
 
@@ -1087,7 +1099,7 @@ class TestIndicatorReuse:
         window.indicator(window.flow(1.0))
         faster = window.flow(1.5)
         chi = window.indicator(faster)
-        assert window.indicator.traces == 2
+        assert window.indicator.work["indicator_traces"] == 2
         assert [node.tolist() for node in chi] == [[0, 1, 0], [1, 1, 0], [1, 1, 0]]
         assert window.indicator.inside.tolist() == [[1], [1]]
 
@@ -1097,7 +1109,7 @@ class TestIndicatorReuse:
         window.indicator(flow)
         window.indicator.distance[2] = 0.0
         chi = window.indicator(flow)
-        assert window.indicator.traces == 2
+        assert window.indicator.work["indicator_traces"] == 2
         assert window.indicator.moving.tolist() == [True, False, True]
         assert [node.tolist() for node in chi] == [[0, 1, 0], [0, 1, 0], [1, 1, 0]]
 
@@ -1307,11 +1319,11 @@ class TestRun:
         args = dict(order=20, h_flow=0.01, dt_b=0.0125, phase=ci.disk(CENTER_2D, 1.0),
                     history=_history(initial))
         window = cg.fixed_point_window(initial, 0.05, 4, 1e-8, 20, **args)
-        assert window.iterations > 1
-        assert window.indicator_traces == 1
+        assert len(window.residual_history) > 1
+        assert window.work["indicator_traces"] == 1
         with pytest.raises(WindowFailureError) as err:
             cg.fixed_point_window(initial, 0.05, 4, 1e-8, 2, **args)
-        assert err.value.indicator_traces == 1
+        assert err.value.work["indicator_traces"] == 1
         assert len(err.value.residual_history) == 2
 
     def test_non_finite_iterate_is_a_numerics_failure(self, monkeypatch, basis_2d):
@@ -1351,7 +1363,7 @@ class TestRun:
         assert predicted.window_failures == tiled.window_failures == 0
         assert predicted.sweeps <= tiled.sweeps
         for new, old in zip(predicted.windows, tiled.windows):
-            assert new.iterations <= old.iterations
+            assert len(new.residual_history) <= len(old.residual_history)
             assert new.residual_history[0] < old.residual_history[0]
         assert extrapolated.window_failures == 0
         assert extrapolated.sweeps < predicted.sweeps
@@ -1369,12 +1381,14 @@ class TestRun:
         assert {a["start"] for a in euler.attempts} == {"euler"}
         assert len(extrapolated.windows) == len(euler.windows)
         for new, old in zip(extrapolated.windows, euler.windows):
-            assert new.iterations <= old.iterations
+            assert len(new.residual_history) <= len(old.residual_history)
         assert extrapolated.sweeps < euler.sweeps
 
     def test_crossed_end_mesh_halves_the_window(self, monkeypatch):
         # the accepted end mesh is checked once per window; a crossing found
-        # there fails the window like any other broken dependent
+        # there fails the window like any other broken dependent, and the
+        # failed attempt's record keeps the traces its sweeps made (order 20
+        # puts quadrature points in the band, so the window traces)
         real = ci.check_simple
         calls = []
 
@@ -1384,11 +1398,60 @@ class TestRun:
                 raise MeshInvariantError("2D mesh crosses itself (edges 0 and 2)")
             return real(mesh)
 
+        legs = _counting_traces(monkeypatch)
+        real_call = cg._WindowIndicator.__call__
+        traced = []
+
+        def counted(indicator, sampler):
+            before = len(legs)
+            chi = real_call(indicator, sampler)
+            if len(legs) > before:
+                traced.append(indicator.t_grid[-1] - indicator.t_grid[0])
+            return chi
+
         monkeypatch.setattr(cg, "check_simple", crossed_once)
-        result = cg.run(reference_config(T=0.1))
+        monkeypatch.setattr(cg._WindowIndicator, "__call__", counted)
+        config = reference_config(T=0.1)
+        config.quadrature_order = 20
+        result = cg.run(config)
         assert result.window_failures == 1
         assert len(calls) == 1 + len(result.windows)
         assert result.final_state.t == pytest.approx(0.1)
+        failed = result.attempts[0]
+        assert not failed["accepted"]
+        assert failed["indicator_traces"] == traced.count(failed["delta"]) > 0
+
+    # Work of three fixed runs: sweeps, forcing evaluations, dissipation-rate
+    # calls and the attempts' summed WORK tally, in WORK's order.
+    PINNED_WORK = {
+        "configs/reference_2d.json": (8, 65, 41, (0, 0, 0, 0, 0)),
+        "bench/workloads/ref2d-long.json": (21, 169, 121, (4, 576, 2, 3000, 40)),
+        "bench/workloads/ball3d.json": (3, 25, 9, (1, 432, 0, 0, 68)),
+    }
+
+    @pytest.mark.parametrize("path", sorted(PINNED_WORK))
+    def test_attempt_records_pin_the_work(self, monkeypatch, path):
+        # the attempt records count the run's work where it is done; the
+        # forcing evaluations and rate calls, counted here from outside,
+        # follow from them: 1 + n_sub per sweep, and one per ledger row
+        sweeps, forcing, rates, tally = self.PINNED_WORK[path]
+        counts = {"apply_N": 0, "viscous_dissipation_rate": 0}
+        for name in counts:
+            real = getattr(cg, name)
+
+            def counted(*args, real=real, name=name, **kwargs):
+                counts[name] += 1
+                return real(*args, **kwargs)
+
+            monkeypatch.setattr(cg, name, counted)
+        config = RunConfig.from_json(ROOT / path)
+        result = cg.run(config)
+        assert result.window_failures == 0
+        assert sum(attempt["sweeps"] for attempt in result.attempts) == sweeps
+        work = {key: sum(attempt[key] for attempt in result.attempts) for key in cg.WORK}
+        assert work == dict(zip(cg.WORK, tally))
+        assert counts["apply_N"] == 1 + config.n_sub * sweeps == forcing
+        assert counts["viscous_dissipation_rate"] == len(result.ledger) == rates
 
     def test_hard_nonconvergence_below_delta_floor(self):
         # one sweep from the Euler predictor converges once delta is near
