@@ -184,11 +184,6 @@ class Basis:
         """The wavevector box of the modes, built with the first trig table."""
         return Lattice(self)
 
-    def synthesize(self, coefficients, points):
-        """Field values at ``points`` for one coefficient vector: (m, d)."""
-        lattice = self.lattice
-        return lattice.values(lattice.coefficients(coefficients), points)
-
     def quadrature(self, order):
         """The quadrature grid of ``order`` points per axis, built once per basis."""
         quad = self._quadratures.get(order)
@@ -220,12 +215,6 @@ class SpectralField:
     @property
     def dimension(self):
         return self.basis.dimension
-
-    def evaluate(self, x):
-        x = np.asarray(x, dtype=np.float64)
-        single = x.ndim == 1
-        values = self.basis.synthesize(self.coefficients, np.atleast_2d(x))
-        return values[0] if single else values
 
     def norm(self):
         """L2 norm of the field (= Euclidean norm of coefficients)."""

@@ -80,9 +80,9 @@ from .interface import (
     curvature_pairing_modes,
     distance_lower_bound,
     enclosed_volume,
+    mesh_distance,
     perimeter,
     point_in_mesh,
-    polygon_distance,
     sagitta,
 )
 
@@ -337,21 +337,14 @@ def _gradient_weights(basis):
     return basis.normalizations * np.linalg.norm(basis.wavevectors, axis=1)
 
 
-def _mesh_distance(mesh, points):
-    """Each point's distance to the mesh: exact in 2D, the vertex bound in 3D."""
-    if mesh.dimension == 2:
-        return polygon_distance(mesh, points)
-    return distance_lower_bound(mesh, points)
-
-
 class _WindowIndicator:
     """Indicator samples at the quadrature ``points`` for every window node.
 
     Built once per two-phase window: ``first_row`` is node 0's row, which no
     sweep changes, ``mesh`` is the window-start mesh, ``band`` is
     INDICATOR_BAND beyond its sagitta, the distance past which it decides a
-    point, ``distance`` and ``mesh_chi`` are the points' distance to it
-    (``_mesh_distance``) and their ray cast against it, and
+    point, ``mesh_chi`` is the points' ray cast against it, ``distance`` their
+    distance to it, exact where ``measured``, else the vertex bound, and
     ``history_growth`` = e^{t_m L_h} bounds how the fixed pre-window
     ``history`` leg grows a displacement.  The object keeps its last
     back-trace: ``moving`` marks the traced points, ``coefficients`` are the
@@ -369,7 +362,8 @@ class _WindowIndicator:
         self.phase, self.h_flow, self.first_row = phase, h_flow, first_row
         self.mesh = anchor.mesh
         self.band = INDICATOR_BAND + sagitta(anchor.mesh)
-        self.distance = _mesh_distance(anchor.mesh, points)
+        self.distance = distance_lower_bound(anchor.mesh, points)
+        self.measured = np.zeros(len(points), dtype=bool)
         self.mesh_chi = point_in_mesh(anchor.mesh, points)
         weights = _gradient_weights(anchor.u.basis)
         self.history_growth = np.exp(anchor.t * _row_bound(history.coefficients, weights))
@@ -427,7 +421,13 @@ class _WindowIndicator:
         # the sampler's own copy, which no later sweep writes to
         coefficients = sampler.coefficients
         speed = _row_bound(coefficients, basis.normalizations)
-        moving = self.distance <= self.band + (t_grid[-1] - t_grid[0]) * speed
+        reach = self.band + (t_grid[-1] - t_grid[0]) * speed
+        # measured once per window, where the bound does not decide
+        fresh = (self.distance <= reach) & ~self.measured
+        if np.any(fresh):
+            self.distance[fresh] = mesh_distance(self.mesh, self.points[fresh])
+            self.measured |= fresh
+        moving = self.distance <= reach
         chi = [self.first_row] + [self.mesh_chi.copy() for _ in t_grid[1:]]
         if not np.any(moving):
             return chi
@@ -439,7 +439,7 @@ class _WindowIndicator:
                     "window_point_steps", np.concatenate([points, carried]), sampler,
                     t_grid[i], t_grid[i - 1],
                 )
-            clearance = _mesh_distance(self.mesh, carried) - self.band
+            clearance = mesh_distance(self.mesh, carried) - self.band
             band = clearance <= 0.0
             inside = np.empty(len(carried), dtype=np.int64)
             inside[~band] = point_in_mesh(self.mesh, carried[~band])

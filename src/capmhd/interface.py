@@ -13,9 +13,9 @@ differ by integration error and chord sagitta.  It tests the band again
 where those points reach the window start, and only the points inside it
 are back-traced on to time zero.  The band lies beyond the mesh's own
 estimate of its sagitta (``sagitta``), so a coarse or stretched mesh keeps
-more points for the back-trace.  Distances to a mesh are exact in 2D
-(``polygon_distance``) and bounded from its vertices in 3D
-(``distance_lower_bound``).
+more points for the back-trace.  Distances to a mesh are exact in 2D and 3D
+(``mesh_distance``), and the cheaper bound from its vertices
+(``distance_lower_bound``) picks the points worth measuring.
 
 Mesh vertices are never wrapped into the periodic cell: the region stays
 strictly inside by construction and wrapping would tear the connectivity.
@@ -364,26 +364,42 @@ def distance_lower_bound(mesh, points):
     return np.sqrt(nearest) - reach
 
 
-def polygon_distance(mesh, points):
-    """The exact distance of each point to a 2D mesh: to its nearest edge.
+def mesh_distance(mesh, points):
+    """The exact distance of each point to the mesh: to its nearest element.
 
-    Each point is projected onto every edge, the projection clamped to the
-    edge, in blocks of _BLOCK points.
+    A segment's nearest point is the point's projection onto it, clamped to
+    it; a triangle's is the foot of the perpendicular when that falls inside
+    it, else the nearest point of an edge (Ericson, *Real-Time Collision
+    Detection*, 2005, 5.1.5).  So the distance is the least over the edges,
+    each once as its first element runs it, and in 3D over the heights of
+    the triangles whose foot is on the inner side of every edge.  The work
+    runs per axis, in blocks of _BLOCK points.
     """
-    if mesh.dimension != 2:
-        raise ValueError("polygon_distance needs a 2D mesh")
     p = np.atleast_2d(np.asarray(points, dtype=np.float64))
-    a = mesh.vertices[mesh.elements[:, 0]]
-    span = mesh.vertices[mesh.elements[:, 1]] - a
-    squared_length = mesh.geometry.measures ** 2
+    d, corners = mesh.dimension, mesh.element_corners()
+    ends = np.stack([mesh.elements, np.roll(mesh.elements, -1, axis=1)], axis=-1).reshape(-1, 2)
+    _, first = np.unique(np.sort(ends, axis=1) @ [len(mesh.vertices), 1], return_index=True)
+    start = mesh.vertices[ends[first, 0]]
+    span = mesh.vertices[ends[first, 1]] - start
+    squared_length = np.linalg.norm(span, axis=1) ** 2
+    if d == 3:
+        a, normals = corners[:, 0], mesh.geometry.normals
+        # each edge's inward normal in its triangle's plane, and its value on the edge
+        inward = np.cross(normals[:, None], np.roll(corners, -1, axis=1) - corners)
+        offset = np.einsum("ekd,ekd->ek", corners - a[:, None], inward)
     out = np.empty(len(p))
     for rows in _blocks(len(p)):
-        dx = p[rows, None, 0] - a[None, :, 0]
-        dy = p[rows, None, 1] - a[None, :, 1]
-        s = np.clip((dx * span[:, 0] + dy * span[:, 1]) / squared_length, 0.0, 1.0)
-        dx -= s * span[:, 0]
-        dy -= s * span[:, 1]
-        out[rows] = np.sqrt(np.min(dx * dx + dy * dy, axis=1))
+        delta = [p[rows, None, i] - start[:, i] for i in range(d)]
+        s = np.clip(sum(delta[i] * span[:, i] for i in range(d)) / squared_length, 0.0, 1.0)
+        squared = np.min(sum((delta[i] - s * span[:, i]) ** 2 for i in range(d)), axis=1)
+        if d == 3:
+            delta = [p[rows, None, i] - a[:, i] for i in range(d)]
+            inside = np.all([
+                sum(delta[i] * inward[:, k, i] for i in range(d)) >= offset[:, k] for k in range(3)
+            ], axis=0)
+            height = sum(delta[i] * normals[:, i] for i in range(d))
+            squared = np.minimum(squared, np.min(np.where(inside, height**2, np.inf), axis=1))
+        out[rows] = np.sqrt(squared)
     return out
 
 
@@ -426,11 +442,6 @@ def sagitta(mesh):
     cosines = np.einsum("ed,ed->e", np.repeat(normals, 3, axis=0), normals[across])
     theta = np.max(np.arccos(np.clip(cosines, -1.0, 1.0)).reshape(-1, 3), axis=1)
     return float(np.max(_longest_edges(mesh) / np.sqrt(3.0) * np.tan(theta / 2.0)))
-
-
-def element_measures(mesh):
-    """Edge lengths (2D) or triangle areas (3D), one per element."""
-    return mesh.geometry.measures
 
 
 def _cross_2d(a, b):
@@ -534,7 +545,7 @@ def advect(mesh, sampler, t1, h):
 
 def perimeter(mesh):
     """Interface measure: total edge length (2D) / total triangle area (3D)."""
-    return float(np.sum(element_measures(mesh)))
+    return float(np.sum(mesh.geometry.measures))
 
 
 def element_geometry(mesh):

@@ -49,9 +49,6 @@ class Varifold:
         """Total measure of the varifold."""
         return float(np.sum(self.w))
 
-    def scaled(self, factor):
-        return Varifold(self.x.copy(), self.s.copy(), self.w * factor)
-
 
 def lift(mesh):
     """Varifold lift of an interface mesh: one atom per element.

@@ -10,7 +10,8 @@ forms of off-grid synthesis and of the curvature pairing against every
 mode, the (m, n) product-table forms of the grid pairings, the flow-map
 Jacobian from the variational equation, the induction chain with every
 step kept, the basis modes enumerated one at a time, the all-pairs
-crossing test of a polygon, a mesh's element geometry computed afresh from
+crossing test of a polygon, the distance to a polygon by one clamped
+projection onto each edge, a mesh's element geometry computed afresh from
 its corners by each measure's own formula, and the artifact writers that
 format one row at a time.
 """
@@ -37,7 +38,7 @@ class SteadyField:
         return self.field.coefficients
 
     def velocity(self, t, points):
-        return self.field.evaluate(points)
+        return synthesize(self.field.basis, self.field.coefficients, points)
 
     def gradient(self, t, points):
         return synthesize_gradient(self.field.basis, self.field.coefficients, points)
@@ -300,6 +301,28 @@ def check_simple(mesh):
             i, j = np.argwhere(crossing)[0]
             raise MeshInvariantError(f"2D mesh crosses itself (edges {start + i} and {j})")
     return mesh
+
+
+def polygon_distance(mesh, points):
+    """The exact distance of each point to a 2D mesh: to its nearest edge.
+
+    Each point is projected onto every edge, the projection clamped to the
+    edge, in blocks of 32 points.
+    """
+    p = np.atleast_2d(np.asarray(points, dtype=np.float64))
+    a = mesh.vertices[mesh.elements[:, 0]]
+    span = mesh.vertices[mesh.elements[:, 1]] - a
+    squared_length = mesh.geometry.measures ** 2
+    out = np.empty(len(p))
+    for start in range(0, len(p), 32):
+        rows = slice(start, start + 32)
+        dx = p[rows, None, 0] - a[None, :, 0]
+        dy = p[rows, None, 1] - a[None, :, 1]
+        s = np.clip((dx * span[:, 0] + dy * span[:, 1]) / squared_length, 0.0, 1.0)
+        dx -= s * span[:, 0]
+        dy -= s * span[:, 1]
+        out[rows] = np.sqrt(np.min(dx * dx + dy * dy, axis=1))
+    return out
 
 
 def mesh_geometry(mesh):

@@ -155,10 +155,8 @@ def test_criterion_5_induction_decay_and_antisymmetry():
         rng = np.random.default_rng(2026)
         cu = 0.5 * rng.standard_normal(len(basis2))
         cbv = 0.5 * rng.standard_normal(len(basis2))
-        u = cb.SpectralField(basis2, cu)
-        b = cb.SpectralField(basis2, cbv)
         points, weight = cb.quadrature_rule(2, order)
-        u_vals, b_vals = u.evaluate(points), b.evaluate(points)
+        u_vals, b_vals = ref.synthesize(basis2, cu, points), ref.synthesize(basis2, cbv, points)
         transport = transport_pairing(u_vals, b_vals, basis2.quadrature(order))
         lhs = float(cbv @ transport)
         grads = ref.synthesize_gradient(basis2, cu, points)

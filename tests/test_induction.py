@@ -41,7 +41,7 @@ class TestStepB:
         # u = B on one mode: the antisymmetric pairing cancels identically
         field = unit_mode_field(basis_k1)
         points, _ = cb.quadrature_rule(2, 4)
-        values = field.evaluate(points)
+        values = ref.synthesize(basis_k1, field.coefficients, points)
         transport = cind.transport_pairing(values, values, basis_k1.quadrature(4))
         assert np.max(np.abs(transport)) == 0.0
 
@@ -136,10 +136,8 @@ class TestEnergyMechanism:
         rng = np.random.default_rng(89)
         cu = 0.5 * rng.standard_normal(len(basis))
         cbv = 0.5 * rng.standard_normal(len(basis))
-        u = cb.SpectralField(basis, cu)
-        b = cb.SpectralField(basis, cbv)
         points, weight = cb.quadrature_rule(2, order)
-        u_vals, b_vals = u.evaluate(points), b.evaluate(points)
+        u_vals, b_vals = ref.synthesize(basis, cu, points), ref.synthesize(basis, cbv, points)
         transport = cind.transport_pairing(u_vals, b_vals, basis.quadrature(order))
         lhs = float(cbv @ transport)
         grads = ref.synthesize_gradient(basis, cu, points)
@@ -164,7 +162,7 @@ class TestEnergyMechanism:
             power = 0.0
             for i in range(len(times) - 1):
                 h = times[i + 1] - times[i]
-                b_vals = fields[i].evaluate(points)
+                b_vals = ref.synthesize(basis, fields[i].coefficients, points)
                 transport = cind.transport_pairing(u_vals, b_vals, basis.quadrature(order))
                 power += h * float(fields[i].coefficients @ transport)
             return abs(

@@ -382,9 +382,9 @@ class TestDistanceLowerBound:
         assert np.all(bound <= exact)
         # the nearest vertex is no nearer than the nearest point of the
         # polygon, so the bound is at most half the longest edge below it
-        longest = np.max(ci.element_measures(circle_mesh))
+        longest = np.max(circle_mesh.geometry.measures)
         assert np.all(bound >= exact - 0.5 * longest - 1e-15)
-        np.testing.assert_allclose(ci.polygon_distance(circle_mesh, points), exact, atol=1e-14)
+        np.testing.assert_allclose(ci.mesh_distance(circle_mesh, points), exact, atol=1e-14)
 
     @settings(max_examples=40, deadline=None)
     @given(st.sampled_from([2, 3]), st.integers(0, 2**32 - 1))
@@ -421,29 +421,60 @@ class TestDistanceLowerBound:
         sampled = np.array([np.min(np.linalg.norm(samples - p, axis=1)) for p in points])
         bound = ci.distance_lower_bound(mesh, points)
         assert np.all(bound <= sampled + 1e-12)
-        if dimension == 2:
-            assert np.all(bound <= ci.polygon_distance(mesh, points) + 1e-12)
+        assert np.all(bound <= ci.mesh_distance(mesh, points) + 1e-12)
 
+
+class TestMeshDistance:
     @settings(max_examples=30, deadline=None)
-    @given(st.integers(0, 2**32 - 1))
-    def test_polygon_distance_is_exact(self, seed):
-        # never above the distance to dense samples of the edges, and below
-        # it by no more than half the sample spacing; zero on the polygon
-        mesh = _random_mesh(2, seed)
+    @given(st.sampled_from([2, 3]), st.booleans(), st.integers(0, 2**32 - 1))
+    def test_exact_against_dense_samples(self, dimension, perturbed, seed):
+        # never above the distance to dense samples of the elements, and
+        # below it by no more than the samples' own reach: every point of
+        # an element lies within that of a sample, by the corner reach of
+        # distance_lower_bound applied to the cells of the sample grid
+        mesh = _random_shape_mesh(dimension, seed, levels=(1,))
+        if perturbed:
+            mesh = _perturbed(mesh, seed, 0.3)
         points = _near_points(mesh, seed)
-        n = 257
-        samples = _element_samples(mesh.element_corners(), n).reshape(-1, 2)
+        n = 257 if dimension == 2 else 25
+        samples = _element_samples(mesh.element_corners(), n).reshape(-1, dimension)
         sampled = np.array([np.min(np.linalg.norm(samples - p, axis=1)) for p in points])
-        half_spacing = 0.5 * np.max(ci.element_measures(mesh)) / (n - 1)
-        exact = ci.polygon_distance(mesh, points)
+        corners = mesh.element_corners()
+        longest = np.max(np.linalg.norm(np.roll(corners, 1, axis=1) - corners, axis=-1))
+        spacing = longest / (n - 1) / (2.0 if dimension == 2 else np.sqrt(3.0))
+        exact = ci.mesh_distance(mesh, points)
         assert np.all(exact <= sampled + 1e-12)
-        assert np.all(exact >= sampled - half_spacing - 1e-12)
-        on_mesh = np.concatenate([mesh.vertices, ci.element_geometry(mesh)[0]])
-        assert np.max(ci.polygon_distance(mesh, on_mesh)) <= 1e-15
+        assert np.all(exact >= sampled - spacing - 1e-12)
 
-    def test_polygon_distance_needs_a_polygon(self, sphere_mesh):
-        with pytest.raises(ValueError, match="2D"):
-            ci.polygon_distance(sphere_mesh, sphere_mesh.vertices)
+    @settings(max_examples=40, deadline=None)
+    @given(st.sampled_from([2, 3]), st.integers(0, 2**32 - 1))
+    def test_zero_on_vertices_and_element_centres(self, dimension, seed):
+        # up to rounding: a centre's height over its own triangle rounds in
+        # three coordinates
+        mesh = _random_shape_mesh(dimension, seed)
+        on_mesh = np.concatenate([mesh.vertices, mesh.geometry.centers])
+        assert np.max(ci.mesh_distance(mesh, on_mesh)) <= (1e-15 if dimension == 2 else 4e-15)
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.sampled_from([2, 3]), st.integers(0, 2**32 - 1))
+    def test_between_the_vertex_bound_and_the_nearest_vertex(self, dimension, seed):
+        mesh = _random_shape_mesh(dimension, seed)
+        points = _near_points(mesh, seed)
+        exact = ci.mesh_distance(mesh, points)
+        nearest = np.min(np.linalg.norm(points[:, None] - mesh.vertices[None], axis=-1), axis=1)
+        assert np.all(ci.distance_lower_bound(mesh, points) <= exact + 1e-12)
+        assert np.all(exact <= nearest + 1e-12)
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.booleans(), st.integers(0, 2**32 - 1))
+    def test_the_polygon_reference_bit_for_bit(self, perturbed, seed):
+        mesh = _random_shape_mesh(2, seed)
+        if perturbed:
+            mesh = _perturbed(mesh, seed, 0.3)
+        points = np.concatenate([_near_points(mesh, seed), mesh.vertices])
+        assert ci.mesh_distance(mesh, points).tobytes() == (
+            ref.polygon_distance(mesh, points).tobytes()
+        )
 
 
 class TestSagitta:
@@ -502,6 +533,16 @@ def _random_mesh(dimension, seed):
     else:
         base = ci.mesh_initial(ci.ball(CENTER_3D, 1.0), 1)
     return _perturbed(base, seed, 0.3)
+
+
+def _random_shape_mesh(dimension, seed, levels=(1, 2)):
+    """A polygon of 8-64 vertices of a random ellipse, or an icosphere at one
+    of ``levels`` of a random ellipsoid."""
+    rng = np.random.default_rng(seed)
+    radii = rng.uniform(0.3, 2.0, dimension)
+    if dimension == 2:
+        return ci.mesh_initial(ci.ellipse(CENTER_2D, radii), int(rng.integers(8, 65)))
+    return ci.mesh_initial(ci.ellipsoid(CENTER_3D, radii), int(rng.choice(levels)))
 
 
 def _near_points(mesh, seed):
@@ -722,7 +763,7 @@ class TestElementGeometry:
         for got, want in (
             (centers, corners.mean(axis=1)),
             (n, raw / np.linalg.norm(raw, axis=1)[:, None]),
-            (measures, ci.element_measures(mesh)),
+            (measures, ref.mesh_geometry(mesh)[2]),
         ):
             assert got.shape == want.shape
             assert got.tobytes() == want.tobytes()
@@ -763,7 +804,7 @@ class TestMeshGeometry:
         for got, want in zip(stored[:3], fresh[:3]):
             assert got.shape == want.shape and got.tobytes() == want.tobytes()
         assert stored.volume == fresh[3]
-        assert ci.element_measures(mesh) is stored.measures
+        assert ci.element_geometry(mesh)[2] is stored.measures
         assert ci.perimeter(mesh) == float(np.sum(fresh[2]))
         assert ci.enclosed_volume(mesh) == fresh[3]
         for got, want in zip(ci.element_geometry(mesh), fresh[:3]):

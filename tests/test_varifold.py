@@ -96,7 +96,7 @@ class TestFirstVariation:
 
     def test_weight_linearity(self, circle_mesh):
         v = cv.lift(circle_mesh)
-        doubled = v.scaled(2.0)
+        doubled = cv.Varifold(v.x, v.s, 2.0 * v.w)
         a = cv.first_variation(v, smooth_phi_2d)
         b = cv.first_variation(doubled, smooth_phi_2d)
         assert abs(b - 2.0 * a) <= 1e-12 * max(1.0, abs(a))
@@ -142,7 +142,8 @@ class TestCouplingResidual:
     def test_doubled_weights_on_symmetric_boundary(self, circle_mesh):
         # the circle's boundary-measure pairing with a constant field vanishes
         # by symmetry, so doubling every weight keeps zero residual
-        v = cv.lift(circle_mesh).scaled(2.0)
+        lifted = cv.lift(circle_mesh)
+        v = cv.Varifold(lifted.x, lifted.s, 2.0 * lifted.w)
         psi = lambda p: np.stack([np.ones(len(p)), np.zeros(len(p))], axis=-1)
         assert cv.coupling_residual(v, circle_mesh, psi) <= 1e-12
 

@@ -24,6 +24,12 @@ are the forcing evaluations, 1 + n_sub times the sweeps, and the
 dissipation-rate calls, one per ledger row.  Each row ends with the number
 of windows that took more sweeps than on the baseline, and the largest
 absolute difference between the two sides' ledger entries.
+
+Last, the cost of the window indicator's distance work per window attempt:
+each workload's ``galerkin.run`` under cProfile, ``DISTANCE_RUNS`` times per
+side in fresh interpreters, with the seconds spent in the ``DISTANCE``
+functions (called from outside that set, so no call counts twice) over the
+run's window attempts.  cProfile inflates them alike on both sides.
 """
 
 import os
@@ -81,6 +87,29 @@ TALLY = (
     "history_point_steps",
     "mesh_decided_points",
 )
+
+# The functions that measure a distance to a mesh for the window indicator,
+# under the names either side may have, and the profiled runs per side.
+DISTANCE = ("_mesh_distance", "polygon_distance", "distance_lower_bound", "mesh_distance")
+DISTANCE_RUNS = 5
+
+# One profiled run in the checkout whose src is on sys.path; prints the
+# seconds in the functions named argv[2] and the number of window attempts.
+_DISTANCE_RUN = """
+import cProfile, json, pstats, sys
+from capmhd import galerkin
+from capmhd.config import RunConfig
+config = RunConfig.from_dict(json.loads(sys.argv[1]))
+names = set(json.loads(sys.argv[2]))
+profile = cProfile.Profile()
+result = profile.runcall(galerkin.run, config)
+seconds = sum(
+    edge[3]
+    for (_, _, name), (*_, callers) in pstats.Stats(profile).stats.items() if name in names
+    for caller, edge in callers.items() if caller[2] not in names
+)
+print(json.dumps({"seconds": seconds, "attempts": len(result.attempts)}))
+"""
 
 # One run in the checkout whose src is on sys.path; prints its sub-steps per
 # window, its ledger rows and its window attempts.
@@ -156,6 +185,28 @@ def sweep_table(baseline):
     return rows
 
 
+def distance_cost(baseline, workloads):
+    """Seconds of distance work per window attempt, each profiled run's."""
+    out = {}
+    for workload in workloads:
+        data = json.loads((ROOT / "bench" / "workloads" / f"{workload}.json").read_text())
+        row = {}
+        for side, checkout in (("baseline", baseline), ("change", ROOT)):
+            env = dict(os.environ, PYTHONPATH=str(Path(checkout) / "src"))
+            runs = [
+                json.loads(subprocess.run(
+                    [sys.executable, "-c", _DISTANCE_RUN, json.dumps(data), json.dumps(DISTANCE)],
+                    cwd=checkout, env=env, capture_output=True, text=True, check=True,
+                ).stdout)
+                for _ in range(DISTANCE_RUNS)
+            ]
+            per_window = [run["seconds"] / run["attempts"] for run in runs]
+            row[side] = {"seconds_per_window": per_window,
+                         "median": statistics.median(per_window)}
+        out[workload] = row
+    return out
+
+
 def bench_metrics(checkout, workload, seconds, trace=0):
     """Metric values of one ``bench/run.py`` invocation: end to end, or per layer."""
     cmd = [sys.executable, "bench/run.py", "--workload", workload,
@@ -212,6 +263,7 @@ def main(argv=None):
                     "blas_threads": 1},
         "sweep_table": sweep_table(args.baseline),
         "bench_run_pairs": pairs(args.baseline, args.workloads, args.pairs, args.seconds),
+        "distance_cost": distance_cost(args.baseline, args.workloads),
     }
     args.out.write_text(json.dumps(result, indent=2) + "\n")
     for row in result["sweep_table"]:
@@ -230,6 +282,9 @@ def main(argv=None):
               f"{row.get('baseline_galerkin.sweeps')} -> {row.get('change_galerkin.sweeps')}, "
               f"history point-steps {row.get('baseline_flowmap.history_point_steps')} -> "
               f"{row.get('change_flowmap.history_point_steps')}")
+    for workload, row in result["distance_cost"].items():
+        print(f"{workload}: distance work per window {1e3 * row['baseline']['median']:.2f} -> "
+              f"{1e3 * row['change']['median']:.2f} ms (cProfile)")
     return 0
 
 
