@@ -273,21 +273,26 @@ class Quadrature:
         return _read_only(self.basis.phase_derivatives(self.points))
 
     def field_values(self, coefficients):
-        """Values at the nodes of the field with these coefficients: (m, d)."""
+        """Values at the nodes of the field with these coefficients: (m, d).
+
+        Rows (..., n) give (..., m, d), each row's product as it is alone.
+        """
         basis = self.basis
-        weights = (coefficients * basis.normalizations)[:, None] * basis.polarizations
+        weights = (coefficients * basis.normalizations)[..., None] * basis.polarizations
         return self.values @ weights
 
     def field_gradients(self, coefficients):
-        """Jacobians at the nodes of the field with these coefficients: (m, d, d)."""
+        """Jacobians at the nodes of the field with these coefficients:
+        (m, d, d), or (..., m, d, d) for rows (..., n) as ``field_values``."""
         basis = self.basis
         scaled = coefficients * basis.normalizations
         outer = (
-            scaled[:, None, None]
+            scaled[..., None, None]
             * basis.polarizations[:, :, None]
             * basis.wavevectors[:, None, :]
         )
-        return np.tensordot(self.derivatives, outer, axes=([1], [0]))
+        grads = self.derivatives @ outer.reshape(*outer.shape[:-2], -1)
+        return grads.reshape(*grads.shape[:-1], *outer.shape[-2:])
 
 
 class Lattice:
@@ -416,30 +421,26 @@ def gradient_pairing(tensors, quad):
 
     grad(eta_j) = dtrig(k_j . x) e_j k_j^T, so the pairing is e_j . M_j k_j
     with the moments M_j = sum_m dtrig_mj T_m: one matrix product with the
-    derivative table, then a d x d contraction per mode.
+    derivative table, then a d x d contraction per mode.  A stack (..., m, d,
+    d) gives (..., n), each pairing as it is alone.
     """
     basis = quad.basis
     d = basis.dimension
-    moments = (tensors.reshape(-1, d * d).T @ quad.derivatives).reshape(d, d, -1)
-    pairing = np.einsum("ni,iln,nl->n", basis.polarizations, moments, basis.wavevectors)
+    flat = np.swapaxes(tensors.reshape(*tensors.shape[:-2], d * d), -1, -2)
+    moments = (flat @ quad.derivatives).reshape(*flat.shape[:-2], d, d, -1)
+    pairing = np.einsum("ni,...iln,nl->...n", basis.polarizations, moments, basis.wavevectors)
     return quad.weight * basis.normalizations * pairing
 
 
+# The forcing pairs one node tensor per node, not the next two terms, which
+# bench/layers.py still times by name.
 def convection_pairing(a_values, b_values, quad):
-    """Vector of integrals a . ((b . grad) eta_j) dx over all modes j.
-
-    ``a_values`` and ``b_values`` are (m, d) samples at the nodes of the
-    quadrature ``quad``; a . (grad(eta_j) b) = (a (x) b) : grad(eta_j).
-    """
+    """Integrals (a (x) b) : grad(eta_j) dx over all modes j, for (m, d) samples."""
     return gradient_pairing(a_values[:, :, None] * b_values[:, None, :], quad)
 
 
 def strain_pairing(du_values, nu_values, quad):
-    """Vector of integrals 2 nu Du : D(eta_j) dx over all modes j.
-
-    ``du_values`` are symmetric strain-rate samples (m, d, d) at the nodes of
-    ``quad`` and ``nu_values`` the viscosity there, (m,) or one constant;
-    since Du is symmetric, Du : D(eta_j) = Du : grad(eta_j).
-    """
+    """Integrals 2 nu Du : D(eta_j) dx over all modes j (Du symmetric, so D may
+    be grad), for samples Du (m, d, d) and nu (m,) or one constant."""
     nu_values = np.asarray(nu_values, dtype=np.float64)
     return gradient_pairing(2.0 * nu_values[..., None, None] * du_values, quad)

@@ -15,7 +15,8 @@ inequality
 
 which should be near-equality for smooth single-phase decay (the transfer
 term between the velocity and magnetic equations cancels); the identity
-itself is a diagnostic, not the gate.
+itself is a diagnostic, not the gate.  The viscous rate at a node comes
+from the strain rates of the window's forcing pass there, the Du it pairs.
 """
 
 from dataclasses import dataclass, field
@@ -91,19 +92,12 @@ def initial_energy(u0, b0, mesh0, kappa):
     return 0.5 * u0.norm() ** 2 + 0.5 * b0.norm() ** 2 + kappa * perimeter(mesh0)
 
 
-def viscous_dissipation_rate(state, order, chi_values=None):
-    """Instantaneous 2 * integral nu(chi) |Du|^2 by the solver's quadrature.
-
-    ``chi_values`` are indicator samples at the quadrature points of the
-    given order; they may be omitted only when the two viscosities are equal
-    (``FluidParams.viscosity``).
-    """
-    quad = state.u.basis.quadrature(order)
-    grads = quad.field_gradients(state.u.coefficients)
-    du = 0.5 * (grads + np.swapaxes(grads, 1, 2))
-    densities = np.einsum("mij,mij->m", du, du)
-    nu = state.params.viscosity(chi_values)
-    return 2.0 * quad.weight * float(np.sum(nu * densities))
+def viscous_dissipation_rate(du, nu, quad):
+    """Instantaneous 2 * integral nu(chi) |Du|^2 by the solver's quadrature,
+    one per row (...) of strain-rate samples ``du`` (..., m, d, d) at the
+    nodes of ``quad``, with the viscosity ``nu`` there, (..., m) or one value."""
+    densities = np.einsum("...mij,...mij->...m", du, du)
+    return 2.0 * quad.weight * np.sum(nu * densities, axis=-1)
 
 
 def record(state, ledger, dt_increments):

@@ -37,10 +37,10 @@ class NumericsError(RuntimeError):
 class WindowFailureError(RuntimeError):
     """Fixed-point iteration on one time window did not reach tolerance.
 
-    Carries the residual of every completed sweep, the window indicator's
-    ``work`` tally up to the failure (``galerkin.WORK``: the sweeps that
-    back-traced, the point-steps and legs of its traces), and how the
-    window started ("euler" or "extrapolated").
+    Carries the residual of every completed sweep, the attempt's ``work``
+    tally up to the failure (``galerkin.WORK``: its forcing evaluations,
+    and the sweeps that back-traced and the point-steps and legs of their
+    traces), and how the window started ("euler" or "extrapolated").
     """
 
     def __init__(self, message, residual_history=None, work=None, start=None):

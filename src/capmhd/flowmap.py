@@ -10,7 +10,6 @@ A velocity sampler is any object with ``velocity(t, points) -> (m, d)``.
 
 import numpy as np
 
-from .basis import SpectralField
 from .errors import IntegrationError
 
 
@@ -64,9 +63,6 @@ class SpectralTrajectory:
             rows = self._interpolate(self.lattice_rows, t)
             self._last = (t, rows)
         return rows
-
-    def field_at(self, t):
-        return SpectralField(self.basis, self.coefficients_at(t))
 
     def velocity(self, t, points):
         return self.basis.lattice.values(self._lattice_at(t), points)

@@ -48,15 +48,21 @@ later sweep reuses its flags whenever every carried point lies farther
 beyond the band, and every origin farther from the initial boundary, than
 the estimate lets it move, so chi is exactly what a new trace would give.
 
-All quadratures use the dealiased uniform grid, and every reduction has a
-fixed order, so a run is reproducible bit-for-bit for a given configuration.
+A sweep passes over the quadrature grid once.  One stacked product
+synthesizes the iterate at every node; the magnetic march reads those
+values, linear in time between nodes, and hands over B's at each node; one
+stacked pairing gives N at the nodes after the first from one tensor per
+node, u (x) u - B (x) B - 2 nu(chi) Du; and the same Du gives the ledger's
+dissipation rate there.  All quadratures use the dealiased uniform grid,
+and every reduction has a fixed order (each row of a stacked product is
+its own product), so a run of one configuration is reproducible bit for bit.
 """
 
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .basis import SpectralField, convection_pairing, strain_pairing
+from .basis import SpectralField, gradient_pairing
 from .energy import (
     EnergyLedger,
     default_tolerance,
@@ -112,11 +118,13 @@ REUSE_MARGIN = 1e-9
 # starts the next window (capped by the number of sub-steps).
 EXTRAPOLATION_DEGREE = 4
 
-# The window indicator's tally of its own work, carried by every window
-# attempt's record: the sweeps that back-traced, the RK4 point-steps (points
-# times steps) of its legs through the window and through the history, its
-# history legs, and the carried points that the window-start mesh decided.
+# A window attempt's tally of its own work, carried by its record: the nodes
+# its sweeps evaluated N at, and the window indicator's: the sweeps that
+# back-traced, the RK4 point-steps (points times steps) of its legs through
+# the window and the history, its history legs, and the carried points that
+# the window-start mesh decided.
 WORK = (
+    "forcing_evaluations",
     "indicator_traces",
     "window_point_steps",
     "history_legs",
@@ -158,7 +166,7 @@ class FluidParams:
         if chi is None:
             if self.two_phase:
                 raise ValueError("chi_values required when the viscosities differ")
-            return self.nu_plus
+            return np.float64(self.nu_plus)
         return self.nu_minus + (self.nu_plus - self.nu_minus) * np.asarray(
             chi, dtype=np.float64
         )
@@ -195,6 +203,7 @@ class WindowSolve:
     u_trajectory: np.ndarray
     residual_history: list
     N_values: np.ndarray = None
+    rates: np.ndarray = None
     states: list = field(default_factory=list)
     resistive_increments: np.ndarray = None
     chi_cache: list = field(default_factory=list)
@@ -207,32 +216,45 @@ class WindowSolve:
         return [state.mesh for state in self.states]
 
 
+def _forcing(states, quad, u_values, b_values, chi_values):
+    """N against every mode (S, n) and the dissipation rate (S,) at the S
+    ``states`` in one grid pass, the node tensors built in place, from their
+    u and B on the grid of ``quad``, ``u_values`` and ``b_values`` (S, m, d),
+    and indicator rows ``chi_values`` (None rows when the viscosities agree)."""
+    params = states[0].params
+    grads = quad.field_gradients(np.stack([state.u.coefficients for state in states]))
+    du = grads + np.swapaxes(grads, -1, -2)
+    du *= 0.5
+    nu = params.viscosity(None if chi_values[0] is None else np.stack(chi_values))
+    rates = viscous_dissipation_rate(du, nu, quad)
+    du *= 2.0 * nu[..., None, None]
+    tensor = u_values[..., :, None] * u_values[..., None, :]
+    tensor -= np.multiply(b_values[..., :, None], b_values[..., None, :], out=grads)
+    tensor -= du
+    result = gradient_pairing(tensor, quad)
+    del grads, du, tensor  # before the curvature pairing's own temporaries
+    if params.kappa > 0.0:
+        for row, state in zip(result, states):
+            row += params.kappa * curvature_pairing_modes(state.mesh, quad.basis)
+    if not np.all(np.isfinite(result)):
+        raise NumericsError("the forcing produced non-finite entries")
+    return result, rates
+
+
 def apply_N(state, order, chi_values=None):
     """Forcing functional against every basis mode: <N, eta_j> for all j.
 
     Four contributions: inertia (u (x) u, grad eta), Lorentz -(B (x) B,
     grad eta), two-phase viscosity -2 (nu(chi) Du, D eta), and kappa times
     the weak curvature pairing over the interface mesh.  ``chi_values`` are
-    indicator samples at the quadrature nodes of the given order, as the
-    window driver supplies them (decided by the window-start mesh, except at
-    the points the window's flow carries back into its band, which are
-    back-traced to t = 0); they may be omitted only when the two viscosities
-    are equal (``FluidParams.viscosity``).
+    indicator samples at the quadrature nodes of the given order, which may
+    be omitted only when the two viscosities are equal
+    (``FluidParams.viscosity``).  Byte for byte the one-node case of
+    ``apply_K``'s pass over a window's nodes.
     """
-    basis = state.u.basis
-    quad = basis.quadrature(order)
-    u_values = quad.field_values(state.u.coefficients)
-    b_values = quad.field_values(state.B.coefficients)
-    result = convection_pairing(u_values, u_values, quad)
-    result -= convection_pairing(b_values, b_values, quad)
-    grads = quad.field_gradients(state.u.coefficients)
-    du = 0.5 * (grads + np.swapaxes(grads, 1, 2))
-    result -= strain_pairing(du, state.params.viscosity(chi_values), quad)
-    if state.params.kappa > 0.0:
-        result += state.params.kappa * curvature_pairing_modes(state.mesh, basis)
-    if not np.all(np.isfinite(result)):
-        raise NumericsError("apply_N produced non-finite entries")
-    return result
+    quad = state.u.basis.quadrature(order)
+    values = quad.field_values(np.stack([state.u.coefficients, state.B.coefficients]))
+    return _forcing([state], quad, values[:1], values[1:], [chi_values])[0][0]
 
 
 def n_bound_bracket(u_norm, b_norm, bv_norm):
@@ -249,23 +271,23 @@ def _trapezoid(u_anchor, t_grid, n_values):
     return out
 
 
-def apply_K(states, order, anchor_forcing, chi_values=None):
+def apply_K(states, order, anchor_forcing, u_values, b_values, chi_values):
     """One sweep of the iteration map K over a window.
 
     ``states`` hold the input trajectory and its dependents (B and mesh) at
-    each node of the window grid; ``states[0]`` is the anchor, and
-    ``anchor_forcing`` is N there, handed in as data, so N is evaluated at
-    the later nodes only.  The time integral of N uses the composite
-    trapezoidal rule, so K(u)(t_m) equals the anchor exactly.  Returns
-    (K coefficients (S, n), N values (S, n)).
+    each node of the window grid, ``u_values`` and ``b_values`` (S + 1, m,
+    d) their u and B on the quadrature grid of ``order``, and ``chi_values``
+    their indicator rows; ``states[0]`` is the anchor, and ``anchor_forcing``
+    is N there, handed in as data, so N is evaluated at the later nodes
+    only, in one ``_forcing`` pass.  The time integral of N uses the
+    composite trapezoidal rule, so K(u)(t_m) equals the anchor exactly.
+    Returns K's and N's coefficients (S + 1, n) and the rates at nodes 1..S.
     """
     t_grid = np.array([s.t for s in states])
-    n_values = np.empty((len(states), len(anchor_forcing)))
-    n_values[0] = anchor_forcing
-    for i in range(1, len(states)):
-        chi = None if chi_values is None else chi_values[i]
-        n_values[i] = apply_N(states[i], order, chi_values=chi)
-    return _trapezoid(states[0].u.coefficients, t_grid, n_values), n_values
+    quad = states[0].u.basis.quadrature(order)
+    forcing, rates = _forcing(states[1:], quad, u_values[1:], b_values[1:], chi_values[1:])
+    n_values = np.concatenate([anchor_forcing[None], forcing])
+    return _trapezoid(states[0].u.coefficients, t_grid, n_values), n_values, rates
 
 
 def _viscous_sweep(u_anchor, t_grid, u_trajectory, n_values, decay):
@@ -352,9 +374,9 @@ class _WindowIndicator:
     (one row per node after the first) are, for each carried point, its
     distance to the window-start mesh less ``band`` and the mesh's answer,
     or, in the band, its origin's distance bound to the initial boundary and
-    the initial region's answer.  ``work`` tallies the calls that
-    back-traced and what their legs did, one count per ``WORK`` key, where
-    the legs are run.
+    the initial region's answer.  ``work`` is the window's ``WORK`` tally,
+    where the calls that back-traced and what their legs did are counted
+    as the legs are run.
     """
 
     def __init__(self, anchor, points, t_grid, history, phase, h_flow, first_row):
@@ -472,13 +494,16 @@ def initial_window(state, order, phase):
     """
     if state.t != 0.0:
         raise ValueError(f"the initial window starts at t = 0, got t={state.t}")
-    points = state.u.basis.quadrature(order).points
-    row = phase.contains(points) if state.params.two_phase else None
+    quad = state.u.basis.quadrature(order)
+    row = phase.contains(quad.points) if state.params.two_phase else None
+    values = quad.field_values(np.stack([state.u.coefficients, state.B.coefficients]))
+    forcing, rates = _forcing([state], quad, values[:1], values[1:], [row])
     return WindowSolve(
         t_grid=np.array([state.t]),
         u_trajectory=state.u.coefficients[None],
         residual_history=[],
-        N_values=apply_N(state, order, chi_values=row)[None],
+        N_values=forcing,
+        rates=rates,
         states=[state],
         chi_cache=[row],
     )
@@ -501,31 +526,26 @@ def fixed_point_window(
 
     ``previous`` is the accepted window that ends at t_m, the one-node
     ``initial_window`` for the first.  Node 0 is its last node, the anchor,
-    and the anchor's indicator row and N are data taken from it.  The first
-    sweep starts from ``predictor`` through ``previous``'s forcing at its
-    last ``_start_nodes`` nodes, one for the initial window (the Euler
-    start); the start moves neither the fixed point nor its certificate,
-    only the number of sweeps.  Every sweep recomputes the
-    magnetic trajectory and the advected interface from the current velocity
-    iterate.  When the viscosities differ, one ``_WindowIndicator`` gives
-    the indicator rows of every sweep: after node 0, the window-start mesh
-    decides the quadrature points the iterate cannot carry into its band
-    (INDICATOR_BAND beyond its sagitta), and the rest are back-traced under
-    the iterate to the window start, where the mesh again decides those
-    outside the band and the others go on through ``history`` into
-    ``phase``; or they keep the last trace's flags while the flow-map
-    stability bound certifies them; a two-phase window therefore needs
-    ``phase`` and ``history``, the accepted velocity on [0, t_m].  Each
-    sweep computes K(u) and its N values in one
-    ``apply_K`` call, checks the residual ||u - K(u)||, and builds the next
-    iterate by ``_viscous_sweep`` from those N values, with the viscous term
-    at the mean viscosity implicit; its row 0 is the anchor bit for bit.  A non-finite iterate, a
-    broken dependent or forcing, or an accepted end mesh that crosses itself
-    raises WindowFailureError, and so does reaching ``max_iter`` sweeps;
-    otherwise the accepted window (residual below ``tol``) is returned.
-    Both carry the indicator's ``work`` tally (zeros for a single-phase
-    window), counted up to the return or the failure, and the ``start``:
-    "euler" for a start from one node, else "extrapolated".
+    and the anchor's indicator row, N and dissipation rate are data taken
+    from it.  The first sweep starts from ``predictor`` through
+    ``previous``'s forcing at its last ``_start_nodes`` nodes, one for the
+    initial window (the Euler start); the start moves neither the fixed
+    point nor its certificate, only the number of sweeps.  Every sweep
+    advects the interface under the current velocity iterate, synthesizes
+    the iterate on the quadrature grid at every node in one product,
+    marches B through the window on those values (``solve_B``), and gives
+    them and B's node values to one ``apply_K`` pass, with the indicator
+    rows of one ``_WindowIndicator`` when the viscosities differ (so a
+    two-phase window needs ``phase`` and ``history``, the accepted velocity
+    on [0, t_m]).  It checks the residual ||u - K(u)|| and builds the next
+    iterate by ``_viscous_sweep`` from the N values, with the viscous term
+    at the mean viscosity implicit; its row 0 is the anchor bit for bit.  A
+    non-finite iterate, a broken dependent or forcing, or an accepted end
+    mesh that crosses itself raises WindowFailureError, and so does
+    reaching ``max_iter`` sweeps; otherwise the accepted window (residual
+    below ``tol``) is returned with its N values and rates.  Both carry the
+    attempt's ``work`` tally, counted up to the return or the failure, and
+    the ``start``: "euler" for a start from one node, else "extrapolated".
     """
     if tol <= 0.0:
         raise ValueError("tol must be positive")
@@ -538,15 +558,15 @@ def fixed_point_window(
     params = anchor.params
     if params.two_phase and (phase is None or history is None):
         raise ValueError("a two-phase window needs the initial phase region and the history")
+    quad = basis.quadrature(order)
     t_grid = anchor.t + np.linspace(0.0, delta, n_sub + 1)
-    # node 0 is the previous window's last node: its row and N are data
+    # node 0 is the previous window's last node: its row, N and rate are data
     anchor_forcing = previous.N_values[-1]
     indicator = None
     work = dict.fromkeys(WORK, 0)
     if params.two_phase:
-        points = basis.quadrature(order).points
         indicator = _WindowIndicator(
-            anchor, points, t_grid, history, phase, h_flow, previous.chi_cache[-1]
+            anchor, quad.points, t_grid, history, phase, h_flow, previous.chi_cache[-1]
         )
         work = indicator.work
     # the viscous part of N at the mean viscosity, diagonal in the basis
@@ -570,23 +590,23 @@ def fixed_point_window(
                 raise NumericsError("the velocity iterate has non-finite coefficients")
             sampler = SpectralTrajectory(basis, t_grid, u_coeffs)
             meshes = [anchor.mesh]
-            b_fields = [anchor.B]
-            resistive = np.zeros(n_sub)
             for i in range(n_sub):
                 meshes.append(advect(meshes[-1], sampler, t_grid[i + 1], h_flow))
-                b_end, increments = solve_B(
-                    sampler, b_fields[-1], t_grid[i], t_grid[i + 1], dt_b, params.sigma, order
-                )
-                b_fields.append(b_end)
-                resistive[i] = float(np.sum(increments))
+            u_values = quad.field_values(u_coeffs)
+            b_fields, b_values, increments = solve_B(
+                u_values, t_grid, anchor.B, dt_b, params.sigma, quad
+            )
             chi_cache = [None] * (n_sub + 1) if indicator is None else indicator(sampler)
             states = [anchor] + [
                 GalerkinState(
-                    t_grid[i], sampler.field_at(t_grid[i]), b_fields[i], meshes[i], params
+                    t_grid[i], SpectralField(basis, u_coeffs[i]), b_fields[i], meshes[i], params
                 )
                 for i in range(1, n_sub + 1)
             ]
-            k_coeffs, n_values = apply_K(states, order, anchor_forcing, chi_values=chi_cache)
+            work["forcing_evaluations"] += n_sub
+            k_coeffs, n_values, rates = apply_K(
+                states, order, anchor_forcing, u_values, b_values, chi_cache
+            )
             residual = float(np.max(np.linalg.norm(u_coeffs - k_coeffs, axis=1)))
             residual_history.append(residual)
             if residual < tol:
@@ -603,8 +623,9 @@ def fixed_point_window(
                 u_trajectory=u_coeffs,
                 residual_history=residual_history,
                 N_values=n_values,
+                rates=np.concatenate([previous.rates[-1:], rates]),
                 states=states,
-                resistive_increments=resistive,
+                resistive_increments=np.array([np.sum(steps) for steps in increments]),
                 chi_cache=chi_cache,
                 work=work,
                 start=start,
@@ -667,9 +688,9 @@ class RunResult:
 def _attempt_record(t, delta, outcome):
     """Record of one window attempt, from its WindowSolve or WindowFailureError.
 
-    Both carry the window indicator's ``work``, one count per ``WORK``
-    key.  A failed attempt names the error that broke the window: the
-    failure's cause when it has one.
+    Both carry the attempt's ``work``, one count per ``WORK`` key.  A failed
+    attempt names the error that broke the window: the failure's cause when
+    it has one.
     """
     accepted = isinstance(outcome, WindowSolve)
     cause = None if accepted else (outcome.__cause__ or outcome)
@@ -704,20 +725,13 @@ def run(config):
     the run with a ``NonConvergenceError`` whose diagnostics read the last
     accepted state; a non-finite N at t = 0 raises ``NumericsError`` before
     any window, since no window size changes it.
-    The ledger records every sub-step with dissipation increments computed
-    by the solver's own quadrature.  Each node is recorded once: its
-    dissipation rate and forcing-bound sample at t = 0, then at nodes 1..S
-    of each accepted window, whose node 0 carries the previous window's
-    rate over as it carries N.  Every window attempt, failed or
-    accepted, leaves a record (t, delta, start, sweeps, residual history,
-    the window indicator's ``WORK`` tally: the sweeps whose indicator was
-    back-traced rather than reused, the RK4 point-steps of its window and
-    history legs, its history legs and the carried points the window-start
-    mesh decided; accepted, and the error's class and message) in
-    ``RunResult.attempts``; a sweep counts once its residual is known, so a
-    run whose sweeps all reach their residual evaluates the forcing 1 +
-    n_sub times the sweeps, and the dissipation rate once per ledger row.
-    Deterministic for a fixed configuration.
+    The ledger records every node once, with its forcing-bound sample: t = 0,
+    then nodes 1..S of each accepted window, whose dissipation rates are
+    those of its last sweep's forcing pass (node 0's carried over, as N is).
+    Every window attempt, failed or accepted, leaves a record in
+    ``RunResult.attempts``: t, delta, start, sweeps (each counted once its
+    residual is known), residual history, the ``WORK`` tally, accepted, and
+    the error's class and message.  Deterministic for a fixed configuration.
     """
     state, phase = config.build()
     basis, params, order = state.u.basis, state.params, config.quadrature_order
@@ -729,7 +743,6 @@ def run(config):
     previous = initial_window(state, order, phase)
     ledger = EnergyLedger(E0=e0)
     record(state, ledger, (0.0, 0.0))
-    rate = viscous_dissipation_rate(state, order, chi_values=previous.chi_cache[0])
     states = [state]
     samples = [_n_bound_sample(state, previous.N_values[0])]
     history = SpectralTrajectory(basis, previous.t_grid, previous.u_trajectory)
@@ -774,16 +787,11 @@ def run(config):
         for i in range(1, len(window.t_grid)):
             st = window.states[i]
             samples.append(_n_bound_sample(st, window.N_values[i]))
-            next_rate = viscous_dissipation_rate(st, order, chi_values=window.chi_cache[i])
             dt = window.t_grid[i] - window.t_grid[i - 1]
-            viscous_inc = 0.5 * dt * (rate + next_rate)
+            viscous_inc = 0.5 * dt * (window.rates[i - 1] + window.rates[i])
             record(st, ledger, (viscous_inc, window.resistive_increments[i - 1]))
             states.append(st)
-            rate = next_rate
-        increments = 0.5 * np.diff(window.t_grid)[:, None] * (
-            window.N_values[:-1] + window.N_values[1:]
-        )
-        cumulative_n += increments.sum(axis=0)
+        cumulative_n += _trapezoid(0.0, window.t_grid, window.N_values)[-1]
         history = history.extended(window.t_grid, window.u_trajectory)
         previous = window
         t = float(window.t_grid[-1])

@@ -11,7 +11,9 @@ diagonal in the eigenbasis, so each step is
 Implicit diffusion makes ||B|| nonincreasing unconditionally when u = 0, and
 the antisymmetric structure of the transport pairing is exactly what cancels
 the magnetic transfer term against the velocity equation in the energy
-ledger.
+ledger.  A window's march reads u from the sweep's one synthesis at the
+nodes, linear in time between them, and hands B's node values to the
+forcing, so neither field is synthesized twice at a node.
 """
 
 import numpy as np
@@ -35,44 +37,43 @@ def transport_pairing(u_values, b_values, quad):
     return gradient_pairing(tensor - np.swapaxes(tensor, 1, 2), quad)
 
 
-def step_B(b_field, sampler, t, sigma, dt, order):
-    """One IMEX Euler step of length dt starting at time t.
-
-    ``sampler`` gives the velocity's coefficient vector at time t
-    (``coefficients_at``), which is synthesized on the grid's shared table.
-    """
+def step_B(b_field, u_values, b_values, sigma, dt, quad):
+    """One IMEX Euler step of length dt from ``b_field``, whose node values on
+    ``quad`` are ``b_values``, under the velocity's node values ``u_values``."""
     if dt <= 0.0:
         raise ValueError("dt must be positive")
     if sigma <= 0.0:
         raise ValueError("sigma must be positive")
     basis = b_field.basis
-    quad = basis.quadrature(order)
-    u_values = quad.field_values(sampler.coefficients_at(t))
-    b_values = quad.field_values(b_field.coefficients)
     transport = transport_pairing(u_values, b_values, quad)
     if not np.all(np.isfinite(transport)):
         raise NumericsError(
             "non-finite transport pairing in induction step",
-            diagnostics={"t": t, "max_u": float(np.max(np.abs(u_values)))},
+            diagnostics={"max_u": float(np.max(np.abs(u_values)))},
         )
     new = (b_field.coefficients + dt * transport) / (1.0 + sigma * basis.eigenvalues * dt)
     return b_field.with_coefficients(new)
 
 
-def solve_B(sampler, b0, t0, t1, dt, sigma, order):
-    """Chain IMEX steps from t0 to t1 by the flow map's step rule
-    (``flowmap.step_sizes``: the final step shortened to land on t1).
+def solve_B(u_values, t_grid, b0, dt, sigma, quad):
+    """March B over the window ``t_grid`` from ``b0``, IMEX steps of dt chained
+    by the flow map's step rule over each sub-step (``flowmap.step_sizes``).
 
-    Returns B at t1 and the resistive dissipation increment
-    sigma * ||grad B||^2 * dt of every step, evaluated at the implicit
-    endpoint, for the energy ledger.
+    ``u_values`` (S + 1, m, d) is the velocity on the grid of ``quad`` at the
+    nodes, linear in time between them as its coefficients are.  Returns B
+    at the nodes, its node values (S + 1, m, d), which each step synthesizes
+    for the next, and per sub-step the resistive increments sigma * ||grad
+    B||^2 * dt of its steps, at their implicit endpoints, for the ledger.
     """
-    if t1 < t0:
-        raise ValueError("t1 must not precede t0")
-    sizes = step_sizes(t0, t1, dt)
-    increments = np.empty(len(sizes))
-    current = b0
-    for step, dt_step in enumerate(sizes):
-        current = step_B(current, sampler, t0 + step * dt, sigma, dt_step, order)
-        increments[step] = sigma * current.grad_norm_sq() * dt_step
-    return current, increments
+    fields, values, increments = [b0], [quad.field_values(b0.coefficients)], []
+    for i, (t0, t1) in enumerate(zip(t_grid[:-1], t_grid[1:])):
+        current, b_now, steps = fields[-1], values[-1], []
+        for step, dt_step in enumerate(step_sizes(t0, t1, dt)):
+            u = u_values[i] + step * dt / (t1 - t0) * (u_values[i + 1] - u_values[i])
+            current = step_B(current, u, b_now, sigma, dt_step, quad)
+            b_now = quad.field_values(current.coefficients)
+            steps.append(sigma * current.grad_norm_sq() * dt_step)
+        fields.append(current)
+        values.append(b_now)
+        increments.append(np.array(steps))
+    return fields, np.stack(values), increments

@@ -212,17 +212,23 @@ def jacobian(x0, sampler, t, h):
 
 
 def induction_steps(sampler, b0, t0, t1, dt, sigma, order):
-    """The chain of ``step_B`` that ``solve_B`` takes, with every step kept.
+    """The chain of ``step_B`` that ``solve_B`` takes over one sub-step, with
+    every step kept.
 
-    Same step times as ``solve_B`` (the last step shortened to land on t1).
-    Returns (times, fields, resistive increments): fields[0] is b0 and
-    increment i is sigma * ||grad B||^2 * dt at the end of step i.
+    Same step times as ``solve_B`` (the last step shortened to land on t1),
+    but each step synthesizes u afresh from the sampler's coefficients at
+    its start, and B from its own.  Returns (times, fields, resistive
+    increments): fields[0] is b0 and increment i is sigma * ||grad B||^2 *
+    dt at the end of step i.
     """
+    quad = b0.basis.quadrature(order)
     sizes = step_sizes(t0, t1, dt)
     n_steps = len(sizes)
     times, fields, increments = [t0], [b0], []
     for step, dt_step in enumerate(sizes):
-        fields.append(step_B(fields[-1], sampler, times[-1], sigma, dt_step, order))
+        u_values = quad.field_values(sampler.coefficients_at(times[-1]))
+        b_values = quad.field_values(fields[-1].coefficients)
+        fields.append(step_B(fields[-1], u_values, b_values, sigma, dt_step, quad))
         times.append(t0 + (step + 1) * dt if step + 1 < n_steps else t1)
         increments.append(sigma * fields[-1].grad_norm_sq() * dt_step)
     return np.array(times), fields, np.array(increments)

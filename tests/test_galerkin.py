@@ -73,6 +73,29 @@ class TestFluidParams:
             cg.FluidParams(*values)
 
 
+def _rate(state, order, chi_values=None):
+    """The dissipation rate at one state, from the one-node forcing pass."""
+    quad = state.u.basis.quadrature(order)
+    return cg._forcing([state], quad, *_node_values([state], order), [chi_values])[1][0]
+
+
+def _node_values(states, order):
+    """u and B of ``states`` on the quadrature grid of ``order``: (S, m, d) each."""
+    quad = states[0].u.basis.quadrature(order)
+    return tuple(
+        quad.field_values(np.stack([field.coefficients for field in fields]))
+        for fields in ([s.u for s in states], [s.B for s in states])
+    )
+
+
+def _apply_K(states, order, anchor_forcing):
+    """``apply_K`` with the states' u and B synthesized on the grid, for
+    viscosities that agree (no indicator rows)."""
+    return cg.apply_K(
+        states, order, anchor_forcing, *_node_values(states, order), [None] * len(states)
+    )
+
+
 class TestApplyN:
     def test_zero_state_zero_forcing(self, basis_2d):
         state = make_state(basis_2d)
@@ -136,7 +159,9 @@ class TestApplyN:
         want = _apply_N_reference(state, 8)
         assert got.tobytes() == want.tobytes()
 
-    @pytest.mark.parametrize("evaluate", [cg.apply_N, ce.viscous_dissipation_rate])
+    @pytest.mark.parametrize(
+        "evaluate", [cg.apply_N, pytest.param(_rate, id="viscous_dissipation_rate")]
+    )
     def test_indicator_needed_only_when_the_viscosities_differ(self, basis_2d, evaluate):
         # FluidParams.viscosity decides: a two-phase state without chi is an
         # error, and a single-phase one gives what any explicit chi gives
@@ -153,10 +178,11 @@ class TestApplyN:
 
 def _apply_N_reference(state, order):
     """apply_N from the grid of ``quadrature_rule`` and the basis's trig
-    tables at its points, with no Quadrature object.  The pairings take the
-    same order as the solver's: node-tensor moments against the derivative
-    table, then the contraction with e_j and k_j per mode.  The tables
-    themselves are checked against direct sin and cos in test_basis."""
+    tables at its points, with no Quadrature object.  The pairing takes the
+    same order as the solver's: one node tensor u (x) u - B (x) B - 2 nu Du,
+    its moments against the derivative table, then the contraction with e_j
+    and k_j per mode.  The tables themselves are checked against direct sin
+    and cos in test_basis."""
     basis = state.u.basis
     d = basis.dimension
     points, weight = cb.quadrature_rule(d, order)
@@ -171,14 +197,14 @@ def _apply_N_reference(state, order):
         return ph @ ((coefficients * basis.normalizations)[:, None] * basis.polarizations)
 
     u_values, b_values = samples(state.u.coefficients), samples(state.B.coefficients)
-    result = pairing(u_values[:, :, None] * u_values[:, None, :])
-    result -= pairing(b_values[:, :, None] * b_values[:, None, :])
     scaled = state.u.coefficients * basis.normalizations
     outer = scaled[:, None, None] * basis.polarizations[:, :, None] * basis.wavevectors[:, None, :]
     grads = np.tensordot(dph, outer, axes=([1], [0]))
     du = 0.5 * (grads + np.swapaxes(grads, 1, 2))
     nu = state.params.viscosity(ci.point_in_mesh(state.mesh, points))
-    result -= pairing(2.0 * nu[:, None, None] * du)
+    tensor = u_values[:, :, None] * u_values[:, None, :]
+    tensor = tensor - b_values[:, :, None] * b_values[:, None, :] - 2.0 * nu[:, None, None] * du
+    result = pairing(tensor)
     result += state.params.kappa * ci.curvature_pairing_modes(state.mesh, basis)
     return result
 
@@ -189,8 +215,9 @@ class TestApplyK:
         for i, s in enumerate(states):
             s.t = 0.1 * i
             s.mesh.t = 0.1 * i
-        out, n_values = cg.apply_K(states, 8, cg.apply_N(states[0], 8))
+        out, n_values, rates = _apply_K(states, 8, cg.apply_N(states[0], 8))
         assert np.all(out == 0.0)
+        assert np.all(rates == 0.0)
         assert np.all(n_values == 0.0)
 
     def test_single_substep_is_trapezoid(self, basis_2d):
@@ -205,7 +232,7 @@ class TestApplyK:
                               cb.SpectralField(basis_2d, np.zeros(len(basis_2d))), mesh0, params)
         s1 = cg.GalerkinState(0.25, cb.SpectralField(basis_2d, c1),
                               cb.SpectralField(basis_2d, np.zeros(len(basis_2d))), mesh1, params)
-        out, n_values = cg.apply_K([s0, s1], 8, cg.apply_N(s0, 8))
+        out, n_values, _ = _apply_K([s0, s1], 8, cg.apply_N(s0, 8))
         np.testing.assert_array_equal(out[0], c0)
         np.testing.assert_allclose(
             out[1], c0 + 0.25 * 0.5 * (n_values[0] + n_values[1]), atol=1e-15
@@ -227,7 +254,7 @@ class TestApplyK:
                     cg.FluidParams(0.1, 0.1, 1.0, 0.0),
                 )
             )
-        out, _ = cg.apply_K(states, 8, cg.apply_N(states[0], 8))
+        out, _, _ = _apply_K(states, 8, cg.apply_N(states[0], 8))
         np.testing.assert_array_equal(out[0], anchor)
 
     def test_handed_anchor_forcing_replaces_the_node_0_call(self, monkeypatch, basis_2d):
@@ -242,21 +269,25 @@ class TestApplyK:
                 cb.SpectralField(basis_2d, 0.2 * rng.standard_normal(len(basis_2d))),
                 mesh, cg.FluidParams(0.1, 0.1, 1.0, 0.1),
             ))
-        # N at every node, and K(u) as the trapezoid of N from states[0]
+        # N and the rate at every node, one node at a time, and K(u) as the
+        # trapezoid of N from states[0]
         want_n = np.stack([cg.apply_N(st, 8) for st in states])
+        want_rates = np.array([_rate(st, 8) for st in states[1:]])
         want = cg._trapezoid(states[0].u.coefficients, [0.0, 0.05, 0.1], want_n)
-        real = cg.apply_N
+        real = cg._forcing
         calls = []
 
-        def counted(state, *args, **kwargs):
-            calls.append(state.t)
-            return real(state, *args, **kwargs)
+        def counted(nodes, *args, **kwargs):
+            calls.append([state.t for state in nodes])
+            return real(nodes, *args, **kwargs)
 
-        monkeypatch.setattr(cg, "apply_N", counted)
-        got, got_n = cg.apply_K(states, 8, real(states[0], 8))
-        assert calls == [0.05, 0.1]
-        np.testing.assert_array_equal(got, want)
-        np.testing.assert_array_equal(got_n, want_n)
+        monkeypatch.setattr(cg, "_forcing", counted)
+        got, got_n, got_rates = _apply_K(states, 8, want_n[0])
+        # one pass over the later nodes, byte for byte the one-node calls
+        assert calls == [[0.05, 0.1]]
+        assert got.tobytes() == want.tobytes()
+        assert got_n.tobytes() == want_n.tobytes()
+        assert got_rates.tobytes() == want_rates.tobytes()
 
     def test_contraction_for_small_data(self, basis_2d):
         # small anchor, kappa = 0, short window: K contracts trajectories
@@ -280,7 +311,7 @@ class TestApplyK:
                         params,
                     )
                 )
-            return cg.apply_K(states, 8, cg.apply_N(states[0], 8))[0]
+            return _apply_K(states, 8, cg.apply_N(states[0], 8))[0]
 
         traj1 = np.tile(anchor, (n_nodes, 1))
         traj2 = traj1 + 1e-3 * rng.standard_normal(traj1.shape)
@@ -296,6 +327,75 @@ def _history(window):
     """The accepted velocity up to ``window``'s end, from t = 0 on, as ``run``
     hands it to the next window."""
     return SpectralTrajectory(window.states[-1].u.basis, window.t_grid, window.u_trajectory)
+
+
+class TestGridPass:
+    @pytest.mark.parametrize("dimension", [2, 3])
+    def test_a_stack_of_nodes_is_its_one_node_calls(self, dimension):
+        # two phases and a capillary term: N and the dissipation rate of S
+        # nodes in one pass equal those of S one-node calls byte for byte
+        basis = cb.make_basis(dimension, 2)
+        order = 8
+        quad = basis.quadrature(order)
+        rng = np.random.default_rng(197 + dimension)
+        params = cg.FluidParams(0.2, 0.1, 1.0, 0.1)
+        center = CENTER_2D if dimension == 2 else (np.pi,) * 3
+        region = ci.disk(center, 1.0) if dimension == 2 else ci.ball(center, 1.0)
+        mesh = ci.mesh_initial(region, 64 if dimension == 2 else 2)
+        states = [
+            cg.GalerkinState(
+                0.0,
+                cb.SpectralField(basis, 0.4 * rng.standard_normal(len(basis))),
+                cb.SpectralField(basis, 0.3 * rng.standard_normal(len(basis))),
+                mesh,
+                params,
+            )
+            for _ in range(5)
+        ]
+        rows = rng.integers(0, 2, (5, len(quad.points)))
+        forcing, rates = cg._forcing(states, quad, *_node_values(states, order), rows)
+        for state, row, n_value, rate in zip(states, rows, forcing, rates):
+            assert n_value.tobytes() == cg.apply_N(state, order, chi_values=row).tobytes()
+            assert rate.tobytes() == _rate(state, order, chi_values=row).tobytes()
+
+    def test_one_sweep_is_one_grid_pass(self, monkeypatch, basis_2d):
+        # per sweep: one apply_K, one stacked synthesis of u (the B march
+        # synthesizes B alone, one row at a time), one stacked gradient
+        # synthesis and one forcing pairing, and no one-node apply_N
+        counts = dict.fromkeys(("apply_K", "apply_N", "pairing", "u", "gradients"), 0)
+
+        def counting(real, key, stacked=lambda *args: True):
+            def wrapper(*args, **kwargs):
+                counts[key] += bool(stacked(*args))
+                return real(*args, **kwargs)
+
+            return wrapper
+
+        monkeypatch.setattr(cg, "apply_K", counting(cg.apply_K, "apply_K"))
+        monkeypatch.setattr(cg, "apply_N", counting(cg.apply_N, "apply_N"))
+        monkeypatch.setattr(cg, "gradient_pairing", counting(cg.gradient_pairing, "pairing"))
+        real_values, real_gradients = cb.Quadrature.field_values, cb.Quadrature.field_gradients
+        monkeypatch.setattr(cb.Quadrature, "field_values", counting(
+            real_values, "u", lambda quad, coefficients: np.ndim(coefficients) == 2
+        ))
+        monkeypatch.setattr(cb.Quadrature, "field_gradients", counting(
+            real_gradients, "gradients"
+        ))
+        rng = np.random.default_rng(199)
+        phase = ci.disk(CENTER_2D, 1.0)
+        anchor = make_state(basis_2d, u_coeffs=0.3 * rng.standard_normal(len(basis_2d)),
+                            params=cg.FluidParams(0.2, 0.1, 1.0, 0.1))
+        initial = cg.initial_window(anchor, 8, phase)
+        counts.update(dict.fromkeys(counts, 0))
+        window = cg.fixed_point_window(
+            initial, 0.05, 4, 1e-8, 30, order=8, h_flow=0.01, dt_b=0.0125,
+            history=_history(initial), phase=phase,
+        )
+        sweeps = len(window.residual_history)
+        assert sweeps > 1
+        assert counts == dict(apply_K=sweeps, apply_N=0, pairing=sweeps, u=sweeps,
+                              gradients=sweeps)
+        assert window.work["forcing_evaluations"] == 4 * sweeps
 
 
 class TestFixedPointWindow:
@@ -589,9 +689,9 @@ class TestWindowStart:
         )
 
     def _start(self, monkeypatch, previous, delta):
-        """(window, its first iterate, the N calls made for the predictor)."""
+        """(window, its first iterate, the forcing passes made for the predictor)."""
         iterates = _first_iterate(monkeypatch)
-        real_n, real_predictor = cg.apply_N, cg.predictor
+        real_n, real_predictor = cg._forcing, cg.predictor
         calls, at_start = [], []
 
         def counted(*args, **kwargs):
@@ -602,7 +702,7 @@ class TestWindowStart:
             at_start.append(len(calls))
             return real_predictor(*args)
 
-        monkeypatch.setattr(cg, "apply_N", counted)
+        monkeypatch.setattr(cg, "_forcing", counted)
         monkeypatch.setattr(cg, "predictor", predictor)
         window = cg.fixed_point_window(
             previous, delta, 4, 1e-8, 30, history=_history(previous), **self.ARGS
@@ -684,27 +784,31 @@ class TestWindowStart:
         # reuses it; a later window takes it from its predecessor's last node
         rng = np.random.default_rng(181)
         anchor = make_state(basis_2d, u_coeffs=0.3 * rng.standard_normal(len(basis_2d)))
-        real = cg.apply_N
-        calls = []
+        real = cg._forcing
+        nodes = []
 
-        def counted(*args, **kwargs):
-            calls.append(1)
-            return real(*args, **kwargs)
+        def counted(states, *args, **kwargs):
+            nodes.append(len(states))
+            return real(states, *args, **kwargs)
 
-        monkeypatch.setattr(cg, "apply_N", counted)
+        monkeypatch.setattr(cg, "_forcing", counted)
         args = dict(order=8, h_flow=0.01, dt_b=0.0125)
         initial = cg.initial_window(anchor, 8, None)
         first = cg.fixed_point_window(initial, 0.05, 4, 1e-8, 30, **args)
-        assert len(first.residual_history) > 1
-        assert len(calls) == 1 + 4 * len(first.residual_history)
-        # a single-phase window has no indicator, and its tally is zeros
-        assert first.work == dict.fromkeys(cg.WORK, 0)
-        calls.clear()
+        sweeps = len(first.residual_history)
+        assert sweeps > 1
+        # one pass per sweep over the 4 later nodes
+        assert nodes == [1] + [4] * sweeps
+        # a single-phase window has no indicator: its tally counts only the
+        # forcing
+        assert first.work == dict(dict.fromkeys(cg.WORK, 0), forcing_evaluations=4 * sweeps)
+        nodes.clear()
         # no indicator rows: the start fits all of the first window's 5 nodes
         assert cg._start_nodes(first, 0.05) == cg.EXTRAPOLATION_DEGREE + 1 == 5
         second = cg.fixed_point_window(first, 0.05, 4, 1e-8, 30, **args)
         assert second.start == "extrapolated"
-        assert len(calls) == 4 * len(second.residual_history)
+        assert nodes == [4] * len(second.residual_history)
+        assert second.work["forcing_evaluations"] == sum(nodes)
 
     def test_node_0_is_handed_over(self, monkeypatch, basis_2d):
         # two phases at order 20 on a 16-gon: quadrature points between its
@@ -721,16 +825,16 @@ class TestWindowStart:
         points = basis_2d.quadrature(20).points
         assert not np.array_equal(ci.point_in_mesh(anchor.mesh, points),
                                   args["phase"].contains(points))
-        real_n, real_k, real_call = cg.apply_N, cg.apply_K, cg._WindowIndicator.__call__
+        real_n, real_k, real_call = cg._forcing, cg.apply_K, cg._WindowIndicator.__call__
         times, sweeps, moving = [], [], []
 
-        def counted(state, *args, **kwargs):
-            times.append(state.t)
-            return real_n(state, *args, **kwargs)
+        def counted(states, *args, **kwargs):
+            times.extend(state.t for state in states)
+            return real_n(states, *args, **kwargs)
 
-        def recorded(states, order, anchor_forcing, chi_values=None):
+        def recorded(states, order, anchor_forcing, u_values, b_values, chi_values):
             sweeps.append((states[0], chi_values[0]))
-            return real_k(states, order, anchor_forcing, chi_values=chi_values)
+            return real_k(states, order, anchor_forcing, u_values, b_values, chi_values)
 
         def indicated(indicator, sampler):
             traces = indicator.work["indicator_traces"]
@@ -739,7 +843,7 @@ class TestWindowStart:
                 moving.append(int(indicator.moving.sum()))
             return chi
 
-        monkeypatch.setattr(cg, "apply_N", counted)
+        monkeypatch.setattr(cg, "_forcing", counted)
         monkeypatch.setattr(cg, "apply_K", recorded)
         monkeypatch.setattr(cg._WindowIndicator, "__call__", indicated)
         legs = _recording_legs(monkeypatch)
@@ -1170,10 +1274,10 @@ def _nan_first_sweep(monkeypatch):
 
     def nan_once(*args, **kwargs):
         calls.append(1)
-        k_coeffs, n_values = real(*args, **kwargs)
+        k_coeffs, n_values, rates = real(*args, **kwargs)
         if len(calls) == 1:
-            return np.full_like(k_coeffs, np.nan), np.full_like(n_values, np.nan)
-        return k_coeffs, n_values
+            return np.full_like(k_coeffs, np.nan), np.full_like(n_values, np.nan), rates
+        return k_coeffs, n_values, rates
 
     monkeypatch.setattr(cg, "apply_K", nan_once)
 
@@ -1248,9 +1352,11 @@ class TestRun:
         assert not any("omega" in a for a in result.attempts)
 
     def test_non_finite_forcing_halves_the_window(self, monkeypatch):
-        # the capillary term of the first in-window apply_N call (the second
-        # call; the first is N at t = 0) comes back NaN: the window fails,
-        # halves, and the run carries on to T
+        # the capillary term at the first in-window node (the second mesh
+        # paired; the first is the initial one, at t = 0) comes back NaN: the
+        # sweep's forcing pass over its 8 nodes raises before the residual,
+        # so the window fails with no sweep counted but its forcing
+        # evaluations recorded, halves, and the run carries on to T
         real = cg.curvature_pairing_modes
         calls = []
 
@@ -1269,6 +1375,7 @@ class TestRun:
         assert (failed["accepted"], failed["sweeps"], failed["error"]) == (
             False, 0, "NumericsError"
         )
+        assert failed["forcing_evaluations"] == 8
         assert halved["accepted"] and halved["delta"] == failed["delta"] / 2
 
     def test_non_finite_forcing_at_t0_raises_at_once(self, monkeypatch):
@@ -1293,18 +1400,29 @@ class TestRun:
     def test_each_node_is_recorded_once(self, monkeypatch):
         # a window's node 0 is its predecessor's last node: its dissipation
         # rate is carried over, and neither it nor its forcing-bound sample
-        # is taken again
-        real = cg.viscous_dissipation_rate
-        rated = []
+        # is taken again; the ledger's rates are those of the forcing pass
+        # that the window accepted, and no gradient is synthesized for it
+        real = cb.Quadrature.field_gradients
+        synthesized = []
 
-        def counted(state, *args, **kwargs):
-            rated.append(id(state))
-            return real(state, *args, **kwargs)
+        def counted(quad, coefficients):
+            synthesized.append(1)
+            return real(quad, coefficients)
 
-        monkeypatch.setattr(cg, "viscous_dissipation_rate", counted)
+        monkeypatch.setattr(cb.Quadrature, "field_gradients", counted)
         result = cg.run(reference_config(T=0.15))
         assert len(result.windows) > 1
-        assert sorted(rated) == sorted(id(state) for state in result.states)
+        assert len(synthesized) == 1 + result.sweeps
+        for previous, window in zip(result.windows, result.windows[1:]):
+            assert window.rates[:1].tobytes() == previous.rates[-1:].tobytes()
+        viscous, cumulative = [0.0], 0.0
+        rates = [result.windows[0].rates[0]]
+        rates += [rate for window in result.windows for rate in window.rates[1:]]
+        steps = np.concatenate([np.diff(window.t_grid) for window in result.windows])
+        for dt, before, after in zip(steps, rates, rates[1:]):
+            cumulative = cumulative + 0.5 * dt * (before + after)
+            viscous.append(cumulative)
+        assert np.array(viscous).tobytes() == result.ledger.column("viscous_cum").tobytes()
         assert len(result.n_bound_samples) == len(result.ledger) == len(result.states)
         times = [sample[0] for sample in result.n_bound_samples]
         assert all(b > a for a, b in zip(times, times[1:]))
@@ -1444,8 +1562,9 @@ class TestRun:
         assert not failed["accepted"]
         assert failed["indicator_traces"] == traced.count(failed["delta"]) > 0
 
-    # Work of three fixed runs: sweeps, forcing evaluations, dissipation-rate
-    # calls and the attempts' summed WORK tally, in WORK's order.
+    # Work of three fixed runs: sweeps, forcing evaluations (N at t = 0 and
+    # the attempts' own), ledger rows and the attempts' summed indicator
+    # tally, in WORK's order after "forcing_evaluations".
     PINNED_WORK = {
         "configs/reference_2d.json": (8, 65, 41, (0, 0, 0, 0, 0)),
         "bench/workloads/ref2d-long.json": (21, 169, 121, (4, 576, 2, 3000, 40)),
@@ -1453,28 +1572,19 @@ class TestRun:
     }
 
     @pytest.mark.parametrize("path", sorted(PINNED_WORK))
-    def test_attempt_records_pin_the_work(self, monkeypatch, path):
-        # the attempt records count the run's work where it is done; the
-        # forcing evaluations and rate calls, counted here from outside,
-        # follow from them: 1 + n_sub per sweep, and one per ledger row
+    def test_attempt_records_pin_the_work(self, path):
+        # the attempt records count the run's work where it is done: the
+        # forcing at n_sub nodes per sweep, besides N at t = 0, and the
+        # indicator's tally; the ledger takes one rate per row from them
         sweeps, forcing, rates, tally = self.PINNED_WORK[path]
-        counts = {"apply_N": 0, "viscous_dissipation_rate": 0}
-        for name in counts:
-            real = getattr(cg, name)
-
-            def counted(*args, real=real, name=name, **kwargs):
-                counts[name] += 1
-                return real(*args, **kwargs)
-
-            monkeypatch.setattr(cg, name, counted)
         config = RunConfig.from_json(ROOT / path)
         result = cg.run(config)
         assert result.window_failures == 0
         assert sum(attempt["sweeps"] for attempt in result.attempts) == sweeps
         work = {key: sum(attempt[key] for attempt in result.attempts) for key in cg.WORK}
-        assert work == dict(zip(cg.WORK, tally))
-        assert counts["apply_N"] == 1 + config.n_sub * sweeps == forcing
-        assert counts["viscous_dissipation_rate"] == len(result.ledger) == rates
+        assert 1 + work.pop("forcing_evaluations") == 1 + config.n_sub * sweeps == forcing
+        assert work == dict(zip(cg.WORK[1:], tally))
+        assert len(result.ledger) == rates
 
     def test_hard_nonconvergence_below_delta_floor(self):
         # one sweep from the Euler predictor converges once delta is near

@@ -19,6 +19,26 @@ def zero_velocity(basis_k1):
     return ref.SteadyField(cb.SpectralField(basis_k1, np.zeros(len(basis_k1))))
 
 
+def step(b_field, sampler, t, sigma, dt, order):
+    """``step_B`` from ``b_field`` at t, with u synthesized from the sampler's
+    coefficients at t and B from ``b_field``'s."""
+    quad = b_field.basis.quadrature(order)
+    u_values = quad.field_values(sampler.coefficients_at(t))
+    b_values = quad.field_values(b_field.coefficients)
+    return cind.step_B(b_field, u_values, b_values, sigma, dt, quad)
+
+
+def march(sampler, b0, t0, t1, dt, sigma, order):
+    """``solve_B`` over the one sub-step [t0, t1], with u synthesized from the
+    sampler's coefficients at both ends: B at t1 and the steps' increments."""
+    quad = b0.basis.quadrature(order)
+    ends = np.stack([sampler.coefficients_at(t0), sampler.coefficients_at(t1)])
+    fields, _, (increments,) = cind.solve_B(
+        quad.field_values(ends), [t0, t1], b0, dt, sigma, quad
+    )
+    return fields[-1], increments
+
+
 def unit_mode_field(basis, eigenvalue=1.0):
     j = int(np.flatnonzero(basis.eigenvalues == eigenvalue)[0])
     coeffs = np.zeros(len(basis))
@@ -29,12 +49,12 @@ def unit_mode_field(basis, eigenvalue=1.0):
 class TestStepB:
     def test_zero_is_fixed_point(self, basis_k1, zero_velocity):
         b0 = cb.SpectralField(basis_k1, np.zeros(len(basis_k1)))
-        out = cind.step_B(b0, zero_velocity, 0.0, 1.0, 0.1, 4)
+        out = step(b0, zero_velocity, 0.0, 1.0, 0.1, 4)
         assert np.all(out.coefficients == 0.0)
 
     def test_implicit_decay_factor(self, basis_k1, zero_velocity):
         b0 = unit_mode_field(basis_k1)
-        out = cind.step_B(b0, zero_velocity, 0.0, 1.0, 0.25, 4)
+        out = step(b0, zero_velocity, 0.0, 1.0, 0.25, 4)
         assert out.norm() == pytest.approx(1.0 / 1.25, rel=1e-14)
 
     def test_aligned_field_transport_vanishes(self, basis_k1):
@@ -49,14 +69,14 @@ class TestStepB:
         rng = np.random.default_rng(79)
         field = cb.SpectralField(basis_k1, rng.standard_normal(len(basis_k1)))
         for dt in (0.1, 1.0, 10.0):
-            out = cind.step_B(field, zero_velocity, 0.0, 1.0, dt, 4)
+            out = step(field, zero_velocity, 0.0, 1.0, dt, 4)
             assert out.norm() < field.norm()
 
     def test_nonfinite_velocity_raises(self, basis_k1):
         bad = SpectralTrajectory(basis_k1, [0.0], [np.full(len(basis_k1), np.nan)])
         b0 = unit_mode_field(basis_k1)
         with pytest.raises(NumericsError):
-            cind.step_B(b0, bad, 0.0, 1.0, 0.1, 4)
+            step(b0, bad, 0.0, 1.0, 0.1, 4)
 
 
 class TestSolveB:
@@ -69,7 +89,7 @@ class TestSolveB:
         # u = 0, |k|^2 = 1, sigma = 1: the IMEX chain gives (1 + dt)^-N,
         # matching e^{-sigma |k|^2 t} to first order
         b0 = unit_mode_field(basis_k1)
-        b_end, _ = cind.solve_B(zero_velocity, b0, 0.0, 1.0, 1e-3, 1.0, 4)
+        b_end, _ = march(zero_velocity, b0, 0.0, 1.0, 1e-3, 1.0, 4)
         ratio = b_end.norm() / b0.norm()
         assert ratio == pytest.approx((1.001) ** -1000, rel=1e-12)
         assert ratio == pytest.approx(np.exp(-1.0), rel=1e-3)
@@ -79,13 +99,13 @@ class TestSolveB:
         coeffs = rng.standard_normal(len(basis_k1))
         b0 = cb.SpectralField(basis_k1, coeffs)
         sigma = 0.7
-        b_end, _ = cind.solve_B(zero_velocity, b0, 0.0, 0.5, 1e-3, sigma, 4)
+        b_end, _ = march(zero_velocity, b0, 0.0, 0.5, 1e-3, sigma, 4)
         exact = coeffs * np.exp(-sigma * basis_k1.eigenvalues * 0.5)
         np.testing.assert_allclose(b_end.coefficients, exact, rtol=1e-3)
 
     def test_resistive_increments_recorded(self, basis_k1, zero_velocity):
         b0 = unit_mode_field(basis_k1)
-        _, increments = cind.solve_B(zero_velocity, b0, 0.0, 0.1, 0.025, 1.0, 4)
+        _, increments = march(zero_velocity, b0, 0.0, 0.1, 0.025, 1.0, 4)
         assert len(increments) == 4
         # first step: sigma * |k|^2 * c_new^2 * dt with c_new = 1/(1 + dt)
         expected = 1.0 * (1.0 / 1.025) ** 2 * 0.025
@@ -102,12 +122,54 @@ class TestSolveB:
         rng = np.random.default_rng(107)
         u = ref.SteadyField(cb.SpectralField(basis_k1, rng.standard_normal(len(basis_k1))))
         b0 = cb.SpectralField(basis_k1, rng.standard_normal(len(basis_k1)))
-        b_end, increments = cind.solve_B(u, b0, 0.0, 0.1, dt, 0.7, 4)
+        b_end, increments = march(u, b0, 0.0, 0.1, dt, 0.7, 4)
         times, fields, chain_increments = ref.induction_steps(u, b0, 0.0, 0.1, dt, 0.7, 4)
         assert len(times) == 5
         assert b_end.coefficients.tobytes() == fields[-1].coefficients.tobytes()
         assert increments.tobytes() == chain_increments.tobytes()
 
+    @pytest.mark.parametrize("steps, tolerance", [(1, 0.0), (4, 1e-13)])
+    def test_window_march_matches_the_step_chain(self, steps, tolerance):
+        # u comes from one synthesis at the window's nodes.  At one step per
+        # sub-step every step starts at a node, so each node's B is the step
+        # chain's byte for byte; at four, the march takes u linearly between
+        # the node values and the chain synthesizes the interpolated
+        # coefficients, which agree to rounding
+        basis = cb.make_basis(2, 2)
+        order = 8
+        quad = basis.quadrature(order)
+        rng = np.random.default_rng(211)
+        t_grid = 0.3 + np.linspace(0.0, 0.1, 5)
+        coefficients = 0.5 * rng.standard_normal((5, len(basis)))
+        sampler = SpectralTrajectory(basis, t_grid, coefficients)
+        b0 = cb.SpectralField(basis, 0.3 * rng.standard_normal(len(basis)))
+        dt = 0.025 / steps
+        fields, values, increments = cind.solve_B(
+            quad.field_values(coefficients), t_grid, b0, dt, 0.7, quad
+        )
+        chain, chain_increments = [b0], []
+        for t0, t1 in zip(t_grid[:-1], t_grid[1:]):
+            _, kept, kept_increments = ref.induction_steps(
+                sampler, chain[-1], t0, t1, dt, 0.7, order
+            )
+            chain.append(kept[-1])
+            chain_increments.append(kept_increments)
+        assert len(fields) == len(values) == 5
+        assert [len(part) for part in increments] == [steps] * 4
+        for field, want, node_values in zip(fields, chain, values):
+            # the node values handed to the forcing are the field's own
+            assert node_values.tobytes() == quad.field_values(field.coefficients).tobytes()
+            if tolerance == 0.0:
+                assert field.coefficients.tobytes() == want.coefficients.tobytes()
+            else:
+                np.testing.assert_allclose(
+                    field.coefficients, want.coefficients, rtol=0.0, atol=tolerance
+                )
+        for got, want in zip(increments, chain_increments):
+            if tolerance == 0.0:
+                assert got.tobytes() == want.tobytes()
+            else:
+                np.testing.assert_allclose(got, want, rtol=0.0, atol=tolerance)
 
     def test_small_window_late_in_time(self, basis_k1, zero_velocity):
         # the node spacing rounds by ulp(0.3), about 4e-12 of dt, so the
@@ -115,7 +177,7 @@ class TestSolveB:
         t_grid = 0.3 + np.linspace(0.0, 1e-4, 9)
         dt = 1e-4 / 8
         b0 = unit_mode_field(basis_k1)
-        b_end, increments = cind.solve_B(zero_velocity, b0, t_grid[0], t_grid[1], dt, 1.0, 4)
+        b_end, increments = march(zero_velocity, b0, t_grid[0], t_grid[1], dt, 1.0, 4)
         times, fields, chain_increments = ref.induction_steps(
             zero_velocity, b0, t_grid[0], t_grid[1], dt, 1.0, 4
         )

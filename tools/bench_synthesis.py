@@ -14,16 +14,18 @@ back-traces, and the origins tested against the initial region.
 
 It also records a sweep table: ``galerkin.run`` of each ``SWEEP_CONFIGS``
 entry in a fresh interpreter on each side, with nothing patched, read from
-the run's own window attempts.  For each side: every attempt's start, sweeps
-and first residual, the largest ratio of consecutive residuals r_k / r_{k-1}
-within one attempt, and the attempts' summed work tally (``TALLY``: the
-window indicator's traces, the RK4 point-steps of its window and history
-legs, its history legs and the carried points the window-start mesh
-decided; None on a side whose attempts do not carry a key).  Beside them
-are the forcing evaluations, 1 + n_sub times the sweeps, and the
-dissipation-rate calls, one per ledger row.  Each row ends with the number
-of windows that took more sweeps than on the baseline, and the largest
-absolute difference between the two sides' ledger entries.
+the run's own window attempts.  The sides alternate which runs first from
+one config to the next.  For each side: the run's wall seconds (the only
+timing of the kmax 8 reference, which no benchmark workload runs), every
+attempt's start, sweeps and first residual, the largest ratio of
+consecutive residuals r_k / r_{k-1} within one attempt, and the attempts'
+summed work tally (``TALLY``: the nodes at which the sweeps evaluated the
+forcing, and the window indicator's traces, the RK4 point-steps of its
+window and history legs, its history legs and the carried points the
+window-start mesh decided; None on a side whose attempts do not carry a
+key).  Each row ends with the number of windows that took more sweeps than
+on the baseline, and the largest absolute difference between the two
+sides' ledger entries.
 
 Last, the cost of the window indicator's distance work per window attempt:
 each workload's ``galerkin.run`` under cProfile, ``DISTANCE_RUNS`` times per
@@ -81,6 +83,7 @@ SWEEP_CONFIGS = [
 
 # The keys of an attempt record that tally the work of its window.
 TALLY = (
+    "forcing_evaluations",
     "indicator_traces",
     "window_point_steps",
     "history_legs",
@@ -111,15 +114,17 @@ seconds = sum(
 print(json.dumps({"seconds": seconds, "attempts": len(result.attempts)}))
 """
 
-# One run in the checkout whose src is on sys.path; prints its sub-steps per
-# window, its ledger rows and its window attempts.
+# One run in the checkout whose src is on sys.path; prints its wall seconds,
+# its ledger rows and its window attempts.
 _SWEEP_RUN = """
-import json, sys
+import json, sys, time
 from capmhd import galerkin
 from capmhd.config import RunConfig
 config = RunConfig.from_dict(json.loads(sys.argv[1]))
+start = time.perf_counter()
 result = galerkin.run(config)
-print(json.dumps({"n_sub": config.n_sub, "ledger": result.ledger.rows,
+seconds = time.perf_counter() - start
+print(json.dumps({"run_s": seconds, "ledger": result.ledger.rows,
                   "attempts": result.attempts}))
 """
 
@@ -148,19 +153,18 @@ def sweep_run(checkout, data):
 
 def sweep_table(baseline):
     rows = []
-    for name, path, overrides in SWEEP_CONFIGS:
+    for i, (name, path, overrides) in enumerate(SWEEP_CONFIGS):
         data = dict(json.loads((ROOT / path).read_text()), **overrides)
         row = {"config": name, "file": path, "overrides": overrides}
         ledgers = {}
-        for side, checkout in (("baseline", baseline), ("change", ROOT)):
+        order = [("baseline", baseline), ("change", ROOT)]
+        for side, checkout in order[:: 1 if i % 2 == 0 else -1]:
             out = sweep_run(checkout, data)
             attempts = out["attempts"]
             ledgers[side] = np.array(out["ledger"])
-            sweeps = sum(a["sweeps"] for a in attempts)
             row[side] = {
-                "sweeps": sweeps,
-                "apply_N_calls": 1 + out["n_sub"] * sweeps,
-                "rate_calls": len(out["ledger"]),
+                "run_s": out["run_s"],
+                "sweeps": sum(a["sweeps"] for a in attempts),
                 **{key: total(attempts, key) for key in TALLY},
                 "window_sweeps": [a["sweeps"] for a in attempts],
                 "first_residuals": [
@@ -270,7 +274,7 @@ def main(argv=None):
         base, change = row["baseline"], row["change"]
         counts = ", ".join(
             f"{key} {base[key]} -> {change[key]}"
-            for key in ("sweeps", "apply_N_calls", "rate_calls", *TALLY, "largest_contraction")
+            for key in ("run_s", "sweeps", *TALLY, "largest_contraction")
         )
         print(f"{row['config']}: {counts}, "
               f"windows with more sweeps {row['windows_with_more_sweeps']}, "
