@@ -84,7 +84,6 @@ from .interface import (
     advect,
     check_simple,
     curvature_pairing_modes,
-    distance_lower_bound,
     enclosed_volume,
     mesh_distance,
     perimeter,
@@ -366,7 +365,8 @@ class _WindowIndicator:
     sweep changes, ``mesh`` is the window-start mesh, ``band`` is
     INDICATOR_BAND beyond its sagitta, the distance past which it decides a
     point, ``mesh_chi`` is the points' ray cast against it, ``distance`` their
-    distance to it, exact where ``measured``, else the vertex bound, and
+    distance to it as asked at ``radius`` (exact up to it, +inf beyond; a
+    sweep whose reach is larger asks the +inf points again), and
     ``history_growth`` = e^{t_m L_h} bounds how the fixed pre-window
     ``history`` leg grows a displacement.  The object keeps its last
     back-trace: ``moving`` marks the traced points, ``coefficients`` are the
@@ -384,8 +384,7 @@ class _WindowIndicator:
         self.phase, self.h_flow, self.first_row = phase, h_flow, first_row
         self.mesh = anchor.mesh
         self.band = INDICATOR_BAND + sagitta(anchor.mesh)
-        self.distance = distance_lower_bound(anchor.mesh, points)
-        self.measured = np.zeros(len(points), dtype=bool)
+        self.distance, self.radius = np.full(len(points), np.inf), -np.inf
         self.mesh_chi = point_in_mesh(anchor.mesh, points)
         weights = _gradient_weights(anchor.u.basis)
         self.history_growth = np.exp(anchor.t * _row_bound(history.coefficients, weights))
@@ -442,13 +441,14 @@ class _WindowIndicator:
         basis = sampler.basis
         # the sampler's own copy, which no later sweep writes to
         coefficients = sampler.coefficients
-        speed = _row_bound(coefficients, basis.normalizations)
-        reach = self.band + (t_grid[-1] - t_grid[0]) * speed
-        # measured once per window, where the bound does not decide
-        fresh = (self.distance <= reach) & ~self.measured
-        if np.any(fresh):
-            self.distance[fresh] = mesh_distance(self.mesh, self.points[fresh])
-            self.measured |= fresh
+        # no point moves farther than this in the window
+        travel = (t_grid[-1] - t_grid[0]) * _row_bound(coefficients, basis.normalizations)
+        reach = self.band + travel
+        # asked again only for the points beyond the radius, when the reach outgrows it
+        if reach > self.radius:
+            far = np.isinf(self.distance)
+            self.distance[far] = mesh_distance(self.mesh, self.points[far], reach)
+            self.radius = reach
         moving = self.distance <= reach
         chi = [self.first_row] + [self.mesh_chi.copy() for _ in t_grid[1:]]
         if not np.any(moving):
@@ -461,7 +461,8 @@ class _WindowIndicator:
                     "window_point_steps", np.concatenate([points, carried]), sampler,
                     t_grid[i], t_grid[i - 1],
                 )
-            clearance = mesh_distance(self.mesh, carried) - self.band
+            # within reach at their nodes, so within reach + travel here
+            clearance = mesh_distance(self.mesh, carried, reach + travel) - self.band
             band = clearance <= 0.0
             inside = np.empty(len(carried), dtype=np.int64)
             inside[~band] = point_in_mesh(self.mesh, carried[~band])

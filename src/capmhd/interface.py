@@ -13,9 +13,10 @@ differ by integration error and chord sagitta.  It tests the band again
 where those points reach the window start, and only the points inside it
 are back-traced on to time zero.  The band lies beyond the mesh's own
 estimate of its sagitta (``sagitta``), so a coarse or stretched mesh keeps
-more points for the back-trace.  Distances to a mesh are exact in 2D and 3D
-(``mesh_distance``), and the cheaper bound from its vertices
-(``distance_lower_bound``) picks the points worth measuring.
+more points for the back-trace.  A distance to a mesh is asked within a
+radius (``mesh_distance``): exact where it is at most the radius, in 2D
+and 3D, and +inf beyond, so only the elements whose boxes come that near a
+point are measured against it.
 
 Mesh vertices are never wrapped into the periodic cell: the region stays
 strictly inside by construction and wrapping would tear the connectivity.
@@ -41,16 +42,12 @@ from .flowmap import integrate_positions
 
 _QUALITY_FLOOR = 1e-12
 
-# Point-versus-vertex work runs over blocks of this many points, so that
-# the (points, vertices) temporaries stay small: 64 KB per array for a
-# 256-gon, 160 KB for the 642 vertices of a level-3 icosphere.
-_BLOCK = 32
-
-# Padding of the ray cast's broad-phase boxes in 3D.  Along the ray the
-# plane coordinates (x - y, y - z) drift by the direction's 3e-16 departure
-# from (1, 1, 1)/sqrt(3) per unit length, and the exact side test rounds at
-# about 1e-14 of the coordinates, both far below it.
-_RAY_BOX_PAD = 1e-9
+# Padding of the broad-phase boxes of the 3D ray cast and of the distance
+# query.  Along the ray the plane coordinates (x - y, y - z) drift by the
+# direction's 3e-16 departure from (1, 1, 1)/sqrt(3) per unit length, and
+# the exact side test and a computed distance round at about 1e-14 of the
+# coordinates, all far below it.
+_BOX_PAD = 1e-9
 
 _SHAPES_2D = ("disk", "ellipse")
 _SHAPES_3D = ("ball", "ellipsoid")
@@ -201,6 +198,27 @@ class InterfaceMesh:
             array.setflags(write=False)
         return MeshGeometry(*arrays, volume)
 
+    @functools.cached_property
+    def edges(self):
+        """The distinct edges as vertex pairs, and each element's edges as
+        rows of them: in 2D a segment is its own edge (``elements`` itself);
+        in 3D each triangle has three, each kept once, in its first
+        triangle's direction.  Apart from ``geometry``, so a mesh that no
+        distance is asked of does not compute them.
+        """
+        if self.dimension == 2:
+            sides = np.arange(len(self.elements))[:, None]
+            sides.setflags(write=False)
+            return self.elements, sides
+        ends = np.stack([self.elements, np.roll(self.elements, -1, axis=1)], axis=-1).reshape(-1, 2)
+        _, first, inverse = np.unique(
+            np.sort(ends, axis=1) @ [len(self.vertices), 1], return_index=True, return_inverse=True
+        )
+        arrays = ends[first], inverse.reshape(-1, 3)
+        for array in arrays:
+            array.setflags(write=False)
+        return arrays
+
     def validate(self):
         """Check closedness, then finite vertices, element quality and orientation."""
         _check_closed(self)
@@ -254,11 +272,6 @@ def _check_measures(mesh):
         )
 
 
-def _blocks(n):
-    """Slices covering range(n) in runs of at most _BLOCK."""
-    return [slice(start, start + _BLOCK) for start in range(0, n, _BLOCK)]
-
-
 def _runs(starts, ends):
     """Index pairs (i, m), one for each m in range(starts[i], ends[i])."""
     counts = np.maximum(ends - starts, 0)
@@ -268,18 +281,27 @@ def _runs(starts, ends):
     return owner, member
 
 
-def _points_in_ranges(coordinate, lo, hi):
-    """Index pairs (point, box) with lo[box] <= coordinate[point] <= hi[box].
+def _points_in_boxes(points, lo, hi):
+    """Index pairs (point, box) with lo[box] <= points[point] <= hi[box] on every axis.
 
-    The points are sorted by ``coordinate`` once, and two ``searchsorted``
-    calls give each box its run of points.
+    ``points`` is (n, k), ``lo`` and ``hi`` are (m, k).  Sort and sweep on
+    the first axis: the points are sorted by it once, and two
+    ``searchsorted`` calls give each box its run of points there.  Of those
+    pairs, the ones that also hold on each other axis in turn are kept.
     """
-    order = np.argsort(coordinate, kind="stable")
-    ranked = coordinate[order]
-    box, rank = _runs(
-        np.searchsorted(ranked, lo, side="left"), np.searchsorted(ranked, hi, side="right")
+    order = np.argsort(points[:, 0], kind="stable")
+    ranked = points[order, 0]
+    box, point = _runs(
+        np.searchsorted(ranked, lo[:, 0], side="left"),
+        np.searchsorted(ranked, hi[:, 0], side="right"),
     )
-    return order[rank], box
+    point = order[point]
+    for k in range(1, points.shape[1]):
+        x = points[:, k][point]
+        keep = lo[:, k][box] <= x
+        keep &= x <= hi[:, k][box]
+        point, box = point[keep], box[keep]
+    return point, box
 
 
 def box_pairs(lo, hi):
@@ -329,78 +351,51 @@ def check_simple(mesh):
     return mesh
 
 
-def _longest_edges(mesh):
-    """The longest edge of each element: its length in 2D."""
-    if mesh.dimension == 2:
-        return mesh.geometry.measures
-    corners = mesh.element_corners()
-    return np.max(np.linalg.norm(np.roll(corners, 1, axis=1) - corners, axis=-1), axis=1)
-
-
-def distance_lower_bound(mesh, points):
-    """A lower bound of each point's distance to the mesh surface.
-
-    Every point of an element lies within ``reach`` of the element's
-    nearest corner, so distance(point, mesh) >= distance to the nearest
-    vertex - reach, with reach the longest edge of the mesh times:
-    - 1/2 in 2D, since every point of a segment is within half its length
-      of its nearer end;
-    - 1/sqrt(3) in 3D.  The point of a triangle farthest from its nearest
-      corner is the circumcentre when the triangle is acute, at the
-      circumradius a / (2 sin A), where a is the longest edge and the angle
-      A opposite it lies in [60, 90) degrees, so at most a / sqrt(3).
-      Otherwise it is a point of the longest edge where the perpendicular
-      bisector of a shorter side meets it, at most a / 2 from two corners.
-    """
-    p = np.atleast_2d(np.asarray(points, dtype=np.float64))
-    longest = float(np.max(_longest_edges(mesh)))
-    reach = 0.5 * longest if mesh.dimension == 2 else longest / np.sqrt(3.0)
-    nearest = np.empty(len(p))
-    for rows in _blocks(len(p)):
-        squared = sum(
-            (p[rows, None, i] - mesh.vertices[None, :, i]) ** 2 for i in range(p.shape[1])
-        )
-        nearest[rows] = np.min(squared, axis=1)
-    return np.sqrt(nearest) - reach
-
-
-def mesh_distance(mesh, points):
-    """The exact distance of each point to the mesh: to its nearest element.
+def mesh_distance(mesh, points, radius):
+    """Each point's exact distance to the mesh where it is at most
+    ``radius``, and +inf beyond it.
 
     A segment's nearest point is the point's projection onto it, clamped to
     it; a triangle's is the foot of the perpendicular when that falls inside
     it, else the nearest point of an edge (Ericson, *Real-Time Collision
-    Detection*, 2005, 5.1.5).  So the distance is the least over the edges,
-    each once as its first element runs it, and in 3D over the heights of
-    the triangles whose foot is on the inner side of every edge.  The work
-    runs per axis, in blocks of _BLOCK points.
+    Detection*, 2005, 5.1.5).  So the distance is the least over the
+    ``edges`` and, in 3D, over the heights of the triangles whose foot is on
+    the inner side of every edge.  An element within ``radius`` of a point
+    holds the point in its box widened by ``radius`` (and _BOX_PAD), so one
+    sweep (``_points_in_boxes``) pairs each point with those elements, and
+    the arithmetic, per axis, runs on those pairs and their elements' edges
+    only; radius = inf pairs every point with every element.
     """
     p = np.atleast_2d(np.asarray(points, dtype=np.float64))
     d, corners = mesh.dimension, mesh.element_corners()
-    ends = np.stack([mesh.elements, np.roll(mesh.elements, -1, axis=1)], axis=-1).reshape(-1, 2)
-    _, first = np.unique(np.sort(ends, axis=1) @ [len(mesh.vertices), 1], return_index=True)
-    start = mesh.vertices[ends[first, 0]]
-    span = mesh.vertices[ends[first, 1]] - start
+    edges, sides = mesh.edges
+    start = mesh.vertices[edges[:, 0]]
+    span = mesh.vertices[edges[:, 1]] - start
     squared_length = np.linalg.norm(span, axis=1) ** 2
+    pad = radius + _BOX_PAD
+    lo, hi = np.min(corners, axis=1) - pad, np.max(corners, axis=1) + pad
+    point, element = _points_in_boxes(p, lo, hi)
+    # the candidates' edges; one that two candidates share is measured twice, alike
+    q, e = np.repeat(point, sides.shape[1]), sides[element].ravel()
+    delta = [p[q, i] - start[e, i] for i in range(d)]
+    s = np.clip(sum(delta[i] * span[e, i] for i in range(d)) / squared_length[e], 0.0, 1.0)
+    squared = np.full(len(p), np.inf)
+    np.minimum.at(squared, q, sum((delta[i] - s * span[e, i]) ** 2 for i in range(d)))
     if d == 3:
+        t = element
         a, normals = corners[:, 0], mesh.geometry.normals
         # each edge's inward normal in its triangle's plane, and its value on the edge
         inward = np.cross(normals[:, None], np.roll(corners, -1, axis=1) - corners)
         offset = np.einsum("ekd,ekd->ek", corners - a[:, None], inward)
-    out = np.empty(len(p))
-    for rows in _blocks(len(p)):
-        delta = [p[rows, None, i] - start[:, i] for i in range(d)]
-        s = np.clip(sum(delta[i] * span[:, i] for i in range(d)) / squared_length, 0.0, 1.0)
-        squared = np.min(sum((delta[i] - s * span[:, i]) ** 2 for i in range(d)), axis=1)
-        if d == 3:
-            delta = [p[rows, None, i] - a[:, i] for i in range(d)]
-            inside = np.all([
-                sum(delta[i] * inward[:, k, i] for i in range(d)) >= offset[:, k] for k in range(3)
-            ], axis=0)
-            height = sum(delta[i] * normals[:, i] for i in range(d))
-            squared = np.minimum(squared, np.min(np.where(inside, height**2, np.inf), axis=1))
-        out[rows] = np.sqrt(squared)
-    return out
+        delta = [p[point, i] - a[t, i] for i in range(d)]
+        inside = np.all([
+            sum(delta[i] * inward[t, k, i] for i in range(d)) >= offset[t, k] for k in range(3)
+        ], axis=0)
+        height = sum(delta[i] * normals[t, i] for i in range(d))
+        np.minimum.at(squared, point[inside], height[inside] ** 2)
+    distance = np.sqrt(squared)
+    distance[distance > radius] = np.inf
+    return distance
 
 
 def sagitta(mesh):
@@ -441,7 +436,9 @@ def sagitta(mesh):
     across = order[np.searchsorted(keys, end * n + start, sorter=order)] // 3
     cosines = np.einsum("ed,ed->e", np.repeat(normals, 3, axis=0), normals[across])
     theta = np.max(np.arccos(np.clip(cosines, -1.0, 1.0)).reshape(-1, 3), axis=1)
-    return float(np.max(_longest_edges(mesh) / np.sqrt(3.0) * np.tan(theta / 2.0)))
+    corners = mesh.element_corners()
+    longest = np.max(np.linalg.norm(np.roll(corners, 1, axis=1) - corners, axis=-1), axis=1)
+    return float(np.max(longest / np.sqrt(3.0) * np.tan(theta / 2.0)))
 
 
 def _cross_2d(a, b):
@@ -596,23 +593,22 @@ def _dot3(u, v):
 def point_in_mesh(mesh, points):
     """Geometric membership test against the mesh (even-odd ray casting).
 
-    A broad phase first pairs each point with the elements its ray can
-    cross: in 2D the ray runs along +x, and an edge can be crossed only by
-    the points within its y-range; in 3D the ray runs along d, close to
-    (1, 1, 1), and a triangle can be crossed only by the points whose plane
-    coordinates (x - y, y - z) lie in its box, padded by _RAY_BOX_PAD.  The
-    exact test then decides each pair as it would against every element.
+    A broad phase (``_points_in_boxes``) first pairs each point with the
+    elements its ray can cross: in 2D the ray runs along +x, and an edge can
+    be crossed only by the points within its y-range; in 3D the ray runs
+    along d, close to (1, 1, 1), and a triangle can be crossed only by the
+    points whose plane coordinates (x - y, y - z) lie in its box, padded by
+    _BOX_PAD.  The exact test then decides each pair as it would against
+    every element.
     """
     points = np.asarray(points, dtype=np.float64)
     single = points.ndim == 1
     p = np.atleast_2d(points)
     corners = mesh.element_corners()
     if mesh.dimension == 2:
-        a, b = corners[:, 0], corners[:, 1]
-        point, edge = _points_in_ranges(
-            p[:, 1], np.minimum(a[:, 1], b[:, 1]), np.maximum(a[:, 1], b[:, 1])
-        )
-        q, a, b = p[point], a[edge], b[edge]
+        ys = corners[..., 1:]
+        point, edge = _points_in_boxes(p[:, 1:], np.min(ys, axis=1), np.max(ys, axis=1))
+        q, a, b = p[point], corners[edge, 0], corners[edge, 1]
         ay = a[:, 1] - q[:, 1]
         by = b[:, 1] - q[:, 1]
         straddle = (ay > 0.0) != (by > 0.0)
@@ -636,11 +632,9 @@ def point_in_mesh(mesh, points):
         tie = np.where(mesh.elements < np.roll(mesh.elements, -1, axis=1), 1.0, -1.0)
         plane = np.stack([p[:, 0] - p[:, 1], p[:, 1] - p[:, 2]], axis=-1)
         corner_plane = np.stack([a[..., 0] - a[..., 1], a[..., 1] - a[..., 2]], axis=-1)
-        lo = np.min(corner_plane, axis=1) - _RAY_BOX_PAD
-        hi = np.max(corner_plane, axis=1) + _RAY_BOX_PAD
-        point, tri = _points_in_ranges(plane[:, 0], lo[:, 0], hi[:, 0])
-        keep = (lo[tri, 1] <= plane[point, 1]) & (plane[point, 1] <= hi[tri, 1])
-        point, tri = point[keep], tri[keep]
+        point, tri = _points_in_boxes(
+            plane, np.min(corner_plane, axis=1) - _BOX_PAD, np.max(corner_plane, axis=1) + _BOX_PAD
+        )
         q = p[point]
         ahead = np.sign(height[tri] - _dot3(q, normal[tri]))
         hit = np.ones(len(tri), dtype=bool)
@@ -653,10 +647,12 @@ def point_in_mesh(mesh, points):
 
 def _polygon_order(mesh):
     """Vertex indices walked along the polygon connectivity."""
-    succ = {int(a): int(b) for a, b in mesh.elements}
+    successor = np.empty(len(mesh.vertices), dtype=np.int64)
+    successor[mesh.elements[:, 0]] = mesh.elements[:, 1]
+    successor = successor.tolist()
     order = [int(mesh.elements[0, 0])]
-    for _ in range(len(mesh.vertices) - 1):
-        order.append(succ[order[-1]])
+    for _ in range(len(successor) - 1):
+        order.append(successor[order[-1]])
     return np.array(order, dtype=np.int64)
 
 

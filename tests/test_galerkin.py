@@ -600,8 +600,8 @@ def _run_checking_indicator(monkeypatch, config):
         for node, (got, want) in enumerate(zip(chi, expected)):
             np.testing.assert_array_equal(got, want, err_msg=f"t={t_grid[node]}")
         speed = np.max(np.abs(sampler.coefficients) @ sampler.basis.normalizations)
-        distance = ci.mesh_distance(indicator.mesh, indicator.points)
-        moving = distance <= indicator.band + (t_grid[-1] - t_grid[0]) * speed
+        reach = indicator.band + (t_grid[-1] - t_grid[0]) * speed
+        moving = ci.mesh_distance(indicator.mesh, indicator.points, reach) <= reach
         counts["band"] += int(moving.sum())
         counts["mesh"] += int((~moving).sum())
         traced = indicator.work["indicator_traces"] > traces
@@ -898,7 +898,7 @@ def _assert_history_takes_the_band(legs, history, mesh, stack_sizes):
         if sampler is history or t1 != mesh.t:
             continue
         sizes.append(len(stack))
-        bands.append(stack[ci.mesh_distance(mesh, stack) <= band])
+        bands.append(stack[ci.mesh_distance(mesh, stack, band) <= band])
         after = legs[k + 1] if k + 1 < len(legs) else (None, None, None, None)
         if len(bands[-1]) and mesh.t > 0.0:
             assert after[0] is history and after[1].tobytes() == bands[-1].tobytes()
@@ -1030,7 +1030,7 @@ class TestWindowIndicator:
         points = np.asarray(CENTER_2D) + np.array(offsets)
         assert ci.point_in_mesh(anchor.mesh, points).tolist() == [1, 0, 0, 0]
         np.testing.assert_allclose(
-            ci.mesh_distance(anchor.mesh, points[2:]),
+            ci.mesh_distance(anchor.mesh, points[2:], np.inf),
             [0.99 - np.cos(angle), 0.995 - np.cos(angle)], atol=1e-14,
         )
         still = SpectralTrajectory(basis_2d, [0.0, 0.3], np.zeros((2, len(basis_2d))))
@@ -1153,6 +1153,21 @@ def _counting_traces(monkeypatch):
     return calls
 
 
+def _counting_queries(monkeypatch):
+    """Record the window indicator's distance queries: the number of points
+    in each and its radius, rounded to two decimals, below which the
+    256-gon's sagitta (7.5e-5) in the band lies."""
+    real = cg.mesh_distance
+    queries = []
+
+    def counted(mesh, points, radius):
+        queries.append((len(points), round(radius, 2)))
+        return real(mesh, points, radius)
+
+    monkeypatch.setattr(cg, "mesh_distance", counted)
+    return queries
+
+
 def _assert_nearby_iterate_reuses(monkeypatch, t_start):
     """The points carried from nodes 1 and 2 lie 0.05 outside and 0.1 inside
     the circle, beyond the band, so the window-start mesh decides them, and
@@ -1215,30 +1230,33 @@ class TestIndicatorReuse:
         window = _TranslatingWindow()
         flow = window.flow(1.0)
         window.indicator(flow)
+        queries = _counting_queries(monkeypatch)
         window.indicator.distance[2] = 0.0
-        window.indicator.measured[2] = True
         chi = window.indicator(flow)
+        # the reach is the radius the points were asked at: no point is asked
+        # again, and only the new trace's carried points are
+        assert queries == [(4, 0.61)]
         assert window.indicator.work["indicator_traces"] == 2
         assert window.indicator.moving.tolist() == [True, False, True]
         assert [node.tolist() for node in chi] == [[0, 1, 0], [0, 1, 0], [1, 1, 0]]
 
     def test_each_point_is_measured_once_per_window(self, monkeypatch):
-        # at speed 1 the vertex bound leaves only the point 0.2 outside the
-        # disk within the window's reach; at speed 4 the other two join it,
-        # and only they are measured: then each trace's six carried points
-        real = cg.mesh_distance
-        measured = []
-
-        def counted(mesh, points):
-            measured.append(len(points))
-            return real(mesh, points)
-
-        monkeypatch.setattr(cg, "mesh_distance", counted)
+        # at speed 1 the reach, band + 0.3, holds only the point 0.2 outside
+        # the disk; its trace's two carried points are asked at the reach
+        # plus the window's travel.  At speed 4 the reach grows past the
+        # radius, so the other two points are asked again, and the trace
+        # carries all six.  Back at speed 1 no point is asked again
+        queries = _counting_queries(monkeypatch)
         window = _TranslatingWindow()
-        window.indicator(window.flow(1.0))
-        assert measured == [1, 2] and window.indicator.measured.tolist() == [True, False, False]
-        window.indicator(window.flow(4.0))
-        assert measured == [1, 2, 2, 6] and window.indicator.measured.all()
+        indicator = window.indicator
+        indicator(window.flow(1.0))
+        assert queries == [(3, 0.31), (2, 0.61)] and round(indicator.radius, 2) == 0.31
+        assert np.isinf(indicator.distance).tolist() == [False, True, True]
+        indicator(window.flow(4.0))
+        assert queries[2:] == [(2, 1.21), (6, 2.41)] and round(indicator.radius, 2) == 1.21
+        assert np.isfinite(indicator.distance).all()
+        indicator(window.flow(1.0))
+        assert queries[4:] == [(2, 0.61)] and round(indicator.radius, 2) == 1.21
 
     @settings(max_examples=20, deadline=None)
     @given(

@@ -248,7 +248,7 @@ class TestIndicator:
         t = 0.5
         advected = ci.advect(ci.mesh_initial(phase, 128), flow, t, 0.01)
         points, _ = cb.quadrature_rule(2, 16)
-        far = points[ci.distance_lower_bound(advected, points) > INDICATOR_BAND]
+        far = points[ci.mesh_distance(advected, points, INDICATOR_BAND) > INDICATOR_BAND]
         np.testing.assert_array_equal(
             ref.indicator(far, t, flow, phase, 0.01), ci.point_in_mesh(advected, far)
         )
@@ -368,24 +368,7 @@ class TestPointInMesh:
         np.testing.assert_array_equal(ci.point_in_mesh(mesh, points), inside)
 
 
-class TestDistanceLowerBound:
-    def test_below_the_distance_to_the_polygon(self, circle_mesh):
-        rng = np.random.default_rng(73)
-        points = rng.uniform(1.0, 2 * np.pi - 1.0, (300, 2))
-        corners = circle_mesh.element_corners()
-        a, span = corners[:, 0], corners[:, 1] - corners[:, 0]
-        s = np.einsum("med,ed->me", points[:, None, :] - a[None], span)
-        s = np.clip(s / np.einsum("ed,ed->e", span, span), 0.0, 1.0)
-        nearest = a[None] + s[..., None] * span[None]
-        exact = np.min(np.linalg.norm(points[:, None, :] - nearest, axis=-1), axis=1)
-        bound = ci.distance_lower_bound(circle_mesh, points)
-        assert np.all(bound <= exact)
-        # the nearest vertex is no nearer than the nearest point of the
-        # polygon, so the bound is at most half the longest edge below it
-        longest = np.max(circle_mesh.geometry.measures)
-        assert np.all(bound >= exact - 0.5 * longest - 1e-15)
-        np.testing.assert_allclose(ci.mesh_distance(circle_mesh, points), exact, atol=1e-14)
-
+class TestMeshDistance:
     @settings(max_examples=40, deadline=None)
     @given(st.sampled_from([2, 3]), st.integers(0, 2**32 - 1))
     def test_no_point_of_an_element_is_beyond_the_reach_of_its_corners(self, dimension, seed):
@@ -401,37 +384,13 @@ class TestDistanceLowerBound:
         reach = longest / (2.0 if dimension == 2 else np.sqrt(3.0))
         assert np.all(np.max(nearest, axis=1) <= reach * (1.0 + 1e-12))
 
-    def test_the_reach_is_attained(self):
-        # the midpoint of a segment and the centre of an equilateral
-        # triangle are the reach from every corner, so the bound is 0 there
-        segment = ci.InterfaceMesh([[0.0, 0.0], [2.0, 0.0]], [[0, 1], [1, 0]])
-        assert ci.distance_lower_bound(segment, [[1.0, 0.0]])[0] == 0.0
-        triangle = np.array([[0.0, 0.0, 0.0], [1.0, 0.0, 0.0], [0.5, np.sqrt(0.75), 0.0]])
-        mesh = ci.InterfaceMesh(triangle, [[0, 1, 2], [0, 2, 1]])
-        centre = triangle.mean(axis=0, keepdims=True)
-        assert abs(ci.distance_lower_bound(mesh, centre)[0]) <= 1e-15
-
-    @settings(max_examples=30, deadline=None)
-    @given(st.sampled_from([2, 3]), st.integers(0, 2**32 - 1))
-    def test_below_the_distance_to_dense_samples(self, dimension, seed):
-        mesh = _random_mesh(dimension, seed)
-        points = _near_points(mesh, seed)
-        corners = mesh.element_corners()
-        samples = _element_samples(corners, 24).reshape(-1, dimension)
-        sampled = np.array([np.min(np.linalg.norm(samples - p, axis=1)) for p in points])
-        bound = ci.distance_lower_bound(mesh, points)
-        assert np.all(bound <= sampled + 1e-12)
-        assert np.all(bound <= ci.mesh_distance(mesh, points) + 1e-12)
-
-
-class TestMeshDistance:
     @settings(max_examples=30, deadline=None)
     @given(st.sampled_from([2, 3]), st.booleans(), st.integers(0, 2**32 - 1))
     def test_exact_against_dense_samples(self, dimension, perturbed, seed):
         # never above the distance to dense samples of the elements, and
         # below it by no more than the samples' own reach: every point of
-        # an element lies within that of a sample, by the corner reach of
-        # distance_lower_bound applied to the cells of the sample grid
+        # an element lies within that of a sample, by the corner reach above
+        # applied to the cells of the sample grid
         mesh = _random_shape_mesh(dimension, seed, levels=(1,))
         if perturbed:
             mesh = _perturbed(mesh, seed, 0.3)
@@ -442,7 +401,7 @@ class TestMeshDistance:
         corners = mesh.element_corners()
         longest = np.max(np.linalg.norm(np.roll(corners, 1, axis=1) - corners, axis=-1))
         spacing = longest / (n - 1) / (2.0 if dimension == 2 else np.sqrt(3.0))
-        exact = ci.mesh_distance(mesh, points)
+        exact = ci.mesh_distance(mesh, points, np.inf)
         assert np.all(exact <= sampled + 1e-12)
         assert np.all(exact >= sampled - spacing - 1e-12)
 
@@ -453,16 +412,22 @@ class TestMeshDistance:
         # three coordinates
         mesh = _random_shape_mesh(dimension, seed)
         on_mesh = np.concatenate([mesh.vertices, mesh.geometry.centers])
-        assert np.max(ci.mesh_distance(mesh, on_mesh)) <= (1e-15 if dimension == 2 else 4e-15)
+        assert np.max(ci.mesh_distance(mesh, on_mesh, np.inf)) <= (
+            1e-15 if dimension == 2 else 4e-15
+        )
 
     @settings(max_examples=40, deadline=None)
     @given(st.sampled_from([2, 3]), st.integers(0, 2**32 - 1))
     def test_between_the_vertex_bound_and_the_nearest_vertex(self, dimension, seed):
         mesh = _random_shape_mesh(dimension, seed)
         points = _near_points(mesh, seed)
-        exact = ci.mesh_distance(mesh, points)
+        # the vertex bound: the nearest vertex less the corner reach above
+        exact = ci.mesh_distance(mesh, points, np.inf)
         nearest = np.min(np.linalg.norm(points[:, None] - mesh.vertices[None], axis=-1), axis=1)
-        assert np.all(ci.distance_lower_bound(mesh, points) <= exact + 1e-12)
+        corners = mesh.element_corners()
+        longest = np.max(np.linalg.norm(np.roll(corners, 1, axis=1) - corners, axis=-1))
+        reach = longest / (2.0 if dimension == 2 else np.sqrt(3.0))
+        assert np.all(nearest - reach <= exact + 1e-12)
         assert np.all(exact <= nearest + 1e-12)
 
     @settings(max_examples=40, deadline=None)
@@ -472,9 +437,38 @@ class TestMeshDistance:
         if perturbed:
             mesh = _perturbed(mesh, seed, 0.3)
         points = np.concatenate([_near_points(mesh, seed), mesh.vertices])
-        assert ci.mesh_distance(mesh, points).tobytes() == (
+        assert ci.mesh_distance(mesh, points, np.inf).tobytes() == (
             ref.polygon_distance(mesh, points).tobytes()
         )
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.sampled_from([2, 3]), st.floats(0.0, 1.0), st.integers(0, 2**32 - 1))
+    def test_exact_within_the_radius_and_inf_beyond(self, dimension, quantile, seed):
+        # the radius is one of the points' own distances, so some points lie
+        # at exactly the radius; the box sweep must keep their elements
+        mesh = _random_mesh(dimension, seed)
+        points = np.concatenate([_near_points(mesh, seed), mesh.vertices])
+        exact = ci.mesh_distance(mesh, points, np.inf)
+        for radius in (0.0, float(np.quantile(exact, quantile, method="nearest")), 0.1):
+            within = exact <= radius
+            got = ci.mesh_distance(mesh, points, radius)
+            assert got[within].tobytes() == exact[within].tobytes()
+            assert np.all(got[~within] == np.inf)
+
+    @pytest.mark.parametrize("dimension", [2, 3])
+    def test_edges_once_each_and_only_when_asked(self, dimension):
+        # advecting a mesh leaves its edges uncomputed; asked, each element's
+        # rows are its own sides, and no side is kept twice
+        basis = cb.make_basis(dimension, 1)
+        still = ref.SteadyField(cb.SpectralField(basis, np.zeros(len(basis))))
+        mesh = ci.advect(_random_mesh(dimension, 7), still, 0.1, 0.05)
+        assert "edges" not in mesh.__dict__
+        edges, sides = mesh.edges
+        own = np.stack([mesh.elements, np.roll(mesh.elements, -1, axis=1)], axis=-1)
+        np.testing.assert_array_equal(
+            np.sort(edges[sides], axis=-1), np.sort(own, axis=-1)[:, : sides.shape[1]]
+        )
+        assert len(np.unique(np.sort(edges, axis=1), axis=0)) == len(edges)
 
 
 class TestSagitta:

@@ -31,7 +31,9 @@ Last, the cost of the window indicator's distance work per window attempt:
 each workload's ``galerkin.run`` under cProfile, ``DISTANCE_RUNS`` times per
 side in fresh interpreters, with the seconds spent in the ``DISTANCE``
 functions (called from outside that set, so no call counts twice) over the
-run's window attempts.  cProfile inflates them alike on both sides.
+run's window attempts.  cProfile inflates them alike on both sides.  Each
+side also lists the ``DISTANCE`` names its profiles matched, so a side
+that lacks one of them shows it.
 """
 
 import os
@@ -92,12 +94,14 @@ TALLY = (
 )
 
 # The functions that measure a distance to a mesh for the window indicator,
-# under the names either side may have, and the profiled runs per side.
-DISTANCE = ("_mesh_distance", "polygon_distance", "distance_lower_bound", "mesh_distance")
+# under the names either side may have (the vertex bound that pre-filtered
+# the exact distance before it took a radius), and the profiled runs per side.
+DISTANCE = ("distance_lower_bound", "mesh_distance")
 DISTANCE_RUNS = 5
 
 # One profiled run in the checkout whose src is on sys.path; prints the
-# seconds in the functions named argv[2] and the number of window attempts.
+# seconds in the functions named argv[2], the names among them that the
+# profile holds and the number of window attempts.
 _DISTANCE_RUN = """
 import cProfile, json, pstats, sys
 from capmhd import galerkin
@@ -106,12 +110,14 @@ config = RunConfig.from_dict(json.loads(sys.argv[1]))
 names = set(json.loads(sys.argv[2]))
 profile = cProfile.Profile()
 result = profile.runcall(galerkin.run, config)
+stats = pstats.Stats(profile).stats
 seconds = sum(
     edge[3]
-    for (_, _, name), (*_, callers) in pstats.Stats(profile).stats.items() if name in names
+    for (_, _, name), (*_, callers) in stats.items() if name in names
     for caller, edge in callers.items() if caller[2] not in names
 )
-print(json.dumps({"seconds": seconds, "attempts": len(result.attempts)}))
+matched = sorted({name for _, _, name in stats if name in names})
+print(json.dumps({"seconds": seconds, "attempts": len(result.attempts), "matched": matched}))
 """
 
 # One run in the checkout whose src is on sys.path; prints its wall seconds,
@@ -206,7 +212,8 @@ def distance_cost(baseline, workloads):
             ]
             per_window = [run["seconds"] / run["attempts"] for run in runs]
             row[side] = {"seconds_per_window": per_window,
-                         "median": statistics.median(per_window)}
+                         "median": statistics.median(per_window),
+                         "matched": sorted({name for run in runs for name in run["matched"]})}
         out[workload] = row
     return out
 
@@ -288,7 +295,8 @@ def main(argv=None):
               f"{row.get('change_flowmap.history_point_steps')}")
     for workload, row in result["distance_cost"].items():
         print(f"{workload}: distance work per window {1e3 * row['baseline']['median']:.2f} -> "
-              f"{1e3 * row['change']['median']:.2f} ms (cProfile)")
+              f"{1e3 * row['change']['median']:.2f} ms (cProfile), names "
+              f"{row['baseline']['matched']} -> {row['change']['matched']}")
     return 0
 
 
