@@ -224,9 +224,6 @@ class SpectralField:
         """Squared L2 norm of the gradient: sum_j |k_j|^2 c_j^2."""
         return float(np.sum(self.basis.eigenvalues * self.coefficients**2))
 
-    def with_coefficients(self, coefficients):
-        return SpectralField(self.basis, np.array(coefficients, dtype=np.float64))
-
 
 def quadrature_rule(dimension, order):
     """Uniform tensor grid points (order^d, d) and the constant weight.

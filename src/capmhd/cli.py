@@ -1,9 +1,10 @@
 """Command-line drivers: run, refine, check-energy, dump-mesh.
 
 Exit codes: 0 success (for ``run``: completed and the energy inequality
-passed), 1 completed with a failed check, 2 configuration or input error,
-3 solver hard failure (with ``failure_state.json`` in the output directory;
-``refine`` writes it when given ``--out``).  A configuration error of any
+passed), 1 completed with a failed check, 2 configuration, input or output
+error (an unusable output directory fails before any solve), 3 solver hard
+failure (with ``failure_state.json`` in the output directory; ``refine``
+writes it when given ``--out``).  A configuration or output error of any
 command is reported as one line on stderr, never as a traceback.
 
 All file outputs are written with 12 significant digits and fixed column
@@ -99,12 +100,11 @@ def _solver_failure(exc, out_dir, **context):
     """Exit code 3 for a solver failure, with ``failure_state.json`` in ``out_dir``.
 
     ``context`` (such as refine's kmax) joins the error's own diagnostics and
-    the message; without ``out_dir`` nothing is written.
+    the message; nothing is written without ``out_dir``, which the command made.
     """
     where = "".join(f" at {key}={value}" for key, value in context.items())
     print(f"solver failure{where}: {exc}", file=sys.stderr)
     if out_dir:
-        os.makedirs(out_dir, exist_ok=True)
         diagnostics = {**(getattr(exc, "diagnostics", None) or {}), **context}
         _write_json(
             os.path.join(out_dir, "failure_state.json"),
@@ -141,6 +141,8 @@ def cmd_refine(config_path, levels, out_dir=None):
     if levels < 2:
         raise ConfigError(f"refine needs at least 2 levels, got {levels}")
     config = RunConfig.from_json(config_path)
+    if out_dir:
+        os.makedirs(out_dir, exist_ok=True)
     rows = []
     for level in range(levels):
         kmax = config.kmax * 2**level
@@ -187,7 +189,6 @@ def cmd_refine(config_path, levels, out_dir=None):
             + " ".join(f"{diff[k]:>14.4e}" for k in observables)
         )
     if out_dir:
-        os.makedirs(out_dir, exist_ok=True)
         _write_json(os.path.join(out_dir, "refine_report.json"), report)
     return 0
 
@@ -273,6 +274,9 @@ def main(argv=None):
             return cmd_dump_mesh(args.config, args.out)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
+        return 2
+    except OSError as exc:
+        print(f"cannot write output: {exc}", file=sys.stderr)
         return 2
 
 

@@ -38,12 +38,12 @@ anchored like every other and starts from Euler.
 
 The phase indicator chi(u) depends on the iterate only through the flow map,
 and the flow-map stability estimate |X_u - X_v| <= tau ||u - v|| e^{tau L}
-bounds how far a sweep can move the back-traced points.  Each two-phase
-window builds one indicator object that traces its band points to the
-window start, the nodes after the first in one backward march.  There the
-band test is applied again: the window-start mesh decides every carried
-point outside its band (INDICATOR_BAND beyond its sagitta), and only the
-rest go on through the history to t = 0.  The object keeps that trace: a
+bounds how far a sweep can move the back-traced points.  In a two-phase
+window a point that the flow cannot carry into the band of the window-start
+mesh (INDICATOR_BAND beyond its sagitta) keeps node 0's row.  One indicator
+object traces the rest to the window start, the nodes after the first in one
+backward march.  There the mesh decides the carried points outside its band;
+the rest go on through the history to t = 0.  The object keeps that trace: a
 later sweep reuses its flags whenever every carried point lies farther
 beyond the band, and every origin farther from the initial boundary, than
 the estimate lets it move, so chi is exactly what a new trace would give.
@@ -104,8 +104,8 @@ N_BOUND_COEFF = 0.05
 # gives the back-trace's answer: the two differ only where the mesh is off
 # the true interface, by the sagitta of its elements plus the RK4 error of
 # its vertices, which this allows for; the sagitta is 7.5e-5 for the
-# 256-gon of the reference problem and 0.019 for a 16-gon.  A point is
-# back-traced when the window's flow can carry it into the band.
+# 256-gon of the reference problem and 0.019 for a 16-gon.  A point that the
+# window's flow cannot carry into the band keeps node 0's row.
 INDICATOR_BAND = 1e-2
 
 # Round-off allowance of the indicator reuse certificate, grown like the
@@ -362,11 +362,11 @@ class _WindowIndicator:
     """Indicator samples at the quadrature ``points`` for every window node.
 
     Built once per two-phase window: ``first_row`` is node 0's row, which no
-    sweep changes, ``mesh`` is the window-start mesh, ``band`` is
-    INDICATOR_BAND beyond its sagitta, the distance past which it decides a
-    point, ``mesh_chi`` is the points' ray cast against it, ``distance`` their
-    distance to it as asked at ``radius`` (exact up to it, +inf beyond; a
-    sweep whose reach is larger asks the +inf points again), and
+    sweep changes and every point beyond the window's reach keeps, ``mesh``
+    is the window-start mesh, ``band`` is INDICATOR_BAND beyond its sagitta,
+    the distance past which it decides a carried point, ``distance`` the
+    points' distance to it as asked at ``radius`` (exact up to it, +inf
+    beyond; a sweep whose reach is larger asks the +inf points again), and
     ``history_growth`` = e^{t_m L_h} bounds how the fixed pre-window
     ``history`` leg grows a displacement.  The object keeps its last
     back-trace: ``moving`` marks the traced points, ``coefficients`` are the
@@ -385,7 +385,6 @@ class _WindowIndicator:
         self.mesh = anchor.mesh
         self.band = INDICATOR_BAND + sagitta(anchor.mesh)
         self.distance, self.radius = np.full(len(points), np.inf), -np.inf
-        self.mesh_chi = point_in_mesh(anchor.mesh, points)
         weights = _gradient_weights(anchor.u.basis)
         self.history_growth = np.exp(anchor.t * _row_bound(history.coefficients, weights))
         self.moving = self.coefficients = self.clearance = self.inside = None
@@ -421,10 +420,10 @@ class _WindowIndicator:
     def __call__(self, sampler):
         """The rows of samples, one per node, under the iterate ``sampler``.
 
-        Node 0's row is ``first_row``.  At the later nodes, the iterate's
-        speed is at most sum_j |c_j| n_j over its rows, so a point farther
-        than ``band`` plus the window's reach from the window-start mesh
-        keeps the mesh's answer.  The rest take the kept trace's flags
+        Node 0's row is ``first_row``.  The iterate's speed is at most
+        sum_j |c_j| n_j over its rows, so a point farther than ``band`` plus
+        the window's reach from the window-start mesh cannot enter the band
+        and keeps node 0's answer.  The rest take the kept trace's flags
         when it certifies them for this iterate.  Otherwise they are
         back-traced in one backward march under the iterate: node i's points
         join the carried ones in front at t_i, and the stack is carried one
@@ -450,7 +449,7 @@ class _WindowIndicator:
             self.distance[far] = mesh_distance(self.mesh, self.points[far], reach)
             self.radius = reach
         moving = self.distance <= reach
-        chi = [self.first_row] + [self.mesh_chi.copy() for _ in t_grid[1:]]
+        chi = [self.first_row] + [self.first_row.copy() for _ in t_grid[1:]]
         if not np.any(moving):
             return chi
         if not self.certifies(moving, coefficients, basis):

@@ -18,7 +18,7 @@ forcing, so neither field is synthesized twice at a node.
 
 import numpy as np
 
-from .basis import gradient_pairing
+from .basis import SpectralField, gradient_pairing
 from .errors import NumericsError
 from .flowmap import step_sizes
 
@@ -52,7 +52,7 @@ def step_B(b_field, u_values, b_values, sigma, dt, quad):
             diagnostics={"max_u": float(np.max(np.abs(u_values)))},
         )
     new = (b_field.coefficients + dt * transport) / (1.0 + sigma * basis.eigenvalues * dt)
-    return b_field.with_coefficients(new)
+    return SpectralField(basis, new)
 
 
 def solve_B(u_values, t_grid, b0, dt, sigma, quad):

@@ -6,11 +6,12 @@ as an oriented closed mesh (polygon in 2D, triangle mesh in 3D) whose
 vertices ride the flow map, while the phase indicator at an arbitrary point
 is decided in two ways that agree away from the boundary: back-tracing the
 point to time zero and testing membership in the analytic initial region,
-or casting a ray against the mesh.  The window driver casts rays against the
-window-start mesh once per window, and back-traces only the points that the
-window's flow can carry into a thin band of that mesh, where the two may
-differ by integration error and chord sagitta.  It tests the band again
-where those points reach the window start, and only the points inside it
+or casting a ray against the mesh.  The window driver back-traces only the
+points that the window's flow can carry into a thin band of the
+window-start mesh, where the two may differ by integration error and chord
+sagitta; every other point keeps the window's first indicator row.  It
+tests the band again where the traced points reach the window start: the
+mesh's ray cast decides those outside it, and only the points inside it
 are back-traced on to time zero.  The band lies beyond the mesh's own
 estimate of its sagitta (``sagitta``), so a coarse or stretched mesh keeps
 more points for the back-trace.  A distance to a mesh is asked within a

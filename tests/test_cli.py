@@ -553,6 +553,21 @@ class TestCmdDumpMesh:
             assert not out.exists()
 
 
+@pytest.mark.parametrize("command", [["run"], ["dump-mesh"], ["refine", "--levels", "2"]])
+def test_unusable_output_directory_exits_2_before_any_solve(tmp_path, capsys, monkeypatch,
+                                                            command):
+    solved = []
+    monkeypatch.setattr(galerkin, "run", lambda config: solved.append(config))
+    path = write_config(tmp_path, small_config_dict())
+    taken = tmp_path / "taken"
+    taken.write_text("")
+    assert cli.main([*command, "--config", path, "--out", str(taken)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("cannot write output:") and err.count("\n") == 1
+    assert "Traceback" not in err
+    assert solved == []
+
+
 def test_console_entry_point_runs():
     proc = subprocess.run(
         [sys.executable, "-m", "capmhd.cli", "--help"], capture_output=True, text=True

@@ -1590,10 +1590,20 @@ class TestRun:
     }
 
     @pytest.mark.parametrize("path", sorted(PINNED_WORK))
-    def test_attempt_records_pin_the_work(self, path):
+    def test_attempt_records_pin_the_work(self, path, monkeypatch):
         # the attempt records count the run's work where it is done: the
         # forcing at n_sub nodes per sweep, besides N at t = 0, and the
-        # indicator's tally; the ledger takes one rate per row from them
+        # indicator's tally; the ledger takes one rate per row from them.
+        # The window-start mesh casts rays only for the carried points it
+        # decides: node 0's row stands for the points the flow cannot reach
+        cast = []
+        real_cast = cg.point_in_mesh
+
+        def counted(mesh, points):
+            cast.append(np.array(points))
+            return real_cast(mesh, points)
+
+        monkeypatch.setattr(cg, "point_in_mesh", counted)
         sweeps, forcing, rates, tally = self.PINNED_WORK[path]
         config = RunConfig.from_json(ROOT / path)
         result = cg.run(config)
@@ -1603,6 +1613,9 @@ class TestRun:
         assert 1 + work.pop("forcing_evaluations") == 1 + config.n_sub * sweeps == forcing
         assert work == dict(zip(cg.WORK[1:], tally))
         assert len(result.ledger) == rates
+        assert sum(len(points) for points in cast) == work["mesh_decided_points"]
+        grid = result.final_state.u.basis.quadrature(config.quadrature_order).points
+        assert not any(np.array_equal(points, grid) for points in cast)
 
     def test_hard_nonconvergence_below_delta_floor(self):
         # one sweep from the Euler predictor converges once delta is near

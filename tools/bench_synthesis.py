@@ -6,11 +6,7 @@ It runs ``bench/run.py --trace 0`` on each workload ``--pairs`` times on both
 sides, this checkout and ``--baseline``, alternating which side runs first.
 It records every invocation's end-to-end metrics (each the median over its
 operations), and for ``run_s`` the medians over invocations, the baseline's
-interquartile range and the number of pairs this checkout wins.  One
-``--trace 1`` invocation per side and workload adds the traced totals of
-Picard sweeps, accepted windows and window attempts, and of the window
-indicator: its history point-steps, the time of its history and in-window
-back-traces, and the origins tested against the initial region.
+interquartile range and the number of pairs this checkout wins.
 
 It also records a sweep table: ``galerkin.run`` of each ``SWEEP_CONFIGS``
 entry in a fresh interpreter on each side, with nothing patched, read from
@@ -25,15 +21,9 @@ window and history legs, its history legs and the carried points the
 window-start mesh decided; None on a side whose attempts do not carry a
 key).  Each row ends with the number of windows that took more sweeps than
 on the baseline, and the largest absolute difference between the two
-sides' ledger entries.
-
-Last, the cost of the window indicator's distance work per window attempt:
-each workload's ``galerkin.run`` under cProfile, ``DISTANCE_RUNS`` times per
-side in fresh interpreters, with the seconds spent in the ``DISTANCE``
-functions (called from outside that set, so no call counts twice) over the
-run's window attempts.  cProfile inflates them alike on both sides.  Each
-side also lists the ``DISTANCE`` names its profiles matched, so a side
-that lacks one of them shows it.
+sides' ledger entries.  The printed summary of each benchmark workload
+reads its sweeps and history point-steps from the sweep table's row of the
+same name.
 """
 
 import os
@@ -52,19 +42,6 @@ from pathlib import Path  # noqa: E402
 import numpy as np  # noqa: E402
 
 ROOT = Path(__file__).resolve().parent.parent
-
-
-# Totals of one traced run: counts, the same on every run of a workload, and
-# the indicator's trace times.
-TRACED = (
-    "galerkin.sweeps",
-    "galerkin.windows",
-    "galerkin.window_attempts",
-    "flowmap.history_point_steps",
-    "flowmap.history_trace_s",
-    "flowmap.window_trace_s",
-    "interface.contains_points",
-)
 
 
 # The sweep table's runs: (name, base config file, overrides).
@@ -92,33 +69,6 @@ TALLY = (
     "history_point_steps",
     "mesh_decided_points",
 )
-
-# The functions that measure a distance to a mesh for the window indicator,
-# under the names either side may have (the vertex bound that pre-filtered
-# the exact distance before it took a radius), and the profiled runs per side.
-DISTANCE = ("distance_lower_bound", "mesh_distance")
-DISTANCE_RUNS = 5
-
-# One profiled run in the checkout whose src is on sys.path; prints the
-# seconds in the functions named argv[2], the names among them that the
-# profile holds and the number of window attempts.
-_DISTANCE_RUN = """
-import cProfile, json, pstats, sys
-from capmhd import galerkin
-from capmhd.config import RunConfig
-config = RunConfig.from_dict(json.loads(sys.argv[1]))
-names = set(json.loads(sys.argv[2]))
-profile = cProfile.Profile()
-result = profile.runcall(galerkin.run, config)
-stats = pstats.Stats(profile).stats
-seconds = sum(
-    edge[3]
-    for (_, _, name), (*_, callers) in stats.items() if name in names
-    for caller, edge in callers.items() if caller[2] not in names
-)
-matched = sorted({name for _, _, name in stats if name in names})
-print(json.dumps({"seconds": seconds, "attempts": len(result.attempts), "matched": matched}))
-"""
 
 # One run in the checkout whose src is on sys.path; prints its wall seconds,
 # its ledger rows and its window attempts.
@@ -195,33 +145,10 @@ def sweep_table(baseline):
     return rows
 
 
-def distance_cost(baseline, workloads):
-    """Seconds of distance work per window attempt, each profiled run's."""
-    out = {}
-    for workload in workloads:
-        data = json.loads((ROOT / "bench" / "workloads" / f"{workload}.json").read_text())
-        row = {}
-        for side, checkout in (("baseline", baseline), ("change", ROOT)):
-            env = dict(os.environ, PYTHONPATH=str(Path(checkout) / "src"))
-            runs = [
-                json.loads(subprocess.run(
-                    [sys.executable, "-c", _DISTANCE_RUN, json.dumps(data), json.dumps(DISTANCE)],
-                    cwd=checkout, env=env, capture_output=True, text=True, check=True,
-                ).stdout)
-                for _ in range(DISTANCE_RUNS)
-            ]
-            per_window = [run["seconds"] / run["attempts"] for run in runs]
-            row[side] = {"seconds_per_window": per_window,
-                         "median": statistics.median(per_window),
-                         "matched": sorted({name for run in runs for name in run["matched"]})}
-        out[workload] = row
-    return out
-
-
-def bench_metrics(checkout, workload, seconds, trace=0):
-    """Metric values of one ``bench/run.py`` invocation: end to end, or per layer."""
+def bench_metrics(checkout, workload, seconds):
+    """End-to-end metric values of one ``bench/run.py`` invocation."""
     cmd = [sys.executable, "bench/run.py", "--workload", workload,
-           "--seconds", str(seconds), "--trace", str(trace)]
+           "--seconds", str(seconds), "--trace", "0"]
     out = subprocess.run(cmd, cwd=checkout, capture_output=True, text=True, check=True)
     summary = json.loads(out.stdout.strip().splitlines()[-1])
     if summary["failed"] or not summary["correct"]:
@@ -241,11 +168,6 @@ def pairs(baseline, workloads, count, seconds):
         for side, samples in runs.items():
             for name in samples[0]:
                 row[f"{side}_{name}"] = [sample[name] for sample in samples]
-        for side, checkout in (("baseline", baseline), ("change", ROOT)):
-            # the shortest traced invocation: one plain and one traced operation
-            layers = bench_metrics(checkout, workload, 1.0, trace=1)
-            for name in TRACED:
-                row[f"{side}_{name}"] = layers[name]
         base, change = row["baseline_run_s"], row["change_run_s"]
         quartiles = statistics.quantiles(base, n=4, method="inclusive")
         row.update({
@@ -274,7 +196,6 @@ def main(argv=None):
                     "blas_threads": 1},
         "sweep_table": sweep_table(args.baseline),
         "bench_run_pairs": pairs(args.baseline, args.workloads, args.pairs, args.seconds),
-        "distance_cost": distance_cost(args.baseline, args.workloads),
     }
     args.out.write_text(json.dumps(result, indent=2) + "\n")
     for row in result["sweep_table"]:
@@ -286,17 +207,16 @@ def main(argv=None):
         print(f"{row['config']}: {counts}, "
               f"windows with more sweeps {row['windows_with_more_sweeps']}, "
               f"largest ledger difference {row['largest_ledger_difference']}")
+    # every benchmark workload is also a sweep table config of the same name
+    table = {row["config"]: row for row in result["sweep_table"]}
     for workload, row in result["bench_run_pairs"].items():
+        base, change = table[workload]["baseline"], table[workload]["change"]
         print(f"{workload}: run_s {row['baseline_run_s_median']:.3f} -> "
               f"{row['change_run_s_median']:.3f} s, "
               f"wins {row['change_wins']}/{len(row['change_run_s'])}, sweeps "
-              f"{row.get('baseline_galerkin.sweeps')} -> {row.get('change_galerkin.sweeps')}, "
-              f"history point-steps {row.get('baseline_flowmap.history_point_steps')} -> "
-              f"{row.get('change_flowmap.history_point_steps')}")
-    for workload, row in result["distance_cost"].items():
-        print(f"{workload}: distance work per window {1e3 * row['baseline']['median']:.2f} -> "
-              f"{1e3 * row['change']['median']:.2f} ms (cProfile), names "
-              f"{row['baseline']['matched']} -> {row['change']['matched']}")
+              f"{base['sweeps']} -> {change['sweeps']}, "
+              f"history point-steps {base['history_point_steps']} -> "
+              f"{change['history_point_steps']}")
     return 0
 
 
