@@ -2,7 +2,8 @@
 
 Exit codes: 0 success (for ``run``: completed and the energy inequality
 passed), 1 completed with a failed check, 2 configuration, input or output
-error (an unusable output directory fails before any solve), 3 solver hard
+error (an unusable output directory, or a phase region that cannot be
+meshed at its ``mesh_resolution``, fails before any solve), 3 solver hard
 failure (with ``failure_state.json`` in the output directory; ``refine``
 writes it when given ``--out``).  A configuration or output error of any
 command is reported as one line on stderr, never as a traceback.

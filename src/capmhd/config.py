@@ -15,7 +15,7 @@ from dataclasses import MISSING, dataclass, field, fields
 import numpy as np
 
 from .basis import default_quadrature_order, make_basis, project_L2, SpectralField
-from .errors import ConfigError
+from .errors import ConfigError, MeshInvariantError, MeshQualityError
 from .galerkin import FluidParams, GalerkinState
 from .interface import InitialPhase, mesh_initial
 
@@ -288,13 +288,20 @@ class RunConfig:
         """(state at t = 0, initial phase region) of the run.
 
         The state holds the initial fields on the basis, the initial
-        interface mesh and the physical constants.
+        interface mesh and the physical constants.  A phase region that
+        cannot be meshed at ``mesh_resolution`` is a configuration error.
         """
         basis = make_basis(self.dimension, self.kmax)
         u0 = build_initial_field(self.initial_velocity, basis, self.quadrature_order)
         b0 = build_initial_field(self.initial_magnetic, basis, self.quadrature_order)
         phase = self.phase_region()
-        mesh0 = mesh_initial(phase, self.mesh_resolution)
+        try:
+            mesh0 = mesh_initial(phase, self.mesh_resolution)
+        except (MeshInvariantError, MeshQualityError) as exc:
+            raise ConfigError(
+                f"the phase region cannot be meshed at mesh_resolution "
+                f"{self.mesh_resolution}: {exc}"
+            ) from exc
         return GalerkinState(0.0, u0, b0, mesh0, self.fluid_params()), phase
 
     def resolved(self):

@@ -27,8 +27,10 @@ measure.  The flow map is a homeomorphism, so the connectivity is fixed by
 the initial mesh: ``mesh_initial`` checks it once and makes it read-only,
 and every advected mesh shares that array and checks only its geometry.
 A mesh's vertices are read-only too, so its geometry (element centres, unit
-normals, measures and the signed volume) is computed once, by that check,
-and every measure of the mesh reads it.
+normals, measures and the signed volume) is computed and checked once,
+together, and every measure of the mesh reads it: no reader gets the
+geometry of a mesh with a non-finite vertex, a degenerate element or an
+inward orientation.
 """
 
 import functools
@@ -142,8 +144,8 @@ class MeshGeometry(NamedTuple):
 class InterfaceMesh:
     """Oriented closed Lagrangian mesh: polygon (2D) or triangle mesh (3D).
 
-    The vertices are a read-only copy, so ``geometry``, computed on first
-    use, stays the geometry of the mesh.
+    The vertices are a read-only copy, so ``geometry``, computed and checked
+    once, together, on first use, stays the geometry of the mesh.
     """
 
     vertices: np.ndarray
@@ -174,8 +176,13 @@ class InterfaceMesh:
 
         The normal is the quarter-turned edge (2D) or the cross product of
         two edges (3D), as long as the edge or twice the triangle's area.
-        The arrays are read-only.
+        The arrays are read-only.  It is checked as it is computed: a
+        non-finite vertex raises MeshInvariantError; an element below the
+        quality floor MeshQualityError, naming the smallest element; and a
+        signed volume that is not positive MeshInvariantError (orientation).
         """
+        if not np.isfinite(self.vertices).all():
+            raise MeshInvariantError("mesh vertices contain non-finite entries")
         corners = self.element_corners()
         a, b = corners[:, 0], corners[:, 1]
         if self.dimension == 2:
@@ -191,9 +198,15 @@ class InterfaceMesh:
         # np.linalg.norm's own sum of squares
         lengths = np.sqrt(np.add.reduce(raw * raw, axis=1))
         measures = lengths if self.dimension == 2 else 0.5 * lengths
-        # a degenerate element has no normal; the checks read its measure
-        with np.errstate(divide="ignore", invalid="ignore"):
-            normals = raw / lengths[:, None]
+        if (measures < _QUALITY_FLOOR).any():
+            bad = int(np.argmin(measures))
+            raise MeshQualityError(
+                f"degenerate element {bad} (measure {measures[bad]:.3e})",
+                element_id=bad,
+            )
+        if volume <= 0.0:
+            raise MeshInvariantError("mesh orientation is not consistently outward")
+        normals = raw / lengths[:, None]
         arrays = centers, normals, measures
         for array in arrays:
             array.setflags(write=False)
@@ -221,9 +234,10 @@ class InterfaceMesh:
         return arrays
 
     def validate(self):
-        """Check closedness, then finite vertices, element quality and orientation."""
+        """Check closedness, then read ``geometry``, which checks the rest."""
         _check_closed(self)
-        return _check_geometry(self)
+        self.geometry
+        return self
 
 
 def _check_closed(mesh):
@@ -247,30 +261,6 @@ def _check_closed(mesh):
             edges, np.sort(end * n + start)
         ):
             raise MeshInvariantError("3D mesh is not closed with consistent orientation")
-
-
-def _check_geometry(mesh):
-    """Finite vertices, the element quality floor and outward orientation.
-
-    This computes the mesh's ``geometry``, which its measures then read.
-    """
-    if not np.isfinite(mesh.vertices).all():
-        raise MeshInvariantError("mesh vertices contain non-finite entries")
-    _check_measures(mesh)
-    if mesh.geometry.volume <= 0.0:
-        raise MeshInvariantError("mesh orientation is not consistently outward")
-    return mesh
-
-
-def _check_measures(mesh):
-    """Raise MeshQualityError when an element's measure is below the floor."""
-    measures = mesh.geometry.measures
-    if (measures < _QUALITY_FLOOR).any():
-        bad = int(np.argmin(measures))
-        raise MeshQualityError(
-            f"degenerate element {bad} (measure {measures[bad]:.3e})",
-            element_id=bad,
-        )
 
 
 def _runs(starts, ends):
@@ -369,6 +359,8 @@ def mesh_distance(mesh, points, radius):
     """
     p = np.atleast_2d(np.asarray(points, dtype=np.float64))
     d, corners = mesh.dimension, mesh.element_corners()
+    # the 3D heights read the normals, so an invalid mesh raises before any arithmetic
+    normals = mesh.geometry.normals if d == 3 else None
     edges, sides = mesh.edges
     start = mesh.vertices[edges[:, 0]]
     span = mesh.vertices[edges[:, 1]] - start
@@ -384,7 +376,7 @@ def mesh_distance(mesh, points, radius):
     np.minimum.at(squared, q, sum((delta[i] - s * span[e, i]) ** 2 for i in range(d)))
     if d == 3:
         t = element
-        a, normals = corners[:, 0], mesh.geometry.normals
+        a = corners[:, 0]
         # each edge's inward normal in its triangle's plane, and its value on the edge
         inward = np.cross(normals[:, None], np.roll(corners, -1, axis=1) - corners)
         offset = np.einsum("ekd,ekd->ek", corners - a[:, None], inward)
@@ -533,12 +525,14 @@ def advect(mesh, sampler, t1, h):
     """Transport mesh vertices to time t1 >= mesh.t.
 
     The result shares ``mesh.elements``: the flow map leaves the
-    connectivity as it was made, so only the geometry is checked.
+    connectivity as it was made, so only the geometry is checked, by reading it.
     """
     if t1 < mesh.t:
         raise ValueError(f"target time {t1} precedes start time {mesh.t}")
     vertices = integrate_positions(mesh.vertices, sampler, mesh.t, t1, h)
-    return _check_geometry(InterfaceMesh(vertices, mesh.elements, t=t1))
+    advected = InterfaceMesh(vertices, mesh.elements, t=t1)
+    advected.geometry
+    return advected
 
 
 def perimeter(mesh):
@@ -546,24 +540,10 @@ def perimeter(mesh):
     return float(np.sum(mesh.geometry.measures))
 
 
-def element_geometry(mesh):
-    """Centres, unit outward normals and measures of the elements.
-
-    They are the mesh's ``geometry``; a degenerate element raises
-    MeshQualityError, since it has no normal.
-    """
-    _check_measures(mesh)
-    centers, normals, measures, _ = mesh.geometry
-    return centers, normals, measures
-
-
 def enclosed_volume(mesh):
     """Volume enclosed by the mesh via the divergence theorem."""
     _check_closed(mesh)
-    volume = mesh.geometry.volume
-    if volume <= 0.0:
-        raise MeshInvariantError("mesh orientation is not consistently outward")
-    return volume
+    return mesh.geometry.volume
 
 
 def curvature_pairing_modes(mesh, basis):
@@ -578,7 +558,7 @@ def curvature_pairing_modes(mesh, basis):
     F(k) = sum_e |e| n_e n_e^T e^{ik.x_e} is one ``Lattice.transform`` of the
     elements' weighted normal products.
     """
-    centers, n, measures = element_geometry(mesh)
+    centers, n, measures, _ = mesh.geometry
     lattice = basis.lattice
     products = measures[:, None, None] * n[:, :, None] * n[:, None, :]
     f = lattice.transform(centers, products)[lattice.index]

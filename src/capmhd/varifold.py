@@ -56,7 +56,7 @@ def lift(mesh):
     The atoms are copies of the mesh's element geometry, which the varifold
     then owns.
     """
-    return Varifold(*(array.copy() for array in _interface.element_geometry(mesh)))
+    return Varifold(*(array.copy() for array in mesh.geometry[:3]))
 
 
 def first_variation(varifold, phi):
@@ -86,7 +86,7 @@ def coupling_residual(varifold, mesh, psi):
     varifolds give exactly zero.
     """
     atom_sum = _boundary_pairing(varifold.x, varifold.s, varifold.w, psi)
-    mesh_sum = _boundary_pairing(*_interface.element_geometry(mesh), psi)
+    mesh_sum = _boundary_pairing(*mesh.geometry[:3], psi)
     return abs(atom_sum - mesh_sum)
 
 

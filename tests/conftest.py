@@ -151,6 +151,31 @@ def reference_config(**overrides):
     return RunConfig.from_dict(data)
 
 
+# Faults of an advected mesh's vertices, and the error the mesh raises.
+MESH_FAULTS = {"NaN row": "MeshInvariantError", "+inf row": "MeshInvariantError",
+               "collapsed edge": "MeshQualityError"}
+
+
+def faulty_advection(monkeypatch, fault, calls=None):
+    """Give the first ``calls`` results of the mesh advection's integrator
+    (every one, for None) the ``MESH_FAULTS`` entry ``fault``: vertex 0 NaN
+    or +inf, or vertex 1 moved onto its neighbour vertex 0."""
+    real = ci.integrate_positions
+    made = []
+
+    def faulty(*args, **kwargs):
+        vertices = real(*args, **kwargs).copy()
+        made.append(1)
+        if calls is None or len(made) <= calls:
+            if fault == "collapsed edge":
+                vertices[1] = vertices[0]
+            else:
+                vertices[0] = np.nan if fault == "NaN row" else np.inf
+        return vertices
+
+    monkeypatch.setattr(ci, "integrate_positions", faulty)
+
+
 def single_phase_decay_config(n_sub=8, **overrides):
     """Smooth single-phase configuration (equal viscosities, passive disk)."""
     data = {

@@ -25,7 +25,7 @@ from capmhd.flowmap import integrate_positions, step_sizes
 from capmhd.induction import step_B
 from capmhd.energy import COLUMNS
 from capmhd.errors import MeshInvariantError
-from capmhd.interface import _polygon_order, element_geometry
+from capmhd.interface import _polygon_order
 
 
 class SteadyField:
@@ -82,7 +82,7 @@ def curvature_pairing(mesh, grad_eta):
     node is the segment midpoint (2D) or triangle centroid (3D).  With
     grad_eta = I this returns (d - 1) * perimeter identically.
     """
-    centers, n, measures = element_geometry(mesh)
+    centers, n, measures, _ = mesh.geometry
     grads = np.asarray(grad_eta(centers), dtype=np.float64)
     if not np.all(np.isfinite(grads)):
         raise ValueError("grad_eta returned non-finite values")
@@ -150,7 +150,7 @@ def synthesize_gradient(basis, coefficients, points):
 
 def curvature_pairing_modes(mesh, basis):
     """Curvature pairing against every mode from the centroids' trig table."""
-    centers, n, measures = element_geometry(mesh)
+    centers, n, measures, _ = mesh.geometry
     dph = phase_derivatives(basis, centers)
     dph *= n @ basis.polarizations.T
     dph *= n @ basis.wavevectors.T

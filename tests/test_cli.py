@@ -16,7 +16,7 @@ from capmhd.config import RunConfig, build_initial_field
 from capmhd import interface as ci
 from capmhd.errors import ConfigError, MeshInvariantError
 
-from conftest import CENTER_2D, reference_config
+from conftest import CENTER_2D, MESH_FAULTS, faulty_advection, reference_config
 
 
 def small_config_dict(**overrides):
@@ -301,6 +301,22 @@ class TestCmdRun:
         assert dump["error"] == "NonConvergenceError"
         assert "diagnostics" in dump
 
+    @pytest.mark.parametrize("fault", sorted(MESH_FAULTS))
+    def test_bad_advected_meshes_exit_3_with_dump(self, tmp_path, capsys, monkeypatch, fault):
+        # every advected mesh is broken: the windows of 0.1, 0.05 and 0.025
+        # fail, and the next halving falls below delta_min
+        faulty_advection(monkeypatch, fault)
+        data = reference_config(T=0.1).resolved()
+        data["solver"]["delta_min"] = 0.02
+        path = write_config(tmp_path, data)
+        out = tmp_path / "out"
+        assert cli.main(["run", "--config", path, "--out", str(out)]) == 3
+        dump = json.loads((out / "failure_state.json").read_text())
+        assert dump["error"] == "NonConvergenceError"
+        assert dump["diagnostics"]["failures"] == 3
+        err = capsys.readouterr().err
+        assert err.startswith("solver failure:") and err.count("\n") == 1
+
     def test_first_window_below_delta_min_exits_3_with_dump(self, tmp_path, capsys):
         # the fast initial velocity makes the first window 5.1e-7 long
         data = reference_config(
@@ -566,6 +582,24 @@ def test_unusable_output_directory_exits_2_before_any_solve(tmp_path, capsys, mo
     assert err.startswith("cannot write output:") and err.count("\n") == 1
     assert "Traceback" not in err
     assert solved == []
+
+
+@pytest.mark.parametrize("command", [["run"], ["dump-mesh"], ["refine", "--levels", "2"]])
+@pytest.mark.parametrize("radius, resolution", [(1e-10, 16), (1e-11, 256)],
+                         ids=["orientation", "degenerate"])
+def test_unmeshable_phase_region_exits_2(tmp_path, capsys, command, radius, resolution):
+    # legal radii that mesh_initial refuses: the 16-gon's signed volume
+    # rounds to zero, the 256-gon's edges fall below the quality floor
+    phase = {"shape": "disk", "center": list(CENTER_2D), "radius": radius}
+    data = reference_config(phase=phase).resolved()
+    data["solver"]["mesh_resolution"] = resolution
+    path = write_config(tmp_path, data)
+    out = tmp_path / "out"
+    assert cli.main([*command, "--config", path, "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error:") and err.count("\n") == 1
+    assert "mesh_resolution" in err and "Traceback" not in err
+    assert not (out / "failure_state.json").exists()
 
 
 def test_console_entry_point_runs():

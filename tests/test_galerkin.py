@@ -22,7 +22,9 @@ from capmhd.flowmap import SpectralTrajectory, integrate_positions
 import reference as ref
 from conftest import (
     CENTER_2D,
+    MESH_FAULTS,
     circle_first_variation,
+    faulty_advection,
     reference_config,
     single_phase_decay_config,
     smooth_phi_2d,
@@ -1395,6 +1397,22 @@ class TestRun:
         )
         assert failed["forcing_evaluations"] == 8
         assert halved["accepted"] and halved["delta"] == failed["delta"] / 2
+
+    @pytest.mark.parametrize("fault", sorted(MESH_FAULTS))
+    def test_a_bad_advected_mesh_halves_the_window(self, monkeypatch, fault):
+        # the first mesh sweep 1 advects is broken: its geometry raises inside
+        # the sweep, so the window fails with that cause and no sweep counted,
+        # and the halved window is accepted
+        faulty_advection(monkeypatch, fault, calls=1)
+        result = cg.run(reference_config(T=0.1))
+        failed, halved = result.attempts[:2]
+        assert (failed["accepted"], failed["sweeps"], failed["error"]) == (
+            False, 0, MESH_FAULTS[fault]
+        )
+        assert "during sweep 1" in failed["message"]
+        assert halved["accepted"] and halved["delta"] == failed["delta"] / 2
+        assert result.window_failures == 1
+        assert result.final_state.t == pytest.approx(0.1)
 
     def test_non_finite_forcing_at_t0_raises_at_once(self, monkeypatch):
         # no window size changes N at the initial state: the run stops

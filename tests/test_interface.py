@@ -543,7 +543,7 @@ def _near_points(mesh, seed):
     """Vertices and element centres moved a little, and points around the mesh."""
     rng = np.random.default_rng(seed)
     d = mesh.dimension
-    on_mesh = np.concatenate([mesh.vertices, ci.element_geometry(mesh)[0]])
+    on_mesh = np.concatenate([mesh.vertices, mesh.geometry.centers])
     lo, hi = np.min(mesh.vertices, axis=0), np.max(mesh.vertices, axis=0)
     return np.concatenate([
         on_mesh + rng.normal(0.0, 0.05, on_mesh.shape),
@@ -708,7 +708,7 @@ class TestPerimeter:
 
 class TestNormals:
     def test_circle_outward(self, circle_mesh):
-        centers, n, _ = ci.element_geometry(circle_mesh)
+        centers, n, _, _ = circle_mesh.geometry
         radial = centers - np.array(CENTER_2D)
         radial /= np.linalg.norm(radial, axis=1)[:, None]
         assert np.max(np.linalg.norm(n - radial, axis=1)) <= 1e-2
@@ -717,7 +717,7 @@ class TestNormals:
     def test_sphere_radial_and_north_pole(self, sphere_mesh):
         # facet normals approximate the sphere normal at each centroid; the
         # element nearest the pole points along +z up to its centroid offset
-        centers, n, _ = ci.element_geometry(sphere_mesh)
+        centers, n, _, _ = sphere_mesh.geometry
         radial = centers - np.array(CENTER_3D)
         radial /= np.linalg.norm(radial, axis=1)[:, None]
         assert np.max(np.linalg.norm(n - radial, axis=1)) <= 1e-2
@@ -746,7 +746,7 @@ class TestElementGeometry:
     )
     def test_matches_the_separate_helpers_bitwise(self, shape, resolution):
         mesh = ci.mesh_initial(shape, resolution)
-        centers, n, measures = ci.element_geometry(mesh)
+        centers, n, measures, _ = mesh.geometry
         # the unit normals as formed from their own corner gather
         corners = mesh.element_corners()
         if mesh.dimension == 2:
@@ -766,7 +766,7 @@ class TestElementGeometry:
         vertices = np.array([[0.0, 0.0], [1.0, 0.0], [1.0, 0.0]])
         mesh = ci.InterfaceMesh(vertices, np.array([[0, 1], [1, 2], [2, 0]]), t=0.0)
         with pytest.raises(MeshQualityError) as err:
-            ci.element_geometry(mesh)
+            mesh.geometry
         assert err.value.element_id == 1
         with pytest.raises(MeshQualityError):
             ci.curvature_pairing_modes(mesh, cb.make_basis(2, 1))
@@ -776,6 +776,46 @@ class TestElementGeometry:
         mesh = ci.InterfaceMesh(collapsed, ball.elements)
         with pytest.raises(MeshQualityError):
             ci.curvature_pairing_modes(mesh, cb.make_basis(3, 1))
+
+
+def _invalid_mesh(dimension, defect):
+    """A 16-gon or a level-1 icosphere, inverted, with one edge collapsed
+    or with one NaN vertex."""
+    shape = ci.disk(CENTER_2D, 1.0) if dimension == 2 else ci.ball(CENTER_3D, 1.0)
+    mesh = ci.mesh_initial(shape, 16 if dimension == 2 else 1)
+    vertices, elements = mesh.vertices.copy(), mesh.elements
+    if defect == "inverted":
+        elements = elements[:, ::-1]
+    elif defect == "collapsed edge":
+        vertices[elements[0, 1]] = vertices[elements[0, 0]]
+    else:
+        vertices[elements[0, 0]] = np.nan
+    return ci.InterfaceMesh(vertices, elements)
+
+
+def _one_atom(dimension):
+    return cv.Varifold(np.ones((1, dimension)), np.eye(dimension)[:1], [1.0])
+
+
+# Every reader of a mesh's geometry; the 2D distance reads only the corners.
+_GEOMETRY_READERS = {
+    "perimeter": ci.perimeter,
+    "enclosed_volume": ci.enclosed_volume,
+    "sagitta": ci.sagitta,
+    "mesh_distance": lambda mesh: ci.mesh_distance(mesh, np.ones((1, 3)), np.inf),
+    "curvature_pairing_modes": lambda mesh: ci.curvature_pairing_modes(
+        mesh, cb.make_basis(mesh.dimension, 1)
+    ),
+    "lift": cv.lift,
+    "coupling_residual": lambda mesh: cv.coupling_residual(
+        _one_atom(mesh.dimension), mesh, lambda x: np.ones_like(x)
+    ),
+}
+_INVALID_GEOMETRY = {
+    "inverted": (MeshInvariantError, "orientation"),
+    "collapsed edge": (MeshQualityError, r"degenerate element 0 \("),
+    "NaN vertex": (MeshInvariantError, "non-finite"),
+}
 
 
 class TestMeshGeometry:
@@ -798,11 +838,8 @@ class TestMeshGeometry:
         for got, want in zip(stored[:3], fresh[:3]):
             assert got.shape == want.shape and got.tobytes() == want.tobytes()
         assert stored.volume == fresh[3]
-        assert ci.element_geometry(mesh)[2] is stored.measures
         assert ci.perimeter(mesh) == float(np.sum(fresh[2]))
         assert ci.enclosed_volume(mesh) == fresh[3]
-        for got, want in zip(ci.element_geometry(mesh), fresh[:3]):
-            assert got.tobytes() == want.tobytes()
 
     @pytest.mark.parametrize("dimension", [2, 3])
     def test_vertices_and_geometry_are_read_only(self, dimension):
@@ -818,6 +855,18 @@ class TestMeshGeometry:
         vertices[0, 0] = 0.0
         assert copy.vertices[0, 0] == mesh.vertices[0, 0]
 
+    @pytest.mark.parametrize("defect", sorted(_INVALID_GEOMETRY))
+    @pytest.mark.parametrize("reader, dimension", [
+        (reader, dimension)
+        for reader in _GEOMETRY_READERS
+        for dimension in (2, 3)
+        if (reader, dimension) != ("mesh_distance", 2)
+    ])
+    def test_no_reader_gets_an_invalid_geometry(self, reader, dimension, defect):
+        error, message = _INVALID_GEOMETRY[defect]
+        with pytest.raises(error, match=message):
+            _GEOMETRY_READERS[reader](_invalid_mesh(dimension, defect))
+
     def test_enclosed_volume_still_checks_the_mesh(self, circle_mesh, sphere_mesh):
         for mesh in (circle_mesh, sphere_mesh):
             open_mesh = ci.InterfaceMesh(mesh.vertices, mesh.elements[:-1])
@@ -825,7 +874,8 @@ class TestMeshGeometry:
             with pytest.raises(MeshInvariantError, match="closed"):
                 ci.enclosed_volume(open_mesh)
             inverted = ci.InterfaceMesh(mesh.vertices, mesh.elements[:, ::-1])
-            assert inverted.geometry.volume == pytest.approx(-ci.enclosed_volume(mesh))
+            with pytest.raises(MeshInvariantError, match="orientation"):
+                inverted.geometry
             with pytest.raises(MeshInvariantError, match="orientation"):
                 ci.enclosed_volume(inverted)
 

@@ -15,15 +15,15 @@ one config to the next.  For each side: the run's wall seconds (the only
 timing of the kmax 8 reference, which no benchmark workload runs), every
 attempt's start, sweeps and first residual, the largest ratio of
 consecutive residuals r_k / r_{k-1} within one attempt, and the attempts'
-summed work tally (``TALLY``: the nodes at which the sweeps evaluated the
-forcing, and the window indicator's traces, the RK4 point-steps of its
-window and history legs, its history legs and the carried points the
-window-start mesh decided; None on a side whose attempts do not carry a
-key).  Each row ends with the number of windows that took more sweeps than
-on the baseline, and the largest absolute difference between the two
-sides' ledger entries.  The printed summary of each benchmark workload
-reads its sweeps and history point-steps from the sweep table's row of the
-same name.
+summed work tally (``galerkin.WORK`` of this checkout: the nodes at which
+the sweeps evaluated the forcing, and the window indicator's traces, the
+RK4 point-steps of its window and history legs, its history legs and the
+carried points the window-start mesh decided; None on a side whose attempts
+do not carry a key).  Each row ends with the number of windows that took
+more sweeps than on the baseline, and the largest absolute difference
+between the two sides' ledger entries.  The printed summary of each
+benchmark workload reads its sweeps and history point-steps from the sweep
+table's row of the same name.
 """
 
 import os
@@ -42,6 +42,9 @@ from pathlib import Path  # noqa: E402
 import numpy as np  # noqa: E402
 
 ROOT = Path(__file__).resolve().parent.parent
+# the keys of an attempt record that tally the work of its window
+sys.path.insert(0, str(ROOT / "src"))
+from capmhd.galerkin import WORK  # noqa: E402
 
 
 # The sweep table's runs: (name, base config file, overrides).
@@ -60,15 +63,6 @@ SWEEP_CONFIGS = [
     ("ball3d", "bench/workloads/ball3d.json", {}),
 ]
 
-# The keys of an attempt record that tally the work of its window.
-TALLY = (
-    "forcing_evaluations",
-    "indicator_traces",
-    "window_point_steps",
-    "history_legs",
-    "history_point_steps",
-    "mesh_decided_points",
-)
 
 # One run in the checkout whose src is on sys.path; prints its wall seconds,
 # its ledger rows and its window attempts.
@@ -121,7 +115,7 @@ def sweep_table(baseline):
             row[side] = {
                 "run_s": out["run_s"],
                 "sweeps": sum(a["sweeps"] for a in attempts),
-                **{key: total(attempts, key) for key in TALLY},
+                **{key: total(attempts, key) for key in WORK},
                 "window_sweeps": [a["sweeps"] for a in attempts],
                 "first_residuals": [
                     a["residual_history"][0] if a["residual_history"] else None
@@ -202,7 +196,7 @@ def main(argv=None):
         base, change = row["baseline"], row["change"]
         counts = ", ".join(
             f"{key} {base[key]} -> {change[key]}"
-            for key in ("run_s", "sweeps", *TALLY, "largest_contraction")
+            for key in ("run_s", "sweeps", *WORK, "largest_contraction")
         )
         print(f"{row['config']}: {counts}, "
               f"windows with more sweeps {row['windows_with_more_sweeps']}, "
