@@ -3,10 +3,11 @@
 Exit codes: 0 success (for ``run``: completed and the energy inequality
 passed), 1 completed with a failed check, 2 configuration, input or output
 error (an unusable output directory, or a phase region that cannot be
-meshed at its ``mesh_resolution``, fails before any solve), 3 solver hard
-failure (with ``failure_state.json`` in the output directory; ``refine``
-writes it when given ``--out``).  A configuration or output error of any
-command is reported as one line on stderr, never as a traceback.
+meshed at its ``mesh_resolution``, fails before any solve and leaves no
+output directory the command made), 3 solver hard failure (with
+``failure_state.json`` in the output directory; ``refine`` writes it when
+given ``--out``).  A configuration or output error of any command is
+reported as one line on stderr, never as a traceback.
 
 All file outputs are written with 12 significant digits and fixed column
 and summation order, so identical configurations give byte-identical
@@ -117,11 +118,16 @@ def _solver_failure(exc, out_dir, **context):
 def cmd_run(config_path, out_dir=None):
     config = RunConfig.from_json(config_path)
     out = out_dir or config.output_dir
+    made = not os.path.isdir(out)
     os.makedirs(out, exist_ok=True)
     try:
         result = galerkin.run(config)
     except _SOLVER_ERRORS as exc:
         return _solver_failure(exc, out)
+    except ConfigError:
+        if made:  # a refused config leaves no directory; rmdir removes only an empty one
+            os.rmdir(out)
+        raise
     report = check_inequality(result.ledger, result.tau_E)
     result.ledger.write_csv(os.path.join(out, "ledger.csv"))
     _write_json(os.path.join(out, "summary.json"), _summarize(result, config, report))
@@ -142,6 +148,7 @@ def cmd_refine(config_path, levels, out_dir=None):
     if levels < 2:
         raise ConfigError(f"refine needs at least 2 levels, got {levels}")
     config = RunConfig.from_json(config_path)
+    made = bool(out_dir) and not os.path.isdir(out_dir)
     if out_dir:
         os.makedirs(out_dir, exist_ok=True)
     rows = []
@@ -153,6 +160,8 @@ def cmd_refine(config_path, levels, out_dir=None):
         try:
             result = galerkin.run(RunConfig.from_dict(data))
         except ConfigError as exc:
+            if made:
+                os.rmdir(out_dir)
             raise ConfigError(f"at kmax={kmax}: {exc}") from exc
         except _SOLVER_ERRORS as exc:
             return _solver_failure(exc, out_dir, kmax=kmax)

@@ -24,8 +24,9 @@ strictly inside by construction and wrapping would tear the connectivity.
 No remeshing happens: a degenerate element raises and aborts the run
 (signalling under-resolution) rather than silently perturbing the interface
 measure.  The flow map is a homeomorphism, so the connectivity is fixed by
-the initial mesh: ``mesh_initial`` checks it once and makes it read-only,
-and every advected mesh shares that array and checks only its geometry.
+the initial mesh: ``mesh_initial`` pairs its element sides once
+(``InterfaceMesh.across``, which refuses an open mesh) and makes it
+read-only, and every advected mesh shares both and checks only its geometry.
 A mesh's vertices are read-only too, so its geometry (element centres, unit
 normals, measures and the signed volume) is computed and checked once,
 together, and every measure of the mesh reads it: no reader gets the
@@ -213,54 +214,60 @@ class InterfaceMesh:
         return MeshGeometry(*arrays, volume)
 
     @functools.cached_property
+    def across(self):
+        """For each element side, the index of the side it meets: (ne, d).
+
+        Side k of element e has index e * d + k, so ``across // d`` is the
+        element across each side.  In 2D a segment's sides are its start and
+        its end, and its end meets the next segment's start; in 3D its sides
+        are the directed edges (a, b), (b, c), (c, a), and (a, b) meets (b, a).
+        Sorted, the sides' keys and the keys they seek must be equal and free
+        of repeats (and in 2D every vertex used), or MeshInvariantError.
+        Whatever needs a closed mesh reads it; ``advect`` hands it on.
+        """
+        d, n = self.dimension, len(self.vertices)
+        if d == 2:
+            keys = (2 * self.elements + [0, 1]).ravel()
+            partners = keys ^ 1
+        else:
+            start, end = self.elements.ravel(), np.roll(self.elements, -1, axis=1).ravel()
+            keys, partners = start * n + end, end * n + start
+        order, wanted = np.argsort(keys), np.argsort(partners)
+        ranked = keys[order]
+        closed = (np.diff(ranked) > 0).all() and (ranked == partners[wanted]).all()
+        if not closed or (d == 2 and len(self.elements) != n):
+            raise MeshInvariantError(f"{d}D mesh is not closed with consistent orientation")
+        # side wanted[i] meets side order[i]
+        across = order[np.argsort(wanted)].reshape(-1, d)
+        across.setflags(write=False)
+        return across
+
+    @functools.cached_property
     def edges(self):
         """The distinct edges as vertex pairs, and each element's edges as
         rows of them: in 2D a segment is its own edge (``elements`` itself);
-        in 3D each triangle has three, each kept once, in its first
-        triangle's direction.  Apart from ``geometry``, so a mesh that no
-        distance is asked of does not compute them.
+        in 3D each triangle has three, each kept once, in the direction of
+        the side below the one ``across`` it.  Apart from ``geometry``, so a
+        mesh that no distance is asked of does not compute them.
         """
         if self.dimension == 2:
             sides = np.arange(len(self.elements))[:, None]
             sides.setflags(write=False)
             return self.elements, sides
-        ends = np.stack([self.elements, np.roll(self.elements, -1, axis=1)], axis=-1).reshape(-1, 2)
-        _, first, inverse = np.unique(
-            np.sort(ends, axis=1) @ [len(self.vertices), 1], return_index=True, return_inverse=True
-        )
-        arrays = ends[first], inverse.reshape(-1, 3)
+        partner = self.across.ravel()
+        first = np.arange(len(partner)) <= partner
+        row = np.cumsum(first) - 1
+        ends = np.stack([self.elements, np.roll(self.elements, -1, axis=1)], axis=-1)
+        arrays = ends.reshape(-1, 2)[first], np.where(first, row, row[partner]).reshape(-1, 3)
         for array in arrays:
             array.setflags(write=False)
         return arrays
 
     def validate(self):
-        """Check closedness, then read ``geometry``, which checks the rest."""
-        _check_closed(self)
+        """Check closedness (``across``), then read ``geometry``, which checks the rest."""
+        self.across
         self.geometry
         return self
-
-
-def _check_closed(mesh):
-    """The one closedness test, with consistent direction.
-
-    2D: every vertex starts one segment and ends one.  3D: every directed
-    edge occurs once, and so does its reverse.
-    """
-    if mesh.dimension == 2:
-        n = len(mesh.vertices)
-        starts = np.bincount(mesh.elements[:, 0], minlength=n)
-        ends = np.bincount(mesh.elements[:, 1], minlength=n)
-        if np.any(starts != 1) or np.any(ends != 1):
-            raise MeshInvariantError("2D mesh is not a closed polygon with one direction")
-    else:
-        start = mesh.elements.ravel()
-        end = np.roll(mesh.elements, -1, axis=1).ravel()
-        n = len(mesh.vertices)
-        edges = np.sort(start * n + end)
-        if np.any(np.diff(edges) == 0) or not np.array_equal(
-            edges, np.sort(end * n + start)
-        ):
-            raise MeshInvariantError("3D mesh is not closed with consistent orientation")
 
 
 def _runs(starts, ends):
@@ -396,8 +403,8 @@ def sagitta(mesh):
     vertices lies from the mesh: the largest over its elements.
 
     An element is taken for a piece of the circle (2D) or sphere (3D) that
-    the turn theta of its normal to its neighbours' suggests, theta the
-    largest such turn:
+    the turn theta of its normal to those ``across`` its sides suggests,
+    theta the largest such turn:
     - 2D: a chord of length L that turns by theta at each end lies
       (L/2) tan(theta/4) from its arc, exactly so on a circle;
     - 3D: a triangle within r of its nearest corner (r the longest edge /
@@ -408,27 +415,11 @@ def sagitta(mesh):
     larger; it is not below the gap on any polygon of an ellipse or
     icosphere of an ellipsoid that the tests measure.
     """
-    normals, measures = mesh.geometry.normals, mesh.geometry.measures
-    elements = mesh.elements
-    if mesh.dimension == 2:
-        index = np.arange(len(elements))
-        # the element that starts where each one ends, and its turn there
-        starting = np.empty(len(mesh.vertices), dtype=np.int64)
-        starting[elements[:, 0]] = index
-        following = starting[elements[:, 1]]
-        turn = np.arccos(np.clip(np.einsum("ed,ed->e", normals, normals[following]), -1.0, 1.0))
-        preceding = np.empty_like(following)
-        preceding[following] = index
-        theta = np.maximum(turn, turn[preceding])
-        return float(np.max(0.5 * measures * np.tan(theta / 4.0)))
-    # the element across each directed edge holds the reverse edge
-    n = len(mesh.vertices)
-    start, end = elements.ravel(), np.roll(elements, -1, axis=1).ravel()
-    keys = start * n + end
-    order = np.argsort(keys)
-    across = order[np.searchsorted(keys, end * n + start, sorter=order)] // 3
-    cosines = np.einsum("ed,ed->e", np.repeat(normals, 3, axis=0), normals[across])
-    theta = np.max(np.arccos(np.clip(cosines, -1.0, 1.0)).reshape(-1, 3), axis=1)
+    d, normals, across = mesh.dimension, mesh.geometry.normals, mesh.across.ravel()
+    cosines = np.einsum("ed,ed->e", np.repeat(normals, d, axis=0), normals[across // d])
+    theta = np.max(np.arccos(np.clip(cosines, -1.0, 1.0)).reshape(-1, d), axis=1)
+    if d == 2:
+        return float(np.max(0.5 * mesh.geometry.measures * np.tan(theta / 4.0)))
     corners = mesh.element_corners()
     longest = np.max(np.linalg.norm(np.roll(corners, 1, axis=1) - corners, axis=-1), axis=1)
     return float(np.max(longest / np.sqrt(3.0) * np.tan(theta / 2.0)))
@@ -524,13 +515,14 @@ def mesh_initial(phase, resolution):
 def advect(mesh, sampler, t1, h):
     """Transport mesh vertices to time t1 >= mesh.t.
 
-    The result shares ``mesh.elements``: the flow map leaves the
-    connectivity as it was made, so only the geometry is checked, by reading it.
+    The result shares ``mesh.elements`` and ``mesh.across``: the flow map leaves
+    the connectivity as it was made, so only the geometry is checked, by reading it.
     """
     if t1 < mesh.t:
         raise ValueError(f"target time {t1} precedes start time {mesh.t}")
     vertices = integrate_positions(mesh.vertices, sampler, mesh.t, t1, h)
     advected = InterfaceMesh(vertices, mesh.elements, t=t1)
+    advected.across = mesh.across
     advected.geometry
     return advected
 
@@ -541,8 +533,8 @@ def perimeter(mesh):
 
 
 def enclosed_volume(mesh):
-    """Volume enclosed by the mesh via the divergence theorem."""
-    _check_closed(mesh)
+    """Volume enclosed by the mesh via the divergence theorem; ``across`` checks it is closed."""
+    mesh.across
     return mesh.geometry.volume
 
 
@@ -628,13 +620,11 @@ def point_in_mesh(mesh, points):
 
 def _polygon_order(mesh):
     """Vertex indices walked along the polygon connectivity."""
-    successor = np.empty(len(mesh.vertices), dtype=np.int64)
-    successor[mesh.elements[:, 0]] = mesh.elements[:, 1]
-    successor = successor.tolist()
-    order = [int(mesh.elements[0, 0])]
-    for _ in range(len(successor) - 1):
-        order.append(successor[order[-1]])
-    return np.array(order, dtype=np.int64)
+    following = (mesh.across[:, 1] // 2).tolist()
+    walk = [0]
+    for _ in range(len(following) - 1):
+        walk.append(following[walk[-1]])
+    return mesh.elements[walk, 0]
 
 
 def format_rows(row_format, table):

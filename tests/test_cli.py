@@ -599,7 +599,21 @@ def test_unmeshable_phase_region_exits_2(tmp_path, capsys, command, radius, reso
     err = capsys.readouterr().err
     assert err.startswith("config error:") and err.count("\n") == 1
     assert "mesh_resolution" in err and "Traceback" not in err
-    assert not (out / "failure_state.json").exists()
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", [["run"], ["dump-mesh"], ["refine", "--levels", "2"]])
+def test_config_error_keeps_an_output_directory_it_did_not_make(tmp_path, command):
+    phase = {"shape": "disk", "center": list(CENTER_2D), "radius": 1e-10}
+    data = reference_config(phase=phase).resolved()
+    data["solver"]["mesh_resolution"] = 16
+    path = write_config(tmp_path, data)
+    out = tmp_path / "out"
+    out.mkdir()
+    (out / "notes.txt").write_text("kept")
+    assert cli.main([*command, "--config", path, "--out", str(out)]) == 2
+    assert sorted(p.name for p in out.iterdir()) == ["notes.txt"]
+    assert (out / "notes.txt").read_text() == "kept"
 
 
 def test_console_entry_point_runs():

@@ -1345,14 +1345,33 @@ class TestRun:
         for prev, nxt in zip(result.windows, result.windows[1:]):
             np.testing.assert_array_equal(prev.u_trajectory[-1], nxt.u_trajectory[0])
 
-    def test_accepted_meshes_share_the_initial_connectivity(self):
-        result = cg.run(reference_config(T=0.2))
-        elements = result.states[0].mesh.elements
+    def _check_one_connectivity(self, result):
+        # every accepted mesh shares the initial mesh's elements and their
+        # side pairing, so the sides are paired once per run
+        initial = result.states[0].mesh
         meshes = [st.mesh for window in result.windows for st in window.states]
         assert len(meshes) > 1
-        assert all(mesh.elements is elements for mesh in meshes)
-        with pytest.raises(ValueError, match="read-only"):
-            elements[0, 0] = 1
+        assert all(mesh.elements is initial.elements for mesh in meshes)
+        assert all(mesh.across is initial.across for mesh in meshes)
+        for array in (initial.elements, initial.across):
+            with pytest.raises(ValueError, match="read-only"):
+                array[0, 0] = 1
+
+    def test_accepted_meshes_share_the_initial_connectivity(self):
+        self._check_one_connectivity(cg.run(reference_config(T=0.2)))
+
+    def test_accepted_3d_meshes_share_the_initial_connectivity(self):
+        result = cg.run(RunConfig.from_dict({
+            "dimension": 3, "kmax": 1, "T": 0.02,
+            "initial_velocity": {"type": "taylor_green", "amplitude": 0.25},
+            "initial_magnetic": {"type": "single_mode", "wavevector": [0, 1, 0],
+                                 "phase": "sin", "polarization": 1, "amplitude": 0.3},
+            "phase": {"shape": "ball", "center": [np.pi, np.pi, np.pi], "radius": 1.0},
+            "nu_plus": 0.2, "nu_minus": 0.1, "sigma": 1.0, "kappa": 0.05,
+            "solver": {"delta": 0.01, "n_sub": 4, "mesh_resolution": 1, "tol": 1e-8},
+        }))
+        assert len(result.windows) == 2
+        self._check_one_connectivity(result)
 
     def test_window_failure_triggers_halving_then_success(self):
         # a sweep budget of 2 fails at the policy window and at its half and

@@ -459,9 +459,7 @@ class TestMeshDistance:
     def test_edges_once_each_and_only_when_asked(self, dimension):
         # advecting a mesh leaves its edges uncomputed; asked, each element's
         # rows are its own sides, and no side is kept twice
-        basis = cb.make_basis(dimension, 1)
-        still = ref.SteadyField(cb.SpectralField(basis, np.zeros(len(basis))))
-        mesh = ci.advect(_random_mesh(dimension, 7), still, 0.1, 0.05)
+        mesh = ci.advect(_random_mesh(dimension, 7), _still_flow(dimension), 0.1, 0.05)
         assert "edges" not in mesh.__dict__
         edges, sides = mesh.edges
         own = np.stack([mesh.elements, np.roll(mesh.elements, -1, axis=1)], axis=-1)
@@ -660,7 +658,98 @@ def _closed_by_edge_count(elements):
     return all(count == 1 and edges.get((b, a), 0) == 1 for (a, b), count in edges.items())
 
 
+def _closed_by_vertex_count(elements, n):
+    """Reference 2D closedness test: every vertex starts one segment and ends one."""
+    starts, ends = [0] * n, [0] * n
+    for a, b in elements.tolist():
+        starts[a] += 1
+        ends[b] += 1
+    return all(count == 1 for count in starts + ends)
+
+
+_TETRAHEDRON = np.array([[0, 1, 2], [0, 3, 1], [0, 2, 3], [1, 3, 2]])
+_CLOSED_3D = (_TETRAHEDRON, np.concatenate([_TETRAHEDRON, _TETRAHEDRON + 4]), ci._icosahedron()[1])
+_DEFECTS = ("none", "removed", "duplicated", "reversed", "unused vertex", "random")
+
+
+def _connectivity(dimension, defect, seed):
+    """Vertices and elements of a small closed connectivity, relabelled and
+    reordered at random, then given ``defect``: an element removed,
+    duplicated or reversed, an unused vertex, or random indices throughout.
+
+    2D: one or more cycles of 3-9 vertices (a vertex may be its own cycle);
+    3D: a tetrahedron, two of them, or an icosahedron.
+    """
+    rng = np.random.default_rng(seed)
+    if dimension == 2:
+        n = int(rng.integers(3, 10))
+        elements = np.stack([np.arange(n), rng.permutation(n)], axis=1)
+    else:
+        faces = _CLOSED_3D[rng.integers(len(_CLOSED_3D))]
+        n = int(faces.max()) + 1
+        # relabelled, and each face started at a random corner: the same directed edges
+        turns = (np.arange(3) + rng.integers(0, 3, (len(faces), 1))) % 3
+        elements = np.take_along_axis(rng.permutation(n)[faces], turns, axis=1)
+    elements = elements[rng.permutation(len(elements))]
+    pick = int(rng.integers(len(elements)))
+    if defect == "removed":
+        elements = np.delete(elements, pick, axis=0)
+    elif defect == "duplicated":
+        elements = np.concatenate([elements, elements[pick:pick + 1]])
+    elif defect == "reversed":
+        elements[pick] = elements[pick, ::-1]
+    elif defect == "unused vertex":
+        n += 1
+    elif defect == "random":
+        elements = rng.integers(0, n, (int(rng.integers(1, 2 * n)), dimension))
+    return np.zeros((n, dimension)), elements
+
+
+def _still_flow(dimension):
+    basis = cb.make_basis(dimension, 1)
+    return ref.SteadyField(cb.SpectralField(basis, np.zeros(len(basis))))
+
+
+# Every reader of a mesh's sides; the 2D mesh file and the 2D distance read
+# only the corners, and the 3D mesh file writes the elements as they are.
+_SIDE_READERS = {
+    "validate": lambda mesh, path: mesh.validate(),
+    "enclosed_volume": lambda mesh, path: ci.enclosed_volume(mesh),
+    "sagitta": lambda mesh, path: ci.sagitta(mesh),
+    "advect": lambda mesh, path: ci.advect(mesh, _still_flow(mesh.dimension), 0.1, 0.05),
+    "write_mesh": ci.write_mesh,
+    "mesh_distance": lambda mesh, path: ci.mesh_distance(mesh, np.ones((1, 3)), np.inf),
+}
+
+
 class TestClosedness:
+    @settings(max_examples=300, deadline=None)
+    @given(st.sampled_from([2, 3]), st.sampled_from(_DEFECTS), st.integers(0, 2**32 - 1))
+    def test_across_matches_a_brute_force_reference(self, dimension, defect, seed):
+        vertices, elements = _connectivity(dimension, defect, seed)
+        mesh = ci.InterfaceMesh(vertices, elements)
+        if dimension == 2:
+            closed = _closed_by_vertex_count(elements, len(vertices))
+        else:
+            closed = _closed_by_edge_count(elements)
+        if not closed:
+            with pytest.raises(MeshInvariantError, match="closed"):
+                mesh.across
+            return
+        across = mesh.across.ravel()
+        assert mesh.across.shape == elements.shape
+        np.testing.assert_array_equal(across[across], np.arange(elements.size))
+        if dimension == 2:
+            # a segment's start meets a segment's end, at the same vertex
+            vertex, end = elements.ravel(), np.arange(elements.size) % 2
+            assert np.all(vertex[across] == vertex) and np.all(end[across] != end)
+        else:
+            # the directed edge (a, b) meets (b, a)
+            start, stop = elements.ravel(), np.roll(elements, -1, axis=1).ravel()
+            assert np.all(start[across] == stop) and np.all(stop[across] == start)
+        with pytest.raises(ValueError, match="read-only"):
+            mesh.across[0, 0] = 0
+
     def test_3d_matches_edge_count_reference(self, sphere_mesh):
         elements = sphere_mesh.elements
         flipped = elements.copy()
@@ -682,6 +771,23 @@ class TestClosedness:
                     mesh.validate()
                 with pytest.raises(MeshInvariantError, match="closed"):
                     ci.enclosed_volume(mesh)
+
+    @pytest.mark.parametrize("reader, dimension", [
+        (reader, dimension)
+        for reader in _SIDE_READERS
+        for dimension in (2, 3)
+        if (reader, dimension) not in (("write_mesh", 3), ("mesh_distance", 2))
+    ])
+    def test_every_reader_of_the_sides_refuses_an_open_mesh(self, reader, dimension, tmp_path):
+        # the 16-gon less segment 5, or the level-1 icosphere less face 5:
+        # its geometry is computed, but nothing that assumes a closed mesh is
+        shape = ci.disk(CENTER_2D, 1.0) if dimension == 2 else ci.ball(CENTER_3D, 1.0)
+        closed = ci.mesh_initial(shape, 16 if dimension == 2 else 1)
+        mesh = ci.InterfaceMesh(closed.vertices, np.delete(closed.elements, 5, axis=0))
+        assert ci.perimeter(mesh) > 0.0
+        with pytest.raises(MeshInvariantError, match="closed"):
+            _SIDE_READERS[reader](mesh, tmp_path / "mesh")
+        assert not (tmp_path / "mesh").exists()
 
     def test_2d_reversed_segment_rejected(self, circle_mesh):
         # every vertex keeps degree 2, but one segment runs against the others

@@ -28,7 +28,8 @@ table's row of the same name.
 
 import os
 
-for _name in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
+THREAD_VARIABLES = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS")
+for _name in THREAD_VARIABLES:
     os.environ.setdefault(_name, "1")
 
 import argparse  # noqa: E402
@@ -187,7 +188,7 @@ def main(argv=None):
     result = {
         "machine": {"platform": platform.platform(), "cpus": os.cpu_count(),
                     "python": platform.python_version(), "numpy": np.__version__,
-                    "blas_threads": 1},
+                    "blas_threads": {name: os.environ[name] for name in THREAD_VARIABLES}},
         "sweep_table": sweep_table(args.baseline),
         "bench_run_pairs": pairs(args.baseline, args.workloads, args.pairs, args.seconds),
     }
