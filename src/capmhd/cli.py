@@ -115,18 +115,34 @@ def _solver_failure(exc, out_dir, **context):
     return 3
 
 
+def _make_dirs(path):
+    """Make directory ``path`` with its missing parents; returns those it
+    made, outermost first."""
+    missing, head = [], os.path.abspath(path)
+    while not os.path.exists(head):
+        missing.append(head)
+        head = os.path.dirname(head)
+    os.makedirs(path, exist_ok=True)
+    return missing[::-1]
+
+
+def _remove_dirs(made):
+    """Remove the directories ``_make_dirs`` made, innermost first: a refused
+    config leaves none behind.  ``rmdir`` removes only an empty one."""
+    for path in reversed(made):
+        os.rmdir(path)
+
+
 def cmd_run(config_path, out_dir=None):
     config = RunConfig.from_json(config_path)
     out = out_dir or config.output_dir
-    made = not os.path.isdir(out)
-    os.makedirs(out, exist_ok=True)
+    made = _make_dirs(out)
     try:
         result = galerkin.run(config)
     except _SOLVER_ERRORS as exc:
         return _solver_failure(exc, out)
     except ConfigError:
-        if made:  # a refused config leaves no directory; rmdir removes only an empty one
-            os.rmdir(out)
+        _remove_dirs(made)
         raise
     report = check_inequality(result.ledger, result.tau_E)
     result.ledger.write_csv(os.path.join(out, "ledger.csv"))
@@ -148,9 +164,7 @@ def cmd_refine(config_path, levels, out_dir=None):
     if levels < 2:
         raise ConfigError(f"refine needs at least 2 levels, got {levels}")
     config = RunConfig.from_json(config_path)
-    made = bool(out_dir) and not os.path.isdir(out_dir)
-    if out_dir:
-        os.makedirs(out_dir, exist_ok=True)
+    made = _make_dirs(out_dir) if out_dir else []
     rows = []
     for level in range(levels):
         kmax = config.kmax * 2**level
@@ -160,8 +174,7 @@ def cmd_refine(config_path, levels, out_dir=None):
         try:
             result = galerkin.run(RunConfig.from_dict(data))
         except ConfigError as exc:
-            if made:
-                os.rmdir(out_dir)
+            _remove_dirs(made)
             raise ConfigError(f"at kmax={kmax}: {exc}") from exc
         except _SOLVER_ERRORS as exc:
             return _solver_failure(exc, out_dir, kmax=kmax)

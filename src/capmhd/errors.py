@@ -40,7 +40,7 @@ class WindowFailureError(RuntimeError):
     Carries the residual of every completed sweep, the attempt's ``work``
     tally up to the failure (``galerkin.WORK``: its forcing evaluations,
     and the sweeps that back-traced and the point-steps and legs of their
-    traces), and how the window started ("euler" or "extrapolated").
+    traces), and how the window started ("march" or "extrapolated").
     """
 
     def __init__(self, message, residual_history=None, work=None, start=None):

@@ -36,6 +36,15 @@ predecessor's last node.  The initial state is the one-node window at
 t = 0, with the initial region's row and N there, so the first window is
 anchored like every other and starts from Euler.
 
+A window that starts from Euler marches each sweep node by node.  Node i's
+mesh, B, indicator row and N depend on u only over [t_m, t_i], so the
+sweep steps u to node i from the N it has just computed at node i - 1 and
+a prediction of N at node i, the previous sweep's corrected by the change
+the sweep has seen so far (spectral deferred correction, Dutt, Greengard &
+Rokhlin, BIT 2000), with the viscous part implicit as above.  Every other
+window sweeps all its nodes at once, which costs less per sweep where the
+extrapolated start already certifies in one.
+
 The phase indicator chi(u) depends on the iterate only through the flow map,
 and the flow-map stability estimate |X_u - X_v| <= tau ||u - v|| e^{tau L}
 bounds how far a sweep can move the back-traced points.  In a two-phase
@@ -48,12 +57,13 @@ later sweep reuses its flags whenever every carried point lies farther
 beyond the band, and every origin farther from the initial boundary, than
 the estimate lets it move, so chi is exactly what a new trace would give.
 
-A sweep passes over the quadrature grid once.  One stacked product
+A stacked sweep passes over the quadrature grid once.  One stacked product
 synthesizes the iterate at every node; the magnetic march reads those
 values, linear in time between nodes, and hands over B's at each node; one
 stacked pairing gives N at the nodes after the first from one tensor per
 node, u (x) u - B (x) B - 2 nu(chi) Du; and the same Du gives the ledger's
-dissipation rate there.  All quadratures use the dealiased uniform grid,
+dissipation rate there.  A marched sweep makes the same pass one node at a
+time.  All quadratures use the dealiased uniform grid,
 and every reduction has a fixed order (each row of a stacked product is
 its own product), so a run of one configuration is reproducible bit for bit.
 """
@@ -196,7 +206,14 @@ class GalerkinState:
 
 @dataclass
 class WindowSolve:
-    """Accepted fixed-point solve on one window [t_m, t_m + delta]."""
+    """Accepted fixed-point solve on one window [t_m, t_m + delta].
+
+    Its accepted sweep's iterate, N values, dissipation rates, states and
+    indicator rows at each node, the residual of every sweep, the
+    resistive increment of each sub-step, the ``WORK`` tally, and the
+    ``start``: "march" for a window marched from Euler, "extrapolated" for
+    one swept from several nodes.
+    """
 
     t_grid: np.ndarray
     u_trajectory: np.ndarray
@@ -207,7 +224,7 @@ class WindowSolve:
     resistive_increments: np.ndarray = None
     chi_cache: list = field(default_factory=list)
     work: dict = field(default_factory=lambda: dict.fromkeys(WORK, 0))
-    start: str = "euler"
+    start: str = "march"
 
     @property
     def meshes(self):
@@ -509,6 +526,12 @@ def initial_window(state, order, phase):
     )
 
 
+def _check_iterate(coefficients):
+    """Raise ``NumericsError`` where the velocity iterate is not finite."""
+    if not np.all(np.isfinite(coefficients)):
+        raise NumericsError("the velocity iterate has non-finite coefficients")
+
+
 def fixed_point_window(
     previous,
     delta,
@@ -528,24 +551,40 @@ def fixed_point_window(
     ``initial_window`` for the first.  Node 0 is its last node, the anchor,
     and the anchor's indicator row, N and dissipation rate are data taken
     from it.  The first sweep starts from ``predictor`` through
-    ``previous``'s forcing at its last ``_start_nodes`` nodes, one for the
-    initial window (the Euler start); the start moves neither the fixed
-    point nor its certificate, only the number of sweeps.  Every sweep
-    advects the interface under the current velocity iterate, synthesizes
-    the iterate on the quadrature grid at every node in one product,
-    marches B through the window on those values (``solve_B``), and gives
-    them and B's node values to one ``apply_K`` pass, with the indicator
-    rows of one ``_WindowIndicator`` when the viscosities differ (so a
-    two-phase window needs ``phase`` and ``history``, the accepted velocity
-    on [0, t_m]).  It checks the residual ||u - K(u)|| and builds the next
-    iterate by ``_viscous_sweep`` from the N values, with the viscous term
-    at the mean viscosity implicit; its row 0 is the anchor bit for bit.  A
-    non-finite iterate, a broken dependent or forcing, or an accepted end
-    mesh that crosses itself raises WindowFailureError, and so does
-    reaching ``max_iter`` sweeps; otherwise the accepted window (residual
-    below ``tol``) is returned with its N values and rates.  Both carry the
-    attempt's ``work`` tally, counted up to the return or the failure, and
-    the ``start``: "euler" for a start from one node, else "extrapolated".
+    ``previous``'s forcing at its last ``_start_nodes`` nodes; the start
+    moves neither the fixed point nor its certificate, only the number of
+    sweeps.  The indicator rows come from one ``_WindowIndicator`` when the
+    viscosities differ (so a two-phase window needs ``phase`` and
+    ``history``, the accepted velocity on [0, t_m]).
+
+    A window started from several nodes sweeps in one grid pass: each sweep
+    advects the interface under the velocity iterate, synthesizes the
+    iterate on the quadrature grid at every node in one product, marches B
+    through the window on those values (``solve_B``), and gives them and
+    B's node values to one ``apply_K`` pass.  It checks the residual ||u -
+    K(u)|| and builds the next iterate by ``_viscous_sweep`` from the N
+    values, with the viscous term at the mean viscosity implicit.
+
+    A window started from one node, the Euler start, marches each sweep
+    node by node from a guess, the previous sweep's (u, N), in the first
+    sweep the Euler start with N(anchor) at every node.  At node i it
+    predicts R = N - decay * u as the guess's R_i plus the correction R -
+    R_guess of nodes i - 2 and i - 1 extrapolated linearly to t_i (0 at node
+    1), takes ``_viscous_sweep``'s step from node i - 1 with this sweep's R
+    there, then advects the mesh one sub-step, steps B over it and
+    evaluates N at node i alone, so the next node reads N where it has just
+    been computed.  K(u) is then the trapezoid of the sweep's own N, and the
+    residual is ||u - K(u)||.  The sweep's N read the rows the indicator
+    gave under the guess, so it is accepted only if the indicator gives
+    the same rows under the marched iterate.
+
+    Row 0 of every iterate is the anchor bit for bit.  A non-finite iterate,
+    a broken dependent or forcing, or an accepted end mesh that crosses
+    itself raises WindowFailureError, and so does reaching ``max_iter``
+    sweeps; otherwise the accepted window (residual below ``tol``) is
+    returned with its N values and rates.  Both carry the attempt's
+    ``work`` tally, counted up to the return or the failure, and the
+    ``start``: "march" for a start from one node, else "extrapolated".
     """
     if tol <= 0.0:
         raise ValueError("tol must be positive")
@@ -572,7 +611,11 @@ def fixed_point_window(
     # the viscous part of N at the mean viscosity, diagonal in the basis
     decay = -0.5 * (params.nu_plus + params.nu_minus) * basis.eigenvalues
     nodes = _start_nodes(previous, delta)
-    start = "extrapolated" if nodes > 1 else "euler"
+    march = nodes == 1
+    start = "march" if march else "extrapolated"
+
+    def rows(sampler):
+        return [None] * (n_sub + 1) if indicator is None else indicator(sampler)
 
     def failure(message):
         return WindowFailureError(
@@ -582,42 +625,110 @@ def fixed_point_window(
             start=start,
         )
 
+    def stacked_sweep(u_coeffs, sampler):
+        """K(u), N and the rates, states, resistive increments and rows of
+        the iterate ``u_coeffs``, whose ``sampler`` it is, in one grid pass
+        over every node."""
+        meshes = [anchor.mesh]
+        for i in range(n_sub):
+            meshes.append(advect(meshes[-1], sampler, t_grid[i + 1], h_flow))
+        u_values = quad.field_values(u_coeffs)
+        b_fields, b_values, increments = solve_B(
+            u_values, t_grid, anchor.B, dt_b, params.sigma, quad
+        )
+        chi_cache = rows(sampler)
+        states = [anchor] + [
+            GalerkinState(
+                t_grid[i], SpectralField(basis, u_coeffs[i]), b_fields[i], meshes[i], params
+            )
+            for i in range(1, n_sub + 1)
+        ]
+        work["forcing_evaluations"] += n_sub
+        k_coeffs, n_values, rates = apply_K(
+            states, order, anchor_forcing, u_values, b_values, chi_cache
+        )
+        return k_coeffs, n_values, rates, states, increments, chi_cache
+
+    def marched_sweep(u_guess, n_guess, chi_cache):
+        """The iterate marched node by node from the guess (``u_guess``,
+        ``n_guess``) with the guess's ``chi_cache``: u, N, the lattice rows
+        of u, and the rates, states and resistive increments."""
+        u_coeffs, n_values = np.empty_like(u_guess), np.empty_like(n_guess)
+        u_coeffs[0], n_values[0] = anchor.u.coefficients, anchor_forcing
+        r_guess = n_guess - decay * u_guess
+        # R - R_guess at the nodes marched so far; node 0's is 0
+        correction = np.zeros_like(r_guess)
+        lattice_rows = [basis.lattice.coefficients(u_coeffs[0])]
+        u_now, b_now = quad.field_values(np.stack([u_coeffs[0], anchor.B.coefficients]))
+        states, rates, increments = [anchor], [], []
+        for i in range(1, n_sub + 1):
+            span = t_grid[i - 1 : i + 1]
+            h = 0.5 * (span[1] - span[0])
+            # the correction at t_i, linear through nodes i - 2 and i - 1
+            predicted = correction[i - 1]
+            if i > 1:
+                slope = (span[1] - span[0]) / (span[0] - t_grid[i - 2])
+                predicted = predicted + slope * (correction[i - 1] - correction[i - 2])
+            known = n_values[i - 1] - decay * u_coeffs[i - 1]
+            rhs = u_coeffs[i - 1] * (1.0 + h * decay) + h * (known + r_guess[i] + predicted)
+            u_coeffs[i] = rhs / (1.0 - h * decay)
+            _check_iterate(u_coeffs[i])
+            lattice_rows.append(basis.lattice.coefficients(u_coeffs[i]))
+            step = SpectralTrajectory(basis, span, u_coeffs[i - 1 : i + 1], lattice_rows[-2:])
+            mesh = advect(states[-1].mesh, step, span[1], h_flow)
+            u_next = quad.field_values(u_coeffs[i])
+            b_fields, b_values, steps = solve_B(
+                np.stack([u_now, u_next]), span, states[-1].B, dt_b, params.sigma, quad, b_now
+            )
+            u_field = SpectralField(basis, u_coeffs[i])
+            state = GalerkinState(span[1], u_field, b_fields[1], mesh, params)
+            work["forcing_evaluations"] += 1
+            forcing, rate = _forcing([state], quad, u_next[None], b_values[1:], [chi_cache[i]])
+            n_values[i] = forcing[0]
+            correction[i] = n_values[i] - decay * u_coeffs[i] - r_guess[i]
+            states.append(state)
+            rates.append(rate)
+            increments.extend(steps)
+            u_now, b_now = u_next, b_values[1]
+        rates = np.concatenate(rates)
+        return u_coeffs, n_values, np.stack(lattice_rows), rates, states, increments
+
     u_coeffs = predictor(anchor, t_grid, previous.t_grid[-nodes:], previous.N_values[-nodes:])
+    # a march's first guess: the Euler start, with N(anchor) at every node
+    n_values, lattice_rows = np.tile(anchor_forcing, (n_sub + 1, 1)), None
     residual_history = []
     for iteration in range(1, max_iter + 1):
         try:
-            if not np.all(np.isfinite(u_coeffs)):
-                raise NumericsError("the velocity iterate has non-finite coefficients")
-            sampler = SpectralTrajectory(basis, t_grid, u_coeffs)
-            meshes = [anchor.mesh]
-            for i in range(n_sub):
-                meshes.append(advect(meshes[-1], sampler, t_grid[i + 1], h_flow))
-            u_values = quad.field_values(u_coeffs)
-            b_fields, b_values, increments = solve_B(
-                u_values, t_grid, anchor.B, dt_b, params.sigma, quad
-            )
-            chi_cache = [None] * (n_sub + 1) if indicator is None else indicator(sampler)
-            states = [anchor] + [
-                GalerkinState(
-                    t_grid[i], SpectralField(basis, u_coeffs[i]), b_fields[i], meshes[i], params
+            # the iterate, or the guess that a march starts from
+            _check_iterate(u_coeffs)
+            sampler = SpectralTrajectory(basis, t_grid, u_coeffs, lattice_rows)
+            if march:
+                chi_cache = rows(sampler)
+                u_coeffs, n_values, lattice_rows, rates, states, increments = marched_sweep(
+                    u_coeffs, n_values, chi_cache
                 )
-                for i in range(1, n_sub + 1)
-            ]
-            work["forcing_evaluations"] += n_sub
-            k_coeffs, n_values, rates = apply_K(
-                states, order, anchor_forcing, u_values, b_values, chi_cache
-            )
+                k_coeffs = _trapezoid(anchor.u.coefficients, t_grid, n_values)
+                sampler = SpectralTrajectory(basis, t_grid, u_coeffs, lattice_rows)
+            else:
+                k_coeffs, n_values, rates, states, increments, chi_cache = stacked_sweep(
+                    u_coeffs, sampler
+                )
             residual = float(np.max(np.linalg.norm(u_coeffs - k_coeffs, axis=1)))
             residual_history.append(residual)
-            if residual < tol:
+            # a march's N read the guess's rows, which must be the iterate's own
+            accepted = residual < tol and (
+                not march or indicator is None
+                or all(map(np.array_equal, rows(sampler), chi_cache))
+            )
+            if accepted:
                 # the end mesh decides the next window's indicator off the band
-                check_simple(meshes[-1])
+                check_simple(states[-1].mesh)
         except (MeshInvariantError, MeshQualityError, IntegrationError, NumericsError) as exc:
             # a blown-up iterate on an oversized window is a window failure,
             # not a run abort: the caller's halving is the remedy
             message = f"broke its dependents or forcing during sweep {iteration}: {exc}"
             raise failure(message) from exc
-        if residual < tol:
+        if accepted:
             return WindowSolve(
                 t_grid=t_grid,
                 u_trajectory=u_coeffs,
@@ -630,7 +741,8 @@ def fixed_point_window(
                 work=work,
                 start=start,
             )
-        u_coeffs = _viscous_sweep(anchor.u.coefficients, t_grid, u_coeffs, n_values, decay)
+        if not march:
+            u_coeffs = _viscous_sweep(anchor.u.coefficients, t_grid, u_coeffs, n_values, decay)
     raise failure(
         f"did not converge in {max_iter} sweeps (last residual {residual_history[-1]:.3e})"
     )

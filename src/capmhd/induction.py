@@ -55,17 +55,21 @@ def step_B(b_field, u_values, b_values, sigma, dt, quad):
     return SpectralField(basis, new)
 
 
-def solve_B(u_values, t_grid, b0, dt, sigma, quad):
+def solve_B(u_values, t_grid, b0, dt, sigma, quad, b0_values=None):
     """March B over the window ``t_grid`` from ``b0``, IMEX steps of dt chained
     by the flow map's step rule over each sub-step (``flowmap.step_sizes``).
 
     ``u_values`` (S + 1, m, d) is the velocity on the grid of ``quad`` at the
-    nodes, linear in time between them as its coefficients are.  Returns B
+    nodes, linear in time between them as its coefficients are.  ``b0_values``
+    are b0's node values, synthesized here when not handed in, so a march
+    taken one sub-step at a time synthesizes B once per node.  Returns B
     at the nodes, its node values (S + 1, m, d), which each step synthesizes
     for the next, and per sub-step the resistive increments sigma * ||grad
     B||^2 * dt of its steps, at their implicit endpoints, for the ledger.
     """
-    fields, values, increments = [b0], [quad.field_values(b0.coefficients)], []
+    if b0_values is None:
+        b0_values = quad.field_values(b0.coefficients)
+    fields, values, increments = [b0], [b0_values], []
     for i, (t0, t1) in enumerate(zip(t_grid[:-1], t_grid[1:])):
         current, b_now, steps = fields[-1], values[-1], []
         for step, dt_step in enumerate(step_sizes(t0, t1, dt)):

@@ -572,8 +572,10 @@ def point_in_mesh(mesh, points):
     along d, close to (1, 1, 1), and a triangle can be crossed only by the
     points whose plane coordinates (x - y, y - z) lie in its box, padded by
     _BOX_PAD.  The exact test then decides each pair as it would against
-    every element.
+    every element.  Even-odd counting is membership only for a closed mesh,
+    so ``across`` checks that first.
     """
+    mesh.across
     points = np.asarray(points, dtype=np.float64)
     single = points.ndim == 1
     p = np.atleast_2d(points)

@@ -3,6 +3,7 @@ import pytest
 from hypothesis import settings
 
 from capmhd import basis as cb
+from capmhd import galerkin as cg
 from capmhd import interface as ci
 from capmhd.config import RunConfig
 
@@ -174,6 +175,24 @@ def faulty_advection(monkeypatch, fault, calls=None):
         return vertices
 
     monkeypatch.setattr(ci, "integrate_positions", faulty)
+
+
+def faulty_forcing(monkeypatch, nodes=None):
+    """Give the capillary pairing NaN entries at the in-window nodes (t > 0)
+    whose count from 1, in the order the solver pairs them, is in ``nodes``
+    (every one, for None): the forcing there raises its NumericsError."""
+    real = cg.curvature_pairing_modes
+    paired = []
+
+    def faulty(mesh, basis):
+        values = real(mesh, basis)
+        if mesh.t > 0.0:
+            paired.append(1)
+            if nodes is None or len(paired) in nodes:
+                return np.full_like(values, np.nan)
+        return values
+
+    monkeypatch.setattr(cg, "curvature_pairing_modes", faulty)
 
 
 def single_phase_decay_config(n_sub=8, **overrides):

@@ -16,7 +16,13 @@ from capmhd.config import RunConfig, build_initial_field
 from capmhd import interface as ci
 from capmhd.errors import ConfigError, MeshInvariantError
 
-from conftest import CENTER_2D, MESH_FAULTS, faulty_advection, reference_config
+from conftest import (
+    CENTER_2D,
+    MESH_FAULTS,
+    faulty_advection,
+    faulty_forcing,
+    reference_config,
+)
 
 
 def small_config_dict(**overrides):
@@ -317,6 +323,25 @@ class TestCmdRun:
         err = capsys.readouterr().err
         assert err.startswith("solver failure:") and err.count("\n") == 1
 
+    def test_non_finite_forcing_in_every_sweep_exits_3_with_dump(
+        self, tmp_path, capsys, monkeypatch
+    ):
+        # N is finite at t = 0 and NaN at every node inside a window: each
+        # window marches from Euler, its sweep breaks at node 1, and the
+        # windows of 0.1, 0.05 and 0.025 fail before the next halving falls
+        # below delta_min
+        faulty_forcing(monkeypatch)
+        data = reference_config(T=0.1).resolved()
+        data["solver"]["delta_min"] = 0.02
+        path = write_config(tmp_path, data)
+        out = tmp_path / "out"
+        assert cli.main(["run", "--config", path, "--out", str(out)]) == 3
+        dump = json.loads((out / "failure_state.json").read_text())
+        assert dump["error"] == "NonConvergenceError"
+        assert dump["diagnostics"]["failures"] == 3
+        err = capsys.readouterr().err
+        assert err.startswith("solver failure:") and err.count("\n") == 1
+
     def test_first_window_below_delta_min_exits_3_with_dump(self, tmp_path, capsys):
         # the fast initial velocity makes the first window 5.1e-7 long
         data = reference_config(
@@ -382,9 +407,9 @@ class TestCmdRun:
         assert all(0 <= a["indicator_traces"] <= a["sweeps"] for a in attempts)
         # every attempt, failed or not, carries the window's work tally
         assert all(set(galerkin.WORK) <= set(a) for a in attempts)
-        # neither attempt at t = 0 has a predecessor to extrapolate
-        assert failed["start"] == halved["start"] == "euler"
-        assert all(a["start"] in ("euler", "extrapolated") for a in attempts)
+        # neither attempt at t = 0 has a predecessor to extrapolate, so both march
+        assert failed["start"] == halved["start"] == "march"
+        assert all(a["start"] in ("march", "extrapolated") for a in attempts)
         assert halved["accepted"] is True and halved["error"] is None
         assert failed["t"] == halved["t"] == 0.0
         assert halved["delta"] == pytest.approx(failed["delta"] / 2)
@@ -600,6 +625,10 @@ def test_unmeshable_phase_region_exits_2(tmp_path, capsys, command, radius, reso
     assert err.startswith("config error:") and err.count("\n") == 1
     assert "mesh_resolution" in err and "Traceback" not in err
     assert not out.exists()
+    # a nested --out: every directory the command made goes again
+    nested = tmp_path / "a" / "b" / "c"
+    assert cli.main([*command, "--config", path, "--out", str(nested)]) == 2
+    assert not (tmp_path / "a").exists()
 
 
 @pytest.mark.parametrize("command", [["run"], ["dump-mesh"], ["refine", "--levels", "2"]])

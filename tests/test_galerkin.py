@@ -25,6 +25,7 @@ from conftest import (
     MESH_FAULTS,
     circle_first_variation,
     faulty_advection,
+    faulty_forcing,
     reference_config,
     single_phase_decay_config,
     smooth_phi_2d,
@@ -360,11 +361,12 @@ class TestGridPass:
             assert n_value.tobytes() == cg.apply_N(state, order, chi_values=row).tobytes()
             assert rate.tobytes() == _rate(state, order, chi_values=row).tobytes()
 
-    def test_one_sweep_is_one_grid_pass(self, monkeypatch, basis_2d):
-        # per sweep: one apply_K, one stacked synthesis of u (the B march
-        # synthesizes B alone, one row at a time), one stacked gradient
-        # synthesis and one forcing pairing, and no one-node apply_N
-        counts = dict.fromkeys(("apply_K", "apply_N", "pairing", "u", "gradients"), 0)
+    def _counted_window_passes(self, monkeypatch, basis_2d):
+        """The first two windows and the grid work of each: the calls of
+        apply_K and apply_N, of the forcing pairing, of the stacked
+        (two-dimensional) synthesis of u and of the gradient synthesis."""
+        keys = ("apply_K", "apply_N", "pairing", "u", "gradients")
+        counts = dict.fromkeys(keys, 0)
 
         def counting(real, key, stacked=lambda *args: True):
             def wrapper(*args, **kwargs):
@@ -387,16 +389,41 @@ class TestGridPass:
         phase = ci.disk(CENTER_2D, 1.0)
         anchor = make_state(basis_2d, u_coeffs=0.3 * rng.standard_normal(len(basis_2d)),
                             params=cg.FluidParams(0.2, 0.1, 1.0, 0.1))
-        initial = cg.initial_window(anchor, 8, phase)
-        counts.update(dict.fromkeys(counts, 0))
-        window = cg.fixed_point_window(
-            initial, 0.05, 4, 1e-8, 30, order=8, h_flow=0.01, dt_b=0.0125,
-            history=_history(initial), phase=phase,
-        )
+        args = dict(order=8, h_flow=0.01, dt_b=0.0125, phase=phase)
+        windows, passes = [cg.initial_window(anchor, 8, phase)], []
+        # the second window's tighter tol makes it sweep more than once
+        for tol in (1e-8, 1e-13):
+            counts.update(dict.fromkeys(counts, 0))
+            windows.append(cg.fixed_point_window(
+                windows[-1], 0.05, 4, tol, 30, history=_history(windows[-1]), **args
+            ))
+            passes.append(dict(counts))
+        return windows[1:], passes
+
+    def test_one_sweep_is_one_grid_pass(self, monkeypatch, basis_2d):
+        # a window started from several nodes: per sweep one apply_K, one
+        # stacked synthesis of u (the B march synthesizes B alone, one row
+        # at a time), one stacked gradient synthesis and one forcing
+        # pairing, and no one-node apply_N
+        (_, window), (_, counts) = self._counted_window_passes(monkeypatch, basis_2d)
+        assert window.start == "extrapolated"
         sweeps = len(window.residual_history)
         assert sweeps > 1
         assert counts == dict(apply_K=sweeps, apply_N=0, pairing=sweeps, u=sweeps,
                               gradients=sweeps)
+        assert window.work["forcing_evaluations"] == 4 * sweeps
+
+    def test_a_marched_sweep_evaluates_each_node_once(self, monkeypatch, basis_2d):
+        # a window started from one node marches: per sweep one gradient
+        # synthesis and one forcing pairing at each of its 4 later nodes, one
+        # stacked synthesis (of the anchor's u and B), and no apply_K or
+        # apply_N
+        (window, _), (counts, _) = self._counted_window_passes(monkeypatch, basis_2d)
+        assert window.start == "march"
+        sweeps = len(window.residual_history)
+        assert sweeps > 1
+        assert counts == dict(apply_K=0, apply_N=0, pairing=4 * sweeps, u=sweeps,
+                              gradients=4 * sweeps)
         assert window.work["forcing_evaluations"] == 4 * sweeps
 
 
@@ -464,21 +491,22 @@ class TestFixedPointWindow:
         assert iterates[0][0].tobytes() == anchor.u.coefficients.tobytes()
 
     def test_non_finite_predictor_is_a_window_failure(self, monkeypatch, basis_2d):
-        # a handed-over N of +-1e308 overflows the Euler start's trapezoid
-        real_k = cg.apply_K
-        sweeps = []
+        # a handed-over N of +-1e308 overflows the Euler start's trapezoid:
+        # the march's guess is checked before any forcing is evaluated
+        real_n = cg._forcing
+        passes = []
 
         def counted(*args, **kwargs):
-            sweeps.append(1)
-            return real_k(*args, **kwargs)
+            passes.append(1)
+            return real_n(*args, **kwargs)
 
-        monkeypatch.setattr(cg, "apply_K", counted)
         anchor = make_state(basis_2d, u_coeffs=np.full(len(basis_2d), 0.1),
                             params=cg.FluidParams(0.2, 0.1, 1.0, 0.1))
         phase = ci.disk(CENTER_2D, 1.0)
         initial = cg.initial_window(anchor, 8, phase)
         signs = np.where(np.arange(len(basis_2d)) % 2 == 0, 1.0, -1.0)
         initial = dataclasses.replace(initial, N_values=1e308 * signs[None])
+        monkeypatch.setattr(cg, "_forcing", counted)
         with np.errstate(over="ignore"), pytest.raises(WindowFailureError, match="sweep 1") as err:
             cg.fixed_point_window(
                 initial, 0.05, 4, 1e-8, 5,
@@ -486,7 +514,8 @@ class TestFixedPointWindow:
             )
         assert isinstance(err.value.__cause__, NumericsError)
         assert err.value.residual_history == []
-        assert sweeps == []
+        assert err.value.start == "march"
+        assert passes == [] and err.value.work["forcing_evaluations"] == 0
 
     def test_single_mode_matches_stokes_decay(self, basis_2d):
         nu = 0.4
@@ -625,20 +654,22 @@ def _run_checking_indicator(monkeypatch, config):
 
 
 def _first_iterate(monkeypatch):
-    """Capture the iterate of every apply_K call; the first is the start."""
-    real = cg.apply_K
+    """Capture the iterate of every window-indicator call; the first is the
+    start: a stacked sweep's first iterate, or the guess a march starts from."""
+    real = cg._WindowIndicator.__call__
     iterates = []
 
-    def capture(states, *args, **kwargs):
-        iterates.append(np.stack([state.u.coefficients for state in states]))
-        return real(states, *args, **kwargs)
+    def capture(indicator, sampler):
+        iterates.append(sampler.coefficients)
+        return real(indicator, sampler)
 
-    monkeypatch.setattr(cg, "apply_K", capture)
+    monkeypatch.setattr(cg._WindowIndicator, "__call__", capture)
     return iterates
 
 
 def _euler_only(monkeypatch):
-    """Start every window from its predecessor's last node alone: Euler's start."""
+    """Start every window from its predecessor's last node alone: Euler's
+    start, which a window marches from."""
     monkeypatch.setattr(cg, "_start_nodes", lambda previous, delta: 1)
 
 
@@ -713,10 +744,11 @@ class TestWindowStart:
         return window, iterates[0], at_start[0]
 
     def _assert_euler_start(self, monkeypatch, previous, delta, forcing):
-        # one node: the forward-Euler step of the given N(anchor)
+        # one node: the march's first guess is the forward-Euler step of the
+        # given N(anchor)
         window, first, start_calls = self._start(monkeypatch, previous, delta)
         anchor, t_grid = previous.states[-1], window.t_grid
-        assert window.start == "euler"
+        assert window.start == "march"
         assert first.tobytes() == cg.predictor(anchor, t_grid, t_grid[:1], forcing[None]).tobytes()
         euler = anchor.u.coefficients + (t_grid - t_grid[0])[:, None] * forcing
         np.testing.assert_allclose(first, euler, rtol=1e-14, atol=1e-15)
@@ -799,8 +831,8 @@ class TestWindowStart:
         first = cg.fixed_point_window(initial, 0.05, 4, 1e-8, 30, **args)
         sweeps = len(first.residual_history)
         assert sweeps > 1
-        # one pass per sweep over the 4 later nodes
-        assert nodes == [1] + [4] * sweeps
+        # the first window marches: one pass per later node, 4 per sweep
+        assert nodes == [1] + [1] * (4 * sweeps)
         # a single-phase window has no indicator: its tally counts only the
         # forcing
         assert first.work == dict(dict.fromkeys(cg.WORK, 0), forcing_evaluations=4 * sweeps)
@@ -817,9 +849,10 @@ class TestWindowStart:
         # chords and the circle are in the band, where the window-start mesh
         # and a trace disagree.  Node 0 is data: the initial window gives the
         # first window its row, the initial region's, and N(anchor), computed
-        # once; the second takes both from the first's last node, and no
-        # trace carries node 0's points to the window start or through the
-        # history
+        # once; the second takes both from the first's last node.  Every
+        # indicator call, a march's check under its iterate included, gives
+        # node 0 that row, and no trace carries node 0's points to the window
+        # start or through the history
         rng = np.random.default_rng(191)
         anchor = make_state(basis_2d, u_coeffs=0.3 * rng.standard_normal(len(basis_2d)),
                             params=self.PARAMS, resolution=16)
@@ -827,32 +860,29 @@ class TestWindowStart:
         points = basis_2d.quadrature(20).points
         assert not np.array_equal(ci.point_in_mesh(anchor.mesh, points),
                                   args["phase"].contains(points))
-        real_n, real_k, real_call = cg._forcing, cg.apply_K, cg._WindowIndicator.__call__
-        times, sweeps, moving = [], [], []
+        real_n, real_call = cg._forcing, cg._WindowIndicator.__call__
+        times, moving, first_rows = [], [], []
 
         def counted(states, *args, **kwargs):
             times.extend(state.t for state in states)
             return real_n(states, *args, **kwargs)
 
-        def recorded(states, order, anchor_forcing, u_values, b_values, chi_values):
-            sweeps.append((states[0], chi_values[0]))
-            return real_k(states, order, anchor_forcing, u_values, b_values, chi_values)
-
         def indicated(indicator, sampler):
             traces = indicator.work["indicator_traces"]
             chi = real_call(indicator, sampler)
+            first_rows.append(chi[0])
             if indicator.work["indicator_traces"] > traces:
                 moving.append(int(indicator.moving.sum()))
             return chi
 
         monkeypatch.setattr(cg, "_forcing", counted)
-        monkeypatch.setattr(cg, "apply_K", recorded)
         monkeypatch.setattr(cg._WindowIndicator, "__call__", indicated)
         legs = _recording_legs(monkeypatch)
         initial = cg.initial_window(anchor, 20, args["phase"])
         history = _history(initial)
         first = cg.fixed_point_window(initial, 0.05, 4, 1e-8, 30, history=history, **args)
-        assert first.start == "euler" and len(first.residual_history) > 1
+        assert first.start == "march" and len(first.residual_history) > 1
+        assert first.states[0] is anchor
         assert times.count(anchor.t) == 1
         # no pull-back of every point at t = 0: each trace carries the moving
         # points of nodes 1..4 to the window start, and only those in the
@@ -861,19 +891,19 @@ class TestWindowStart:
         assert any(len(band) for band in _assert_history_takes_the_band(
             legs, history, anchor.mesh, [4 * count for count in moving]
         ))
-        for state, row in sweeps:
-            assert state is anchor
+        assert len(first_rows) > len(first.residual_history)
+        for row in first_rows + [first.chi_cache[0]]:
             np.testing.assert_array_equal(row, args["phase"].contains(points))
 
-        for record in (times, sweeps, moving, legs):
+        for record in (times, moving, legs, first_rows):
             record.clear()
         second_anchor = first.states[-1]
         history = _history(first)
         second = cg.fixed_point_window(first, 0.05, 4, 1e-8, 30, history=history, **args)
         assert times.count(second_anchor.t) == 0
-        assert len(sweeps) == len(second.residual_history)
-        for state, row in sweeps:
-            assert state is second_anchor
+        assert second.states[0] is second_anchor
+        assert len(first_rows) >= len(second.residual_history)
+        for row in first_rows + [second.chi_cache[0]]:
             np.testing.assert_array_equal(row, first.chi_cache[-1])
         assert second.work["indicator_traces"] == len(moving) > 0
         assert any(len(band) for band in _assert_history_takes_the_band(
@@ -910,6 +940,82 @@ def _assert_history_takes_the_band(legs, history, mesh, stack_sizes):
     history_legs = sum(len(band) > 0 for band in bands) if mesh.t > 0.0 else 0
     assert sum(leg[0] is history for leg in legs) == history_legs
     return bands
+
+
+class TestMarch:
+    PARAMS = cg.FluidParams(0.2, 0.1, 1.0, 0.1)
+    ARGS = dict(order=8, h_flow=0.01, dt_b=0.0125, phase=ci.disk(CENTER_2D, 1.0))
+
+    def _initial(self, basis_2d):
+        rng = np.random.default_rng(211)
+        anchor = make_state(basis_2d, u_coeffs=0.3 * rng.standard_normal(len(basis_2d)),
+                            params=self.PARAMS)
+        return cg.initial_window(anchor, 8, self.ARGS["phase"])
+
+    def test_accepted_march_certifies_its_own_forcing(self, basis_2d):
+        # K recomputed from the window's own N values, each of them N at the
+        # window's own state and row, is within tol of u; row 0 is the anchor
+        initial = self._initial(basis_2d)
+        anchor, tol = initial.states[-1], 1e-8
+        window = cg.fixed_point_window(
+            initial, 0.05, 4, tol, 30, history=_history(initial), **self.ARGS
+        )
+        assert window.start == "march" and len(window.residual_history) > 1
+        for state, row, n_value in zip(window.states[1:], window.chi_cache[1:],
+                                       window.N_values[1:]):
+            assert n_value.tobytes() == cg.apply_N(state, 8, chi_values=row).tobytes()
+        k_coeffs = cg._trapezoid(anchor.u.coefficients, window.t_grid, window.N_values)
+        residual = np.max(np.linalg.norm(window.u_trajectory - k_coeffs, axis=1))
+        assert residual == window.residual_history[-1] < tol
+        assert window.u_trajectory[0].tobytes() == anchor.u.coefficients.tobytes()
+        assert window.N_values[0].tobytes() == initial.N_values[-1].tobytes()
+        for i, state in enumerate(window.states):
+            assert state.u.coefficients.tobytes() == window.u_trajectory[i].tobytes()
+
+    def test_rows_that_move_under_the_iterate_are_not_accepted(self, monkeypatch, basis_2d):
+        # at tol 1e-3 the first sweep is below tol.  The indicator, asked
+        # again under the marched iterate, is made to flip one point at
+        # node 1: the sweep's N read other rows, so it is not accepted, and
+        # the next sweep, whose rows the indicator gives again, is
+        initial = self._initial(basis_2d)
+        args = dict(self.ARGS, history=_history(initial))
+        plain = cg.fixed_point_window(initial, 0.05, 4, 1e-3, 30, **args)
+        assert len(plain.residual_history) == 1
+        real = cg._WindowIndicator.__call__
+        calls = []
+
+        def flipped_once(indicator, sampler):
+            chi = real(indicator, sampler)
+            calls.append(1)
+            if len(calls) == 2:
+                chi = [row.copy() for row in chi]
+                chi[1][0] = 1 - chi[1][0]
+            return chi
+
+        monkeypatch.setattr(cg._WindowIndicator, "__call__", flipped_once)
+        window = cg.fixed_point_window(initial, 0.05, 4, 1e-3, 30, **args)
+        assert len(window.residual_history) == 2 and len(calls) == 4
+        assert window.residual_history[0] == plain.residual_history[0] < 1e-3
+        for row, want in zip(window.chi_cache, plain.chi_cache):
+            np.testing.assert_array_equal(row, want)
+
+    def test_nan_forcing_at_one_marched_node_halves_the_window(self, monkeypatch):
+        # the reference's first window marches in 3 sweeps; the capillary
+        # pairing at node 3 of its second sweep (the 11th in-window node) is
+        # NaN, so that sweep breaks after 8 + 3 forcing evaluations with no
+        # residual, the window fails naming NumericsError and halves, and the
+        # run carries on to T
+        faulty_forcing(monkeypatch, nodes={11})
+        result = cg.run(reference_config(T=0.1))
+        failed, halved = result.attempts[:2]
+        assert (failed["start"], failed["accepted"], failed["error"]) == (
+            "march", False, "NumericsError"
+        )
+        assert failed["sweeps"] == 1 and failed["forcing_evaluations"] == 11
+        assert "during sweep 2" in failed["message"]
+        assert halved["accepted"] and halved["delta"] == failed["delta"] / 2
+        assert result.window_failures == 1
+        assert result.final_state.t == pytest.approx(0.1)
 
 
 class TestInitialWindow:
@@ -1284,22 +1390,26 @@ class TestIndicatorReuse:
         assert np.max(np.linalg.norm(x_u - x_v, axis=1)) <= bound + 1e-12
 
 
-def _nan_first_sweep(monkeypatch):
-    """Make the first apply_K call return a NaN image and NaN forcing.
+def _nan_first_forcing(monkeypatch):
+    """Make the first forcing pass inside a window give NaN N, past
+    ``_forcing``'s own check.
 
-    The next iterate is built from both, so it goes NaN at sweep 2.
+    A march steps node 2 from node 1's N in the same sweep, so its iterate
+    goes NaN in sweep 1; a stacked sweep builds the next iterate from K's
+    image and N, so its iterate goes NaN at sweep 2.
     """
-    real = cg.apply_K
+    real = cg._forcing
     calls = []
 
-    def nan_once(*args, **kwargs):
-        calls.append(1)
-        k_coeffs, n_values, rates = real(*args, **kwargs)
-        if len(calls) == 1:
-            return np.full_like(k_coeffs, np.nan), np.full_like(n_values, np.nan), rates
-        return k_coeffs, n_values, rates
+    def nan_once(states, *args, **kwargs):
+        forcing, rates = real(states, *args, **kwargs)
+        if states[0].t > 0.0:
+            calls.append(1)
+            if len(calls) == 1:
+                return np.full_like(forcing, np.nan), rates
+        return forcing, rates
 
-    monkeypatch.setattr(cg, "apply_K", nan_once)
+    monkeypatch.setattr(cg, "_forcing", nan_once)
 
 
 class TestRun:
@@ -1374,9 +1484,9 @@ class TestRun:
         self._check_one_connectivity(result)
 
     def test_window_failure_triggers_halving_then_success(self):
-        # a sweep budget of 2 fails at the policy window and at its half and
-        # quarter, and succeeds at its eighth (from the Euler predictor the
-        # policy window converges in 4 sweeps, its half in 3)
+        # a sweep budget of 2 fails at the policy window, which marches from
+        # the Euler start in 3 sweeps, and succeeds at its half, which
+        # marches in 2; the three windows after it extrapolate and take 1
         config = reference_config(T=0.2)
         config.max_iter = 2
         result = cg.run(config)
@@ -1384,8 +1494,9 @@ class TestRun:
         assert result.final_state.t == pytest.approx(0.2)
         # only delta halves, and the halved windows converge within the
         # budget; no attempt records a damping factor
-        assert result.window_failures == 3
-        assert len(result.windows) == 16
+        assert result.window_failures == 1
+        assert [a["sweeps"] for a in result.attempts] == [2, 2, 1, 1, 1]
+        assert len(result.windows) == 4
         assert result.window_failures == len(result.attempts) - len(result.windows)
         assert sum(not a["accepted"] for a in result.attempts) == result.window_failures
         assert not any("omega" in a for a in result.attempts)
@@ -1393,9 +1504,9 @@ class TestRun:
     def test_non_finite_forcing_halves_the_window(self, monkeypatch):
         # the capillary term at the first in-window node (the second mesh
         # paired; the first is the initial one, at t = 0) comes back NaN: the
-        # sweep's forcing pass over its 8 nodes raises before the residual,
-        # so the window fails with no sweep counted but its forcing
-        # evaluations recorded, halves, and the run carries on to T
+        # first window marches, so its forcing at node 1 raises before the
+        # residual, and the window fails with no sweep counted but that one
+        # forcing evaluation recorded, halves, and the run carries on to T
         real = cg.curvature_pairing_modes
         calls = []
 
@@ -1414,7 +1525,7 @@ class TestRun:
         assert (failed["accepted"], failed["sweeps"], failed["error"]) == (
             False, 0, "NumericsError"
         )
-        assert failed["forcing_evaluations"] == 8
+        assert failed["start"] == "march" and failed["forcing_evaluations"] == 1
         assert halved["accepted"] and halved["delta"] == failed["delta"] / 2
 
     @pytest.mark.parametrize("fault", sorted(MESH_FAULTS))
@@ -1456,18 +1567,22 @@ class TestRun:
         # a window's node 0 is its predecessor's last node: its dissipation
         # rate is carried over, and neither it nor its forcing-bound sample
         # is taken again; the ledger's rates are those of the forcing pass
-        # that the window accepted, and no gradient is synthesized for it
+        # that the window accepted, and no gradient is synthesized for it:
+        # one node's at t = 0, then one per forcing evaluation, whether a
+        # sweep is stacked or marched
         real = cb.Quadrature.field_gradients
         synthesized = []
 
         def counted(quad, coefficients):
-            synthesized.append(1)
+            synthesized.append(len(np.atleast_2d(coefficients)))
             return real(quad, coefficients)
 
         monkeypatch.setattr(cb.Quadrature, "field_gradients", counted)
         result = cg.run(reference_config(T=0.15))
         assert len(result.windows) > 1
-        assert len(synthesized) == 1 + result.sweeps
+        assert {a["start"] for a in result.attempts} == {"march", "extrapolated"}
+        evaluated = sum(a["forcing_evaluations"] for a in result.attempts)
+        assert sum(synthesized) == 1 + evaluated == 1 + 8 * result.sweeps
         for previous, window in zip(result.windows, result.windows[1:]):
             assert window.rates[:1].tobytes() == previous.rates[-1:].tobytes()
         viscous, cumulative = [0.0], 0.0
@@ -1523,46 +1638,57 @@ class TestRun:
         assert len(err.value.residual_history) == 2
 
     def test_non_finite_iterate_is_a_numerics_failure(self, monkeypatch, basis_2d):
-        _nan_first_sweep(monkeypatch)
         anchor = make_state(basis_2d, u_coeffs=np.full(len(basis_2d), 0.1))
-        phase = ci.disk(CENTER_2D, 1.0)
-        with pytest.raises(WindowFailureError, match="sweep 2") as err:
-            cg.fixed_point_window(
-                cg.initial_window(anchor, 8, phase), 0.05, 4, 1e-8, 5,
-                order=8, h_flow=0.01, dt_b=0.0125, phase=phase,
-            )
-        assert isinstance(err.value.__cause__, NumericsError)
+        args = dict(order=8, h_flow=0.01, dt_b=0.0125)
+        initial = cg.initial_window(anchor, 8, None)
+        previous = cg.fixed_point_window(initial, 0.05, 4, 1e-8, 5, **args)
+        for window, start, sweep in ((initial, "march", 1), (previous, "extrapolated", 2)):
+            monkeypatch.undo()
+            _nan_first_forcing(monkeypatch)
+            with pytest.raises(WindowFailureError, match=f"during sweep {sweep}") as err:
+                cg.fixed_point_window(window, 0.05, 4, 1e-8, 5, **args)
+            assert err.value.start == start
+            assert isinstance(err.value.__cause__, NumericsError)
+            assert "velocity iterate" in str(err.value.__cause__)
 
     def test_non_finite_iterate_halves_the_window(self, monkeypatch):
-        _nan_first_sweep(monkeypatch)
+        _nan_first_forcing(monkeypatch)
         result = cg.run(reference_config(T=0.1))
         assert result.window_failures == 1
+        assert result.attempts[0]["error"] == "NumericsError"
         first = result.windows[0].t_grid
         assert first[-1] - first[0] == pytest.approx(result.delta_initial / 2)
         assert result.final_state.t == pytest.approx(0.1)
 
     def test_predictor_takes_fewer_sweeps_than_the_tiled_start(self, monkeypatch):
-        # Euler-only against tiled, both with every window started alike:
-        # Euler starts every window closer, and the viscous sweep contracts
-        # so fast that both take 4 + 4 sweeps; then the extrapolated start
-        # against Euler-only
+        # the windows after the first start from several nodes and sweep from
+        # the predictor's extrapolation; the anchor tiled over their nodes
+        # starts each farther off and costs sweeps (the first window marches
+        # from Euler either way).  Marching every window from Euler costs
+        # more than the extrapolated start too
         config = reference_config(T=0.2)
         extrapolated = cg.run(config)
-        _euler_only(monkeypatch)
-        predicted = cg.run(config)
+        real = cg.predictor
 
         def tiled_start(anchor, t_grid, t_nodes, n_nodes):
+            if len(t_nodes) == 1:
+                return real(anchor, t_grid, t_nodes, n_nodes)
             return np.tile(anchor.u.coefficients, (len(t_grid), 1))
 
         monkeypatch.setattr(cg, "predictor", tiled_start)
         tiled = cg.run(config)
-        assert predicted.window_failures == tiled.window_failures == 0
-        assert predicted.sweeps <= tiled.sweeps
-        for new, old in zip(predicted.windows, tiled.windows):
+        monkeypatch.undo()
+        _euler_only(monkeypatch)
+        euler = cg.run(config)
+        assert extrapolated.window_failures == tiled.window_failures == 0
+        assert euler.window_failures == 0
+        assert len(extrapolated.windows) == len(tiled.windows) > 1
+        for new, old in zip(extrapolated.windows[1:], tiled.windows[1:]):
+            assert new.start == old.start == "extrapolated"
             assert len(new.residual_history) <= len(old.residual_history)
             assert new.residual_history[0] < old.residual_history[0]
-        assert extrapolated.window_failures == 0
-        assert extrapolated.sweeps < predicted.sweeps
+        assert extrapolated.sweeps < tiled.sweeps
+        assert extrapolated.sweeps < euler.sweeps
 
     def test_extrapolated_start_never_costs_a_sweep(self, monkeypatch):
         # the reference at T = 0.5: every window after the first extrapolates,
@@ -1573,8 +1699,8 @@ class TestRun:
         euler = cg.run(config)
         assert extrapolated.window_failures == euler.window_failures == 0
         starts = [a["start"] for a in extrapolated.attempts]
-        assert starts == ["euler"] + ["extrapolated"] * (len(starts) - 1)
-        assert {a["start"] for a in euler.attempts} == {"euler"}
+        assert starts == ["march"] + ["extrapolated"] * (len(starts) - 1)
+        assert {a["start"] for a in euler.attempts} == {"march"}
         assert len(extrapolated.windows) == len(euler.windows)
         for new, old in zip(extrapolated.windows, euler.windows):
             assert len(new.residual_history) <= len(old.residual_history)
@@ -1621,9 +1747,9 @@ class TestRun:
     # the attempts' own), ledger rows and the attempts' summed indicator
     # tally, in WORK's order after "forcing_evaluations".
     PINNED_WORK = {
-        "configs/reference_2d.json": (8, 65, 41, (0, 0, 0, 0, 0)),
-        "bench/workloads/ref2d-long.json": (21, 169, 121, (4, 576, 2, 3000, 40)),
-        "bench/workloads/ball3d.json": (3, 25, 9, (0, 0, 0, 0, 0)),
+        "configs/reference_2d.json": (7, 57, 41, (0, 0, 0, 0, 0)),
+        "bench/workloads/ref2d-long.json": (20, 161, 121, (4, 576, 2, 3000, 40)),
+        "bench/workloads/ball3d.json": (2, 17, 9, (0, 0, 0, 0, 0)),
     }
 
     @pytest.mark.parametrize("path", sorted(PINNED_WORK))

@@ -719,6 +719,10 @@ _SIDE_READERS = {
     "advect": lambda mesh, path: ci.advect(mesh, _still_flow(mesh.dimension), 0.1, 0.05),
     "write_mesh": ci.write_mesh,
     "mesh_distance": lambda mesh, path: ci.mesh_distance(mesh, np.ones((1, 3)), np.inf),
+    # in 2D the point that the 16-gon less segment 5 would put inside
+    "point_in_mesh": lambda mesh, path: ci.point_in_mesh(
+        mesh, np.pi + np.array([-0.9, 0.8, 0.0][: mesh.dimension])
+    ),
 }
 
 

@@ -21,7 +21,9 @@ RK4 point-steps of its window and history legs, its history legs and the
 carried points the window-start mesh decided; None on a side whose attempts
 do not carry a key).  Each row ends with the number of windows that took
 more sweeps than on the baseline, and the largest absolute difference
-between the two sides' ledger entries.  The printed summary of each
+between the two sides' ledger entries.  Each printed row counts the
+attempts of each start ("march" for a window marched from Euler,
+"extrapolated"), read from the records.  The printed summary of each
 benchmark workload reads its sweeps and history point-steps from the sweep
 table's row of the same name.
 """
@@ -83,6 +85,12 @@ print(json.dumps({"run_s": seconds, "ledger": result.ledger.rows,
 def total(attempts, key):
     """``key`` summed over the attempts, or None where an attempt lacks it."""
     return sum(a[key] for a in attempts) if all(key in a for a in attempts) else None
+
+
+def start_counts(starts):
+    """The attempts of each start kind, in order of first use: "march 1,
+    extrapolated 14"."""
+    return ", ".join(f"{start} {starts.count(start)}" for start in dict.fromkeys(starts))
 
 
 def largest_contraction(attempts):
@@ -199,7 +207,8 @@ def main(argv=None):
             f"{key} {base[key]} -> {change[key]}"
             for key in ("run_s", "sweeps", *WORK, "largest_contraction")
         )
-        print(f"{row['config']}: {counts}, "
+        starts = f"starts [{start_counts(base['starts'])}] -> [{start_counts(change['starts'])}]"
+        print(f"{row['config']}: {counts}, {starts}, "
               f"windows with more sweeps {row['windows_with_more_sweeps']}, "
               f"largest ledger difference {row['largest_ledger_difference']}")
     # every benchmark workload is also a sweep table config of the same name
