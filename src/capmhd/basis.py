@@ -22,9 +22,11 @@ Wavevectors are integers, so a field is u(x) = Re sum_k C_k e^{ik.x} over
 the box of integer wavevectors its modes span (``Lattice``), and e^{ik.x} is
 the product of one factor e^{i k_a x_a} per axis.  ``Lattice`` evaluates
 per-axis tables of those factors, the only trig evaluation of the basis.
-Off the grid (mesh vertices, traced points, element centroids) it contracts
-the coefficients one axis at a time, and its adjoint sums samples at points
-into every wavevector of the box; neither builds an m x n table.
+Off the grid (mesh vertices, traced points, element centroids) it multiplies
+the tables of the trailing axes out into one plane table, contracts that
+with the coefficients in one matrix product and finishes with the leading
+axis; its adjoint sums samples at points into every wavevector of the box
+in the same order.  Neither builds an m x n or an m x L table.
 
 Quadrature is a tensor-product uniform grid, which integrates periodic
 trigonometric polynomials exactly once the grid resolves their highest
@@ -299,11 +301,17 @@ class Lattice:
     (a complex d-vector) gathers c_j norm_j p_j e_j over the modes j with
     k_j = k, and p_j is 1 for cos and -i for sin.  Each axis a spans the
     integers between the smallest and largest k_a of the modes, and C is
-    stored over the box in C order, one row per wavevector, so the
-    contraction over axis 0 is a plain matrix product and every later axis
-    a batched one.  ``waves`` multiplies the per-axis tables out over the
-    box; the quadrature tables are gathered from it.  It holds no reference
-    to the basis, which caches it.
+    stored over the box in C order, one row per wavevector.  Off the grid
+    the trailing axes go first: their tables multiply out into one plane
+    table (m, n_1 ... n_{d-1}), which meets C in one matrix product, and the
+    leading axis's table finishes the sum, so no (m, L) table is built.
+    ``waves`` multiplies every per-axis table out over the box; the
+    quadrature tables are gathered from it.  ``symmetric_weights`` row j
+    turns the distinct entries F_ab (a <= b, the pairs ``upper``) of a
+    symmetric d x d tensor F at k_j into w_j . F k_j: it holds
+    w_a k_b + w_b k_a off the diagonal and w_a k_a on it, for w the mode's
+    row of ``weights`` and k its wavevector.  It holds no reference to the
+    basis, which caches it.
     """
 
     def __init__(self, basis):
@@ -315,6 +323,10 @@ class Lattice:
         self.index = np.ravel_multi_index(tuple((k - low).T), self.shape)
         phase = np.where(basis.is_sine, -1j, 1.0)
         self.weights = (basis.normalizations * phase)[:, None] * basis.polarizations
+        self.upper = rows, cols = np.triu_indices(basis.dimension)
+        w, k = self.weights, basis.wavevectors
+        pairs = w[:, rows] * k[:, cols]
+        self.symmetric_weights = np.where(rows == cols, pairs, pairs + w[:, cols] * k[:, rows])
 
     def __len__(self):
         return math.prod(self.shape)
@@ -350,13 +362,15 @@ class Lattice:
     def values(self, lattice_coefficients, points):
         """Re sum_k C_k e^{ik.x} at ``points`` for box coefficients C (L, ...).
 
-        With C from ``coefficients`` these are the field values (m, d).
+        With C from ``coefficients`` these are the field values (m, d).  The
+        plane table of axes 1..d-1 meets the coefficients in one matrix
+        product, and the leading axis's table finishes each point's sum.
         """
         tables = self._tables(points)
-        m = len(points)
-        acc = tables[0] @ lattice_coefficients.reshape(self.shape[0], -1)
-        for table, n in zip(tables[1:], self.shape[1:]):
-            acc = (table[:, None, :] @ acc.reshape(m, n, -1)).reshape(m, -1)
+        m, n = len(points), self.shape[0]
+        boxed = lattice_coefficients.reshape(n, len(self) // n, -1).transpose(1, 0, 2)
+        acc = _outer(tables[1:]) @ boxed.reshape(len(boxed), -1)
+        acc = tables[0][:, None, :] @ acc.reshape(m, n, -1)
         return acc.real.reshape((m,) + lattice_coefficients.shape[1:])
 
     def waves(self, points):
@@ -365,21 +379,27 @@ class Lattice:
         The per-axis tables multiply out, one axis at a time, in the box's
         C order.
         """
-        tables = self._tables(points)
-        m = len(points)
-        waves = tables[0]
-        for table in tables[1:]:
-            waves = (waves[:, :, None] * table[:, None, :]).reshape(m, -1)
-        return waves
+        return _outer(self._tables(points))
 
     def transform(self, points, samples):
         """sum_m samples_m e^{ik.x_m} at every box wavevector k: (L, ...).
 
-        The adjoint of ``values``: one matrix product with ``waves``.
+        The adjoint of ``values``, in the same order: the transposed plane
+        table times the leading axis's table scaled by the samples.
         """
-        m = len(points)
-        out = self.waves(points).T @ samples.reshape(m, -1)
-        return out.reshape((len(self),) + samples.shape[1:])
+        tables = self._tables(points)
+        m, n = len(points), self.shape[0]
+        scaled = tables[0][:, :, None] * samples.reshape(m, 1, -1)
+        out = (_outer(tables[1:]).T @ scaled.reshape(m, -1)).reshape(len(self) // n, n, -1)
+        return out.transpose(1, 0, 2).reshape((len(self),) + samples.shape[1:])
+
+
+def _outer(tables):
+    """Per-axis tables (m, n_a) multiplied out per point in C order: (m, prod n_a)."""
+    out = tables[0]
+    for table in tables[1:]:
+        out = (out[:, :, None] * table[:, None, :]).reshape(len(out), -1)
+    return out
 
 
 def default_quadrature_order(kmax):

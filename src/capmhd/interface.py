@@ -193,8 +193,8 @@ class InterfaceMesh:
             centers = (a + b) / 2
         else:
             c = corners[:, 2]
-            raw = np.cross(b - a, c - a)
-            volume = float(np.sum(np.einsum("ei,ei->e", a, np.cross(b, c)))) / 6.0
+            raw = _cross3(b - a, c - a)
+            volume = float(np.sum(np.einsum("ei,ei->e", a, _cross3(b, c)))) / 6.0
             centers = (a + b + c) / 3
         # np.linalg.norm's own sum of squares
         lengths = np.sqrt(np.add.reduce(raw * raw, axis=1))
@@ -548,19 +548,28 @@ def curvature_pairing_modes(mesh, basis):
     c_j trig'(theta) e_j = Re(i w_j e^{i theta}), w_j the mode's row of
     ``Lattice.weights``, that is Im(w_j . F(k_j) k_j), where
     F(k) = sum_e |e| n_e n_e^T e^{ik.x_e} is one ``Lattice.transform`` of the
-    elements' weighted normal products.
+    elements' weighted normal products.  F is symmetric, so only its
+    d(d+1)/2 distinct entries are transformed, and each mode's row of
+    ``Lattice.symmetric_weights`` contracts them.
     """
     centers, n, measures, _ = mesh.geometry
     lattice = basis.lattice
-    products = measures[:, None, None] * n[:, :, None] * n[:, None, :]
+    rows, cols = lattice.upper
+    products = measures[:, None] * n[:, rows] * n[:, cols]
     f = lattice.transform(centers, products)[lattice.index]
-    contracted = (lattice.weights[:, :, None] * f).imag * basis.wavevectors[:, None, :]
-    return np.sum(contracted, axis=(1, 2))
+    return np.sum((lattice.symmetric_weights * f).imag, axis=1)
 
 
 def _dot3(u, v):
     """u . v over the last axis of length 3, elementwise in a fixed order."""
     return u[..., 0] * v[..., 0] + u[..., 1] * v[..., 1] + u[..., 2] * v[..., 2]
+
+
+def _cross3(u, v):
+    """u x v over the last axis of length 3, by the operations of np.cross."""
+    u0, u1, u2 = u[..., 0], u[..., 1], u[..., 2]
+    v0, v1, v2 = v[..., 0], v[..., 1], v[..., 2]
+    return np.stack([u1 * v2 - u2 * v1, u2 * v0 - u0 * v2, u0 * v1 - u1 * v0], axis=-1)
 
 
 def point_in_mesh(mesh, points):

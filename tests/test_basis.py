@@ -381,14 +381,72 @@ class TestSeparableSynthesis:
         assert np.max(np.abs(got - want)) <= 1e-12 * speed
 
         middle = np.full(dimension, np.pi)
-        shape = ci.disk(middle, 1.0) if dimension == 2 else ci.ball(middle, 1.0)
-        cell_mesh = ci.mesh_initial(shape, 32 if dimension == 2 else 1)
-        shift = rng.uniform(-3 * np.pi, 3 * np.pi, dimension)
-        mesh = ci.InterfaceMesh(cell_mesh.vertices + shift, cell_mesh.elements)
-        got = ci.curvature_pairing_modes(mesh, basis)
-        want = ref.curvature_pairing_modes(mesh, basis)
-        scale = ci.perimeter(mesh) * np.max(basis.normalizations) * reach
-        assert np.max(np.abs(got - want)) <= 1e-12 * scale
+        if dimension == 2:
+            shapes = (ci.disk(middle, 1.0), ci.ellipse(middle, (1.2, 0.8)))
+        else:
+            shapes = (ci.ball(middle, 1.0), ci.ellipsoid(middle, (1.2, 0.8, 1.0)))
+        for shape in shapes:
+            cell_mesh = ci.mesh_initial(shape, 32 if dimension == 2 else 1)
+            shift = rng.uniform(-3 * np.pi, 3 * np.pi, dimension)
+            mesh = ci.InterfaceMesh(cell_mesh.vertices + shift, cell_mesh.elements)
+            got = ci.curvature_pairing_modes(mesh, basis)
+            want = ref.curvature_pairing_modes(mesh, basis)
+            scale = ci.perimeter(mesh) * np.max(basis.normalizations) * reach
+            assert np.max(np.abs(got - want)) <= 1e-12 * scale
+
+    @settings(max_examples=24)
+    @given(
+        st.sampled_from([2, 3]),
+        st.integers(1, 4),
+        st.booleans(),
+        st.integers(0, 2**32 - 1),
+    )
+    def test_transform_is_the_direct_sum_and_the_adjoint_of_values(
+        self, dimension, kmax, sub, seed
+    ):
+        rng = np.random.default_rng(seed)
+        if sub:
+            basis = random_sub_basis(rng, dimension, kmax, int(rng.integers(1, 6)))
+        else:
+            basis = cb.make_basis(dimension, kmax)
+        lattice = basis.lattice
+        # points off the cell, as the mesh vertices and centroids are
+        points = rng.uniform(-4 * np.pi, 6 * np.pi, (40, dimension))
+        waves = lattice.waves(points)
+        for columns in ((), (dimension * (dimension + 1) // 2,), (dimension, dimension)):
+            samples = rng.standard_normal((40,) + columns)
+            got = lattice.transform(points, samples)
+            assert got.shape == (len(lattice),) + columns
+            # every wave has modulus 1
+            bound = np.sum(np.abs(samples), axis=0)
+            want = (waves.T @ samples.reshape(40, -1)).reshape(got.shape)
+            assert np.all(np.abs(got - want) <= 1e-12 * bound)
+            # sum_m s_m . values(C, x_m) = Re sum_k C_k . transform(x, s)_k
+            real, imag = rng.standard_normal((2, len(lattice)) + columns)
+            boxed = real + 1j * imag
+            left = np.sum(samples * lattice.values(boxed, points))
+            right = np.sum(boxed * got).real
+            scale = np.sum(np.abs(boxed)) * np.sum(np.abs(samples))
+            assert abs(left - right) <= 1e-12 * scale
+
+    def test_no_off_grid_call_allocates_the_waves(self):
+        # at kmax 3 the (m, L) waves are twice the largest table a call needs
+        basis = cb.make_basis(3, 3)
+        lattice = basis.lattice
+        mesh = ci.mesh_initial(ci.ball(np.full(3, np.pi), 1.0), 3)
+        mesh.geometry
+        boxed = lattice.coefficients(np.random.default_rng(37).standard_normal(len(basis)))
+        for points, call in (
+            (mesh.vertices, lambda: lattice.values(boxed, mesh.vertices)),
+            (mesh.geometry.centers, lambda: ci.curvature_pairing_modes(mesh, basis)),
+        ):
+            tracemalloc.start()
+            try:
+                call()
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak < len(points) * len(lattice) * 16
 
 
 class TestGridPairings:

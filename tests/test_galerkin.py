@@ -486,7 +486,11 @@ class TestFixedPointWindow:
         chi = phase.contains(basis_2d.quadrature(8).points)
         forcing = cg.apply_N(anchor, 8, chi_values=chi)
         t_grid = window.t_grid
-        expected = anchor.u.coefficients + (t_grid - t_grid[0])[:, None] * forcing
+        # u + (t - t0) N, summed as the march sums it: the cumulative
+        # trapezoid of a constant N
+        expected = cg._trapezoid(
+            anchor.u.coefficients, t_grid, np.tile(forcing, (len(t_grid), 1))
+        )
         np.testing.assert_array_equal(iterates[0], expected)
         assert iterates[0][0].tobytes() == anchor.u.coefficients.tobytes()
 

@@ -1,4 +1,4 @@
-"""Alternating benchmark pairs and a sweep table against another checkout.
+"""Alternating benchmark pairs, a sweep table and a kernel table against a baseline.
 
     python3 tools/bench_synthesis.py --out BENCH_26.json --baseline ../parent --pairs 10
 
@@ -20,12 +20,22 @@ the sweeps evaluated the forcing, and the window indicator's traces, the
 RK4 point-steps of its window and history legs, its history legs and the
 carried points the window-start mesh decided; None on a side whose attempts
 do not carry a key).  Each row ends with the number of windows that took
-more sweeps than on the baseline, and the largest absolute difference
-between the two sides' ledger entries.  Each printed row counts the
+more sweeps than on the baseline, the largest absolute difference between
+the two sides' ledger entries, and the largest between their final states
+(u and B coefficients and mesh vertices at T).  Each printed row counts the
 attempts of each start ("march" for a window marched from Euler,
 "extrapolated"), read from the records.  The printed summary of each
 benchmark workload reads its sweeps and history point-steps from the sweep
 table's row of the same name.
+
+A kernel table times the off-grid kernels in six fresh interpreters per
+side and mode, alternating which side runs first, each as the median
+seconds per call over all rounds: alone with timeit at the workloads'
+sizes (``Lattice.values`` on ball3d's 642 mesh vertices and the 256 of a
+2D disk, ``curvature_pairing_modes`` on 1,280 triangles and 256 segments,
+``InterfaceMesh.geometry`` in 3D), and every call of ``Lattice.values``
+and ``curvature_pairing_modes`` in one ``galerkin.run`` of each workload.
+It also records the tracemalloc peak of one 3D curvature pairing.
 """
 
 import os
@@ -77,8 +87,66 @@ config = RunConfig.from_dict(json.loads(sys.argv[1]))
 start = time.perf_counter()
 result = galerkin.run(config)
 seconds = time.perf_counter() - start
+final = result.final_state
 print(json.dumps({"run_s": seconds, "ledger": result.ledger.rows,
-                  "attempts": result.attempts}))
+                  "attempts": result.attempts,
+                  "final_state": [final.u.coefficients.tolist(), final.B.coefficients.tolist(),
+                                  final.mesh.vertices.ravel().tolist()]}))
+"""
+
+
+# The off-grid kernels in the checkout whose src is on sys.path.  With
+# "timeit", at the benchmark workloads' sizes (kmax 2: the 642 vertices and
+# 1,280 triangles of ball3d's mesh, the 256-gon of ref2d-long) it prints each
+# kernel's per-call seconds over the timeit repeats, and the tracemalloc peak
+# of one 3D curvature pairing once the mesh geometry and the lattice are
+# built.  With a workload name it prints the seconds of every call of
+# ``Lattice.values`` and ``curvature_pairing_modes`` in one ``galerkin.run``
+# of that workload, where they meet the allocator as a run leaves it.
+_KERNELS = """
+import json, math, sys, time, timeit, tracemalloc
+import numpy as np
+from capmhd import basis as cb, galerkin, interface as ci
+from capmhd.config import RunConfig
+mode = sys.argv[1]
+out = {}
+if mode == "timeit":
+    number, repeat = int(sys.argv[2]), int(sys.argv[3])
+    for d, shape, resolution in ((3, ci.ball((math.pi,) * 3, 1.0), 3),
+                                 (2, ci.disk((math.pi,) * 2, 1.0), 256)):
+        basis = cb.make_basis(d, 2)
+        mesh = ci.mesh_initial(shape, resolution)
+        lattice = basis.lattice
+        c = lattice.coefficients(np.random.default_rng(0).standard_normal(len(basis)))
+        ci.curvature_pairing_modes(mesh, basis)
+        calls = {
+            f"Lattice.values {len(mesh.vertices)} vertices":
+                lambda: lattice.values(c, mesh.vertices),
+            f"curvature_pairing_modes {len(mesh.elements)} elements":
+                lambda: ci.curvature_pairing_modes(mesh, basis),
+        }
+        if d == 3:
+            calls["InterfaceMesh.geometry 3D"] = lambda: ci.InterfaceMesh.geometry.func(mesh)
+            tracemalloc.start()
+            ci.curvature_pairing_modes(mesh, basis)
+            out["curvature_pairing_modes 3D peak MB"] = [tracemalloc.get_traced_memory()[1] / 1e6]
+            tracemalloc.stop()
+        for name, call in calls.items():
+            out[name + " s"] = [t / number for t in timeit.repeat(call, number=number, repeat=repeat)]
+else:
+    def timed(name, kernel):
+        out[f"{name} in a {mode} run s"] = seconds = []
+        def call(*args, **kwargs):
+            start = time.perf_counter()
+            result = kernel(*args, **kwargs)
+            seconds.append(time.perf_counter() - start)
+            return result
+        return call
+    cb.Lattice.values = timed("Lattice.values", cb.Lattice.values)
+    galerkin.curvature_pairing_modes = timed(
+        "curvature_pairing_modes", galerkin.curvature_pairing_modes)
+    galerkin.run(RunConfig.from_dict(json.loads(sys.argv[2])))
+print(json.dumps(out))
 """
 
 
@@ -103,6 +171,13 @@ def largest_contraction(attempts):
     return max(ratios, default=None)
 
 
+def largest_difference(change, baseline):
+    """The largest absolute entry-wise difference, or None for unequal shapes."""
+    if change.shape != baseline.shape:
+        return None
+    return float(np.max(np.abs(change - baseline)))
+
+
 def sweep_run(checkout, data):
     env = dict(os.environ, PYTHONPATH=str(Path(checkout) / "src"))
     out = subprocess.run([sys.executable, "-c", _SWEEP_RUN, json.dumps(data)],
@@ -115,12 +190,13 @@ def sweep_table(baseline):
     for i, (name, path, overrides) in enumerate(SWEEP_CONFIGS):
         data = dict(json.loads((ROOT / path).read_text()), **overrides)
         row = {"config": name, "file": path, "overrides": overrides}
-        ledgers = {}
+        ledgers, finals = {}, {}
         order = [("baseline", baseline), ("change", ROOT)]
         for side, checkout in order[:: 1 if i % 2 == 0 else -1]:
             out = sweep_run(checkout, data)
             attempts = out["attempts"]
             ledgers[side] = np.array(out["ledger"])
+            finals[side] = out["final_state"]
             row[side] = {
                 "run_s": out["run_s"],
                 "sweeps": sum(a["sweeps"] for a in attempts),
@@ -140,12 +216,41 @@ def sweep_table(baseline):
             sum(c > b for b, c in zip(base, change)) if len(base) == len(change) else None
         )
         # and a row-by-row ledger difference the same sub-steps
-        row["largest_ledger_difference"] = (
-            float(np.max(np.abs(ledgers["change"] - ledgers["baseline"])))
-            if ledgers["change"].shape == ledgers["baseline"].shape else None
+        row["largest_ledger_difference"] = largest_difference(
+            ledgers["change"], ledgers["baseline"]
+        )
+        # u and B coefficients and mesh vertices at T
+        differences = [largest_difference(np.array(c), np.array(b))
+                       for b, c in zip(finals["baseline"], finals["change"])]
+        row["largest_final_state_difference"] = (
+            None if None in differences else max(differences)
         )
         rows.append(row)
     return rows
+
+
+def kernel_table(baseline, workloads, rounds=6, number=100, repeat=10):
+    """The median seconds per call of each off-grid kernel on each side, timed
+    alone and in a run of each workload, over ``rounds`` fresh interpreters
+    per side and mode, alternating which side runs first."""
+    modes = [["timeit", str(number), str(repeat)]] + [
+        [workload, (ROOT / "bench" / "workloads" / f"{workload}.json").read_text()]
+        for workload in workloads
+    ]
+    samples = {"baseline": {}, "change": {}}
+    for i in range(rounds):
+        order = [("baseline", baseline), ("change", ROOT)]
+        for side, checkout in order[:: 1 if i % 2 == 0 else -1]:
+            env = dict(os.environ, PYTHONPATH=str(Path(checkout) / "src"))
+            for mode in modes:
+                out = subprocess.run([sys.executable, "-c", _KERNELS, *mode], cwd=checkout,
+                                     env=env, capture_output=True, text=True, check=True)
+                for name, values in json.loads(out.stdout).items():
+                    samples[side].setdefault(name, []).extend(values)
+    return {
+        name: {side: statistics.median(samples[side][name]) for side in samples}
+        for name in samples["change"]
+    }
 
 
 def bench_metrics(checkout, workload, seconds):
@@ -198,6 +303,7 @@ def main(argv=None):
                     "python": platform.python_version(), "numpy": np.__version__,
                     "blas_threads": {name: os.environ[name] for name in THREAD_VARIABLES}},
         "sweep_table": sweep_table(args.baseline),
+        "kernel_table": kernel_table(args.baseline, args.workloads),
         "bench_run_pairs": pairs(args.baseline, args.workloads, args.pairs, args.seconds),
     }
     args.out.write_text(json.dumps(result, indent=2) + "\n")
@@ -210,7 +316,10 @@ def main(argv=None):
         starts = f"starts [{start_counts(base['starts'])}] -> [{start_counts(change['starts'])}]"
         print(f"{row['config']}: {counts}, {starts}, "
               f"windows with more sweeps {row['windows_with_more_sweeps']}, "
-              f"largest ledger difference {row['largest_ledger_difference']}")
+              f"largest ledger difference {row['largest_ledger_difference']}, "
+              f"largest final-state difference {row['largest_final_state_difference']}")
+    for name, row in result["kernel_table"].items():
+        print(f"{name}: {row['baseline']:.4g} -> {row['change']:.4g}")
     # every benchmark workload is also a sweep table config of the same name
     table = {row["config"]: row for row in result["sweep_table"]}
     for workload, row in result["bench_run_pairs"].items():
