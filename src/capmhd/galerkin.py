@@ -58,10 +58,10 @@ beyond the band, and every origin farther from the initial boundary, than
 the estimate lets it move, so chi is exactly what a new trace would give.
 
 A stacked sweep passes over the quadrature grid once.  One stacked product
-synthesizes the iterate at every node; the magnetic march reads those
-values, linear in time between nodes, and hands over B's at each node; one
-stacked pairing gives N at the nodes after the first from one tensor per
-node, u (x) u - B (x) B - 2 nu(chi) Du; and the same Du gives the ledger's
+synthesizes the iterate at every node; each node's step marches B on those
+values, linear in time between nodes, and hands on B's; one stacked
+pairing gives N at the nodes after the first from one tensor per node,
+u (x) u - B (x) B - 2 nu(chi) Du; and the same Du gives the ledger's
 dissipation rate there.  A marched sweep makes the same pass one node at a
 time.  All quadratures use the dealiased uniform grid,
 and every reduction has a fixed order (each row of a stacked product is
@@ -557,13 +557,16 @@ def fixed_point_window(
     viscosities differ (so a two-phase window needs ``phase`` and
     ``history``, the accepted velocity on [0, t_m]).
 
+    Every sweep reaches node i from node i - 1 by one node step: the mesh
+    advected one sub-step under u, B marched over it on u's grid values at
+    the two nodes (``solve_B``), and node i's ``GalerkinState``.
+
     A window started from several nodes sweeps in one grid pass: each sweep
-    advects the interface under the velocity iterate, synthesizes the
-    iterate on the quadrature grid at every node in one product, marches B
-    through the window on those values (``solve_B``), and gives them and
-    B's node values to one ``apply_K`` pass.  It checks the residual ||u -
-    K(u)|| and builds the next iterate by ``_viscous_sweep`` from the N
-    values, with the viscous term at the mean viscosity implicit.
+    synthesizes the iterate on the quadrature grid at every node in one
+    product, takes the node steps under the whole iterate, and gives u's
+    and B's node values to one ``apply_K`` pass.  It checks the residual
+    ||u - K(u)|| and builds the next iterate by ``_viscous_sweep`` from the
+    N values, with the viscous term at the mean viscosity implicit.
 
     A window started from one node, the Euler start, marches each sweep
     node by node from a guess, the previous sweep's (u, N), in the first
@@ -571,9 +574,9 @@ def fixed_point_window(
     predicts R = N - decay * u as the guess's R_i plus the correction R -
     R_guess of nodes i - 2 and i - 1 extrapolated linearly to t_i (0 at node
     1), takes ``_viscous_sweep``'s step from node i - 1 with this sweep's R
-    there, then advects the mesh one sub-step, steps B over it and
-    evaluates N at node i alone, so the next node reads N where it has just
-    been computed.  K(u) is then the trapezoid of the sweep's own N, and the
+    there, then the node step under u between the two nodes, and evaluates
+    N at node i alone, so the next node reads N where it has just been
+    computed.  K(u) is then the trapezoid of the sweep's own N, and the
     residual is ||u - K(u)||.  The sweep's N read the rows the indicator
     gave under the guess, so it is accepted only if the indicator gives
     the same rows under the marched iterate.
@@ -610,8 +613,8 @@ def fixed_point_window(
         work = indicator.work
     # the viscous part of N at the mean viscosity, diagonal in the basis
     decay = -0.5 * (params.nu_plus + params.nu_minus) * basis.eigenvalues
-    nodes = _start_nodes(previous, delta)
-    march = nodes == 1
+    tail = _start_nodes(previous, delta)
+    march = tail == 1
     start = "march" if march else "extrapolated"
 
     def rows(sampler):
@@ -625,29 +628,34 @@ def fixed_point_window(
             start=start,
         )
 
+    def advance(i, state, b_values, u_row, u_values, sampler):
+        """The node step: node i's state, B's grid values and the sub-step's
+        resistive increments from node i - 1's ``state`` and ``b_values``,
+        with u's coefficients ``u_row`` at node i and its grid values
+        ``u_values`` at nodes i - 1 and i."""
+        span = t_grid[i - 1 : i + 1]
+        mesh = advect(state.mesh, sampler, span[1], h_flow)
+        b_field, b_values, steps = solve_B(
+            u_values, span, state.B, b_values, dt_b, params.sigma, quad
+        )
+        u_field = SpectralField(basis, u_row)
+        return GalerkinState(span[1], u_field, b_field, mesh, params), b_values, steps
+
     def stacked_sweep(u_coeffs, sampler):
-        """K(u), N and the rates, states, resistive increments and rows of
-        the iterate ``u_coeffs``, whose ``sampler`` it is, in one grid pass
-        over every node."""
-        meshes = [anchor.mesh]
-        for i in range(n_sub):
-            meshes.append(advect(meshes[-1], sampler, t_grid[i + 1], h_flow))
-        u_values = quad.field_values(u_coeffs)
-        b_fields, b_values, increments = solve_B(
-            u_values, t_grid, anchor.B, dt_b, params.sigma, quad
-        )
+        """K(u), N, the rates, states, resistive increments and rows of the
+        iterate ``u_coeffs``, whose ``sampler`` it is, in one grid pass."""
+        u_grid = quad.field_values(u_coeffs)
+        nodes = [(anchor, quad.field_values(anchor.B.coefficients), None)]
+        for i in range(1, n_sub + 1):
+            state, b_values, _ = nodes[-1]
+            nodes.append(advance(i, state, b_values, u_coeffs[i], u_grid[i - 1 : i + 1], sampler))
         chi_cache = rows(sampler)
-        states = [anchor] + [
-            GalerkinState(
-                t_grid[i], SpectralField(basis, u_coeffs[i]), b_fields[i], meshes[i], params
-            )
-            for i in range(1, n_sub + 1)
-        ]
         work["forcing_evaluations"] += n_sub
+        states, b_values, increments = zip(*nodes)
         k_coeffs, n_values, rates = apply_K(
-            states, order, anchor_forcing, u_values, b_values, chi_cache
+            states, order, anchor_forcing, u_grid, np.stack(b_values), chi_cache
         )
-        return k_coeffs, n_values, rates, states, increments, chi_cache
+        return k_coeffs, n_values, rates, list(states), increments[1:], chi_cache
 
     def marched_sweep(u_guess, n_guess, chi_cache):
         """The iterate marched node by node from the guess (``u_guess``,
@@ -674,26 +682,21 @@ def fixed_point_window(
             u_coeffs[i] = rhs / (1.0 - h * decay)
             _check_iterate(u_coeffs[i])
             lattice_rows.append(basis.lattice.coefficients(u_coeffs[i]))
-            step = SpectralTrajectory(basis, span, u_coeffs[i - 1 : i + 1], lattice_rows[-2:])
-            mesh = advect(states[-1].mesh, step, span[1], h_flow)
             u_next = quad.field_values(u_coeffs[i])
-            b_fields, b_values, steps = solve_B(
-                np.stack([u_now, u_next]), span, states[-1].B, dt_b, params.sigma, quad, b_now
-            )
-            u_field = SpectralField(basis, u_coeffs[i])
-            state = GalerkinState(span[1], u_field, b_fields[1], mesh, params)
+            step = SpectralTrajectory(basis, span, u_coeffs[i - 1 : i + 1], lattice_rows[-2:])
+            state, b_now, steps = advance(i, states[-1], b_now, u_coeffs[i], (u_now, u_next), step)
             work["forcing_evaluations"] += 1
-            forcing, rate = _forcing([state], quad, u_next[None], b_values[1:], [chi_cache[i]])
+            forcing, rate = _forcing([state], quad, u_next[None], b_now[None], [chi_cache[i]])
             n_values[i] = forcing[0]
             correction[i] = n_values[i] - decay * u_coeffs[i] - r_guess[i]
             states.append(state)
             rates.append(rate)
-            increments.extend(steps)
-            u_now, b_now = u_next, b_values[1]
+            increments.append(steps)
+            u_now = u_next
         rates = np.concatenate(rates)
         return u_coeffs, n_values, np.stack(lattice_rows), rates, states, increments
 
-    u_coeffs = predictor(anchor, t_grid, previous.t_grid[-nodes:], previous.N_values[-nodes:])
+    u_coeffs = predictor(anchor, t_grid, previous.t_grid[-tail:], previous.N_values[-tail:])
     # a march's first guess: the Euler start, with N(anchor) at every node
     n_values, lattice_rows = np.tile(anchor_forcing, (n_sub + 1, 1)), None
     residual_history = []

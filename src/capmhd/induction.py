@@ -11,9 +11,10 @@ diagonal in the eigenbasis, so each step is
 Implicit diffusion makes ||B|| nonincreasing unconditionally when u = 0, and
 the antisymmetric structure of the transport pairing is exactly what cancels
 the magnetic transfer term against the velocity equation in the energy
-ledger.  A window's march reads u from the sweep's one synthesis at the
-nodes, linear in time between them, and hands B's node values to the
-forcing, so neither field is synthesized twice at a node.
+ledger.  ``solve_B`` marches one sub-step between two window nodes: it
+reads u from the sweep's synthesis at those nodes, linear in time between
+them, takes B's node values at the first and hands back those at the
+second, so neither field is synthesized twice at a node.
 """
 
 import numpy as np
@@ -55,29 +56,20 @@ def step_B(b_field, u_values, b_values, sigma, dt, quad):
     return SpectralField(basis, new)
 
 
-def solve_B(u_values, t_grid, b0, dt, sigma, quad, b0_values=None):
-    """March B over the window ``t_grid`` from ``b0``, IMEX steps of dt chained
-    by the flow map's step rule over each sub-step (``flowmap.step_sizes``).
-
-    ``u_values`` (S + 1, m, d) is the velocity on the grid of ``quad`` at the
-    nodes, linear in time between them as its coefficients are.  ``b0_values``
-    are b0's node values, synthesized here when not handed in, so a march
-    taken one sub-step at a time synthesizes B once per node.  Returns B
-    at the nodes, its node values (S + 1, m, d), which each step synthesizes
-    for the next, and per sub-step the resistive increments sigma * ||grad
-    B||^2 * dt of its steps, at their implicit endpoints, for the ledger.
+def solve_B(u_values, span, b0, b0_values, dt, sigma, quad):
+    """March B over the sub-step ``span`` = (t0, t1) from ``b0``, whose values
+    on the grid of ``quad`` are ``b0_values``, in IMEX steps of dt by the
+    flow map's step rule (``flowmap.step_sizes``).  ``u_values`` (2, m, d)
+    is u on that grid at t0 and t1, linear in time between them as its
+    coefficients are.  Returns B at t1, its grid values, which each step
+    synthesizes for the next, and the steps' resistive increments sigma *
+    ||grad B||^2 * dt, at their implicit endpoints, for the ledger.
     """
-    if b0_values is None:
-        b0_values = quad.field_values(b0.coefficients)
-    fields, values, increments = [b0], [b0_values], []
-    for i, (t0, t1) in enumerate(zip(t_grid[:-1], t_grid[1:])):
-        current, b_now, steps = fields[-1], values[-1], []
-        for step, dt_step in enumerate(step_sizes(t0, t1, dt)):
-            u = u_values[i] + step * dt / (t1 - t0) * (u_values[i + 1] - u_values[i])
-            current = step_B(current, u, b_now, sigma, dt_step, quad)
-            b_now = quad.field_values(current.coefficients)
-            steps.append(sigma * current.grad_norm_sq() * dt_step)
-        fields.append(current)
-        values.append(b_now)
-        increments.append(np.array(steps))
-    return fields, np.stack(values), increments
+    t0, t1 = span
+    current, values, increments = b0, b0_values, []
+    for step, dt_step in enumerate(step_sizes(t0, t1, dt)):
+        u = u_values[0] + step * dt / (t1 - t0) * (u_values[1] - u_values[0])
+        current = step_B(current, u, values, sigma, dt_step, quad)
+        values = quad.field_values(current.coefficients)
+        increments.append(sigma * current.grad_norm_sq() * dt_step)
+    return current, values, np.array(increments)

@@ -4,6 +4,7 @@ from hypothesis import settings
 
 from capmhd import basis as cb
 from capmhd import galerkin as cg
+from capmhd import induction as cind
 from capmhd import interface as ci
 from capmhd.config import RunConfig
 
@@ -157,15 +158,18 @@ MESH_FAULTS = {"NaN row": "MeshInvariantError", "+inf row": "MeshInvariantError"
                "collapsed edge": "MeshQualityError"}
 
 
-def faulty_advection(monkeypatch, fault, calls=None):
+def faulty_advection(monkeypatch, fault, calls=None, since=0.0):
     """Give the first ``calls`` results of the mesh advection's integrator
-    (every one, for None) the ``MESH_FAULTS`` entry ``fault``: vertex 0 NaN
-    or +inf, or vertex 1 moved onto its neighbour vertex 0."""
+    (every one, for None) from a mesh at t >= ``since`` the ``MESH_FAULTS``
+    entry ``fault``: vertex 0 NaN or +inf, or vertex 1 moved onto its
+    neighbour vertex 0."""
     real = ci.integrate_positions
     made = []
 
-    def faulty(*args, **kwargs):
-        vertices = real(*args, **kwargs).copy()
+    def faulty(positions, sampler, t0, t1, h):
+        vertices = real(positions, sampler, t0, t1, h).copy()
+        if t0 < since:
+            return vertices
         made.append(1)
         if calls is None or len(made) <= calls:
             if fault == "collapsed edge":
@@ -175,6 +179,30 @@ def faulty_advection(monkeypatch, fault, calls=None):
         return vertices
 
     monkeypatch.setattr(ci, "integrate_positions", faulty)
+
+
+def faulty_B_step(monkeypatch, since=0.0):
+    """Make B's first IMEX step from t >= ``since`` non-finite: the transport
+    pairing of the first step of the first sub-step march from there comes
+    back NaN, and the step raises its NumericsError."""
+    real_solve, real_transport = cg.solve_B, cind.transport_pairing
+    # [] before that march, [True] until its first step, then [False]
+    armed = []
+
+    def solve(u_values, span, *args):
+        if span[0] >= since and not armed:
+            armed.append(True)
+        return real_solve(u_values, span, *args)
+
+    def transport(*args):
+        values = real_transport(*args)
+        if armed == [True]:
+            armed[0] = False
+            return values * np.nan
+        return values
+
+    monkeypatch.setattr(cg, "solve_B", solve)
+    monkeypatch.setattr(cind, "transport_pairing", transport)
 
 
 def faulty_forcing(monkeypatch, nodes=None):

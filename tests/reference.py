@@ -334,18 +334,21 @@ def polygon_distance(mesh, points):
 def mesh_geometry(mesh):
     """(centres, unit normals, measures, signed volume), each computed afresh
     from the corners by its own formula, as the measures were before a mesh
-    kept its geometry."""
+    kept its geometry; the volume sums the corners' cross or triple products
+    about vertex 0."""
     corners = mesh.element_corners()
     if mesh.dimension == 2:
         tangents = corners[:, 1] - corners[:, 0]
         raw = np.stack([tangents[:, 1], -tangents[:, 0]], axis=-1)
         measures = np.linalg.norm(tangents, axis=1)
-        cross = corners[:, 0, 0] * corners[:, 1, 1] - corners[:, 0, 1] * corners[:, 1, 0]
+        local = corners - mesh.vertices[0]
+        cross = local[:, 0, 0] * local[:, 1, 1] - local[:, 0, 1] * local[:, 1, 0]
         volume = 0.5 * float(np.sum(cross))
     else:
         raw = np.cross(corners[:, 1] - corners[:, 0], corners[:, 2] - corners[:, 0])
         measures = 0.5 * np.linalg.norm(raw, axis=1)
-        triple = np.einsum("ei,ei->e", corners[:, 0], np.cross(corners[:, 1], corners[:, 2]))
+        local = corners - mesh.vertices[0]
+        triple = np.einsum("ei,ei->e", local[:, 0], np.cross(local[:, 1], local[:, 2]))
         volume = float(np.sum(triple)) / 6.0
     normals = raw / np.linalg.norm(raw, axis=1)[:, None]
     return corners.mean(axis=1), normals, measures, volume

@@ -147,7 +147,9 @@ def test_criterion_5_induction_decay_and_antisymmetry():
         b0 = cb.SpectralField(basis, coeffs)
         quad = basis.quadrature(4)
         zero_u = quad.field_values(np.zeros((2, len(basis))))
-        (_, b_end), _, _ = solve_B(zero_u, [0.0, 1.0], b0, 1e-3, 1.0, quad)
+        b_end, _, _ = solve_B(
+            zero_u, [0.0, 1.0], b0, quad.field_values(b0.coefficients), 1e-3, 1.0, quad
+        )
         ratio = b_end.norm() / b0.norm()
         assert ratio == pytest.approx(np.exp(-1.0), rel=1e-3)
 

@@ -610,12 +610,14 @@ def test_unusable_output_directory_exits_2_before_any_solve(tmp_path, capsys, mo
 
 
 @pytest.mark.parametrize("command", [["run"], ["dump-mesh"], ["refine", "--levels", "2"]])
-@pytest.mark.parametrize("radius, resolution", [(1e-10, 16), (1e-11, 256)],
-                         ids=["orientation", "degenerate"])
-def test_unmeshable_phase_region_exits_2(tmp_path, capsys, command, radius, resolution):
-    # legal radii that mesh_initial refuses: the 16-gon's signed volume
-    # rounds to zero, the 256-gon's edges fall below the quality floor
-    phase = {"shape": "disk", "center": list(CENTER_2D), "radius": radius}
+@pytest.mark.parametrize("phase, resolution", [
+    ({"shape": "ellipse", "center": list(CENTER_2D), "radii": [1.0, 1e-16]}, 16),
+    ({"shape": "disk", "center": list(CENTER_2D), "radius": 1e-11}, 256),
+], ids=["orientation", "degenerate"])
+def test_unmeshable_phase_region_exits_2(tmp_path, capsys, command, phase, resolution):
+    # legal regions that mesh_initial refuses: the flat ellipse's vertices
+    # all round onto y = pi, so its 16-gon's signed volume is zero, and the
+    # 256-gon's edges fall below the quality floor
     data = reference_config(phase=phase).resolved()
     data["solver"]["mesh_resolution"] = resolution
     path = write_config(tmp_path, data)
@@ -633,9 +635,9 @@ def test_unmeshable_phase_region_exits_2(tmp_path, capsys, command, radius, reso
 
 @pytest.mark.parametrize("command", [["run"], ["dump-mesh"], ["refine", "--levels", "2"]])
 def test_config_error_keeps_an_output_directory_it_did_not_make(tmp_path, command):
-    phase = {"shape": "disk", "center": list(CENTER_2D), "radius": 1e-10}
+    phase = {"shape": "disk", "center": list(CENTER_2D), "radius": 1e-11}
     data = reference_config(phase=phase).resolved()
-    data["solver"]["mesh_resolution"] = 16
+    data["solver"]["mesh_resolution"] = 256
     path = write_config(tmp_path, data)
     out = tmp_path / "out"
     out.mkdir()

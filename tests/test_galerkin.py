@@ -25,6 +25,7 @@ from conftest import (
     MESH_FAULTS,
     circle_first_variation,
     faulty_advection,
+    faulty_B_step,
     faulty_forcing,
     reference_config,
     single_phase_decay_config,
@@ -1003,6 +1004,47 @@ class TestMarch:
         for row, want in zip(window.chi_cache, plain.chi_cache):
             np.testing.assert_array_equal(row, want)
 
+    BALL = {
+        "dimension": 3, "kmax": 2, "T": 0.05,
+        "initial_velocity": {"type": "taylor_green", "amplitude": 0.25},
+        "initial_magnetic": {"type": "single_mode", "wavevector": [1, 0, 0],
+                             "phase": "cos", "polarization": 0, "amplitude": 0.2},
+        "phase": {"shape": "ball", "center": [np.pi, np.pi, np.pi], "radius": 1.0},
+        "nu_plus": 0.2, "nu_minus": 0.1, "sigma": 1.0, "kappa": 0.1,
+        "solver": {"delta": 0.1, "n_sub": 8, "tol": 1e-8, "mesh_resolution": 3},
+    }
+
+    @pytest.mark.parametrize("dimension", [2, 3])
+    def test_a_stacked_sweep_over_the_marched_iterate_reaches_the_same_nodes(
+        self, monkeypatch, dimension
+    ):
+        # both sweep kinds take one node step: a stacked sweep over the
+        # accepted iterate of a marched first window (the reference's, and
+        # a 3D ball's) advects the same mesh and marches the same B to
+        # every node, bit for bit
+        config = reference_config(T=0.1) if dimension == 2 else RunConfig.from_dict(self.BALL)
+        real, calls = cg.fixed_point_window, []
+
+        def recorded(*args, **kwargs):
+            calls.append((args, kwargs, real(*args, **kwargs)))
+            return calls[-1][-1]
+
+        monkeypatch.setattr(cg, "fixed_point_window", recorded)
+        cg.run(config)
+        (previous, delta, n_sub, _, _), kwargs, marched = calls[0]
+        assert marched.start == "march" and len(marched.residual_history) > 1
+        # the marched iterate as the start of a window swept from two nodes,
+        # accepted after its one sweep
+        monkeypatch.setattr(cg, "_start_nodes", lambda previous, delta: 2)
+        monkeypatch.setattr(cg, "predictor", lambda *args: marched.u_trajectory)
+        stacked = real(previous, delta, n_sub, 1.0, 1, **kwargs)
+        assert stacked.start == "extrapolated" and len(stacked.residual_history) == 1
+        assert len(stacked.states) == len(marched.states) == n_sub + 1
+        for got, want in zip(stacked.states, marched.states):
+            assert got.mesh.vertices.tobytes() == want.mesh.vertices.tobytes()
+            assert got.B.coefficients.tobytes() == want.B.coefficients.tobytes()
+        assert stacked.resistive_increments.tobytes() == marched.resistive_increments.tobytes()
+
     def test_nan_forcing_at_one_marched_node_halves_the_window(self, monkeypatch):
         # the reference's first window marches in 3 sweeps; the capillary
         # pairing at node 3 of its second sweep (the 11th in-window node) is
@@ -1532,21 +1574,30 @@ class TestRun:
         assert failed["start"] == "march" and failed["forcing_evaluations"] == 1
         assert halved["accepted"] and halved["delta"] == failed["delta"] / 2
 
-    @pytest.mark.parametrize("fault", sorted(MESH_FAULTS))
+    @pytest.mark.parametrize("fault", [*sorted(MESH_FAULTS), "NaN B step"])
     def test_a_bad_advected_mesh_halves_the_window(self, monkeypatch, fault):
-        # the first mesh sweep 1 advects is broken: its geometry raises inside
-        # the sweep, so the window fails with that cause and no sweep counted,
-        # and the halved window is accepted
-        faulty_advection(monkeypatch, fault, calls=1)
-        result = cg.run(reference_config(T=0.1))
-        failed, halved = result.attempts[:2]
-        assert (failed["accepted"], failed["sweeps"], failed["error"]) == (
-            False, 0, MESH_FAULTS[fault]
-        )
-        assert "during sweep 1" in failed["message"]
-        assert halved["accepted"] and halved["delta"] == failed["delta"] / 2
-        assert result.window_failures == 1
-        assert result.final_state.t == pytest.approx(0.1)
+        # the first mesh sweep 1 advects is broken, and its geometry raises;
+        # or B's first sub-step ends non-finite, and the next B step or the
+        # forcing raises.  Both in the first window, which marches, and in
+        # the one at t = 0.1, which sweeps from the first's last nodes: the
+        # window fails with a typed cause and no sweep counted, and the
+        # halved window is accepted
+        causes = {**MESH_FAULTS, "NaN B step": "NumericsError"}
+        for since, start in ((0.0, "march"), (0.1, "extrapolated")):
+            with monkeypatch.context() as patch:
+                if fault in MESH_FAULTS:
+                    faulty_advection(patch, fault, calls=1, since=since)
+                else:
+                    faulty_B_step(patch, since=since)
+                result = cg.run(reference_config(T=since + 0.1))
+            assert result.window_failures == 1
+            (index,) = [i for i, a in enumerate(result.attempts) if not a["accepted"]]
+            failed, halved = result.attempts[index : index + 2]
+            assert (failed["t"], failed["start"]) == (since, start)
+            assert (failed["sweeps"], failed["error"]) == (0, causes[fault])
+            assert "during sweep 1" in failed["message"]
+            assert halved["accepted"] and halved["delta"] == failed["delta"] / 2
+            assert result.final_state.t == pytest.approx(since + 0.1)
 
     def test_non_finite_forcing_at_t0_raises_at_once(self, monkeypatch):
         # no window size changes N at the initial state: the run stops

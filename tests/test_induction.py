@@ -33,10 +33,11 @@ def march(sampler, b0, t0, t1, dt, sigma, order):
     sampler's coefficients at both ends: B at t1 and the steps' increments."""
     quad = b0.basis.quadrature(order)
     ends = np.stack([sampler.coefficients_at(t0), sampler.coefficients_at(t1)])
-    fields, _, (increments,) = cind.solve_B(
-        quad.field_values(ends), [t0, t1], b0, dt, sigma, quad
+    b0_values = quad.field_values(b0.coefficients)
+    b_end, _, increments = cind.solve_B(
+        quad.field_values(ends), [t0, t1], b0, b0_values, dt, sigma, quad
     )
-    return fields[-1], increments
+    return b_end, increments
 
 
 def unit_mode_field(basis, eigenvalue=1.0):
@@ -130,11 +131,12 @@ class TestSolveB:
 
     @pytest.mark.parametrize("steps, tolerance", [(1, 0.0), (4, 1e-13)])
     def test_window_march_matches_the_step_chain(self, steps, tolerance):
-        # u comes from one synthesis at the window's nodes.  At one step per
-        # sub-step every step starts at a node, so each node's B is the step
-        # chain's byte for byte; at four, the march takes u linearly between
-        # the node values and the chain synthesizes the interpolated
-        # coefficients, which agree to rounding
+        # u comes from one synthesis at the window's nodes, and each
+        # sub-step's march starts from the node values the last one handed
+        # on.  At one step per sub-step every step starts at a node, so each
+        # node's B is the step chain's byte for byte; at four, the march
+        # takes u linearly between the node values and the chain synthesizes
+        # the interpolated coefficients, which agree to rounding
         basis = cb.make_basis(2, 2)
         order = 8
         quad = basis.quadrature(order)
@@ -144,9 +146,15 @@ class TestSolveB:
         sampler = SpectralTrajectory(basis, t_grid, coefficients)
         b0 = cb.SpectralField(basis, 0.3 * rng.standard_normal(len(basis)))
         dt = 0.025 / steps
-        fields, values, increments = cind.solve_B(
-            quad.field_values(coefficients), t_grid, b0, dt, 0.7, quad
-        )
+        u_values = quad.field_values(coefficients)
+        fields, values, increments = [b0], [quad.field_values(b0.coefficients)], []
+        for i in range(4):
+            field, node_values, steps_made = cind.solve_B(
+                u_values[i : i + 2], t_grid[i : i + 2], fields[-1], values[-1], dt, 0.7, quad
+            )
+            fields.append(field)
+            values.append(node_values)
+            increments.append(steps_made)
         chain, chain_increments = [b0], []
         for t0, t1 in zip(t_grid[:-1], t_grid[1:]):
             _, kept, kept_increments = ref.induction_steps(

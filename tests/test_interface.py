@@ -951,6 +951,21 @@ class TestMeshGeometry:
         assert ci.perimeter(mesh) == float(np.sum(fresh[2]))
         assert ci.enclosed_volume(mesh) == fresh[3]
 
+    @pytest.mark.parametrize("dimension, radius, resolution", [
+        (2, 1e-10, 16), (2, 1e-4, 16), (3, 1e-5, 1), (3, 1e-3, 2),
+    ])
+    def test_a_tiny_region_far_from_the_origin_has_its_volume(self, dimension, radius,
+                                                              resolution):
+        # the vertices lie at (pi, ...) + radius * unit, rounded at ulp(pi):
+        # each offset is off by a relative 2.2e-16 * pi / radius at most, and
+        # the volume by a few times that, where a sum about the origin
+        # cancels (a 1e-10 16-gon read 0.0, a 1e-5 ball 51% off)
+        shape, center = (ci.disk, CENTER_2D) if dimension == 2 else (ci.ball, CENTER_3D)
+        unit = ci.mesh_initial(shape(center, 1.0), resolution).geometry.volume
+        volume = ci.enclosed_volume(ci.mesh_initial(shape(center, radius), resolution))
+        tolerance = 64 * np.finfo(float).eps * np.pi / radius
+        assert volume == pytest.approx(unit * radius**dimension, rel=tolerance, abs=0.0)
+
     @pytest.mark.parametrize("dimension", [2, 3])
     def test_vertices_and_geometry_are_read_only(self, dimension):
         mesh = self._advected(dimension)

@@ -35,7 +35,13 @@ sizes (``Lattice.values`` on ball3d's 642 mesh vertices and the 256 of a
 2D disk, ``curvature_pairing_modes`` on 1,280 triangles and 256 segments,
 ``InterfaceMesh.geometry`` in 3D), and every call of ``Lattice.values``
 and ``curvature_pairing_modes`` in one ``galerkin.run`` of each workload.
-It also records the tracemalloc peak of one 3D curvature pairing.
+It also records the tracemalloc peak of one 3D curvature pairing.  The
+timeit children run with glibc's heap trim and mmap thresholds pinned high
+(``MALLOC_ENV``, recorded in the file), so a kernel timed alone does not
+give its temporaries' pages back to the system and fault them in again on
+every call.
+
+The file also records each side's line count of ``src/capmhd/*.py``.
 """
 
 import os
@@ -58,6 +64,11 @@ ROOT = Path(__file__).resolve().parent.parent
 # the keys of an attempt record that tally the work of its window
 sys.path.insert(0, str(ROOT / "src"))
 from capmhd.galerkin import WORK  # noqa: E402
+
+
+# glibc's heap trim and mmap thresholds in the kernel table's timeit
+# children: 1 GiB, and 32 MiB, the largest mmap threshold it accepts.
+MALLOC_ENV = {"MALLOC_TRIM_THRESHOLD_": "1073741824", "MALLOC_MMAP_THRESHOLD_": "33554432"}
 
 
 # The sweep table's runs: (name, base config file, overrides).
@@ -243,14 +254,21 @@ def kernel_table(baseline, workloads, rounds=6, number=100, repeat=10):
         for side, checkout in order[:: 1 if i % 2 == 0 else -1]:
             env = dict(os.environ, PYTHONPATH=str(Path(checkout) / "src"))
             for mode in modes:
+                child = dict(env, **MALLOC_ENV) if mode[0] == "timeit" else env
                 out = subprocess.run([sys.executable, "-c", _KERNELS, *mode], cwd=checkout,
-                                     env=env, capture_output=True, text=True, check=True)
+                                     env=child, capture_output=True, text=True, check=True)
                 for name, values in json.loads(out.stdout).items():
                     samples[side].setdefault(name, []).extend(values)
     return {
         name: {side: statistics.median(samples[side][name]) for side in samples}
         for name in samples["change"]
     }
+
+
+def src_lines(checkout):
+    """Lines of ``src/capmhd/*.py`` in ``checkout``, as ``wc -l`` counts them."""
+    return sum(path.read_bytes().count(b"\n")
+               for path in (Path(checkout) / "src" / "capmhd").glob("*.py"))
 
 
 def bench_metrics(checkout, workload, seconds):
@@ -301,7 +319,9 @@ def main(argv=None):
     result = {
         "machine": {"platform": platform.platform(), "cpus": os.cpu_count(),
                     "python": platform.python_version(), "numpy": np.__version__,
-                    "blas_threads": {name: os.environ[name] for name in THREAD_VARIABLES}},
+                    "blas_threads": {name: os.environ[name] for name in THREAD_VARIABLES},
+                    "kernel_timeit_malloc": MALLOC_ENV},
+        "src_lines": {"baseline": src_lines(args.baseline), "change": src_lines(ROOT)},
         "sweep_table": sweep_table(args.baseline),
         "kernel_table": kernel_table(args.baseline, args.workloads),
         "bench_run_pairs": pairs(args.baseline, args.workloads, args.pairs, args.seconds),
@@ -318,6 +338,8 @@ def main(argv=None):
               f"windows with more sweeps {row['windows_with_more_sweeps']}, "
               f"largest ledger difference {row['largest_ledger_difference']}, "
               f"largest final-state difference {row['largest_final_state_difference']}")
+    lines = result["src_lines"]
+    print(f"src/capmhd lines: {lines['baseline']} -> {lines['change']}")
     for name, row in result["kernel_table"].items():
         print(f"{name}: {row['baseline']:.4g} -> {row['change']:.4g}")
     # every benchmark workload is also a sweep table config of the same name
