@@ -21,8 +21,8 @@ order, so a coefficient vector means the same modes from run to run, and
 Wavevectors are integers, so a field is u(x) = Re sum_k C_k e^{ik.x} over
 the box of integer wavevectors its modes span (``Lattice``), and e^{ik.x} is
 the product of one factor e^{i k_a x_a} per axis.  ``Lattice`` evaluates
-per-axis tables of those factors, the only trig evaluation of the basis.
-Off the grid (mesh vertices, traced points, element centroids) it multiplies
+per-axis tables of those factors, the only trig evaluation off the grid.
+There (mesh vertices, traced points, element centroids) it multiplies
 the tables of the trailing axes out into one plane table, contracts that
 with the coefficients in one matrix product and finishes with the leading
 axis; its adjoint sums samples at points into every wavevector of the box
@@ -32,9 +32,15 @@ Quadrature is a tensor-product uniform grid, which integrates periodic
 trigonometric polynomials exactly once the grid resolves their highest
 wavenumber (order per axis >= 2*kmax + 1 for quadratic forms of the basis).
 Each basis builds the grid of one order once (``Basis.quadrature``), together
-with the m x n trig tables at its nodes, gathered from the lattice's waves
-e^{ik.x} over the box; every pairing and node-value consumer takes that
-``Quadrature``.
+with one table of cos and sin of k . x at its nodes per distinct wavevector
+k, (m, 2K) for K wavevectors: the d - 1 polarizations of a wavevector share
+its columns, and d/dtheta cos = -sin reads the other column of the pair.  On
+the uniform grid k . x is a whole number of 2 pi / order, so every entry is
+looked up from cos and sin of the order angles of one turn.  Node values and
+gradients sum the coefficients onto the table's columns and take one matrix
+product with it; pairings and the L2 projection take one product with the
+table and read each mode's column.  No grid product builds an m x n table;
+every pairing and node-value consumer takes that ``Quadrature``.
 """
 
 import functools
@@ -165,6 +171,9 @@ class Basis:
     def _phase_table(self, points, derivative):
         """trig(k_j . x_m), or its derivative, from the lattice's waves: (m, n).
 
+        No solver path builds these m x n tables; the tests compare against
+        them, and the benchmark's tracer wraps the two methods by name.
+
         cos is Re and sin is Im of e^{ik.x}, or of i e^{ik.x} for the
         derivative: one gather per row of the waves' (real, imag) pairs.
         """
@@ -183,15 +192,14 @@ class Basis:
 
     @functools.cached_property
     def lattice(self):
-        """The wavevector box of the modes, built with the first trig table."""
+        """The wavevector box of the modes, built with the first off-grid call."""
         return Lattice(self)
 
     def quadrature(self, order):
         """The quadrature grid of ``order`` points per axis, built once per basis."""
         quad = self._quadratures.get(order)
         if quad is None:
-            points, weight = quadrature_rule(self.dimension, order)
-            quad = self._quadratures[order] = Quadrature(self, points, weight)
+            quad = self._quadratures[order] = Quadrature(self, order)
         return quad
 
 
@@ -248,50 +256,123 @@ def _read_only(array):
 
 
 class Quadrature:
-    """The uniform grid of one basis and order, with the trig tables at its nodes.
+    """The uniform grid of one basis and order, with the trig table at its nodes.
 
-    ``Basis.quadrature`` hands every caller the same object, so the tables are
-    read-only; each is built on first use.  The back-reference to the basis
+    ``table`` (m, 2K) holds cos and sin of k . x_m for each of the K distinct
+    wavevectors of the basis, in order of first appearance: column 2q is the
+    cos and column 2q + 1 the sin of the q-th (``grid_trig_table``).  Mode j
+    reads its value from column ``columns[j]`` and its derivative from the
+    other column of the pair, ``derivative_columns[j]``, times
+    ``derivative_signs[j]`` (d/dtheta cos = -sin, d/dtheta sin = cos).  The
+    products sum each mode's coefficient onto its column first, so no call
+    builds an m x n array.
+
+    ``Basis.quadrature`` hands every caller the same object, so the table is
+    read-only; it is built with the object, and the column sums of the node
+    values and gradients on their first call.  The back-reference to the basis
     is weak: the basis holds its quadratures, and a strong reference back
-    would leave a dropped basis and its tables to the cyclic collector.
+    would leave a dropped basis and its table to the cyclic collector.
     """
 
-    def __init__(self, basis, points, weight):
+    def __init__(self, basis, order):
         self.basis = weakref.proxy(basis)
+        points, self.weight = quadrature_rule(basis.dimension, order)
         self.points = _read_only(points)
-        self.weight = weight
+        k = basis.wavevectors.astype(np.int64)
+        first, position = _first_appearances(k)
+        self.table = _read_only(grid_trig_table(k[first], order))
+        self.columns = 2 * position + basis.is_sine
+        self.derivative_columns = self.columns ^ 1
+        self.derivative_signs = np.where(basis.is_sine, 1.0, -1.0)
 
     @functools.cached_property
-    def values(self):
-        """``basis.phase_values`` at the nodes: (m, n)."""
-        return _read_only(self.basis.phase_values(self.points))
+    def _value_sums(self):
+        return _column_sums(self.columns, self.basis.polarizations, self.table.shape[1])
 
     @functools.cached_property
-    def derivatives(self):
-        """``basis.phase_derivatives`` at the nodes: (m, n)."""
-        return _read_only(self.basis.phase_derivatives(self.points))
+    def _derivative_sums(self):
+        basis = self.basis
+        outer = basis.polarizations[:, :, None] * basis.wavevectors[:, None, :]
+        outer = self.derivative_signs[:, None] * outer.reshape(len(outer), -1)
+        return _column_sums(self.derivative_columns, outer, self.table.shape[1])
 
     def field_values(self, coefficients):
         """Values at the nodes of the field with these coefficients: (m, d).
 
         Rows (..., n) give (..., m, d), each row's product as it is alone.
         """
-        basis = self.basis
-        weights = (coefficients * basis.normalizations)[..., None] * basis.polarizations
-        return self.values @ weights
+        scaled = coefficients * self.basis.normalizations
+        return self.table @ _scatter(scaled, *self._value_sums)
 
     def field_gradients(self, coefficients):
         """Jacobians at the nodes of the field with these coefficients:
         (m, d, d), or (..., m, d, d) for rows (..., n) as ``field_values``."""
-        basis = self.basis
-        scaled = coefficients * basis.normalizations
-        outer = (
-            scaled[..., None, None]
-            * basis.polarizations[:, :, None]
-            * basis.wavevectors[:, None, :]
-        )
-        grads = self.derivatives @ outer.reshape(*outer.shape[:-2], -1)
-        return grads.reshape(*grads.shape[:-1], *outer.shape[-2:])
+        d = self.basis.dimension
+        scaled = coefficients * self.basis.normalizations
+        grads = self.table @ _scatter(scaled, *self._derivative_sums)
+        return grads.reshape(*grads.shape[:-1], d, d)
+
+
+def _first_appearances(rows):
+    """The distinct rows of an integer array in order of first appearance:
+    where each first appears (K,), and each row's position among them (n,)."""
+    low = rows.min(axis=0)
+    keys = np.ravel_multi_index(tuple((rows - low).T), tuple(rows.max(axis=0) - low + 1))
+    _, first, inverse = np.unique(keys, return_index=True, return_inverse=True)
+    rank = np.empty_like(first)
+    rank[np.argsort(first)] = np.arange(len(first))
+    return np.sort(first), rank[inverse]
+
+
+def grid_trig_table(wavevectors, order):
+    """cos and sin of k . x at the nodes of ``quadrature_rule``: (m, 2K) for
+    K integer wavevectors, the cos of the q-th in column 2q and its sin in
+    column 2q + 1.
+
+    Node m is 2 pi i_m / order for an integer multi-index i_m, so k . x_m is
+    2 pi s / order with s = k . i_m mod order: each entry is looked up from
+    the points e^{2 pi i s / order} of one turn, whose angles are taken in
+    [-pi, pi].  Each axis adds (k_a i_a) mod order, so the sum indexes the
+    turn repeated once per axis and needs no further reduction.
+    """
+    k = np.asarray(wavevectors, dtype=np.int64)
+    d = k.shape[1]
+    steps = np.arange(order)
+    angles = TWO_PI * np.where(2 * steps > order, steps - order, steps) / order
+    turn = np.empty(order, dtype=np.complex128)
+    turn.real = np.cos(angles)
+    turn.imag = np.sin(angles)
+    residues = np.multiply.outer(steps, k.T) % order
+    sums = residues[:, 0]
+    for axis in range(1, d):
+        sums = (sums[:, None, :] + residues[:, axis]).reshape(-1, len(k))
+    return np.take(np.concatenate([turn] * d), sums).view(np.float64)
+
+
+def _column_sums(columns, vectors, width):
+    """Which modes write each of ``width`` table columns, as slots: (index
+    (r, width), vectors (r, width, ...)).
+
+    Slot q of column c holds the q-th mode j with ``columns[j] == c`` and its
+    row of ``vectors``; an empty slot holds mode 0 with a zero vector.
+    """
+    order = np.argsort(columns, kind="stable")
+    counts = np.bincount(columns, minlength=width)
+    slots = np.arange(len(columns)) - np.repeat(np.cumsum(counts) - counts, counts)
+    index = np.zeros((counts.max(), width), dtype=np.intp)
+    stacked = np.zeros((counts.max(), width) + vectors.shape[1:])
+    index[slots, columns[order]] = order
+    stacked[slots, columns[order]] = vectors[order]
+    return index, stacked
+
+
+def _scatter(scaled, index, vectors):
+    """sum_j scaled_j vectors_j per table column, for the slots of
+    ``_column_sums``: (..., width, w) for rows (..., n)."""
+    out = scaled[..., index[0], None] * vectors[0]
+    for slot, rows in zip(index[1:], vectors[1:]):
+        out += scaled[..., slot, None] * rows
+    return out
 
 
 class Lattice:
@@ -305,8 +386,8 @@ class Lattice:
     the trailing axes go first: their tables multiply out into one plane
     table (m, n_1 ... n_{d-1}), which meets C in one matrix product, and the
     leading axis's table finishes the sum, so no (m, L) table is built.
-    ``waves`` multiplies every per-axis table out over the box; the
-    quadrature tables are gathered from it.  ``symmetric_weights`` row j
+    ``waves`` multiplies every per-axis table out over the box, for the
+    phase tables of ``Basis.phase_values``.  ``symmetric_weights`` row j
     turns the distinct entries F_ab (a <= b, the pairs ``upper``) of a
     symmetric d x d tensor F at k_j into w_j . F k_j: it holds
     w_a k_b + w_b k_a off the diagonal and w_a k_a on it, for w the mode's
@@ -410,7 +491,9 @@ def default_quadrature_order(kmax):
 def project_L2(sampler, basis, order):
     """L2 projection of ``sampler`` onto the span of ``basis``.
 
-    coefficient_j = quadrature of integral sampler . eta_j dx.  Projecting a
+    coefficient_j = quadrature of integral sampler . eta_j dx: one product of
+    the transposed trig table with the samples gives every column's moment
+    (2K, d), and mode j dots its column's with e_j.  Projecting a
     field already in the span is the identity up to quadrature error; with
     ``order`` below the Nyquist requirement of the basis a diagnostic warning
     is emitted (the projection is still computed).
@@ -428,8 +511,8 @@ def project_L2(sampler, basis, order):
         raise ValueError(
             f"sampler returned shape {values.shape} for points of shape {quad.points.shape}"
         )
-    pol_dot = values @ basis.polarizations.T
-    coefficients = quad.weight * basis.normalizations * np.sum(quad.values * pol_dot, axis=0)
+    projected = np.sum((quad.table.T @ values)[quad.columns] * basis.polarizations, axis=1)
+    coefficients = quad.weight * basis.normalizations * projected
     return SpectralField(basis, coefficients)
 
 
@@ -437,16 +520,19 @@ def gradient_pairing(tensors, quad):
     """Integrals T : grad(eta_j) dx over all modes j, for node tensors T (m, d, d).
 
     grad(eta_j) = dtrig(k_j . x) e_j k_j^T, so the pairing is e_j . M_j k_j
-    with the moments M_j = sum_m dtrig_mj T_m: one matrix product with the
-    derivative table, then a d x d contraction per mode.  A stack (..., m, d,
-    d) gives (..., n), each pairing as it is alone.
+    with the moments M_j = sum_m dtrig_mj T_m.  One matrix product with the
+    trig table gives the moments against every column, mode j reads its
+    derivative column's with its sign, and a d x d contraction per mode
+    finishes.  A stack (..., m, d, d) gives (..., n), each pairing as it is
+    alone.
     """
     basis = quad.basis
     d = basis.dimension
     flat = np.swapaxes(tensors.reshape(*tensors.shape[:-2], d * d), -1, -2)
-    moments = (flat @ quad.derivatives).reshape(*flat.shape[:-2], d, d, -1)
+    moments = (flat @ quad.table)[..., quad.derivative_columns]
+    moments = moments.reshape(*flat.shape[:-2], d, d, -1)
     pairing = np.einsum("ni,...iln,nl->...n", basis.polarizations, moments, basis.wavevectors)
-    return quad.weight * basis.normalizations * pairing
+    return quad.weight * basis.normalizations * quad.derivative_signs * pairing
 
 
 # The forcing pairs one node tensor per node, not the next two terms, which

@@ -186,18 +186,19 @@ class InterfaceMesh:
             raise MeshInvariantError("mesh vertices contain non-finite entries")
         corners = self.element_corners()
         a, b = corners[:, 0], corners[:, 1]
-        # summed about vertex 0, the signed volume does not cancel far from the origin
-        o = self.vertices[0]
         if self.dimension == 2:
             tangents = b - a
             raw = np.stack([tangents[:, 1], -tangents[:, 0]], axis=-1)
-            volume = 0.5 * float(np.sum(_cross_2d(a - o, b - o)))
             centers = (a + b) / 2
         else:
             c = corners[:, 2]
             raw = _cross3(b - a, c - a)
-            volume = float(np.sum(np.einsum("ei,ei->e", a - o, _cross3(b - o, c - o)))) / 6.0
             centers = (a + b + c) / 3
+        # (a - o) . raw is the element's cone volume from o times d!; summed
+        # about vertex 0, it does not cancel far from the origin
+        o = self.vertices[0]
+        cones = np.einsum("ei,ei->e", a - o, raw)
+        volume = float(np.sum(cones)) / (2.0 if self.dimension == 2 else 6.0)
         # np.linalg.norm's own sum of squares
         lengths = np.sqrt(np.add.reduce(raw * raw, axis=1))
         measures = lengths if self.dimension == 2 else 0.5 * lengths

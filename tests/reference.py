@@ -5,11 +5,12 @@ the solver does in a faster or narrower way: velocity samplers from one
 field or from callables, the single-shot back-trace and the indicator it
 gives, the curvature pairing against one test field, the m x n trig
 tables from sin and cos of every phase angle and a quadrature grid that
-holds them, the quadrature Gram matrix of the basis, the m x n trig-table
-forms of off-grid synthesis and of the curvature pairing against every
-mode, the (m, n) product-table forms of the grid pairings, the flow-map
-Jacobian from the variational equation, the induction chain with every
-step kept, the basis modes enumerated one at a time, the all-pairs
+holds them (its phases in extended precision), the quadrature Gram matrix
+of the basis, the m x n trig-table forms of off-grid synthesis, of the
+curvature pairing against every mode and of the grid's node values,
+gradients, pairings and projection, the flow-map Jacobian from the
+variational equation, the induction chain with every step kept, the
+basis modes enumerated one at a time, the all-pairs
 crossing test of a polygon, the distance to a polygon by one clamped
 projection onto each edge, a mesh's element geometry computed afresh from
 its corners by each measure's own formula, and the artifact writers that
@@ -17,6 +18,7 @@ format one row at a time.
 """
 
 import itertools
+import math
 
 import numpy as np
 
@@ -110,18 +112,35 @@ def phase_derivatives(basis, points):
     return _phase_table(basis, points, lambda theta: -np.sin(theta), np.cos)
 
 
+# extended precision, where the platform has it: phases of up to 3 d kmax
+# turns keep about 1e-18 of absolute error in it, against 1e-14 in float64
+EXTENDED = np.finfo(np.longdouble).eps < 1e-18
+
+
+def grid_phases(dimension, order, wavevectors):
+    """k . x_m for every node m of ``quadrature_rule`` and every wavevector k,
+    as 2 pi (k . i_m) / order from the node's integer multi-index i_m in
+    extended precision: (m, n) longdouble."""
+    nodes = np.indices((order,) * dimension).reshape(dimension, -1).T
+    turns = nodes @ np.asarray(wavevectors).astype(np.int64).T
+    return 2 * np.arccos(np.longdouble(-1)) * turns.astype(np.longdouble) / order
+
+
 class Quadrature:
     """The grid of ``quadrature_rule`` with the direct trig tables at its nodes.
 
     It stands in for ``basis.Quadrature`` in the reference pairings; both
-    tables are built at once.
+    tables are built at once, from sin and cos of every phase angle in
+    extended precision (``grid_phases``) rounded to float64.
     """
 
     def __init__(self, basis, order):
         self.basis = basis
         self.points, self.weight = quadrature_rule(basis.dimension, order)
-        self.values = phase_values(basis, self.points)
-        self.derivatives = phase_derivatives(basis, self.points)
+        theta = grid_phases(basis.dimension, order, basis.wavevectors)
+        cos, sin = np.cos(theta).astype(np.float64), np.sin(theta).astype(np.float64)
+        self.values = np.where(basis.is_sine, sin, cos)
+        self.derivatives = np.where(basis.is_sine, cos, -sin)
 
 
 def gram_matrix(basis, order):
@@ -155,6 +174,34 @@ def curvature_pairing_modes(mesh, basis):
     dph *= n @ basis.polarizations.T
     dph *= n @ basis.wavevectors.T
     return -basis.normalizations * (measures @ dph)
+
+
+def field_values(coefficients, quad):
+    """Field values at the nodes of a reference ``Quadrature``: (m, d)."""
+    basis = quad.basis
+    return quad.values @ ((coefficients * basis.normalizations)[:, None] * basis.polarizations)
+
+
+def field_gradients(coefficients, quad):
+    """Field Jacobians at the nodes of a reference ``Quadrature``: (m, d, d)."""
+    basis = quad.basis
+    scaled = coefficients * basis.normalizations
+    outer = scaled[:, None, None] * basis.polarizations[:, :, None] * basis.wavevectors[:, None, :]
+    return np.tensordot(quad.derivatives, outer, axes=([1], [0]))
+
+
+def gradient_pairing(tensors, quad):
+    """sum_m weight T_m : grad(eta_j)(x_m) over the nodes, one mode at a time."""
+    basis = quad.basis
+    contracted = np.einsum("ni,mil,nl->mn", basis.polarizations, tensors, basis.wavevectors)
+    return quad.weight * basis.normalizations * np.sum(quad.derivatives * contracted, axis=0)
+
+
+def projection(values, quad):
+    """sum_m weight values_m . eta_j(x_m) over the nodes, one mode at a time."""
+    basis = quad.basis
+    dots = values @ basis.polarizations.T
+    return quad.weight * basis.normalizations * np.sum(quad.values * dots, axis=0)
 
 
 def convection_pairing(a_values, b_values, quad):
@@ -334,22 +381,18 @@ def polygon_distance(mesh, points):
 def mesh_geometry(mesh):
     """(centres, unit normals, measures, signed volume), each computed afresh
     from the corners by its own formula, as the measures were before a mesh
-    kept its geometry; the volume sums the corners' cross or triple products
-    about vertex 0."""
+    kept its geometry; the volume sums each element's first corner, taken
+    about vertex 0, dotted with the element's unnormalised normal, over d!."""
     corners = mesh.element_corners()
     if mesh.dimension == 2:
         tangents = corners[:, 1] - corners[:, 0]
         raw = np.stack([tangents[:, 1], -tangents[:, 0]], axis=-1)
         measures = np.linalg.norm(tangents, axis=1)
-        local = corners - mesh.vertices[0]
-        cross = local[:, 0, 0] * local[:, 1, 1] - local[:, 0, 1] * local[:, 1, 0]
-        volume = 0.5 * float(np.sum(cross))
     else:
         raw = np.cross(corners[:, 1] - corners[:, 0], corners[:, 2] - corners[:, 0])
         measures = 0.5 * np.linalg.norm(raw, axis=1)
-        local = corners - mesh.vertices[0]
-        triple = np.einsum("ei,ei->e", local[:, 0], np.cross(local[:, 1], local[:, 2]))
-        volume = float(np.sum(triple)) / 6.0
+    cones = np.einsum("ei,ei->e", corners[:, 0] - mesh.vertices[0], raw)
+    volume = float(np.sum(cones)) / math.factorial(mesh.dimension)
     normals = raw / np.linalg.norm(raw, axis=1)[:, None]
     return corners.mean(axis=1), normals, measures, volume
 

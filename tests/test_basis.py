@@ -1,4 +1,5 @@
 import tracemalloc
+import warnings
 import weakref
 
 import numpy as np
@@ -290,35 +291,97 @@ def assert_bitwise(got, want):
     assert got.tobytes() == want.tobytes()
 
 
+def per_mode_tables(quad):
+    """Each mode's value and derivative columns read from the quadrature's
+    table: the (m, n) tables the grid products no longer build."""
+    derivatives = quad.table[:, quad.derivative_columns] * quad.derivative_signs
+    return quad.table[:, quad.columns], derivatives
+
+
+def distinct_in_order(wavevectors):
+    """The distinct rows in order of first appearance, one at a time."""
+    out = []
+    for k in map(tuple, wavevectors):
+        if k not in out:
+            out.append(k)
+    return np.array(out)
+
+
+# a lone cos mode, and 3D modes whose wavevectors interleave: (1, 0, 0) comes
+# back after (0, 1, 0), its sin before its cos, one polarization twice
+HAND_BUILT = {
+    "lone cos": ([(1, 2)], [0], [False]),
+    "out of order": (
+        [(1, 0, 0), (0, 1, 0), (1, 0, 0), (1, 0, 0), (0, 1, 0), (1, 0, 0)],
+        [1, 0, 0, 0, 1, 1],
+        [True, False, False, True, True, True],
+    ),
+}
+
+
 class TestQuadrature:
     @pytest.mark.parametrize("dimension", [2, 3])
     def test_tables_match_the_phase_tables_on_the_rule_grid(self, dimension):
+        # one cos and one sin column per distinct wavevector; each mode reads
+        # its value and its derivative from them as the phase tables hold it
         basis = cb.make_basis(dimension, 2)
         order = cb.default_quadrature_order(2)
         points, weight = cb.quadrature_rule(dimension, order)
         quad = basis.quadrature(order)
         assert_bitwise(quad.points, points)
         assert quad.weight == weight
-        assert_bitwise(quad.values, basis.phase_values(points))
-        assert_bitwise(quad.derivatives, basis.phase_derivatives(points))
+        assert quad.table.shape == (len(points), 2 * len(basis) // (2 * (dimension - 1)))
+        values, derivatives = per_mode_tables(quad)
+        assert np.max(np.abs(values - ref.phase_values(basis, points))) <= 1e-13
+        assert np.max(np.abs(derivatives - ref.phase_derivatives(basis, points))) <= 1e-13
 
     @pytest.mark.parametrize("dimension", [2, 3])
     @pytest.mark.parametrize("kmax", [1, 2, 3])
     def test_tables_match_the_direct_trig_tables(self, dimension, kmax):
-        # the lattice's waves against sin and cos of every phase angle, on the
-        # default grid, on the Nyquist grid and off the grid
+        # each mode's reading of the table against sin and cos of every phase
+        # angle, on the default grid and on the Nyquist grid, and the
+        # lattice's phase tables against them off the grid
         basis = cb.make_basis(dimension, kmax)
         for order in (4 * kmax, 2 * kmax + 1):
-            quad = basis.quadrature(order)
+            values, derivatives = per_mode_tables(basis.quadrature(order))
             direct = ref.Quadrature(basis, order)
-            assert np.max(np.abs(quad.values - direct.values)) <= 1e-13
-            assert np.max(np.abs(quad.derivatives - direct.derivatives)) <= 1e-13
+            assert np.max(np.abs(values - direct.values)) <= 1e-13
+            assert np.max(np.abs(derivatives - direct.derivatives)) <= 1e-13
         # mesh vertices are never wrapped into the cell
         points = np.random.default_rng(kmax).uniform(-4 * np.pi, 6 * np.pi, (200, dimension))
         got = basis.phase_values(points)
         assert np.max(np.abs(got - ref.phase_values(basis, points))) <= 1e-13
         got = basis.phase_derivatives(points)
         assert np.max(np.abs(got - ref.phase_derivatives(basis, points))) <= 1e-13
+
+    @pytest.mark.skipif(not ref.EXTENDED, reason="no extended-precision long double")
+    @pytest.mark.parametrize("dimension", [2, 3])
+    @pytest.mark.parametrize("kmax", [1, 2, 3])
+    @pytest.mark.parametrize("nyquist", [False, True], ids=["default", "nyquist"])
+    def test_table_is_cos_and_sin_of_each_distinct_wavevector(self, dimension, kmax, nyquist):
+        # against sin and cos of k . x in extended precision: float64 phases
+        # of up to 3 d kmax turns would be off by about 1e-14 themselves
+        basis = cb.make_basis(dimension, kmax)
+        order = 2 * kmax + 1 if nyquist else cb.default_quadrature_order(kmax)
+        table = basis.quadrature(order).table
+        distinct = distinct_in_order(basis.wavevectors)
+        theta = ref.grid_phases(dimension, order, distinct)
+        assert table.shape == (order**dimension, 2 * len(distinct))
+        assert np.max(np.abs(table[:, 0::2] - np.cos(theta))) <= 1e-15
+        assert np.max(np.abs(table[:, 1::2] - np.sin(theta))) <= 1e-15
+
+    @pytest.mark.parametrize("name", sorted(HAND_BUILT))
+    def test_hand_built_basis_columns(self, name):
+        basis = cb.Basis(*HAND_BUILT[name])
+        quad = basis.quadrature(5)
+        distinct = distinct_in_order(basis.wavevectors)
+        assert quad.table.shape == (5**basis.dimension, 2 * len(distinct))
+        position = [distinct.tolist().index(k) for k in basis.wavevectors.tolist()]
+        assert quad.columns.tolist() == [2 * q + s for q, s in zip(position, basis.is_sine)]
+        values, derivatives = per_mode_tables(quad)
+        direct = ref.Quadrature(basis, 5)
+        assert np.max(np.abs(values - direct.values)) <= 1e-13
+        assert np.max(np.abs(derivatives - direct.derivatives)) <= 1e-13
 
     def test_one_object_per_basis_and_order(self):
         basis = cb.make_basis(2, 2)
@@ -329,7 +392,7 @@ class TestQuadrature:
     def test_shared_tables_are_read_only(self):
         basis = cb.make_basis(2, 1)
         quad = basis.quadrature(4)
-        for table in (quad.points, quad.values, quad.derivatives):
+        for table in (quad.points, quad.table):
             with pytest.raises(ValueError, match="read-only"):
                 table[0, 0] = 1.0
 
@@ -340,6 +403,77 @@ class TestQuadrature:
         quad = weakref.ref(basis.quadrature(4))
         del basis
         assert quad() is None
+
+
+class TestGridProducts:
+    """Node values, gradients, pairings and projection on the grid against the
+    direct forms, one mode at a time."""
+
+    @staticmethod
+    def _check(basis, order, rng):
+        quad, direct = basis.quadrature(order), ref.Quadrature(basis, order)
+        m, d = quad.points.shape
+        coefficients = rng.standard_normal(len(basis))
+        # every mode is bounded by norm_j, its gradient by norm_j |k_j|
+        scaled = np.abs(coefficients) * basis.normalizations
+        wave = np.linalg.norm(basis.wavevectors, axis=1)
+        got = quad.field_values(coefficients)
+        want = ref.field_values(coefficients, direct)
+        assert np.max(np.abs(got - want)) <= 1e-13 * np.sum(scaled)
+        got = quad.field_gradients(coefficients)
+        want = ref.field_gradients(coefficients, direct)
+        assert np.max(np.abs(got - want)) <= 1e-13 * np.sum(scaled * wave)
+        tensors = rng.standard_normal((m, d, d))
+        size = np.sum(np.linalg.norm(tensors, axis=(1, 2)))
+        bound = quad.weight * basis.normalizations * wave * size
+        got = cb.gradient_pairing(tensors, quad)
+        assert np.all(np.abs(got - ref.gradient_pairing(tensors, direct)) <= 1e-13 * bound)
+        values = rng.standard_normal((m, d))
+        bound = quad.weight * basis.normalizations * np.sum(np.linalg.norm(values, axis=1))
+        got = cb.project_L2(lambda points: values, basis, order).coefficients
+        assert np.all(np.abs(got - ref.projection(values, direct)) <= 1e-13 * bound)
+
+    @settings(max_examples=24)
+    @given(
+        st.sampled_from([2, 3]),
+        st.integers(1, 3),
+        st.booleans(),
+        st.integers(0, 2**32 - 1),
+    )
+    def test_matches_the_direct_forms(self, dimension, kmax, sub, seed):
+        rng = np.random.default_rng(seed)
+        if sub:
+            basis = random_sub_basis(rng, dimension, kmax, int(rng.integers(1, 6)))
+        else:
+            basis = cb.make_basis(dimension, kmax)
+        with warnings.catch_warnings():
+            # a sub-basis's own kmax may lie below the grid's Nyquist order
+            warnings.simplefilter("ignore", RuntimeWarning)
+            self._check(basis, int(rng.integers(2 * kmax + 1, 4 * kmax + 1)), rng)
+
+    @pytest.mark.parametrize("name", sorted(HAND_BUILT))
+    def test_hand_built_basis(self, name):
+        self._check(cb.Basis(*HAND_BUILT[name]), 5, np.random.default_rng(41))
+
+    @pytest.mark.parametrize("dimension", [2, 3])
+    def test_a_stack_is_its_rows_alone(self, dimension):
+        # byte for byte, as apply_K's pass over a window's nodes must equal
+        # apply_N at each node
+        basis = cb.make_basis(dimension, 2)
+        quad = basis.quadrature(cb.default_quadrature_order(2))
+        rng = np.random.default_rng(43)
+        m, d = quad.points.shape
+        rows = rng.standard_normal((5, len(basis)))
+        tensors = rng.standard_normal((5, m, d, d))
+        for call, stack in (
+            (quad.field_values, rows),
+            (quad.field_gradients, rows),
+            (lambda t: cb.gradient_pairing(t, quad), tensors),
+        ):
+            together = call(stack)
+            for row, alone in zip(together, stack):
+                assert_bitwise(row, call(alone))
+
 
 def random_sub_basis(rng, dimension, kmax, size):
     """A few modes with random wavevectors, each with a negative component."""
@@ -486,26 +620,36 @@ class TestGridPairings:
         assert np.all(np.abs(got - want) <= 1e-12 * bound)
 
     def test_no_call_allocates_a_mode_by_node_table(self):
+        # the one table, cos and sin of 62 wavevectors, is built with the
+        # quadrature; no call then allocates an (m, n) array
         basis = cb.make_basis(3, 2)
         quad = basis.quadrature(8)
-        table = quad.derivatives.nbytes
-        assert table == 512 * 248 * 8
+        assert quad.table.nbytes == 512 * 124 * 8
+        mode_by_node = 512 * len(basis) * 8
+        assert mode_by_node == 512 * 248 * 8
         rng = np.random.default_rng(31)
         a, b = rng.standard_normal((2, 512, 3))
         grads = rng.standard_normal((512, 3, 3))
         du = 0.5 * (grads + np.swapaxes(grads, 1, 2))
         nu = rng.uniform(0.05, 0.5, 512)
-        for call in (
+        coefficients = rng.standard_normal(len(basis))
+        calls = (
             lambda: cb.convection_pairing(a, b, quad),
             lambda: cb.strain_pairing(du, nu, quad),
-        ):
+            lambda: quad.field_values(coefficients),
+            lambda: quad.field_gradients(coefficients),
+            lambda: cb.project_L2(lambda points: a, basis, 8),
+        )
+        for call in calls:
+            call()  # what a quadrature keeps is built on first use
+        for call in calls:
             tracemalloc.start()
             try:
                 call()
                 peak = tracemalloc.get_traced_memory()[1]
             finally:
                 tracemalloc.stop()
-            assert peak < table
+            assert peak < mode_by_node
 
 
 class TestSpectralField:

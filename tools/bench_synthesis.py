@@ -5,8 +5,9 @@
 It runs ``bench/run.py --trace 0`` on each workload ``--pairs`` times on both
 sides, this checkout and ``--baseline``, alternating which side runs first.
 It records every invocation's end-to-end metrics (each the median over its
-operations), and for ``run_s`` the medians over invocations, the baseline's
-interquartile range and the number of pairs this checkout wins.
+operations), and for each metric the medians over invocations, the
+baseline's interquartile range and the number of pairs this checkout wins
+(a lower value wins).
 
 It also records a sweep table: ``galerkin.run`` of each ``SWEEP_CONFIGS``
 entry in a fresh interpreter on each side, with nothing patched, read from
@@ -33,9 +34,14 @@ side and mode, alternating which side runs first, each as the median
 seconds per call over all rounds: alone with timeit at the workloads'
 sizes (``Lattice.values`` on ball3d's 642 mesh vertices and the 256 of a
 2D disk, ``curvature_pairing_modes`` on 1,280 triangles and 256 segments,
-``InterfaceMesh.geometry`` in 3D), and every call of ``Lattice.values``
-and ``curvature_pairing_modes`` in one ``galerkin.run`` of each workload.
-It also records the tracemalloc peak of one 3D curvature pairing.  The
+``InterfaceMesh.geometry`` in 3D, and the three grid products on ball3d's
+grid, ``Quadrature.field_values``, ``field_gradients`` and
+``gradient_pairing``), and every call of ``Lattice.values`` and
+``curvature_pairing_modes`` in one ``galerkin.run`` of each workload.  It
+also records the tracemalloc peak of one 3D curvature pairing, and for each
+workload the seconds and the minor page faults (``ru_minflt``) of each of
+ten back-to-back ``RunConfig.from_json(...).build()`` calls, the set-up
+that ``bench/op.py`` times, with the allocator left as a run has it.  The
 timeit children run with glibc's heap trim and mmap thresholds pinned high
 (``MALLOC_ENV``, recorded in the file), so a kernel timed alone does not
 give its temporaries' pages back to the system and fault them in again on
@@ -106,14 +112,16 @@ print(json.dumps({"run_s": seconds, "ledger": result.ledger.rows,
 """
 
 
-# The off-grid kernels in the checkout whose src is on sys.path.  With
-# "timeit", at the benchmark workloads' sizes (kmax 2: the 642 vertices and
-# 1,280 triangles of ball3d's mesh, the 256-gon of ref2d-long) it prints each
-# kernel's per-call seconds over the timeit repeats, and the tracemalloc peak
-# of one 3D curvature pairing once the mesh geometry and the lattice are
-# built.  With a workload name it prints the seconds of every call of
-# ``Lattice.values`` and ``curvature_pairing_modes`` in one ``galerkin.run``
-# of that workload, where they meet the allocator as a run leaves it.
+# The kernels in the checkout whose src is on sys.path.  With "timeit", at
+# the benchmark workloads' sizes (kmax 2: the 642 vertices and 1,280
+# triangles of ball3d's mesh and its 512-node grid, the 256-gon of
+# ref2d-long) it prints each kernel's per-call seconds over the timeit
+# repeats, and the tracemalloc peak of one 3D curvature pairing once the mesh
+# geometry and the lattice are built.  With "build" and a workload file it
+# prints the seconds and minor page faults of each of ten builds.  With a
+# workload name it prints the seconds of every call of ``Lattice.values`` and
+# ``curvature_pairing_modes`` in one ``galerkin.run`` of that workload, where
+# they meet the allocator as a run leaves it.
 _KERNELS = """
 import json, math, sys, time, timeit, tracemalloc
 import numpy as np
@@ -138,12 +146,34 @@ if mode == "timeit":
         }
         if d == 3:
             calls["InterfaceMesh.geometry 3D"] = lambda: ci.InterfaceMesh.geometry.func(mesh)
+            quad = basis.quadrature(cb.default_quadrature_order(2))
+            rng = np.random.default_rng(1)
+            coefficients = rng.standard_normal(len(basis))
+            tensors = rng.standard_normal((len(quad.points), 3, 3))
+            calls["Quadrature.field_values 3D"] = lambda: quad.field_values(coefficients)
+            calls["Quadrature.field_gradients 3D"] = lambda: quad.field_gradients(coefficients)
+            calls["gradient_pairing 3D"] = lambda: cb.gradient_pairing(tensors, quad)
+            for call in list(calls.values())[-3:]:
+                call()  # what the quadrature builds on first use
             tracemalloc.start()
             ci.curvature_pairing_modes(mesh, basis)
             out["curvature_pairing_modes 3D peak MB"] = [tracemalloc.get_traced_memory()[1] / 1e6]
             tracemalloc.stop()
         for name, call in calls.items():
             out[name + " s"] = [t / number for t in timeit.repeat(call, number=number, repeat=repeat)]
+elif mode == "build":
+    import resource
+    path = sys.argv[2]
+    seconds, faults = [], []
+    for _ in range(10):
+        before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+        start = time.perf_counter()
+        RunConfig.from_json(path).build()
+        seconds.append(time.perf_counter() - start)
+        faults.append(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
+    name = path.rsplit("/", 1)[-1].removesuffix(".json")
+    out[f"build {name} s"] = seconds
+    out[f"build {name} minor faults"] = faults
 else:
     def timed(name, kernel):
         out[f"{name} in a {mode} run s"] = seconds = []
@@ -247,7 +277,7 @@ def kernel_table(baseline, workloads, rounds=6, number=100, repeat=10):
     modes = [["timeit", str(number), str(repeat)]] + [
         [workload, (ROOT / "bench" / "workloads" / f"{workload}.json").read_text()]
         for workload in workloads
-    ]
+    ] + [["build", f"bench/workloads/{workload}.json"] for workload in workloads]
     samples = {"baseline": {}, "change": {}}
     for i in range(rounds):
         order = [("baseline", baseline), ("change", ROOT)]
@@ -294,14 +324,15 @@ def pairs(baseline, workloads, count, seconds):
         for side, samples in runs.items():
             for name in samples[0]:
                 row[f"{side}_{name}"] = [sample[name] for sample in samples]
-        base, change = row["baseline_run_s"], row["change_run_s"]
-        quartiles = statistics.quantiles(base, n=4, method="inclusive")
-        row.update({
-            "baseline_run_s_median": statistics.median(base),
-            "change_run_s_median": statistics.median(change),
-            "baseline_run_s_iqr": quartiles[2] - quartiles[0],
-            "change_wins": sum(c < b for b, c in zip(base, change)),
-        })
+        for name in samples[0]:
+            base, change = row[f"baseline_{name}"], row[f"change_{name}"]
+            quartiles = statistics.quantiles(base, n=4, method="inclusive")
+            row.update({
+                f"baseline_{name}_median": statistics.median(base),
+                f"change_{name}_median": statistics.median(change),
+                f"baseline_{name}_iqr": quartiles[2] - quartiles[0],
+                f"change_{name}_wins": sum(c < b for b, c in zip(base, change)),
+            })
         out[workload] = row
     return out
 
@@ -346,10 +377,13 @@ def main(argv=None):
     table = {row["config"]: row for row in result["sweep_table"]}
     for workload, row in result["bench_run_pairs"].items():
         base, change = table[workload]["baseline"], table[workload]["change"]
-        print(f"{workload}: run_s {row['baseline_run_s_median']:.3f} -> "
-              f"{row['change_run_s_median']:.3f} s, "
-              f"wins {row['change_wins']}/{len(row['change_run_s'])}, sweeps "
-              f"{base['sweeps']} -> {change['sweeps']}, "
+        metrics = ", ".join(
+            f"{name} {row[f'baseline_{name}_median']:.4g} -> {row[f'change_{name}_median']:.4g} "
+            f"(baseline IQR {row[f'baseline_{name}_iqr']:.3g}, "
+            f"wins {row[f'change_{name}_wins']}/{len(row[f'change_{name}'])})"
+            for name in ("run_s", "setup_s", "peak_rss_mb")
+        )
+        print(f"{workload}: {metrics}, sweeps {base['sweeps']} -> {change['sweeps']}, "
               f"history point-steps {base['history_point_steps']} -> "
               f"{change['history_point_steps']}")
     return 0
