@@ -15,12 +15,12 @@ underlying construction.
 
 A sweep does not take K(u) itself as the next iterate.  The viscous part of
 N at the mean viscosity nu_bar is linear and diagonal in the basis, since
-every mode is a Stokes eigenfunction: -nu_bar |k_j|^2 u_j.  The sweep takes
-that part implicitly in K's trapezoid and the rest, computed from the same
-N values, explicitly (a semi-implicit correction sweep, as in Minion,
-Commun. Math. Sci. 2003).  Its fixed point is K's, so the certificate is
-unchanged, and it costs no further forcing evaluation; the stiff high modes
-no longer set the contraction, so windows at large kmax take fewer sweeps.
+every mode is a Stokes eigenfunction: -nu_bar |k_j|^2 u_j.  A sweep that
+builds the next iterate takes that part implicitly in K's trapezoid and the
+rest explicitly (a semi-implicit correction sweep, as in Minion, Commun.
+Math. Sci. 2003).  Its fixed point is K's, so the certificate is unchanged;
+the stiff high modes no longer set the contraction, so windows at large
+kmax take fewer sweeps.
 
 Where K contracts, its fixed point does not depend on the first iterate,
 which sets only the number of sweeps.  A window starts from known forcing
@@ -36,14 +36,17 @@ predecessor's last node.  The initial state is the one-node window at
 t = 0, with the initial region's row and N there, so the first window is
 anchored like every other and starts from Euler.
 
-A window that starts from Euler marches each sweep node by node.  Node i's
+The sweep that builds the next iterate marches node by node.  Node i's
 mesh, B, indicator row and N depend on u only over [t_m, t_i], so the
 sweep steps u to node i from the N it has just computed at node i - 1 and
-a prediction of N at node i, the previous sweep's corrected by the change
-the sweep has seen so far (spectral deferred correction, Dutt, Greengard &
-Rokhlin, BIT 2000), with the viscous part implicit as above.  Every other
-window sweeps all its nodes at once, which costs less per sweep where the
-extrapolated start already certifies in one.
+a prediction of N at node i, the last sweep's corrected by the change the
+sweep has seen so far (spectral deferred correction, Dutt, Greengard &
+Rokhlin, BIT 2000), with the viscous part implicit as above.  It starts
+from the last sweep's iterate, N and indicator rows, and is accepted only
+if its own iterate has the same rows; those rows start the next march.
+Every sweep marches but the first of a window started from several nodes,
+which sweeps all its nodes at once under the extrapolated start: that
+costs less where the start already certifies in one sweep.
 
 The phase indicator chi(u) depends on the iterate only through the flow map,
 and the flow-map stability estimate |X_u - X_v| <= tau ||u - v|| e^{tau L}
@@ -306,28 +309,6 @@ def apply_K(states, order, anchor_forcing, u_values, b_values, chi_values):
     return _trapezoid(states[0].u.coefficients, t_grid, n_values), n_values, rates
 
 
-def _viscous_sweep(u_anchor, t_grid, u_trajectory, n_values, decay):
-    """The next iterate from u and its N values, the viscous part implicit.
-
-    N splits into its diagonal viscous part, decay * u with decay_j =
-    -nu_bar |k_j|^2 per mode, and the rest R = N - decay * u.  K's trapezoid
-    takes the first at the new iterate v and the second at u:
-
-        v_{i+1} = [v_i (1 + h_i decay) + h_i (R_i + R_{i+1})] / (1 - h_i decay),
-
-    h_i = (t_{i+1} - t_i) / 2, v_0 = the anchor bit for bit.  Where v = u this
-    is u_{i+1} = u_i + h_i (N_i + N_{i+1}), so the fixed point is K's; with
-    decay = 0 the step is K itself.
-    """
-    out = np.empty_like(n_values)
-    out[0] = u_anchor
-    remainder = n_values - decay * u_trajectory
-    for i, h in enumerate(0.5 * np.diff(t_grid)):
-        rhs = out[i] * (1.0 + h * decay) + h * (remainder[i] + remainder[i + 1])
-        out[i + 1] = rhs / (1.0 - h * decay)
-    return out
-
-
 def _start_nodes(previous, delta):
     """How many of ``previous``'s last nodes start a window of size ``delta``.
 
@@ -561,25 +542,32 @@ def fixed_point_window(
     advected one sub-step under u, B marched over it on u's grid values at
     the two nodes (``solve_B``), and node i's ``GalerkinState``.
 
-    A window started from several nodes sweeps in one grid pass: each sweep
-    synthesizes the iterate on the quadrature grid at every node in one
-    product, takes the node steps under the whole iterate, and gives u's
-    and B's node values to one ``apply_K`` pass.  It checks the residual
-    ||u - K(u)|| and builds the next iterate by ``_viscous_sweep`` from the
-    N values, with the viscous term at the mean viscosity implicit.
+    A window started from several nodes takes its first sweep in one grid
+    pass: it synthesizes the start on the quadrature grid at every node in
+    one product, takes the node steps under the whole start, and gives u's
+    and B's node values to one ``apply_K`` pass, whose K(u) gives the
+    residual ||u - K(u)||.
 
-    A window started from one node, the Euler start, marches each sweep
-    node by node from a guess, the previous sweep's (u, N), in the first
-    sweep the Euler start with N(anchor) at every node.  At node i it
-    predicts R = N - decay * u as the guess's R_i plus the correction R -
-    R_guess of nodes i - 2 and i - 1 extrapolated linearly to t_i (0 at node
-    1), takes ``_viscous_sweep``'s step from node i - 1 with this sweep's R
-    there, then the node step under u between the two nodes, and evaluates
-    N at node i alone, so the next node reads N where it has just been
-    computed.  K(u) is then the trapezoid of the sweep's own N, and the
-    residual is ||u - K(u)||.  The sweep's N read the rows the indicator
-    gave under the guess, so it is accepted only if the indicator gives
-    the same rows under the marched iterate.
+    Every other sweep marches node by node from a guess: the last sweep's
+    iterate, N and indicator rows, or in the first sweep of a window
+    started from one node the Euler start, with N(anchor) at every node,
+    and its rows.  With decay_j = -nu_bar |k_j|^2 the viscous part of N at
+    the mean viscosity, R = N - decay * u and h = (t_i - t_{i-1}) / 2, it
+    steps
+
+        u_i = [u_{i-1} (1 + h decay) + h (R_{i-1} + R'_i)] / (1 - h decay),
+
+    with this sweep's R at node i - 1 and R'_i the guess's R_i plus the
+    correction R - R_guess of nodes i - 2 and i - 1 extrapolated linearly to
+    t_i (0 at node 1).  Where the march gives its guess back, R' = R and
+    this is K's trapezoid step, so the fixed point is K's.  It then takes
+    the node step under u between the two nodes and evaluates N at node i
+    alone, so the next node reads N where it has just been computed.  K(u)
+    is the trapezoid of the sweep's own N, and the residual ||u - K(u)||.
+    The sweep's N read the guess's rows, so it is accepted only if the
+    indicator gives the same rows under the marched iterate; those rows are
+    the next sweep's guess rows, so each iterate is sampled and asked for
+    its rows once.
 
     Row 0 of every iterate is the anchor bit for bit.  A non-finite iterate,
     a broken dependent or forcing, or an accepted end mesh that crosses
@@ -641,21 +629,21 @@ def fixed_point_window(
         u_field = SpectralField(basis, u_row)
         return GalerkinState(span[1], u_field, b_field, mesh, params), b_values, steps
 
-    def stacked_sweep(u_coeffs, sampler):
-        """K(u), N, the rates, states, resistive increments and rows of the
-        iterate ``u_coeffs``, whose ``sampler`` it is, in one grid pass."""
+    def stacked_sweep(u_coeffs, sampler, chi_cache):
+        """K(u), N, the rates, states and resistive increments of the iterate
+        ``u_coeffs``, whose ``sampler`` and rows ``chi_cache`` they are, in
+        one grid pass."""
         u_grid = quad.field_values(u_coeffs)
         nodes = [(anchor, quad.field_values(anchor.B.coefficients), None)]
         for i in range(1, n_sub + 1):
             state, b_values, _ = nodes[-1]
             nodes.append(advance(i, state, b_values, u_coeffs[i], u_grid[i - 1 : i + 1], sampler))
-        chi_cache = rows(sampler)
         work["forcing_evaluations"] += n_sub
         states, b_values, increments = zip(*nodes)
         k_coeffs, n_values, rates = apply_K(
             states, order, anchor_forcing, u_grid, np.stack(b_values), chi_cache
         )
-        return k_coeffs, n_values, rates, list(states), increments[1:], chi_cache
+        return k_coeffs, n_values, rates, list(states), increments[1:]
 
     def marched_sweep(u_guess, n_guess, chi_cache):
         """The iterate marched node by node from the guess (``u_guess``,
@@ -698,31 +686,31 @@ def fixed_point_window(
 
     u_coeffs = predictor(anchor, t_grid, previous.t_grid[-tail:], previous.N_values[-tail:])
     # a march's first guess: the Euler start, with N(anchor) at every node
-    n_values, lattice_rows = np.tile(anchor_forcing, (n_sub + 1, 1)), None
+    n_values = np.tile(anchor_forcing, (n_sub + 1, 1))
     residual_history = []
     for iteration in range(1, max_iter + 1):
         try:
-            # the iterate, or the guess that a march starts from
-            _check_iterate(u_coeffs)
-            sampler = SpectralTrajectory(basis, t_grid, u_coeffs, lattice_rows)
-            if march:
+            if iteration == 1:
+                # the start, the one iterate that no march has checked
+                _check_iterate(u_coeffs)
+                sampler = SpectralTrajectory(basis, t_grid, u_coeffs)
                 chi_cache = rows(sampler)
+            guess_rows = chi_cache
+            if iteration == 1 and not march:
+                k_coeffs, n_values, rates, states, increments = stacked_sweep(
+                    u_coeffs, sampler, chi_cache
+                )
+            else:
                 u_coeffs, n_values, lattice_rows, rates, states, increments = marched_sweep(
-                    u_coeffs, n_values, chi_cache
+                    u_coeffs, n_values, guess_rows
                 )
                 k_coeffs = _trapezoid(anchor.u.coefficients, t_grid, n_values)
-                sampler = SpectralTrajectory(basis, t_grid, u_coeffs, lattice_rows)
-            else:
-                k_coeffs, n_values, rates, states, increments, chi_cache = stacked_sweep(
-                    u_coeffs, sampler
-                )
+                # the iterate's own rows, which the next march takes as its guess's
+                chi_cache = rows(SpectralTrajectory(basis, t_grid, u_coeffs, lattice_rows))
             residual = float(np.max(np.linalg.norm(u_coeffs - k_coeffs, axis=1)))
             residual_history.append(residual)
             # a march's N read the guess's rows, which must be the iterate's own
-            accepted = residual < tol and (
-                not march or indicator is None
-                or all(map(np.array_equal, rows(sampler), chi_cache))
-            )
+            accepted = residual < tol and all(map(np.array_equal, chi_cache, guess_rows))
             if accepted:
                 # the end mesh decides the next window's indicator off the band
                 check_simple(states[-1].mesh)
@@ -744,8 +732,6 @@ def fixed_point_window(
                 work=work,
                 start=start,
             )
-        if not march:
-            u_coeffs = _viscous_sweep(anchor.u.coefficients, t_grid, u_coeffs, n_values, decay)
     raise failure(
         f"did not converge in {max_iter} sweeps (last residual {residual_history[-1]:.3e})"
     )

@@ -355,8 +355,9 @@ class TestGridPass:
     def _counted_window_passes(self, monkeypatch, basis_2d):
         """The first two windows and the grid work of each: the calls of
         apply_K and apply_N, of the forcing pairing, of the stacked
-        (two-dimensional) synthesis of u and of the gradient synthesis."""
-        keys = ("apply_K", "apply_N", "pairing", "u", "gradients")
+        (two-dimensional) synthesis of u, of the gradient synthesis and of
+        the window indicator."""
+        keys = ("apply_K", "apply_N", "pairing", "u", "gradients", "indicator")
         counts = dict.fromkeys(keys, 0)
 
         def counting(real, key, stacked=lambda *args: True):
@@ -376,6 +377,9 @@ class TestGridPass:
         monkeypatch.setattr(cb.Quadrature, "field_gradients", counting(
             real_gradients, "gradients"
         ))
+        monkeypatch.setattr(cg._WindowIndicator, "__call__", counting(
+            cg._WindowIndicator.__call__, "indicator"
+        ))
         rng = np.random.default_rng(199)
         phase = ci.disk(CENTER_2D, 1.0)
         anchor = make_state(basis_2d, u_coeffs=0.3 * rng.standard_normal(len(basis_2d)),
@@ -392,29 +396,35 @@ class TestGridPass:
         return windows[1:], passes
 
     def test_one_sweep_is_one_grid_pass(self, monkeypatch, basis_2d):
-        # a window started from several nodes: per sweep one apply_K, one
-        # stacked synthesis of u (the B march synthesizes B alone, one row
-        # at a time), one stacked gradient synthesis and one forcing
-        # pairing, and no one-node apply_N
+        # a window started from several nodes: its first sweep is one grid
+        # pass, one apply_K, one stacked synthesis of u (the B march
+        # synthesizes B alone, one row at a time), one stacked gradient
+        # synthesis and one forcing pairing, and no one-node apply_N.  Every
+        # later sweep marches: one stacked synthesis (of the anchor's u and
+        # B) and one gradient synthesis and forcing pairing at each of its 4
+        # later nodes.  The indicator is asked once per sweep: each march
+        # takes the rows that the last sweep's check computed
         (_, window), (_, counts) = self._counted_window_passes(monkeypatch, basis_2d)
         assert window.start == "extrapolated"
         sweeps = len(window.residual_history)
         assert sweeps > 1
-        assert counts == dict(apply_K=sweeps, apply_N=0, pairing=sweeps, u=sweeps,
-                              gradients=sweeps)
+        later = 4 * (sweeps - 1)
+        assert counts == dict(apply_K=1, apply_N=0, pairing=1 + later, u=sweeps,
+                              gradients=1 + later, indicator=sweeps)
         assert window.work["forcing_evaluations"] == 4 * sweeps
 
     def test_a_marched_sweep_evaluates_each_node_once(self, monkeypatch, basis_2d):
         # a window started from one node marches: per sweep one gradient
         # synthesis and one forcing pairing at each of its 4 later nodes, one
         # stacked synthesis (of the anchor's u and B), and no apply_K or
-        # apply_N
+        # apply_N.  The indicator is asked for the first guess's rows and
+        # once per sweep after that
         (window, _), (counts, _) = self._counted_window_passes(monkeypatch, basis_2d)
         assert window.start == "march"
         sweeps = len(window.residual_history)
         assert sweeps > 1
         assert counts == dict(apply_K=0, apply_N=0, pairing=4 * sweeps, u=sweeps,
-                              gradients=4 * sweeps)
+                              gradients=4 * sweeps, indicator=sweeps + 1)
         assert window.work["forcing_evaluations"] == 4 * sweeps
 
 
@@ -650,7 +660,7 @@ def _run_checking_indicator(monkeypatch, config):
 
 def _first_iterate(monkeypatch):
     """Capture the iterate of every window-indicator call; the first is the
-    start: a stacked sweep's first iterate, or the guess a march starts from."""
+    start: a stacked first sweep's iterate, or the guess a march starts from."""
     real = cg._WindowIndicator.__call__
     iterates = []
 
@@ -968,31 +978,37 @@ class TestMarch:
             assert state.u.coefficients.tobytes() == window.u_trajectory[i].tobytes()
 
     def test_rows_that_move_under_the_iterate_are_not_accepted(self, monkeypatch, basis_2d):
-        # at tol 1e-3 the first sweep is below tol.  The indicator, asked
-        # again under the marched iterate, is made to flip one point at
-        # node 1: the sweep's N read other rows, so it is not accepted, and
-        # the next sweep, whose rows the indicator gives again, is
+        # at tol 1e-3 the first sweep is below tol.  The indicator is made to
+        # flip one point at node 1 of its first answer, the first guess's
+        # rows: the sweep's N read rows that the marched iterate does not
+        # have, so it is not accepted, and the next sweep, which takes the
+        # iterate's rows from that check as its guess's, is.  Flipped instead
+        # in its second answer, the marched iterate's rows, the flip is what
+        # the next sweep reads, so that sweep is not accepted either
         initial = self._initial(basis_2d)
         args = dict(self.ARGS, history=_history(initial))
         plain = cg.fixed_point_window(initial, 0.05, 4, 1e-3, 30, **args)
         assert len(plain.residual_history) == 1
         real = cg._WindowIndicator.__call__
-        calls = []
+        for flip, sweeps in ((1, 2), (2, 3)):
+            calls = []
 
-        def flipped_once(indicator, sampler):
-            chi = real(indicator, sampler)
-            calls.append(1)
-            if len(calls) == 2:
-                chi = [row.copy() for row in chi]
-                chi[1][0] = 1 - chi[1][0]
-            return chi
+            def flipped_once(indicator, sampler):
+                chi = real(indicator, sampler)
+                calls.append(1)
+                if len(calls) == flip:
+                    chi = [row.copy() for row in chi]
+                    chi[1][0] = 1 - chi[1][0]
+                return chi
 
-        monkeypatch.setattr(cg._WindowIndicator, "__call__", flipped_once)
-        window = cg.fixed_point_window(initial, 0.05, 4, 1e-3, 30, **args)
-        assert len(window.residual_history) == 2 and len(calls) == 4
-        assert window.residual_history[0] == plain.residual_history[0] < 1e-3
-        for row, want in zip(window.chi_cache, plain.chi_cache):
-            np.testing.assert_array_equal(row, want)
+            monkeypatch.setattr(cg._WindowIndicator, "__call__", flipped_once)
+            window = cg.fixed_point_window(initial, 0.05, 4, 1e-3, 30, **args)
+            assert len(window.residual_history) == sweeps and len(calls) == sweeps + 1
+            assert window.residual_history[0] < 1e-3
+            for row, want in zip(window.chi_cache, plain.chi_cache):
+                np.testing.assert_array_equal(row, want)
+        # the flip in the check's rows leaves the first sweep as it was
+        assert window.residual_history[0] == plain.residual_history[0]
 
     BALL = {
         "dimension": 3, "kmax": 2, "T": 0.05,
@@ -1431,8 +1447,8 @@ def _nan_first_forcing(monkeypatch):
     ``_forcing``'s own check.
 
     A march steps node 2 from node 1's N in the same sweep, so its iterate
-    goes NaN in sweep 1; a stacked sweep builds the next iterate from K's
-    image and N, so its iterate goes NaN at sweep 2.
+    goes NaN in sweep 1; a window's stacked first sweep hands its N to the
+    march of sweep 2 as the guess's, so that iterate goes NaN at sweep 2.
     """
     real = cg._forcing
     calls = []
@@ -1793,7 +1809,7 @@ class TestRun:
     # tally, in WORK's order after "forcing_evaluations".
     PINNED_WORK = {
         "configs/reference_2d.json": (7, 57, 41, (0, 0, 0, 0, 0)),
-        "bench/workloads/ref2d-long.json": (20, 161, 121, (4, 576, 2, 3000, 40)),
+        "bench/workloads/ref2d-long.json": (19, 153, 121, (4, 576, 2, 3000, 40)),
         "bench/workloads/ball3d.json": (2, 17, 9, (0, 0, 0, 0, 0)),
     }
 

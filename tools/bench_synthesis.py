@@ -10,18 +10,21 @@ baseline's interquartile range and the number of pairs this checkout wins
 (a lower value wins).
 
 It also records a sweep table: ``galerkin.run`` of each ``SWEEP_CONFIGS``
-entry in a fresh interpreter on each side, with nothing patched, read from
-the run's own window attempts.  The sides alternate which runs first from
-one config to the next.  For each side: the run's wall seconds (the only
-timing of the kmax 8 reference, which no benchmark workload runs), every
-attempt's start, sweeps and first residual, the largest ratio of
-consecutive residuals r_k / r_{k-1} within one attempt, and the attempts'
-summed work tally (``galerkin.WORK`` of this checkout: the nodes at which
+entry in ``SWEEP_ROUNDS`` fresh interpreters on each side, with nothing
+patched, read from the run's own window attempts.  The sides alternate
+which runs first from one round, and one config, to the next.  For each
+side: the median of the runs' wall seconds (the only timing of the kmax 4
+and kmax 8 references, which no benchmark workload runs) and each run's,
+whether every run wrote the same ledger as the first, and, read from the
+first run, every attempt's start, sweeps and first residual, the largest
+ratio of consecutive residuals r_k / r_{k-1} within one attempt, and the
+attempts' summed work tally (``galerkin.WORK`` of this checkout: the nodes at which
 the sweeps evaluated the forcing, and the window indicator's traces, the
 RK4 point-steps of its window and history legs, its history legs and the
 carried points the window-start mesh decided; None on a side whose attempts
-do not carry a key).  Each row ends with the number of windows that took
-more sweeps than on the baseline, the largest absolute difference between
+do not carry a key).  Each row ends with the number of rounds whose run
+was faster on this checkout, the number of windows that took more sweeps
+than on the baseline, the largest absolute difference between
 the two sides' ledger entries, and the largest between their final states
 (u and B coefficients and mesh vertices at T).  Each printed row counts the
 attempts of each start ("march" for a window marched from Euler,
@@ -76,6 +79,9 @@ from capmhd.galerkin import WORK  # noqa: E402
 # children: 1 GiB, and 32 MiB, the largest mmap threshold it accepts.
 MALLOC_ENV = {"MALLOC_TRIM_THRESHOLD_": "1073741824", "MALLOC_MMAP_THRESHOLD_": "33554432"}
 
+
+# The sweep table's fresh-interpreter runs of each config on each side.
+SWEEP_ROUNDS = 5
 
 # The sweep table's runs: (name, base config file, overrides).
 REFERENCE = "configs/reference_2d.json"
@@ -231,15 +237,21 @@ def sweep_table(baseline):
     for i, (name, path, overrides) in enumerate(SWEEP_CONFIGS):
         data = dict(json.loads((ROOT / path).read_text()), **overrides)
         row = {"config": name, "file": path, "overrides": overrides}
+        runs = {"baseline": [], "change": []}
+        for j in range(SWEEP_ROUNDS):
+            order = [("baseline", baseline), ("change", ROOT)]
+            for side, checkout in order[:: 1 if (i + j) % 2 == 0 else -1]:
+                runs[side].append(sweep_run(checkout, data))
         ledgers, finals = {}, {}
-        order = [("baseline", baseline), ("change", ROOT)]
-        for side, checkout in order[:: 1 if i % 2 == 0 else -1]:
-            out = sweep_run(checkout, data)
+        for side, outs in runs.items():
+            out = outs[0]
             attempts = out["attempts"]
             ledgers[side] = np.array(out["ledger"])
             finals[side] = out["final_state"]
             row[side] = {
-                "run_s": out["run_s"],
+                "run_s": statistics.median(run["run_s"] for run in outs),
+                "run_s_rounds": [run["run_s"] for run in outs],
+                "ledgers_identical": all(run["ledger"] == out["ledger"] for run in outs),
                 "sweeps": sum(a["sweeps"] for a in attempts),
                 **{key: total(attempts, key) for key in WORK},
                 "window_sweeps": [a["sweeps"] for a in attempts],
@@ -251,6 +263,9 @@ def sweep_table(baseline):
                 "starts": [a["start"] for a in attempts],
                 "failures": sum(not a["accepted"] for a in attempts),
             }
+        row["change_run_s_wins"] = sum(
+            c["run_s"] < b["run_s"] for b, c in zip(runs["baseline"], runs["change"])
+        )
         base, change = row["baseline"]["window_sweeps"], row["change"]["window_sweeps"]
         # a window-by-window count needs the same windows on both sides
         row["windows_with_more_sweeps"] = (
@@ -365,7 +380,9 @@ def main(argv=None):
             for key in ("run_s", "sweeps", *WORK, "largest_contraction")
         )
         starts = f"starts [{start_counts(base['starts'])}] -> [{start_counts(change['starts'])}]"
-        print(f"{row['config']}: {counts}, {starts}, "
+        print(f"{row['config']}: {counts}, run_s wins {row['change_run_s_wins']}/{SWEEP_ROUNDS}, "
+              f"same ledger every run {base['ledgers_identical']} -> "
+              f"{change['ledgers_identical']}, {starts}, "
               f"windows with more sweeps {row['windows_with_more_sweeps']}, "
               f"largest ledger difference {row['largest_ledger_difference']}, "
               f"largest final-state difference {row['largest_final_state_difference']}")
